@@ -57,7 +57,6 @@ class RunConfig:
     out: str | None = None
     fmt: str = "json"
     memory_budget: int | None = None
-    workers: int = 1
     check_paper: bool = False
     only: list | None = None
     nightly: bool = False
@@ -144,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-paper", help="run the full acceptance matrix")
     p.add_argument("--only", action="append", help="criterion name; repeatable")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--memory-budget", type=int)
     p.add_argument("--nightly", action="store_true", help="exhaustive Jacobi sweep on the large types")
     p.add_argument("--out")
@@ -166,7 +164,6 @@ def parse_config(argv) -> RunConfig:
     cfg.sweep = getattr(ns, "mode", None) == "sweep"
     cfg.ledger_path = getattr(ns, "ledger", None)
     cfg.memory_budget = getattr(ns, "memory_budget", None)
-    cfg.workers = getattr(ns, "workers", 1)
     cfg.check_paper = getattr(ns, "check_paper", False)
     cfg.only = getattr(ns, "only", None)
     cfg.nightly = getattr(ns, "nightly", False)
@@ -270,9 +267,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
     except AssertionError as exc:
         print(f"FAIL fixture-sync: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    results = verify_paper(
-        only=cfg.only, workers=max(1, cfg.workers), budget=cfg.memory_budget, nightly=cfg.nightly
-    )
+    results = verify_paper(only=cfg.only, budget=cfg.memory_budget, nightly=cfg.nightly)
     # timing goes to stderr only, so the data stream is bit-identical across runs
     doc = {
         "criteria": [{"name": r.name, "ok": r.ok, "details": r.details} for r in results],

@@ -4,12 +4,19 @@ Scalars are arbitrary-precision ints (ZZ), Fractions (QQ), or residues mod a
 machine-width prime (GF(ell)).  The kernel routines work over ZZ by unimodular
 column reduction, so kernels come back as saturated lattice bases with no
 rational intermediate step left in the result.
+
+Every elimination over F_ell in the package goes through one kernel at the end
+of this module: `matmul_mod`, the streamed reduced echelon form
+`EchelonState`, `rank_mod` and `det_mod`.  It is exact for every prime
+ell < 2**31.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+
+import numpy as np
 
 
 class IntegerRing:
@@ -70,10 +77,7 @@ class PrimeField:
     """F_ell for a prime ell < 2**31; residues stored as ints in [0, ell)."""
 
     def __init__(self, ell: int):
-        if not (2 <= ell < 2**31):
-            raise ValueError(f"prime out of machine-width range: {ell}")
-        if not is_probable_prime(ell):
-            raise ValueError(f"not a prime: {ell}")
+        check_prime_modulus(ell)
         self.ell = ell
         self.name = f"GF({ell})"
         self.characteristic = ell
@@ -116,6 +120,14 @@ QQ = RationalRing()
 
 def GF(ell: int) -> PrimeField:
     return PrimeField(ell)
+
+
+def check_prime_modulus(ell: int) -> None:
+    """Raise ValueError unless ell is a prime below 2**31."""
+    if not (2 <= ell < 2**31):
+        raise ValueError(f"prime out of machine-width range: {ell}")
+    if not is_probable_prime(ell):
+        raise ValueError(f"not a prime: {ell}")
 
 
 # ---------------------------------------------------------------------------
@@ -284,29 +296,111 @@ def content(vec) -> int:
     return g
 
 
+# ---------------------------------------------------------------------------
+# linear algebra over F_ell (int64 arrays with entries in [0, ell))
+# ---------------------------------------------------------------------------
+
+# surviving rows are eliminated this many at a time: a wider chunk makes each
+# pivot step cost more, a narrower one adds reduction and back-substitution
+# products
+_CHUNK = 64
+
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, ell: int) -> np.ndarray:
+    """a @ b mod ell, exact for ell < 2**31 and inner dimension k < 2**16.
+
+    The plain int64 product is used while k * (ell - 1)**2 < 2**63; otherwise
+    a is split into 16-bit halves so that every partial sum stays below 2**63.
+    Entries of a and b must lie in [0, ell).  The modulus is not checked here:
+    callers pass one already checked where they were entered.
+    """
+    k = a.shape[-1]
+    if k * (ell - 1) ** 2 < 2**63:
+        return a @ b % ell
+    if k >= 2**16:
+        raise ValueError(f"inner dimension {k} too large for an exact product mod {ell}")
+    return ((a >> 16) @ b % ell * 2**16 + (a & 0xFFFF) @ b % ell) % ell
+
+
+class EchelonState:
+    """Reduced row echelon form over F_ell, grown one batch of rows at a time.
+
+    Pivot row i has a 1 in column `pivots[i]` and every pivot row has 0 in the
+    other pivot columns, so only its entries on the `free` columns are stored
+    (in `rows`), and reducing a row against the state is one product.  An
+    added batch is reduced with one such product; only its surviving rows are
+    eliminated, `_CHUNK` rows at a time.  `scale` is the product of the pivot
+    values divided out, which is the determinant when the rows added so far
+    form a nonsingular square matrix.
+    """
+
+    def __init__(self, ncols: int, ell: int):
+        check_prime_modulus(ell)
+        self.ell = ell
+        self.free = np.arange(ncols)
+        self.pivots: list[int] = []
+        self.rows = np.zeros((0, ncols), dtype=np.int64)
+        self.scale = 1
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def _reduce(self, batch: np.ndarray) -> np.ndarray:
+        """The rows of batch minus their pivot-column combination, on the free columns."""
+        return (batch[:, self.free] - matmul_mod(batch[:, self.pivots], self.rows, self.ell)) % self.ell
+
+    def add(self, batch: np.ndarray) -> None:
+        batch = np.asarray(batch, dtype=np.int64) % self.ell
+        batch = batch[self._reduce(batch).any(axis=1)]
+        for start in range(0, len(batch), _CHUNK):
+            self._absorb(self._reduce(batch[start : start + _CHUNK]))
+
+    def _absorb(self, a: np.ndarray) -> None:
+        """Gauss-Jordan on reduced rows, then back-substitution into the state.
+
+        Pivot rows are taken in row order, so a nonsingular square input keeps
+        its row order, which `det_mod` relies on for the sign.
+        """
+        ell = self.ell
+        new_rows, new_cols = [], []
+        for i in a.any(axis=1).nonzero()[0]:  # a zero row stays zero
+            support = a[i].nonzero()[0]
+            if not support.size:
+                continue
+            q = int(support[0])
+            self.scale = self.scale * int(a[i, q]) % ell
+            a[i] = a[i] * pow(int(a[i, q]), -1, ell) % ell
+            col = a[:, q].copy()
+            col[i] = 0
+            nz = col.nonzero()[0]
+            a[nz] = (a[nz] - col[nz, None] * a[i]) % ell
+            new_rows.append(i)
+            new_cols.append(q)
+        new = a[new_rows]
+        old = (self.rows - matmul_mod(self.rows[:, new_cols], new, ell)) % ell
+        keep = np.ones(len(self.free), dtype=bool)
+        keep[new_cols] = False
+        self.rows = np.vstack([old, new])[:, keep]
+        self.pivots += self.free[new_cols].tolist()
+        self.free = self.free[keep]
+
+
+def rank_mod(matrix, ell: int) -> int:
+    """Rank over F_ell of an integer matrix."""
+    matrix = np.asarray(matrix, dtype=np.int64)
+    state = EchelonState(matrix.shape[1], ell)
+    state.add(matrix)
+    return state.rank
+
+
 def det_mod(rows, ell: int) -> int:
     """Determinant mod ell of a square integer matrix, by elimination over F_ell."""
-    import numpy as np
-
     n = len(rows)
-    a = np.array([[int(x) % ell for x in row] for row in rows], dtype=np.int64)
-    det = 1
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if a[r, c] % ell:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            a[[c, piv]] = a[[piv, c]]
-            det = -det
-        det = det * int(a[c, c]) % ell
-        inv = pow(int(a[c, c]), -1, ell)
-        a[c] = a[c] * inv % ell
-        rest = a[c + 1 :, c] % ell
-        nz = rest.nonzero()[0]
-        if nz.size:
-            a[c + 1 + nz] = (a[c + 1 + nz] - rest[nz, None] * a[c]) % ell
-    return det % ell
+    state = EchelonState(n, ell)
+    state.add((np.array(rows, dtype=object).reshape(n, n) % ell).astype(np.int64))
+    if state.rank < n:
+        return 0
+    p = np.array(state.pivots)
+    inversions = int(np.triu(p[:, None] > p[None, :], 1).sum())
+    return state.scale * (-1) ** inversions % ell

@@ -69,9 +69,3 @@ def assert_data_file_sync():
     embedded = json.loads(json.dumps(_as_jsonable()))
     if on_disk != embedded:
         raise AssertionError("data/reference_lists.json is out of sync with monolab.fixtures")
-
-
-def write_data_file(path):
-    with open(path, "w") as fh:
-        json.dump(_as_jsonable(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

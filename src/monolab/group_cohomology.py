@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exact import is_probable_prime
+from .exact import EchelonState, det_mod, matmul_mod, rank_mod
 from .rootsys import SimpleType, build_root_datum
 
 DEFAULT_MEMORY_BUDGET = 2 * 1024**3
@@ -51,30 +51,6 @@ def _mat_mult(a: Matrix, b: Matrix, ell: int) -> Matrix:
     )
 
 
-def _mat_det(a: Matrix, ell: int) -> int:
-    if len(a) == 1:
-        return a[0][0] % ell
-    if len(a) == 2:
-        return (a[0][0] * a[1][1] - a[0][1] * a[1][0]) % ell
-    m = [[x % ell for x in row] for row in a]
-    det = 1
-    n = len(m)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det = det * m[c][c] % ell
-        inv = pow(m[c][c], -1, ell)
-        for r in range(c + 1, n):
-            f = m[r][c] * inv % ell
-            if f:
-                m[r] = [(x - f * y) % ell for x, y in zip(m[r], m[c])]
-    return det % ell
-
-
 @dataclass(frozen=True)
 class FiniteMatrixGroup:
     ell: int
@@ -98,13 +74,14 @@ def close_group(generators, ell: int, cap: int = 2_000_000) -> FiniteMatrixGroup
     Element order is discovery order (identity first, generators applied in
     list order), which fixes every downstream computation bit-for-bit.
     """
-    gens = tuple(tuple(tuple(x % ell for x in row) for row in g) for g in generators)
+    gens = tuple(generators)
     if not gens:
         raise ValueError("need at least one generator")
-    degree = len(gens[0])
     for g in gens:
-        if _mat_det(g, ell) == 0:
+        if det_mod(g, ell) == 0:
             raise ValueError("generators must be invertible")
+    gens = tuple(tuple(tuple(x % ell for x in row) for row in g) for g in gens)
+    degree = len(gens[0])
     ident = tuple(tuple(1 if i == j else 0 for j in range(degree)) for i in range(degree))
     elements = [ident]
     index = {ident: 0}
@@ -142,8 +119,6 @@ def sl2_generators(ell: int) -> tuple[Matrix, Matrix]:
 
 @lru_cache(maxsize=8)
 def sl2_group(ell: int) -> FiniteMatrixGroup:
-    if not is_probable_prime(ell):
-        raise ValueError(f"{ell} is not prime")
     G = close_group(sl2_generators(ell), ell)
     expected = ell * (ell * ell - 1)
     assert G.order == expected, f"SL2(F_{ell}) closure has order {G.order}, want {expected}"
@@ -238,6 +213,7 @@ class CohomologyReport:
 
     def __post_init__(self):
         assert self.h1 == self.dim_Z1 - self.dim_B1
+        assert self.h0 >= 0 and self.dim_B1 >= 0 and self.h1 >= 0, self
 
     def to_json_dict(self):
         return {"h0": self.h0, "dim_Z1": self.dim_Z1, "dim_B1": self.dim_B1, "h1": self.h1}
@@ -246,53 +222,11 @@ class CohomologyReport:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-class _EchelonState:
-    """Streamed row reduction mod ell with positional pivoting."""
-
-    def __init__(self, ncols: int, ell: int):
-        self.ncols = ncols
-        self.ell = ell
-        self.rows = np.zeros((0, ncols), dtype=np.int64)
-        self.pivots: list[int] = []
-
-    @property
-    def rank(self):
-        return len(self.pivots)
-
-    def add(self, batch: np.ndarray):
-        ell = self.ell
-        batch = batch % ell
-        while True:
-            for r, p in zip(self.rows, self.pivots):
-                col = batch[:, p] % ell
-                nz = col.nonzero()[0]
-                if nz.size:
-                    batch[nz] = (batch[nz] - col[nz, None] * r) % ell
-            live = batch.any(axis=1).nonzero()[0]
-            if not live.size:
-                return
-            first = live[0]
-            row = batch[first]
-            p = int(row.nonzero()[0][0])
-            row = row * pow(int(row[p]), -1, ell) % ell
-            self.rows = np.vstack([self.rows, row])
-            self.pivots.append(p)
-            batch = batch[live[1:]] if live.size > 1 else batch[:0]
-            if self.rank == self.ncols:
-                return
-
-
-def _rank_mod(matrix: np.ndarray, ell: int) -> int:
-    st = _EchelonState(matrix.shape[1], ell)
-    st.add(np.array(matrix, dtype=np.int64))
-    return st.rank
-
-
 def h0(G: FiniteMatrixGroup, M: ModuleAction) -> int:
     """Dimension of the simultaneous fixed space of the generator action."""
     eye = np.eye(M.dim, dtype=np.int64)
     stacked = np.vstack([m - eye for m in M.matrices]) % M.ell
-    return M.dim - _rank_mod(stacked, M.ell)
+    return M.dim - rank_mod(stacked, M.ell)
 
 
 def h1(G: FiniteMatrixGroup, M: ModuleAction, budget: int | None = None) -> CohomologyReport:
@@ -321,7 +255,7 @@ def h1(G: FiniteMatrixGroup, M: ModuleAction, budget: int | None = None) -> Coho
     C = np.zeros((n, dim, ncols), dtype=np.int64)
     seen = np.zeros(n, dtype=bool)
     seen[0] = True
-    state = _EchelonState(ncols, ell)
+    state = EchelonState(ncols, ell)
     pending = []
     pending_rows = 0
     for g in range(n):  # discovery order is BFS order
@@ -330,7 +264,7 @@ def h1(G: FiniteMatrixGroup, M: ModuleAction, budget: int | None = None) -> Coho
             tgt = int(G.cayley[g, j])
             if not seen[tgt]:
                 seen[tgt] = True
-                rho[tgt] = rg @ M.matrices[j] % ell
+                rho[tgt] = matmul_mod(rg, M.matrices[j], ell)
                 C[tgt] = C[g]
                 C[tgt, :, j * dim : (j + 1) * dim] = (
                     C[tgt, :, j * dim : (j + 1) * dim] + rg
@@ -371,7 +305,7 @@ def h1_naive(G: FiniteMatrixGroup, M: ModuleAction) -> CohomologyReport:
             tgt = int(G.cayley[g, j])
             if not seen[tgt]:
                 seen[tgt] = True
-                rho[tgt] = rho[g] @ M.matrices[j] % ell
+                rho[tgt] = matmul_mod(rho[g], M.matrices[j], ell)
     gen_elt = [G.index[s] for s in G.generators]
     rows = np.zeros((n * ng * dim, n * dim), dtype=np.int64)
     eye = np.eye(dim, dtype=np.int64)
@@ -383,7 +317,7 @@ def h1_naive(G: FiniteMatrixGroup, M: ModuleAction) -> CohomologyReport:
             rows[r : r + dim, g * dim : (g + 1) * dim] -= eye
             rows[r : r + dim, gen_elt[j] * dim : (gen_elt[j] + 1) * dim] -= rho[g]
             r += dim
-    dim_Z1 = n * dim - _rank_mod(rows % ell, ell)
+    dim_Z1 = n * dim - rank_mod(rows % ell, ell)
     fixed = h0(G, M)
     return CohomologyReport(h0=fixed, dim_Z1=dim_Z1, dim_B1=dim - fixed, h1=dim_Z1 - (dim - fixed))
 

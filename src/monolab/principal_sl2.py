@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .chevalley import ChevalleyAlgebra, LieElement, bracket, build_chevalley_algebra
+from .chevalley import ChevalleyAlgebra, LieElement, bracket
 from .exact import ZZ, PrimeField, det_mod, integer_kernel, normalize_primitive
 from .rootsys import RootDatum
 
@@ -231,8 +231,3 @@ def kostant_mod_ell_basis_check(kd: KostantDecomposition, ell: int, rows=None) -
     if len(rows) != alg.dim:
         return False
     return det_mod(rows, ell) != 0
-
-
-def principal_sl2_for(source, ring=ZZ) -> tuple[ChevalleyAlgebra, Sl2Triple]:
-    alg = build_chevalley_algebra(source, ring)
-    return alg, build_principal_sl2(alg)

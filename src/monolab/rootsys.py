@@ -312,12 +312,4 @@ def weyl_contains_minus_one(t: SimpleType | str) -> bool:
     return build_root_datum(SimpleType.parse(t)).weyl_has_minus_one
 
 
-def height(d: RootDatum, root: Root) -> int:
-    return d.height(root)
-
-
-def coroot(d: RootDatum, root: Root) -> Root:
-    return d.coroot(root)
-
-
 EXCEPTIONAL_TYPES = ("G2", "F4", "E6", "E7", "E8")

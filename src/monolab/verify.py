@@ -1,10 +1,9 @@
 """The reference acceptance matrix: every conformance criterion in one place.
 
 Each criterion is a function returning a CriterionResult; `verify_paper` runs
-them (optionally restricted or in a worker pool) and reports one pass/fail
-line per criterion.  The same functions back the test suite and the
-`verify-paper` CLI subcommand, so there is a single source of truth for what
-"conforms" means.
+them (optionally restricted) and reports one pass/fail line per criterion.
+The same functions back the test suite and the `verify-paper` CLI subcommand,
+so there is a single source of truth for what "conforms" means.
 
 Criterion `cohomology-vanishing` pins the classical H^1 pattern exactly:
 h1(SL2(F_ell), Sym^r (x) det^{-r/2}) is 1 at r = ell - 3 and 0 at every other
@@ -19,7 +18,6 @@ from __future__ import annotations
 import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import fixtures
@@ -385,9 +383,7 @@ CRITERIA = (
 )
 
 
-def verify_paper(
-    only=None, workers: int = 1, budget: int | None = None, nightly: bool | None = None
-) -> list[CriterionResult]:
+def verify_paper(only=None, budget: int | None = None, nightly: bool | None = None) -> list[CriterionResult]:
     """Run the acceptance matrix; returns results in fixed criterion order."""
     fixtures.assert_data_file_sync()
     selected = [(n, f) for n, f in CRITERIA if only is None or n in only]
@@ -396,8 +392,8 @@ def verify_paper(
         if unknown:
             raise ValueError(f"unknown criteria: {sorted(unknown)}")
 
-    def run_one(item):
-        name, fn = item
+    results = []
+    for _, fn in selected:
         t0 = time.time()
         if fn is crit_cohomology_vanishing:
             out = fn(budget)
@@ -406,11 +402,5 @@ def verify_paper(
         else:
             out = fn()
         out.elapsed = time.time() - t0
-        return out
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, selected))
-    else:
-        results = [run_one(item) for item in selected]
+        results.append(out)
     return results

@@ -141,15 +141,6 @@ def test_verify_unknown_criterion(capsys):
     assert code == EXIT_USAGE
 
 
-def test_verify_workers_deterministic(capsys):
-    code1, out1, _ = run_cli(capsys, "verify-paper", "--only", "prime-lists", "--only", "bounds-and-persistence")
-    code2, out2, _ = run_cli(
-        capsys, "verify-paper", "--only", "prime-lists", "--only", "bounds-and-persistence", "--workers", "4"
-    )
-    assert code1 == code2 == EXIT_OK
-    assert out1 == out2  # data stream is bit-identical; timing lives on stderr
-
-
 def test_verify_fixture_corruption_exits_2(capsys, monkeypatch):
     # a mutated embedded table first trips the embedded-vs-file sync guard
     monkeypatch.setitem(fixtures.OBSTRUCTION_PRIMES, "F4", (2, 3))

@@ -1,16 +1,21 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from monolab.exact import (
     GF,
     QQ,
     ZZ,
+    _CHUNK,
+    EchelonState,
     det_mod,
     integer_kernel,
     is_probable_prime,
+    matmul_mod,
     normalize_primitive,
+    rank_mod,
 )
 
 
@@ -109,6 +114,80 @@ def test_det_mod_against_rational():
         d = rational_det(rows)
         for ell in (2, 3, 5, 13, 101):
             assert det_mod(rows, ell) == int(d) % ell
+
+
+def reference_rank_det(rows, ell):
+    """Rank mod ell and, for a square matrix, the determinant mod ell.
+
+    Plain Gaussian elimination on Python ints, so no fixed-width arithmetic
+    is shared with the kernel under test.
+    """
+    work = [[x % ell for x in r] for r in rows]
+    ncols = len(work[0]) if work else 0
+    rank, det = 0, 1
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(work)) if work[i][c]), None)
+        if piv is None:
+            det = 0
+            continue
+        if piv != rank:
+            work[rank], work[piv] = work[piv], work[rank]
+            det = -det
+        det = det * work[rank][c] % ell
+        inv = pow(work[rank][c], -1, ell)
+        for i in range(rank + 1, len(work)):
+            f = work[i][c] * inv % ell
+            if f:
+                work[i] = [(a - f * b) % ell for a, b in zip(work[i], work[rank])]
+        rank += 1
+    return rank, det % ell
+
+
+def random_residue_matrix(rng, m, n, ell, kind):
+    if kind == "low-rank":
+        k = rng.randrange(min(m, n))
+        left = [[rng.randrange(ell) for _ in range(k)] for _ in range(m)]
+        right = [[rng.randrange(ell) for _ in range(n)] for _ in range(k)]
+        return [[sum(left[i][t] * right[t][j] for t in range(k)) % ell for j in range(n)] for i in range(m)]
+    rows = [[rng.randrange(ell) for _ in range(n)] for _ in range(m)]
+    if kind == "zero-columns":
+        for j in rng.sample(range(n), max(1, n // 4)):
+            for r in rows:
+                r[j] = 0
+    return rows
+
+
+@pytest.mark.parametrize("ell", [2, 3, 7, 65521, 2**31 - 1])
+def test_kernel_against_python_reference(ell):
+    # 70 rows span two elimination chunks, so the reduction of a later chunk
+    # and the back-substitution into earlier pivot rows both run
+    assert _CHUNK < 70
+    rng = random.Random(ell)
+    for m, n in [(1, 1), (3, 5), (7, 4), (12, 12), (70, 40), (40, 70), (70, 70)]:
+        for kind in ("random", "low-rank", "zero-columns"):
+            rows = random_residue_matrix(rng, m, n, ell, kind)
+            rank, det = reference_rank_det(rows, ell)
+            assert rank_mod(rows, ell) == rank, (m, n, kind)
+            state = EchelonState(n, ell)
+            cuts = [0] + sorted(rng.sample(range(1, m), min(2, m - 1))) + [m]
+            for lo, hi in zip(cuts, cuts[1:]):
+                state.add(np.array(rows[lo:hi], dtype=np.int64))
+            assert state.rank == rank, (m, n, kind, cuts)
+            if m == n:
+                assert det_mod(rows, ell) == det, (m, kind)
+            other = [[rng.randrange(ell) for _ in range(3)] for _ in range(n)]
+            want = [[sum(r[t] * other[t][j] for t in range(n)) % ell for j in range(3)] for r in rows]
+            got = matmul_mod(np.array(rows, dtype=np.int64), np.array(other, dtype=np.int64), ell)
+            assert got.tolist() == want, (m, n, kind)
+
+
+def test_kernel_rejects_bad_moduli():
+    with pytest.raises(ValueError, match="not a prime: 12"):
+        det_mod([[1, 2], [3, 4]], 12)
+    with pytest.raises(ValueError, match="not a prime: 12"):
+        rank_mod([[1, 2]], 12)
+    with pytest.raises(ValueError, match="prime out of machine-width range"):
+        det_mod([[1]], 2**31 + 11)
 
 
 def test_prime_field_ops():

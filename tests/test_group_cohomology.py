@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from monolab.group_cohomology import (
+    CohomologyReport,
     ResourceLimitError,
     abelianization_elementary_divisors,
     adjoint_h1_via_kostant,
@@ -41,9 +42,9 @@ def fixed_space_oracle(G, M):
                 seen[t] = True
                 rho[t] = rho[g] @ M.matrices[j] % ell
     stacked = np.vstack([rho[g] - np.eye(dim, dtype=np.int64) for g in range(n)]) % ell
-    from monolab.group_cohomology import _rank_mod
+    from monolab.exact import rank_mod
 
-    return dim - _rank_mod(stacked, ell)
+    return dim - rank_mod(stacked, ell)
 
 
 # -- closure -----------------------------------------------------------------
@@ -67,6 +68,11 @@ def test_closure_cap():
 def test_non_invertible_rejected():
     with pytest.raises(ValueError):
         close_group([((1, 0), (2, 0))], 5)
+
+
+def test_composite_modulus_rejected():
+    with pytest.raises(ValueError, match="not a prime: 12"):
+        close_group([((1, 1), (0, 1))], 12)
 
 
 def test_cayley_table_consistency():
@@ -197,9 +203,44 @@ def test_excluded_size_exploratory_value():
     assert h1_naive(G, sym_module(5, 2, 1)) == rep
 
 
+# generators of cyclic subgroups of SL2(ZZ), by order
+CYCLIC_GENERATORS = {
+    2: ((-1, 0), (0, -1)),
+    3: ((0, -1), (1, -1)),
+    4: ((0, -1), (1, 0)),
+    6: ((1, -1), (1, 0)),
+}
+
+
+def test_h1_exact_at_largest_prime():
+    # products of residues near 2**31 overflow int64; the true value is 0
+    # because the group order 3 is prime to ell
+    ell = 2**31 - 1
+    C = close_group([CYCLIC_GENERATORS[3]], ell)
+    M = sym_module(ell, 6, 0, generators=C.generators)
+    assert h1(C, M).h1 == 0
+    assert h1_naive(C, M).h1 == 0
+
+
+@pytest.mark.parametrize("order", sorted(CYCLIC_GENERATORS))
+def test_coprime_cyclic_h1_vanishes_below_2_31(order):
+    for ell in (2**31 - 1, 2147483629, 2147483587):
+        C = close_group([CYCLIC_GENERATORS[order]], ell)
+        assert C.order == order
+        for r in (4, 5, 6):
+            M = sym_module(ell, r, 0, generators=C.generators)
+            assert h1(C, M).h1 == h1_naive(C, M).h1 == 0, (ell, r)
+
+
+def test_report_rejects_negative_dimensions():
+    with pytest.raises(AssertionError):
+        CohomologyReport(h0=3, dim_Z1=2, dim_B1=4, h1=-2)
+
+
 def certified_nonvanishing(ell, r):
     """Independent certificate: an explicit cocycle, checked on all pairs."""
-    from monolab.group_cohomology import _EchelonState, _mat_mult, _rank_mod
+    from monolab.exact import rank_mod
+    from monolab.group_cohomology import _mat_mult
 
     G = sl2_group(ell)
     M = sym_module(ell, r, r // 2)
@@ -246,13 +287,13 @@ def certified_nonvanishing(ell, r):
         for j in range(ng):
             cob[b, j * dim : (j + 1) * dim] = (rho[gen_idx[j]] @ v - v) % ell
     witness = None
-    base_rank = _rank_mod(cob, ell)
+    base_rank = rank_mod(cob, ell)
     for fc in free:
         u = np.zeros(ncols, dtype=np.int64)
         u[fc] = 1
         for i, c in enumerate(pivcols):
             u[c] = (-m[i, fc]) % ell
-        if _rank_mod(np.vstack([cob, u]), ell) > base_rank:
+        if rank_mod(np.vstack([cob, u]), ell) > base_rank:
             witness = u
             break
     if witness is None:
