@@ -29,27 +29,18 @@ from .exact import GF, ZZ, PrimeField
 from .rootsys import Root, RootDatum, SimpleType, build_root_datum
 
 
-def _carter_constants(datum: RootDatum) -> dict:
-    """Structure constants on positive special pairs, standard orientation.
+def _carter_constants(datum: RootDatum):
+    """Structure constants in standard orientation, as n_any(u, v) for any roots.
 
-    Returns {(a_idx, b_idx): n} for positive-root index pairs a < b with
-    root(a) + root(b) a root.  Extraspecial pairs get n = -(p+1); the exposed
-    bracket negates the whole table, so the user-facing convention carries
-    +(p+1) on extraspecial pairs.
+    Positive pairs are fixed first: extraspecial pairs get n = -(p+1), the
+    other pairs with the same sum follow by the root-quadruple identity, and
+    n_any carries them to every sign (Carter, Simple Groups of Lie Type, 4.1).
+    The exposed bracket negates the whole table, so the user-facing convention
+    carries +(p+1) on extraspecial pairs.
     """
     pos = datum.positive_roots
     idx = {r: i for i, r in enumerate(pos)}
     roots = set(datum.all_roots)
-
-    def p_string(u, v):
-        # depth of the u-string through v: max k with v - k*u a root
-        k = 0
-        w = tuple(a - b for a, b in zip(v, u))
-        while w in roots:
-            k += 1
-            w = tuple(a - b for a, b in zip(w, u))
-        return k
-
     norm2 = lru_cache(maxsize=None)(lambda r: datum.norm2(r))
     table: dict = {}
 
@@ -87,7 +78,7 @@ def _carter_constants(datum: RootDatum) -> dict:
         gamma = pos[g_idx]
         specials = sorted(by_sum[g_idx])
         a0, b0 = specials[0]  # extraspecial: minimal first member
-        table[(a0, b0)] = -(p_string(pos[a0], pos[b0]) + 1)
+        table[(a0, b0)] = -(datum.string_depth(pos[a0], pos[b0]) + 1)
         alpha, beta = pos[a0], pos[b0]
         for a, b in specials[1:]:
             xi, eta = pos[a], pos[b]
@@ -107,9 +98,9 @@ def _carter_constants(datum: RootDatum) -> dict:
             val = norm2(gamma) * acc / table[(a0, b0)]
             assert val.denominator == 1 and val != 0
             table[(a, b)] = int(val)
-            expect = p_string(xi, eta) + 1
+            expect = datum.string_depth(xi, eta) + 1
             assert abs(table[(a, b)]) == expect, (gamma, xi, eta, table[(a, b)], expect)
-    return table
+    return n_any
 
 
 @dataclass(frozen=True)
@@ -191,10 +182,6 @@ class ChevalleyAlgebra:
     def h(self, i: int) -> "LieElement":
         return self.element({self.basis.h(i): 1})
 
-    def coroot_element(self, root: Root) -> "LieElement":
-        cr = self.datum.coroot(root)
-        return self.element({self.basis.h(i): c for i, c in enumerate(cr) if c})
-
     def basis_element(self, k: int) -> "LieElement":
         return self.element({k: 1})
 
@@ -261,8 +248,7 @@ def _build_table(datum: RootDatum):
     pos = datum.positive_roots
     num_pos, rank = len(pos), datum.rank
     basis = _Basis(num_pos, rank)
-    idx = {r: i for i, r in enumerate(pos)}
-    special = _carter_constants(datum)
+    n_any = _carter_constants(datum)  # the exposed bracket uses its negative
     roots = list(pos) + [tuple(-c for c in r) for r in pos]
     root_index = {r: i for i, r in enumerate(roots)}
     rootset = set(roots)
@@ -270,28 +256,6 @@ def _build_table(datum: RootDatum):
     def vec_index(r: Root) -> int:
         i = root_index[r]
         return basis.x(i) if i < num_pos else basis.y(i - num_pos)
-
-    def n_pos(a, b):
-        return special[(a, b)] if a < b else -special[(b, a)]
-
-    norm2 = lru_cache(maxsize=None)(lambda r: datum.norm2(r))
-
-    def n_std(u, v):
-        # standard-orientation constant; exposed bracket uses the negative
-        hu, hv = sum(u), sum(v)
-        if hu > 0 and hv > 0:
-            return n_pos(idx[u], idx[v])
-        if hu < 0 and hv < 0:
-            return -n_std(tuple(-c for c in u), tuple(-c for c in v))
-        if hu < 0:
-            return -n_std(v, u)
-        w = tuple(a + b for a, b in zip(u, v))
-        if sum(w) > 0:
-            val = Fraction(norm2(w), norm2(u)) * n_pos(idx[w], idx[tuple(-c for c in v)])
-        else:
-            val = Fraction(norm2(w), norm2(v)) * n_pos(idx[tuple(-c for c in w)], idx[u])
-        assert val.denominator == 1
-        return int(val)
 
     table: dict = {}
     constants: dict = {}
@@ -311,7 +275,7 @@ def _build_table(datum: RootDatum):
                 cr = datum.coroot(u)
                 put(iu, iv, [(basis.h(i), -c) for i, c in enumerate(cr)])
             elif s in rootset:
-                n = -n_std(u, v)
+                n = -n_any(u, v)
                 constants[(u, v)] = n
                 put(iu, iv, [(vec_index(s), n)])
     # Cartan against root vectors: [x_u, h_i] = <alpha_i^vee, u> x_u

@@ -23,7 +23,6 @@ class IntegerRing:
     """ZZ with arbitrary-precision ints."""
 
     name = "ZZ"
-    characteristic = 0
 
     def coerce(self, x):
         if isinstance(x, int):
@@ -52,7 +51,6 @@ class RationalRing:
     """QQ with Fractions."""
 
     name = "QQ"
-    characteristic = 0
 
     def coerce(self, x):
         return Fraction(x)
@@ -80,7 +78,6 @@ class PrimeField:
         check_prime_modulus(ell)
         self.ell = ell
         self.name = f"GF({ell})"
-        self.characteristic = ell
 
     def coerce(self, x):
         if isinstance(x, Fraction):
@@ -278,9 +275,7 @@ def integer_kernel(rows: list[list[int]], ncols: int) -> list[tuple[int, ...]]:
 
 def normalize_primitive(vec) -> tuple[int, ...]:
     """Divide out the content and make the first nonzero coordinate positive."""
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
+    g = content(vec)
     if g == 0:
         return tuple(vec)
     lead = next(x for x in vec if x != 0)

@@ -1,7 +1,8 @@
 """Embedded reference tables for the exceptional types.
 
 These are the published target values the engines are checked against under
-``--check-paper`` / ``verify-paper``.  The same tables ship as a
+``--check-paper`` / ``verify-paper``: `OBSTRUCTION_PRIMES` for G2, F4, E6 and
+E7, the two `E8_CANDIDATES`, and `CENTER_ORDERS`.  The same tables ship as a
 human-readable data file (data/reference_lists.json); `assert_data_file_sync`
 confirms the two copies agree so that conformance checks cannot silently
 drift with the working directory.
@@ -15,16 +16,6 @@ from __future__ import annotations
 
 import json
 from importlib import resources
-
-EXPONENTS = {
-    "G2": (1, 5),
-    "F4": (1, 5, 7, 11),
-    "E6": (1, 4, 5, 7, 8, 11),
-    "E7": (1, 5, 7, 9, 11, 13, 17),
-    "E8": (1, 7, 11, 13, 17, 19, 23, 29),
-}
-
-COXETER = {"G2": 6, "F4": 12, "E6": 12, "E7": 18, "E8": 30}
 
 OBSTRUCTION_PRIMES = {
     "G2": (2, 3, 5),
@@ -42,20 +33,12 @@ E8_CANDIDATES = {
 # Order of the center of the simply-connected form.
 CENTER_ORDERS = {"G2": 1, "F4": 1, "E6": 3, "E7": 2, "E8": 1}
 
-# The lower bound on usable primes in the principal-sl2 lifting setting is
-# 4h-1 per type; E6 runs through the L-group variant but is simply laced, so
-# 4h-1 = 4h^vee-1 = 47 there as well.
-PRINCIPAL_SL2_BOUND = {t: 4 * h - 1 for t, h in COXETER.items()}
-
 
 def _as_jsonable():
     return {
-        "exponents": {k: list(v) for k, v in EXPONENTS.items()},
-        "coxeter_numbers": dict(COXETER),
         "obstruction_primes": {k: list(v) for k, v in OBSTRUCTION_PRIMES.items()},
         "e8_candidates": {str(k): list(v) for k, v in E8_CANDIDATES.items()},
         "center_orders": dict(CENTER_ORDERS),
-        "principal_sl2_bounds": dict(PRINCIPAL_SL2_BOUND),
     }
 
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exact import EchelonState, det_mod, matmul_mod, rank_mod
+from .exact import EchelonState, _xgcd, det_mod, matmul_mod, rank_mod
 from .rootsys import SimpleType, build_root_datum
 
 DEFAULT_MEMORY_BUDGET = 2 * 1024**3
@@ -330,8 +330,6 @@ def _relation_lattice(G: FiniteMatrixGroup) -> list[list[int]]:
     relation of G^ab.  Rows are accumulated into an integer echelon basis by
     gcd reduction, so at most n_generators rows survive.
     """
-    from .exact import _xgcd
-
     n, ng = G.order, len(G.generators)
     words: list = [None] * n
     words[0] = [0] * ng

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 
-from .chevalley import bracket, build_chevalley_algebra
-from .exact import GF, ZZ, is_probable_prime
+from .chevalley import ad_power, base_change, build_chevalley_algebra
+from .exact import is_probable_prime
 from .fixtures import E8_CANDIDATES, OBSTRUCTION_PRIMES
 from .principal_sl2 import KostantDecomposition, build_principal_sl2, kostant_decomposition
 from .rootsys import SimpleType
@@ -199,21 +199,26 @@ class PrimeScanReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
-def scan_simple_projections(kd: KostantDecomposition) -> tuple[ExponentScan, ...]:
+def scan_simple_projections(kd: KostantDecomposition, ell: int | None = None) -> tuple[ExponentScan, ...]:
     """ad(Y)^{m_i+1}(p_i) coordinates on the negative simple root spaces.
+
+    With `ell`, Y and the integral eigenvectors are reduced mod ell first and
+    the brackets run in F_ell arithmetic; that is meaningful for ell >= 2h-1,
+    where the reduced eigenvectors still decompose the algebra.
 
     Raises ArithmeticError if any scan element has support outside those
     spaces; that cannot happen for a correct bracket table, so a leak is a
     bug signal rather than input error.
     """
-    alg = kd.triple.algebra
-    rank = alg.datum.rank
-    simple_y = {alg.basis.y(i): i for i in range(rank)}
+    Y, pairs = kd.triple.Y, kd.pairs
+    if ell is not None:
+        Y = base_change(Y, ell)
+        pairs = [(m, base_change(p, ell)) for m, p in pairs]
+    rank = Y.algebra.datum.rank
+    simple_y = {Y.algebra.basis.y(i): i for i in range(rank)}
     out = []
-    for m, p in kd.pairs:
-        v = p
-        for _ in range(m + 1):
-            v = bracket(kd.triple.Y, v)
+    for m, p in pairs:
+        v = ad_power(Y, m + 1, p)
         bad = [k for k in v.coeffs if k not in simple_y]
         if bad:
             raise ArithmeticError(
@@ -244,9 +249,7 @@ def scan_e6_cartan(kd: KostantDecomposition) -> tuple[tuple[int, int], ...]:
         raise ValueError("the Cartan scan is specific to type E6")
     out = []
     for m, p in kd.pairs:
-        v = p
-        for _ in range(m):
-            v = bracket(kd.triple.Y, v)
+        v = ad_power(kd.triple.Y, m, p)
         nonc = [k for k in v.coeffs if k < 2 * alg.basis.num_pos]
         if nonc:
             raise ArithmeticError(f"ad(Y)^{m}(p) has non-Cartan support: {nonc}")
@@ -324,34 +327,6 @@ def aggregate_bad_primes(t: SimpleType | str) -> tuple[int, ...]:
     if not t.is_exceptional:
         raise ValueError(f"aggregation rules exist only for exceptional types, not {t}")
     return build_report(t).bad_primes
-
-
-def scan_over_field(kd: KostantDecomposition, ell: int) -> tuple[ExponentScan, ...]:
-    """Redo the projection scan natively over F_ell.
-
-    Reduces Y and the integral eigenvectors mod ell and brackets in F_ell
-    arithmetic; meaningful for ell >= 2h-1, where the reduced eigenvectors
-    still decompose the algebra.
-    """
-    alg = kd.triple.algebra
-    if alg.ring is not ZZ:
-        raise ValueError("start from the ZZ decomposition")
-    falg = alg.change_ring(GF(ell))
-    rank = alg.datum.rank
-    simple_y = {falg.basis.y(i): i for i in range(rank)}
-    Y = falg.element(dict(kd.triple.Y.coeffs))
-    out = []
-    for m, p in kd.pairs:
-        v = falg.element(dict(p.coeffs))
-        for _ in range(m + 1):
-            v = bracket(Y, v)
-        if any(k not in simple_y for k in v.coeffs):
-            raise ArithmeticError("mod-ell scan leaked outside the simple spaces")
-        vec = [0] * rank
-        for k, c in v.coeffs.items():
-            vec[simple_y[k]] = c
-        out.append(ExponentScan(m, tuple(vec), frozenset(i for i, c in enumerate(vec) if c == 0)))
-    return tuple(out)
 
 
 def check_against_reference(report: PrimeScanReport):

@@ -69,14 +69,15 @@ def build_principal_sl2(alg: ChevalleyAlgebra) -> Sl2Triple:
     X = alg.element({alg.basis.x(i): 1 for i in range(d.rank)})
     H = alg.element({alg.basis.h(i): c[i] for i in range(d.rank)})
     Y = alg.element({alg.basis.y(i): c[i] for i in range(d.rank)})
-    _assert_relations(alg, X, H, Y)
-    return Sl2Triple(alg, X, H, Y, c)
+    triple = Sl2Triple(alg, X, H, Y, c)
+    assert relations_hold(triple), "[X,H] = 2X, [Y,H] = -2Y, [Y,X] = H fail"
+    return triple
 
 
-def _assert_relations(alg, X, H, Y):
-    assert bracket(X, H) == X.scale(2), "[X,H] != 2X"
-    assert bracket(Y, H) == Y.scale(-2), "[Y,H] != -2Y"
-    assert bracket(Y, X) == H, "[Y,X] != H"
+def relations_hold(triple: Sl2Triple) -> bool:
+    """Whether [X, H] = 2X, [Y, H] = -2Y and [Y, X] = H hold exactly."""
+    X, H, Y = triple.X, triple.H, triple.Y
+    return bracket(X, H) == X.scale(2) and bracket(Y, H) == Y.scale(-2) and bracket(Y, X) == H
 
 
 def _weight_of_index(alg: ChevalleyAlgebra, k: int) -> int:

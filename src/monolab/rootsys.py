@@ -127,7 +127,6 @@ class RootDatum:
     rank: int
     cartan: tuple[tuple[int, ...], ...]
     positive_roots: tuple[Root, ...]
-    heights: dict  # Root -> int, over positive roots
     highest_root: Root
     coxeter_number: int
     exponents: tuple[int, ...]
@@ -157,6 +156,16 @@ class RootDatum:
 
     def is_root(self, v: Root) -> bool:
         return v in self._root_set
+
+    def string_depth(self, u: Root, v: Root) -> int:
+        """Depth of the u-string through v: the largest k with v - k*u a root."""
+        roots = self._root_set
+        k = 0
+        w = tuple(a - b for a, b in zip(v, u))
+        while w in roots:
+            k += 1
+            w = tuple(a - b for a, b in zip(w, u))
+        return k
 
     @property
     def _root_set(self):
@@ -272,7 +281,6 @@ def build_root_datum(t: SimpleType | str) -> RootDatum:
     t = SimpleType.parse(t)
     A = cartan_matrix(t)
     pos = tuple(_close_positive_roots(A))
-    heights = {r: sum(r) for r in pos}
     theta = pos[-1]
     top = [r for r in pos if sum(r) == sum(theta)]
     assert top == [theta], "highest root must be unique"
@@ -283,7 +291,6 @@ def build_root_datum(t: SimpleType | str) -> RootDatum:
         rank=t.rank,
         cartan=A,
         positive_roots=pos,
-        heights=heights,
         highest_root=theta,
         coxeter_number=h,
         exponents=exps,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from . import fixtures
 from .chevalley import bracket, build_chevalley_algebra, jacobi_sweep
-from .exact import GF
+from .exact import GF, is_probable_prime
 from .group_cohomology import (
     adjoint_h1_via_kostant,
     close_group,
@@ -37,6 +37,7 @@ from .principal_sl2 import (
     centralizer_of_X,
     kostant_decomposition,
     kostant_mod_ell_basis_check,
+    relations_hold,
     sl2_string_family_rows,
 )
 from .prime_scan import build_report, check_against_reference
@@ -67,8 +68,6 @@ class CriterionResult:
 
 
 def _next_primes(start: int, count: int):
-    from .exact import is_probable_prime
-
     out = []
     n = max(2, start)
     while len(out) < count:
@@ -142,20 +141,10 @@ def crit_sl2_relations() -> CriterionResult:
         h = d.coxeter_number
         algZ = build_chevalley_algebra(t)
         trip = build_principal_sl2(algZ)  # relations asserted inside
-        rel_ok = (
-            bracket(trip.X, trip.H) == trip.X.scale(2)
-            and bracket(trip.Y, trip.H) == trip.Y.scale(-2)
-            and bracket(trip.Y, trip.X) == trip.H
-        )
+        rel_ok = relations_hold(trip)
         mod_ok = True
         for ell in _next_primes(h, 1) + _next_primes(h + 2, 1):
-            algF = algZ.change_ring(GF(ell))
-            tripF = build_principal_sl2(algF)
-            mod_ok &= (
-                bracket(tripF.X, tripF.H) == tripF.X.scale(2)
-                and bracket(tripF.Y, tripF.H) == tripF.Y.scale(-2)
-                and bracket(tripF.Y, tripF.X) == tripF.H
-            )
+            mod_ok &= relations_hold(build_principal_sl2(algZ.change_ring(GF(ell))))
         # the largest prime below h must be rejected
         below = [p for p in range(2, h) if _next_primes(p, 1) == [p]]
         reject_ok = True
@@ -197,16 +186,9 @@ def crit_structure_constants(nightly: bool | None = None) -> CriterionResult:
     for t in EXCEPTIONAL_TYPES:
         alg = build_chevalley_algebra(t)
         d = alg.datum
-        roots = set(d.all_roots)
-        bad = 0
-        for (u, v), n in alg._root_constants.items():
-            p = 0
-            w = tuple(a - b for a, b in zip(v, u))
-            while w in roots:
-                p += 1
-                w = tuple(a - b for a, b in zip(w, u))
-            if abs(n) != p + 1:
-                bad += 1
+        bad = sum(
+            abs(n) != d.string_depth(u, v) + 1 for (u, v), n in alg._root_constants.items()
+        )
         res.ok &= bad == 0
         res.details.append(
             f"{t}: p+1 magnitude exhaustive over {len(alg._root_constants)} pairs"

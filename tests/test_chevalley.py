@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -237,6 +238,27 @@ def test_structure_constants_export():
     # [y_0, x_0] = h_0 must appear with coefficient +1
     assert (alg.basis.y(0), alg.basis.x(0), alg.basis.h(0), 1) in triples
     assert alg.structure_constants_json() == alg.structure_constants_json()
+
+
+# sha256 of structure_constants_json(): any change to the export, a sign flip
+# that still satisfies Jacobi included, changes the digest
+EXPORT_SHA256 = {
+    "A3": "d05b1b96081c1e4d6b69e986ee6dcab9fd100240664f7cc6831de3fdd0ad995a",
+    "B3": "50fdd46a6033f6e95c32bb6a45af6f2d2fa18284e8c25007f03de647f0513882",
+    "C3": "652764a8ad4a257276a24b7ec193757cdab6b497343f844aaa5c6aec0ad496f5",
+    "D4": "821a11be26a5dcc5f6849b3ae9a1feeb1e9511e37ef3bbf323eb292f0a3d1995",
+    "G2": "7ff0f5cfd825f7dfffcddecb8fc4e3a0b9cdf5a71be72f4dc28ac83c7a3df32e",
+    "F4": "ed3377ecf6950fc20c0cd63340ca71d903c1205ac62953024d72282158e70e50",
+    "E6": "a6056e09622824afd3e07cd9963530a4aafd0ac513d219bec3134826fe03d087",
+    "E7": "74531489a2d4e9f9b267fd764a2e827ddf0d718adde68c8d5aa0e2302815d3f9",
+    "E8": "3e3da5bd1af2a0beaf3e9c3a7a455090914f1d5c42ccaf960d320889ea1a5f6d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPORT_SHA256))
+def test_structure_constants_export_pinned(name):
+    text = build_chevalley_algebra(name).structure_constants_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_SHA256[name]
 
 
 def test_element_canonical_form():

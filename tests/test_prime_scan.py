@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
-from monolab.chevalley import build_chevalley_algebra
+from monolab.chevalley import base_change, build_chevalley_algebra
+from monolab.exact import GF
 from monolab.principal_sl2 import (
     KostantDecomposition,
     build_principal_sl2,
@@ -15,7 +17,6 @@ from monolab.prime_scan import (
     check_against_reference,
     factor,
     scan_e6_cartan,
-    scan_over_field,
     scan_simple_projections,
 )
 
@@ -168,10 +169,34 @@ def test_cross_characteristic_consistency(name, ells):
     h = build_chevalley_algebra(name).datum.coxeter_number
     for ell in ells:
         assert ell >= 2 * h - 1
-        mod = scan_over_field(kd, ell)
+        mod = scan_simple_projections(kd, ell)
         for s_int, s_mod in zip(base, mod):
             for c_int, c_mod in zip(s_int.vector, s_mod.vector):
                 assert (c_mod == 0) == (c_int % ell == 0)
+    # the mod-ell scan starts from the ZZ decomposition, not an already reduced one
+    ell = ells[0]
+    reduced = KostantDecomposition(
+        build_principal_sl2(kd.triple.algebra.change_ring(GF(ell))),
+        tuple((m, base_change(p, ell)) for m, p in kd.pairs),
+    )
+    with pytest.raises(ValueError, match="ZZ"):
+        scan_simple_projections(reduced, ell)
+
+
+# sha256 of build_report(t).to_json(): pins every scan vector and prime list
+REPORT_SHA256 = {
+    "G2": "b408147a52d1f604e9e7a24fdb10fc6402960c4868c7bf0eefda81cb451cc878",
+    "F4": "5ebfed8f0d6c9d49f13530d51b023f4268c23c9ca93aaa6393026b79ed808d6e",
+    "E6": "30f9cfa602d4166e2c8526e907ae5d55d713e2c24ed56c9b9ea7462baaf79a03",
+    "E7": "7b4a3c3e1bdcb9049e2f67d298342b35bcb5067310910bc54200a64525e501af",
+    "E8": "8e6aee3100a5f7552eb82ba0710e9b65f2d07da3f776e9d5c2ed4a9c591a8b8b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_SHA256))
+def test_report_pinned(name):
+    text = build_report(name).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[name]
 
 
 def test_report_json_shape():
