@@ -43,22 +43,19 @@ def memory_budget(explicit: int | None = None) -> int:
 Matrix = tuple[tuple[int, ...], ...]
 
 
-def _mat_mult(a: Matrix, b: Matrix, ell: int) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % ell for j in range(n))
-        for i in range(n)
-    )
-
-
 @dataclass(frozen=True)
 class FiniteMatrixGroup:
     ell: int
     degree: int
     generators: tuple[Matrix, ...]
-    elements: tuple[Matrix, ...]  # discovery order; elements[0] is the identity
+    elements: tuple[Matrix, ...]  # breadth-first discovery order; elements[0] is the identity
     index: dict
     cayley: np.ndarray  # cayley[g, j] = index of elements[g] * generators[j]
+
+    def __post_init__(self):
+        if not np.array_equal(self.elements[0], np.eye(self.degree, dtype=np.int64)):
+            raise ValueError("elements[0] must be the identity")
+        _tree_edges(self.cayley)
 
     @property
     def order(self) -> int:
@@ -68,11 +65,31 @@ class FiniteMatrixGroup:
         return f"FiniteMatrixGroup(order={self.order}, degree={self.degree}, ell={self.ell})"
 
 
+def _tree_edges(cayley: np.ndarray) -> np.ndarray:
+    """Flat position g * ng + j of the first Cayley edge into element k, for k = 1, 2, ...
+
+    These edges are h1's spanning tree.  Raises ValueError unless the labels
+    are in breadth-first discovery order, which h1, h1_naive and
+    _relation_lattice rely on: read row by row, cayley names 1, 2, ... first
+    in turn, each k in a row g < k.  Then the parents g are non-decreasing
+    and every BFS level is a contiguous range of labels.
+    """
+    n, ng = cayley.shape
+    k = np.arange(n)
+    labels, first = np.unique(cayley, return_index=True)
+    tree = first[1:]
+    if not (np.array_equal(labels, k) and np.all(np.diff(tree) > 0) and np.all(tree // ng < k[1:])):
+        raise ValueError("group elements are not in breadth-first discovery order of the Cayley table")
+    return tree
+
+
 def close_group(generators, ell: int, cap: int = 2_000_000) -> FiniteMatrixGroup:
     """Breadth-first closure of a generator list inside GL_degree(F_ell).
 
     Element order is discovery order (identity first, generators applied in
-    list order), which fixes every downstream computation bit-for-bit.
+    list order), which fixes every downstream computation bit-for-bit.  Each
+    BFS level times every generator is one batched product, looked up in
+    (element, generator) order; the new elements form the next level.
     """
     gens = tuple(generators)
     if not gens:
@@ -86,12 +103,12 @@ def close_group(generators, ell: int, cap: int = 2_000_000) -> FiniteMatrixGroup
     elements = [ident]
     index = {ident: 0}
     edges = []
-    head = 0
-    while head < len(elements):
-        g = elements[head]
-        row = []
-        for s in gens:
-            prod = _mat_mult(g, s, ell)
+    frontier, stacked = np.array([ident], dtype=np.int64), np.array(gens, dtype=np.int64)
+    while len(frontier):
+        prods = matmul_mod(frontier[:, None], stacked, ell).reshape(-1, degree, degree)
+        fresh = []
+        for pos, prod in enumerate(prods.tolist()):
+            prod = tuple(map(tuple, prod))
             k = index.get(prod)
             if k is None:
                 if len(elements) >= cap:
@@ -99,16 +116,16 @@ def close_group(generators, ell: int, cap: int = 2_000_000) -> FiniteMatrixGroup
                 k = len(elements)
                 index[prod] = k
                 elements.append(prod)
-            row.append(k)
-        edges.append(row)
-        head += 1
+                fresh.append(pos)
+            edges.append(k)
+        frontier = prods[fresh]
     return FiniteMatrixGroup(
         ell=ell,
         degree=degree,
         generators=gens,
         elements=tuple(elements),
         index=index,
-        cayley=np.array(edges, dtype=np.int64),
+        cayley=np.array(edges, dtype=np.int64).reshape(-1, len(gens)),
     )
 
 
@@ -237,6 +254,11 @@ def h1(G: FiniteMatrixGroup, M: ModuleAction, budget: int | None = None) -> Coho
     BFS spanning tree; each non-tree Cayley edge (g, j) contributes the block
     C_g + rho(g) E_j - C_{g s_j} = 0 of linear constraints.  dim Z^1 is the
     constraint-matrix corank, and B^1 has dimension dim(M) - h^0.
+
+    The tree comes from `_tree_edges`, so a BFS level is a contiguous range
+    of elements whose rho and C come from the previous level in one product
+    and one gather-and-add; the non-tree blocks are gathered by fancy
+    indexing, at most 4096 rows per elimination batch.
     """
     if M.ell != G.ell or len(M.matrices) != len(G.generators):
         raise ValueError("module does not match the group's generator list")
@@ -250,35 +272,28 @@ def h1(G: FiniteMatrixGroup, M: ModuleAction, budget: int | None = None) -> Coho
             f"cocycle propagation needs about {need} bytes, budget is {limit}"
             f" (set {_BUDGET_ENV} to override)"
         )
+    tree = _tree_edges(G.cayley)
+    parent, gen = np.divmod(tree, ng)  # the tree edge into element k sits at index k - 1
+    mats = np.array(M.matrices)
     rho = np.zeros((n, dim, dim), dtype=np.int64)
     rho[0] = np.eye(dim, dtype=np.int64)
-    C = np.zeros((n, dim, ncols), dtype=np.int64)
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
+    C = np.zeros((n, dim, ng, dim), dtype=np.int64)  # C[g, :, j] multiplies phi(s_j)
+    lo = 1
+    while lo < n:  # the level [lo, hi) holds the elements whose parents precede lo
+        hi = 1 + int(np.searchsorted(parent, lo))
+        src, js = parent[lo - 1 : hi - 1], gen[lo - 1 : hi - 1]
+        rho[lo:hi] = matmul_mod(rho[src], mats[js], ell)
+        C[lo:hi] = C[src]
+        C[np.arange(lo, hi), :, js] = (C[src, :, js] + rho[src]) % ell
+        lo = hi
+    edges = np.setdiff1d(np.arange(n * ng), tree, assume_unique=True)
     state = EchelonState(ncols, ell)
-    pending = []
-    pending_rows = 0
-    for g in range(n):  # discovery order is BFS order
-        rg = rho[g]
-        for j in range(ng):
-            tgt = int(G.cayley[g, j])
-            if not seen[tgt]:
-                seen[tgt] = True
-                rho[tgt] = matmul_mod(rg, M.matrices[j], ell)
-                C[tgt] = C[g]
-                C[tgt, :, j * dim : (j + 1) * dim] = (
-                    C[tgt, :, j * dim : (j + 1) * dim] + rg
-                ) % ell
-            else:
-                block = C[g] - C[tgt]
-                block[:, j * dim : (j + 1) * dim] += rg
-                pending.append(block % ell)
-                pending_rows += dim
-                if pending_rows >= 4096:
-                    state.add(np.vstack(pending))
-                    pending, pending_rows = [], 0
-    if pending:
-        state.add(np.vstack(pending))
+    step = max(1, 4096 // dim)
+    for start in range(0, len(edges), step):
+        g, j = np.divmod(edges[start : start + step], ng)
+        block = C[g] - C[G.cayley[g, j]]
+        block[np.arange(len(g)), :, j] += rho[g]
+        state.add(block.reshape(-1, ncols))
     dim_Z1 = ncols - state.rank
     fixed = h0(G, M)
     dim_B1 = dim - fixed
@@ -373,8 +388,7 @@ def _relation_lattice(G: FiniteMatrixGroup) -> list[list[int]]:
 
 def abelianization_elementary_divisors(G: FiniteMatrixGroup) -> tuple[int, ...]:
     """Nontrivial elementary divisors of G^ab = ZZ^ng / (relation lattice)."""
-    rows = [r[:] for r in _relation_lattice(G)]
-    divisors = _smith_divisors(rows, len(G.generators))
+    divisors = _smith_divisors(_relation_lattice(G), len(G.generators))
     return tuple(d for d in divisors if d != 1)
 
 
@@ -424,7 +438,7 @@ def h1_trivial_module_rank(G: FiniteMatrixGroup, dim: int = 1) -> int:
     module; an independent oracle for the cocycle solver.
     """
     rows = _relation_lattice(G)
-    divisors = _smith_divisors([r[:] for r in rows], len(G.generators))
+    divisors = _smith_divisors(rows, len(G.generators))
     free = len(G.generators) - len(rows)
     torsion_hits = sum(1 for d in divisors if d % G.ell == 0)
     return (free + torsion_hits) * dim

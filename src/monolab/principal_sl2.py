@@ -53,7 +53,7 @@ class Sl2Triple:
 
 
 def build_principal_sl2(alg: ChevalleyAlgebra) -> Sl2Triple:
-    """Construct (X, H, Y); relations are verified exactly at construction.
+    """Construct (X, H, Y); relations are verified exactly (ArithmeticError if they fail).
 
     Over F_ell the construction requires ell >= h (Coxeter number); smaller
     primes are rejected because the triple need not exist integrally there.
@@ -70,7 +70,8 @@ def build_principal_sl2(alg: ChevalleyAlgebra) -> Sl2Triple:
     H = alg.element({alg.basis.h(i): c[i] for i in range(d.rank)})
     Y = alg.element({alg.basis.y(i): c[i] for i in range(d.rank)})
     triple = Sl2Triple(alg, X, H, Y, c)
-    assert relations_hold(triple), "[X,H] = 2X, [Y,H] = -2Y, [Y,X] = H fail"
+    if not relations_hold(triple):
+        raise ArithmeticError("[X,H] = 2X, [Y,H] = -2Y, [Y,X] = H fail")
     return triple
 
 

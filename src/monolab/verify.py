@@ -134,17 +134,22 @@ def crit_kostant_structure() -> CriterionResult:
 # --- criterion 4 -----------------------------------------------------------
 
 
+def _sl2_relations_ok(alg) -> bool:
+    try:  # the constructor checks the relations first
+        return relations_hold(build_principal_sl2(alg))
+    except ArithmeticError:
+        return False
+
+
 def crit_sl2_relations() -> CriterionResult:
     res = CriterionResult("sl2-relations", True)
     for t in EXCEPTIONAL_TYPES:
         d = build_root_datum(t)
         h = d.coxeter_number
         algZ = build_chevalley_algebra(t)
-        trip = build_principal_sl2(algZ)  # relations asserted inside
-        rel_ok = relations_hold(trip)
-        mod_ok = True
-        for ell in _next_primes(h, 1) + _next_primes(h + 2, 1):
-            mod_ok &= relations_hold(build_principal_sl2(algZ.change_ring(GF(ell))))
+        rel_ok = _sl2_relations_ok(algZ)
+        primes = _next_primes(h, 1) + _next_primes(h + 2, 1)
+        mod_ok = all(_sl2_relations_ok(algZ.change_ring(GF(ell))) for ell in primes)
         # the largest prime below h must be rejected
         below = [p for p in range(2, h) if _next_primes(p, 1) == [p]]
         reject_ok = True

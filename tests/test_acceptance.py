@@ -6,7 +6,8 @@ h1(SL2(F_ell), Sym^r (x) det^{-r/2}) = [r = ell - 3] over all even r < ell,
 nonzero value included (that class is certified by an explicit cocycle in the
 unit suite), and adjoint sums equal to the number of exponents m with
 2m = ell - 3.  Negative controls stub the solvers to show that the criterion
-still fails on the all-zero pattern and on a spurious nonzero value.
+still fails on the all-zero pattern and on a spurious nonzero value, and stub
+the sl2-relations check to show that criterion 4 reports FAIL.
 """
 
 import time
@@ -62,6 +63,19 @@ def test_criterion_3_kostant_structure():
 def test_criterion_4_sl2_relations():
     # exact relations over ZZ and sampled F_ell; constructor rejects ell < h
     report(timed(crit_sl2_relations))
+
+
+def test_criterion_4_reports_broken_relations(monkeypatch):
+    # the constructor and the criterion both see a failing relations check;
+    # the criterion must report FAIL lines instead of raising
+    from monolab import principal_sl2
+
+    monkeypatch.setattr(principal_sl2, "relations_hold", lambda triple: False)
+    monkeypatch.setattr(verify, "relations_hold", lambda triple: False)
+    res = crit_sl2_relations()
+    assert res.ok is False
+    assert len(res.details) == 5
+    assert all("ZZ relations FAIL, mod-ell FAIL, reject ell<h ok" in d for d in res.details)
 
 
 def test_criterion_5_structure_constant_integrity():

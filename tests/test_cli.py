@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -89,6 +90,28 @@ def test_cohomology_sweep(capsys):
     assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["sweep"] == [{"ell": 13, "h1_total": 1}, {"ell": 17, "h1_total": 0}]
+
+
+# sha256 of stdout, computed with the per-edge closure and propagation that
+# preceded the level-batched ones
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("cohomology", "sweep", "--type", "G2", "--ell", "13..29"),
+            "14210a29afe4a5203b2feabb236b7611f6e60135b4f816d6c695304ec60e338d",
+        ),
+        (
+            ("cohomology", "--ell", "29", "--sym", "8"),
+            "5f291deb6dcf32aea2d26e4410d50245ef0851d556dda83f79b45244c918ea67",
+        ),
+    ],
+    ids=["sweep-G2", "sym8"],
+)
+def test_cohomology_stdout_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cohomology_usage_error(capsys):

@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from monolab.group_cohomology import (
     CohomologyReport,
+    FiniteMatrixGroup,
     ResourceLimitError,
     abelianization_elementary_divisors,
     adjoint_h1_via_kostant,
@@ -22,6 +25,12 @@ from monolab.group_cohomology import (
 # solver itself is the source; frozen after the first computation purely to
 # pin determinism, not as an external target
 EXPLORATORY_SL2_F5_SYM2 = 1
+
+
+def mat_mult(a, b, ell):
+    # the Python-int reference product for checking the Cayley table
+    n = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) % ell for j in range(n)) for i in range(n))
 
 
 def trivial_module(ell, ngens, dim=1):
@@ -77,11 +86,98 @@ def test_composite_modulus_rejected():
 
 def test_cayley_table_consistency():
     G = sl2_group(5)
-    from monolab.group_cohomology import _mat_mult
-
     for g in (0, 1, 17, 100):
         for j, s in enumerate(G.generators):
-            assert G.elements[G.cayley[g, j]] == _mat_mult(G.elements[g], s, 5)
+            assert G.elements[G.cayley[g, j]] == mat_mult(G.elements[g], s, 5)
+
+
+# sha256 of repr(G.elements) and of G.cayley.tobytes(), computed with the
+# per-edge closure that preceded the level-batched one
+CLOSURE_DIGESTS = {
+    "SL2(F_13)": (
+        2184,
+        "5c09d4502810aae906bf34fc81d0a004fd4aa924370759621f7b4d4343db1de5",
+        "043a897dbd991177551a601623a7587be1691bc1847b0cb452b4136e84c72052",
+    ),
+    "SL2(F_29)": (
+        24360,
+        "499929ce8058344e1e4b381623bf169c34012a1b037ce329618530fae566ac96",
+        "634265b970531c6f432f900174242647719b14342807d7ec829e0f6983c39d82",
+    ),
+    "Borel(F_7)": (
+        42,
+        "9f9241655dd97cea4c1d816c354848bd658f6a4854482255ffd540f8e199f15c",
+        "bc24fe2c881ef13114c53e59bcf979a08f6b4d07793ace1577475adb71739641",
+    ),
+    "monomial3(F_5)": (
+        192,
+        "dd8e5819d5e2e0d89a331486b831cc46139520180ad42c49242a663ffedd99f3",
+        "ccc82872ec92e7b1264dcd5d2530cb9e38008580c3ccab5c21000a4906125dc0",
+    ),
+    "C3(F_2^31-1)": (
+        3,
+        "e708bcc0973124b56103ef42dde7a5d906c5d102e3d16242e7cfb374e27c970a",
+        "e92b80d2ee5ab0f63d286728dc9849450b7cf439c2c2718d3bac632a510fd50c",
+    ),
+}
+
+BOREL_7 = [((1, 1), (0, 1)), ((3, 0), (0, 5))]  # 3 is a primitive root mod 7
+
+
+def test_closure_order_pinned():
+    groups = {
+        "SL2(F_13)": close_group(sl2_generators(13), 13),
+        "SL2(F_29)": close_group(sl2_generators(29), 29),
+        "Borel(F_7)": close_group(BOREL_7, 7),
+        "monomial3(F_5)": close_group(
+            [((0, 1, 0), (0, 0, 1), (1, 0, 0)), ((2, 0, 0), (0, 1, 0), (0, 0, 1))], 5
+        ),
+        "C3(F_2^31-1)": close_group([((0, -1), (1, -1))], 2**31 - 1),
+    }
+    for name, G in groups.items():
+        order, elements_digest, cayley_digest = CLOSURE_DIGESTS[name]
+        assert G.order == order, name
+        assert G.cayley.dtype == np.int64 and G.cayley.shape == (order, len(G.generators)), name
+        assert hashlib.sha256(repr(G.elements).encode()).hexdigest() == elements_digest, name
+        assert hashlib.sha256(G.cayley.tobytes()).hexdigest() == cayley_digest, name
+        assert list(G.index.items()) == [(e, k) for k, e in enumerate(G.elements)], name
+
+
+def test_relabelled_group_rejected():
+    # a consistent relabelling keeps a valid Cayley table but breaks the
+    # breadth-first order the spanning trees are read from
+    G = sl2_group(5)
+    perm = np.concatenate([[0], 1 + np.random.default_rng(5).permutation(G.order - 1)])
+
+    def relabel(perm):
+        elements = [None] * G.order
+        for k, e in enumerate(G.elements):
+            elements[perm[k]] = e
+        cayley = np.empty_like(G.cayley)
+        cayley[perm] = perm[G.cayley]
+        for g in (0, 1, 50, 119):
+            for j, s in enumerate(G.generators):
+                assert elements[cayley[g, j]] == mat_mult(elements[g], s, 5)
+        index = {e: k for k, e in enumerate(elements)}
+        return FiniteMatrixGroup(G.ell, G.degree, G.generators, tuple(elements), index, cayley)
+
+    def swap(a, b):
+        perm = np.arange(G.order)
+        perm[[a, b]] = [b, a]
+        return perm
+
+    with pytest.raises(ValueError, match="breadth-first"):
+        relabel(perm)
+    # 1 and 2 are both found from the identity, but 2 is found first here
+    with pytest.raises(ValueError, match="breadth-first"):
+        relabel(swap(1, 2))
+    with pytest.raises(ValueError, match="identity"):
+        relabel(swap(0, 7))
+    assert relabel(np.arange(G.order)).cayley.tolist() == G.cayley.tolist()
+    # a table whose identity row never reaches element 1
+    C2 = close_group([((4, 0), (0, 4))], 5)
+    with pytest.raises(ValueError, match="breadth-first"):
+        FiniteMatrixGroup(5, 2, C2.generators, C2.elements, C2.index, np.array([[0], [1]]))
 
 
 # -- modules -----------------------------------------------------------------
@@ -96,8 +192,6 @@ def test_sym_module_dims():
 def test_sym_module_is_homomorphism():
     # propagate rho over the whole group, then check rho(g)rho(h) = rho(gh)
     import random
-
-    from monolab.group_cohomology import _mat_mult
 
     ell = 11
     G = sl2_group(ell)
@@ -115,7 +209,7 @@ def test_sym_module_is_homomorphism():
     rng = random.Random(0)
     for _ in range(500):
         a, b = rng.randrange(n), rng.randrange(n)
-        c = G.index[_mat_mult(G.elements[a], G.elements[b], ell)]
+        c = G.index[mat_mult(G.elements[a], G.elements[b], ell)]
         assert np.array_equal(rho[a] @ rho[b] % ell, rho[c])
 
 
@@ -240,7 +334,6 @@ def test_report_rejects_negative_dimensions():
 def certified_nonvanishing(ell, r):
     """Independent certificate: an explicit cocycle, checked on all pairs."""
     from monolab.exact import rank_mod
-    from monolab.group_cohomology import _mat_mult
 
     G = sl2_group(ell)
     M = sym_module(ell, r, r // 2)
@@ -300,7 +393,7 @@ def certified_nonvanishing(ell, r):
         return False
     phi = np.array([(C[g] @ witness) % ell for g in range(n)])
     for a in range(n):
-        prod = [G.index[_mat_mult(G.elements[a], G.elements[b], ell)] for b in range(n)]
+        prod = [G.index[mat_mult(G.elements[a], G.elements[b], ell)] for b in range(n)]
         lhs = phi[prod]
         rhs = (phi[a][None, :] + phi @ rho[a].T) % ell
         if not np.array_equal(lhs, rhs):
@@ -327,6 +420,61 @@ def test_oracle_equivalence_small_groups():
     for G, M in cases:
         assert G.order <= 200
         assert h1(G, M) == h1_naive(G, M), (G, M.description)
+
+
+def bfs_tree(G):
+    # breadth-first distance of every element and the generator of the first
+    # edge reaching it, by a plain loop of its own
+    dist, via = [0] + [None] * (G.order - 1), [None] * G.order
+    for g in range(G.order):
+        for j, t in enumerate(G.cayley[g].tolist()):
+            if dist[t] is None:
+                dist[t], via[t] = dist[g] + 1, j
+    return dist, via
+
+
+def test_h1_one_element_levels():
+    # the unipotent group of order 61 has one element per level; Sym^r with
+    # r + 1 < ell is one Jordan block, so h1 = dim ker N / im(u - 1) = 1
+    U = close_group([((1, 1), (0, 1))], 61)
+    assert bfs_tree(U)[0] == list(range(61))
+    for r in range(9):
+        M = sym_module(61, r, 0, generators=U.generators)
+        rep = h1(U, M)
+        assert rep == h1_naive(U, M), r
+        assert rep.h1 == 1 and rep.h0 == 1, r
+
+
+def test_h1_torus_levels():
+    # the split torus of SL2(F_31) is cyclic of order 30, prime to 31
+    T = close_group([((3, 0), (0, 21))], 31)
+    assert T.order == 30
+    for r in (0, 1, 2, 7, 15, 30):
+        M = sym_module(31, r, r // 2, generators=T.generators)
+        rep = h1(T, M)
+        assert rep == h1_naive(T, M), r
+        assert rep.h1 == 0, r
+
+
+def test_h1_borel_two_generator_levels():
+    # restriction from SL2(F_7) to its Borel subgroup B is an isomorphism on
+    # H^1 (the index 8 is prime to 7 and the torus has no H^1), so
+    # h1(B, Sym^r) = [r = ell - 3]; the trivial summand adds the rank of
+    # B^ab (x) F_7, which is 0
+    B = close_group(BOREL_7, 7)
+    dist, via = bfs_tree(B)
+    level_gens = {}
+    for d, j in zip(dist[1:], via[1:]):
+        level_gens.setdefault(d, set()).add(j)
+    assert {0, 1} in level_gens.values()
+    trivial_rank = h1_trivial_module_rank(B, 2)
+    assert trivial_rank == 0
+    for r in range(7):
+        for twist in (0, 1, 3):
+            M = module_direct_sum(sym_module(7, r, twist, generators=B.generators), trivial_module(7, 2, 2))
+            rep = h1(B, M)
+            assert rep == h1_naive(B, M), (r, twist)
+            assert rep.h1 == int(r == 4) + trivial_rank, (r, twist)
 
 
 def test_h1_direct_sum_additive():
