@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sym", type=int, help="symmetric power r")
     p.add_argument("--twist", type=int, default=None, help="determinant twist exponent t for det^t (default -r//2)")
     p.add_argument("--naive", action="store_true", help="use the per-element oracle solver")
-    p.add_argument("--memory-budget", type=int, help="bytes allowed for the cocycle solver")
+    p.add_argument("--memory-budget", type=int, help="bytes allowed for the h1 solvers")
     p.add_argument("--out")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
 

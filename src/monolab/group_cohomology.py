@@ -1,12 +1,23 @@
 """H^0 and H^1 of finite matrix groups over prime fields.
 
-The 1-cocycle solver never needs a presentation: a cocycle is determined by
-its values on the generators, and propagating symbolic affine expressions
-along a breadth-first spanning tree of the Cayley graph turns every non-tree
-edge into linear consistency constraints on those generator values.  The
-constraint matrix has only n_generators * dim(M) columns, so the elimination
-state stays small however large the group is; the per-element expression
-matrices are the dominant memory cost and are guarded by a budget.
+`h1` has two solvers and picks one from the group's generator list.
+
+SL2(F_ell) on its standard generators (`sl2_generators`) is solved by
+restriction to the Borel subgroup B = U T.  The index [SL2(F_ell) : B] =
+ell + 1 and the torus order |T| = ell - 1 are both prime to ell, so
+H^1(SL2(F_ell), M) = H^1(U, M)^T (stable elements; Brown, Cohomology of
+Groups, III.10).  U is cyclic of order ell, so this is linear algebra on
+dim(M) x dim(M) matrices whatever the group order is.  The module matrices
+are first checked against a defining presentation of SL2(F_ell).
+
+Every other group goes to the Cayley solver, which never needs a
+presentation: a cocycle is determined by its values on the generators, and
+propagating symbolic affine expressions along a breadth-first spanning tree
+of the Cayley graph turns every non-tree edge into linear consistency
+constraints on those generator values.  The constraint matrix has only
+n_generators * dim(M) columns, so the elimination state stays small however
+large the group is; the per-element expression matrices are the dominant
+memory cost and are guarded by a budget.
 
 Specialised helpers cover SL2(F_ell) acting on the twisted symmetric powers
 Sym^r(F_ell^2) (x) det^{-m}, and the adjoint-type vanishing sum driven by the
@@ -17,7 +28,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -51,11 +62,12 @@ class FiniteMatrixGroup:
     elements: tuple[Matrix, ...]  # breadth-first discovery order; elements[0] is the identity
     index: dict
     cayley: np.ndarray  # cayley[g, j] = index of elements[g] * generators[j]
+    tree: np.ndarray = field(init=False, repr=False, compare=False)  # _tree_edges(cayley)
 
     def __post_init__(self):
         if not np.array_equal(self.elements[0], np.eye(self.degree, dtype=np.int64)):
             raise ValueError("elements[0] must be the identity")
-        _tree_edges(self.cayley)
+        object.__setattr__(self, "tree", _tree_edges(self.cayley))
 
     @property
     def order(self) -> int:
@@ -138,7 +150,8 @@ def sl2_generators(ell: int) -> tuple[Matrix, Matrix]:
 def sl2_group(ell: int) -> FiniteMatrixGroup:
     G = close_group(sl2_generators(ell), ell)
     expected = ell * (ell * ell - 1)
-    assert G.order == expected, f"SL2(F_{ell}) closure has order {G.order}, want {expected}"
+    if G.order != expected:
+        raise ArithmeticError(f"SL2(F_{ell}) closure has order {G.order}, want {expected}")
     return G
 
 
@@ -158,7 +171,8 @@ class ModuleAction:
 def module_from_matrices(ell, matrices, description="explicit") -> ModuleAction:
     mats = tuple(np.array(m, dtype=np.int64) % ell for m in matrices)
     dim = mats[0].shape[0]
-    assert all(m.shape == (dim, dim) for m in mats)
+    if not all(m.shape == (dim, dim) for m in mats):
+        raise ValueError(f"module matrices must all be square of one size, got {[m.shape for m in mats]}")
     return ModuleAction(ell, dim, mats, description)
 
 
@@ -211,7 +225,8 @@ def _binom_expand(u, v, n, ell):
 
 
 def module_direct_sum(m1: ModuleAction, m2: ModuleAction) -> ModuleAction:
-    assert m1.ell == m2.ell and len(m1.matrices) == len(m2.matrices)
+    if m1.ell != m2.ell or len(m1.matrices) != len(m2.matrices):
+        raise ValueError("direct summands need the same ell and the same number of generator matrices")
     mats = []
     for a, b in zip(m1.matrices, m2.matrices):
         blk = np.zeros((m1.dim + m2.dim, m1.dim + m2.dim), dtype=np.int64)
@@ -247,37 +262,56 @@ def h0(G: FiniteMatrixGroup, M: ModuleAction) -> int:
 
 
 def h1(G: FiniteMatrixGroup, M: ModuleAction, budget: int | None = None) -> CohomologyReport:
-    """H^1(G, M) by tree-propagated cocycles.
+    """H^1(G, M), by the Borel solver when G is generated by `sl2_generators`, else the Cayley solver.
+
+    Such a G is SL2(F_ell) by construction, so the choice is exact.  B^1 has
+    dimension dim(M) - h^0 either way; the Borel solver returns h1 and the
+    Cayley solver dim Z^1, and the report is the same from both.  Each
+    solver checks its own memory estimate against `budget`.
+    """
+    if M.ell != G.ell or len(M.matrices) != len(G.generators):
+        raise ValueError("module does not match the group's generator list")
+    fixed = h0(G, M)
+    dim_B1 = M.dim - fixed
+    if G.generators == sl2_generators(G.ell):
+        dim_Z1 = _h1_sl2(M, budget) + dim_B1
+    else:
+        dim_Z1 = _z1_cayley(G, M, budget)
+    return CohomologyReport(h0=fixed, dim_Z1=dim_Z1, dim_B1=dim_B1, h1=dim_Z1 - dim_B1)
+
+
+def _check_budget(need: int, budget: int | None, what: str) -> None:
+    limit = memory_budget(budget)
+    if need > limit:
+        raise ResourceLimitError(
+            f"{what} needs about {need} bytes, budget is {limit} (set {_BUDGET_ENV} to override)"
+        )
+
+
+def _z1_cayley(G: FiniteMatrixGroup, M: ModuleAction, budget: int | None) -> int:
+    """dim Z^1(G, M) by tree-propagated cocycles.
 
     phi is encoded by its generator values u = (phi(s_1), ..., phi(s_ng));
     each element g carries the matrix C_g with phi(g) = C_g u, built along the
     BFS spanning tree; each non-tree Cayley edge (g, j) contributes the block
     C_g + rho(g) E_j - C_{g s_j} = 0 of linear constraints.  dim Z^1 is the
-    constraint-matrix corank, and B^1 has dimension dim(M) - h^0.
+    constraint-matrix corank.
 
-    The tree comes from `_tree_edges`, so a BFS level is a contiguous range
-    of elements whose rho and C come from the previous level in one product
-    and one gather-and-add; the non-tree blocks are gathered by fancy
-    indexing, at most 4096 rows per elimination batch.
+    The tree is `G.tree`, so a BFS level is a contiguous range of elements
+    whose rho and C come from the previous level in one product and one
+    gather-and-add; the non-tree blocks are gathered by fancy indexing, at
+    most 4096 rows per elimination batch.  C holds residues below
+    ell < 2**31 and is stored as int32; each block is formed in int64.
     """
-    if M.ell != G.ell or len(M.matrices) != len(G.generators):
-        raise ValueError("module does not match the group's generator list")
     n, ng, dim = G.order, len(G.generators), M.dim
     ell = G.ell
     ncols = ng * dim
-    need = n * (dim * ncols + dim * dim) * 8 + 64 * n
-    limit = memory_budget(budget)
-    if need > limit:
-        raise ResourceLimitError(
-            f"cocycle propagation needs about {need} bytes, budget is {limit}"
-            f" (set {_BUDGET_ENV} to override)"
-        )
-    tree = _tree_edges(G.cayley)
-    parent, gen = np.divmod(tree, ng)  # the tree edge into element k sits at index k - 1
+    _check_budget(n * (dim * ncols * 4 + dim * dim * 8) + 64 * n, budget, "cocycle propagation")
+    parent, gen = np.divmod(G.tree, ng)  # the tree edge into element k sits at index k - 1
     mats = np.array(M.matrices)
     rho = np.zeros((n, dim, dim), dtype=np.int64)
     rho[0] = np.eye(dim, dtype=np.int64)
-    C = np.zeros((n, dim, ng, dim), dtype=np.int64)  # C[g, :, j] multiplies phi(s_j)
+    C = np.zeros((n, dim, ng, dim), dtype=np.int32)  # C[g, :, j] multiplies phi(s_j)
     lo = 1
     while lo < n:  # the level [lo, hi) holds the elements whose parents precede lo
         hi = 1 + int(np.searchsorted(parent, lo))
@@ -286,18 +320,126 @@ def h1(G: FiniteMatrixGroup, M: ModuleAction, budget: int | None = None) -> Coho
         C[lo:hi] = C[src]
         C[np.arange(lo, hi), :, js] = (C[src, :, js] + rho[src]) % ell
         lo = hi
-    edges = np.setdiff1d(np.arange(n * ng), tree, assume_unique=True)
+    edges = np.setdiff1d(np.arange(n * ng), G.tree, assume_unique=True)
     state = EchelonState(ncols, ell)
     step = max(1, 4096 // dim)
     for start in range(0, len(edges), step):
         g, j = np.divmod(edges[start : start + step], ng)
-        block = C[g] - C[G.cayley[g, j]]
+        block = C[g].astype(np.int64) - C[G.cayley[g, j]]
         block[np.arange(len(g)), :, j] += rho[g]
         state.add(block.reshape(-1, ncols))
-    dim_Z1 = ncols - state.rank
-    fixed = h0(G, M)
-    dim_B1 = dim - fixed
-    return CohomologyReport(h0=fixed, dim_Z1=dim_Z1, dim_B1=dim_B1, h1=dim_Z1 - dim_B1)
+    return ncols - state.rank
+
+
+def _h1_sl2(M: ModuleAction, budget: int | None) -> int:
+    """dim H^1(SL2(F_ell), M) for M given on `sl2_generators(ell)`, as H^1(U, M)^T.
+
+    U = <u> is cyclic of order ell, so with u -> U a cocycle on U is its value
+    v = phi(u), and Z^1(U, M) = V = ker N for N = 1 + U + ... + U^(ell-1)
+    (= (U - 1)^(ell-1) mod ell), while B^1(U, M) = im(U - 1).  The torus
+    element t = h(a), a a generator of F_ell^x, acts on cocycles by
+    (t.phi)(u) = t phi(t^-1 u t) = T (1 + U + ... + U^(c-1)) v = S v, since
+    t^-1 u t = u^c with c = a^-2 mod ell.  c comes from the group, not from
+    the module: on a module where U = 1 any c would match.  T acts on
+    H^1(U, M) through a group of order prime to ell, so its invariants have
+    the dimension of its coinvariants:
+
+        h1 = dim V - rank[(S - 1) B_V | U - 1],   B_V a basis of V.
+
+    The powers U^0, ..., U^(ell-1) that the presentation check builds give N
+    and the sum in S by additions alone.
+    """
+    ell, dim = M.ell, M.dim
+    _check_budget(12 * (ell + 1) * dim * dim * 8, budget, "the Borel solver")
+    a = _primitive_root(ell)
+    P, T = _sl2_powers_and_torus(*M.matrices, ell, a)
+    V = _kernel_basis(P.sum(axis=0) % ell, ell)
+    S = matmul_mod(T, P[: pow(a, -2, ell)].sum(axis=0) % ell, ell)
+    eye = np.eye(dim, dtype=np.int64)
+    span = np.hstack([matmul_mod((S - eye) % ell, V, ell), (P[1] - eye) % ell])
+    return V.shape[1] - rank_mod(span, ell)
+
+
+def _sl2_powers_and_torus(U: np.ndarray, W: np.ndarray, ell: int, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """U^0, ..., U^(ell-1) and the image of h(a), once (U, W) is shown to be an SL2(F_ell)-module.
+
+    Raises ValueError naming the first relation that fails.  The relations
+    are Steinberg's presentation of SL2 over a field (Steinberg, Lectures on
+    Chevalley Groups, Section 6, Theorem 8 and its rank-one corollary), with
+    generators x+(t), x-(t) for t in F_ell and, for both signs,
+
+        (A)  x(t) x(s) = x(t + s),
+        (B') w(t) x(s) w(t)^-1 = x'(-s / t^2),     t != 0,
+        (C)  h(t) h(s) = h(ts),                     t, s != 0,
+
+    where x' is the opposite sign, w(t) = x(t) x'(-1/t) x(t) and
+    h(t) = w(t) w(1)^-1.  The candidate homomorphism sends x+(t) to U^t and
+    x-(t) = w x+(-t) w^-1 to W U^-t W^-1, with w = w+(1) the second
+    standard generator.  Given (A), which is U^ell = 1, (B') needs checking
+    at s = 1 only, and (C) at t = a only (for every s), a generating
+    F_ell^x, where it reads h(a) w(s) = w(as); and w(1)^-1 = w(-1).  Two relations that hold in SL2(F_ell) are added: w has
+    order 4, so W^4 = 1 and W^-1 = W^3; and w+(1) -> W, so that the
+    homomorphism sends the second generator to W.
+    """
+    dim = len(U)
+    eye = np.eye(dim, dtype=np.int64)
+    W2 = matmul_mod(W, W, ell)
+    _require("W^4 = 1", matmul_mod(W2, W2, ell)[None], eye[None], ell)
+    P = np.empty((ell + 1, dim, dim), dtype=np.int64)
+    P[0], n = eye, 1
+    while n <= ell:  # P[n : n + m] = P[:m] U^n
+        m = min(n, ell + 1 - n)
+        P[n : n + m] = matmul_mod(P[:m], matmul_mod(P[n - 1], U, ell), ell)
+        n += m
+    _require("(A) U^ell = 1", P[ell:], eye[None], ell)
+    P = P[:ell]
+    Q = matmul_mod(matmul_mod(W, P, ell), matmul_mod(W2, W, ell), ell)  # Q[k] -> x-(-k)
+    t = np.arange(1, ell)
+    ti = np.array([pow(int(x), -1, ell) for x in t], dtype=np.int64)
+    at = a * t % ell - 1  # the row of w(a t)
+    wp = matmul_mod(matmul_mod(P[t], Q[ti], ell), P[t], ell)  # row t - 1: w+(t)
+    wm = matmul_mod(matmul_mod(Q[ell - t], P[ell - ti], ell), Q[ell - t], ell)  # row t - 1: w-(t)
+    _require("w+(1) = W", wp[:1], W[None], ell)
+    _require("(B') for x+", matmul_mod(wp, P[1], ell), matmul_mod(Q[ti * ti % ell], wp, ell), ell)
+    _require("(B') for x-", matmul_mod(wm, Q[ell - 1], ell), matmul_mod(P[ell - ti * ti % ell], wm, ell), ell)
+    T = matmul_mod(wp[a - 1], wp[-1], ell)  # h+(a) = w+(a) w+(1)^-1
+    _require("(C) for h+", matmul_mod(T, wp, ell), wp[at], ell)
+    _require("(C) for h-", matmul_mod(matmul_mod(wm[a - 1], wm[-1], ell), wm, ell), wm[at], ell)
+    return P, T
+
+
+def _require(relation: str, lhs: np.ndarray, rhs: np.ndarray, ell: int) -> None:
+    """Raise ValueError unless lhs[i] == rhs[i] for every i; row i stands for t = i + 1."""
+    bad = np.flatnonzero((lhs != rhs).reshape(len(lhs), -1).any(axis=1))
+    if bad.size:
+        raise ValueError(
+            f"not a module of SL2(F_{ell}) on sl2_generators({ell}): relation {relation} fails"
+            + (f" at t={bad[0] + 1}" if len(lhs) > 1 else "")
+        )
+
+
+def _primitive_root(ell: int) -> int:
+    """The least generator of F_ell^x, for a prime ell."""
+    primes, m, p = [], ell - 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        primes.append(m)
+    return next(g for g in range(1, ell) if all(pow(g, (ell - 1) // q, ell) != 1 for q in primes))
+
+
+def _kernel_basis(A: np.ndarray, ell: int) -> np.ndarray:
+    """Columns spanning the kernel of A over F_ell, read off its reduced echelon form."""
+    state = EchelonState(A.shape[1], ell)
+    state.add(A)
+    basis = np.zeros((A.shape[1], len(state.free)), dtype=np.int64)
+    basis[state.free, np.arange(len(state.free))] = 1
+    basis[state.pivots] = -state.rows % ell
+    return basis
 
 
 def h1_naive(G: FiniteMatrixGroup, M: ModuleAction) -> CohomologyReport:
@@ -305,7 +447,7 @@ def h1_naive(G: FiniteMatrixGroup, M: ModuleAction) -> CohomologyReport:
 
     Builds the full system phi(g s) = phi(g) + rho(g) phi(s) over all
     (element, generator) pairs; only usable for small groups, which is what
-    it is for: cross-checking the streamed solver.
+    it is for: cross-checking both of `h1`'s solvers.
     """
     n, ng, dim = G.order, len(G.generators), M.dim
     ell = G.ell

@@ -29,6 +29,7 @@ from .group_cohomology import (
     h1,
     h1_naive,
     module_from_matrices,
+    sl2_generators,
     sl2_group,
     sym_module,
 )
@@ -222,20 +223,32 @@ def _oracle_fixture_groups():
     return out
 
 
+CROSS_CHECK_PRIMES = (7, 11, 13)
+
+
 def crit_cohomology_vanishing(budget: int | None = None) -> CriterionResult:
     """h1(SL2(F_ell), Sym^r (x) det^{-r/2}) is [r = ell-3] for every even r < ell.
 
     The adjoint sum over the principal-sl2 exponents m therefore counts the
-    exponents with 2m = ell-3.
+    exponents with 2m = ell-3.  h1 takes its Borel solver on sl2_group; at
+    ell in CROSS_CHECK_PRIMES every swept module is also solved by the Cayley
+    solver, on SL2(F_ell) closed from the generators in swapped order.
     """
     res = CriterionResult("cohomology-vanishing", True)
+    cross_cases, cross_bad = 0, []
     for ell in (7, 11, 13, 17, 19, 23, 29):
         G = sl2_group(ell)
+        swapped = close_group(sl2_generators(ell)[::-1], ell) if ell in CROSS_CHECK_PRIMES else None
         got = {}
         for r in range(0, ell, 2):
-            v = h1(G, sym_module(ell, r, r // 2), budget).h1
-            if v != 0:
-                got[r] = v
+            M = sym_module(ell, r, r // 2)
+            rep = h1(G, M, budget)
+            if rep.h1 != 0:
+                got[r] = rep.h1
+            if swapped is not None:
+                cross_cases += 1
+                if h1(swapped, module_from_matrices(ell, M.matrices[::-1], M.description), budget) != rep:
+                    cross_bad.append((ell, r))
         want = {ell - 3: 1}
         ok = got == want
         res.ok &= ok
@@ -267,9 +280,17 @@ def crit_cohomology_vanishing(budget: int | None = None) -> CriterionResult:
         f"streamed-vs-naive oracle equivalence on {checked} fixture groups of order <= 200:"
         f" {'ok' if oracle_ok else 'FAIL'}"
     )
+    res.ok &= not cross_bad
     res.details.append(
-        "solvers: the r sweep and the adjoint totals ran the streamed cocycle solver only;"
-        " the naive whole-group oracle ran only on the fixture groups of order <= 200"
+        f"Borel-vs-Cayley cross-check on {cross_cases} modules (every even r < ell at ell in"
+        f" {CROSS_CHECK_PRIMES}, Cayley solver on the swapped generators):"
+        f" {'ok' if not cross_bad else f'FAIL at (ell, r) {cross_bad}'}"
+    )
+    res.details.append(
+        "solvers: the r sweep and the adjoint totals ran the Borel solver (restriction to U x| T);"
+        " the Cayley cocycle solver ran on the swapped-generator cross-check and on the fixture"
+        " groups not generated by sl2_generators; the naive whole-group oracle ran only on the"
+        " fixture groups of order <= 200"
     )
     res.details.append(
         "the r = ell-3 class is not certified here; its explicit non-coboundary cocycle is"

@@ -140,6 +140,27 @@ def test_criterion_6_rejects_wrong_adjoint_total(monkeypatch):
     ]
 
 
+def test_criterion_6_rejects_borel_cayley_disagreement(monkeypatch):
+    # the Cayley solver on the swapped generators is skewed at r = 4 only
+    from monolab.group_cohomology import sl2_generators
+
+    real_h1 = verify.h1
+
+    def skewed_h1(G, M, budget=None):
+        rep = real_h1(G, M, budget)
+        if G.generators != sl2_generators(G.ell) and G.order > 200 and M.dim == 5:
+            return CohomologyReport(h0=rep.h0, dim_Z1=rep.dim_Z1 + 1, dim_B1=rep.dim_B1, h1=rep.h1 + 1)
+        return rep
+
+    monkeypatch.setattr(verify, "h1", skewed_h1)
+    res = crit_cohomology_vanishing()
+    assert res.ok is False
+    assert [d for d in res.details if "FAIL" in d or "MISMATCH" in d] == [
+        "Borel-vs-Cayley cross-check on 17 modules (every even r < ell at ell in (7, 11, 13),"
+        " Cayley solver on the swapped generators): FAIL at (ell, r) [(7, 4), (11, 4), (13, 4)]"
+    ]
+
+
 def test_criterion_7_selmer_identities():
     report(timed(crit_selmer_identities), budget_s=1)
 

@@ -1,8 +1,15 @@
 import hashlib
+import os
+import subprocess
+import sys
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+import monolab
+from monolab import group_cohomology
+from monolab.exact import det_mod
 from monolab.group_cohomology import (
     CohomologyReport,
     FiniteMatrixGroup,
@@ -498,9 +505,21 @@ def test_adjoint_h1_bound_guard():
 
 
 def test_memory_budget():
-    G = sl2_group(13)
+    # the Cayley solver's guard, on SL2(F_13) closed from swapped generators
+    G, M = swapped_group(13), swapped_module(sym_module(13, 10, 5))
     with pytest.raises(ResourceLimitError):
-        h1(G, sym_module(13, 10, 5), budget=10_000)
+        h1(G, M, budget=10_000)
+
+
+def test_memory_budget_borel():
+    # the Borel solver checks its own estimate against the same budget, and
+    # needs far less than the Cayley solver on the same group and module
+    G, M = sl2_group(13), sym_module(13, 10, 5)
+    with pytest.raises(ResourceLimitError, match="Borel"):
+        h1(G, M, budget=10_000)
+    assert h1(G, M, budget=1_000_000).h1 == 1
+    with pytest.raises(ResourceLimitError, match="cocycle propagation"):
+        h1(swapped_group(13), swapped_module(M), budget=1_000_000)
 
 
 def test_budget_env_override(monkeypatch):
@@ -525,3 +544,186 @@ def test_report_consistency():
     assert rep.h1 == rep.dim_Z1 - rep.dim_B1
     doc = rep.to_json_dict()
     assert set(doc) == {"h0", "dim_Z1", "dim_B1", "h1"}
+
+
+# -- Borel solver ------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def swapped_group(ell):
+    # SL2(F_ell) again, but not on sl2_generators, so h1 takes the Cayley solver
+    return close_group(sl2_generators(ell)[::-1], ell)
+
+
+def swapped_module(M):
+    return module_from_matrices(M.ell, M.matrices[::-1], M.description)
+
+
+def test_stored_tree_reaches_every_element():
+    G = sl2_group(7)
+    assert G.tree.shape == (G.order - 1,)
+    assert G.cayley.flat[G.tree].tolist() == list(range(1, G.order))
+
+
+def test_solver_selected_by_generator_list(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("wrong solver")
+
+    M = sym_module(7, 4, 2)
+    monkeypatch.setattr(group_cohomology, "_z1_cayley", refuse)
+    assert h1(sl2_group(7), M).h1 == 1
+    monkeypatch.undo()
+    monkeypatch.setattr(group_cohomology, "_h1_sl2", refuse)
+    assert h1(swapped_group(7), swapped_module(M)).h1 == 1
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7, 11, 13])
+def test_borel_matches_cayley(ell):
+    G, Gs = sl2_group(ell), swapped_group(ell)
+    mods = [sym_module(ell, r, twist, allow_reducible=True) for r in range(ell + 3) for twist in (0, 1, 2)]
+    mods.append(
+        module_direct_sum(
+            sym_module(ell, max(ell - 3, 0), 1, allow_reducible=True),
+            module_direct_sum(sym_module(ell, ell + 1, 0, allow_reducible=True), trivial_module(ell, 2)),
+        )
+    )
+    for M in mods:
+        assert h1(G, M) == h1(Gs, swapped_module(M)), (ell, M.description)
+
+
+def test_borel_matches_naive():
+    # h1_naive is bounded by |G| * dim <= 1500, and slow near that bound
+    cases = [(2, r) for r in range(8)] + [(3, r) for r in range(8)] + [(5, r) for r in range(5)] + [(7, 0), (7, 1)]
+    for ell, r in cases:
+        for twist in (0, 1):
+            M = sym_module(ell, r, twist, allow_reducible=True)
+            assert h1(sl2_group(ell), M) == h1_naive(sl2_group(ell), M), (ell, r, twist)
+    M = module_direct_sum(sym_module(3, 4, 0, allow_reducible=True), trivial_module(3, 2))
+    assert h1(sl2_group(3), M) == h1_naive(sl2_group(3), M)
+
+
+def is_module_oracle(G, mats):
+    """rho(g) M_j = rho(g s_j) on every Cayley edge, rho propagated along first visits."""
+    dim = mats[0].shape[0]
+    rho = [np.eye(dim, dtype=np.int64)] + [None] * (G.order - 1)
+    for g in range(G.order):
+        for j, t in enumerate(G.cayley[g].tolist()):
+            value = rho[g] @ mats[j] % G.ell
+            if rho[t] is None:
+                rho[t] = value
+            elif not np.array_equal(rho[t], value):
+                return False
+    return True
+
+
+def borel_accepts(G, M):
+    try:
+        h1(G, M)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("ell", [5, 7])
+def test_module_check_against_edge_oracle(ell):
+    G = sl2_group(ell)
+    rng = np.random.default_rng(ell)
+    pairs = [[rng.integers(0, ell, (d, d)) for _ in range(2)] for d in (1, 2, 3) for _ in range(67)]
+    for r in (1, 2, 3):
+        U, W = sym_module(ell, r, 0).matrices
+        for _ in range(30):
+            bad = [U.copy(), W.copy()]
+            which, i, k = rng.integers(2), rng.integers(r + 1), rng.integers(r + 1)
+            bad[which][i, k] = (bad[which][i, k] + rng.integers(1, ell)) % ell
+            pairs.append(bad)
+        # the same module in a random basis, still a module
+        while True:
+            B = rng.integers(0, ell, (r + 1, r + 1))
+            if det_mod(B, ell):
+                break
+        Binv = np.array(inverse_mod(B, ell))
+        pairs.append([B @ U @ Binv % ell, B @ W @ Binv % ell])
+    # scalars 1 and -1 satisfy every relation but w+(1) = W
+    pairs.append([np.eye(1, dtype=np.int64), np.full((1, 1), ell - 1)])
+    verdicts = {True: 0, False: 0}
+    for mats in pairs:
+        M = module_from_matrices(ell, mats)
+        is_module = is_module_oracle(G, M.matrices)
+        verdicts[is_module] += 1
+        assert borel_accepts(G, M) == is_module, [m.tolist() for m in M.matrices]
+        if is_module:
+            assert h1(G, M) == h1(swapped_group(ell), swapped_module(M))
+    assert verdicts[True] >= 3 and verdicts[False] >= 200
+
+
+def inverse_mod(B, ell):
+    # Gauss-Jordan on [B | 1] with Python ints
+    n = len(B)
+    a = [[int(x) % ell for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(B)]
+    for c in range(n):
+        p = next(i for i in range(c, n) if a[i][c])
+        a[c], a[p] = a[p], a[c]
+        inv = pow(a[c][c], -1, ell)
+        a[c] = [x * inv % ell for x in a[c]]
+        for i in range(n):
+            if i != c and a[i][c]:
+                a[i] = [(x - a[i][c] * y) % ell for x, y in zip(a[i], a[c])]
+    return [row[n:] for row in a]
+
+
+# PSL2(F_8) on the 9 points of P^1(F_8), as images of S = w and T = x+(1) of
+# SL2(ZZ): S -> an involution x, ST -> an element y of order 3 with x y of
+# order 7 (a Hurwitz generation), found by search.  p[i] is the image of i.
+HURWITZ_PSL2_8 = {"S": (0, 6, 4, 7, 2, 8, 1, 3, 5), "T": (8, 5, 3, 4, 0, 2, 6, 7, 1)}
+
+
+def permutation_matrix(p):
+    m = np.zeros((len(p), len(p)), dtype=np.int64)
+    m[list(p), range(len(p))] = 1
+    return m
+
+
+def test_sl2z_quotient_that_is_not_sl2_f7_rejected():
+    # every relation of SL2(ZZ) holds, and T^7 = 1, so the pair satisfies
+    # U^7 = W^4 = 1 and U (W U W^-1) U = W; but PSL2(F_8) is not a quotient
+    # of SL2(F_7), so only the field relations (B') and (C) can reject it
+    U, W = permutation_matrix(HURWITZ_PSL2_8["T"]), permutation_matrix(HURWITZ_PSL2_8["S"])
+    ell, eye = 7, np.eye(9, dtype=np.int64)
+    assert np.array_equal(np.linalg.matrix_power(U, 7), eye)
+    assert np.array_equal(np.linalg.matrix_power(W, 4), eye)
+    assert np.array_equal(U @ W @ U @ W.T @ U, W)
+    M = module_from_matrices(ell, [U, W], "PSL2(F_8) on P^1(F_8)")
+    assert not is_module_oracle(sl2_group(ell), M.matrices)
+    with pytest.raises(ValueError, match=r"\(B'\)"):
+        h1(sl2_group(ell), M)
+
+
+def test_input_checks_raise_errors():
+    with pytest.raises(ValueError):
+        module_from_matrices(5, [np.eye(2), np.zeros((2, 3))])
+    with pytest.raises(ValueError):
+        module_direct_sum(sym_module(5, 1, 0), sym_module(7, 1, 0))
+    with pytest.raises(ValueError):
+        module_direct_sum(sym_module(5, 1, 0), trivial_module(5, 1))
+
+
+def test_sl2_order_check_raises(monkeypatch):
+    real = group_cohomology.close_group
+    monkeypatch.setattr(group_cohomology, "close_group", lambda gens, ell: real(gens[:1], ell))
+    with pytest.raises(ArithmeticError, match="order 5"):
+        group_cohomology.sl2_group.__wrapped__(5)
+
+
+def test_non_square_module_rejected_under_optimize():
+    code = (
+        "import numpy as np\n"
+        "from monolab.group_cohomology import module_from_matrices\n"
+        "try:\n"
+        "    module_from_matrices(5, [np.eye(2), np.zeros((2, 3))])\n"
+        "except ValueError:\n"
+        "    print('rejected')\n"
+    )
+    src = os.path.dirname(os.path.dirname(monolab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "rejected", out.stderr
