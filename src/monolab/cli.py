@@ -237,7 +237,7 @@ def _cmd_cohomology(cfg: RunConfig) -> int:
     M = sym_module(cfg.ell, cfg.sym, -twist)
     rep = h1_naive(G, M) if cfg.naive else h1(G, M, cfg.memory_budget)
     doc = rep.to_json_dict()
-    doc.update({"ell": cfg.ell, "sym": cfg.sym, "twist": twist, "solver": "naive" if cfg.naive else "streamed"})
+    doc.update({"ell": cfg.ell, "sym": cfg.sym, "twist": twist, "solver": "naive" if cfg.naive else "borel"})
     _emit(doc, cfg)
     return EXIT_OK
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -37,6 +37,7 @@ from .exact import EchelonState, _xgcd, det_mod, matmul_mod, rank_mod
 from .rootsys import SimpleType, build_root_datum
 
 DEFAULT_MEMORY_BUDGET = 2 * 1024**3
+CLOSURE_CAP = 2_000_000
 _BUDGET_ENV = "MONOLAB_MEMORY_BUDGET"
 
 
@@ -54,27 +55,43 @@ def memory_budget(explicit: int | None = None) -> int:
 Matrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
 class FiniteMatrixGroup:
-    ell: int
-    degree: int
-    generators: tuple[Matrix, ...]
-    elements: tuple[Matrix, ...]  # breadth-first discovery order; elements[0] is the identity
-    index: dict
-    cayley: np.ndarray  # cayley[g, j] = index of elements[g] * generators[j]
-    tree: np.ndarray = field(init=False, repr=False, compare=False)  # _tree_edges(cayley)
+    """A subgroup of GL_degree(F_ell); elements are in breadth-first discovery order, identity first.
 
-    def __post_init__(self):
-        if not np.array_equal(self.elements[0], np.eye(self.degree, dtype=np.int64)):
+    cayley[g, j] is the index of elements[g] * generators[j] and tree is _tree_edges(cayley).
+    Passed-in elements, index and cayley are checked at once; otherwise `_bfs_closure` builds
+    all four on the first read of any of them or of order, and raises ResourceLimitError past `cap` elements.
+    """
+
+    def __init__(self, ell, degree, generators, elements=None, index=None, cayley=None, cap=CLOSURE_CAP):
+        self.ell, self.degree, self.generators, self.cap = ell, degree, tuple(generators), cap
+        if elements is not None:
+            self._store(elements, index, cayley)
+
+    def _store(self, elements, index, cayley):
+        if not np.array_equal(elements[0], np.eye(self.degree, dtype=np.int64)):
             raise ValueError("elements[0] must be the identity")
-        object.__setattr__(self, "tree", _tree_edges(self.cayley))
+        n, want = len(elements), self.ell * (self.ell**2 - 1)
+        if self.is_standard_sl2 and n != want:
+            raise ArithmeticError(f"SL2(F_{self.ell}) closure has order {n}, want {want}")
+        self.elements, self.index, self.cayley, self.tree = elements, index, cayley, _tree_edges(cayley)
+
+    def __getattr__(self, name):  # reached only while the closure is unbuilt
+        if name not in ("elements", "index", "cayley", "tree"):
+            raise AttributeError(name)
+        self._store(*_bfs_closure(self.generators, self.ell, self.cap))
+        return getattr(self, name)
+
+    @property
+    def is_standard_sl2(self) -> bool:  # SL2(F_ell) by construction; h1 takes the Borel solver on it
+        return self.generators == sl2_generators(self.ell)
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def __repr__(self):
-        return f"FiniteMatrixGroup(order={self.order}, degree={self.degree}, ell={self.ell})"
+        return f"FiniteMatrixGroup(generators={len(self.generators)}, degree={self.degree}, ell={self.ell})"
 
 
 def _tree_edges(cayley: np.ndarray) -> np.ndarray:
@@ -95,21 +112,14 @@ def _tree_edges(cayley: np.ndarray) -> np.ndarray:
     return tree
 
 
-def close_group(generators, ell: int, cap: int = 2_000_000) -> FiniteMatrixGroup:
-    """Breadth-first closure of a generator list inside GL_degree(F_ell).
+def _bfs_closure(gens: tuple[Matrix, ...], ell: int, cap: int) -> tuple[tuple[Matrix, ...], dict, np.ndarray]:
+    """Elements, index and Cayley table of the group that reduced invertible generators span.
 
     Element order is discovery order (identity first, generators applied in
     list order), which fixes every downstream computation bit-for-bit.  Each
     BFS level times every generator is one batched product, looked up in
     (element, generator) order; the new elements form the next level.
     """
-    gens = tuple(generators)
-    if not gens:
-        raise ValueError("need at least one generator")
-    for g in gens:
-        if det_mod(g, ell) == 0:
-            raise ValueError("generators must be invertible")
-    gens = tuple(tuple(tuple(x % ell for x in row) for row in g) for g in gens)
     degree = len(gens[0])
     ident = tuple(tuple(1 if i == j else 0 for j in range(degree)) for i in range(degree))
     elements = [ident]
@@ -131,14 +141,26 @@ def close_group(generators, ell: int, cap: int = 2_000_000) -> FiniteMatrixGroup
                 fresh.append(pos)
             edges.append(k)
         frontier = prods[fresh]
-    return FiniteMatrixGroup(
-        ell=ell,
-        degree=degree,
-        generators=gens,
-        elements=tuple(elements),
-        index=index,
-        cayley=np.array(edges, dtype=np.int64).reshape(-1, len(gens)),
-    )
+    return tuple(elements), index, np.array(edges, dtype=np.int64).reshape(-1, len(gens))
+
+
+def _generated(generators, ell: int, cap: int) -> FiniteMatrixGroup:
+    """The unclosed group of a generator list; ValueError for a bad list or modulus (via det_mod)."""
+    gens = tuple(generators)
+    if not gens:
+        raise ValueError("need at least one generator")
+    for g in gens:
+        if det_mod(g, ell) == 0:
+            raise ValueError("generators must be invertible")
+    gens = tuple(tuple(tuple(x % ell for x in row) for row in g) for g in gens)
+    return FiniteMatrixGroup(ell, len(gens[0]), gens, cap=cap)
+
+
+def close_group(generators, ell: int, cap: int = CLOSURE_CAP) -> FiniteMatrixGroup:
+    """Breadth-first closure of a generator list inside GL_degree(F_ell), built before it returns."""
+    G = _generated(generators, ell, cap)
+    G.order  # builds the closure here, so that its errors surface at this call
+    return G
 
 
 def sl2_generators(ell: int) -> tuple[Matrix, Matrix]:
@@ -148,11 +170,8 @@ def sl2_generators(ell: int) -> tuple[Matrix, Matrix]:
 
 @lru_cache(maxsize=8)
 def sl2_group(ell: int) -> FiniteMatrixGroup:
-    G = close_group(sl2_generators(ell), ell)
-    expected = ell * (ell * ell - 1)
-    if G.order != expected:
-        raise ArithmeticError(f"SL2(F_{ell}) closure has order {G.order}, want {expected}")
-    return G
+    """SL2(F_ell) on `sl2_generators(ell)`; its ell (ell^2 - 1) elements are built only when read."""
+    return _generated(sl2_generators(ell), ell, CLOSURE_CAP)
 
 
 @dataclass(frozen=True)
@@ -244,8 +263,8 @@ class CohomologyReport:
     h1: int
 
     def __post_init__(self):
-        assert self.h1 == self.dim_Z1 - self.dim_B1
-        assert self.h0 >= 0 and self.dim_B1 >= 0 and self.h1 >= 0, self
+        if self.h1 != self.dim_Z1 - self.dim_B1 or min(self.h0, self.dim_B1, self.h1) < 0:
+            raise ArithmeticError(f"inconsistent cohomology dimensions: {self}")
 
     def to_json_dict(self):
         return {"h0": self.h0, "dim_Z1": self.dim_Z1, "dim_B1": self.dim_B1, "h1": self.h1}
@@ -273,7 +292,7 @@ def h1(G: FiniteMatrixGroup, M: ModuleAction, budget: int | None = None) -> Coho
         raise ValueError("module does not match the group's generator list")
     fixed = h0(G, M)
     dim_B1 = M.dim - fixed
-    if G.generators == sl2_generators(G.ell):
+    if G.is_standard_sl2:
         dim_Z1 = _h1_sl2(M, budget) + dim_B1
     else:
         dim_Z1 = _z1_cayley(G, M, budget)

@@ -77,8 +77,12 @@ def test_identity_only_group():
 
 
 def test_closure_cap():
-    with pytest.raises(ResourceLimitError):
+    # close_group builds at the call; a group made from generators alone builds on the first read
+    with pytest.raises(ResourceLimitError, match="cap=100"):
         close_group(sl2_generators(13), 13, cap=100)
+    G = FiniteMatrixGroup(13, 2, sl2_generators(13), cap=100)
+    with pytest.raises(ResourceLimitError, match="cap=100"):
+        G.cayley
 
 
 def test_non_invertible_rejected():
@@ -334,8 +338,22 @@ def test_coprime_cyclic_h1_vanishes_below_2_31(order):
 
 
 def test_report_rejects_negative_dimensions():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ArithmeticError):
         CohomologyReport(h0=3, dim_Z1=2, dim_B1=4, h1=-2)
+    with pytest.raises(ArithmeticError):
+        CohomologyReport(h0=0, dim_Z1=2, dim_B1=1, h1=0)
+
+
+def test_report_checks_survive_optimize():
+    code = (
+        "from monolab.group_cohomology import CohomologyReport\n"
+        "for dims in ((3, 2, 4, -2), (0, 2, 1, 0)):\n"
+        "    try:\n"
+        "        CohomologyReport(*dims)\n"
+        "    except ArithmeticError:\n"
+        "        print('rejected')\n"
+    )
+    assert run_optimized(code) == "rejected\nrejected"
 
 
 def certified_nonvanishing(ell, r):
@@ -708,10 +726,39 @@ def test_input_checks_raise_errors():
 
 
 def test_sl2_order_check_raises(monkeypatch):
-    real = group_cohomology.close_group
-    monkeypatch.setattr(group_cohomology, "close_group", lambda gens, ell: real(gens[:1], ell))
+    # the check runs where the elements are built, on the first read
+    real = group_cohomology._bfs_closure
+    monkeypatch.setattr(group_cohomology, "_bfs_closure", lambda gens, ell, cap: real(gens[:1], ell, cap))
+    G = group_cohomology.sl2_group.__wrapped__(5)
     with pytest.raises(ArithmeticError, match="order 5"):
-        group_cohomology.sl2_group.__wrapped__(5)
+        G.order
+    with pytest.raises(ArithmeticError, match="order 5"):
+        close_group(sl2_generators(5), 5)
+
+
+def test_sl2_group_builds_no_closure(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("closure built")
+
+    sl2_group.cache_clear()
+    monkeypatch.setattr(group_cohomology, "_bfs_closure", refuse)
+    G = sl2_group(127)  # 2,048,256 elements, past the default cap
+    assert repr(G) == "FiniteMatrixGroup(generators=2, degree=2, ell=127)"
+    assert h1(G, sym_module(127, 2, 1)).h1 == 0
+    assert adjoint_h1_via_kostant("G2", 13) == 1
+    with pytest.raises(AssertionError, match="closure built"):
+        G.order
+    with pytest.raises(ValueError, match="not a prime: 12"):
+        sl2_group(12)
+    sl2_group.cache_clear()
+
+
+def run_optimized(code):
+    src = os.path.dirname(os.path.dirname(monolab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
 
 
 def test_non_square_module_rejected_under_optimize():
@@ -723,7 +770,4 @@ def test_non_square_module_rejected_under_optimize():
         "except ValueError:\n"
         "    print('rejected')\n"
     )
-    src = os.path.dirname(os.path.dirname(monolab.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert out.stdout.strip() == "rejected", out.stderr
+    assert run_optimized(code) == "rejected"
