@@ -13,8 +13,8 @@ transform of the coroot coordinates.
 Structure-constant magnitudes are |N_{a,b}| = p+1 with p the depth of the
 a-string through b.  Signs are pinned by setting N = +(p+1) on extraspecial
 pairs in the (height, lex) root order and propagating every other sign through
-the standard root-quadruple identities; consistency is enforced by the Jacobi
-sweep in the test suite.
+the standard root-quadruple identities; consistency is enforced by the
+exhaustive Jacobi sweep of acceptance criterion 5.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .exact import GF, ZZ, PrimeField
 from .rootsys import Root, RootDatum, SimpleType, build_root_datum
@@ -411,27 +413,21 @@ def base_change(a: LieElement, ell: int) -> LieElement:
 def jacobi_sweep(alg: ChevalleyAlgebra, triples=None, samples: int | None = None, seed: int = 0):
     """Check [[u,v],w] + [[v,w],u] + [[w,u],v] = 0 on basis triples.
 
-    With `samples`, checks that many pseudo-random triples (seeded, so the
-    sweep is reproducible); otherwise sweeps exhaustively.  Returns the number
-    of triples checked; raises AssertionError on the first failure.
+    With neither `triples` nor `samples`, checks every triple at once by
+    `_jacobi_contraction`.  Otherwise loops over the given triples, or over
+    `samples` pseudo-random ones (seeded, so the sweep is reproducible).
+    Returns the number of triples checked; raises ArithmeticError naming the
+    first failing triple and its nonzero coefficients.
     """
     dim = alg.dim
     if triples is None:
         if samples is None:
-            triples = (
-                (i, j, k) for i in range(dim) for j in range(dim) for k in range(dim)
-            )
-            total = dim**3
-        else:
-            rng = random.Random(seed)
-            triples = [
-                (rng.randrange(dim), rng.randrange(dim), rng.randrange(dim))
-                for _ in range(samples)
-            ]
-            total = samples
-    else:
-        triples = list(triples)
-        total = len(triples)
+            return _jacobi_contraction(alg)
+        rng = random.Random(seed)
+        triples = [
+            (rng.randrange(dim), rng.randrange(dim), rng.randrange(dim))
+            for _ in range(samples)
+        ]
     table = alg._table
     r = alg.ring
     checked = 0
@@ -451,7 +447,45 @@ def jacobi_sweep(alg: ChevalleyAlgebra, triples=None, samples: int | None = None
                         acc.pop(t, None)
                     else:
                         acc[t] = s
-        assert not acc, f"Jacobi fails on basis triple {(i, j, k)}: {acc}"
+        if acc:
+            raise ArithmeticError(f"Jacobi fails on basis triple {(i, j, k)}: {dict(sorted(acc.items()))}")
         checked += 1
-    assert checked == total
     return checked
+
+
+def _jacobi_contraction(alg: ChevalleyAlgebra) -> int:
+    """Exhaustive Jacobi check as one sparse contraction over the table.
+
+    Joining each entry [e_a, e_b] = c e_m with each entry [e_m, e_k] = c2 e_t
+    of row m gives every nonzero term c*c2 of [[e_a, e_b], e_k] at e_t.  The
+    loop's sum for (i, j, k) runs over the three rotations of the triple, so
+    (a, b, k), (k, a, b) and (b, k, a) share one sum: each term is keyed by
+    the least of the three, together with t, and the terms are summed per key.
+    A triple with no term sums to zero, so all dim**3 triples are checked.
+    """
+    dim = alg.dim
+    a, b, m, c = np.array(list(alg.structure_constant_triples()), dtype=np.int64).T
+    start = np.searchsorted(a, m, "left")  # the entries are sorted by (a, b)
+    n = np.searchsorted(a, m, "right") - start
+    first = np.repeat(np.arange(len(a)), n)
+    second = np.arange(n.sum()) + np.repeat(start - (np.cumsum(n) - n), n)
+    i, j, k = a[first], b[first], b[second]
+
+    def key(x, y, z):
+        return (x * dim + y) * dim + z
+
+    keys = np.minimum(np.minimum(key(i, j, k), key(k, i, j)), key(j, k, i)) * dim + m[second]
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    sums = np.add.reduceat((c[first] * c[second])[order], starts)
+    keys = keys[starts]
+    if isinstance(alg.ring, PrimeField):
+        sums %= alg.ring.ell
+    bad = np.flatnonzero(sums)
+    if bad.size:
+        triple = int(keys[bad[0]] // dim)
+        coeffs = {int(keys[s] % dim): int(sums[s]) for s in bad if keys[s] // dim == triple}
+        ijk = (triple // dim**2, triple // dim % dim, triple % dim)
+        raise ArithmeticError(f"Jacobi fails on basis triple {ijk}: {coeffs}")
+    return dim**3

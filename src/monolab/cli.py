@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from . import fixtures
 from .chevalley import build_chevalley_algebra
@@ -43,25 +42,6 @@ EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    type_name: str | None = None
-    ell: int | None = None
-    ell_range: tuple[int, int] | None = None
-    sym: int | None = None
-    twist: int = 0
-    naive: bool = False
-    sweep: bool = False
-    ledger_path: str | None = None
-    out: str | None = None
-    fmt: str = "json"
-    memory_budget: int | None = None
-    check_paper: bool = False
-    only: list | None = None
-    nightly: bool = False
-
-
 def _flatten(doc, prefix=""):
     rows = []
     if isinstance(doc, dict):
@@ -75,10 +55,10 @@ def _flatten(doc, prefix=""):
     return rows
 
 
-def _emit(doc: dict, cfg: RunConfig):
-    if cfg.fmt == "json":
+def _emit(doc: dict, ns: argparse.Namespace):
+    if ns.format == "json":
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    elif cfg.fmt == "csv":
+    elif ns.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["key", "value"])
@@ -88,8 +68,8 @@ def _emit(doc: dict, cfg: RunConfig):
     else:
         lines = [f"{key} = {value}" for key, value in _flatten(doc)]
         text = "\n".join(lines) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if ns.out:
+        with open(ns.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -144,64 +124,38 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-paper", help="run the full acceptance matrix")
     p.add_argument("--only", action="append", help="criterion name; repeatable")
     p.add_argument("--memory-budget", type=int)
-    p.add_argument("--nightly", action="store_true", help="exhaustive Jacobi sweep on the large types")
     p.add_argument("--out")
     p.add_argument("--format", choices=("json", "csv", "text"), default="json")
     return ap
 
 
-def parse_config(argv) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    cfg = RunConfig(subcommand=ns.subcommand)
-    cfg.out = getattr(ns, "out", None)
-    cfg.fmt = getattr(ns, "format", "json")
-    cfg.type_name = getattr(ns, "type", None)
-    if getattr(ns, "ell", None) is not None:
-        cfg.ell, cfg.ell_range = _parse_ell(ns.ell)
-    cfg.sym = getattr(ns, "sym", None)
-    cfg.twist = getattr(ns, "twist", None)
-    cfg.naive = getattr(ns, "naive", False)
-    cfg.sweep = getattr(ns, "mode", None) == "sweep"
-    cfg.ledger_path = getattr(ns, "ledger", None)
-    cfg.memory_budget = getattr(ns, "memory_budget", None)
-    cfg.check_paper = getattr(ns, "check_paper", False)
-    cfg.only = getattr(ns, "only", None)
-    cfg.nightly = getattr(ns, "nightly", False)
-    return cfg
-
-
-def run(cfg: RunConfig) -> int:
-    """Execute one subcommand; returns the process exit code."""
+def run(ns: argparse.Namespace) -> int:
+    """Execute one parsed subcommand; returns the process exit code."""
     try:
-        handler = _HANDLERS[cfg.subcommand]
-    except KeyError:
-        print(f"unknown subcommand {cfg.subcommand}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return handler(cfg)
+        return _HANDLERS[ns.subcommand](ns)
     except (ValueError, OSError, ArithmeticError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 
-def _cmd_roots(cfg: RunConfig) -> int:
-    d = build_root_datum(SimpleType.parse(cfg.type_name))
-    _emit(d.to_json_dict(), cfg)
+def _cmd_roots(ns: argparse.Namespace) -> int:
+    d = build_root_datum(SimpleType.parse(ns.type))
+    _emit(d.to_json_dict(), ns)
     return EXIT_OK
 
 
-def _cmd_kostant(cfg: RunConfig) -> int:
-    alg = build_chevalley_algebra(cfg.type_name)
+def _cmd_kostant(ns: argparse.Namespace) -> int:
+    alg = build_chevalley_algebra(ns.type)
     kd = kostant_decomposition(alg, build_principal_sl2(alg))
-    _emit(kd.to_json_dict(), cfg)
+    _emit(kd.to_json_dict(), ns)
     return EXIT_OK
 
 
-def _cmd_primescan(cfg: RunConfig) -> int:
-    rep = build_report(cfg.type_name)
+def _cmd_primescan(ns: argparse.Namespace) -> int:
+    rep = build_report(ns.type)
     doc = rep.to_json_dict()
     code = EXIT_OK
-    if cfg.check_paper:
+    if ns.check_paper:
         ok, expected, note = check_against_reference(rep)
         doc["check_paper"] = {"ok": ok, "expected": list(expected), "note": note}
         if not ok:
@@ -212,38 +166,39 @@ def _cmd_primescan(cfg: RunConfig) -> int:
                 file=sys.stderr,
             )
             code = EXIT_MISMATCH
-    _emit(doc, cfg)
+    _emit(doc, ns)
     return code
 
 
-def _cmd_cohomology(cfg: RunConfig) -> int:
-    if cfg.sweep:
-        if not cfg.type_name:
+def _cmd_cohomology(ns: argparse.Namespace) -> int:
+    ell, ell_range = _parse_ell(ns.ell)
+    if ns.mode == "sweep":
+        if not ns.type:
             print("sweep mode needs --type", file=sys.stderr)
             return EXIT_USAGE
-        lo, hi = cfg.ell_range if cfg.ell_range else (cfg.ell, cfg.ell)
+        lo, hi = ell_range or (ell, ell)
         rows = []
         for ell in range(lo, hi + 1):
             if not is_probable_prime(ell):
                 continue
-            rows.append({"ell": ell, "h1_total": adjoint_h1_via_kostant(cfg.type_name, ell, cfg.memory_budget)})
-        _emit({"simple_type": cfg.type_name, "sweep": rows}, cfg)
+            rows.append({"ell": ell, "h1_total": adjoint_h1_via_kostant(ns.type, ell, ns.memory_budget)})
+        _emit({"simple_type": ns.type, "sweep": rows}, ns)
         return EXIT_OK
-    if cfg.ell is None or cfg.sym is None:
+    if ell is None or ns.sym is None:
         print("need --ell and --sym (or the sweep mode)", file=sys.stderr)
         return EXIT_USAGE
-    twist = cfg.twist if cfg.twist is not None else -(cfg.sym // 2)
-    G = sl2_group(cfg.ell)
-    M = sym_module(cfg.ell, cfg.sym, -twist)
-    rep = h1_naive(G, M) if cfg.naive else h1(G, M, cfg.memory_budget)
+    twist = ns.twist if ns.twist is not None else -(ns.sym // 2)
+    G = sl2_group(ell)
+    M = sym_module(ell, ns.sym, -twist)
+    rep = h1_naive(G, M) if ns.naive else h1(G, M, ns.memory_budget)
     doc = rep.to_json_dict()
-    doc.update({"ell": cfg.ell, "sym": cfg.sym, "twist": twist, "solver": "naive" if cfg.naive else "borel"})
-    _emit(doc, cfg)
+    doc.update({"ell": ell, "sym": ns.sym, "twist": twist, "solver": "naive" if ns.naive else "borel"})
+    _emit(doc, ns)
     return EXIT_OK
 
 
-def _cmd_selmer(cfg: RunConfig) -> int:
-    with open(cfg.ledger_path) as fh:
+def _cmd_selmer(ns: argparse.Namespace) -> int:
+    with open(ns.ledger) as fh:
         ledger = SelmerLedger.from_json(fh.read())
     _emit(
         {
@@ -251,23 +206,23 @@ def _cmd_selmer(cfg: RunConfig) -> int:
             "oddness_deficit": oddness_deficit(ledger),
             "lgroup_euler_difference": lgroup_euler_difference(ledger),
         },
-        cfg,
+        ns,
     )
     return EXIT_OK
 
 
-def _cmd_bounds(cfg: RunConfig) -> int:
-    _emit(lifting_prime_bounds(cfg.type_name).to_json_dict(), cfg)
+def _cmd_bounds(ns: argparse.Namespace) -> int:
+    _emit(lifting_prime_bounds(ns.type).to_json_dict(), ns)
     return EXIT_OK
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
+def _cmd_verify(ns: argparse.Namespace) -> int:
     try:
         fixtures.assert_data_file_sync()
     except AssertionError as exc:
         print(f"FAIL fixture-sync: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    results = verify_paper(only=cfg.only, budget=cfg.memory_budget, nightly=cfg.nightly)
+    results = verify_paper(only=ns.only, budget=ns.memory_budget)
     # timing goes to stderr only, so the data stream is bit-identical across runs
     doc = {
         "criteria": [{"name": r.name, "ok": r.ok, "details": r.details} for r in results],
@@ -275,7 +230,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
     }
     for r in results:
         print(r.line(), file=sys.stderr)
-    _emit(doc, cfg)
+    _emit(doc, ns)
     return EXIT_OK if doc["all_ok"] else EXIT_MISMATCH
 
 
@@ -292,10 +247,10 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     try:
-        cfg = parse_config(argv if argv is not None else sys.argv[1:])
+        ns = build_parser().parse_args(argv if argv is not None else sys.argv[1:])
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    return run(cfg)
+    return run(ns)
 
 
 if __name__ == "__main__":

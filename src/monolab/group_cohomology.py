@@ -199,9 +199,9 @@ def sym_module(ell: int, r: int, twist: int, generators=None, allow_reducible=Fa
     """Sym^r(F_ell^2) (x) det^{-twist} on binary forms of degree r.
 
     Basis is X^{r-k} Y^k for k = 0..r; a matrix [[a,b],[c,d]] substitutes
-    X -> aX + cY, Y -> bX + dY, which makes g -> matrix a homomorphism.  The
-    range r < ell is asserted (the module is irreducible there); pass
-    allow_reducible=True to explore beyond it.
+    X -> aX + cY, Y -> bX + dY, which makes g -> matrix a homomorphism.  An r
+    outside the range r < ell (where the module is irreducible) is rejected
+    with `ValueError`; pass allow_reducible=True to explore beyond it.
     """
     if r < 0 or twist != int(twist):
         raise ValueError("need r >= 0 and an integer twist")

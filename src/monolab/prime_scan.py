@@ -60,7 +60,8 @@ class Factorization:
         prod = 1
         for p, e in self.factors:
             prod *= p**e
-        assert prod == abs(self.n), "factorization does not reconstruct |n|"
+        if prod != abs(self.n):
+            raise ArithmeticError(f"factorization {self.factors} does not reconstruct |{self.n}|")
 
 
 def _brent_rho(n: int, rng: random.Random) -> int:
@@ -143,12 +144,15 @@ def factor(n: int) -> Factorization:
     if m > 1:
         if m < _TRIAL_LIMIT * _TRIAL_LIMIT or is_probable_prime(m):
             # cofactor below the trial bound squared is prime by construction
-            assert is_probable_prime(m)
+            if not is_probable_prime(m):
+                raise ArithmeticError(f"trial-division cofactor {m} of {n} is not prime")
             out[m] = out.get(m, 0) + 1
         else:
             _split(m, out, random.Random(m))
     fact = Factorization(n, tuple(sorted(out.items())))
-    assert all(is_probable_prime(p) for p in fact.primes())
+    composite = [p for p in fact.primes() if not is_probable_prime(p)]
+    if composite:
+        raise ArithmeticError(f"factor({n}) reported composite factors {composite}")
     return fact
 
 

@@ -183,10 +183,13 @@ def kostant_decomposition(alg: ChevalleyAlgebra, triple: Sl2Triple) -> KostantDe
         for vec in vecs:
             coeffs = {k: v for k, v in enumerate(normalize_primitive(vec)) if v}
             p = alg.element(coeffs)
-            assert bracket(p, triple.H) == p.scale(2 * m), "not an H-eigenvector"
+            if bracket(p, triple.H) != p.scale(2 * m):
+                raise ArithmeticError(f"eigenvalue 2*{m}: kernel vector is not an H-eigenvector")
             pairs.append((m, p))
-    assert len(pairs) == d.rank
-    assert pairs[0][0] == 1 and pairs[0][1] == triple.X, "p_1 must be X itself"
+    if len(pairs) != d.rank:
+        raise ArithmeticError(f"{len(pairs)} eigenvectors for rank {d.rank}")
+    if pairs[0][0] != 1 or pairs[0][1] != triple.X:
+        raise ArithmeticError("p_1 must be X itself")
     for _, p in pairs:
         for _, q in pairs:
             if not bracket(p, q).is_zero():

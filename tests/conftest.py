@@ -1,0 +1,31 @@
+"""Helpers shared by the test modules (importable as `conftest`)."""
+
+import os
+import subprocess
+import sys
+
+import monolab
+from monolab.chevalley import ChevalleyAlgebra, build_chevalley_algebra
+
+
+def run_optimized(code):
+    """Run `code` under `python -O` with monolab and this module importable; returns its stdout."""
+    paths = [os.path.dirname(os.path.dirname(monolab.__file__)), os.path.dirname(__file__)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([*paths, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
+def flipped_algebra(name):
+    """A copy of the ZZ algebra with the first antisymmetric pair of its table negated.
+
+    Antisymmetry still holds, so only the Jacobi identity can catch it.  The
+    cached algebra and its table are left untouched.
+    """
+    alg = build_chevalley_algebra(name)
+    table = dict(alg._table)
+    i, j = min(table)
+    for pair in ((i, j), (j, i)):
+        table[pair] = tuple((k, -c) for k, c in table[pair])
+    return ChevalleyAlgebra(alg.datum, _shared=(table, alg._root_constants))

@@ -6,13 +6,16 @@ h1(SL2(F_ell), Sym^r (x) det^{-r/2}) = [r = ell - 3] over all even r < ell,
 nonzero value included (that class is certified by an explicit cocycle in the
 unit suite), and adjoint sums equal to the number of exponents m with
 2m = ell - 3.  Negative controls stub the solvers to show that the criterion
-still fails on the all-zero pattern and on a spurious nonzero value, and stub
-the sl2-relations check to show that criterion 4 reports FAIL.
+still fails on the all-zero pattern and on a spurious nonzero value, stub
+the sl2-relations check to show that criterion 4 reports FAIL, and hand
+criterion 5 a sign-flipped G2 table to show that it reports FAIL, also under
+python -O.
 """
 
 import time
 
 import pytest
+from conftest import flipped_algebra, run_optimized
 
 from monolab import verify
 from monolab.group_cohomology import CohomologyReport
@@ -79,9 +82,34 @@ def test_criterion_4_reports_broken_relations(monkeypatch):
 
 
 def test_criterion_5_structure_constant_integrity():
-    # exhaustive Jacobi on G2/F4, 10^5 sampled triples on E6/E7/E8 (exhaustive
-    # under MONOLAB_NIGHTLY=1), p+1 magnitude rule exhaustive for all types
-    report(timed(crit_structure_constants, None))
+    # Jacobi on every basis triple and the p+1 magnitude rule on every root
+    # pair, for all five exceptional types
+    report(timed(crit_structure_constants), budget_s=10)
+
+
+G2_FAIL = "G2: exhaustive Jacobi FAIL: Jacobi fails on basis triple (0, 1, 3): {5: 6}"
+
+
+def test_criterion_5_reports_broken_table(monkeypatch):
+    # G2 with one antisymmetric pair sign-flipped, on a copy of the table: the
+    # criterion must report a FAIL line naming the triple instead of raising
+    real = verify.build_chevalley_algebra
+    monkeypatch.setattr(verify, "build_chevalley_algebra", lambda t: flipped_algebra(t) if t == "G2" else real(t))
+    res = crit_structure_constants()
+    assert res.ok is False
+    assert [d for d in res.details if "FAIL" in d] == [G2_FAIL]
+
+
+def test_criterion_5_reports_broken_table_under_optimize():
+    # the same under python -O, where an assert-based check would pass
+    code = (
+        "from conftest import flipped_algebra\n"
+        "from monolab import verify\n"
+        "verify.build_chevalley_algebra = lambda t: flipped_algebra('G2')\n"
+        "res = verify.crit_structure_constants()\n"
+        "print(res.ok, res.details[0])\n"
+    )
+    assert run_optimized(code) == f"False {G2_FAIL}"
 
 
 def test_criterion_6_cohomology_vanishing():

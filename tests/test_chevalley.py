@@ -1,9 +1,11 @@
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from conftest import flipped_algebra, run_optimized
 
 from monolab.chevalley import (
     ad_power,
@@ -97,10 +99,50 @@ def test_table_antisymmetry():
         assert back == {k: -c for k, c in terms}
 
 
+def sweep_outcome(alg, triples=None):
+    try:
+        return jacobi_sweep(alg, triples)
+    except ArithmeticError as exc:
+        return str(exc)
+
+
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "F4"])
 def test_jacobi_exhaustive_small(name):
+    # the contraction against the per-triple loop over all dim**3 triples,
+    # on the intact table, a sign-flipped copy, and that copy mod 3
     alg = build_chevalley_algebra(name)
-    jacobi_sweep(alg)
+    every = itertools.product(range(alg.dim), repeat=3)
+    assert jacobi_sweep(alg) == jacobi_sweep(alg, triples=every) == alg.dim**3
+    broken = flipped_algebra(name)
+    for view in (broken, broken.change_ring(GF(3))):
+        got = sweep_outcome(view)
+        assert got.startswith("Jacobi fails on basis triple")
+        assert got == sweep_outcome(view, itertools.product(range(alg.dim), repeat=3))
+
+
+@pytest.mark.parametrize("name", ["E6", "E7", "E8"])
+def test_jacobi_exhaustive_large(name):
+    alg = build_chevalley_algebra(name)
+    assert jacobi_sweep(alg) == alg.dim**3
+
+
+def test_jacobi_exhaustive_catches_flipped_e8():
+    broken = flipped_algebra("E8")
+    got = sweep_outcome(broken)
+    assert got == "Jacobi fails on basis triple (0, 2, 3): {15: -2}"
+    assert sweep_outcome(broken, [(0, 2, 3)]) == got
+
+
+def test_jacobi_loop_raises_under_optimize():
+    code = (
+        "from conftest import flipped_algebra\n"
+        "from monolab.chevalley import jacobi_sweep\n"
+        "try:\n"
+        "    jacobi_sweep(flipped_algebra('G2'), triples=[(0, 1, 3)])\n"
+        "except ArithmeticError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert run_optimized(code) == "Jacobi fails on basis triple (0, 1, 3): {5: 6}"
 
 
 @pytest.mark.parametrize("name", ["E6", "E7", "E8"])

@@ -173,6 +173,13 @@ def test_verify_unknown_criterion(capsys):
     assert code == EXIT_USAGE
 
 
+def test_verify_has_no_nightly_option(capsys):
+    # criterion 5 is exhaustive on every type; there is no mode to select
+    code, out, err = run_cli(capsys, "verify-paper", "--nightly")
+    assert code == EXIT_USAGE
+    assert out == "" and "unrecognized arguments: --nightly" in err
+
+
 def test_verify_fixture_corruption_exits_2(capsys, monkeypatch):
     # a mutated embedded table first trips the embedded-vs-file sync guard
     monkeypatch.setitem(fixtures.OBSTRUCTION_PRIMES, "F4", (2, 3))

@@ -1,13 +1,10 @@
 import hashlib
-import os
-import subprocess
-import sys
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from conftest import run_optimized
 
-import monolab
 from monolab import group_cohomology
 from monolab.exact import det_mod
 from monolab.group_cohomology import (
@@ -751,14 +748,6 @@ def test_sl2_group_builds_no_closure(monkeypatch):
     with pytest.raises(ValueError, match="not a prime: 12"):
         sl2_group(12)
     sl2_group.cache_clear()
-
-
-def run_optimized(code):
-    src = os.path.dirname(os.path.dirname(monolab.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert out.returncode == 0, out.stderr
-    return out.stdout.strip()
 
 
 def test_non_square_module_rejected_under_optimize():

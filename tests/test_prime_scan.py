@@ -2,6 +2,7 @@ import hashlib
 import json
 
 import pytest
+from conftest import run_optimized
 
 from monolab.chevalley import base_change, build_chevalley_algebra
 from monolab.exact import GF
@@ -56,8 +57,20 @@ def test_factor_rejects_zero():
 
 
 def test_factor_reconstruction_guard():
-    with pytest.raises(AssertionError):
-        Factorization(10, ((2, 1), (3, 1)))
+    for n, factors in ((10, ((2, 1), (3, 1))), (12, ((2, 2),))):
+        with pytest.raises(ArithmeticError, match="does not reconstruct"):
+            Factorization(n, factors)
+
+
+def test_factor_reconstruction_guard_under_optimize():
+    code = (
+        "from monolab.prime_scan import Factorization\n"
+        "try:\n"
+        "    Factorization(12, ((2, 2),))\n"
+        "except ArithmeticError:\n"
+        "    print('rejected')\n"
+    )
+    assert run_optimized(code) == "rejected"
 
 
 # -- projection scans ---------------------------------------------------------
