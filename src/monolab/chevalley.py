@@ -1,5 +1,9 @@
 """Integral Chevalley bases with exact structure-constant arithmetic.
 
+Every coefficient is a plain int.  An algebra is the ZZ form (`ell` None) or
+the F_ell view `alg.mod(ell)`, which shares the ZZ bracket table and reduces
+its results mod ell.
+
 The basis is {x_a : a in Phi+} u {y_a : a in Phi+} u {h_1..h_l}, where h_i is
 the i-th simple coroot vector.  Bracket conventions follow the computer-algebra
 normalisation
@@ -22,12 +26,11 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .exact import GF, ZZ, PrimeField
+from .exact import check_prime_modulus, exact_div
 from .rootsys import Root, RootDatum, SimpleType, build_root_datum
 
 
@@ -63,11 +66,10 @@ def _carter_constants(datum: RootDatum):
             return -n_any(v, u)
         w = tuple(a + b for a, b in zip(u, v))
         if sum(w) > 0:
-            val = Fraction(norm2(w), norm2(u)) * n_pos(idx[w], idx[tuple(-c for c in v)])
-        else:
-            val = Fraction(norm2(w), norm2(v)) * n_pos(idx[tuple(-c for c in w)], idx[u])
-        assert val.denominator == 1
-        return int(val)
+            val = norm2(w) * n_pos(idx[w], idx[tuple(-c for c in v)])
+            return exact_div(val, norm2(u), "structure constant")
+        val = norm2(w) * n_pos(idx[tuple(-c for c in w)], idx[u])
+        return exact_div(val, norm2(v), "structure constant")
 
     by_sum: dict = {}
     for a in range(len(pos)):
@@ -84,24 +86,22 @@ def _carter_constants(datum: RootDatum):
         alpha, beta = pos[a0], pos[b0]
         for a, b in specials[1:]:
             xi, eta = pos[a], pos[b]
-            acc = Fraction(0)
+            neg_xi, neg_eta = tuple(-c for c in xi), tuple(-c for c in eta)
+            terms = []  # (numerator, norm2 of its root) of the identity's sum
             d1 = tuple(x - y for x, y in zip(beta, xi))  # beta - xi = eta - alpha
             if d1 in roots:
-                acc += Fraction(
-                    n_any(beta, tuple(-c for c in xi)) * n_any(alpha, tuple(-c for c in eta)),
-                    norm2(d1),
-                )
+                terms.append((n_any(beta, neg_xi) * n_any(alpha, neg_eta), norm2(d1)))
             d2 = tuple(x - y for x, y in zip(alpha, xi))  # alpha - xi = -(beta - eta)
             if d2 in roots:
-                acc += Fraction(
-                    -n_any(alpha, tuple(-c for c in xi)) * n_any(beta, tuple(-c for c in eta)),
-                    norm2(d2),
-                )
-            val = norm2(gamma) * acc / table[(a0, b0)]
-            assert val.denominator == 1 and val != 0
-            table[(a, b)] = int(val)
+                terms.append((-n_any(alpha, neg_xi) * n_any(beta, neg_eta), norm2(d2)))
+            num, den = 0, 1
+            for t, n in terms:
+                num, den = num * n + t * den, den * n
+            val = exact_div(norm2(gamma) * num, den * table[(a0, b0)], "root-quadruple identity")
             expect = datum.string_depth(xi, eta) + 1
-            assert abs(table[(a, b)]) == expect, (gamma, xi, eta, table[(a, b)], expect)
+            if abs(val) != expect:
+                raise ArithmeticError(f"|N{xi, eta}| = {abs(val)} under {gamma}, want p+1 = {expect}")
+            table[(a, b)] = val
     return n_any
 
 
@@ -127,39 +127,49 @@ class _Basis:
 
 
 class ChevalleyAlgebra:
-    """Simple Lie algebra over an exact ring, with a frozen bracket table.
+    """Simple Lie algebra over ZZ (`ell` None) or F_ell, with a frozen bracket table.
 
-    Instances are immutable after construction; `bracket` and friends are pure
-    and safe to share across threads.  Use `build_chevalley_algebra` to get the
-    ZZ form and `.change_ring(...)` for the QQ / F_ell views (cached, so view
-    identity can be used for operand compatibility checks).
+    Coefficients are plain ints; on an F_ell view they are residues in
+    [0, ell).  Instances are immutable after construction; `bracket` and
+    friends are pure and safe to share across threads.  Use
+    `build_chevalley_algebra` to get the ZZ form and `.mod(ell)` for the F_ell
+    views (cached, so view identity can be used for operand compatibility
+    checks).
     """
 
-    def __init__(self, datum: RootDatum, ring=ZZ, _shared=None):
+    def __init__(self, datum: RootDatum, ell: int | None = None, _shared=None):
         self.datum = datum
-        self.ring = ring
+        self.ell = ell
         self.basis = _Basis(len(datum.positive_roots), datum.rank)
         self.dim = self.basis.dim
         if _shared is None:
             _shared = _build_table(datum)
         self._table, self._root_constants = _shared
+        # the ZZ form, set on views only: a self-reference would keep a
+        # dropped algebra's table alive until the next gc
+        self._base = None
         self._views = {}
 
-    # -- ring plumbing ----------------------------------------------------
-
-    def change_ring(self, ring) -> "ChevalleyAlgebra":
-        base = getattr(self, "_base", self)
-        if ring is base.ring or ring == base.ring:
-            return base
-        key = ("GF", ring.ell) if isinstance(ring, PrimeField) else ring.name
-        if key not in base._views:
-            view = ChevalleyAlgebra(base.datum, ring, _shared=(base._table, base._root_constants))
+    def mod(self, ell: int) -> "ChevalleyAlgebra":
+        """The F_ell view of the ZZ form: the same table, scalars reduced mod ell."""
+        base = self._base or self
+        if ell not in base._views:
+            check_prime_modulus(ell)
+            view = ChevalleyAlgebra(base.datum, ell, _shared=(base._table, base._root_constants))
             view._base = base
-            base._views[key] = view
-        return base._views[key]
+            base._views[ell] = view
+        return base._views[ell]
+
+    def _clean(self, coeffs: dict) -> dict:
+        """coeffs without zero entries, reduced mod ell on an F_ell view."""
+        ell = self.ell
+        if ell is None:
+            return {k: v for k, v in coeffs.items() if v}
+        return {k: v % ell for k, v in coeffs.items() if v % ell}
 
     def __repr__(self):
-        return f"ChevalleyAlgebra({self.datum.simple_type}, {self.ring})"
+        ring = "ZZ" if self.ell is None else f"GF({self.ell})"
+        return f"ChevalleyAlgebra({self.datum.simple_type}, {ring})"
 
     # -- element constructors ----------------------------------------------
 
@@ -167,13 +177,9 @@ class ChevalleyAlgebra:
         return LieElement(self, {})
 
     def element(self, coeffs: dict) -> "LieElement":
-        r = self.ring
-        clean = {}
-        for k, v in coeffs.items():
-            v = r.coerce(v)
-            if not r.is_zero(v):
-                clean[k] = v
-        return LieElement(self, clean)
+        for v in coeffs.values():
+            _check_scalar(v)
+        return LieElement(self, self._clean(coeffs))
 
     def x(self, a: int) -> "LieElement":
         return self.element({self.basis.x(a): 1})
@@ -210,16 +216,9 @@ class ChevalleyAlgebra:
         then its h[j]-coefficient is sum_k t_k A[k][j].
         """
         t = self.cartan_coords(elem)
-        A = self.datum.cartan
-        r = self.ring
-        out = []
-        for j in range(self.datum.rank):
-            s = r.coerce(0)
-            for k in range(self.datum.rank):
-                if not r.is_zero(t[k]) and A[k][j]:
-                    s = r.add(s, r.mul(t[k], r.coerce(A[k][j])))
-            out.append(s)
-        return tuple(out)
+        A, rank = self.datum.cartan, self.datum.rank
+        out = self._clean({j: sum(t[k] * A[k][j] for k in range(rank)) for j in range(rank)})
+        return tuple(out.get(j, 0) for j in range(rank))
 
     # -- structure constants ------------------------------------------------
 
@@ -304,34 +303,22 @@ class LieElement:
     def support(self):
         return sorted(self.coeffs)
 
-    def coeff(self, k):
-        return self.coeffs.get(k, self.algebra.ring.coerce(0))
-
     def __add__(self, other):
         _check_compat(self, other)
-        r = self.algebra.ring
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            s = r.add(out.get(k, r.coerce(0)), v)
-            if r.is_zero(s):
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return LieElement(self.algebra, out)
+            out[k] = out.get(k, 0) + v
+        return LieElement(self.algebra, self.algebra._clean(out))
 
     def __neg__(self):
-        r = self.algebra.ring
-        return LieElement(self.algebra, {k: r.neg(v) for k, v in self.coeffs.items()})
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        r = self.algebra.ring
-        c = r.coerce(c)
-        if r.is_zero(c):
-            return self.algebra.zero()
-        return LieElement(self.algebra, {k: r.mul(v, c) for k, v in self.coeffs.items()})
+        _check_scalar(c)
+        return LieElement(self.algebra, self.algebra._clean({k: v * c for k, v in self.coeffs.items()}))
 
     def __eq__(self, other):
         return (
@@ -347,6 +334,11 @@ class LieElement:
         return " + ".join(f"{v}*{alg.basis_label(k)}" for k, v in sorted(self.coeffs.items()))
 
 
+def _check_scalar(c):
+    if not isinstance(c, int):
+        raise TypeError(f"not an integer scalar: {c!r}")
+
+
 def _check_compat(a: LieElement, b: LieElement):
     if a.algebra is not b.algebra:
         raise ValueError(
@@ -360,21 +352,17 @@ def _z_algebra(t: SimpleType) -> ChevalleyAlgebra:
     return ChevalleyAlgebra(build_root_datum(t))
 
 
-def build_chevalley_algebra(source, ring=ZZ) -> ChevalleyAlgebra:
-    """Chevalley algebra of a simple type / RootDatum over ZZ, QQ, or GF(ell)."""
+def build_chevalley_algebra(source) -> ChevalleyAlgebra:
+    """The ZZ form of the Chevalley algebra of a simple type / RootDatum; `.mod(ell)` reduces it."""
     if isinstance(source, RootDatum):
-        t = source.simple_type
-    else:
-        t = SimpleType.parse(source)
-    alg = _z_algebra(t)
-    return alg.change_ring(ring)
+        return _z_algebra(source.simple_type)
+    return _z_algebra(SimpleType.parse(source))
 
 
 def bracket(a: LieElement, b: LieElement) -> LieElement:
     """Exact Lie bracket [a, b]; bilinear, alternating."""
     _check_compat(a, b)
     alg = a.algebra
-    r = alg.ring
     table = alg._table
     acc: dict = {}
     for i, ci in a.coeffs.items():
@@ -382,14 +370,10 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
             terms = table.get((i, j))
             if not terms:
                 continue
-            cij = r.mul(ci, cj)
+            cij = ci * cj
             for k, c in terms:
-                s = r.add(acc.get(k, 0), r.mul(cij, r.coerce(c)))
-                if r.is_zero(s):
-                    acc.pop(k, None)
-                else:
-                    acc[k] = s
-    return LieElement(alg, acc)
+                acc[k] = acc.get(k, 0) + cij * c
+    return LieElement(alg, alg._clean(acc))
 
 
 def ad_power(y: LieElement, n: int, v: LieElement) -> LieElement:
@@ -404,10 +388,9 @@ def ad_power(y: LieElement, n: int, v: LieElement) -> LieElement:
 
 def base_change(a: LieElement, ell: int) -> LieElement:
     """Coefficientwise reduction of an integral element to F_ell."""
-    if a.algebra.ring is not ZZ:
+    if a.algebra.ell is not None:
         raise ValueError("base_change starts from the ZZ form")
-    target = a.algebra.change_ring(GF(ell))
-    return target.element(dict(a.coeffs))
+    return a.algebra.mod(ell).element(a.coeffs)
 
 
 def jacobi_sweep(alg: ChevalleyAlgebra, triples=None, samples: int | None = None, seed: int = 0):
@@ -429,24 +412,14 @@ def jacobi_sweep(alg: ChevalleyAlgebra, triples=None, samples: int | None = None
             for _ in range(samples)
         ]
     table = alg._table
-    r = alg.ring
     checked = 0
     for i, j, k in triples:
         acc: dict = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = table.get((a, b))
-            if not inner:
-                continue
-            for m, cm in inner:
-                outer = table.get((m, c))
-                if not outer:
-                    continue
-                for t, ct in outer:
-                    s = r.add(acc.get(t, 0), r.mul(r.coerce(cm), r.coerce(ct)))
-                    if r.is_zero(s):
-                        acc.pop(t, None)
-                    else:
-                        acc[t] = s
+            for m, cm in table.get((a, b), ()):
+                for t, ct in table.get((m, c), ()):
+                    acc[t] = acc.get(t, 0) + cm * ct
+        acc = alg._clean(acc)
         if acc:
             raise ArithmeticError(f"Jacobi fails on basis triple {(i, j, k)}: {dict(sorted(acc.items()))}")
         checked += 1
@@ -480,8 +453,8 @@ def _jacobi_contraction(alg: ChevalleyAlgebra) -> int:
     starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
     sums = np.add.reduceat((c[first] * c[second])[order], starts)
     keys = keys[starts]
-    if isinstance(alg.ring, PrimeField):
-        sums %= alg.ring.ell
+    if alg.ell is not None:
+        sums %= alg.ell
     bad = np.flatnonzero(sums)
     if bad.size:
         triple = int(keys[bad[0]] // dim)

@@ -110,13 +110,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--twist", type=int, default=None, help="determinant twist exponent t for det^t (default -r//2)")
     p.add_argument("--naive", action="store_true", help="use the per-element oracle solver")
     p.add_argument("--memory-budget", type=int, help="bytes allowed for the h1 solvers")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    common(p, with_type=False)
 
     p = sub.add_parser("selmer", help="evaluate the difference formulas on a ledger file")
     p.add_argument("--ledger", required=True)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    common(p, with_type=False)
 
     p = sub.add_parser("bounds", help="prime bounds for the lifting settings")
     common(p)
@@ -124,8 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-paper", help="run the full acceptance matrix")
     p.add_argument("--only", action="append", help="criterion name; repeatable")
     p.add_argument("--memory-budget", type=int)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    common(p, with_type=False)
     return ap
 
 

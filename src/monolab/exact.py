@@ -1,9 +1,10 @@
-"""Exact coefficient rings and integer linear algebra.
+"""Exact integer and mod-ell linear algebra.
 
-Scalars are arbitrary-precision ints (ZZ), Fractions (QQ), or residues mod a
-machine-width prime (GF(ell)).  The kernel routines work over ZZ by unimodular
-column reduction, so kernels come back as saturated lattice bases with no
-rational intermediate step left in the result.
+Scalars are plain ints: arbitrary precision over ZZ, residues in [0, ell)
+over F_ell, where ell is a bare int prime below 2**31 that
+`check_prime_modulus` accepts.  The kernel routines work over ZZ by
+unimodular column reduction, so kernels come back as saturated lattice bases
+with no rational intermediate step.
 
 Every elimination over F_ell in the package goes through one kernel at the end
 of this module: `matmul_mod`, the streamed reduced echelon form
@@ -13,110 +14,17 @@ ell < 2**31.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 import numpy as np
 
 
-class IntegerRing:
-    """ZZ with arbitrary-precision ints."""
-
-    name = "ZZ"
-
-    def coerce(self, x):
-        if isinstance(x, int):
-            return x
-        if isinstance(x, Fraction) and x.denominator == 1:
-            return int(x)
-        raise TypeError(f"not an integer scalar: {x!r}")
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a):
-        return a == 0
-
-    def __repr__(self):
-        return "ZZ"
-
-
-class RationalRing:
-    """QQ with Fractions."""
-
-    name = "QQ"
-
-    def coerce(self, x):
-        return Fraction(x)
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a):
-        return a == 0
-
-    def __repr__(self):
-        return "QQ"
-
-
-class PrimeField:
-    """F_ell for a prime ell < 2**31; residues stored as ints in [0, ell)."""
-
-    def __init__(self, ell: int):
-        check_prime_modulus(ell)
-        self.ell = ell
-        self.name = f"GF({ell})"
-
-    def coerce(self, x):
-        if isinstance(x, Fraction):
-            if x.denominator % self.ell == 0:
-                raise ZeroDivisionError(f"denominator of {x} not invertible mod {self.ell}")
-            return x.numerator * pow(x.denominator, -1, self.ell) % self.ell
-        return int(x) % self.ell
-
-    def add(self, a, b):
-        return (a + b) % self.ell
-
-    def mul(self, a, b):
-        return (a * b) % self.ell
-
-    def neg(self, a):
-        return (-a) % self.ell
-
-    def inv(self, a):
-        return pow(a, -1, self.ell)
-
-    def is_zero(self, a):
-        return a % self.ell == 0
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.ell == self.ell
-
-    def __hash__(self):
-        return hash(("GF", self.ell))
-
-    def __repr__(self):
-        return self.name
-
-
-ZZ = IntegerRing()
-QQ = RationalRing()
-
-
-def GF(ell: int) -> PrimeField:
-    return PrimeField(ell)
+def exact_div(a: int, b: int, what: str) -> int:
+    """a // b, raising ArithmeticError (naming `what`) if b does not divide a."""
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError(f"{what}: {a}/{b} is not integral")
+    return q
 
 
 def check_prime_modulus(ell: int) -> None:
@@ -263,7 +171,8 @@ def integer_kernel(rows: list[list[int]], ncols: int) -> list[tuple[int, ...]]:
                 u, v = cj0[i], cj[i]
                 cj0[i] = x * u + y * v
                 cj[i] = aa * v - bb * u
-            assert cols[j0][r] == g and cols[j][r] == 0
+            if cols[j0][r] != g or cols[j][r] != 0:
+                raise ArithmeticError(f"column reduction left row {r} uncleared")
         cols[col], cols[j0] = cols[j0], cols[col]
         col += 1
     kernel = []

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 
 from .chevalley import ChevalleyAlgebra, LieElement, bracket
-from .exact import ZZ, PrimeField, det_mod, integer_kernel, normalize_primitive
+from .exact import det_mod, integer_kernel, normalize_primitive
 from .rootsys import RootDatum
 
 
@@ -60,9 +60,9 @@ def build_principal_sl2(alg: ChevalleyAlgebra) -> Sl2Triple:
     """
     d = alg.datum
     h = d.coxeter_number
-    if isinstance(alg.ring, PrimeField) and alg.ring.ell < h:
+    if alg.ell is not None and alg.ell < h:
         raise ValueError(
-            f"prime {alg.ring.ell} below the Coxeter bound h={h} for {d.simple_type};"
+            f"prime {alg.ell} below the Coxeter bound h={h} for {d.simple_type};"
             " the principal sl2 is only defined for ell >= h"
         )
     c = principal_coefficients(d)
@@ -118,7 +118,7 @@ def centralizer_of_X(alg: ChevalleyAlgebra, triple: Sl2Triple) -> list[tuple[int
     direct sum of the graded kernels; each graded piece is a small exact
     integer kernel computation and the result is saturated blockwise.
     """
-    if alg.ring is not ZZ:
+    if alg.ell is not None:
         raise ValueError("centralizer is computed on the ZZ form")
     weights = sorted({_weight_of_index(alg, k) for k in range(alg.dim)})
     basis = []
@@ -169,7 +169,7 @@ def kostant_decomposition(alg: ChevalleyAlgebra, triple: Sl2Triple) -> KostantDe
     repeated exponents (type D_{2n}) get the echelon basis of their graded
     kernel, in deterministic order.
     """
-    if alg.ring is not ZZ:
+    if alg.ell is not None:
         raise ValueError("the decomposition is computed on the ZZ form")
     d = alg.datum
     pairs = []

@@ -1,18 +1,20 @@
 """Root systems of the simple Lie types, built exactly from Cartan matrices.
 
 Roots live in simple-root coordinates (integer tuples); every pairing goes
-through the Cartan matrix, so the whole module is exact integer/rational
-arithmetic.  Positive roots are enumerated by closure under root addition and
-frozen in a deterministic order whose first ``rank`` entries are the simple
-roots alpha_1, ..., alpha_l in their conventional numbering.
+through the Cartan matrix, and a squared root length is 1, 2 or 3 times the
+short one, so the whole module is exact integer arithmetic.  Positive roots
+are enumerated by closure under root addition and frozen in a deterministic
+order whose first ``rank`` entries are the simple roots alpha_1, ..., alpha_l
+in their conventional numbering.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+
+from .exact import exact_div
 
 Root = tuple[int, ...]
 
@@ -97,26 +99,32 @@ def cartan_matrix(t: SimpleType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in A)
 
 
-def _root_lengths(cartan) -> tuple[Fraction, ...]:
+def _root_lengths(cartan) -> tuple[int, ...]:
     """d_i = (alpha_i, alpha_i)/2 normalised so that min d_i = 1.
 
-    Solves d_i * A[i][j] = d_j * A[j][i] by propagation along the Dynkin
-    diagram; the diagram of a simple type is connected, so this determines d
-    up to the overall scale fixed by the normalisation.
+    Solves d_i * |A[i][j]| = d_j * |A[j][i]| by propagation along the Dynkin
+    diagram, scaling every d found so far when a ratio is not integral; the
+    diagram of a simple type is connected, so this determines d up to the
+    overall scale fixed by the normalisation.
     """
     n = len(cartan)
-    d: list[Fraction | None] = [None] * n
-    d[0] = Fraction(1)
+    d = [0] * n
+    d[0] = 1
     stack = [0]
     while stack:
         i = stack.pop()
         for j in range(n):
-            if i != j and cartan[i][j] != 0 and d[j] is None:
-                d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
+            if i != j and cartan[i][j] != 0 and d[j] == 0:
+                num, den = d[i] * abs(cartan[i][j]), abs(cartan[j][i])
+                if num % den:
+                    d = [x * den for x in d]
+                    num *= den
+                d[j] = num // den
                 stack.append(j)
-    assert all(x is not None for x in d), "Dynkin diagram not connected"
+    if 0 in d:
+        raise ArithmeticError("Dynkin diagram not connected")
     lo = min(d)
-    return tuple(x / lo for x in d)
+    return tuple(exact_div(x, lo, "root length ratio") for x in d)
 
 
 @dataclass(frozen=True)
@@ -131,7 +139,7 @@ class RootDatum:
     coxeter_number: int
     exponents: tuple[int, ...]
     weyl_has_minus_one: bool
-    simple_norms: tuple[Fraction, ...]  # d_i = (alpha_i, alpha_i)/2
+    simple_norms: tuple[int, ...]  # d_i = (alpha_i, alpha_i)/2, each 1, 2 or 3
 
     def __hash__(self):
         return hash(self.simple_type)
@@ -142,16 +150,16 @@ class RootDatum:
         """<alpha_i^vee, root> via the Cartan matrix."""
         return sum(self.cartan[i][j] * root[j] for j in range(self.rank))
 
-    def inner(self, a: Root, b: Root) -> Fraction:
+    def inner(self, a: Root, b: Root) -> int:
         """Weyl-invariant form (a, b), normalised so short simple roots have (a,a)=2."""
         return sum(
-            Fraction(a[i]) * b[j] * self.simple_norms[i] * self.cartan[i][j]
+            a[i] * b[j] * self.simple_norms[i] * self.cartan[i][j]
             for i in range(self.rank)
             for j in range(self.rank)
             if a[i] and b[j]
-        ) or Fraction(0)
+        )
 
-    def norm2(self, a: Root) -> Fraction:
+    def norm2(self, a: Root) -> int:
         return self.inner(a, a)
 
     def is_root(self, v: Root) -> bool:
@@ -186,13 +194,11 @@ class RootDatum:
         """The coroot of `root` in simple-coroot coordinates."""
         if root not in self._root_set:
             raise ValueError(f"not a root of {self.simple_type}: {root}")
-        dr = self.norm2(root) / 2
-        out = []
-        for i in range(self.rank):
-            c = Fraction(root[i]) * self.simple_norms[i] / dr
-            assert c.denominator == 1, "coroot coordinates must be integral"
-            out.append(int(c))
-        return tuple(out)
+        n2 = self.norm2(root)
+        return tuple(
+            exact_div(2 * root[i] * self.simple_norms[i], n2, f"coroot of {root}")
+            for i in range(self.rank)
+        )
 
     # -- serialisation ---------------------------------------------------
 
@@ -283,7 +289,8 @@ def build_root_datum(t: SimpleType | str) -> RootDatum:
     pos = tuple(_close_positive_roots(A))
     theta = pos[-1]
     top = [r for r in pos if sum(r) == sum(theta)]
-    assert top == [theta], "highest root must be unique"
+    if top != [theta]:
+        raise ArithmeticError(f"highest root of {t} is not unique: {top}")
     h = sum(theta) + 1
     exps = _exponents_from_heights(pos)
     datum = RootDatum(
@@ -302,16 +309,19 @@ def build_root_datum(t: SimpleType | str) -> RootDatum:
 
 
 def _validate(d: RootDatum):
-    n_pos, l = len(d.positive_roots), d.rank
+    n_pos, l, exps = len(d.positive_roots), d.rank, d.exponents
     key = (d.simple_type.family, d.simple_type.rank)
-    if key in _EXCEPTIONAL_ROOT_COUNTS:
-        assert 2 * n_pos == _EXCEPTIONAL_ROOT_COUNTS[key]
-    assert len(d.exponents) == l
-    assert sum(2 * m + 1 for m in d.exponents) == 2 * n_pos + l
-    assert all(
-        d.exponents[i] + d.exponents[l - 1 - i] == d.coxeter_number for i in range(l)
-    ), "exponents must be symmetric about h/2"
-    assert d.exponents[0] == 1
+    checks = {
+        "root count": 2 * n_pos == _EXCEPTIONAL_ROOT_COUNTS.get(key, 2 * n_pos),
+        "one exponent per simple root": len(exps) == l,
+        "sum(2m+1) = dim": sum(2 * m + 1 for m in exps) == 2 * n_pos + l,
+        "exponents symmetric about h/2": len(exps) == l
+        and all(exps[i] + exps[l - 1 - i] == d.coxeter_number for i in range(l)),
+        "smallest exponent 1": exps[:1] == (1,),
+    }
+    bad = [name for name, ok in checks.items() if not ok]
+    if bad:
+        raise ArithmeticError(f"invalid root datum for {d.simple_type}: {', '.join(bad)}")
 
 
 def weyl_contains_minus_one(t: SimpleType | str) -> bool:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from . import fixtures
 from .chevalley import bracket, build_chevalley_algebra, jacobi_sweep
-from .exact import GF, is_probable_prime
+from .exact import is_probable_prime
 from .group_cohomology import (
     adjoint_h1_via_kostant,
     close_group,
@@ -147,13 +147,13 @@ def crit_sl2_relations() -> CriterionResult:
         algZ = build_chevalley_algebra(t)
         rel_ok = _sl2_relations_ok(algZ)
         primes = _next_primes(h, 1) + _next_primes(h + 2, 1)
-        mod_ok = all(_sl2_relations_ok(algZ.change_ring(GF(ell))) for ell in primes)
+        mod_ok = all(_sl2_relations_ok(algZ.mod(ell)) for ell in primes)
         # the largest prime below h must be rejected
-        below = [p for p in range(2, h) if _next_primes(p, 1) == [p]]
+        below = [p for p in range(2, h) if is_probable_prime(p)]
         reject_ok = True
         if below:
             try:
-                build_principal_sl2(algZ.change_ring(GF(below[-1])))
+                build_principal_sl2(algZ.mod(below[-1]))
                 reject_ok = False
             except ValueError:
                 pass

@@ -1,20 +1,21 @@
+import gc
 import hashlib
 import itertools
 import json
 import random
-from fractions import Fraction
+import weakref
 
 import pytest
 from conftest import flipped_algebra, run_optimized
 
 from monolab.chevalley import (
+    ChevalleyAlgebra,
     ad_power,
     base_change,
     bracket,
     build_chevalley_algebra,
     jacobi_sweep,
 )
-from monolab.exact import GF, QQ
 from monolab.principal_sl2 import build_principal_sl2, kostant_decomposition
 from monolab.rootsys import build_root_datum
 
@@ -114,7 +115,7 @@ def test_jacobi_exhaustive_small(name):
     every = itertools.product(range(alg.dim), repeat=3)
     assert jacobi_sweep(alg) == jacobi_sweep(alg, triples=every) == alg.dim**3
     broken = flipped_algebra(name)
-    for view in (broken, broken.change_ring(GF(3))):
+    for view in (broken, broken.mod(3)):
         got = sweep_outcome(view)
         assert got.startswith("Jacobi fails on basis triple")
         assert got == sweep_outcome(view, itertools.product(range(alg.dim), repeat=3))
@@ -191,20 +192,22 @@ def test_cartan_pairing_matches_matrix():
 
 
 def test_dual_cartan_basis_relation():
-    # [x_i, h[j]] = delta_ij x_i, with h[j] built from the inverse Cartan matrix
+    # [x_i, h[j]] = delta_ij x_i over F_101, with h[j] built from the inverse
+    # Cartan matrix mod 101 (det A is 3, 1 and 3 here, all prime to 101)
+    p = 101
     for name in ("A2", "G2", "E6"):
-        alg = build_chevalley_algebra(name, QQ)
+        alg = build_chevalley_algebra(name).mod(p)
         l = alg.datum.rank
-        A = [[Fraction(x) for x in row] for row in alg.datum.cartan]
-        # invert A by elimination
-        aug = [row[:] + [Fraction(int(i == j)) for j in range(l)] for i, row in enumerate(A)]
+        # invert A mod p by elimination
+        aug = [[x % p for x in row] + [int(i == j) for j in range(l)] for i, row in enumerate(alg.datum.cartan)]
         for c in range(l):
             piv = next(i for i in range(c, l) if aug[i][c])
             aug[c], aug[piv] = aug[piv], aug[c]
-            aug[c] = [x / aug[c][c] for x in aug[c]]
+            inv_pivot = pow(aug[c][c], -1, p)
+            aug[c] = [x * inv_pivot % p for x in aug[c]]
             for i in range(l):
                 if i != c and aug[i][c]:
-                    aug[i] = [a - aug[i][c] * b for a, b in zip(aug[i], aug[c])]
+                    aug[i] = [(a - aug[i][c] * b) % p for a, b in zip(aug[i], aug[c])]
         inv = [row[l:] for row in aug]
         for j in range(l):
             hj = alg.element({alg.basis.h(k): inv[j][k] for k in range(l)})
@@ -260,16 +263,34 @@ def test_mixed_operand_rejection():
     b2 = build_chevalley_algebra("B2")
     with pytest.raises(ValueError):
         bracket(a2.x(0), b2.x(0))
-    mod7 = a2.change_ring(GF(7))
+    mod7 = a2.mod(7)
     with pytest.raises(ValueError):
         bracket(a2.x(0), mod7.x(0))
+    with pytest.raises(ValueError):
+        bracket(mod7.x(0), a2.mod(11).x(0))
 
 
 def test_change_ring_views_cached():
     alg = build_chevalley_algebra("A2")
-    assert alg.change_ring(GF(7)) is alg.change_ring(GF(7))
-    assert alg.change_ring(GF(7)).change_ring(GF(11)) is alg.change_ring(GF(11))
+    assert alg.mod(7) is alg.mod(7)
+    assert alg.mod(7).mod(11) is alg.mod(11)
+    assert alg.mod(7)._table is alg._table
     assert build_chevalley_algebra("A2") is alg
+    assert (repr(alg), repr(alg.mod(7))) == ("ChevalleyAlgebra(A2, ZZ)", "ChevalleyAlgebra(A2, GF(7))")
+
+
+def test_dropped_algebra_freed_without_gc():
+    # perfbench's lie-scan drops each cached algebra between ops; a reference
+    # cycle would hold its table until the next gc and raise the peak RSS
+    alg = ChevalleyAlgebra(build_root_datum("A2"))
+    alg.x(0)
+    ref = weakref.ref(alg)
+    gc.disable()
+    try:
+        del alg
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_structure_constants_export():
@@ -286,6 +307,10 @@ def test_structure_constants_export():
 # that still satisfies Jacobi included, changes the digest
 EXPORT_SHA256 = {
     "A3": "d05b1b96081c1e4d6b69e986ee6dcab9fd100240664f7cc6831de3fdd0ad995a",
+    "A8": "5d5828adee7791f3a8f6e98904939e3c1d1a27516e0c512d19a5f904589705e8",
+    "B8": "5a6ade2ee54f47d2e2843f9ea9d66a73c73579cea3a7bf2237303c2413d79e70",
+    "C8": "de2f4dfc3d6bb65fdec84ad1790f76901097db5f082b85ad1cba3241aa719ecd",
+    "D8": "8ebaab9f3c966d9786fd7125737e7df2fb51b2a71197edad84d618cd02a6cc3b",
     "B3": "50fdd46a6033f6e95c32bb6a45af6f2d2fa18284e8c25007f03de647f0513882",
     "C3": "652764a8ad4a257276a24b7ec193757cdab6b497343f844aaa5c6aec0ad496f5",
     "D4": "821a11be26a5dcc5f6849b3ae9a1feeb1e9511e37ef3bbf323eb292f0a3d1995",

@@ -4,10 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from monolab.chevalley import build_chevalley_algebra
 from monolab.exact import (
-    GF,
-    QQ,
-    ZZ,
     _CHUNK,
     EchelonState,
     det_mod,
@@ -191,20 +189,23 @@ def test_kernel_rejects_bad_moduli():
 
 
 def test_prime_field_ops():
-    f = GF(13)
-    assert f.coerce(-1) == 12
-    assert f.coerce(Fraction(1, 2)) == 7
-    assert f.mul(7, 2) == 1
-    assert f.inv(5) == 8
-    with pytest.raises(ValueError):
-        GF(12)
-    with pytest.raises(ValueError):
-        GF(2**31 + 11)
+    alg = build_chevalley_algebra("A2")
+    f = alg.mod(13)
+    assert f.element({0: -1}).coeffs == {0: 12}
+    assert f.x(0).scale(7).scale(2) == f.x(0)
+    assert f.element({0: 13}).is_zero()
+    with pytest.raises(ValueError, match="not a prime: 12"):
+        alg.mod(12)
+    with pytest.raises(ValueError, match="prime out of machine-width range"):
+        alg.mod(2**31 + 11)
 
 
 def test_ring_coercions():
-    assert ZZ.coerce(Fraction(4, 2)) == 2
-    with pytest.raises(TypeError):
-        ZZ.coerce(Fraction(1, 2))
-    assert QQ.coerce(3) == Fraction(3)
-    assert GF(7) == GF(7) and GF(7) != GF(11)
+    # coefficients are ints on the ZZ form and on every F_ell view
+    alg = build_chevalley_algebra("A2")
+    for form in (alg, alg.mod(7)):
+        for bad in (Fraction(1, 2), Fraction(4, 2), 2.0):
+            with pytest.raises(TypeError, match="not an integer scalar"):
+                form.element({0: bad})
+            with pytest.raises(TypeError, match="not an integer scalar"):
+                form.x(0).scale(bad)

@@ -5,7 +5,6 @@ import pytest
 from conftest import run_optimized
 
 from monolab.chevalley import base_change, build_chevalley_algebra
-from monolab.exact import GF
 from monolab.principal_sl2 import (
     KostantDecomposition,
     build_principal_sl2,
@@ -189,7 +188,7 @@ def test_cross_characteristic_consistency(name, ells):
     # the mod-ell scan starts from the ZZ decomposition, not an already reduced one
     ell = ells[0]
     reduced = KostantDecomposition(
-        build_principal_sl2(kd.triple.algebra.change_ring(GF(ell))),
+        build_principal_sl2(kd.triple.algebra.mod(ell)),
         tuple((m, base_change(p, ell)) for m, p in kd.pairs),
     )
     with pytest.raises(ValueError, match="ZZ"):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from monolab.chevalley import ad_power, bracket, build_chevalley_algebra
-from monolab.exact import GF, content
+from monolab.exact import content
 from monolab.principal_sl2 import (
     build_principal_sl2,
     centralizer_of_X,
@@ -89,14 +89,14 @@ def test_coxeter_boundary_on_modular_triples():
     # h(E7) = 18: F_17 must be rejected, F_19 accepted
     algZ = build_chevalley_algebra("E7")
     with pytest.raises(ValueError, match="Coxeter"):
-        build_principal_sl2(algZ.change_ring(GF(17)))
-    trip = build_principal_sl2(algZ.change_ring(GF(19)))
+        build_principal_sl2(algZ.mod(17))
+    trip = build_principal_sl2(algZ.mod(19))
     assert bracket(trip.Y, trip.X) == trip.H
     # G2: h = 6, so 5 is out and 7 is in
     g2 = build_chevalley_algebra("G2")
     with pytest.raises(ValueError):
-        build_principal_sl2(g2.change_ring(GF(5)))
-    build_principal_sl2(g2.change_ring(GF(7)))
+        build_principal_sl2(g2.mod(5))
+    build_principal_sl2(g2.mod(7))
 
 
 def test_centralizer_a1():
@@ -181,7 +181,7 @@ def test_mod_ell_persistence(name):
 
 
 def test_decomposition_requires_zz():
-    alg = build_chevalley_algebra("G2", GF(7))
+    alg = build_chevalley_algebra("G2").mod(7)
     trip = build_principal_sl2(alg)
     with pytest.raises(ValueError):
         kostant_decomposition(alg, trip)

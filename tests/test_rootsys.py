@@ -1,10 +1,13 @@
+import dataclasses
 import json
 
 import pytest
+from conftest import run_optimized
 
 from monolab.rootsys import (
     EXCEPTIONAL_TYPES,
     SimpleType,
+    _validate,
     build_root_datum,
     cartan_matrix,
     weyl_contains_minus_one,
@@ -113,6 +116,34 @@ def test_heights_and_coroots():
         g2.height((5, 5))
     with pytest.raises(ValueError):
         g2.coroot((5, 5))
+
+
+def test_norms_are_ints():
+    for name, norms in (("A2", (1, 1)), ("B3", (2, 2, 1)), ("C3", (1, 1, 2)), ("F4", (2, 2, 1, 1)), ("G2", (1, 3))):
+        d = build_root_datum(name)
+        assert d.simple_norms == norms
+        assert all(type(d.norm2(r)) is int for r in d.all_roots)
+        assert {d.norm2(r) for r in d.all_roots} == {2 * n for n in norms}
+
+
+# tampered data that each invariant check must reject, also under python -O
+BAD_EXPONENTS = "_validate(dataclasses.replace(build_root_datum('G2'), exponents=(1, 4)))"
+BAD_COROOT = "dataclasses.replace(build_root_datum('A2'), simple_norms=(1, 2)).coroot((1, 1))"
+
+
+@pytest.mark.parametrize("expr", [BAD_EXPONENTS, BAD_COROOT], ids=["exponents", "coroot"])
+def test_tampered_datum_rejected(expr):
+    with pytest.raises(ArithmeticError) as exc:
+        eval(expr)
+    code = (
+        "import dataclasses\n"
+        "from monolab.rootsys import _validate, build_root_datum\n"
+        "try:\n"
+        f"    {expr}\n"
+        "except ArithmeticError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert run_optimized(code) == str(exc.value)
 
 
 @pytest.mark.parametrize(
