@@ -5,7 +5,9 @@ the F_ell view `alg.mod(ell)`, which shares the ZZ bracket table and reduces
 its results mod ell.
 
 The basis is {x_a : a in Phi+} u {y_a : a in Phi+} u {h_1..h_l}, where h_i is
-the i-th simple coroot vector.  Bracket conventions follow the computer-algebra
+the i-th simple coroot vector, so basis vector k < 2N is the root vector of
+root k of `RootDatum.all_roots`, and the table is built on root indices alone
+through `RootDatum.root_sum`.  Bracket conventions follow the computer-algebra
 normalisation
 
     [y_a, x_a] = a^vee,      [x_a, t] = a(t) * x_a  for t in the Cartan,
@@ -14,11 +16,10 @@ so in particular [x_i, h[j]] = delta_ij * x_i against the dual Cartan basis
 h[j] (fundamental coweights), which this module exposes as a derived linear
 transform of the coroot coordinates.
 
-Structure-constant magnitudes are |N_{a,b}| = p+1 with p the depth of the
-a-string through b.  Signs are pinned by setting N = +(p+1) on extraspecial
-pairs in the (height, lex) root order and propagating every other sign through
-the standard root-quadruple identities; consistency is enforced by the
-exhaustive Jacobi sweep of acceptance criterion 5.
+Magnitudes are |N_{a,b}| = p+1, p the depth of the a-string through b; signs
+are +(p+1) on extraspecial pairs in the (height, lex) root order and follow
+elsewhere from the root-quadruple identities.  The table `_table` is the one
+store of them; criterion 5 checks it by exhaustive Jacobi and the p+1 rule.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .rootsys import Root, RootDatum, SimpleType, build_root_datum
 
 
 def _carter_constants(datum: RootDatum):
-    """Structure constants in standard orientation, as n_any(u, v) for any roots.
+    """Structure constants in standard orientation, as n_any(u, v) for any root indices.
 
     Positive pairs are fixed first: extraspecial pairs get n = -(p+1), the
     other pairs with the same sum follow by the root-quadruple identity, and
@@ -43,65 +44,54 @@ def _carter_constants(datum: RootDatum):
     The exposed bracket negates the whole table, so the user-facing convention
     carries +(p+1) on extraspecial pairs.
     """
-    pos = datum.positive_roots
-    idx = {r: i for i, r in enumerate(pos)}
-    roots = set(datum.all_roots)
-    norm2 = lru_cache(maxsize=None)(lambda r: datum.norm2(r))
-    table: dict = {}
+    num_pos = len(datum.positive_roots)
+    roots = datum.all_roots
+    norm2 = [datum.norm2(r) for r in roots]
+    root_sum = datum.root_sum
+    table: dict = {}  # both orders of each positive pair whose sum is a root
 
-    def n_pos(a, b):
-        # both positive indices, sum a root
-        if a < b:
-            return table[(a, b)]
-        return -table[(b, a)]
-
-    def n_any(u: Root, v: Root):
-        # arbitrary roots with u+v a root
-        hu, hv = sum(u), sum(v)
-        if hu > 0 and hv > 0:
-            return n_pos(idx[u], idx[v])
-        if hu < 0 and hv < 0:
-            return -n_any(tuple(-c for c in u), tuple(-c for c in v))
-        if hu < 0:
+    def n_any(u: int, v: int):
+        # arbitrary root indices with u+v a root; root k is positive iff k < num_pos
+        if u < num_pos and v < num_pos:
+            return table[(u, v)]
+        if u >= num_pos and v >= num_pos:
+            return -n_any(u - num_pos, v - num_pos)
+        if u >= num_pos:
             return -n_any(v, u)
-        w = tuple(a + b for a, b in zip(u, v))
-        if sum(w) > 0:
-            val = norm2(w) * n_pos(idx[w], idx[tuple(-c for c in v)])
-            return exact_div(val, norm2(u), "structure constant")
-        val = norm2(w) * n_pos(idx[tuple(-c for c in w)], idx[u])
-        return exact_div(val, norm2(v), "structure constant")
+        w = root_sum(u, v)
+        if w < num_pos:
+            return exact_div(norm2[w] * table[(w, v - num_pos)], norm2[u], "structure constant")
+        return exact_div(norm2[w] * table[(w - num_pos, u)], norm2[v], "structure constant")
 
     by_sum: dict = {}
-    for a in range(len(pos)):
-        for b in range(a + 1, len(pos)):
-            s = tuple(x + y for x, y in zip(pos[a], pos[b]))
-            if s in idx:
-                by_sum.setdefault(idx[s], []).append((a, b))
+    for a in range(num_pos):
+        for b in range(a + 1, num_pos):
+            s = root_sum(a, b)
+            if s is not None:
+                by_sum.setdefault(s, []).append((a, b))
 
-    for g_idx in sorted(by_sum):  # index order = (height, lex): sums grow
-        gamma = pos[g_idx]
-        specials = sorted(by_sum[g_idx])
-        a0, b0 = specials[0]  # extraspecial: minimal first member
-        table[(a0, b0)] = -(datum.string_depth(pos[a0], pos[b0]) + 1)
-        alpha, beta = pos[a0], pos[b0]
-        for a, b in specials[1:]:
-            xi, eta = pos[a], pos[b]
-            neg_xi, neg_eta = tuple(-c for c in xi), tuple(-c for c in eta)
+    for gamma in sorted(by_sum):  # index order = (height, lex): sums grow
+        (alpha, beta), *others = sorted(by_sum[gamma])  # extraspecial: minimal first member
+        n0 = -(datum.string_depth(roots[alpha], roots[beta]) + 1)
+        table[(alpha, beta)], table[(beta, alpha)] = n0, -n0
+        for xi, eta in others:
             terms = []  # (numerator, norm2 of its root) of the identity's sum
-            d1 = tuple(x - y for x, y in zip(beta, xi))  # beta - xi = eta - alpha
-            if d1 in roots:
-                terms.append((n_any(beta, neg_xi) * n_any(alpha, neg_eta), norm2(d1)))
-            d2 = tuple(x - y for x, y in zip(alpha, xi))  # alpha - xi = -(beta - eta)
-            if d2 in roots:
-                terms.append((-n_any(alpha, neg_xi) * n_any(beta, neg_eta), norm2(d2)))
+            d1 = root_sum(beta, xi + num_pos)  # beta - xi = eta - alpha
+            if d1 is not None:
+                terms.append((n_any(beta, xi + num_pos) * n_any(alpha, eta + num_pos), norm2[d1]))
+            d2 = root_sum(alpha, xi + num_pos)  # alpha - xi = -(beta - eta)
+            if d2 is not None:
+                terms.append((-n_any(alpha, xi + num_pos) * n_any(beta, eta + num_pos), norm2[d2]))
             num, den = 0, 1
             for t, n in terms:
                 num, den = num * n + t * den, den * n
-            val = exact_div(norm2(gamma) * num, den * table[(a0, b0)], "root-quadruple identity")
-            expect = datum.string_depth(xi, eta) + 1
+            val = exact_div(norm2[gamma] * num, den * n0, "root-quadruple identity")
+            expect = datum.string_depth(roots[xi], roots[eta]) + 1
             if abs(val) != expect:
-                raise ArithmeticError(f"|N{xi, eta}| = {abs(val)} under {gamma}, want p+1 = {expect}")
-            table[(a, b)] = val
+                raise ArithmeticError(
+                    f"|N{roots[xi], roots[eta]}| = {abs(val)} under {roots[gamma]}, want p+1 = {expect}"
+                )
+            table[(xi, eta)], table[(eta, xi)] = val, -val
     return n_any
 
 
@@ -142,9 +132,7 @@ class ChevalleyAlgebra:
         self.ell = ell
         self.basis = _Basis(len(datum.positive_roots), datum.rank)
         self.dim = self.basis.dim
-        if _shared is None:
-            _shared = _build_table(datum)
-        self._table, self._root_constants = _shared
+        self._table = _build_table(datum) if _shared is None else _shared
         # the ZZ form, set on views only: a self-reference would keep a
         # dropped algebra's table alive until the next gc
         self._base = None
@@ -152,10 +140,10 @@ class ChevalleyAlgebra:
 
     def mod(self, ell: int) -> "ChevalleyAlgebra":
         """The F_ell view of the ZZ form: the same table, scalars reduced mod ell."""
+        check_prime_modulus(ell)  # before the lookup: 7.0 would find the view of 7
         base = self._base or self
         if ell not in base._views:
-            check_prime_modulus(ell)
-            view = ChevalleyAlgebra(base.datum, ell, _shared=(base._table, base._root_constants))
+            view = ChevalleyAlgebra(base.datum, ell, _shared=base._table)
             view._base = base
             base._views[ell] = view
         return base._views[ell]
@@ -223,8 +211,10 @@ class ChevalleyAlgebra:
     # -- structure constants ------------------------------------------------
 
     def root_constant(self, u: Root, v: Root) -> int:
-        """N_{u,v} with [x_u, x_v] = N_{u,v} x_{u+v}; 0 if u+v is not a root."""
-        return self._root_constants.get((u, v), 0)
+        """N_{u,v} with [x_u, x_v] = N_{u,v} x_{u+v}; 0 if u+v is not a root, ValueError if u or v is not."""
+        d = self.datum
+        i, j = d.root_index(u), d.root_index(v)
+        return 0 if d.root_sum(i, j) is None else self._table[(i, j)][0][1]
 
     def structure_constant_triples(self):
         """All (i, j, k, c) with [e_i, e_j] having coefficient c on e_k."""
@@ -246,48 +236,29 @@ class ChevalleyAlgebra:
 
 def _build_table(datum: RootDatum):
     """Dense pair table {(i, j): ((k, c), ...)} over basis indices, over ZZ."""
-    pos = datum.positive_roots
-    num_pos, rank = len(pos), datum.rank
+    num_pos, rank = len(datum.positive_roots), datum.rank
     basis = _Basis(num_pos, rank)
+    roots = datum.all_roots
     n_any = _carter_constants(datum)  # the exposed bracket uses its negative
-    roots = list(pos) + [tuple(-c for c in r) for r in pos]
-    root_index = {r: i for i, r in enumerate(roots)}
-    rootset = set(roots)
-
-    def vec_index(r: Root) -> int:
-        i = root_index[r]
-        return basis.x(i) if i < num_pos else basis.y(i - num_pos)
-
     table: dict = {}
-    constants: dict = {}
 
     def put(i, j, terms):
         terms = tuple((k, c) for k, c in terms if c)
         if terms:
             table[(i, j)] = terms
 
-    # root-root brackets
-    for u in roots:
-        iu = vec_index(u)
-        for v in roots:
-            iv = vec_index(v)
-            s = tuple(a + b for a, b in zip(u, v))
-            if all(c == 0 for c in s):
-                cr = datum.coroot(u)
-                put(iu, iv, [(basis.h(i), -c) for i, c in enumerate(cr)])
-            elif s in rootset:
-                n = -n_any(u, v)
-                constants[(u, v)] = n
-                put(iu, iv, [(vec_index(s), n)])
-    # Cartan against root vectors: [x_u, h_i] = <alpha_i^vee, u> x_u
-    for u in roots:
-        iu = vec_index(u)
-        for i in range(rank):
-            pair = datum.pairing(i, u)
+    for u, root in enumerate(roots):
+        for v in range(len(roots)):  # root-root brackets
+            if v == (u + num_pos) % len(roots):
+                put(u, v, [(basis.h(i), -c) for i, c in enumerate(datum.coroot(root))])
+            elif (s := datum.root_sum(u, v)) is not None:
+                put(u, v, [(s, -n_any(u, v))])
+        for i in range(rank):  # Cartan against root vectors: [x_u, h_i] = <alpha_i^vee, u> x_u
+            pair = datum.pairing(i, root)
             if pair:
-                put(iu, basis.h(i), [(iu, pair)])
-                put(basis.h(i), iu, [(iu, -pair)])
-    return table, constants
+                put(u, basis.h(i), [(u, pair)])
+                put(basis.h(i), u, [(u, -pair)])
+    return table
 
 
 @dataclass
@@ -376,13 +347,19 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
     return LieElement(alg, alg._clean(acc))
 
 
+def ad_string(y: LieElement, n: int, v: LieElement):
+    """Yields v, ad(y) v, ..., ad(y)^n v."""
+    if n < 0:
+        raise ValueError(f"ad(y)^n needs n >= 0, got {n}")
+    yield v
+    for _ in range(n):
+        v = bracket(y, v)
+        yield v
+
+
 def ad_power(y: LieElement, n: int, v: LieElement) -> LieElement:
     """ad(y)^n applied to v."""
-    if n < 0:
-        raise ValueError("ad_power needs n >= 0")
-    out = v
-    for _ in range(n):
-        out = bracket(y, out)
+    *_, out = ad_string(y, n, v)
     return out
 
 

@@ -28,7 +28,9 @@ def exact_div(a: int, b: int, what: str) -> int:
 
 
 def check_prime_modulus(ell: int) -> None:
-    """Raise ValueError unless ell is a prime below 2**31."""
+    """Raise ValueError unless ell is an int prime below 2**31."""
+    if not isinstance(ell, int):
+        raise ValueError(f"modulus is not an int: {ell!r}")
     if not (2 <= ell < 2**31):
         raise ValueError(f"prime out of machine-width range: {ell}")
     if not is_probable_prime(ell):

@@ -344,6 +344,9 @@ def _z1_cayley(G: FiniteMatrixGroup, M: ModuleAction, budget: int | None) -> int
     step = max(1, 4096 // dim)
     for start in range(0, len(edges), step):
         g, j = np.divmod(edges[start : start + step], ng)
+        bad = np.flatnonzero((matmul_mod(rho[g], mats[j], ell) != rho[G.cayley[g, j]]).any(axis=(1, 2)))
+        if bad.size:
+            raise ValueError(f"not a module: rho(g) M_j != rho(g s_j) at element g={g[bad[0]]}, generator j={j[bad[0]]}")
         block = C[g].astype(np.int64) - C[G.cayley[g, j]]
         block[np.arange(len(g)), :, j] += rho[g]
         state.add(block.reshape(-1, ncols))
@@ -482,6 +485,11 @@ def h1_naive(G: FiniteMatrixGroup, M: ModuleAction) -> CohomologyReport:
             if not seen[tgt]:
                 seen[tgt] = True
                 rho[tgt] = matmul_mod(rho[g], M.matrices[j], ell)
+    lhs = matmul_mod(rho[:, None], np.array(M.matrices), ell)
+    bad = np.argwhere((lhs != rho[G.cayley]).any(axis=(2, 3)))
+    if len(bad):
+        g, j = bad[0]
+        raise ValueError(f"not a module: rho(g) M_j != rho(g s_j) at element g={g}, generator j={j}")
     gen_elt = [G.index[s] for s in G.generators]
     rows = np.zeros((n * ng * dim, n * dim), dtype=np.int64)
     eye = np.eye(dim, dtype=np.int64)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .chevalley import ChevalleyAlgebra, LieElement, bracket
+from .chevalley import ChevalleyAlgebra, LieElement, ad_string, bracket
 from .exact import det_mod, integer_kernel, normalize_primitive
 from .rootsys import RootDatum
 
@@ -82,14 +82,9 @@ def relations_hold(triple: Sl2Triple) -> bool:
 
 
 def _weight_of_index(alg: ChevalleyAlgebra, k: int) -> int:
-    # H-eigenvalue of basis vector k: 2*height on x-block, -2*height on y-block
-    b = alg.basis
-    pos = alg.datum.positive_roots
-    if k < b.num_pos:
-        return 2 * sum(pos[k])
-    if k < 2 * b.num_pos:
-        return -2 * sum(pos[k - b.num_pos])
-    return 0
+    # H-eigenvalue of basis vector k: twice the height of root k, 0 on the Cartan
+    roots = alg.datum.all_roots
+    return 2 * sum(roots[k]) if k < len(roots) else 0
 
 
 def _graded_kernel(alg: ChevalleyAlgebra, X: LieElement, weight: int) -> list[tuple[int, ...]]:
@@ -199,29 +194,21 @@ def kostant_decomposition(alg: ChevalleyAlgebra, triple: Sl2Triple) -> KostantDe
 
 def sl2_string_lengths_ok(kd: KostantDecomposition) -> bool:
     """Each p_i generates a string ad(Y)^k(p_i) != 0 for k <= 2m_i, then 0."""
-    Y = kd.triple.Y
     for m, p in kd.pairs:
-        v = p
-        for _ in range(2 * m):
-            v = bracket(Y, v)
-            if v.is_zero():
-                return False
-        if not bracket(Y, v).is_zero():
+        *string, last = ad_string(kd.triple.Y, 2 * m + 1, p)
+        if any(v.is_zero() for v in string) or not last.is_zero():
             return False
     return True
 
 
 def sl2_string_family_rows(kd: KostantDecomposition) -> list[list[int]]:
     """Integer coordinate rows of the family {ad(Y)^k p_i : 0 <= k <= 2m_i}."""
-    alg = kd.triple.algebra
-    rows = []
-    for m, p in kd.pairs:
-        v = p
-        rows.append([v.coeffs.get(k, 0) for k in range(alg.dim)])
-        for _ in range(2 * m):
-            v = bracket(kd.triple.Y, v)
-            rows.append([v.coeffs.get(k, 0) for k in range(alg.dim)])
-    return rows
+    dim = kd.triple.algebra.dim
+    return [
+        [v.coeffs.get(k, 0) for k in range(dim)]
+        for m, p in kd.pairs
+        for v in ad_string(kd.triple.Y, 2 * m, p)
+    ]
 
 
 def kostant_mod_ell_basis_check(kd: KostantDecomposition, ell: int, rows=None) -> bool:

@@ -6,6 +6,13 @@ short one, so the whole module is exact integer arithmetic.  Positive roots
 are enumerated by closure under root addition and frozen in a deterministic
 order whose first ``rank`` entries are the simple roots alpha_1, ..., alpha_l
 in their conventional numbering.
+
+Below `RootDatum` a root is its index k into `all_roots` (the N positive
+roots, then their negatives in the same order, so -(root k) is root
+(k + N) mod 2N).  Sums go through integer keys sum_i c_i B^i with
+B = 4M + 1, M = max(highest_root): they add as roots add and are injective on
+sums and differences of two roots (coordinates in [-2M, 2M]), but not on
+arbitrary tuples, so keys are formed only from roots.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .exact import exact_div
 
@@ -162,38 +170,43 @@ class RootDatum:
     def norm2(self, a: Root) -> int:
         return self.inner(a, a)
 
-    def is_root(self, v: Root) -> bool:
-        return v in self._root_set
-
-    def string_depth(self, u: Root, v: Root) -> int:
-        """Depth of the u-string through v: the largest k with v - k*u a root."""
-        roots = self._root_set
-        k = 0
-        w = tuple(a - b for a, b in zip(v, u))
-        while w in roots:
-            k += 1
-            w = tuple(a - b for a, b in zip(w, u))
-        return k
-
-    @property
-    def _root_set(self):
-        return _root_set_of(self)
-
     @property
     def all_roots(self) -> tuple[Root, ...]:
-        neg = tuple(tuple(-c for c in r) for r in self.positive_roots)
-        return self.positive_roots + neg
+        """The positive roots, then their negatives in the same order."""
+        return _root_table_of(self).roots
+
+    def is_root(self, v: Root) -> bool:
+        return v in _root_table_of(self).index
+
+    def root_index(self, root: Root) -> int:
+        """The index of `root` in `all_roots`; ValueError if it is not a root."""
+        k = _root_table_of(self).index.get(root)
+        if k is None:
+            raise ValueError(f"not a root of {self.simple_type}: {root}")
+        return k
+
+    def root_sum(self, i: int, j: int) -> int | None:
+        """The index of root i + root j, or None if that sum is not a root."""
+        table = _root_table_of(self)
+        return table.by_key.get(table.keys[i] + table.keys[j])
+
+    def string_depth(self, u: Root, v: Root) -> int:
+        """Depth of the u-string through the root v: the largest k with v - k*u a root."""
+        n = len(self.positive_roots)
+        minus_u = (self.root_index(u) + n) % (2 * n)
+        w, k = self.root_index(v), 0
+        while (w := self.root_sum(w, minus_u)) is not None:
+            k += 1
+        return k
 
     def height(self, root: Root) -> int:
         """Sum of simple-root coordinates; defined for every root, either sign."""
-        if root not in self._root_set:
-            raise ValueError(f"not a root of {self.simple_type}: {root}")
+        self.root_index(root)
         return sum(root)
 
     def coroot(self, root: Root) -> Root:
         """The coroot of `root` in simple-coroot coordinates."""
-        if root not in self._root_set:
-            raise ValueError(f"not a root of {self.simple_type}: {root}")
+        self.root_index(root)
         n2 = self.norm2(root)
         return tuple(
             exact_div(2 * root[i] * self.simple_norms[i], n2, f"coroot of {root}")
@@ -222,9 +235,20 @@ class RootDatum:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
+class _RootTable(NamedTuple):
+    roots: tuple[Root, ...]  # positives, then their negatives in the same order
+    index: dict  # root -> its index in roots
+    keys: tuple[int, ...]  # the key of roots[k]
+    by_key: dict  # key -> index
+
+
 @lru_cache(maxsize=None)
-def _root_set_of(datum: RootDatum) -> frozenset:
-    return frozenset(datum.all_roots)
+def _root_table_of(datum: RootDatum) -> _RootTable:
+    pos = datum.positive_roots
+    roots = pos + tuple(tuple(-c for c in r) for r in pos)
+    base = 4 * max(datum.highest_root) + 1
+    keys = tuple(sum(c * base**i for i, c in enumerate(r)) for r in roots)
+    return _RootTable(roots, {r: k for k, r in enumerate(roots)}, keys, {key: k for k, key in enumerate(keys)})
 
 
 def _close_positive_roots(cartan) -> list[Root]:
@@ -243,18 +267,14 @@ def _close_positive_roots(cartan) -> list[Root]:
         new = []
         for beta in frontier:
             for i in range(n):
+                if beta == simple[i]:  # 2 alpha_i is no root
+                    continue
                 pairing = sum(cartan[i][j] * beta[j] for j in range(n))
                 p = 0
                 down = tuple(b - s for b, s in zip(beta, simple[i]))
-                while down in known or down == tuple([0] * n):
-                    if down == tuple([0] * n):
-                        # beta = alpha_i: the string through alpha_i is handled
-                        # by q below (p stays 0; alpha_i + alpha_i is no root).
-                        break
+                while down in known:
                     p += 1
                     down = tuple(b - s for b, s in zip(down, simple[i]))
-                if beta == simple[i]:
-                    continue
                 q = p - pairing
                 if q >= 1:
                     up = tuple(b + s for b, s in zip(beta, simple[i]))

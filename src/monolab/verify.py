@@ -182,13 +182,16 @@ def crit_structure_constants() -> CriterionResult:
             res.details.append(f"{t}: exhaustive Jacobi on {n} triples ok")
     for t in EXCEPTIONAL_TYPES:
         alg = build_chevalley_algebra(t)
-        d = alg.datum
-        bad = sum(
-            abs(n) != d.string_depth(u, v) + 1 for (u, v), n in alg._root_constants.items()
-        )
+        d, roots = alg.datum, alg.datum.all_roots
+        magnitudes = [  # [x_i, x_j] = n x_k for roots i, j and k
+            (abs(n), d.string_depth(roots[i], roots[j]) + 1)
+            for i, j, k, n in alg.structure_constant_triples()
+            if max(i, j, k) < len(roots)
+        ]
+        bad = sum(got != want for got, want in magnitudes)
         res.ok &= bad == 0
         res.details.append(
-            f"{t}: p+1 magnitude exhaustive over {len(alg._root_constants)} pairs"
+            f"{t}: p+1 magnitude exhaustive over {len(magnitudes)} pairs"
             f" -> {'ok' if bad == 0 else f'{bad} violations'}"
         )
     return res

@@ -17,6 +17,23 @@ def run_optimized(code):
     return out.stdout.strip()
 
 
+def string_depth(datum, u, v):
+    """Tuple-arithmetic oracle for the depth p of the u-string through v, as in |N| = p+1."""
+    roots = set(datum.all_roots)
+    p = 0
+    w = tuple(a - b for a, b in zip(v, u))
+    while w in roots:
+        p += 1
+        w = tuple(a - b for a, b in zip(w, u))
+    return p
+
+
+def root_constants(alg):
+    """{(i, j): N} read off the table for roots i, j whose sum k is a root: [x_i, x_j] = N x_k."""
+    num_roots = 2 * alg.basis.num_pos
+    return {(i, j): n for i, j, k, n in alg.structure_constant_triples() if max(i, j, k) < num_roots}
+
+
 def flipped_algebra(name):
     """A copy of the ZZ algebra with the first antisymmetric pair of its table negated.
 
@@ -28,4 +45,4 @@ def flipped_algebra(name):
     i, j = min(table)
     for pair in ((i, j), (j, i)):
         table[pair] = tuple((k, -c) for k, c in table[pair])
-    return ChevalleyAlgebra(alg.datum, _shared=(table, alg._root_constants))
+    return ChevalleyAlgebra(alg.datum, _shared=table)

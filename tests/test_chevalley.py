@@ -6,7 +6,7 @@ import random
 import weakref
 
 import pytest
-from conftest import flipped_algebra, run_optimized
+from conftest import flipped_algebra, root_constants, run_optimized, string_depth
 
 from monolab.chevalley import (
     ChevalleyAlgebra,
@@ -18,17 +18,6 @@ from monolab.chevalley import (
 )
 from monolab.principal_sl2 import build_principal_sl2, kostant_decomposition
 from monolab.rootsys import build_root_datum
-
-
-def string_depth(datum, u, v):
-    # independent oracle for the p in |N| = p+1
-    roots = set(datum.all_roots)
-    p = 0
-    w = tuple(a - b for a, b in zip(v, u))
-    while w in roots:
-        p += 1
-        w = tuple(a - b for a, b in zip(w, u))
-    return p
 
 
 def test_a1_sl2_relations():
@@ -49,7 +38,9 @@ def test_a2_no_root_string():
 
 def test_g2_long_strings():
     alg = build_chevalley_algebra("G2")
-    magnitudes = {abs(n) for n in alg._root_constants.values()}
+    constants = root_constants(alg)
+    assert len(constants) == 60  # every ordered pair of roots with a root sum
+    magnitudes = {abs(n) for n in constants.values()}
     assert 3 in magnitudes
     assert magnitudes <= {1, 2, 3}
 
@@ -89,8 +80,13 @@ def test_extraspecial_sign_convention():
 def test_magnitude_rule_exhaustive(name):
     alg = build_chevalley_algebra(name)
     d = alg.datum
-    for (u, v), n in alg._root_constants.items():
+    roots = d.all_roots
+    pairs = {(roots[i], roots[j]): n for (i, j), n in root_constants(alg).items()}
+    # every pair whose sum is a root, by tuple arithmetic
+    assert set(pairs) == {(u, v) for u in roots for v in roots if d.is_root(tuple(a + b for a, b in zip(u, v)))}
+    for (u, v), n in pairs.items():
         assert abs(n) == string_depth(d, u, v) + 1, (u, v)
+        assert alg.root_constant(u, v) == n
 
 
 def test_table_antisymmetry():

@@ -186,6 +186,11 @@ def test_kernel_rejects_bad_moduli():
         rank_mod([[1, 2]], 12)
     with pytest.raises(ValueError, match="prime out of machine-width range"):
         det_mod([[1]], 2**31 + 11)
+    for bad in (7.0, 7.5):
+        with pytest.raises(ValueError, match="modulus is not an int"):
+            det_mod([[1, 2], [3, 4]], bad)
+        with pytest.raises(ValueError, match="modulus is not an int"):
+            EchelonState(2, bad)
 
 
 def test_prime_field_ops():
@@ -198,6 +203,8 @@ def test_prime_field_ops():
         alg.mod(12)
     with pytest.raises(ValueError, match="prime out of machine-width range"):
         alg.mod(2**31 + 11)
+    with pytest.raises(ValueError, match="modulus is not an int: 7.0"):
+        alg.mod(7.0)
 
 
 def test_ring_coercions():

@@ -639,6 +639,51 @@ def borel_accepts(G, M):
     return True
 
 
+def solver_verdict(solver, G, M):
+    try:
+        solver(G, M)
+    except ValueError as exc:
+        assert str(exc).startswith("not a module"), exc
+        return False
+    return True
+
+
+# the unipotent generator of SL2(F_7) acting by 5 on a line: 5^7 != 1 mod 7
+NON_MODULE = "close_group([((1, 1), (0, 1))], 7), module_from_matrices(7, [[[5, 0], [0, 1]]])"
+
+
+@pytest.mark.parametrize("solver", [h1, h1_naive], ids=["cayley", "naive"])
+def test_non_modules_rejected_off_sl2(solver):
+    # groups that h1 sends to the Cayley solver: each verdict against the edge oracle
+    assert not solver_verdict(solver, *eval(NON_MODULE))
+    rng = np.random.default_rng(11)
+    groups = [close_group([((1, 1), (0, 1))], 7), close_group([((3, 0), (0, 5)), ((1, 1), (0, 1))], 7), swapped_group(5)]
+    verdicts = {True: 0, False: 0}
+    for G in groups:
+        for d in (1, 2, 3):
+            for _ in range(20):
+                M = module_from_matrices(G.ell, [rng.integers(0, G.ell, (d, d)) for _ in G.generators])
+                is_module = is_module_oracle(G, M.matrices)
+                verdicts[is_module] += 1
+                assert solver_verdict(solver, G, M) == is_module, [m.tolist() for m in M.matrices]
+        M = trivial_module(G.ell, len(G.generators), 2)
+        assert solver_verdict(solver, G, M)
+    assert verdicts[False] >= 100
+
+
+def test_non_module_rejected_under_optimize():
+    code = (
+        "from monolab.group_cohomology import close_group, h1, h1_naive, module_from_matrices\n"
+        "for solver in (h1, h1_naive):\n"
+        "    try:\n"
+        f"        solver({NON_MODULE})\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    msg = "not a module: rho(g) M_j != rho(g s_j) at element g=6, generator j=0"
+    assert run_optimized(code) == f"{msg}\n{msg}"
+
+
 @pytest.mark.parametrize("ell", [5, 7])
 def test_module_check_against_edge_oracle(ell):
     G = sl2_group(ell)

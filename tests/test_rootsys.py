@@ -2,7 +2,7 @@ import dataclasses
 import json
 
 import pytest
-from conftest import run_optimized
+from conftest import run_optimized, string_depth
 
 from monolab.rootsys import (
     EXCEPTIONAL_TYPES,
@@ -89,6 +89,35 @@ def test_reflection_stability(name):
             pairing = sum(ac[i] * d.pairing(i, beta) for i in range(d.rank))
             refl = tuple(b - pairing * a for b, a in zip(beta, alpha))
             assert refl in roots
+
+
+@pytest.mark.parametrize("name", ALL_TYPES + ["B17"])
+def test_root_sum_matches_tuple_sums(name):
+    d = build_root_datum(name)
+    roots = d.all_roots
+    assert roots == d.positive_roots + tuple(tuple(-c for c in r) for r in d.positive_roots)
+    index = {r: k for k, r in enumerate(roots)}
+    for i, u in enumerate(roots):
+        assert d.root_index(u) == i
+        for j, v in enumerate(roots):
+            assert d.root_sum(i, j) == index.get(tuple(a + b for a, b in zip(u, v))), (i, j)
+
+
+@pytest.mark.parametrize("name", ["G2", "F4", "B8"])
+def test_string_depth_matches_tuple_walk(name):
+    d = build_root_datum(name)
+    for u in d.all_roots:
+        for v in d.all_roots:
+            assert d.string_depth(u, v) == string_depth(d, u, v), (u, v)
+
+
+def test_tuple_input_checked_against_root_set():
+    # in B2 the keys use base 9, so (9, 0) has the key of the root (0, 1)
+    d = build_root_datum("B2")
+    assert d.is_root((0, 1)) and not d.is_root((9, 0))
+    for call in (d.height, d.coroot, d.root_index, lambda r: d.string_depth(r, (0, 1))):
+        with pytest.raises(ValueError, match="not a root of B2"):
+            call((9, 0))
 
 
 def test_weyl_minus_one_table():
