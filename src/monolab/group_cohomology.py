@@ -8,7 +8,9 @@ ell + 1 and the torus order |T| = ell - 1 are both prime to ell, so
 H^1(SL2(F_ell), M) = H^1(U, M)^T (stable elements; Brown, Cohomology of
 Groups, III.10).  U is cyclic of order ell, so this is linear algebra on
 dim(M) x dim(M) matrices whatever the group order is.  The module matrices
-are first checked against a defining presentation of SL2(F_ell).
+are first checked against a five-relation presentation of SL2(F_ell) (Behr
+and Mennicke's presentation of PSL(2, ell) with a central y^2), and the
+whole solver takes O(log ell) products of them.
 
 Every other group goes to the Cayley solver, which never needs a
 presentation: a cocycle is determined by its values on the generators, and
@@ -29,7 +31,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -368,76 +370,70 @@ def _h1_sl2(M: ModuleAction, budget: int | None) -> int:
 
         h1 = dim V - rank[(S - 1) B_V | U - 1],   B_V a basis of V.
 
-    The powers U^0, ..., U^(ell-1) that the presentation check builds give N
-    and the sum in S by additions alone.
+    T is w+(a) W^-1 with w+(a) = U^a W U^(1/a) W^-1 U^a, since w+(1) = W in
+    SL2(F_ell).  Both sums and every power come from one `_geometric` call
+    and `_check_sl2_presentation` reuses them, so the solver takes O(log ell)
+    products and holds a constant number of dim x dim matrices.
     """
     ell, dim = M.ell, M.dim
-    _check_budget(12 * (ell + 1) * dim * dim * 8, budget, "the Borel solver")
+    _check_budget(64 * dim * dim * 8, budget, "the Borel solver")
+    U, W = M.matrices
     a = _primitive_root(ell)
-    P, T = _sl2_powers_and_torus(*M.matrices, ell, a)
-    V = _kernel_basis(P.sum(axis=0) % ell, ell)
-    S = matmul_mod(T, P[: pow(a, -2, ell)].sum(axis=0) % ell, ell)
+    ai = pow(a, -1, ell)
+    (N, Nc, *_), (Ul, _, Ua, Uai, U4, Uh) = _geometric(U, [ell, ai * ai % ell, a, ai, 4, (ell + 1) // 2], ell)
+    _check_sl2_presentation(U, W, Ul, U4, Uh, ell)
+    Wi = _product(ell, W, W, W)
+    S = _product(ell, Ua, W, Uai, Wi, Ua, Wi, Nc)
+    V = _kernel_basis(N, ell)
     eye = np.eye(dim, dtype=np.int64)
-    span = np.hstack([matmul_mod((S - eye) % ell, V, ell), (P[1] - eye) % ell])
+    span = np.hstack([matmul_mod((S - eye) % ell, V, ell), (U - eye) % ell])
     return V.shape[1] - rank_mod(span, ell)
 
 
-def _sl2_powers_and_torus(U: np.ndarray, W: np.ndarray, ell: int, a: int) -> tuple[np.ndarray, np.ndarray]:
-    """U^0, ..., U^(ell-1) and the image of h(a), once (U, W) is shown to be an SL2(F_ell)-module.
+def _geometric(A: np.ndarray, exponents: list[int], ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """sum_{k<n} A^k and A^n for each n in `exponents`, stacked, by binary doubling.
 
-    Raises ValueError naming the first relation that fails.  The relations
-    are Steinberg's presentation of SL2 over a field (Steinberg, Lectures on
-    Chevalley Groups, Section 6, Theorem 8 and its rank-one corollary), with
-    generators x+(t), x-(t) for t in F_ell and, for both signs,
-
-        (A)  x(t) x(s) = x(t + s),
-        (B') w(t) x(s) w(t)^-1 = x'(-s / t^2),     t != 0,
-        (C)  h(t) h(s) = h(ts),                     t, s != 0,
-
-    where x' is the opposite sign, w(t) = x(t) x'(-1/t) x(t) and
-    h(t) = w(t) w(1)^-1.  The candidate homomorphism sends x+(t) to U^t and
-    x-(t) = w x+(-t) w^-1 to W U^-t W^-1, with w = w+(1) the second
-    standard generator.  Given (A), which is U^ell = 1, (B') needs checking
-    at s = 1 only, and (C) at t = a only (for every s), a generating
-    F_ell^x, where it reads h(a) w(s) = w(as); and w(1)^-1 = w(-1).  Two relations that hold in SL2(F_ell) are added: w has
-    order 4, so W^4 = 1 and W^-1 = W^3; and w+(1) -> W, so that the
-    homomorphism sends the second generator to W.
+    X stacks the sums S, G = sum_{k<2^i} A^k, the powers P and Q = A^(2^i).
+    Bit i takes S to G + Q S and P to Q P where n has that bit, and G, Q to
+    G + Q G, Q Q: one batched product per bit of the largest n.
     """
-    dim = len(U)
-    eye = np.eye(dim, dtype=np.int64)
-    W2 = matmul_mod(W, W, ell)
-    _require("W^4 = 1", matmul_mod(W2, W2, ell)[None], eye[None], ell)
-    P = np.empty((ell + 1, dim, dim), dtype=np.int64)
-    P[0], n = eye, 1
-    while n <= ell:  # P[n : n + m] = P[:m] U^n
-        m = min(n, ell + 1 - n)
-        P[n : n + m] = matmul_mod(P[:m], matmul_mod(P[n - 1], U, ell), ell)
-        n += m
-    _require("(A) U^ell = 1", P[ell:], eye[None], ell)
-    P = P[:ell]
-    Q = matmul_mod(matmul_mod(W, P, ell), matmul_mod(W2, W, ell), ell)  # Q[k] -> x-(-k)
-    t = np.arange(1, ell)
-    ti = np.array([pow(int(x), -1, ell) for x in t], dtype=np.int64)
-    at = a * t % ell - 1  # the row of w(a t)
-    wp = matmul_mod(matmul_mod(P[t], Q[ti], ell), P[t], ell)  # row t - 1: w+(t)
-    wm = matmul_mod(matmul_mod(Q[ell - t], P[ell - ti], ell), Q[ell - t], ell)  # row t - 1: w-(t)
-    _require("w+(1) = W", wp[:1], W[None], ell)
-    _require("(B') for x+", matmul_mod(wp, P[1], ell), matmul_mod(Q[ti * ti % ell], wp, ell), ell)
-    _require("(B') for x-", matmul_mod(wm, Q[ell - 1], ell), matmul_mod(P[ell - ti * ti % ell], wm, ell), ell)
-    T = matmul_mod(wp[a - 1], wp[-1], ell)  # h+(a) = w+(a) w+(1)^-1
-    _require("(C) for h+", matmul_mod(T, wp, ell), wp[at], ell)
-    _require("(C) for h-", matmul_mod(matmul_mod(wm[a - 1], wm[-1], ell), wm, ell), wm[at], ell)
-    return P, T
+    m, eye = len(exponents), np.eye(len(A), dtype=np.int64)
+    X = np.stack([0 * eye] * m + [eye] * (m + 1) + [A])
+    for i in range(max(exponents).bit_length()):
+        on = [j for j, n in enumerate(exponents) if n >> i & 1]
+        rows = on + [m] + [m + 1 + j for j in on] + [-1]
+        Y = matmul_mod(X[-1], X[rows], ell)
+        Y[: len(on) + 1] = (Y[: len(on) + 1] + X[m]) % ell
+        X[rows] = Y
+    return X[:m], X[m + 1 : -1]
 
 
-def _require(relation: str, lhs: np.ndarray, rhs: np.ndarray, ell: int) -> None:
-    """Raise ValueError unless lhs[i] == rhs[i] for every i; row i stands for t = i + 1."""
-    bad = np.flatnonzero((lhs != rhs).reshape(len(lhs), -1).any(axis=1))
-    if bad.size:
-        raise ValueError(
-            f"not a module of SL2(F_{ell}) on sl2_generators({ell}): relation {relation} fails"
-            + (f" at t={bad[0] + 1}" if len(lhs) > 1 else "")
-        )
+def _check_sl2_presentation(U, W, Ul, U4, Uh, ell: int) -> None:
+    """Raise ValueError naming the first relation that fails; Ul, U4, Uh are U^ell, U^4, U^((ell+1)/2).
+
+    The relations are <x, y | x^ell, y^4, [y^2, x], (xy)^3, (x^4 y x^((ell+1)/2) y)^2 y^2>
+    with x -> U, y -> W.  Modulo the central y^2 this is Behr and Mennicke's
+    presentation of PSL(2, ell) (Canad. J. Math. 20 (1968) 1432-1438; for
+    SL(2, m) see D. Sunday, Canad. J. Math. 24 (1972)), so it defines a group
+    of order at most |SL2(F_ell)| that maps onto SL2(F_ell) by
+    `sl2_generators(ell)`: SL2(F_ell) itself.  At ell = 2 the last relation
+    reads y^2 = 1 given the others, leaving <x, y | x^2, y^2, (xy)^3> = SL2(F_2).
+    """
+    W2, UW, R = matmul_mod(W, W, ell), matmul_mod(U, W, ell), _product(ell, U4, W, Uh, W)
+    eye = np.eye(len(U), dtype=np.int64)
+    for relation, lhs, rhs in [
+        ("U^ell = 1", Ul, eye),
+        ("W^4 = 1", matmul_mod(W2, W2, ell), eye),
+        ("W^2 U = U W^2", matmul_mod(W2, U, ell), matmul_mod(U, W2, ell)),
+        ("(U W)^3 = 1", _product(ell, UW, UW, UW), eye),
+        ("(BM) (U^4 W U^((ell+1)/2) W)^2 W^2 = 1", _product(ell, R, R, W2), eye),
+    ]:
+        if not np.array_equal(lhs, rhs):
+            raise ValueError(f"not a module of SL2(F_{ell}) on sl2_generators({ell}): relation {relation} fails")
+
+
+def _product(ell: int, *factors: np.ndarray) -> np.ndarray:
+    return reduce(lambda p, q: matmul_mod(p, q, ell), factors)
 
 
 def _primitive_root(ell: int) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .exact import exact_div
@@ -135,6 +135,13 @@ def _root_lengths(cartan) -> tuple[int, ...]:
     return tuple(exact_div(x, lo, "root length ratio") for x in d)
 
 
+class _RootTable(NamedTuple):
+    roots: tuple[Root, ...]  # positives, then their negatives in the same order
+    index: dict  # root -> its index in roots
+    keys: tuple[int, ...]  # the key of roots[k]
+    by_key: dict  # key -> index
+
+
 @dataclass(frozen=True)
 class RootDatum:
     """Immutable combinatorial skeleton of one simple type."""
@@ -170,24 +177,32 @@ class RootDatum:
     def norm2(self, a: Root) -> int:
         return self.inner(a, a)
 
+    @cached_property
+    def _roots(self) -> _RootTable:
+        pos = self.positive_roots
+        roots = pos + tuple(tuple(-c for c in r) for r in pos)
+        base = 4 * max(self.highest_root) + 1
+        keys = tuple(sum(c * base**i for i, c in enumerate(r)) for r in roots)
+        return _RootTable(roots, {r: k for k, r in enumerate(roots)}, keys, {key: k for k, key in enumerate(keys)})
+
     @property
     def all_roots(self) -> tuple[Root, ...]:
         """The positive roots, then their negatives in the same order."""
-        return _root_table_of(self).roots
+        return self._roots.roots
 
     def is_root(self, v: Root) -> bool:
-        return v in _root_table_of(self).index
+        return v in self._roots.index
 
     def root_index(self, root: Root) -> int:
         """The index of `root` in `all_roots`; ValueError if it is not a root."""
-        k = _root_table_of(self).index.get(root)
+        k = self._roots.index.get(root)
         if k is None:
             raise ValueError(f"not a root of {self.simple_type}: {root}")
         return k
 
     def root_sum(self, i: int, j: int) -> int | None:
         """The index of root i + root j, or None if that sum is not a root."""
-        table = _root_table_of(self)
+        table = self._roots
         return table.by_key.get(table.keys[i] + table.keys[j])
 
     def string_depth(self, u: Root, v: Root) -> int:
@@ -233,22 +248,6 @@ class RootDatum:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
-
-class _RootTable(NamedTuple):
-    roots: tuple[Root, ...]  # positives, then their negatives in the same order
-    index: dict  # root -> its index in roots
-    keys: tuple[int, ...]  # the key of roots[k]
-    by_key: dict  # key -> index
-
-
-@lru_cache(maxsize=None)
-def _root_table_of(datum: RootDatum) -> _RootTable:
-    pos = datum.positive_roots
-    roots = pos + tuple(tuple(-c for c in r) for r in pos)
-    base = 4 * max(datum.highest_root) + 1
-    keys = tuple(sum(c * base**i for i, c in enumerate(r)) for r in roots)
-    return _RootTable(roots, {r: k for k, r in enumerate(roots)}, keys, {key: k for k, key in enumerate(keys)})
 
 
 def _close_positive_roots(cartan) -> list[Root]:

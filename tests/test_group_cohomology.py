@@ -6,7 +6,7 @@ import pytest
 from conftest import run_optimized
 
 from monolab import group_cohomology
-from monolab.exact import det_mod
+from monolab.exact import det_mod, is_probable_prime
 from monolab.group_cohomology import (
     CohomologyReport,
     FiniteMatrixGroup,
@@ -703,8 +703,10 @@ def test_module_check_against_edge_oracle(ell):
                 break
         Binv = np.array(inverse_mod(B, ell))
         pairs.append([B @ U @ Binv % ell, B @ W @ Binv % ell])
-    # scalars 1 and -1 satisfy every relation but w+(1) = W
+    # scalars 1 and -1 satisfy every relation but (U W)^3 = 1
     pairs.append([np.eye(1, dtype=np.int64), np.full((1, 1), ell - 1)])
+    if ell == 7:  # 2 is a primitive cube root of unity mod 7: every relation but W^4 = 1 holds
+        pairs.append([np.eye(1, dtype=np.int64), np.full((1, 1), 2)])
     verdicts = {True: 0, False: 0}
     for mats in pairs:
         M = module_from_matrices(ell, mats)
@@ -745,8 +747,8 @@ def permutation_matrix(p):
 
 def test_sl2z_quotient_that_is_not_sl2_f7_rejected():
     # every relation of SL2(ZZ) holds, and T^7 = 1, so the pair satisfies
-    # U^7 = W^4 = 1 and U (W U W^-1) U = W; but PSL2(F_8) is not a quotient
-    # of SL2(F_7), so only the field relations (B') and (C) can reject it
+    # U^7 = W^4 = 1, W^2 U = U W^2 and (U W)^3 = 1; but PSL2(F_8) is not a
+    # quotient of SL2(F_7), so only the Behr-Mennicke relation (BM) can reject it
     U, W = permutation_matrix(HURWITZ_PSL2_8["T"]), permutation_matrix(HURWITZ_PSL2_8["S"])
     ell, eye = 7, np.eye(9, dtype=np.int64)
     assert np.array_equal(np.linalg.matrix_power(U, 7), eye)
@@ -754,7 +756,7 @@ def test_sl2z_quotient_that_is_not_sl2_f7_rejected():
     assert np.array_equal(U @ W @ U @ W.T @ U, W)
     M = module_from_matrices(ell, [U, W], "PSL2(F_8) on P^1(F_8)")
     assert not is_module_oracle(sl2_group(ell), M.matrices)
-    with pytest.raises(ValueError, match=r"\(B'\)"):
+    with pytest.raises(ValueError, match=r"\(BM\)"):
         h1(sl2_group(ell), M)
 
 
@@ -788,6 +790,10 @@ def test_sl2_group_builds_no_closure(monkeypatch):
     assert repr(G) == "FiniteMatrixGroup(generators=2, degree=2, ell=127)"
     assert h1(G, sym_module(127, 2, 1)).h1 == 0
     assert adjoint_h1_via_kostant("G2", 13) == 1
+    # Sym^1 is faithful, so the presentation check that accepts it checks the
+    # relation word in SL2(F_ell) itself; -1 kills the cohomology for odd ell
+    for ell in [p for p in range(2, 2000) if is_probable_prime(p)] + [2**31 - 1]:
+        assert h1(sl2_group(ell), sym_module(ell, 1, 0)) == CohomologyReport(h0=0, dim_Z1=2, dim_B1=2, h1=0), ell
     with pytest.raises(AssertionError, match="closure built"):
         G.order
     with pytest.raises(ValueError, match="not a prime: 12"):
