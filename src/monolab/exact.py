@@ -9,7 +9,8 @@ with no rational intermediate step.
 Every elimination over F_ell in the package goes through one kernel at the end
 of this module: `matmul_mod`, the streamed reduced echelon form
 `EchelonState`, `rank_mod` and `det_mod`.  It is exact for every prime
-ell < 2**31.
+ell < 2**31.  `residues` reduces every integer matrix that enters from
+outside.
 """
 
 from __future__ import annotations
@@ -292,9 +293,24 @@ class EchelonState:
         self.free = self.free[keep]
 
 
+def residues(matrix, ell: int) -> np.ndarray:
+    """An integer matrix, entries of any size, as int64 residues in [0, ell).
+
+    Raises ValueError for an entry that is not an int or a numpy integer
+    (a float such as 1.5 is never truncated) and for a bad modulus.
+    """
+    check_prime_modulus(ell)
+    a = matrix if isinstance(matrix, np.ndarray) else np.array(matrix, dtype=object)
+    kinds = set(map(type, a.flat)) if a.dtype == object else {a.dtype.type}
+    bad = sorted(t.__name__ for t in kinds if not issubclass(t, (int, np.integer)))
+    if bad:
+        raise ValueError(f"matrix entries must be integers, got {', '.join(bad)}")
+    return (a % ell).astype(np.int64)
+
+
 def rank_mod(matrix, ell: int) -> int:
     """Rank over F_ell of an integer matrix."""
-    matrix = np.asarray(matrix, dtype=np.int64)
+    matrix = residues(matrix, ell)
     state = EchelonState(matrix.shape[1], ell)
     state.add(matrix)
     return state.rank
@@ -304,7 +320,7 @@ def det_mod(rows, ell: int) -> int:
     """Determinant mod ell of a square integer matrix, by elimination over F_ell."""
     n = len(rows)
     state = EchelonState(n, ell)
-    state.add((np.array(rows, dtype=object).reshape(n, n) % ell).astype(np.int64))
+    state.add(residues(rows, ell).reshape(n, n))
     if state.rank < n:
         return 0
     p = np.array(state.pivots)

@@ -35,7 +35,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .exact import EchelonState, _xgcd, det_mod, matmul_mod, rank_mod
+from .exact import EchelonState, _xgcd, det_mod, matmul_mod, rank_mod, residues
 from .rootsys import SimpleType, build_root_datum
 
 DEFAULT_MEMORY_BUDGET = 2 * 1024**3
@@ -58,30 +58,26 @@ Matrix = tuple[tuple[int, ...], ...]
 
 
 class FiniteMatrixGroup:
-    """A subgroup of GL_degree(F_ell); elements are in breadth-first discovery order, identity first.
+    """A subgroup of GL_degree(F_ell), given by its reduced invertible generators.
 
-    cayley[g, j] is the index of elements[g] * generators[j] and tree is _tree_edges(cayley).
-    Passed-in elements, index and cayley are checked at once; otherwise `_bfs_closure` builds
-    all four on the first read of any of them or of order, and raises ResourceLimitError past `cap` elements.
+    `_bfs_closure` builds elements (breadth-first discovery order, identity
+    first), index, cayley (cayley[g, j] is the index of elements[g] *
+    generators[j]) and tree together, on the first read of any of them or of
+    order, and raises ResourceLimitError past `cap` elements.  For
+    `sl2_generators` the build also checks the order ell (ell^2 - 1).
     """
 
-    def __init__(self, ell, degree, generators, elements=None, index=None, cayley=None, cap=CLOSURE_CAP):
+    def __init__(self, ell, degree, generators, cap=CLOSURE_CAP):
         self.ell, self.degree, self.generators, self.cap = ell, degree, tuple(generators), cap
-        if elements is not None:
-            self._store(elements, index, cayley)
-
-    def _store(self, elements, index, cayley):
-        if not np.array_equal(elements[0], np.eye(self.degree, dtype=np.int64)):
-            raise ValueError("elements[0] must be the identity")
-        n, want = len(elements), self.ell * (self.ell**2 - 1)
-        if self.is_standard_sl2 and n != want:
-            raise ArithmeticError(f"SL2(F_{self.ell}) closure has order {n}, want {want}")
-        self.elements, self.index, self.cayley, self.tree = elements, index, cayley, _tree_edges(cayley)
 
     def __getattr__(self, name):  # reached only while the closure is unbuilt
         if name not in ("elements", "index", "cayley", "tree"):
             raise AttributeError(name)
-        self._store(*_bfs_closure(self.generators, self.ell, self.cap))
+        elements, index, cayley, tree = _bfs_closure(self.generators, self.ell, self.cap)
+        n, want = len(elements), self.ell * (self.ell**2 - 1)
+        if self.is_standard_sl2 and n != want:
+            raise ArithmeticError(f"SL2(F_{self.ell}) closure has order {n}, want {want}")
+        self.elements, self.index, self.cayley, self.tree = elements, index, cayley, tree
         return getattr(self, name)
 
     @property
@@ -96,37 +92,22 @@ class FiniteMatrixGroup:
         return f"FiniteMatrixGroup(generators={len(self.generators)}, degree={self.degree}, ell={self.ell})"
 
 
-def _tree_edges(cayley: np.ndarray) -> np.ndarray:
-    """Flat position g * ng + j of the first Cayley edge into element k, for k = 1, 2, ...
-
-    These edges are h1's spanning tree.  Raises ValueError unless the labels
-    are in breadth-first discovery order, which h1, h1_naive and
-    _relation_lattice rely on: read row by row, cayley names 1, 2, ... first
-    in turn, each k in a row g < k.  Then the parents g are non-decreasing
-    and every BFS level is a contiguous range of labels.
-    """
-    n, ng = cayley.shape
-    k = np.arange(n)
-    labels, first = np.unique(cayley, return_index=True)
-    tree = first[1:]
-    if not (np.array_equal(labels, k) and np.all(np.diff(tree) > 0) and np.all(tree // ng < k[1:])):
-        raise ValueError("group elements are not in breadth-first discovery order of the Cayley table")
-    return tree
-
-
-def _bfs_closure(gens: tuple[Matrix, ...], ell: int, cap: int) -> tuple[tuple[Matrix, ...], dict, np.ndarray]:
-    """Elements, index and Cayley table of the group that reduced invertible generators span.
+def _bfs_closure(gens: tuple[Matrix, ...], ell: int, cap: int):
+    """Elements, index, Cayley table and spanning tree of the group that reduced invertible generators span.
 
     Element order is discovery order (identity first, generators applied in
     list order), which fixes every downstream computation bit-for-bit.  Each
     BFS level times every generator is one batched product, looked up in
     (element, generator) order; the new elements form the next level.
+    tree[k - 1] is the flat Cayley position g * ng + j of the edge that found
+    element k, the first edge into it, so the parents g are non-decreasing
+    and each BFS level is a contiguous range of labels (h1 relies on this).
     """
     degree = len(gens[0])
     ident = tuple(tuple(1 if i == j else 0 for j in range(degree)) for i in range(degree))
     elements = [ident]
     index = {ident: 0}
-    edges = []
+    edges, tree = [], []
     frontier, stacked = np.array([ident], dtype=np.int64), np.array(gens, dtype=np.int64)
     while len(frontier):
         prods = matmul_mod(frontier[:, None], stacked, ell).reshape(-1, degree, degree)
@@ -141,21 +122,22 @@ def _bfs_closure(gens: tuple[Matrix, ...], ell: int, cap: int) -> tuple[tuple[Ma
                 index[prod] = k
                 elements.append(prod)
                 fresh.append(pos)
+                tree.append(len(edges))
             edges.append(k)
         frontier = prods[fresh]
-    return tuple(elements), index, np.array(edges, dtype=np.int64).reshape(-1, len(gens))
+    cayley = np.array(edges, dtype=np.int64).reshape(-1, len(gens))
+    return tuple(elements), index, cayley, np.array(tree, dtype=np.int64)
 
 
 def _generated(generators, ell: int, cap: int) -> FiniteMatrixGroup:
-    """The unclosed group of a generator list; ValueError for a bad list or modulus (via det_mod)."""
-    gens = tuple(generators)
+    """The unclosed group of a generator list; ValueError for a bad list, entry or modulus."""
+    gens = [residues(g, ell) for g in generators]
     if not gens:
         raise ValueError("need at least one generator")
     for g in gens:
         if det_mod(g, ell) == 0:
             raise ValueError("generators must be invertible")
-    gens = tuple(tuple(tuple(x % ell for x in row) for row in g) for g in gens)
-    return FiniteMatrixGroup(ell, len(gens[0]), gens, cap=cap)
+    return FiniteMatrixGroup(ell, len(gens[0]), (tuple(map(tuple, g.tolist())) for g in gens), cap=cap)
 
 
 def close_group(generators, ell: int, cap: int = CLOSURE_CAP) -> FiniteMatrixGroup:
@@ -190,8 +172,11 @@ class ModuleAction:
 
 
 def module_from_matrices(ell, matrices, description="explicit") -> ModuleAction:
-    mats = tuple(np.array(m, dtype=np.int64) % ell for m in matrices)
-    dim = mats[0].shape[0]
+    """The module with these generator matrices; ValueError for no matrix, a non-integer entry or mixed shapes."""
+    mats = tuple(residues(m, ell) for m in matrices)
+    if not mats:
+        raise ValueError("need at least one module matrix")
+    dim = len(mats[0])
     if not all(m.shape == (dim, dim) for m in mats):
         raise ValueError(f"module matrices must all be square of one size, got {[m.shape for m in mats]}")
     return ModuleAction(ell, dim, mats, description)
@@ -204,45 +189,35 @@ def sym_module(ell: int, r: int, twist: int, generators=None, allow_reducible=Fa
     X -> aX + cY, Y -> bX + dY, which makes g -> matrix a homomorphism.  An r
     outside the range r < ell (where the module is irreducible) is rejected
     with `ValueError`; pass allow_reducible=True to explore beyond it.
+
+    Column k of Sym^n(g) is (aX + cY)^(n-k) (bX + dY)^k, so Sym^n comes from
+    Sym^(n-1) in one step for all generators at once: every column times
+    aX + cY, then the last column times bX + dY appended.  Each entry is
+    below 2 (ell - 1)^2 < 2**63 before it is reduced.
     """
-    if r < 0 or twist != int(twist):
-        raise ValueError("need r >= 0 and an integer twist")
+    if not (isinstance(r, (int, np.integer)) and isinstance(twist, (int, np.integer))) or r < 0:
+        raise ValueError(f"need an int r >= 0 and an int twist, got r={r!r}, twist={twist!r}")
     if r >= ell and not allow_reducible:
         raise ValueError(
             f"Sym^{r} over F_{ell} is outside the irreducible range r < ell;"
             " pass allow_reducible=True to explore it anyway"
         )
-    if generators is None:
-        generators = sl2_generators(ell)
-    mats = []
-    for g in generators:
-        (a, b), (c, d) = g
-        det = (a * d - b * c) % ell
-        scale = pow(det, -twist, ell) if twist else 1
-        cols = []
-        for k in range(r + 1):
-            # coefficients of (aX + cY)^(r-k) (bX + dY)^k
-            poly = [0] * (r + 1)
-            first = _binom_expand(a, c, r - k, ell)
-            second = _binom_expand(b, d, k, ell)
-            for i, ci in enumerate(first):
-                for j, cj in enumerate(second):
-                    poly[i + j] = (poly[i + j] + ci * cj) % ell
-            cols.append([x * scale % ell for x in poly])
-        mats.append(np.array(cols, dtype=np.int64).T % ell)
-    return module_from_matrices(ell, mats, f"Sym^{r}(x)det^{-twist}")
-
-
-def _binom_expand(u, v, n, ell):
-    # coefficients of (uX + vY)^n in X^(n-i) Y^i, reduced mod ell
-    out = [1]
-    for _ in range(n):
-        nxt = [0] * (len(out) + 1)
-        for i, c in enumerate(out):
-            nxt[i] = (nxt[i] + c * u) % ell
-            nxt[i + 1] = (nxt[i + 1] + c * v) % ell
-        out = nxt
-    return out
+    g = residues(sl2_generators(ell) if generators is None else generators, ell)
+    if g.ndim != 3 or g.shape[1:] != (2, 2):
+        raise ValueError(f"Sym^r needs 2 x 2 generator matrices, got shape {g.shape}")
+    a, b, c, d = (g[:, i, j, None] for i in (0, 1) for j in (0, 1))
+    S = np.ones((len(g), 1, 1), dtype=np.int64)
+    for n in range(1, r + 1):
+        T = np.zeros((len(g), n + 1, n + 1), dtype=np.int64)
+        T[:, :n, :n] = a[..., None] * S
+        T[:, 1:, :n] += c[..., None] * S
+        T[:, :n, n] = b * S[:, :, -1]
+        T[:, 1:, n] += d * S[:, :, -1]
+        S = T % ell
+    if twist:
+        scale = [pow(int(det), -int(twist), ell) for det in ((a * d - b * c) % ell).ravel()]
+        S = S * np.array(scale)[:, None, None] % ell
+    return ModuleAction(ell, r + 1, tuple(S), f"Sym^{r}(x)det^{-twist}")
 
 
 def module_direct_sum(m1: ModuleAction, m2: ModuleAction) -> ModuleAction:
@@ -473,14 +448,8 @@ def h1_naive(G: FiniteMatrixGroup, M: ModuleAction) -> CohomologyReport:
         raise ResourceLimitError("naive solver is restricted to |G| * dim <= 1500")
     rho = np.zeros((n, dim, dim), dtype=np.int64)
     rho[0] = np.eye(dim, dtype=np.int64)
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    for g in range(n):
-        for j in range(ng):
-            tgt = int(G.cayley[g, j])
-            if not seen[tgt]:
-                seen[tgt] = True
-                rho[tgt] = matmul_mod(rho[g], M.matrices[j], ell)
+    for k, (g, j) in enumerate(zip(*np.divmod(G.tree, ng)), 1):
+        rho[k] = matmul_mod(rho[g], M.matrices[j], ell)
     lhs = matmul_mod(rho[:, None], np.array(M.matrices), ell)
     bad = np.argwhere((lhs != rho[G.cayley]).any(axis=(2, 3)))
     if len(bad):
@@ -510,9 +479,12 @@ def _relation_lattice(G: FiniteMatrixGroup) -> list[list[int]]:
     relation of G^ab.  Rows are accumulated into an integer echelon basis by
     gcd reduction, so at most n_generators rows survive.
     """
-    n, ng = G.order, len(G.generators)
-    words: list = [None] * n
-    words[0] = [0] * ng
+    ng = len(G.generators)
+    words = [[0] * ng]
+    for e in G.tree.tolist():  # the word of element k extends its parent's by its tree edge
+        words.append(words[e // ng].copy())
+        words[-1][e % ng] += 1
+    words = np.array(words, dtype=np.int64)
     pivot_rows: dict[int, list[int]] = {}
 
     def add(vec):
@@ -536,25 +508,11 @@ def _relation_lattice(G: FiniteMatrixGroup) -> list[list[int]]:
                 v = [(a // g) * q - (b // g) * p for p, q in zip(row, v)]
                 pivot_rows[j] = new_row
 
-    for g in range(n):
-        wg = words[g]
-        for j in range(ng):
-            tgt = int(G.cayley[g, j])
-            step = wg.copy()
-            step[j] += 1
-            if words[tgt] is None:
-                words[tgt] = step
-            else:
-                rel = [a - b for a, b in zip(step, words[tgt])]
-                if any(rel):
-                    add(rel)
+    # edge (g, j) closes the loop words[g] + e_j - words[g s_j], which is 0 on tree edges
+    rels = (words[:, None] + np.eye(ng, dtype=np.int64) - words[G.cayley]).reshape(-1, ng)
+    for rel in rels[rels.any(axis=1)].tolist():
+        add(rel)
     return [pivot_rows[j] for j in sorted(pivot_rows)]
-
-
-def abelianization_elementary_divisors(G: FiniteMatrixGroup) -> tuple[int, ...]:
-    """Nontrivial elementary divisors of G^ab = ZZ^ng / (relation lattice)."""
-    divisors = _smith_divisors(_relation_lattice(G), len(G.generators))
-    return tuple(d for d in divisors if d != 1)
 
 
 def _smith_divisors(rows, ncols) -> list[int]:

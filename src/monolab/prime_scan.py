@@ -325,14 +325,6 @@ def build_report(t: SimpleType | str) -> PrimeScanReport:
     return PrimeScanReport(name, scans, (), tuple(sorted(primes)), informational=True)
 
 
-def aggregate_bad_primes(t: SimpleType | str) -> tuple[int, ...]:
-    """The obstruction primes of an exceptional type, per its aggregation rule."""
-    t = SimpleType.parse(t)
-    if not t.is_exceptional:
-        raise ValueError(f"aggregation rules exist only for exceptional types, not {t}")
-    return build_report(t).bad_primes
-
-
 def check_against_reference(report: PrimeScanReport):
     """Compare a scan report with the bundled reference lists.
 

@@ -343,9 +343,4 @@ def _validate(d: RootDatum):
         raise ArithmeticError(f"invalid root datum for {d.simple_type}: {', '.join(bad)}")
 
 
-def weyl_contains_minus_one(t: SimpleType | str) -> bool:
-    """Whether -1 lies in the Weyl group; computed as `all exponents odd`."""
-    return build_root_datum(SimpleType.parse(t)).weyl_has_minus_one
-
-
 EXCEPTIONAL_TYPES = ("G2", "F4", "E6", "E7", "E8")

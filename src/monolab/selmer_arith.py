@@ -196,37 +196,6 @@ def split_cartan_fixed_dim(t: SimpleType | str) -> int:
     return len(d.positive_roots)
 
 
-def regular_2rho_check(ell: int, a: int, t: SimpleType | str) -> bool:
-    """Whether 2rho^vee(a) is regular in characteristic ell.
-
-    The pairings against positive roots are a^{2k} for heights k = 1..h-1, so
-    regularity is: none of those powers is 1.
-    """
-    if a % ell == 0:
-        raise ValueError("a must be a unit mod ell")
-    d = build_root_datum(SimpleType.parse(t))
-    a %= ell
-    for k in range(1, d.coxeter_number):
-        if pow(a, 2 * k, ell) == 1:
-            return False
-    return True
-
-
-def exists_regular_unit(ell: int, t: SimpleType | str) -> bool:
-    return any(regular_2rho_check(ell, a, t) for a in range(1, ell))
-
-
-def eigenvalue_multiset_distinct(ell: int, a: int, m: int) -> bool:
-    """Whether the multisets {a^{2i}} and {a^{2i+2}}, i in [-m, m], differ mod ell."""
-    if a % ell == 0:
-        raise ValueError("a must be a unit mod ell")
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    base = sorted(pow(a, (2 * i) % (ell - 1), ell) for i in range(-m, m + 1))
-    shifted = sorted(pow(a, (2 * i + 2) % (ell - 1), ell) for i in range(-m, m + 1))
-    return base != shifted
-
-
 @dataclass(frozen=True)
 class PrimeBounds:
     simple_type: str

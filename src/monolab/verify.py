@@ -39,6 +39,7 @@ from .principal_sl2 import (
     kostant_mod_ell_basis_check,
     relations_hold,
     sl2_string_family_rows,
+    sl2_string_lengths_ok,
 )
 from .prime_scan import build_report, check_against_reference
 from .rootsys import EXCEPTIONAL_TYPES, build_root_datum
@@ -122,6 +123,7 @@ def crit_kostant_structure() -> CriterionResult:
                 bracket(p, q).is_zero() for _, p in kd.pairs for _, q in kd.pairs
             ),
             "sum(2m+1) = dim": sum(2 * m + 1 for m in kd.exponents) == alg.dim,
+            "strings of length 2m+1": sl2_string_lengths_ok(kd),
         }
         res.ok &= all(checks.values())
         bad = [k for k, v in checks.items() if not v]
@@ -259,19 +261,16 @@ def crit_cohomology_vanishing(budget: int | None = None) -> CriterionResult:
             f"{t} adjoint at ell={ell}: expected {len(hits)} (exponents m with"
             f" 2m = ell-3: {hits}), computed {got} -> {'ok' if ok else 'MISMATCH'}"
         )
-    checked = 0
     oracle_ok = True
-    for G, M in _oracle_fixture_groups():
-        if G.order > 200:
-            continue
-        checked += 1
+    fixture_groups = _oracle_fixture_groups()
+    for G, M in fixture_groups:
         a, b = h1(G, M, budget), h1_naive(G, M)
         if a != b:
             oracle_ok = False
             res.details.append(f"oracle mismatch: |G|={G.order} {M.description}: {a} vs {b}")
     res.ok &= oracle_ok
     res.details.append(
-        f"streamed-vs-naive oracle equivalence on {checked} fixture groups of order <= 200:"
+        f"streamed-vs-naive oracle equivalence on {len(fixture_groups)} fixture groups of order <= 200:"
         f" {'ok' if oracle_ok else 'FAIL'}"
     )
     res.ok &= not cross_bad

@@ -7,9 +7,9 @@ nonzero value included (that class is certified by an explicit cocycle in the
 unit suite), and adjoint sums equal to the number of exponents m with
 2m = ell - 3.  Negative controls stub the solvers to show that the criterion
 still fails on the all-zero pattern and on a spurious nonzero value, stub
-the sl2-relations check to show that criterion 4 reports FAIL, and hand
-criterion 5 a sign-flipped G2 table to show that it reports FAIL, also under
-python -O.
+the string-length and sl2-relations checks to show that criteria 3 and 4
+report FAIL, and hand criterion 5 a sign-flipped G2 table to show that it
+reports FAIL, also under python -O.
 """
 
 import time
@@ -59,8 +59,19 @@ def test_criterion_2_e8_adjudication():
 
 
 def test_criterion_3_kostant_structure():
-    # dim P = rank, eigenvalues 2m, abelian, sum(2m+1) = dim g; all five types
+    # dim P = rank, eigenvalues 2m, abelian, sum(2m+1) = dim g, strings of
+    # length 2m+1; all five types
     report(timed(crit_kostant_structure), budget_s=30)
+
+
+def test_criterion_3_reports_broken_strings(monkeypatch):
+    # criterion 6's adjoint sums assume g = sum of V_{2m} under the principal
+    # sl2; with the string-length check stubbed to fail, criterion 3 must
+    # report FAIL and name that check for every type
+    monkeypatch.setattr(verify, "sl2_string_lengths_ok", lambda kd: False)
+    res = crit_kostant_structure()
+    assert res.ok is False
+    assert res.details == [f"{t}: FAIL strings of length 2m+1" for t in ("G2", "F4", "E6", "E7", "E8")]
 
 
 def test_criterion_4_sl2_relations():

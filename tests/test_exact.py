@@ -14,6 +14,7 @@ from monolab.exact import (
     matmul_mod,
     normalize_primitive,
     rank_mod,
+    residues,
 )
 
 
@@ -191,6 +192,24 @@ def test_kernel_rejects_bad_moduli():
             det_mod([[1, 2], [3, 4]], bad)
         with pytest.raises(ValueError, match="modulus is not an int"):
             EchelonState(2, bad)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: det_mod([[1.5, 0], [0, 1]], 7), lambda: rank_mod([[0.5, 0], [0, 1]], 7)],
+    ids=["det_mod-float", "rank_mod-float"],
+)
+def test_kernel_rejects_non_integer_entries(call):
+    # a float entry is rejected, never truncated to an int
+    with pytest.raises(ValueError, match="matrix entries must be integers, got float"):
+        call()
+
+
+def test_kernel_reduces_entries_of_any_size():
+    # entries beyond int64 are reduced exactly; 2**70 = 2 mod 7
+    assert rank_mod([[2**70, 0], [0, 1]], 7) == 2
+    assert det_mod([[2**70, 0], [0, -(2**65)]], 7) == 2 * (-(2**65)) % 7
+    assert residues(np.array([[2**64 - 1]], dtype=np.uint64), 7).tolist() == [[(2**64 - 1) % 7]]
 
 
 def test_prime_field_ops():

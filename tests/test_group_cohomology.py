@@ -11,7 +11,8 @@ from monolab.group_cohomology import (
     CohomologyReport,
     FiniteMatrixGroup,
     ResourceLimitError,
-    abelianization_elementary_divisors,
+    _relation_lattice,
+    _smith_divisors,
     adjoint_h1_via_kostant,
     close_group,
     h0,
@@ -149,43 +150,12 @@ def test_closure_order_pinned():
         assert hashlib.sha256(repr(G.elements).encode()).hexdigest() == elements_digest, name
         assert hashlib.sha256(G.cayley.tobytes()).hexdigest() == cayley_digest, name
         assert list(G.index.items()) == [(e, k) for k, e in enumerate(G.elements)], name
-
-
-def test_relabelled_group_rejected():
-    # a consistent relabelling keeps a valid Cayley table but breaks the
-    # breadth-first order the spanning trees are read from
-    G = sl2_group(5)
-    perm = np.concatenate([[0], 1 + np.random.default_rng(5).permutation(G.order - 1)])
-
-    def relabel(perm):
-        elements = [None] * G.order
-        for k, e in enumerate(G.elements):
-            elements[perm[k]] = e
-        cayley = np.empty_like(G.cayley)
-        cayley[perm] = perm[G.cayley]
-        for g in (0, 1, 50, 119):
-            for j, s in enumerate(G.generators):
-                assert elements[cayley[g, j]] == mat_mult(elements[g], s, 5)
-        index = {e: k for k, e in enumerate(elements)}
-        return FiniteMatrixGroup(G.ell, G.degree, G.generators, tuple(elements), index, cayley)
-
-    def swap(a, b):
-        perm = np.arange(G.order)
-        perm[[a, b]] = [b, a]
-        return perm
-
-    with pytest.raises(ValueError, match="breadth-first"):
-        relabel(perm)
-    # 1 and 2 are both found from the identity, but 2 is found first here
-    with pytest.raises(ValueError, match="breadth-first"):
-        relabel(swap(1, 2))
-    with pytest.raises(ValueError, match="identity"):
-        relabel(swap(0, 7))
-    assert relabel(np.arange(G.order)).cayley.tolist() == G.cayley.tolist()
-    # a table whose identity row never reaches element 1
-    C2 = close_group([((4, 0), (0, 4))], 5)
-    with pytest.raises(ValueError, match="breadth-first"):
-        FiniteMatrixGroup(5, 2, C2.generators, C2.elements, C2.index, np.array([[0], [1]]))
+        # the tree the closure records is the first Cayley edge into each element k >= 1,
+        # and its parents are non-decreasing and precede k (breadth-first order)
+        labels, first = np.unique(G.cayley, return_index=True)
+        assert labels.tolist() == list(range(order)) and G.tree.tolist() == first[1:].tolist(), name
+        parents = G.tree // len(G.generators)
+        assert np.all(np.diff(parents) >= 0) and np.all(parents < np.arange(1, order)), name
 
 
 # -- modules -----------------------------------------------------------------
@@ -219,6 +189,69 @@ def test_sym_module_is_homomorphism():
         a, b = rng.randrange(n), rng.randrange(n)
         c = G.index[mat_mult(G.elements[a], G.elements[b], ell)]
         assert np.array_equal(rho[a] @ rho[b] % ell, rho[c])
+
+
+def sym_reference(ell, r, twist, generators):
+    # sym_module's reference, by binomial expansion in Python ints: column k
+    # holds the coefficients of (aX + cY)^(r-k) (bX + dY)^k
+    def expand(u, v, n):
+        # coefficients of (uX + vY)^n in X^(n-i) Y^i, reduced mod ell
+        out = [1]
+        for _ in range(n):
+            nxt = [0] * (len(out) + 1)
+            for i, c in enumerate(out):
+                nxt[i] = (nxt[i] + c * u) % ell
+                nxt[i + 1] = (nxt[i + 1] + c * v) % ell
+            out = nxt
+        return out
+
+    mats = []
+    for (a, b), (c, d) in generators:
+        scale = pow((a * d - b * c) % ell, -twist, ell) if twist else 1
+        cols = []
+        for k in range(r + 1):
+            poly = [0] * (r + 1)
+            for i, ci in enumerate(expand(a, c, r - k)):
+                for j, cj in enumerate(expand(b, d, k)):
+                    poly[i + j] = (poly[i + j] + ci * cj) % ell
+            cols.append([x * scale % ell for x in poly])
+        mats.append([list(row) for row in zip(*cols)])
+    return mats
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7, 13, 127, 2**31 - 1])
+def test_sym_module_matches_binomial_reference(ell):
+    import random
+
+    rng = random.Random(ell)
+    for r in list(range(8)) + [rng.randrange(8, 31) for _ in range(4)] + [30]:
+        gens = []
+        while len(gens) < 3:
+            g = tuple(tuple(rng.randrange(ell) for _ in range(2)) for _ in range(2))
+            if (g[0][0] * g[1][1] - g[0][1] * g[1][0]) % ell:
+                gens.append(g)
+        twist = rng.randrange(-3, 4)
+        M = sym_module(ell, r, twist, gens, allow_reducible=True)
+        assert M.dim == r + 1 and all(m.dtype == np.int64 for m in M.matrices)
+        assert [m.tolist() for m in M.matrices] == sym_reference(ell, r, twist, gens), (r, twist, gens)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: module_from_matrices(7, [1.5 * np.eye(2, dtype=np.int64)]), "must be integers, got float64"),
+        (lambda: close_group([((1.5, 0), (0, 1))], 7), "must be integers, got float"),
+        (lambda: sym_module(7, 2, 1.0), "int twist"),
+        (lambda: module_from_matrices(7, []), "at least one module matrix"),
+        (lambda: sym_module(7, 2, 0, [np.eye(3, dtype=np.int64)]), "2 x 2 generator matrices"),
+    ],
+    ids=["module-float", "close-float", "sym-float-twist", "module-empty", "sym-3x3"],
+)
+def test_non_integer_or_empty_input_rejected(call, match):
+    # a float entry is never truncated, an empty list gets a clean error, and a
+    # 3 x 3 generator is not read through its top-left 2 x 2 block
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_sym_range_guard():
@@ -257,6 +290,11 @@ def test_h0_additive():
 
 
 # -- h1 ------------------------------------------------------------------------
+
+
+def abelianization_elementary_divisors(G):
+    # nontrivial elementary divisors of G^ab = ZZ^ng / (relation lattice)
+    return tuple(d for d in _smith_divisors(_relation_lattice(G), len(G.generators)) if d != 1)
 
 
 def test_h1_trivial_on_perfect_group():

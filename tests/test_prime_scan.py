@@ -12,7 +12,6 @@ from monolab.principal_sl2 import (
 )
 from monolab.prime_scan import (
     Factorization,
-    aggregate_bad_primes,
     build_report,
     check_against_reference,
     factor,
@@ -84,15 +83,15 @@ def test_a1_scan_by_hand():
 
 
 def test_g2_flagship_list():
-    assert aggregate_bad_primes("G2") == (2, 3, 5)
+    assert build_report("G2").bad_primes == (2, 3, 5)
 
 
 def test_f4_list():
-    assert aggregate_bad_primes("F4") == (2, 3, 5, 7, 11)
+    assert build_report("F4").bad_primes == (2, 3, 5, 7, 11)
 
 
 def test_e7_list():
-    assert aggregate_bad_primes("E7") == (2, 3, 5, 7, 11, 13, 17, 19, 31, 37, 53)
+    assert build_report("E7").bad_primes == (2, 3, 5, 7, 11, 13, 17, 19, 31, 37, 53)
 
 
 def test_e6_list_and_zero_pattern():
@@ -133,8 +132,6 @@ def test_e8_adjudication():
 def test_classical_types_informational():
     rep = build_report("A3")
     assert rep.informational
-    with pytest.raises(ValueError):
-        aggregate_bad_primes("A3")
     ok, _, note = check_against_reference(rep)
     assert ok and "informational" in note
 

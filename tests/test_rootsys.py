@@ -10,7 +10,6 @@ from monolab.rootsys import (
     _validate,
     build_root_datum,
     cartan_matrix,
-    weyl_contains_minus_one,
 )
 
 ALL_TYPES = [
@@ -124,9 +123,9 @@ def test_weyl_minus_one_table():
     expected_true = ["A1", "B2", "B3", "C3", "D4", "D8", "G2", "F4", "E7", "E8"]
     expected_false = ["A2", "A3", "A8", "D5", "E6"]
     for t in expected_true:
-        assert weyl_contains_minus_one(t), t
+        assert build_root_datum(t).weyl_has_minus_one, t
     for t in expected_false:
-        assert not weyl_contains_minus_one(t), t
+        assert not build_root_datum(t).weyl_has_minus_one, t
 
 
 def test_heights_and_coroots():

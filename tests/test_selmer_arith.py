@@ -6,13 +6,10 @@ from monolab.selmer_arith import (
     LocalCondition,
     SelmerLedger,
     balanced_ledger,
-    eigenvalue_multiset_distinct,
-    exists_regular_unit,
     lgroup_euler_difference,
     lifting_prime_bounds,
     local_dim,
     oddness_deficit,
-    regular_2rho_check,
     split_cartan_fixed_dim,
     wiles_difference,
 )
@@ -170,36 +167,6 @@ def test_split_cartan_dims():
     assert split_cartan_fixed_dim("G2") == 6
     assert split_cartan_fixed_dim("E8") == 120
     assert split_cartan_fixed_dim("A1") == 1
-
-
-def test_regular_2rho():
-    assert regular_2rho_check(13, 2, "G2")  # ord(2) = 12 > 2h-2 = 10
-    assert not regular_2rho_check(13, 1, "G2")
-    assert not regular_2rho_check(13, 12, "G2")  # order 2
-    with pytest.raises(ValueError):
-        regular_2rho_check(13, 0, "G2")
-
-
-@pytest.mark.parametrize("name", EXC)
-def test_regular_unit_exists_above_bound(name):
-    from monolab.exact import is_probable_prime
-
-    b = lifting_prime_bounds(name)
-    ell = max(b.maximal_image_bound, b.principal_sl2_bound) + 1
-    while not is_probable_prime(ell):
-        ell += 1
-    assert exists_regular_unit(ell, name)
-
-
-def test_eigenvalue_multisets():
-    assert not eigenvalue_multiset_distinct(13, 1, 3)
-    assert not eigenvalue_multiset_distinct(13, 12, 3)  # a^2 = 1
-    # generator mod 29 = 2, ell > 4h-1 for G2 (23), m <= h-1 = 5
-    assert eigenvalue_multiset_distinct(29, 2, 5)
-    with pytest.raises(ValueError):
-        eigenvalue_multiset_distinct(13, 13, 2)
-    with pytest.raises(ValueError):
-        eigenvalue_multiset_distinct(13, 2, -1)
 
 
 def test_bounds():
