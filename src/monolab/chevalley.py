@@ -24,7 +24,6 @@ store of them; criterion 5 checks it by exhaustive Jacobi and the p+1 rule.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -32,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exact import check_prime_modulus, exact_div
-from .rootsys import Root, RootDatum, SimpleType, build_root_datum
+from .rootsys import RootDatum, SimpleType, build_root_datum
 
 
 def _carter_constants(datum: RootDatum):
@@ -210,28 +209,11 @@ class ChevalleyAlgebra:
 
     # -- structure constants ------------------------------------------------
 
-    def root_constant(self, u: Root, v: Root) -> int:
-        """N_{u,v} with [x_u, x_v] = N_{u,v} x_{u+v}; 0 if u+v is not a root, ValueError if u or v is not."""
-        d = self.datum
-        i, j = d.root_index(u), d.root_index(v)
-        return 0 if d.root_sum(i, j) is None else self._table[(i, j)][0][1]
-
     def structure_constant_triples(self):
         """All (i, j, k, c) with [e_i, e_j] having coefficient c on e_k."""
         for (i, j), terms in sorted(self._table.items()):
             for k, c in terms:
                 yield (i, j, k, c)
-
-    def structure_constants_json(self) -> str:
-        return json.dumps(
-            {
-                "simple_type": str(self.datum.simple_type),
-                "dim": self.dim,
-                "basis": [self.basis_label(k) for k in range(self.dim)],
-                "triples": [list(t) for t in self.structure_constant_triples()],
-            },
-            sort_keys=True,
-        )
 
 
 def _build_table(datum: RootDatum):

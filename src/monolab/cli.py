@@ -109,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sym", type=int, help="symmetric power r")
     p.add_argument("--twist", type=int, default=None, help="determinant twist exponent t for det^t (default -r//2)")
     p.add_argument("--naive", action="store_true", help="use the per-element oracle solver")
-    p.add_argument("--memory-budget", type=int, help="bytes allowed for the h1 solvers")
     common(p, with_type=False)
 
     p = sub.add_parser("selmer", help="evaluate the difference formulas on a ledger file")
@@ -121,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-paper", help="run the full acceptance matrix")
     p.add_argument("--only", action="append", help="criterion name; repeatable")
-    p.add_argument("--memory-budget", type=int)
     common(p, with_type=False)
     return ap
 
@@ -178,7 +176,7 @@ def _cmd_cohomology(ns: argparse.Namespace) -> int:
         for ell in range(lo, hi + 1):
             if not is_probable_prime(ell):
                 continue
-            rows.append({"ell": ell, "h1_total": adjoint_h1_via_kostant(ns.type, ell, ns.memory_budget)})
+            rows.append({"ell": ell, "h1_total": adjoint_h1_via_kostant(ns.type, ell)})
         _emit({"simple_type": ns.type, "sweep": rows}, ns)
         return EXIT_OK
     if ell is None or ns.sym is None:
@@ -187,7 +185,7 @@ def _cmd_cohomology(ns: argparse.Namespace) -> int:
     twist = ns.twist if ns.twist is not None else -(ns.sym // 2)
     G = sl2_group(ell)
     M = sym_module(ell, ns.sym, -twist)
-    rep = h1_naive(G, M) if ns.naive else h1(G, M, ns.memory_budget)
+    rep = h1_naive(G, M) if ns.naive else h1(G, M)
     doc = rep.to_json_dict()
     doc.update({"ell": ell, "sym": ns.sym, "twist": twist, "solver": "naive" if ns.naive else "borel"})
     _emit(doc, ns)
@@ -219,7 +217,7 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     except AssertionError as exc:
         print(f"FAIL fixture-sync: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    results = verify_paper(only=ns.only, budget=ns.memory_budget)
+    results = verify_paper(only=ns.only)
     # timing goes to stderr only, so the data stream is bit-identical across runs
     doc = {
         "criteria": [{"name": r.name, "ok": r.ok, "details": r.details} for r in results],

@@ -309,8 +309,10 @@ def residues(matrix, ell: int) -> np.ndarray:
 
 
 def rank_mod(matrix, ell: int) -> int:
-    """Rank over F_ell of an integer matrix."""
+    """Rank over F_ell of an integer matrix; ValueError for anything not 2-d."""
     matrix = residues(matrix, ell)
+    if matrix.ndim != 2:
+        raise ValueError(f"rank_mod needs a 2-d matrix, got shape {matrix.shape}")
     state = EchelonState(matrix.shape[1], ell)
     state.add(matrix)
     return state.rank
@@ -318,10 +320,12 @@ def rank_mod(matrix, ell: int) -> int:
 
 def det_mod(rows, ell: int) -> int:
     """Determinant mod ell of a square integer matrix, by elimination over F_ell."""
-    n = len(rows)
-    state = EchelonState(n, ell)
-    state.add(residues(rows, ell).reshape(n, n))
-    if state.rank < n:
+    matrix = residues(rows, ell)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"det_mod needs a square matrix, got shape {matrix.shape}")
+    state = EchelonState(len(matrix), ell)
+    state.add(matrix)
+    if state.rank < len(matrix):
         return 0
     p = np.array(state.pivots)
     inversions = int(np.triu(p[:, None] > p[None, :], 1).sum())

@@ -28,7 +28,6 @@ exponent data of a root system.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -47,9 +46,8 @@ class ResourceLimitError(RuntimeError):
     """Closure cap or memory budget exceeded."""
 
 
-def memory_budget(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return explicit
+def memory_budget() -> int:
+    """Bytes the solvers may allocate: MONOLAB_MEMORY_BUDGET, or 2 GiB."""
     env = os.environ.get(_BUDGET_ENV)
     return int(env) if env else DEFAULT_MEMORY_BUDGET
 
@@ -63,17 +61,17 @@ class FiniteMatrixGroup:
     `_bfs_closure` builds elements (breadth-first discovery order, identity
     first), index, cayley (cayley[g, j] is the index of elements[g] *
     generators[j]) and tree together, on the first read of any of them or of
-    order, and raises ResourceLimitError past `cap` elements.  For
+    order, and raises ResourceLimitError past CLOSURE_CAP elements.  For
     `sl2_generators` the build also checks the order ell (ell^2 - 1).
     """
 
-    def __init__(self, ell, degree, generators, cap=CLOSURE_CAP):
-        self.ell, self.degree, self.generators, self.cap = ell, degree, tuple(generators), cap
+    def __init__(self, ell, degree, generators):
+        self.ell, self.degree, self.generators = ell, degree, tuple(generators)
 
     def __getattr__(self, name):  # reached only while the closure is unbuilt
         if name not in ("elements", "index", "cayley", "tree"):
             raise AttributeError(name)
-        elements, index, cayley, tree = _bfs_closure(self.generators, self.ell, self.cap)
+        elements, index, cayley, tree = _bfs_closure(self.generators, self.ell)
         n, want = len(elements), self.ell * (self.ell**2 - 1)
         if self.is_standard_sl2 and n != want:
             raise ArithmeticError(f"SL2(F_{self.ell}) closure has order {n}, want {want}")
@@ -92,7 +90,7 @@ class FiniteMatrixGroup:
         return f"FiniteMatrixGroup(generators={len(self.generators)}, degree={self.degree}, ell={self.ell})"
 
 
-def _bfs_closure(gens: tuple[Matrix, ...], ell: int, cap: int):
+def _bfs_closure(gens: tuple[Matrix, ...], ell: int):
     """Elements, index, Cayley table and spanning tree of the group that reduced invertible generators span.
 
     Element order is discovery order (identity first, generators applied in
@@ -116,8 +114,8 @@ def _bfs_closure(gens: tuple[Matrix, ...], ell: int, cap: int):
             prod = tuple(map(tuple, prod))
             k = index.get(prod)
             if k is None:
-                if len(elements) >= cap:
-                    raise ResourceLimitError(f"group closure exceeded cap={cap}")
+                if len(elements) >= CLOSURE_CAP:
+                    raise ResourceLimitError(f"group closure exceeded cap={CLOSURE_CAP}")
                 k = len(elements)
                 index[prod] = k
                 elements.append(prod)
@@ -129,20 +127,22 @@ def _bfs_closure(gens: tuple[Matrix, ...], ell: int, cap: int):
     return tuple(elements), index, cayley, np.array(tree, dtype=np.int64)
 
 
-def _generated(generators, ell: int, cap: int) -> FiniteMatrixGroup:
-    """The unclosed group of a generator list; ValueError for a bad list, entry or modulus."""
+def _generated(generators, ell: int) -> FiniteMatrixGroup:
+    """The unclosed group of a generator list; ValueError for a bad list, entry, shape or modulus."""
     gens = [residues(g, ell) for g in generators]
     if not gens:
         raise ValueError("need at least one generator")
+    if len({g.shape for g in gens}) > 1:
+        raise ValueError(f"generators must all have one shape, got {[g.shape for g in gens]}")
     for g in gens:
         if det_mod(g, ell) == 0:
             raise ValueError("generators must be invertible")
-    return FiniteMatrixGroup(ell, len(gens[0]), (tuple(map(tuple, g.tolist())) for g in gens), cap=cap)
+    return FiniteMatrixGroup(ell, len(gens[0]), (tuple(map(tuple, g.tolist())) for g in gens))
 
 
-def close_group(generators, ell: int, cap: int = CLOSURE_CAP) -> FiniteMatrixGroup:
+def close_group(generators, ell: int) -> FiniteMatrixGroup:
     """Breadth-first closure of a generator list inside GL_degree(F_ell), built before it returns."""
-    G = _generated(generators, ell, cap)
+    G = _generated(generators, ell)
     G.order  # builds the closure here, so that its errors surface at this call
     return G
 
@@ -155,7 +155,7 @@ def sl2_generators(ell: int) -> tuple[Matrix, Matrix]:
 @lru_cache(maxsize=8)
 def sl2_group(ell: int) -> FiniteMatrixGroup:
     """SL2(F_ell) on `sl2_generators(ell)`; its ell (ell^2 - 1) elements are built only when read."""
-    return _generated(sl2_generators(ell), ell, CLOSURE_CAP)
+    return _generated(sl2_generators(ell), ell)
 
 
 @dataclass(frozen=True)
@@ -182,13 +182,14 @@ def module_from_matrices(ell, matrices, description="explicit") -> ModuleAction:
     return ModuleAction(ell, dim, mats, description)
 
 
-def sym_module(ell: int, r: int, twist: int, generators=None, allow_reducible=False) -> ModuleAction:
+def sym_module(ell: int, r: int, twist: int, generators=None) -> ModuleAction:
     """Sym^r(F_ell^2) (x) det^{-twist} on binary forms of degree r.
 
     Basis is X^{r-k} Y^k for k = 0..r; a matrix [[a,b],[c,d]] substitutes
-    X -> aX + cY, Y -> bX + dY, which makes g -> matrix a homomorphism.  An r
-    outside the range r < ell (where the module is irreducible) is rejected
-    with `ValueError`; pass allow_reducible=True to explore beyond it.
+    X -> aX + cY, Y -> bX + dY, which makes g -> matrix a homomorphism.  This
+    is a module for every r >= 0 (irreducible while r < ell).  A singular
+    generator is a ValueError, and a build whose estimate exceeds
+    `memory_budget()` a ResourceLimitError.
 
     Column k of Sym^n(g) is (aX + cY)^(n-k) (bX + dY)^k, so Sym^n comes from
     Sym^(n-1) in one step for all generators at once: every column times
@@ -197,15 +198,14 @@ def sym_module(ell: int, r: int, twist: int, generators=None, allow_reducible=Fa
     """
     if not (isinstance(r, (int, np.integer)) and isinstance(twist, (int, np.integer))) or r < 0:
         raise ValueError(f"need an int r >= 0 and an int twist, got r={r!r}, twist={twist!r}")
-    if r >= ell and not allow_reducible:
-        raise ValueError(
-            f"Sym^{r} over F_{ell} is outside the irreducible range r < ell;"
-            " pass allow_reducible=True to explore it anyway"
-        )
     g = residues(sl2_generators(ell) if generators is None else generators, ell)
     if g.ndim != 3 or g.shape[1:] != (2, 2):
         raise ValueError(f"Sym^r needs 2 x 2 generator matrices, got shape {g.shape}")
     a, b, c, d = (g[:, i, j, None] for i in (0, 1) for j in (0, 1))
+    dets = ((a * d - b * c) % ell).ravel()
+    if not dets.all():
+        raise ValueError(f"generator {int(np.flatnonzero(dets == 0)[0])} is singular mod {ell}")
+    _check_budget(4 * len(g) * (int(r) + 1) ** 2 * 8, f"Sym^{r}")  # S, T and two temporaries
     S = np.ones((len(g), 1, 1), dtype=np.int64)
     for n in range(1, r + 1):
         T = np.zeros((len(g), n + 1, n + 1), dtype=np.int64)
@@ -215,7 +215,7 @@ def sym_module(ell: int, r: int, twist: int, generators=None, allow_reducible=Fa
         T[:, 1:, n] += d * S[:, :, -1]
         S = T % ell
     if twist:
-        scale = [pow(int(det), -int(twist), ell) for det in ((a * d - b * c) % ell).ravel()]
+        scale = [pow(int(det), -int(twist), ell) for det in dets]
         S = S * np.array(scale)[:, None, None] % ell
     return ModuleAction(ell, r + 1, tuple(S), f"Sym^{r}(x)det^{-twist}")
 
@@ -246,9 +246,6 @@ class CohomologyReport:
     def to_json_dict(self):
         return {"h0": self.h0, "dim_Z1": self.dim_Z1, "dim_B1": self.dim_B1, "h1": self.h1}
 
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 def h0(G: FiniteMatrixGroup, M: ModuleAction) -> int:
     """Dimension of the simultaneous fixed space of the generator action."""
@@ -257,34 +254,34 @@ def h0(G: FiniteMatrixGroup, M: ModuleAction) -> int:
     return M.dim - rank_mod(stacked, M.ell)
 
 
-def h1(G: FiniteMatrixGroup, M: ModuleAction, budget: int | None = None) -> CohomologyReport:
+def h1(G: FiniteMatrixGroup, M: ModuleAction) -> CohomologyReport:
     """H^1(G, M), by the Borel solver when G is generated by `sl2_generators`, else the Cayley solver.
 
     Such a G is SL2(F_ell) by construction, so the choice is exact.  B^1 has
     dimension dim(M) - h^0 either way; the Borel solver returns h1 and the
     Cayley solver dim Z^1, and the report is the same from both.  Each
-    solver checks its own memory estimate against `budget`.
+    solver checks its own memory estimate against `memory_budget()`.
     """
     if M.ell != G.ell or len(M.matrices) != len(G.generators):
         raise ValueError("module does not match the group's generator list")
     fixed = h0(G, M)
     dim_B1 = M.dim - fixed
     if G.is_standard_sl2:
-        dim_Z1 = _h1_sl2(M, budget) + dim_B1
+        dim_Z1 = _h1_sl2(M) + dim_B1
     else:
-        dim_Z1 = _z1_cayley(G, M, budget)
+        dim_Z1 = _z1_cayley(G, M)
     return CohomologyReport(h0=fixed, dim_Z1=dim_Z1, dim_B1=dim_B1, h1=dim_Z1 - dim_B1)
 
 
-def _check_budget(need: int, budget: int | None, what: str) -> None:
-    limit = memory_budget(budget)
+def _check_budget(need: int, what: str) -> None:
+    limit = memory_budget()
     if need > limit:
         raise ResourceLimitError(
             f"{what} needs about {need} bytes, budget is {limit} (set {_BUDGET_ENV} to override)"
         )
 
 
-def _z1_cayley(G: FiniteMatrixGroup, M: ModuleAction, budget: int | None) -> int:
+def _z1_cayley(G: FiniteMatrixGroup, M: ModuleAction) -> int:
     """dim Z^1(G, M) by tree-propagated cocycles.
 
     phi is encoded by its generator values u = (phi(s_1), ..., phi(s_ng));
@@ -302,7 +299,7 @@ def _z1_cayley(G: FiniteMatrixGroup, M: ModuleAction, budget: int | None) -> int
     n, ng, dim = G.order, len(G.generators), M.dim
     ell = G.ell
     ncols = ng * dim
-    _check_budget(n * (dim * ncols * 4 + dim * dim * 8) + 64 * n, budget, "cocycle propagation")
+    _check_budget(n * (dim * ncols * 4 + dim * dim * 8) + 64 * n, "cocycle propagation")
     parent, gen = np.divmod(G.tree, ng)  # the tree edge into element k sits at index k - 1
     mats = np.array(M.matrices)
     rho = np.zeros((n, dim, dim), dtype=np.int64)
@@ -330,7 +327,7 @@ def _z1_cayley(G: FiniteMatrixGroup, M: ModuleAction, budget: int | None) -> int
     return ncols - state.rank
 
 
-def _h1_sl2(M: ModuleAction, budget: int | None) -> int:
+def _h1_sl2(M: ModuleAction) -> int:
     """dim H^1(SL2(F_ell), M) for M given on `sl2_generators(ell)`, as H^1(U, M)^T.
 
     U = <u> is cyclic of order ell, so with u -> U a cocycle on U is its value
@@ -351,7 +348,7 @@ def _h1_sl2(M: ModuleAction, budget: int | None) -> int:
     products and holds a constant number of dim x dim matrices.
     """
     ell, dim = M.ell, M.dim
-    _check_budget(64 * dim * dim * 8, budget, "the Borel solver")
+    _check_budget(64 * dim * dim * 8, "the Borel solver")
     U, W = M.matrices
     a = _primitive_root(ell)
     ai = pow(a, -1, ell)
@@ -567,7 +564,7 @@ def h1_trivial_module_rank(G: FiniteMatrixGroup, dim: int = 1) -> int:
     return (free + torsion_hits) * dim
 
 
-def adjoint_h1_via_kostant(t: SimpleType | str, ell: int, budget: int | None = None) -> int:
+def adjoint_h1_via_kostant(t: SimpleType | str, ell: int) -> int:
     """Sum over exponents m of dim(P_2m) * h1(SL2(F_ell), Sym^{2m} (x) det^{-m}).
 
     Requires ell >= 2h-1 so the exponent decomposition persists mod ell and
@@ -584,6 +581,6 @@ def adjoint_h1_via_kostant(t: SimpleType | str, ell: int, budget: int | None = N
     total = 0
     for m in sorted(set(d.exponents)):
         mult = d.exponents.count(m)
-        rep = h1(G, sym_module(ell, 2 * m, m), budget)
+        rep = h1(G, sym_module(ell, 2 * m, m))
         total += mult * rep.h1
     return total

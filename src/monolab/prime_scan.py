@@ -13,11 +13,12 @@ errors, and are recorded structurally.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
+
+import numpy as np
 
 from .chevalley import ad_power, base_change, build_chevalley_algebra
 from .exact import is_probable_prime
@@ -45,7 +46,7 @@ def _small_primes() -> tuple[int, ...]:
     for p in range(2, int(_TRIAL_LIMIT**0.5) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return tuple(i for i in range(_TRIAL_LIMIT) if sieve[i])
+    return tuple(np.flatnonzero(np.frombuffer(sieve, np.uint8)).tolist())
 
 
 @dataclass(frozen=True)
@@ -198,9 +199,6 @@ class PrimeScanReport:
             "informational": self.informational,
             "e8_adjudication": self.e8_adjudication,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def scan_simple_projections(kd: KostantDecomposition, ell: int | None = None) -> tuple[ExponentScan, ...]:

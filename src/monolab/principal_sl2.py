@@ -13,11 +13,10 @@ primitive integer vectors in a deterministic order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .chevalley import ChevalleyAlgebra, LieElement, ad_string, bracket
-from .exact import det_mod, integer_kernel, normalize_primitive
+from .exact import integer_kernel, normalize_primitive
 from .rootsys import RootDatum
 
 
@@ -153,9 +152,6 @@ class KostantDecomposition:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
 
 def kostant_decomposition(alg: ChevalleyAlgebra, triple: Sl2Triple) -> KostantDecomposition:
     """Primitive H-eigenvectors p_i of the centralizer, [p_i, H] = 2 m_i p_i.
@@ -209,17 +205,3 @@ def sl2_string_family_rows(kd: KostantDecomposition) -> list[list[int]]:
         for m, p in kd.pairs
         for v in ad_string(kd.triple.Y, 2 * m, p)
     ]
-
-
-def kostant_mod_ell_basis_check(kd: KostantDecomposition, ell: int, rows=None) -> bool:
-    """Whether {ad(Y)^k p_i : 0 <= k <= 2m_i} stays a basis of g after
-
-    reduction mod ell, decided by det != 0 (mod ell).  For ell >= 2h-1 this is
-    the integral persistence of the decomposition.
-    """
-    alg = kd.triple.algebra
-    if rows is None:
-        rows = sl2_string_family_rows(kd)
-    if len(rows) != alg.dim:
-        return False
-    return det_mod(rows, ell) != 0

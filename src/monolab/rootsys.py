@@ -17,7 +17,6 @@ arbitrary tuples, so keys are formed only from roots.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -190,9 +189,6 @@ class RootDatum:
         """The positive roots, then their negatives in the same order."""
         return self._roots.roots
 
-    def is_root(self, v: Root) -> bool:
-        return v in self._roots.index
-
     def root_index(self, root: Root) -> int:
         """The index of `root` in `all_roots`; ValueError if it is not a root."""
         k = self._roots.index.get(root)
@@ -245,9 +241,6 @@ class RootDatum:
             "exponents": list(self.exponents),
             "weyl_has_minus_one": self.weyl_has_minus_one,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def _close_positive_roots(cartan) -> list[Root]:

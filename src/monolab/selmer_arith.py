@@ -118,9 +118,6 @@ class SelmerLedger:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
     @staticmethod
     def from_json_dict(doc: dict) -> "SelmerLedger":
         version = doc.get("schema_version")
@@ -244,16 +241,15 @@ def _center_order(t: SimpleType) -> int:
     return {"A": t.rank + 1, "B": 2, "C": 2, "D": 4}[t.family]
 
 
-def balanced_ledger(t: SimpleType | str, degree: int, extra_finite: int = 2) -> SelmerLedger:
+def balanced_ledger(t: SimpleType | str, degree: int) -> SelmerLedger:
     """The balanced fixture: ordinary surplus degree*dim_n at ell, split
 
-    Cartan archimedean dims, and finitely many balanced places; both
+    Cartan archimedean dims, and two balanced places (steinberg, minimal); both
     difference formulas evaluate to 0 on it.
     """
     dim_n = split_cartan_fixed_dim(t)
     conds = [LocalCondition("ordinary", h0_local=0, field_degree=degree)]
-    for i in range(extra_finite):
-        conds.append(LocalCondition(("steinberg", "minimal")[i % 2], h0_local=i))
+    conds += [LocalCondition("steinberg", h0_local=0), LocalCondition("minimal", h0_local=1)]
     return SelmerLedger(
         h0_global=0,
         h0_global_twist=0,

@@ -127,7 +127,7 @@ def test_criterion_6_cohomology_vanishing():
     # asserted: h1 = 1 at r = ell-3 and 0 at every other even r < ell
     # (ell in {7,...,29}); adjoint sums (G2,13) = 1 since 2*5 = 13-3,
     # (F4,29) = 0 and (E6,29) = 0
-    report(timed(crit_cohomology_vanishing, None), budget_s=300)
+    report(timed(crit_cohomology_vanishing), budget_s=300)
 
 
 def _stub_solvers(monkeypatch, h1_value, adjoint_value):
@@ -138,16 +138,14 @@ def _stub_solvers(monkeypatch, h1_value, adjoint_value):
     """
     real_h1 = verify.h1
 
-    def fake_h1(G, M, budget=None):
+    def fake_h1(G, M):
         if G.order <= 200:
-            return real_h1(G, M, budget)
+            return real_h1(G, M)
         v = h1_value(M.ell, M.dim - 1)
         return CohomologyReport(h0=0, dim_Z1=v, dim_B1=0, h1=v)
 
     monkeypatch.setattr(verify, "h1", fake_h1)
-    monkeypatch.setattr(
-        verify, "adjoint_h1_via_kostant", lambda t, ell, budget=None: adjoint_value(t, ell)
-    )
+    monkeypatch.setattr(verify, "adjoint_h1_via_kostant", adjoint_value)
 
 
 def _true_adjoint(t, ell):
@@ -185,8 +183,8 @@ def test_criterion_6_rejects_borel_cayley_disagreement(monkeypatch):
 
     real_h1 = verify.h1
 
-    def skewed_h1(G, M, budget=None):
-        rep = real_h1(G, M, budget)
+    def skewed_h1(G, M):
+        rep = real_h1(G, M)
         if G.generators != sl2_generators(G.ell) and G.order > 200 and M.dim == 5:
             return CohomologyReport(h0=rep.h0, dim_Z1=rep.dim_Z1 + 1, dim_B1=rep.dim_B1, h1=rep.h1 + 1)
         return rep

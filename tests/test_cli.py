@@ -56,7 +56,7 @@ def test_primescan_without_check(capsys):
 
 def test_selmer_subcommand(tmp_path, capsys):
     path = tmp_path / "ledger.json"
-    path.write_text(balanced_ledger("E6", 2).to_json())
+    path.write_text(json.dumps(balanced_ledger("E6", 2).to_json_dict(), indent=2, sort_keys=True))
     code, out, _ = run_cli(capsys, "selmer", "--ledger", str(path))
     assert code == EXIT_OK
     doc = json.loads(out)
@@ -123,6 +123,15 @@ def test_cohomology_beyond_closure_cap(capsys):
     assert doc["h1"] == 0 and doc["solver"] == "borel"
 
 
+def test_cohomology_sym_at_or_beyond_ell(capsys):
+    # Sym^r is a (reducible) module for every r >= ell as well, so these answer;
+    # the Cayley solver on the swapped generators gives the same values
+    for r, h0, h1 in (("7", 0, 0), ("8", 1, 0), ("10", 0, 1)):
+        code, out, _ = run_cli(capsys, "cohomology", "--ell", "7", "--sym", r)
+        doc = json.loads(out)
+        assert code == EXIT_OK and (doc["h0"], doc["h1"]) == (h0, h1)
+
+
 def test_cohomology_usage_error(capsys):
     code, _, err = run_cli(capsys, "cohomology", "--ell", "7")
     assert code == EXIT_USAGE
@@ -178,6 +187,29 @@ def test_verify_has_no_nightly_option(capsys):
     code, out, err = run_cli(capsys, "verify-paper", "--nightly")
     assert code == EXIT_USAGE
     assert out == "" and "unrecognized arguments: --nightly" in err
+
+
+def test_verify_reports_raising_criterion_as_fail(capsys, monkeypatch):
+    # a constructor that refuses the structure a criterion checks gives a FAIL
+    # line and exit 2, not exit 1 with "error:"
+    from monolab import verify
+
+    def refuse(alg, triple):
+        raise ArithmeticError("eigenvalue 2*1: got 0 eigenvectors, expected 1")
+
+    monkeypatch.setattr(verify, "kostant_decomposition", refuse)
+    code, out, err = run_cli(capsys, "verify-paper", "--only", "kostant-structure")
+    assert code == EXIT_MISMATCH
+    assert "FAIL kostant-structure" in err and "error:" not in err
+    doc = json.loads(out)
+    assert doc["all_ok"] is False
+    assert doc["criteria"] == [
+        {
+            "name": "kostant-structure",
+            "ok": False,
+            "details": ["ArithmeticError: eigenvalue 2*1: got 0 eigenvectors, expected 1"],
+        }
+    ]
 
 
 def test_verify_fixture_corruption_exits_2(capsys, monkeypatch):

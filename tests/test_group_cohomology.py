@@ -6,7 +6,7 @@ import pytest
 from conftest import run_optimized
 
 from monolab import group_cohomology
-from monolab.exact import det_mod, is_probable_prime
+from monolab.exact import det_mod, is_probable_prime, rank_mod
 from monolab.group_cohomology import (
     CohomologyReport,
     FiniteMatrixGroup,
@@ -74,11 +74,12 @@ def test_identity_only_group():
     assert G.order == 1
 
 
-def test_closure_cap():
+def test_closure_cap(monkeypatch):
     # close_group builds at the call; a group made from generators alone builds on the first read
+    monkeypatch.setattr(group_cohomology, "CLOSURE_CAP", 100)
     with pytest.raises(ResourceLimitError, match="cap=100"):
-        close_group(sl2_generators(13), 13, cap=100)
-    G = FiniteMatrixGroup(13, 2, sl2_generators(13), cap=100)
+        close_group(sl2_generators(13), 13)
+    G = FiniteMatrixGroup(13, 2, sl2_generators(13))
     with pytest.raises(ResourceLimitError, match="cap=100"):
         G.cayley
 
@@ -231,7 +232,7 @@ def test_sym_module_matches_binomial_reference(ell):
             if (g[0][0] * g[1][1] - g[0][1] * g[1][0]) % ell:
                 gens.append(g)
         twist = rng.randrange(-3, 4)
-        M = sym_module(ell, r, twist, gens, allow_reducible=True)
+        M = sym_module(ell, r, twist, gens)
         assert M.dim == r + 1 and all(m.dtype == np.int64 for m in M.matrices)
         assert [m.tolist() for m in M.matrices] == sym_reference(ell, r, twist, gens), (r, twist, gens)
 
@@ -244,20 +245,39 @@ def test_sym_module_matches_binomial_reference(ell):
         (lambda: sym_module(7, 2, 1.0), "int twist"),
         (lambda: module_from_matrices(7, []), "at least one module matrix"),
         (lambda: sym_module(7, 2, 0, [np.eye(3, dtype=np.int64)]), "2 x 2 generator matrices"),
+        (lambda: rank_mod([], 7), r"2-d matrix, got shape \(0,\)"),
+        (lambda: det_mod([[1, 2, 3], [4, 5, 6]], 7), r"square matrix, got shape \(2, 3\)"),
+        (
+            lambda: close_group([((1, 1), (0, 1)), np.eye(3, dtype=np.int64)], 7),
+            r"one shape, got \[\(2, 2\), \(3, 3\)\]",
+        ),
+        (lambda: sym_module(7, 2, 0, [((1, 1), (0, 1)), ((1, 0), (0, 0))]), "generator 1 is singular mod 7"),
+        (lambda: sym_module(7, 2, 1, [((1, 1), (0, 1)), ((1, 0), (0, 0))]), "generator 1 is singular mod 7"),
     ],
-    ids=["module-float", "close-float", "sym-float-twist", "module-empty", "sym-3x3"],
+    ids=[
+        "module-float", "close-float", "sym-float-twist", "module-empty", "sym-3x3",
+        "rank-empty", "det-2x3", "close-mixed", "sym-singular", "sym-singular-twist",
+    ],
 )
 def test_non_integer_or_empty_input_rejected(call, match):
-    # a float entry is never truncated, an empty list gets a clean error, and a
-    # 3 x 3 generator is not read through its top-left 2 x 2 block
+    # a float entry is never truncated, an empty list gets a clean error, a
+    # 3 x 3 generator is not read through its top-left 2 x 2 block, a wrong
+    # shape is named instead of surfacing as a numpy error, and a singular
+    # generator is named whatever the twist (not pow()'s own error, and no
+    # non-invertible module matrices)
     with pytest.raises(ValueError, match=match):
         call()
 
 
-def test_sym_range_guard():
-    with pytest.raises(ValueError):
-        sym_module(7, 7, 0)
-    sym_module(7, 7, 0, allow_reducible=True)
+def test_sym_build_checked_against_budget(monkeypatch):
+    # Sym^r is built for every r, so its (r+1)^2 arrays are checked against the
+    # budget before the O(r) loop starts
+    monkeypatch.setenv("MONOLAB_MEMORY_BUDGET", str(64 * 101**2))
+    assert sym_module(7, 100, 0).dim == 101
+    with pytest.raises(ResourceLimitError, match=r"Sym\^101 needs about"):
+        sym_module(7, 101, 0)
+    with pytest.raises(ResourceLimitError, match=r"Sym\^1000000 needs about"):
+        sym_module(2**31 - 1, 10**6, 0)
 
 
 def test_det_twist_trivial_on_sl2():
@@ -557,22 +577,25 @@ def test_adjoint_h1_bound_guard():
         adjoint_h1_via_kostant("G2", 7)  # below 2h-1 = 11
 
 
-def test_memory_budget():
+def test_memory_budget(monkeypatch):
     # the Cayley solver's guard, on SL2(F_13) closed from swapped generators
     G, M = swapped_group(13), swapped_module(sym_module(13, 10, 5))
+    monkeypatch.setenv("MONOLAB_MEMORY_BUDGET", "10000")
     with pytest.raises(ResourceLimitError):
-        h1(G, M, budget=10_000)
+        h1(G, M)
 
 
-def test_memory_budget_borel():
+def test_memory_budget_borel(monkeypatch):
     # the Borel solver checks its own estimate against the same budget, and
     # needs far less than the Cayley solver on the same group and module
     G, M = sl2_group(13), sym_module(13, 10, 5)
+    monkeypatch.setenv("MONOLAB_MEMORY_BUDGET", "10000")
     with pytest.raises(ResourceLimitError, match="Borel"):
-        h1(G, M, budget=10_000)
-    assert h1(G, M, budget=1_000_000).h1 == 1
+        h1(G, M)
+    monkeypatch.setenv("MONOLAB_MEMORY_BUDGET", "1000000")
+    assert h1(G, M).h1 == 1
     with pytest.raises(ResourceLimitError, match="cocycle propagation"):
-        h1(swapped_group(13), swapped_module(M), budget=1_000_000)
+        h1(swapped_group(13), swapped_module(M))
 
 
 def test_budget_env_override(monkeypatch):
@@ -580,7 +603,6 @@ def test_budget_env_override(monkeypatch):
 
     monkeypatch.setenv("MONOLAB_MEMORY_BUDGET", "12345")
     assert memory_budget() == 12345
-    assert memory_budget(99) == 99
     monkeypatch.delenv("MONOLAB_MEMORY_BUDGET")
     assert memory_budget() == 2 * 1024**3
 
@@ -633,11 +655,11 @@ def test_solver_selected_by_generator_list(monkeypatch):
 @pytest.mark.parametrize("ell", [2, 3, 5, 7, 11, 13])
 def test_borel_matches_cayley(ell):
     G, Gs = sl2_group(ell), swapped_group(ell)
-    mods = [sym_module(ell, r, twist, allow_reducible=True) for r in range(ell + 3) for twist in (0, 1, 2)]
+    mods = [sym_module(ell, r, twist) for r in range(ell + 3) for twist in (0, 1, 2)]
     mods.append(
         module_direct_sum(
-            sym_module(ell, max(ell - 3, 0), 1, allow_reducible=True),
-            module_direct_sum(sym_module(ell, ell + 1, 0, allow_reducible=True), trivial_module(ell, 2)),
+            sym_module(ell, max(ell - 3, 0), 1),
+            module_direct_sum(sym_module(ell, ell + 1, 0), trivial_module(ell, 2)),
         )
     )
     for M in mods:
@@ -649,9 +671,9 @@ def test_borel_matches_naive():
     cases = [(2, r) for r in range(8)] + [(3, r) for r in range(8)] + [(5, r) for r in range(5)] + [(7, 0), (7, 1)]
     for ell, r in cases:
         for twist in (0, 1):
-            M = sym_module(ell, r, twist, allow_reducible=True)
+            M = sym_module(ell, r, twist)
             assert h1(sl2_group(ell), M) == h1_naive(sl2_group(ell), M), (ell, r, twist)
-    M = module_direct_sum(sym_module(3, 4, 0, allow_reducible=True), trivial_module(3, 2))
+    M = module_direct_sum(sym_module(3, 4, 0), trivial_module(3, 2))
     assert h1(sl2_group(3), M) == h1_naive(sl2_group(3), M)
 
 
@@ -810,7 +832,7 @@ def test_input_checks_raise_errors():
 def test_sl2_order_check_raises(monkeypatch):
     # the check runs where the elements are built, on the first read
     real = group_cohomology._bfs_closure
-    monkeypatch.setattr(group_cohomology, "_bfs_closure", lambda gens, ell, cap: real(gens[:1], ell, cap))
+    monkeypatch.setattr(group_cohomology, "_bfs_closure", lambda gens, ell: real(gens[:1], ell))
     G = group_cohomology.sl2_group.__wrapped__(5)
     with pytest.raises(ArithmeticError, match="order 5"):
         G.order

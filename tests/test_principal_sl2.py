@@ -3,13 +3,13 @@ from fractions import Fraction
 import pytest
 
 from monolab.chevalley import ad_power, bracket, build_chevalley_algebra
-from monolab.exact import content
+from monolab.exact import content, det_mod
 from monolab.principal_sl2 import (
     build_principal_sl2,
     centralizer_of_X,
     kostant_decomposition,
-    kostant_mod_ell_basis_check,
     principal_coefficients,
+    sl2_string_family_rows,
     sl2_string_lengths_ok,
 )
 from monolab.rootsys import EXCEPTIONAL_TYPES, build_root_datum
@@ -177,7 +177,9 @@ def test_mod_ell_persistence(name):
     kd = kostant_decomposition(alg, build_principal_sl2(alg))
     h = alg.datum.coxeter_number
     ell = next(p for p in range(2 * h - 1, 4 * h) if all(p % q for q in range(2, p)))
-    assert kostant_mod_ell_basis_check(kd, ell)
+    # criterion 8's test: the string family stays a basis of g mod ell
+    rows = sl2_string_family_rows(kd)
+    assert len(rows) == alg.dim and det_mod(rows, ell) != 0
 
 
 def test_decomposition_requires_zz():

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -188,7 +189,7 @@ def test_bounds():
 
 def test_ledger_json_round_trip():
     led = balanced_ledger("E7", 2)
-    again = SelmerLedger.from_json(led.to_json())
+    again = SelmerLedger.from_json(json.dumps(led.to_json_dict(), indent=2, sort_keys=True))
     assert again == led
     doc = led.to_json_dict()
     assert doc["schema_version"] == 1

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import pathlib
 
 import monolab
@@ -25,25 +26,75 @@ def _monolab_imports(tree):
             yield from ((alias.name, None) for alias in node.names if alias.name.split(".")[0] == "monolab")
 
 
+def _benchmark_sources():
+    """(file name, syntax tree) for each perfbench module and each SETUP_CODE string in it."""
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        yield path.name, tree
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "SETUP_CODE" for t in node.targets):
+                yield path.name, ast.parse(ast.literal_eval(node.value))
+
+
 def test_benchmark_imports_resolve():
     # the benchmark imports these names from the package; a deletion that
     # removed one would otherwise show only as failed benchmark operations
     found, missing = [], []
-    for path in sorted(PERFBENCH.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        sources = [tree] + [
-            ast.parse(ast.literal_eval(node.value))
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "SETUP_CODE" for t in node.targets)
-        ]
-        for source in sources:
-            for module, name in _monolab_imports(source):
-                found.append((module, name))
-                mod = importlib.import_module(module)
-                if name is not None and not hasattr(mod, name):
-                    try:
-                        importlib.import_module(f"{module}.{name}")
-                    except ModuleNotFoundError:
-                        missing.append(f"{path.name}: from {module} import {name}")
+    for name_of_file, source in _benchmark_sources():
+        for module, name in _monolab_imports(source):
+            found.append((module, name))
+            mod = importlib.import_module(module)
+            if name is not None and not hasattr(mod, name):
+                try:
+                    importlib.import_module(f"{module}.{name}")
+                except ModuleNotFoundError:
+                    missing.append(f"{name_of_file}: from {module} import {name}")
     assert ("monolab.cli", None) in found and ("monolab.group_cohomology", "h1_trivial_module_rank") in found
     assert not missing, missing
+
+
+def _resolve(node, names):
+    """The package object a call's function expression names (`fn` or `module.fn`), else None."""
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.insert(0, node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name) or node.id not in names:
+        return None
+    obj = names[node.id]
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    return obj
+
+
+def test_benchmark_call_shapes_bind():
+    # every call the benchmark makes to a package function, directly or as
+    # ctx.call(span, fn, *args), must bind to that function's signature, so a
+    # removed parameter fails here rather than as failed benchmark operations
+    checked, unbound = set(), []
+    for name_of_file, source in _benchmark_sources():
+        names = {}
+        for node in ast.walk(source):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "monolab":
+                mod = importlib.import_module(node.module)
+                for alias in node.names:
+                    obj = getattr(mod, alias.name, None)
+                    names[alias.asname or alias.name] = obj or importlib.import_module(f"{node.module}.{alias.name}")
+        for node in ast.walk(source):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            if isinstance(func, ast.Attribute) and func.attr == "call" and getattr(func.value, "id", None) == "ctx":
+                func, args = args[1], args[2:]
+            fn = _resolve(func, names)
+            if fn is None or not callable(fn) or inspect.isbuiltin(fn):  # e.g. an lru_cache's cache_clear
+                continue
+            if any(isinstance(a, ast.Starred) for a in args) or any(k.arg is None for k in node.keywords):
+                raise AssertionError(f"{name_of_file}:{node.lineno}: a call with *args or **kwargs cannot be checked")
+            try:
+                inspect.signature(fn).bind(*args, **{k.arg: k.value for k in node.keywords})
+            except TypeError as exc:
+                unbound.append(f"{name_of_file}:{node.lineno}: {ast.unparse(node)}: {exc}")
+            checked.add(getattr(fn, "__name__", repr(fn)))
+    assert {"h1", "sym_module", "jacobi_sweep", "close_group", "memory_budget", "factor"} <= checked, checked
+    assert not unbound, unbound
