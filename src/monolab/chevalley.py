@@ -160,9 +160,6 @@ class ChevalleyAlgebra:
 
     # -- element constructors ----------------------------------------------
 
-    def zero(self) -> "LieElement":
-        return LieElement(self, {})
-
     def element(self, coeffs: dict) -> "LieElement":
         for v in coeffs.values():
             _check_scalar(v)
@@ -253,9 +250,6 @@ class LieElement:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def support(self):
-        return sorted(self.coeffs)
-
     def __add__(self, other):
         _check_compat(self, other)
         out = dict(self.coeffs)
@@ -327,29 +321,6 @@ def bracket(a: LieElement, b: LieElement) -> LieElement:
             for k, c in terms:
                 acc[k] = acc.get(k, 0) + cij * c
     return LieElement(alg, alg._clean(acc))
-
-
-def ad_string(y: LieElement, n: int, v: LieElement):
-    """Yields v, ad(y) v, ..., ad(y)^n v."""
-    if n < 0:
-        raise ValueError(f"ad(y)^n needs n >= 0, got {n}")
-    yield v
-    for _ in range(n):
-        v = bracket(y, v)
-        yield v
-
-
-def ad_power(y: LieElement, n: int, v: LieElement) -> LieElement:
-    """ad(y)^n applied to v."""
-    *_, out = ad_string(y, n, v)
-    return out
-
-
-def base_change(a: LieElement, ell: int) -> LieElement:
-    """Coefficientwise reduction of an integral element to F_ell."""
-    if a.algebra.ell is not None:
-        raise ValueError("base_change starts from the ZZ form")
-    return a.algebra.mod(ell).element(a.coeffs)
 
 
 def jacobi_sweep(alg: ChevalleyAlgebra, triples=None, samples: int | None = None, seed: int = 0):

@@ -305,7 +305,7 @@ def residues(matrix, ell: int) -> np.ndarray:
     bad = sorted(t.__name__ for t in kinds if not issubclass(t, (int, np.integer)))
     if bad:
         raise ValueError(f"matrix entries must be integers, got {', '.join(bad)}")
-    return (a % ell).astype(np.int64)
+    return np.asarray(a % ell).astype(np.int64)  # a 0-d object array reduces to a bare int
 
 
 def rank_mod(matrix, ell: int) -> int:

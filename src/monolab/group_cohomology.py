@@ -176,7 +176,7 @@ def module_from_matrices(ell, matrices, description="explicit") -> ModuleAction:
     mats = tuple(residues(m, ell) for m in matrices)
     if not mats:
         raise ValueError("need at least one module matrix")
-    dim = len(mats[0])
+    dim = len(mats[0]) if mats[0].ndim else None
     if not all(m.shape == (dim, dim) for m in mats):
         raise ValueError(f"module matrices must all be square of one size, got {[m.shape for m in mats]}")
     return ModuleAction(ell, dim, mats, description)

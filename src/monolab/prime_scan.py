@@ -2,10 +2,10 @@
 
 For each exponent m with primitive eigenvector p in the centralizer of X, the
 element ad(Y)^{m+1}(p) lands in the span of the y_alpha for simple alpha (it
-sits two weight steps below the zero weight space).  The scan records its
-integer coordinates there, factors every nonzero one, and aggregates the
-primes that divide a designated coefficient.  In type E6 two of the summands
-project to zero on the outer-automorphism-fixed simple roots in
+sits two weight steps below the zero weight space).  The scan reads it from
+the Kostant string `kd.strings`, records its integer coordinates there,
+factors every nonzero one, and aggregates the primes.  In type E6 two of the
+summands project to zero on the outer-automorphism-fixed simple roots in
 characteristic zero, so the aggregation additionally reads the first dual
 Cartan component of ad(Y)^m(p) for every exponent; those zeros are data, not
 errors, and are recorded structurally.
@@ -20,16 +20,16 @@ from math import gcd
 
 import numpy as np
 
-from .chevalley import ad_power, base_change, build_chevalley_algebra
+from .chevalley import build_chevalley_algebra
 from .exact import is_probable_prime
 from .fixtures import E8_CANDIDATES, OBSTRUCTION_PRIMES
 from .principal_sl2 import KostantDecomposition, build_principal_sl2, kostant_decomposition
 from .rootsys import SimpleType
 
-# 0-based indices (Bourbaki numbering minus one) of the E6 simple roots fixed
-# by the outer diagram automorphism; these are where the char-0 zeros sit.
-_E6_FIXED_SIMPLE = frozenset({1, 3})
-_E6_SPECIAL_EXPONENTS = frozenset({4, 8})
+# The char-0 zeros of an exceptional scan, keyed by (type, exponent); none
+# elsewhere.  In E6 they sit at exponents 4 and 8, on the simple roots fixed by
+# the outer diagram automorphism (0-based indices, Bourbaki numbering minus one).
+_CHAR0_ZEROS = {("E6", 4): frozenset({1, 3}), ("E6", 8): frozenset({1, 3})}
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +168,6 @@ class ExponentScan:
     vector: tuple[int, ...]  # coefficient of y_alpha_i, i = 0..rank-1
     zero_in_char_zero: frozenset
 
-    def nonzero_items(self):
-        return [(i, c) for i, c in enumerate(self.vector) if c != 0]
-
 
 @dataclass(frozen=True)
 class PrimeScanReport:
@@ -201,26 +198,19 @@ class PrimeScanReport:
         }
 
 
-def scan_simple_projections(kd: KostantDecomposition, ell: int | None = None) -> tuple[ExponentScan, ...]:
+def scan_simple_projections(kd: KostantDecomposition) -> tuple[ExponentScan, ...]:
     """ad(Y)^{m_i+1}(p_i) coordinates on the negative simple root spaces.
-
-    With `ell`, Y and the integral eigenvectors are reduced mod ell first and
-    the brackets run in F_ell arithmetic; that is meaningful for ell >= 2h-1,
-    where the reduced eigenvectors still decompose the algebra.
 
     Raises ArithmeticError if any scan element has support outside those
     spaces; that cannot happen for a correct bracket table, so a leak is a
     bug signal rather than input error.
     """
-    Y, pairs = kd.triple.Y, kd.pairs
-    if ell is not None:
-        Y = base_change(Y, ell)
-        pairs = [(m, base_change(p, ell)) for m, p in pairs]
-    rank = Y.algebra.datum.rank
-    simple_y = {Y.algebra.basis.y(i): i for i in range(rank)}
+    alg = kd.triple.algebra
+    rank = alg.datum.rank
+    simple_y = {alg.basis.y(i): i for i in range(rank)}
     out = []
-    for m, p in pairs:
-        v = ad_power(Y, m + 1, p)
+    for m, string in zip(kd.exponents, kd.strings):
+        v = string[m + 1]
         bad = [k for k in v.coeffs if k not in simple_y]
         if bad:
             raise ArithmeticError(
@@ -250,8 +240,8 @@ def scan_e6_cartan(kd: KostantDecomposition) -> tuple[tuple[int, int], ...]:
     if str(alg.datum.simple_type) != "E6":
         raise ValueError("the Cartan scan is specific to type E6")
     out = []
-    for m, p in kd.pairs:
-        v = ad_power(kd.triple.Y, m, p)
+    for m, string in zip(kd.exponents, kd.strings):
+        v = string[m]
         nonc = [k for k in v.coeffs if k < 2 * alg.basis.num_pos]
         if nonc:
             raise ArithmeticError(f"ad(Y)^{m}(p) has non-Cartan support: {nonc}")
@@ -263,64 +253,40 @@ def scan_e6_cartan(kd: KostantDecomposition) -> tuple[tuple[int, int], ...]:
 def build_report(t: SimpleType | str) -> PrimeScanReport:
     """Full scan pipeline for one simple type.
 
-    Exceptional types get the published aggregation rules and their char-0
-    zero patterns are asserted; any other simple type is scanned for
-    information only (no nonzero assertions, primes aggregated over whatever
-    coefficients are nonzero).
+    The primes are those of every nonzero scan coefficient (and, in E6, of
+    every Cartan component).  Exceptional types must show exactly the char-0
+    zeros of `_CHAR0_ZEROS`; any other simple type is scanned for
+    information only, with no zero pattern asserted.
     """
     t = SimpleType.parse(t)
     alg = build_chevalley_algebra(t)
     kd = kostant_decomposition(alg, build_principal_sl2(alg))
-    scans = scan_simple_projections(kd)
     name = str(t)
+    scans = scan_simple_projections(kd)
+    cartan = scan_e6_cartan(kd) if name == "E6" else ()
     primes: set[int] = set()
-
-    if name == "E6":
-        cartan = scan_e6_cartan(kd)
-        for s in scans:
-            if s.exponent in _E6_SPECIAL_EXPONENTS:
-                if s.zero_in_char_zero != _E6_FIXED_SIMPLE:
-                    raise ArithmeticError(
-                        f"E6 exponent {s.exponent}: char-0 zeros at {sorted(s.zero_in_char_zero)},"
-                        f" expected exactly {sorted(_E6_FIXED_SIMPLE)}"
-                    )
-                primes.update(factor(s.vector[0]).primes())
-            else:
-                if s.zero_in_char_zero:
-                    raise ArithmeticError(
-                        f"E6 exponent {s.exponent}: unexpected char-0 zero"
-                    )
-                for _, c in s.nonzero_items():
-                    primes.update(factor(c).primes())
-        for _, comp in cartan:
-            if comp == 0:
-                raise ArithmeticError("E6 Cartan scan hit a zero h[1]-component")
-            primes.update(factor(comp).primes())
-        return PrimeScanReport(name, scans, cartan, tuple(sorted(primes)))
-
-    if t.is_exceptional:
-        for s in scans:
-            if s.zero_in_char_zero:
-                raise ArithmeticError(
-                    f"{name} exponent {s.exponent}: zero coefficient in characteristic 0"
-                )
-            for _, c in s.nonzero_items():
-                primes.update(factor(c).primes())
-        adjudication = {}
-        if name == "E8":
-            disputed = sorted(set(E8_CANDIDATES) & primes)
-            adjudication = {
-                "disputed_pair": sorted(E8_CANDIDATES),
-                "present": disputed,
-                "absent": sorted(set(E8_CANDIDATES) - primes),
-            }
-        return PrimeScanReport(name, scans, (), tuple(sorted(primes)), e8_adjudication=adjudication)
-
-    # classical types: informational only
     for s in scans:
-        for _, c in s.nonzero_items():
-            primes.update(factor(c).primes())
-    return PrimeScanReport(name, scans, (), tuple(sorted(primes)), informational=True)
+        want = _CHAR0_ZEROS.get((name, s.exponent), frozenset())
+        if t.is_exceptional and s.zero_in_char_zero != want:
+            raise ArithmeticError(
+                f"{name} exponent {s.exponent}: char-0 zeros at {sorted(s.zero_in_char_zero)},"
+                f" expected exactly {sorted(want)}"
+            )
+        primes.update(p for c in s.vector if c for p in factor(c).primes())
+    for _, comp in cartan:
+        if comp == 0:
+            raise ArithmeticError("E6 Cartan scan hit a zero h[1]-component")
+        primes.update(factor(comp).primes())
+    adjudication = {}
+    if name == "E8":
+        adjudication = {
+            "disputed_pair": sorted(E8_CANDIDATES),
+            "present": sorted(set(E8_CANDIDATES) & primes),
+            "absent": sorted(set(E8_CANDIDATES) - primes),
+        }
+    return PrimeScanReport(
+        name, scans, cartan, tuple(sorted(primes)), not t.is_exceptional, adjudication
+    )
 
 
 def check_against_reference(report: PrimeScanReport):

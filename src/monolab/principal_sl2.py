@@ -8,14 +8,18 @@ vectors making (X, H, Y) satisfy
 
 The centralizer P of X is abelian of dimension equal to the rank; H acts on P
 with eigenvalues {2m : m an exponent}, and the eigenvectors are returned as
-primitive integer vectors in a deterministic order.
+primitive integer vectors in a deterministic order.  Each p_i of exponent m_i
+spans the string ad(Y)^k p_i, k <= 2 m_i, of the Kostant summand V_{2 m_i};
+`KostantDecomposition.strings` builds every string once, and the sl2 string
+checks and the prime scan read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .chevalley import ChevalleyAlgebra, LieElement, ad_string, bracket
+from .chevalley import ChevalleyAlgebra, LieElement, bracket
 from .exact import integer_kernel, normalize_primitive
 from .rootsys import RootDatum
 
@@ -137,6 +141,17 @@ class KostantDecomposition:
     def exponents(self):
         return tuple(m for m, _ in self.pairs)
 
+    @cached_property
+    def strings(self) -> tuple[tuple[LieElement, ...], ...]:
+        """Per pair (m, p): (ad(Y)^k p for k = 0..2m+1); built on first read."""
+        Y, out = self.triple.Y, []
+        for m, p in self.pairs:
+            string = [p]
+            for _ in range(2 * m + 1):
+                string.append(bracket(Y, string[-1]))
+            out.append(tuple(string))
+        return tuple(out)
+
     def to_json_dict(self) -> dict:
         alg = self.triple.algebra
         return {
@@ -190,18 +205,12 @@ def kostant_decomposition(alg: ChevalleyAlgebra, triple: Sl2Triple) -> KostantDe
 
 def sl2_string_lengths_ok(kd: KostantDecomposition) -> bool:
     """Each p_i generates a string ad(Y)^k(p_i) != 0 for k <= 2m_i, then 0."""
-    for m, p in kd.pairs:
-        *string, last = ad_string(kd.triple.Y, 2 * m + 1, p)
-        if any(v.is_zero() for v in string) or not last.is_zero():
-            return False
-    return True
+    return all(
+        not any(v.is_zero() for v in string[:-1]) and string[-1].is_zero() for string in kd.strings
+    )
 
 
 def sl2_string_family_rows(kd: KostantDecomposition) -> list[list[int]]:
     """Integer coordinate rows of the family {ad(Y)^k p_i : 0 <= k <= 2m_i}."""
     dim = kd.triple.algebra.dim
-    return [
-        [v.coeffs.get(k, 0) for k in range(dim)]
-        for m, p in kd.pairs
-        for v in ad_string(kd.triple.Y, 2 * m, p)
-    ]
+    return [[v.coeffs.get(k, 0) for k in range(dim)] for string in kd.strings for v in string[:-1]]

@@ -210,11 +210,6 @@ class RootDatum:
             k += 1
         return k
 
-    def height(self, root: Root) -> int:
-        """Sum of simple-root coordinates; defined for every root, either sign."""
-        self.root_index(root)
-        return sum(root)
-
     def coroot(self, root: Root) -> Root:
         """The coroot of `root` in simple-coroot coordinates."""
         self.root_index(root)

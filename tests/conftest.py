@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import monolab
-from monolab.chevalley import ChevalleyAlgebra, build_chevalley_algebra
+from monolab.chevalley import ChevalleyAlgebra, bracket, build_chevalley_algebra
 
 
 def run_optimized(code):
@@ -15,6 +15,13 @@ def run_optimized(code):
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     return out.stdout.strip()
+
+
+def ad_power(y, n, v):
+    """ad(y)^n v by n brackets, independent of the Kostant strings the package caches."""
+    for _ in range(n):
+        v = bracket(y, v)
+    return v
 
 
 def string_depth(datum, u, v):

@@ -16,6 +16,7 @@ from monolab.exact import (
     rank_mod,
     residues,
 )
+from monolab.group_cohomology import module_from_matrices
 
 
 def rational_rank(rows, ncols):
@@ -202,6 +203,21 @@ def test_kernel_rejects_bad_moduli():
 def test_kernel_rejects_non_integer_entries(call):
     # a float entry is rejected, never truncated to an int
     with pytest.raises(ValueError, match="matrix entries must be integers, got float"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: det_mod(5, 7), r"square matrix, got shape \(\)"),
+        (lambda: rank_mod(5, 7), r"2-d matrix, got shape \(\)"),
+        (lambda: module_from_matrices(7, [5]), r"square of one size, got \[\(\)\]"),
+    ],
+    ids=["det_mod", "rank_mod", "module_from_matrices"],
+)
+def test_bare_integer_is_not_a_matrix(call, match):
+    # a 0-d input reaches the shape checks as a 0-d residue array
+    with pytest.raises(ValueError, match=match):
         call()
 
 

@@ -2,15 +2,17 @@ import hashlib
 import json
 
 import pytest
-from conftest import run_optimized
+from conftest import ad_power, run_optimized
 
-from monolab.chevalley import base_change, build_chevalley_algebra
+from monolab import prime_scan
+from monolab.chevalley import build_chevalley_algebra
 from monolab.principal_sl2 import (
     KostantDecomposition,
     build_principal_sl2,
     kostant_decomposition,
 )
 from monolab.prime_scan import (
+    ExponentScan,
     Factorization,
     build_report,
     check_against_reference,
@@ -106,6 +108,22 @@ def test_e6_list_and_zero_pattern():
             assert scan.zero_in_char_zero == frozenset()
 
 
+def test_char0_zero_rule_is_enforced(monkeypatch):
+    # an extra zero stops an exceptional report, E6 included; classical types are not checked
+    scan = prime_scan.scan_simple_projections
+
+    def with_zero_at_0(kd):
+        return tuple(
+            ExponentScan(s.exponent, (0, *s.vector[1:]), s.zero_in_char_zero | {0}) for s in scan(kd)
+        )
+
+    monkeypatch.setattr(prime_scan, "scan_simple_projections", with_zero_at_0)
+    for name in ("G2", "E6"):
+        with pytest.raises(ArithmeticError, match=f"{name} exponent 1: char-0 zeros at \\[0\\]"):
+            build_report.__wrapped__(name)  # uncached, so the cached reports stay untouched
+    assert build_report.__wrapped__("A3").informational
+
+
 def test_e6_cartan_scan():
     kd = decomposition("E6")
     cartan = scan_e6_cartan(kd)
@@ -172,24 +190,25 @@ def test_scaling_invariance():
 
 @pytest.mark.parametrize("name,ells", [("E7", (37, 53)), ("E8", (61,))])
 def test_cross_characteristic_consistency(name, ells):
-    # native F_ell scan vanishes exactly where ell divides the ZZ coefficients
+    # the scan bracketed natively in F_ell, from Y and the p reduced mod ell, is
+    # the ZZ scan mod ell: it vanishes exactly where ell divides the ZZ coefficient
     kd = decomposition(name)
     base = scan_simple_projections(kd)
-    h = build_chevalley_algebra(name).datum.coxeter_number
+    alg = kd.triple.algebra
+    h, rank = alg.datum.coxeter_number, alg.datum.rank
     for ell in ells:
         assert ell >= 2 * h - 1
-        mod = scan_simple_projections(kd, ell)
-        for s_int, s_mod in zip(base, mod):
-            for c_int, c_mod in zip(s_int.vector, s_mod.vector):
-                assert (c_mod == 0) == (c_int % ell == 0)
-    # the mod-ell scan starts from the ZZ decomposition, not an already reduced one
-    ell = ells[0]
-    reduced = KostantDecomposition(
-        build_principal_sl2(kd.triple.algebra.mod(ell)),
-        tuple((m, base_change(p, ell)) for m, p in kd.pairs),
-    )
-    with pytest.raises(ValueError, match="ZZ"):
-        scan_simple_projections(reduced, ell)
+        fl = alg.mod(ell)
+        Y = fl.element(kd.triple.Y.coeffs)
+        hits = 0
+        for s_int, (m, p) in zip(base, kd.pairs):
+            v = ad_power(Y, m + 1, fl.element(p.coeffs))
+            assert set(v.coeffs) <= {fl.basis.y(i) for i in range(rank)}
+            for i, c_int in enumerate(s_int.vector):
+                c_mod = v.coeffs.get(fl.basis.y(i), 0)
+                assert c_mod == c_int % ell
+                hits += c_int != 0 and c_mod == 0
+        assert hits, f"{ell} divides no nonzero {name} scan coefficient"
 
 
 # sha256 of the report's JSON (indent 2, sorted keys): pins every scan vector and prime list

@@ -1,10 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from conftest import ad_power
 
-from monolab.chevalley import ad_power, bracket, build_chevalley_algebra
+import monolab
+from monolab.chevalley import bracket, build_chevalley_algebra
 from monolab.exact import content, det_mod
+from monolab.prime_scan import scan_e6_cartan, scan_simple_projections
 from monolab.principal_sl2 import (
+    KostantDecomposition,
     build_principal_sl2,
     centralizer_of_X,
     kostant_decomposition,
@@ -157,6 +161,35 @@ def test_sl2_strings(name):
     alg = build_chevalley_algebra(name)
     kd = kostant_decomposition(alg, build_principal_sl2(alg))
     assert sl2_string_lengths_ok(kd)
+
+
+def test_sl2_strings_reject_wrong_lengths():
+    # a string that has not reached 0 at k = 2m+1, or reaches it before, fails the check
+    alg = build_chevalley_algebra("G2")
+    kd = kostant_decomposition(alg, build_principal_sl2(alg))
+    for shift in (-1, 1):
+        shifted = KostantDecomposition(kd.triple, tuple((m + shift, p) for m, p in kd.pairs))
+        assert not sl2_string_lengths_ok(shifted)
+
+
+def test_strings_built_once(monkeypatch):
+    # the four string readers on one decomposition share one bracket per string step
+    alg = build_chevalley_algebra("E6")
+    kd = kostant_decomposition(alg, build_principal_sl2(alg))
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return bracket(a, b)
+
+    for module in vars(monolab).values():
+        if getattr(module, "bracket", None) is bracket:
+            monkeypatch.setattr(module, "bracket", counting)
+    readers = (sl2_string_lengths_ok, sl2_string_family_rows, scan_simple_projections, scan_e6_cartan)
+    first = [reader(kd) for reader in readers]
+    assert len(calls) == sum(2 * m + 1 for m in kd.exponents)
+    assert [reader(kd) for reader in readers] == first
+    assert len(calls) == sum(2 * m + 1 for m in kd.exponents)
 
 
 @pytest.mark.parametrize("name", ["G2", "F4", "E6"])

@@ -2,6 +2,7 @@ import ast
 import importlib
 import inspect
 import pathlib
+from collections import Counter
 
 import monolab
 
@@ -98,3 +99,33 @@ def test_benchmark_call_shapes_bind():
             checked.add(getattr(fn, "__name__", repr(fn)))
     assert {"h1", "sym_module", "jacobi_sweep", "close_group", "memory_budget", "factor"} <= checked, checked
     assert not unbound, unbound
+
+
+
+def _names_read(tree):
+    """Every identifier a syntax tree reads: variable names and attribute names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_every_definition_has_a_reader():
+    # a function, method or class that nothing in the package or the benchmark
+    # names outside its own body is code only the tests need
+    paths = sorted(pathlib.Path(monolab.__file__).parent.glob("*.py"))
+    package = {path.name: ast.parse(path.read_text()) for path in paths}
+    named = Counter(name for tree in package.values() for name in _names_read(tree))
+    for _, source in _benchmark_sources():
+        named.update(_names_read(source))
+        named.update(alias.name for node in ast.walk(source) if isinstance(node, ast.ImportFrom) for alias in node.names)
+    unread = [
+        f"{file_name}:{node.lineno}: {node.name}"
+        for file_name, tree in package.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("__")
+        and named[node.name] == Counter(_names_read(node))[node.name]
+    ]
+    assert not unread, unread
