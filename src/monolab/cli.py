@@ -14,7 +14,6 @@ import io
 import json
 import sys
 
-from .chevalley import build_chevalley_algebra
 from .exact import is_probable_prime
 from .group_cohomology import (
     ResourceLimitError,
@@ -24,7 +23,7 @@ from .group_cohomology import (
     sl2_group,
     sym_module,
 )
-from .principal_sl2 import build_principal_sl2, kostant_decomposition
+from .principal_sl2 import principal_kostant
 from .prime_scan import build_report, check_against_reference
 from .rootsys import SimpleType, build_root_datum
 from .selmer_arith import (
@@ -139,9 +138,7 @@ def _cmd_roots(ns: argparse.Namespace) -> int:
 
 
 def _cmd_kostant(ns: argparse.Namespace) -> int:
-    alg = build_chevalley_algebra(ns.type)
-    kd = kostant_decomposition(alg, build_principal_sl2(alg))
-    _emit(kd.to_json_dict(), ns)
+    _emit(principal_kostant(ns.type).to_json_dict(), ns)
     return EXIT_OK
 
 

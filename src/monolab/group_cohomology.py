@@ -34,7 +34,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .exact import EchelonState, _xgcd, det_mod, matmul_mod, rank_mod, residues
+from .exact import EchelonState, det_mod, matmul_mod, rank_mod, residues
 from .rootsys import SimpleType, build_root_datum
 
 DEFAULT_MEMORY_BUDGET = 2 * 1024**3
@@ -99,7 +99,7 @@ def _bfs_closure(gens: tuple[Matrix, ...], ell: int):
     (element, generator) order; the new elements form the next level.
     tree[k - 1] is the flat Cayley position g * ng + j of the edge that found
     element k, the first edge into it, so the parents g are non-decreasing
-    and each BFS level is a contiguous range of labels (h1 relies on this).
+    and each BFS level is a contiguous range of labels (`_levels` relies on this).
     """
     degree = len(gens[0])
     ident = tuple(tuple(1 if i == j else 0 for j in range(degree)) for i in range(degree))
@@ -223,13 +223,10 @@ def sym_module(ell: int, r: int, twist: int, generators=None) -> ModuleAction:
 def module_direct_sum(m1: ModuleAction, m2: ModuleAction) -> ModuleAction:
     if m1.ell != m2.ell or len(m1.matrices) != len(m2.matrices):
         raise ValueError("direct summands need the same ell and the same number of generator matrices")
-    mats = []
-    for a, b in zip(m1.matrices, m2.matrices):
-        blk = np.zeros((m1.dim + m2.dim, m1.dim + m2.dim), dtype=np.int64)
-        blk[: m1.dim, : m1.dim] = a
-        blk[m1.dim :, m1.dim :] = b
-        mats.append(blk)
-    return ModuleAction(m1.ell, m1.dim + m2.dim, tuple(mats), f"{m1.description}(+){m2.description}")
+    dim = m1.dim + m2.dim
+    mats = np.zeros((len(m1.matrices), dim, dim), dtype=np.int64)
+    mats[:, : m1.dim, : m1.dim], mats[:, m1.dim :, m1.dim :] = m1.matrices, m2.matrices
+    return ModuleAction(m1.ell, dim, tuple(mats), f"{m1.description}(+){m2.description}")
 
 
 @dataclass(frozen=True)
@@ -281,6 +278,19 @@ def _check_budget(need: int, what: str) -> None:
         )
 
 
+def _levels(G: FiniteMatrixGroup):
+    """Yield (lo, hi, parents, generators) per BFS level [lo, hi) of G.tree past the identity.
+
+    Element k of a level is parents[k - lo] * s_j, j = generators[k - lo], and every parent precedes lo.
+    """
+    parent, gen = np.divmod(G.tree, len(G.generators))  # the tree edge into element k sits at index k - 1
+    lo = 1
+    while lo < G.order:
+        hi = 1 + int(np.searchsorted(parent, lo))
+        yield lo, hi, parent[lo - 1 : hi - 1], gen[lo - 1 : hi - 1]
+        lo = hi
+
+
 def _z1_cayley(G: FiniteMatrixGroup, M: ModuleAction) -> int:
     """dim Z^1(G, M) by tree-propagated cocycles.
 
@@ -290,29 +300,23 @@ def _z1_cayley(G: FiniteMatrixGroup, M: ModuleAction) -> int:
     C_g + rho(g) E_j - C_{g s_j} = 0 of linear constraints.  dim Z^1 is the
     constraint-matrix corank.
 
-    The tree is `G.tree`, so a BFS level is a contiguous range of elements
-    whose rho and C come from the previous level in one product and one
-    gather-and-add; the non-tree blocks are gathered by fancy indexing, at
-    most 4096 rows per elimination batch.  C holds residues below
-    ell < 2**31 and is stored as int32; each block is formed in int64.
+    Each BFS level from `_levels` gets its rho and C from the earlier levels
+    in one product and one gather-and-add; the non-tree blocks are gathered
+    by fancy indexing, at most 4096 rows per elimination batch.  C holds
+    residues below ell < 2**31 and is stored as int32; each block is formed
+    in int64.
     """
-    n, ng, dim = G.order, len(G.generators), M.dim
-    ell = G.ell
+    n, ng, dim, ell = G.order, len(G.generators), M.dim, G.ell
     ncols = ng * dim
     _check_budget(n * (dim * ncols * 4 + dim * dim * 8) + 64 * n, "cocycle propagation")
-    parent, gen = np.divmod(G.tree, ng)  # the tree edge into element k sits at index k - 1
     mats = np.array(M.matrices)
     rho = np.zeros((n, dim, dim), dtype=np.int64)
     rho[0] = np.eye(dim, dtype=np.int64)
     C = np.zeros((n, dim, ng, dim), dtype=np.int32)  # C[g, :, j] multiplies phi(s_j)
-    lo = 1
-    while lo < n:  # the level [lo, hi) holds the elements whose parents precede lo
-        hi = 1 + int(np.searchsorted(parent, lo))
-        src, js = parent[lo - 1 : hi - 1], gen[lo - 1 : hi - 1]
+    for lo, hi, src, js in _levels(G):
         rho[lo:hi] = matmul_mod(rho[src], mats[js], ell)
         C[lo:hi] = C[src]
         C[np.arange(lo, hi), :, js] = (C[src, :, js] + rho[src]) % ell
-        lo = hi
     edges = np.setdiff1d(np.arange(n * ng), G.tree, assume_unique=True)
     state = EchelonState(ncols, ell)
     step = max(1, 4096 // dim)
@@ -439,42 +443,35 @@ def h1_naive(G: FiniteMatrixGroup, M: ModuleAction) -> CohomologyReport:
     (element, generator) pairs; only usable for small groups, which is what
     it is for: cross-checking both of `h1`'s solvers.
     """
-    n, ng, dim = G.order, len(G.generators), M.dim
-    ell = G.ell
+    n, ng, dim, ell = G.order, len(G.generators), M.dim, G.ell
     if n * dim > 1500:
         raise ResourceLimitError("naive solver is restricted to |G| * dim <= 1500")
+    mats = np.array(M.matrices)
     rho = np.zeros((n, dim, dim), dtype=np.int64)
     rho[0] = np.eye(dim, dtype=np.int64)
-    for k, (g, j) in enumerate(zip(*np.divmod(G.tree, ng)), 1):
-        rho[k] = matmul_mod(rho[g], M.matrices[j], ell)
-    lhs = matmul_mod(rho[:, None], np.array(M.matrices), ell)
-    bad = np.argwhere((lhs != rho[G.cayley]).any(axis=(2, 3)))
+    for lo, hi, src, js in _levels(G):
+        rho[lo:hi] = matmul_mod(rho[src], mats[js], ell)
+    bad = np.argwhere((matmul_mod(rho[:, None], mats, ell) != rho[G.cayley]).any(axis=(2, 3)))
     if len(bad):
         g, j = bad[0]
         raise ValueError(f"not a module: rho(g) M_j != rho(g s_j) at element g={g}, generator j={j}")
-    gen_elt = [G.index[s] for s in G.generators]
-    rows = np.zeros((n * ng * dim, n * dim), dtype=np.int64)
-    eye = np.eye(dim, dtype=np.int64)
-    r = 0
-    for g in range(n):
-        for j in range(ng):
-            tgt = int(G.cayley[g, j])
-            rows[r : r + dim, tgt * dim : (tgt + 1) * dim] += eye
-            rows[r : r + dim, g * dim : (g + 1) * dim] -= eye
-            rows[r : r + dim, gen_elt[j] * dim : (gen_elt[j] + 1) * dim] -= rho[g]
-            r += dim
-    dim_Z1 = n * dim - rank_mod(rows % ell, ell)
+    # row (g, j, a) is coordinate a of phi(g s_j) - phi(g) - rho(g) phi(s_j), and s_j = 1 * s_j
+    rows = np.zeros((n, ng, dim, n, dim), dtype=np.int64)
+    g, j, a = np.ix_(range(n), range(ng), range(dim))
+    rows[g, j, a, G.cayley[g, j], a] = 1
+    rows[g, j, a, g, a] -= 1
+    rows[g, j, :, G.cayley[0, j], :] -= rho[g]
+    dim_Z1 = n * dim - rank_mod(rows.reshape(n * ng * dim, n * dim), ell)
     fixed = h0(G, M)
     return CohomologyReport(h0=fixed, dim_Z1=dim_Z1, dim_B1=dim - fixed, h1=dim_Z1 - (dim - fixed))
 
 
-def _relation_lattice(G: FiniteMatrixGroup) -> list[list[int]]:
-    """Row-echelon basis of the abelianised relation lattice in ZZ^n_generators.
+def _relation_lattice(G: FiniteMatrixGroup) -> list[tuple[int, ...]]:
+    """The distinct nonzero rows that span the abelianised relation lattice in ZZ^n_generators.
 
     Each element carries the signed generator count of its spanning-tree word;
     every non-tree Cayley edge closes a loop, and the loop's count vector is a
-    relation of G^ab.  Rows are accumulated into an integer echelon basis by
-    gcd reduction, so at most n_generators rows survive.
+    relation of G^ab.  Rows come in Cayley-edge order, each at its first edge.
     """
     ng = len(G.generators)
     words = [[0] * ng]
@@ -482,38 +479,14 @@ def _relation_lattice(G: FiniteMatrixGroup) -> list[list[int]]:
         words.append(words[e // ng].copy())
         words[-1][e % ng] += 1
     words = np.array(words, dtype=np.int64)
-    pivot_rows: dict[int, list[int]] = {}
-
-    def add(vec):
-        v = list(vec)
-        for j in range(ng):
-            if not v[j]:
-                continue
-            row = pivot_rows.get(j)
-            if row is None:
-                if v[j] < 0:
-                    v = [-x for x in v]
-                pivot_rows[j] = v
-                return
-            a, b = row[j], v[j]
-            if b % a == 0:
-                q = b // a
-                v = [x - q * y for x, y in zip(v, row)]
-            else:
-                g, x, y = _xgcd(a, b)
-                new_row = [x * p + y * q for p, q in zip(row, v)]
-                v = [(a // g) * q - (b // g) * p for p, q in zip(row, v)]
-                pivot_rows[j] = new_row
-
     # edge (g, j) closes the loop words[g] + e_j - words[g s_j], which is 0 on tree edges
     rels = (words[:, None] + np.eye(ng, dtype=np.int64) - words[G.cayley]).reshape(-1, ng)
-    for rel in rels[rels.any(axis=1)].tolist():
-        add(rel)
-    return [pivot_rows[j] for j in sorted(pivot_rows)]
+    return list(dict.fromkeys(map(tuple, rels[rels.any(axis=1)].tolist())))
 
 
 def _smith_divisors(rows, ncols) -> list[int]:
-    rows = [r[:] for r in rows if any(r)]
+    """|d| for the nonzero entries d of a diagonal form of the integer rows, by unimodular row and column steps."""
+    rows = [list(r) for r in rows]
     divs = []
     col_alive = list(range(ncols))
     while rows and col_alive:
@@ -553,15 +526,12 @@ def _smith_divisors(rows, ncols) -> list[int]:
 
 
 def h1_trivial_module_rank(G: FiniteMatrixGroup, dim: int = 1) -> int:
-    """dim Hom(G^ab (x) F_ell, F_ell^dim), the value of h1 on a trivial
+    """dim Hom(G^ab (x) F_ell, F_ell^dim), the value of h1 on a trivial module: an oracle for the solvers.
 
-    module; an independent oracle for the cocycle solver.
+    G^ab (x) F_ell is F_ell^ng modulo one row per divisor d, and that row is zero when ell divides d.
     """
-    rows = _relation_lattice(G)
-    divisors = _smith_divisors(rows, len(G.generators))
-    free = len(G.generators) - len(rows)
-    torsion_hits = sum(1 for d in divisors if d % G.ell == 0)
-    return (free + torsion_hits) * dim
+    divisors = _smith_divisors(_relation_lattice(G), len(G.generators))
+    return (len(G.generators) - sum(d % G.ell != 0 for d in divisors)) * dim
 
 
 def adjoint_h1_via_kostant(t: SimpleType | str, ell: int) -> int:

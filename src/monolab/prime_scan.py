@@ -20,10 +20,9 @@ from math import gcd
 
 import numpy as np
 
-from .chevalley import build_chevalley_algebra
 from .exact import is_probable_prime
 from .fixtures import E8_CANDIDATES, OBSTRUCTION_PRIMES
-from .principal_sl2 import KostantDecomposition, build_principal_sl2, kostant_decomposition
+from .principal_sl2 import KostantDecomposition, principal_kostant
 from .rootsys import SimpleType
 
 # The char-0 zeros of an exceptional scan, keyed by (type, exponent); none
@@ -259,8 +258,7 @@ def build_report(t: SimpleType | str) -> PrimeScanReport:
     information only, with no zero pattern asserted.
     """
     t = SimpleType.parse(t)
-    alg = build_chevalley_algebra(t)
-    kd = kostant_decomposition(alg, build_principal_sl2(alg))
+    kd = principal_kostant(t)
     name = str(t)
     scans = scan_simple_projections(kd)
     cartan = scan_e6_cartan(kd) if name == "E6" else ()

@@ -10,18 +10,18 @@ The centralizer P of X is abelian of dimension equal to the rank; H acts on P
 with eigenvalues {2m : m an exponent}, and the eigenvectors are returned as
 primitive integer vectors in a deterministic order.  Each p_i of exponent m_i
 spans the string ad(Y)^k p_i, k <= 2 m_i, of the Kostant summand V_{2 m_i};
-`KostantDecomposition.strings` builds every string once, and the sl2 string
-checks and the prime scan read it.
+`KostantDecomposition.strings` builds every string once, and `principal_kostant`
+one ZZ decomposition per simple type, shared by the scan, verify-paper and the CLI.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
-from .chevalley import ChevalleyAlgebra, LieElement, bracket
+from .chevalley import ChevalleyAlgebra, LieElement, bracket, build_chevalley_algebra
 from .exact import integer_kernel, normalize_primitive
-from .rootsys import RootDatum
+from .rootsys import RootDatum, SimpleType
 
 
 def principal_coefficients(d: RootDatum) -> tuple[int, ...]:
@@ -201,6 +201,17 @@ def kostant_decomposition(alg: ChevalleyAlgebra, triple: Sl2Triple) -> KostantDe
             if not bracket(p, q).is_zero():
                 raise ArithmeticError("centralizer of X is not abelian: structure bug")
     return KostantDecomposition(triple, tuple(pairs))
+
+
+def principal_kostant(t: SimpleType | str) -> KostantDecomposition:
+    """The Kostant decomposition of the ZZ form of a simple type, built on the first call for that type."""
+    return _principal_kostant(SimpleType.parse(t))
+
+
+@lru_cache(maxsize=None)
+def _principal_kostant(t: SimpleType) -> KostantDecomposition:
+    alg = build_chevalley_algebra(t)
+    return kostant_decomposition(alg, build_principal_sl2(alg))
 
 
 def sl2_string_lengths_ok(kd: KostantDecomposition) -> bool:

@@ -155,9 +155,6 @@ class RootDatum:
     weyl_has_minus_one: bool
     simple_norms: tuple[int, ...]  # d_i = (alpha_i, alpha_i)/2, each 1, 2 or 3
 
-    def __hash__(self):
-        return hash(self.simple_type)
-
     # -- pairings -------------------------------------------------------
 
     def pairing(self, i: int, root: Root) -> int:

@@ -34,6 +34,22 @@ from .rootsys import SimpleType, build_root_datum
 SCHEMA_VERSION = 1
 
 KINDS = ("ordinary", "ramakrishna", "steinberg", "minimal", "archimedean", "unramified", "custom")
+GLOBAL_DIMS = ("h0_global", "h0_global_twist", "dim_n", "totally_real_degree")
+
+
+def _check_dims(**dims) -> None:
+    """Raise ValueError unless every named dimension is an int (not a bool) >= 0."""
+    for name, d in dims.items():
+        if not isinstance(d, int) or isinstance(d, bool):
+            raise ValueError(f"{name} must be an int, got {d!r}")
+        if d < 0:
+            raise ValueError(f"negative dimensions are not meaningful: {name} = {d}")
+
+
+def _required(doc: dict, key: str, where: str):
+    if key not in doc:
+        raise ValueError(f"{where} is missing the key {key!r}")
+    return doc[key]
 
 
 @dataclass(frozen=True)
@@ -46,12 +62,11 @@ class LocalCondition:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown local condition kind {self.kind!r}")
-        if self.h0_local < 0 or self.field_degree < 0:
-            raise ValueError("negative dimensions are not meaningful")
         if (self.custom_dim is None) == (self.kind == "custom"):
             raise ValueError("custom_dim is required exactly when kind='custom'")
-        if self.custom_dim is not None and self.custom_dim < 0:
-            raise ValueError("negative dimensions are not meaningful")
+        _check_dims(h0_local=self.h0_local, field_degree=self.field_degree)
+        if self.custom_dim is not None:
+            _check_dims(custom_dim=self.custom_dim)
 
 
 def local_dim(c: LocalCondition, dim_n: int) -> int:
@@ -79,8 +94,8 @@ class SelmerLedger:
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
-        if min(self.h0_global, self.h0_global_twist, self.dim_n, self.totally_real_degree) < 0:
-            raise ValueError("negative dimensions are not meaningful")
+        _check_dims(**{key: getattr(self, key) for key in GLOBAL_DIMS})
+        _check_dims(**{f"archimedean_fixed_dims[{i}]": d for i, d in enumerate(self.archimedean_fixed_dims)})
         n_arch = len(self.archimedean_fixed_dims) + sum(
             1 for c in self.locals if c.kind == "archimedean"
         )
@@ -103,43 +118,36 @@ class SelmerLedger:
             "dim_n": self.dim_n,
             "totally_real_degree": self.totally_real_degree,
             "archimedean_fixed_dims": list(self.archimedean_fixed_dims),
-            "locals": [
-                {
-                    k: v
-                    for k, v in {
-                        "kind": c.kind,
-                        "h0_local": c.h0_local,
-                        "field_degree": c.field_degree,
-                        "custom_dim": c.custom_dim,
-                    }.items()
-                    if not (k == "field_degree" and v == 0) and not (k == "custom_dim" and v is None)
-                }
+            "locals": [  # field_degree only when nonzero, custom_dim only when set
+                {"kind": c.kind, "h0_local": c.h0_local}
+                | ({"field_degree": c.field_degree} if c.field_degree else {})
+                | ({} if c.custom_dim is None else {"custom_dim": c.custom_dim})
                 for c in self.locals
             ],
         }
 
     @staticmethod
-    def from_json_dict(doc: dict) -> "SelmerLedger":
+    def from_json_dict(doc) -> "SelmerLedger":
+        """The ledger of a parsed JSON document; ValueError naming a missing key or a bad shape."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"a ledger must be a JSON object, got {type(doc).__name__}")
         version = doc.get("schema_version")
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported ledger schema_version {version!r}, expected {SCHEMA_VERSION}")
+        arch, locs = doc.get("archimedean_fixed_dims", []), doc.get("locals", [])
+        if not isinstance(arch, list) or not isinstance(locs, list) or not all(isinstance(c, dict) for c in locs):
+            raise ValueError("archimedean_fixed_dims must be a list of ints and locals a list of objects")
         conds = tuple(
             LocalCondition(
-                kind=c["kind"],
-                h0_local=c["h0_local"],
+                kind=_required(c, "kind", f"local condition {i}"),
+                h0_local=_required(c, "h0_local", f"local condition {i}"),
                 field_degree=c.get("field_degree", 0),
                 custom_dim=c.get("custom_dim"),
             )
-            for c in doc.get("locals", ())
+            for i, c in enumerate(locs)
         )
-        return SelmerLedger(
-            h0_global=doc["h0_global"],
-            h0_global_twist=doc["h0_global_twist"],
-            dim_n=doc["dim_n"],
-            totally_real_degree=doc["totally_real_degree"],
-            archimedean_fixed_dims=tuple(doc.get("archimedean_fixed_dims", ())),
-            locals=conds,
-        )
+        dims = {key: _required(doc, key, "ledger") for key in GLOBAL_DIMS}
+        return SelmerLedger(**dims, archimedean_fixed_dims=tuple(arch), locals=conds)
 
     @staticmethod
     def from_json(text: str) -> "SelmerLedger":

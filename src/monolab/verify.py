@@ -35,7 +35,7 @@ from .group_cohomology import (
 from .principal_sl2 import (
     build_principal_sl2,
     centralizer_of_X,
-    kostant_decomposition,
+    principal_kostant,
     relations_hold,
     sl2_string_family_rows,
     sl2_string_lengths_ok,
@@ -110,11 +110,10 @@ def crit_e8_adjudication() -> CriterionResult:
 def crit_kostant_structure() -> CriterionResult:
     res = CriterionResult("kostant-structure", True)
     for t in EXCEPTIONAL_TYPES:
-        alg = build_chevalley_algebra(t)
-        d = alg.datum
-        triple = build_principal_sl2(alg)
+        kd = principal_kostant(t)
+        triple = kd.triple
+        alg, d = triple.algebra, triple.algebra.datum
         P = centralizer_of_X(alg, triple)
-        kd = kostant_decomposition(alg, triple)
         checks = {
             "dim P = rank": len(P) == d.rank,
             "eigenvalues = 2*exponents": kd.exponents == d.exponents,
@@ -358,8 +357,8 @@ def crit_bounds_and_persistence() -> CriterionResult:
     res.ok &= ok
     res.details.append(f"E6 principal bound: {b} (want 47) -> {'ok' if ok else 'FAIL'}")
     for t in EXCEPTIONAL_TYPES:
-        alg = build_chevalley_algebra(t)
-        kd = kostant_decomposition(alg, build_principal_sl2(alg))
+        kd = principal_kostant(t)
+        alg = kd.triple.algebra
         rows = sl2_string_family_rows(kd)
         h = alg.datum.coxeter_number
         primes = _next_primes(2 * h - 1, 3)

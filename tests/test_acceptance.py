@@ -13,11 +13,12 @@ reports FAIL, also under python -O.
 """
 
 import time
+from collections import Counter
 
 import pytest
 from conftest import flipped_algebra, run_optimized
 
-from monolab import verify
+from monolab import prime_scan, principal_sl2, verify
 from monolab.group_cohomology import CohomologyReport
 from monolab.verify import (
     crit_bounds_and_persistence,
@@ -204,3 +205,21 @@ def test_criterion_7_selmer_identities():
 
 def test_criterion_8_bounds_and_persistence():
     report(timed(crit_bounds_and_persistence))
+
+
+def test_verify_paper_builds_each_kostant_decomposition_once(monkeypatch):
+    # criteria 1-2 (through the prime scan), 3 and 8 read one shared ZZ
+    # decomposition per exceptional type
+    built = Counter()
+    real = principal_sl2.kostant_decomposition
+
+    def counting(alg, triple):
+        built[str(alg.datum.simple_type)] += 1
+        return real(alg, triple)
+
+    for module in (principal_sl2, prime_scan, verify):  # also counts a caller that imports the builder itself
+        monkeypatch.setattr(module, "kostant_decomposition", counting, raising=False)
+    principal_sl2._principal_kostant.cache_clear()
+    prime_scan.build_report.cache_clear()
+    assert all(r.ok for r in verify.verify_paper())
+    assert built == {t: 1 for t in ("G2", "F4", "E6", "E7", "E8")}

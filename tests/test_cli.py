@@ -69,6 +69,34 @@ def test_selmer_missing_file(capsys):
     assert "error" in err
 
 
+G2_LEDGER = balanced_ledger("G2", 1).to_json_dict()
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"schema_version": 1}, "ledger is missing the key 'h0_global'"),
+        ([], "a ledger must be a JSON object, got list"),
+        ({**G2_LEDGER, "h0_global": "3"}, "h0_global must be an int, got '3'"),
+        ({**G2_LEDGER, "locals": [{"kind": "steinberg"}]}, "local condition 0 is missing the key 'h0_local'"),
+        ({**G2_LEDGER, "h0_global": 1.5}, "h0_global must be an int, got 1.5"),
+        ({**G2_LEDGER, "dim_n": True}, "dim_n must be an int, got True"),
+        ({**G2_LEDGER, "archimedean_fixed_dims": [2.5]}, "archimedean_fixed_dims[0] must be an int"),
+        ({**G2_LEDGER, "archimedean_fixed_dims": 6}, "archimedean_fixed_dims must be a list"),
+        ({**G2_LEDGER, "locals": [{"kind": "custom", "h0_local": 0, "custom_dim": 2.5}]}, "custom_dim must be an int"),
+        ({**G2_LEDGER, "locals": [{"kind": "ordinary", "h0_local": False}]}, "h0_local must be an int, got False"),
+        ({**G2_LEDGER, "locals": [3]}, "locals a list of objects"),
+    ],
+)
+def test_selmer_malformed_ledger_is_a_clean_error(tmp_path, capsys, doc, message):
+    path = tmp_path / "ledger.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "selmer", "--ledger", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert message in err, err
+
+
 def test_bounds_subcommand(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--type", "E6")
     assert code == EXIT_OK
@@ -194,10 +222,10 @@ def test_verify_reports_raising_criterion_as_fail(capsys, monkeypatch):
     # line and exit 2, not exit 1 with "error:"
     from monolab import verify
 
-    def refuse(alg, triple):
+    def refuse(t):
         raise ArithmeticError("eigenvalue 2*1: got 0 eigenvectors, expected 1")
 
-    monkeypatch.setattr(verify, "kostant_decomposition", refuse)
+    monkeypatch.setattr(verify, "principal_kostant", refuse)
     code, out, err = run_cli(capsys, "verify-paper", "--only", "kostant-structure")
     assert code == EXIT_MISMATCH
     assert "FAIL kostant-structure" in err and "error:" not in err

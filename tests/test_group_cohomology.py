@@ -347,6 +347,63 @@ def test_torus_relation_lattice():
     assert h1_trivial_module_rank(T) == 0  # gcd(12, 13) = 1
 
 
+def loop_relations(G):
+    # the nonzero count vectors of the loops that non-tree edges close, by a
+    # plain loop over the Cayley edges in breadth-first order
+    ng = len(G.generators)
+    words = {0: (0,) * ng}
+    rels = set()
+    for g in range(G.order):
+        for j, t in enumerate(G.cayley[g].tolist()):
+            step = tuple(w + (i == j) for i, w in enumerate(words[g]))
+            if t not in words:
+                words[t] = step
+            elif step != words[t]:
+                rels.add(tuple(a - b for a, b in zip(step, words[t])))
+    return rels
+
+
+IDENTITY_2 = ((1, 0), (0, 1))
+
+
+@pytest.mark.parametrize(
+    "gens, ell, divisors",
+    [
+        ([((1, 1), (0, 1))] * 3, 7, (7,)),
+        ([IDENTITY_2, BOREL_7[1], IDENTITY_2, BOREL_7[0]], 7, (6,)),
+        ([((2, 0), (0, 1)), ((1, 0), (0, 2))], 5, (4, 4)),
+        ([((3, 0), (0, 1)), ((1, 0), (0, 6)), ((6, 0), (0, 6))], 7, (2, 6)),
+        ([((1, 1, 0), (0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 1), (0, 0, 1))], 3, (3, 3)),
+        (list(sl2_generators(5)[::-1]) + [sl2_generators(5)[0]], 5, ()),
+    ],
+)
+def test_relation_lattice_rows(gens, ell, divisors):
+    # the lattice is handed over as its distinct nonzero loop relations; the
+    # elementary divisors are those the gcd echelon basis gave
+    G = close_group(gens, ell)
+    rows = _relation_lattice(G)
+    assert len(set(rows)) == len(rows) and all(any(r) for r in rows)
+    assert set(rows) == loop_relations(G)
+    assert abelianization_elementary_divisors(G) == divisors
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [[IDENTITY_2] + BOREL_7, BOREL_7 + [BOREL_7[0]], [BOREL_7[1], IDENTITY_2, BOREL_7[1], BOREL_7[0]]],
+    ids=["identity-first", "repeated", "identity-and-repeated"],
+)
+def test_naive_matches_cayley_on_repeated_and_identity_generators(gens):
+    # the naive system reads s_j's element as cayley[0, j]; a repeated
+    # generator or the identity in the list must not shift it
+    B = close_group(gens, 7)
+    assert B.order == 42
+    for r in range(6):
+        M = sym_module(7, r, 1, generators=B.generators)
+        rep = h1(B, M)
+        assert rep == h1_naive(B, M), r
+        assert rep.h1 == int(r == 4), r
+
+
 def test_symmetric_power_vanishing_values():
     # away from the single exceptional weight, even symmetric powers vanish
     G = sl2_group(13)

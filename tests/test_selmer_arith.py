@@ -49,6 +49,11 @@ def test_condition_validation():
         LocalCondition("custom", 0)  # missing custom_dim
     with pytest.raises(ValueError):
         LocalCondition("steinberg", 0, custom_dim=3)  # spurious custom_dim
+    for bad in (2.5, True, "2"):  # a dimension is an int, and a bool is not one
+        with pytest.raises(ValueError, match="custom_dim must be an int"):
+            LocalCondition("custom", 0, custom_dim=bad)
+        with pytest.raises(ValueError, match="h0_local must be an int"):
+            LocalCondition("minimal", bad)
 
 
 # -- the difference formulas -----------------------------------------------
