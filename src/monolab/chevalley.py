@@ -6,9 +6,9 @@ its results mod ell.
 
 The basis is {x_a : a in Phi+} u {y_a : a in Phi+} u {h_1..h_l}, where h_i is
 the i-th simple coroot vector, so basis vector k < 2N is the root vector of
-root k of `RootDatum.all_roots`, and the table is built on root indices alone
-through `RootDatum.root_sum`.  Bracket conventions follow the computer-algebra
-normalisation
+root k of `RootDatum.all_roots`, and the table is built on root indices alone,
+in array operations on `RootDatum.root_sums`.  Bracket conventions follow the
+computer-algebra normalisation
 
     [y_a, x_a] = a^vee,      [x_a, t] = a(t) * x_a  for t in the Cartan,
 
@@ -30,68 +30,59 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exact import check_prime_modulus, exact_div
+from .exact import check_prime_modulus, exact_div_arrays
 from .rootsys import RootDatum, SimpleType, build_root_datum
 
 
-def _carter_constants(datum: RootDatum):
-    """Structure constants in standard orientation, as n_any(u, v) for any root indices.
+def _carter_constants(datum: RootDatum, norm2: np.ndarray):
+    """Structure constants in standard orientation: arrays u, v, n with N_{u,v} = n, one entry per root sum.
 
-    Positive pairs are fixed first: extraspecial pairs get n = -(p+1), the
-    other pairs with the same sum follow by the root-quadruple identity, and
-    n_any carries them to every sign (Carter, Simple Groups of Lie Type, 4.1).
-    The exposed bracket negates the whole table, so the user-facing convention
-    carries +(p+1) on extraspecial pairs.
+    Positive pairs are fixed one height of their sum at a time, in (height,
+    lex) root order: the extraspecial pair of a sum (least first member) gets
+    n = -(p+1), the others follow by the root-quadruple identity, which reads
+    only pairs of lower sums, and `_opposite` carries them to every sign
+    (Carter, Simple Groups of Lie Type, 4.1).  The exposed bracket negates the
+    table, so users see +(p+1) on extraspecial pairs.  norm2[k] = (a, a) for
+    root k.
     """
-    num_pos = len(datum.positive_roots)
-    roots = datum.all_roots
-    norm2 = [datum.norm2(r) for r in roots]
-    root_sum = datum.root_sum
-    table: dict = {}  # both orders of each positive pair whose sum is a root
+    num_pos, sums = len(datum.positive_roots), datum.root_sums
+    a, b = np.nonzero(np.triu(sums[:num_pos, :num_pos] >= 0))  # positive pairs a < b
+    depth, w = np.zeros(len(a), dtype=np.int64), sums[b, a + num_pos]  # p: depth of the a-string through b
+    while (live := w >= 0).any():
+        depth, w = depth + live, np.where(live, sums[w, a + num_pos], -1)
+    down = sums[:num_pos, num_pos:]  # down[g, k]: the index of root g - root k
+    gamma, least = sums[a, b], np.argmax((down >= 0) & (down < num_pos), axis=1)
+    alpha = least[gamma]  # the extraspecial pair of gamma: (alpha, beta) with the least alpha
+    beta, first = down[gamma, alpha], a == alpha
+    height = np.array([sum(r) for r in datum.positive_roots])[gamma]
+    table = np.zeros((num_pos, num_pos), dtype=np.int64)
+    for h in range(2, datum.coxeter_number):  # the heights of sums of two positive roots
+        ext, rest = np.flatnonzero((height == h) & first), np.flatnonzero((height == h) & ~first)
+        table[a[ext], b[ext]], table[b[ext], a[ext]] = -(depth[ext] + 1), depth[ext] + 1
+        al, be, xi, eta = alpha[rest], beta[rest], a[rest], b[rest]
+        # N_{xi,eta} = (gamma,gamma)/n0 * (N_{beta,-xi} N_{alpha,-eta} / (beta-xi)^2
+        #                                 - N_{alpha,-xi} N_{beta,-eta} / (alpha-xi)^2); absent terms are 0/1
+        d1, d2 = sums[be, xi + num_pos], sums[al, xi + num_pos]
+        q1, q2 = np.where(d1 >= 0, norm2[d1], 1), np.where(d2 >= 0, norm2[d2], 1)
+        n1, n2, n3, n4 = _opposite(table, norm2, sums, np.r_[be, al, al, be], np.r_[xi, eta, xi, eta]).reshape(4, -1)
+        num, den = norm2[gamma[rest]] * (n1 * n2 * q2 - n3 * n4 * q1), q1 * q2 * table[al, be]
+        table[xi, eta] = exact_div_arrays(num, den, "root-quadruple identity")
+        table[eta, xi] = -table[xi, eta]
+        for i in rest[np.abs(table[xi, eta]) != depth[rest] + 1][:1]:
+            r, got = datum.all_roots, abs(table[a[i], b[i]])
+            raise ArithmeticError(f"|N{r[a[i]], r[b[i]]}| = {got} under {r[gamma[i]]}, want p+1 = {depth[i] + 1}")
+    p, q = np.nonzero(down >= 0)  # root p plus the negative of root q
+    n, mixed = table[a, b], _opposite(table, norm2, sums, p, q)
+    u, v = np.r_[a, b, a + num_pos, b + num_pos, p, q + num_pos], np.r_[b, a, b + num_pos, a + num_pos, q + num_pos, p]
+    return u, v, np.r_[n, -n, -n, n, mixed, -mixed]
 
-    def n_any(u: int, v: int):
-        # arbitrary root indices with u+v a root; root k is positive iff k < num_pos
-        if u < num_pos and v < num_pos:
-            return table[(u, v)]
-        if u >= num_pos and v >= num_pos:
-            return -n_any(u - num_pos, v - num_pos)
-        if u >= num_pos:
-            return -n_any(v, u)
-        w = root_sum(u, v)
-        if w < num_pos:
-            return exact_div(norm2[w] * table[(w, v - num_pos)], norm2[u], "structure constant")
-        return exact_div(norm2[w] * table[(w - num_pos, u)], norm2[v], "structure constant")
 
-    by_sum: dict = {}
-    for a in range(num_pos):
-        for b in range(a + 1, num_pos):
-            s = root_sum(a, b)
-            if s is not None:
-                by_sum.setdefault(s, []).append((a, b))
-
-    for gamma in sorted(by_sum):  # index order = (height, lex): sums grow
-        (alpha, beta), *others = sorted(by_sum[gamma])  # extraspecial: minimal first member
-        n0 = -(datum.string_depth(roots[alpha], roots[beta]) + 1)
-        table[(alpha, beta)], table[(beta, alpha)] = n0, -n0
-        for xi, eta in others:
-            terms = []  # (numerator, norm2 of its root) of the identity's sum
-            d1 = root_sum(beta, xi + num_pos)  # beta - xi = eta - alpha
-            if d1 is not None:
-                terms.append((n_any(beta, xi + num_pos) * n_any(alpha, eta + num_pos), norm2[d1]))
-            d2 = root_sum(alpha, xi + num_pos)  # alpha - xi = -(beta - eta)
-            if d2 is not None:
-                terms.append((-n_any(alpha, xi + num_pos) * n_any(beta, eta + num_pos), norm2[d2]))
-            num, den = 0, 1
-            for t, n in terms:
-                num, den = num * n + t * den, den * n
-            val = exact_div(norm2[gamma] * num, den * n0, "root-quadruple identity")
-            expect = datum.string_depth(roots[xi], roots[eta]) + 1
-            if abs(val) != expect:
-                raise ArithmeticError(
-                    f"|N{roots[xi], roots[eta]}| = {abs(val)} under {roots[gamma]}, want p+1 = {expect}"
-                )
-            table[(xi, eta)], table[(eta, xi)] = val, -val
-    return n_any
+def _opposite(table, norm2, sums, u, v):
+    """N_{u,-v} for positive u, v: (w,w)/(u,u) N_{w,v} if w = u - v > 0, else (w,w)/(v,v) N_{-w,u}; 0 if no root."""
+    w = sums[u, v + len(table)]
+    up, pos = w < len(table), w % len(table)
+    num = np.where(w >= 0, norm2[w] * np.where(up, table[pos, v], table[pos, u]), 0)
+    return exact_div_arrays(num, np.where(up, norm2[u], norm2[v]), "structure constant")
 
 
 @dataclass(frozen=True)
@@ -165,15 +156,6 @@ class ChevalleyAlgebra:
             _check_scalar(v)
         return LieElement(self, self._clean(coeffs))
 
-    def x(self, a: int) -> "LieElement":
-        return self.element({self.basis.x(a): 1})
-
-    def y(self, a: int) -> "LieElement":
-        return self.element({self.basis.y(a): 1})
-
-    def h(self, i: int) -> "LieElement":
-        return self.element({self.basis.h(i): 1})
-
     def basis_element(self, k: int) -> "LieElement":
         return self.element({k: 1})
 
@@ -215,28 +197,18 @@ class ChevalleyAlgebra:
 
 def _build_table(datum: RootDatum):
     """Dense pair table {(i, j): ((k, c), ...)} over basis indices, over ZZ."""
-    num_pos, rank = len(datum.positive_roots), datum.rank
-    basis = _Basis(num_pos, rank)
-    roots = datum.all_roots
-    n_any = _carter_constants(datum)  # the exposed bracket uses its negative
-    table: dict = {}
-
-    def put(i, j, terms):
-        terms = tuple((k, c) for k, c in terms if c)
-        if terms:
-            table[(i, j)] = terms
-
-    for u, root in enumerate(roots):
-        for v in range(len(roots)):  # root-root brackets
-            if v == (u + num_pos) % len(roots):
-                put(u, v, [(basis.h(i), -c) for i, c in enumerate(datum.coroot(root))])
-            elif (s := datum.root_sum(u, v)) is not None:
-                put(u, v, [(s, -n_any(u, v))])
-        for i in range(rank):  # Cartan against root vectors: [x_u, h_i] = <alpha_i^vee, u> x_u
-            pair = datum.pairing(i, root)
-            if pair:
-                put(u, basis.h(i), [(u, pair)])
-                put(basis.h(i), u, [(u, -pair)])
+    num_pos, num_roots = len(datum.positive_roots), 2 * len(datum.positive_roots)
+    roots, simple_norms = np.array(datum.all_roots, dtype=np.int64), np.array(datum.simple_norms)
+    pairings = roots @ np.array(datum.cartan).T  # pairings[u, i] = <alpha_i^vee, root u>
+    norm2 = (roots * simple_norms * pairings).sum(1)  # (u, u) = sum_i u_i d_i <alpha_i^vee, u>
+    coroots = exact_div_arrays(2 * roots * simple_norms, norm2[:, None], "coroot")
+    u, v, n = _carter_constants(datum, norm2)  # root-root brackets: [x_u, x_v] = -n x_{u+v}
+    table = dict(zip(zip(u.tolist(), v.tolist()), zip(zip(datum.root_sums[u, v].tolist(), (-n).tolist()))))
+    for i, row in enumerate((-coroots).tolist()):  # [x_u, x_-u] = -u^vee
+        table[(i, (i + num_pos) % num_roots)] = tuple((num_roots + k, c) for k, c in enumerate(row) if c)
+    rows, cols = np.nonzero(pairings)  # Cartan against root vectors: [x_u, h_k] = <alpha_k^vee, u> x_u
+    for i, k, c in zip(rows.tolist(), (num_roots + cols).tolist(), pairings[rows, cols].tolist()):
+        table[(i, k)], table[(k, i)] = ((i, c),), ((i, -c),)
     return table
 
 

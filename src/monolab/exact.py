@@ -28,6 +28,15 @@ def exact_div(a: int, b: int, what: str) -> int:
     return q
 
 
+def exact_div_arrays(num: np.ndarray, den: np.ndarray, what: str) -> np.ndarray:
+    """num // den elementwise on int64 arrays, raising as `exact_div` does at the first inexact entry."""
+    num, den = np.broadcast_arrays(num, den)
+    q, r = np.divmod(num, den)
+    for k in np.flatnonzero(r)[:1]:
+        exact_div(int(num.flat[k]), int(den.flat[k]), what)
+    return q
+
+
 def check_prime_modulus(ell: int) -> None:
     """Raise ValueError unless ell is an int prime below 2**31."""
     if not isinstance(ell, int):

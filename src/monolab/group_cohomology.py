@@ -59,8 +59,8 @@ class FiniteMatrixGroup:
     """A subgroup of GL_degree(F_ell), given by its reduced invertible generators.
 
     `_bfs_closure` builds elements (breadth-first discovery order, identity
-    first), index, cayley (cayley[g, j] is the index of elements[g] *
-    generators[j]) and tree together, on the first read of any of them or of
+    first), cayley (cayley[g, j] is the index of elements[g] * generators[j])
+    and tree together, on the first read of any of them or of
     order, and raises ResourceLimitError past CLOSURE_CAP elements.  For
     `sl2_generators` the build also checks the order ell (ell^2 - 1).
     """
@@ -69,13 +69,13 @@ class FiniteMatrixGroup:
         self.ell, self.degree, self.generators = ell, degree, tuple(generators)
 
     def __getattr__(self, name):  # reached only while the closure is unbuilt
-        if name not in ("elements", "index", "cayley", "tree"):
+        if name not in ("elements", "cayley", "tree"):
             raise AttributeError(name)
-        elements, index, cayley, tree = _bfs_closure(self.generators, self.ell)
+        elements, cayley, tree = _bfs_closure(self.generators, self.ell)
         n, want = len(elements), self.ell * (self.ell**2 - 1)
         if self.is_standard_sl2 and n != want:
             raise ArithmeticError(f"SL2(F_{self.ell}) closure has order {n}, want {want}")
-        self.elements, self.index, self.cayley, self.tree = elements, index, cayley, tree
+        self.elements, self.cayley, self.tree = elements, cayley, tree
         return getattr(self, name)
 
     @property
@@ -91,7 +91,7 @@ class FiniteMatrixGroup:
 
 
 def _bfs_closure(gens: tuple[Matrix, ...], ell: int):
-    """Elements, index, Cayley table and spanning tree of the group that reduced invertible generators span.
+    """Elements, Cayley table and spanning tree of the group that reduced invertible generators span.
 
     Element order is discovery order (identity first, generators applied in
     list order), which fixes every downstream computation bit-for-bit.  Each
@@ -124,7 +124,7 @@ def _bfs_closure(gens: tuple[Matrix, ...], ell: int):
             edges.append(k)
         frontier = prods[fresh]
     cayley = np.array(edges, dtype=np.int64).reshape(-1, len(gens))
-    return tuple(elements), index, cayley, np.array(tree, dtype=np.int64)
+    return tuple(elements), cayley, np.array(tree, dtype=np.int64)
 
 
 def _generated(generators, ell: int) -> FiniteMatrixGroup:

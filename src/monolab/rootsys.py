@@ -9,17 +9,17 @@ in their conventional numbering.
 
 Below `RootDatum` a root is its index k into `all_roots` (the N positive
 roots, then their negatives in the same order, so -(root k) is root
-(k + N) mod 2N).  Sums go through integer keys sum_i c_i B^i with
-B = 4M + 1, M = max(highest_root): they add as roots add and are injective on
-sums and differences of two roots (coordinates in [-2M, 2M]), but not on
-arbitrary tuples, so keys are formed only from roots.
+(k + N) mod 2N).  `RootDatum.root_sums` is the (2N x 2N) table of sums of two
+roots.  `_sum_index` builds it with array operations on int64 keys of a few
+coordinates each, short enough that no key wraps at any rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple
+
+import numpy as np
 
 from .exact import exact_div
 
@@ -134,11 +134,38 @@ def _root_lengths(cartan) -> tuple[int, ...]:
     return tuple(exact_div(x, lo, "root length ratio") for x in d)
 
 
-class _RootTable(NamedTuple):
-    roots: tuple[Root, ...]  # positives, then their negatives in the same order
-    index: dict  # root -> its index in roots
-    keys: tuple[int, ...]  # the key of roots[k]
-    by_key: dict  # key -> index
+def _sum_index(roots) -> np.ndarray:
+    """(2N x 2N) array: the index of roots[i] + roots[j], else -1, for N roots and then their negatives.
+
+    Coordinates are keyed k at a time in base B = 4M + 1 (M the largest
+    |coordinate|): key(u + v) = key(u) + key(v), injective on sums of two
+    roots.  Word by word, each root and each sum gets the id of its prefix
+    among the roots' prefixes (their first position in sorted order; -1 once
+    none matches) by one `searchsorted` on id * B**k + key.  Ids stay below
+    2N and 2N * B**k <= 2**63, so no int64 wraps at any rank.  Only sums with a
+    positive root are searched, and entries take the least signed type for -2N.
+    """
+    coords = np.array(roots, dtype=np.int64)
+    n, rank = coords.shape
+    base = 4 * max(map(max, roots)) + 1  # the negatives are among the roots
+    width = max(k for k in range(1, 64) if n * base**k <= 2**63)
+    row_id, sum_id = np.zeros(n, dtype=np.int64), np.zeros((n // 2, n), dtype=np.int64)
+    for lo in range(0, rank, width):
+        chunk = coords[:, lo : lo + width]
+        span, key = base ** chunk.shape[1], (chunk * base ** np.arange(chunk.shape[1], dtype=np.int64)).sum(1)
+        key += (span - 1) // 2  # now in [0, span), and so is key(u) + key(v) - (span - 1) // 2
+        row_key = row_id * span + key
+        keys = np.array(sorted(row_key.tolist()), dtype=np.int64)  # n keys; sorted() loads no numpy sort kernel
+        sum_id *= span  # a dead prefix (-1) goes negative and matches no root again
+        sum_id += key[: n // 2, None]
+        sum_id += key - (span - 1) // 2
+        at = np.minimum(np.searchsorted(keys, sum_id), n - 1)
+        row_id, sum_id = np.searchsorted(keys, row_key), np.where(keys[at] == sum_id, at, -1)
+    root_of = np.full(n + 1, -1, dtype=np.min_scalar_type(-n))  # root_of[id]: the root with that id; root_of[-1] = -1
+    root_of[row_id] = np.arange(n)
+    top = root_of[sum_id]
+    negative = np.r_[np.arange(n // 2, n), np.arange(n // 2), -1].astype(root_of.dtype)
+    return np.vstack([top, negative[np.roll(top, n // 2, axis=1)]])
 
 
 @dataclass(frozen=True)
@@ -157,46 +184,38 @@ class RootDatum:
 
     # -- pairings -------------------------------------------------------
 
-    def pairing(self, i: int, root: Root) -> int:
-        """<alpha_i^vee, root> via the Cartan matrix."""
-        return sum(self.cartan[i][j] * root[j] for j in range(self.rank))
-
-    def inner(self, a: Root, b: Root) -> int:
-        """Weyl-invariant form (a, b), normalised so short simple roots have (a,a)=2."""
-        return sum(
-            a[i] * b[j] * self.simple_norms[i] * self.cartan[i][j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-            if a[i] and b[j]
-        )
-
     def norm2(self, a: Root) -> int:
-        return self.inner(a, a)
+        """Weyl-invariant (a, a), normalised so short simple roots have (a, a) = 2."""
+        d, A = self.simple_norms, self.cartan
+        return sum(a[i] * a[j] * d[i] * A[i][j] for i in range(self.rank) for j in range(self.rank) if a[i] and a[j])
 
     @cached_property
-    def _roots(self) -> _RootTable:
-        pos = self.positive_roots
-        roots = pos + tuple(tuple(-c for c in r) for r in pos)
-        base = 4 * max(self.highest_root) + 1
-        keys = tuple(sum(c * base**i for i, c in enumerate(r)) for r in roots)
-        return _RootTable(roots, {r: k for k, r in enumerate(roots)}, keys, {key: k for k, key in enumerate(keys)})
-
-    @property
     def all_roots(self) -> tuple[Root, ...]:
         """The positive roots, then their negatives in the same order."""
-        return self._roots.roots
+        return self.positive_roots + tuple(tuple(-c for c in r) for r in self.positive_roots)
+
+    @cached_property
+    def _index(self) -> dict:
+        return {r: k for k, r in enumerate(self.all_roots)}
 
     def root_index(self, root: Root) -> int:
         """The index of `root` in `all_roots`; ValueError if it is not a root."""
-        k = self._roots.index.get(root)
+        k = self._index.get(root)
         if k is None:
             raise ValueError(f"not a root of {self.simple_type}: {root}")
         return k
 
+    @cached_property
+    def root_sums(self) -> np.ndarray:
+        """Read-only (2N x 2N) integer array: entry (i, j) is the index of root i + root j, -1 if not a root."""
+        sums = _sum_index(self.all_roots)
+        sums.flags.writeable = False
+        return sums
+
     def root_sum(self, i: int, j: int) -> int | None:
         """The index of root i + root j, or None if that sum is not a root."""
-        table = self._roots
-        return table.by_key.get(table.keys[i] + table.keys[j])
+        k = int(self.root_sums[i, j])
+        return None if k < 0 else k
 
     def string_depth(self, u: Root, v: Root) -> int:
         """Depth of the u-string through the root v: the largest k with v - k*u a root."""

@@ -17,6 +17,21 @@ def run_optimized(code):
     return out.stdout.strip()
 
 
+def x_of(alg, a):
+    """The root vector x_a of the positive root with index a."""
+    return alg.basis_element(alg.basis.x(a))
+
+
+def y_of(alg, a):
+    """The root vector y_a of the negative of the positive root with index a."""
+    return alg.basis_element(alg.basis.y(a))
+
+
+def h_of(alg, i):
+    """The i-th simple coroot vector."""
+    return alg.basis_element(alg.basis.h(i))
+
+
 def ad_power(y, n, v):
     """ad(y)^n v by n brackets, independent of the Kostant strings the package caches."""
     for _ in range(n):

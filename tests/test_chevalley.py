@@ -1,27 +1,30 @@
+import dataclasses
 import gc
 import hashlib
 import itertools
 import json
 import random
 import weakref
+from unittest import mock
 
 import pytest
-from conftest import ad_power, flipped_algebra, root_constants, run_optimized, string_depth
+from conftest import ad_power, flipped_algebra, h_of, root_constants, run_optimized, string_depth, x_of, y_of
 
 from monolab.chevalley import (
     ChevalleyAlgebra,
+    _build_table,
     bracket,
     build_chevalley_algebra,
     jacobi_sweep,
 )
 from monolab.principal_sl2 import build_principal_sl2, kostant_decomposition
-from monolab.rootsys import build_root_datum
+from monolab.rootsys import RootDatum, build_root_datum
 
 
 def test_a1_sl2_relations():
     alg = build_chevalley_algebra("A1")
     assert alg.dim == 3
-    x, y, h = alg.x(0), alg.y(0), alg.h(0)
+    x, y, h = x_of(alg, 0), y_of(alg, 0), h_of(alg, 0)
     assert bracket(y, x) == h
     assert bracket(x, h) == x.scale(2)
     assert bracket(y, h) == y.scale(-2)
@@ -51,7 +54,7 @@ def test_bracket_alternating_and_missing_target():
     # highest root plus any simple root leaves the root system
     theta_idx = len(d.positive_roots) - 1
     for i in range(d.rank):
-        assert bracket(alg.x(theta_idx), alg.x(i)).is_zero()
+        assert bracket(x_of(alg, theta_idx), x_of(alg, i)).is_zero()
 
 
 def test_extraspecial_sign_convention():
@@ -84,6 +87,33 @@ def test_magnitude_rule_exhaustive(name):
     assert set(pairs) == {(u, v) for u in roots for v in roots if tuple(a + b for a, b in zip(u, v)) in root_set}
     for (u, v), n in pairs.items():
         assert abs(n) == string_depth(d, u, v) + 1, (u, v)
+
+
+def test_cold_e8_table_reads_sums_as_one_array():
+    # a timing-free guard: a table built by one root_sum lookup per root pair
+    # makes 78,612 calls for E8; reading RootDatum.root_sums as an array makes none
+    datum = dataclasses.replace(build_root_datum("E8"))  # a fresh datum, so its root table is cold
+    with mock.patch.object(RootDatum, "root_sum", autospec=True, side_effect=RootDatum.root_sum) as spy:
+        table = _build_table(datum)
+    assert spy.call_count < 8000
+    assert table == build_chevalley_algebra("E8")._table
+
+
+def test_inexact_norm_ratio_raises_under_optimize():
+    # G2 with its long roots' (a, a) moved from 6 to 7: a mixed-sign constant
+    # (w,w)/(u,u) N_{w,v} is then no integer, and the check is no assert
+    code = (
+        "import numpy as np\n"
+        "from monolab.chevalley import _carter_constants\n"
+        "from monolab.rootsys import build_root_datum\n"
+        "d = build_root_datum('G2')\n"
+        "norm2 = np.array([d.norm2(r) for r in d.all_roots])\n"
+        "try:\n"
+        "    _carter_constants(d, norm2 + (norm2 == 6))\n"
+        "except ArithmeticError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert run_optimized(code) == "structure constant: -6/7 is not integral"
 
 
 def test_table_antisymmetry():
@@ -178,7 +208,7 @@ def test_cartan_pairing_matches_matrix():
         A = alg.datum.cartan
         for i in range(alg.datum.rank):
             for j in range(alg.datum.rank):
-                out = bracket(alg.x(i), alg.h(j))
+                out = bracket(x_of(alg, i), h_of(alg, j))
                 coeff = out.coeffs.get(alg.basis.x(i), 0)
                 assert coeff == A[j][i]
                 assert set(out.coeffs) <= {alg.basis.x(i)}
@@ -205,8 +235,8 @@ def test_dual_cartan_basis_relation():
         for j in range(l):
             hj = alg.element({alg.basis.h(k): inv[j][k] for k in range(l)})
             for i in range(l):
-                out = bracket(alg.x(i), hj)
-                expect = alg.x(i) if i == j else alg.element({})
+                out = bracket(x_of(alg, i), hj)
+                expect = x_of(alg, i) if i == j else alg.element({})
                 assert out == expect
 
 
@@ -255,12 +285,12 @@ def test_mixed_operand_rejection():
     a2 = build_chevalley_algebra("A2")
     b2 = build_chevalley_algebra("B2")
     with pytest.raises(ValueError):
-        bracket(a2.x(0), b2.x(0))
+        bracket(x_of(a2, 0), x_of(b2, 0))
     mod7 = a2.mod(7)
     with pytest.raises(ValueError):
-        bracket(a2.x(0), mod7.x(0))
+        bracket(x_of(a2, 0), x_of(mod7, 0))
     with pytest.raises(ValueError):
-        bracket(mod7.x(0), a2.mod(11).x(0))
+        bracket(x_of(mod7, 0), x_of(a2.mod(11), 0))
 
 
 def test_change_ring_views_cached():
@@ -276,7 +306,7 @@ def test_dropped_algebra_freed_without_gc():
     # perfbench's lie-scan drops each cached algebra between ops; a reference
     # cycle would hold its table until the next gc and raise the peak RSS
     alg = ChevalleyAlgebra(build_root_datum("A2"))
-    alg.x(0)
+    x_of(alg, 0)
     ref = weakref.ref(alg)
     gc.disable()
     try:
@@ -325,6 +355,10 @@ EXPORT_SHA256 = {
     "E6": "a6056e09622824afd3e07cd9963530a4aafd0ac513d219bec3134826fe03d087",
     "E7": "74531489a2d4e9f9b267fd764a2e827ddf0d718adde68c8d5aa0e2302815d3f9",
     "E8": "3e3da5bd1af2a0beaf3e9c3a7a455090914f1d5c42ccaf960d320889ea1a5f6d",
+    "A13": "6cb031445f984a172a7c2c5733237ea818d2f2ab639727b73c372ee9724ac985",
+    "B10": "48276a29a56c710b8d95bd3efc3e2abacd3e9828b846bbbbf04e0065ac931213",
+    "C6": "46ae103ef96b9a8b1ea3ac7a839b4eb94eda0869ba59ece3518da1f97e6c8941",
+    "D10": "e3a904e6bfae7084821327d1ec6c18cde0c88d7f00c5e562a02c0f31c96339eb",
 }
 
 

@@ -150,7 +150,6 @@ def test_closure_order_pinned():
         assert G.cayley.dtype == np.int64 and G.cayley.shape == (order, len(G.generators)), name
         assert hashlib.sha256(repr(G.elements).encode()).hexdigest() == elements_digest, name
         assert hashlib.sha256(G.cayley.tobytes()).hexdigest() == cayley_digest, name
-        assert list(G.index.items()) == [(e, k) for k, e in enumerate(G.elements)], name
         # the tree the closure records is the first Cayley edge into each element k >= 1,
         # and its parents are non-decreasing and precede k (breadth-first order)
         labels, first = np.unique(G.cayley, return_index=True)
@@ -185,10 +184,11 @@ def test_sym_module_is_homomorphism():
             if not seen[t]:
                 seen[t] = True
                 rho[t] = rho[g] @ M.matrices[j] % ell
+    index = {e: k for k, e in enumerate(G.elements)}
     rng = random.Random(0)
     for _ in range(500):
         a, b = rng.randrange(n), rng.randrange(n)
-        c = G.index[mat_mult(G.elements[a], G.elements[b], ell)]
+        c = index[mat_mult(G.elements[a], G.elements[b], ell)]
         assert np.array_equal(rho[a] @ rho[b] % ell, rho[c])
 
 
@@ -509,7 +509,8 @@ def certified_nonvanishing(ell, r):
         pivcols.append(c)
         rr += 1
     free = [c for c in range(ncols) if c not in pivcols]
-    gen_idx = [G.index[s] for s in G.generators]
+    index = {e: k for k, e in enumerate(G.elements)}
+    gen_idx = [index[s] for s in G.generators]
     cob = np.zeros((dim, ncols), dtype=np.int64)
     for b in range(dim):
         v = np.zeros(dim, dtype=np.int64)
@@ -530,7 +531,7 @@ def certified_nonvanishing(ell, r):
         return False
     phi = np.array([(C[g] @ witness) % ell for g in range(n)])
     for a in range(n):
-        prod = [G.index[mat_mult(G.elements[a], G.elements[b], ell)] for b in range(n)]
+        prod = [index[mat_mult(G.elements[a], G.elements[b], ell)] for b in range(n)]
         lhs = phi[prod]
         rhs = (phi[a][None, :] + phi @ rho[a].T) % ell
         if not np.array_equal(lhs, rhs):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from conftest import ad_power
+from conftest import ad_power, h_of, x_of, y_of
 
 import monolab
 from monolab.chevalley import bracket, build_chevalley_algebra
@@ -75,9 +75,9 @@ def test_e8_coefficients_scale():
 def test_a1_triple_is_standard_basis():
     alg = build_chevalley_algebra("A1")
     trip = build_principal_sl2(alg)
-    assert trip.X == alg.x(0)
-    assert trip.H == alg.h(0)
-    assert trip.Y == alg.y(0)
+    assert trip.X == x_of(alg, 0)
+    assert trip.H == h_of(alg, 0)
+    assert trip.Y == y_of(alg, 0)
 
 
 @pytest.mark.parametrize("name", EXCEPTIONAL_TYPES)
@@ -200,7 +200,7 @@ def test_adX_nilpotency_bound(name):
     for k in range(alg.dim):
         assert ad_power(trip.X, 2 * h - 1, alg.basis_element(k)).is_zero()
     # and the bound is sharp: ad(X)^{2h-2} does not kill the lowest vector
-    bottom = alg.y(len(alg.datum.positive_roots) - 1)  # lowest root vector
+    bottom = y_of(alg, len(alg.datum.positive_roots) - 1)  # lowest root vector
     assert not ad_power(trip.X, 2 * h - 2, bottom).is_zero()
 
 
