@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -58,73 +58,68 @@ Matrix = tuple[tuple[int, ...], ...]
 class FiniteMatrixGroup:
     """A subgroup of GL_degree(F_ell), given by its reduced invertible generators.
 
-    `_bfs_closure` builds elements (breadth-first discovery order, identity
-    first), cayley (cayley[g, j] is the index of elements[g] * generators[j])
-    and tree together, on the first read of any of them or of
-    order, and raises ResourceLimitError past CLOSURE_CAP elements.  For
-    `sl2_generators` the build also checks the order ell (ell^2 - 1).
+    The closed group is two arrays, built by `_bfs_closure` on the first read
+    of either or of order: cayley[g, j] is the label of element g times
+    generators[j], labels in breadth-first discovery order with the identity
+    0, and tree[k - 1] is the flat Cayley position of the edge that found
+    element k.  The build raises ResourceLimitError past CLOSURE_CAP
+    elements, and for `sl2_generators` it checks the order ell (ell^2 - 1).
     """
 
     def __init__(self, ell, degree, generators):
         self.ell, self.degree, self.generators = ell, degree, tuple(generators)
 
-    def __getattr__(self, name):  # reached only while the closure is unbuilt
-        if name not in ("elements", "cayley", "tree"):
-            raise AttributeError(name)
-        elements, cayley, tree = _bfs_closure(self.generators, self.ell)
-        n, want = len(elements), self.ell * (self.ell**2 - 1)
+    @cached_property
+    def _closure(self):
+        cayley, tree = _bfs_closure(self.generators, self.ell)
+        n, want = len(cayley), self.ell * (self.ell**2 - 1)
         if self.is_standard_sl2 and n != want:
             raise ArithmeticError(f"SL2(F_{self.ell}) closure has order {n}, want {want}")
-        self.elements, self.cayley, self.tree = elements, cayley, tree
-        return getattr(self, name)
+        return cayley, tree
+
+    cayley = property(lambda self: self._closure[0])
+    tree = property(lambda self: self._closure[1])
+    order = property(lambda self: len(self._closure[0]))
 
     @property
     def is_standard_sl2(self) -> bool:  # SL2(F_ell) by construction; h1 takes the Borel solver on it
         return self.generators == sl2_generators(self.ell)
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
 
     def __repr__(self):
         return f"FiniteMatrixGroup(generators={len(self.generators)}, degree={self.degree}, ell={self.ell})"
 
 
 def _bfs_closure(gens: tuple[Matrix, ...], ell: int):
-    """Elements, Cayley table and spanning tree of the group that reduced invertible generators span.
+    """Cayley table and spanning tree of the group that reduced invertible generators span.
 
-    Element order is discovery order (identity first, generators applied in
-    list order), which fixes every downstream computation bit-for-bit.  Each
-    BFS level times every generator is one batched product, looked up in
-    (element, generator) order; the new elements form the next level.
-    tree[k - 1] is the flat Cayley position g * ng + j of the edge that found
-    element k, the first edge into it, so the parents g are non-decreasing
-    and each BFS level is a contiguous range of labels (`_levels` relies on this).
+    Labels are discovery order (identity first, generators applied in list
+    order), which fixes every downstream computation bit-for-bit.  Each BFS
+    level times every generator is one batched product, looked up in
+    (element, generator) order by the bytes of each product's int64 entries;
+    the new elements form the next level.  tree[k - 1] is the flat Cayley
+    position g * ng + j of the edge that found element k, the first edge
+    into it, so the parents g are non-decreasing and each BFS level is a
+    contiguous range of labels (`_levels` relies on this).
     """
     degree = len(gens[0])
-    ident = tuple(tuple(1 if i == j else 0 for j in range(degree)) for i in range(degree))
-    elements = [ident]
-    index = {ident: 0}
+    frontier, stacked = np.eye(degree, dtype=np.int64)[None], np.array(gens, dtype=np.int64)
+    key = np.dtype((np.void, 8 * degree * degree))
+    index = {frontier.tobytes(): 0}
     edges, tree = [], []
-    frontier, stacked = np.array([ident], dtype=np.int64), np.array(gens, dtype=np.int64)
     while len(frontier):
         prods = matmul_mod(frontier[:, None], stacked, ell).reshape(-1, degree, degree)
         fresh = []
-        for pos, prod in enumerate(prods.tolist()):
-            prod = tuple(map(tuple, prod))
+        for pos, prod in enumerate(prods.ravel().view(key).tolist()):
             k = index.get(prod)
             if k is None:
-                if len(elements) >= CLOSURE_CAP:
+                if len(index) >= CLOSURE_CAP:
                     raise ResourceLimitError(f"group closure exceeded cap={CLOSURE_CAP}")
-                k = len(elements)
-                index[prod] = k
-                elements.append(prod)
+                k = index[prod] = len(index)
                 fresh.append(pos)
                 tree.append(len(edges))
             edges.append(k)
         frontier = prods[fresh]
-    cayley = np.array(edges, dtype=np.int64).reshape(-1, len(gens))
-    return tuple(elements), cayley, np.array(tree, dtype=np.int64)
+    return np.array(edges, dtype=np.int64).reshape(-1, len(gens)), np.array(tree, dtype=np.int64)
 
 
 def _generated(generators, ell: int) -> FiniteMatrixGroup:
@@ -132,8 +127,8 @@ def _generated(generators, ell: int) -> FiniteMatrixGroup:
     gens = [residues(g, ell) for g in generators]
     if not gens:
         raise ValueError("need at least one generator")
-    if len({g.shape for g in gens}) > 1:
-        raise ValueError(f"generators must all have one shape, got {[g.shape for g in gens]}")
+    if len({g.shape for g in gens}) > 1 or not gens[0].size:
+        raise ValueError(f"generators must be nonempty and all of one shape, got {[g.shape for g in gens]}")
     for g in gens:
         if det_mod(g, ell) == 0:
             raise ValueError("generators must be invertible")
@@ -154,7 +149,7 @@ def sl2_generators(ell: int) -> tuple[Matrix, Matrix]:
 
 @lru_cache(maxsize=8)
 def sl2_group(ell: int) -> FiniteMatrixGroup:
-    """SL2(F_ell) on `sl2_generators(ell)`; its ell (ell^2 - 1) elements are built only when read."""
+    """SL2(F_ell) on `sl2_generators(ell)`; its closure, of ell (ell^2 - 1) elements, is built only when read."""
     return _generated(sl2_generators(ell), ell)
 
 
@@ -172,13 +167,13 @@ class ModuleAction:
 
 
 def module_from_matrices(ell, matrices, description="explicit") -> ModuleAction:
-    """The module with these generator matrices; ValueError for no matrix, a non-integer entry or mixed shapes."""
+    """The module with these generator matrices; ValueError for no matrix, a non-integer entry, 0 x 0 or mixed shape."""
     mats = tuple(residues(m, ell) for m in matrices)
     if not mats:
         raise ValueError("need at least one module matrix")
     dim = len(mats[0]) if mats[0].ndim else None
-    if not all(m.shape == (dim, dim) for m in mats):
-        raise ValueError(f"module matrices must all be square of one size, got {[m.shape for m in mats]}")
+    if not dim or not all(m.shape == (dim, dim) for m in mats):
+        raise ValueError(f"module matrices must be nonempty and all square of one size, got {[m.shape for m in mats]}")
     return ModuleAction(ell, dim, mats, description)
 
 

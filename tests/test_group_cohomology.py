@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -36,6 +37,16 @@ def mat_mult(a, b, ell):
     # the Python-int reference product for checking the Cayley table
     n = len(a)
     return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) % ell for j in range(n)) for i in range(n))
+
+
+def rebuild_elements(G):
+    # G's elements in label order, rebuilt along G.tree with the Python-int product:
+    # the tree edge g * ng + j into element k says that element k is element g times s_j
+    ng, d = len(G.generators), G.degree
+    elements = [tuple(tuple(int(i == j) for j in range(d)) for i in range(d))]
+    for e in G.tree.tolist():
+        elements.append(mat_mult(elements[e // ng], G.generators[e % ng], G.ell))
+    return tuple(elements)
 
 
 def trivial_module(ell, ngens, dim=1):
@@ -96,13 +107,14 @@ def test_composite_modulus_rejected():
 
 def test_cayley_table_consistency():
     G = sl2_group(5)
+    elements = rebuild_elements(G)
     for g in (0, 1, 17, 100):
         for j, s in enumerate(G.generators):
-            assert G.elements[G.cayley[g, j]] == mat_mult(G.elements[g], s, 5)
+            assert elements[G.cayley[g, j]] == mat_mult(elements[g], s, 5)
 
 
-# sha256 of repr(G.elements) and of G.cayley.tobytes(), computed with the
-# per-edge closure that preceded the level-batched one
+# sha256 of repr(rebuild_elements(G)) and of G.cayley.tobytes(), computed
+# with the per-edge closure that preceded the level-batched one
 CLOSURE_DIGESTS = {
     "SL2(F_13)": (
         2184,
@@ -148,7 +160,7 @@ def test_closure_order_pinned():
         order, elements_digest, cayley_digest = CLOSURE_DIGESTS[name]
         assert G.order == order, name
         assert G.cayley.dtype == np.int64 and G.cayley.shape == (order, len(G.generators)), name
-        assert hashlib.sha256(repr(G.elements).encode()).hexdigest() == elements_digest, name
+        assert hashlib.sha256(repr(rebuild_elements(G)).encode()).hexdigest() == elements_digest, name
         assert hashlib.sha256(G.cayley.tobytes()).hexdigest() == cayley_digest, name
         # the tree the closure records is the first Cayley edge into each element k >= 1,
         # and its parents are non-decreasing and precede k (breadth-first order)
@@ -156,6 +168,47 @@ def test_closure_order_pinned():
         assert labels.tolist() == list(range(order)) and G.tree.tolist() == first[1:].tolist(), name
         parents = G.tree // len(G.generators)
         assert np.all(np.diff(parents) >= 0) and np.all(parents < np.arange(1, order)), name
+
+
+@pytest.mark.parametrize(
+    "gens, ell, order", [([((1, 1), (0, 1))], 101, 101), (BOREL_7, 7, 42)], ids=["unipotent-101", "borel-7"]
+)
+def test_closure_cap_boundary(monkeypatch, gens, ell, order):
+    # the cap is checked as each new element is found, on a narrow group (101
+    # levels of one element) and a wide one: a group of exactly CLOSURE_CAP
+    # elements closes, and one more element is past the cap
+    monkeypatch.setattr(group_cohomology, "CLOSURE_CAP", order)
+    assert close_group(gens, ell).order == order
+    monkeypatch.setattr(group_cohomology, "CLOSURE_CAP", order - 1)
+    with pytest.raises(ResourceLimitError, match=f"cap={order - 1}"):
+        close_group(gens, ell)
+
+
+def test_closure_residues_near_2_31():
+    # signed 3 x 3 permutation matrices mod 2^31 - 1, whose entries include
+    # p - 1: the products take matmul_mod's split path, and the closure keys
+    # them by their int64 bytes
+    p = 2**31 - 1
+    G = close_group([((0, 1, 0), (0, 0, 1), (1, 0, 0)), ((p - 1, 0, 0), (0, 1, 0), (0, 0, 1))], p)
+    elements = rebuild_elements(G)
+    assert G.order == 24 and len(set(elements)) == 24
+    assert any(p - 1 in row for e in elements for row in e)
+    for g in range(G.order):
+        for j, s in enumerate(G.generators):
+            assert elements[G.cayley[g, j]] == mat_mult(elements[g], s, p), (g, j)
+
+
+def test_closed_group_keeps_no_element_tuples():
+    # a closed group is its Cayley table and tree: SL2(F_29) keeps about
+    # 0.6 MB of arrays, where its 24,360 element tuples took about 4.7 MB
+    tracemalloc.start()
+    try:
+        G = close_group(sl2_generators(29), 29)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert G.order == 24360 and not hasattr(G, "elements")
+    assert kept < 1.5 * 2**20, kept
 
 
 # -- modules -----------------------------------------------------------------
@@ -184,11 +237,12 @@ def test_sym_module_is_homomorphism():
             if not seen[t]:
                 seen[t] = True
                 rho[t] = rho[g] @ M.matrices[j] % ell
-    index = {e: k for k, e in enumerate(G.elements)}
+    elements = rebuild_elements(G)
+    index = {e: k for k, e in enumerate(elements)}
     rng = random.Random(0)
     for _ in range(500):
         a, b = rng.randrange(n), rng.randrange(n)
-        c = index[mat_mult(G.elements[a], G.elements[b], ell)]
+        c = index[mat_mult(elements[a], elements[b], ell)]
         assert np.array_equal(rho[a] @ rho[b] % ell, rho[c])
 
 
@@ -253,10 +307,13 @@ def test_sym_module_matches_binomial_reference(ell):
         ),
         (lambda: sym_module(7, 2, 0, [((1, 1), (0, 1)), ((1, 0), (0, 0))]), "generator 1 is singular mod 7"),
         (lambda: sym_module(7, 2, 1, [((1, 1), (0, 1)), ((1, 0), (0, 0))]), "generator 1 is singular mod 7"),
+        (lambda: module_from_matrices(7, [np.zeros((0, 0), dtype=np.int64)]), r"got \[\(0, 0\)\]"),
+        (lambda: close_group([np.zeros((0, 0), dtype=np.int64)], 7), r"got \[\(0, 0\)\]"),
     ],
     ids=[
         "module-float", "close-float", "sym-float-twist", "module-empty", "sym-3x3",
         "rank-empty", "det-2x3", "close-mixed", "sym-singular", "sym-singular-twist",
+        "module-0x0", "close-0x0",
     ],
 )
 def test_non_integer_or_empty_input_rejected(call, match):
@@ -509,7 +566,8 @@ def certified_nonvanishing(ell, r):
         pivcols.append(c)
         rr += 1
     free = [c for c in range(ncols) if c not in pivcols]
-    index = {e: k for k, e in enumerate(G.elements)}
+    elements = rebuild_elements(G)
+    index = {e: k for k, e in enumerate(elements)}
     gen_idx = [index[s] for s in G.generators]
     cob = np.zeros((dim, ncols), dtype=np.int64)
     for b in range(dim):
@@ -531,7 +589,7 @@ def certified_nonvanishing(ell, r):
         return False
     phi = np.array([(C[g] @ witness) % ell for g in range(n)])
     for a in range(n):
-        prod = [index[mat_mult(G.elements[a], G.elements[b], ell)] for b in range(n)]
+        prod = [index[mat_mult(elements[a], elements[b], ell)] for b in range(n)]
         lhs = phi[prod]
         rhs = (phi[a][None, :] + phi @ rho[a].T) % ell
         if not np.array_equal(lhs, rhs):
@@ -888,7 +946,7 @@ def test_input_checks_raise_errors():
 
 
 def test_sl2_order_check_raises(monkeypatch):
-    # the check runs where the elements are built, on the first read
+    # the check runs where the closure is built, on the first read
     real = group_cohomology._bfs_closure
     monkeypatch.setattr(group_cohomology, "_bfs_closure", lambda gens, ell: real(gens[:1], ell))
     G = group_cohomology.sl2_group.__wrapped__(5)
