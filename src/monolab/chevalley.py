@@ -7,8 +7,8 @@ its results mod ell.
 The basis is {x_a : a in Phi+} u {y_a : a in Phi+} u {h_1..h_l}, where h_i is
 the i-th simple coroot vector, so basis vector k < 2N is the root vector of
 root k of `RootDatum.all_roots`, and the table is built on root indices alone,
-in array operations on `RootDatum.root_sums`.  Bracket conventions follow the
-computer-algebra normalisation
+in array operations on the arrays of `RootDatum`.  Bracket conventions follow
+the computer-algebra normalisation
 
     [y_a, x_a] = a^vee,      [x_a, t] = a(t) * x_a  for t in the Cartan,
 
@@ -34,7 +34,7 @@ from .exact import check_prime_modulus, exact_div_arrays
 from .rootsys import RootDatum, SimpleType, build_root_datum
 
 
-def _carter_constants(datum: RootDatum, norm2: np.ndarray):
+def _carter_constants(datum: RootDatum):
     """Structure constants in standard orientation: arrays u, v, n with N_{u,v} = n, one entry per root sum.
 
     Positive pairs are fixed one height of their sum at a time, in (height,
@@ -42,14 +42,11 @@ def _carter_constants(datum: RootDatum, norm2: np.ndarray):
     n = -(p+1), the others follow by the root-quadruple identity, which reads
     only pairs of lower sums, and `_opposite` carries them to every sign
     (Carter, Simple Groups of Lie Type, 4.1).  The exposed bracket negates the
-    table, so users see +(p+1) on extraspecial pairs.  norm2[k] = (a, a) for
-    root k.
+    table, so users see +(p+1) on extraspecial pairs.
     """
-    num_pos, sums = len(datum.positive_roots), datum.root_sums
+    num_pos, sums, norm2 = len(datum.positive_roots), datum.root_sums, datum.norm2
     a, b = np.nonzero(np.triu(sums[:num_pos, :num_pos] >= 0))  # positive pairs a < b
-    depth, w = np.zeros(len(a), dtype=np.int64), sums[b, a + num_pos]  # p: depth of the a-string through b
-    while (live := w >= 0).any():
-        depth, w = depth + live, np.where(live, sums[w, a + num_pos], -1)
+    depth = datum.string_depths[a, b]  # p: depth of the a-string through b
     down = sums[:num_pos, num_pos:]  # down[g, k]: the index of root g - root k
     gamma, least = sums[a, b], np.argmax((down >= 0) & (down < num_pos), axis=1)
     alpha = least[gamma]  # the extraspecial pair of gamma: (alpha, beta) with the least alpha
@@ -197,14 +194,10 @@ class ChevalleyAlgebra:
 
 def _build_table(datum: RootDatum):
     """Dense pair table {(i, j): ((k, c), ...)} over basis indices, over ZZ."""
-    num_pos, num_roots = len(datum.positive_roots), 2 * len(datum.positive_roots)
-    roots, simple_norms = np.array(datum.all_roots, dtype=np.int64), np.array(datum.simple_norms)
-    pairings = roots @ np.array(datum.cartan).T  # pairings[u, i] = <alpha_i^vee, root u>
-    norm2 = (roots * simple_norms * pairings).sum(1)  # (u, u) = sum_i u_i d_i <alpha_i^vee, u>
-    coroots = exact_div_arrays(2 * roots * simple_norms, norm2[:, None], "coroot")
-    u, v, n = _carter_constants(datum, norm2)  # root-root brackets: [x_u, x_v] = -n x_{u+v}
+    num_pos, num_roots, pairings = len(datum.positive_roots), 2 * len(datum.positive_roots), datum.pairings
+    u, v, n = _carter_constants(datum)  # root-root brackets: [x_u, x_v] = -n x_{u+v}
     table = dict(zip(zip(u.tolist(), v.tolist()), zip(zip(datum.root_sums[u, v].tolist(), (-n).tolist()))))
-    for i, row in enumerate((-coroots).tolist()):  # [x_u, x_-u] = -u^vee
+    for i, row in enumerate((-datum.coroots).tolist()):  # [x_u, x_-u] = -u^vee
         table[(i, (i + num_pos) % num_roots)] = tuple((num_roots + k, c) for k, c in enumerate(row) if c)
     rows, cols = np.nonzero(pairings)  # Cartan against root vectors: [x_u, h_k] = <alpha_k^vee, u> x_u
     for i, k, c in zip(rows.tolist(), (num_roots + cols).tolist(), pairings[rows, cols].tolist()):

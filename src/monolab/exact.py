@@ -15,6 +15,7 @@ outside.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -43,8 +44,14 @@ def check_prime_modulus(ell: int) -> None:
         raise ValueError(f"modulus is not an int: {ell!r}")
     if not (2 <= ell < 2**31):
         raise ValueError(f"prime out of machine-width range: {ell}")
-    if not is_probable_prime(ell):
+    if not _is_prime_modulus(ell):
         raise ValueError(f"not a prime: {ell}")
+
+
+@lru_cache(maxsize=1024)
+def _is_prime_modulus(ell: int) -> bool:
+    """is_probable_prime, memoized: reached only by an int that passed the type check, since 7.0 hashes like 7."""
+    return is_probable_prime(ell)
 
 
 # ---------------------------------------------------------------------------

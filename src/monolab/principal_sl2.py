@@ -28,13 +28,10 @@ def principal_coefficients(d: RootDatum) -> tuple[int, ...]:
     """Coefficients c with sum_{a>0} H_a = sum_i c_i H_{alpha_i}.
 
     Each positive coroot is an integer vector in simple-coroot coordinates,
-    so the sum is computed directly; positivity and the defining property
-    <alpha_j, sum c_i H_i> = 2 are asserted before returning.
+    so the sum is read off `RootDatum.coroots` directly; positivity and the
+    defining property <alpha_j, sum c_i H_i> = 2 are checked before returning.
     """
-    c = [0] * d.rank
-    for root in d.positive_roots:
-        for i, v in enumerate(d.coroot(root)):
-            c[i] += v
+    c = d.coroots[: len(d.positive_roots)].sum(0).tolist()
     if any(v <= 0 for v in c):
         raise ArithmeticError(f"principal coefficients must be positive, got {c}")
     for j in range(d.rank):

@@ -9,9 +9,10 @@ in their conventional numbering.
 
 Below `RootDatum` a root is its index k into `all_roots` (the N positive
 roots, then their negatives in the same order, so -(root k) is root
-(k + N) mod 2N).  `RootDatum.root_sums` is the (2N x 2N) table of sums of two
-roots.  `_sum_index` builds it with array operations on int64 keys of a few
-coordinates each, short enough that no key wraps at any rank.
+(k + N) mod 2N).  `RootDatum` alone computes per-root numbers, each a read-only
+array built once per datum: `root_sums`, `pairings`, `norm2`, `coroots` and the
+int8 `string_depths`, walked on `root_sums`.  `_sum_index` builds the sums with
+array operations on int64 keys short enough that no key wraps at any rank.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .exact import exact_div
+from .exact import exact_div, exact_div_arrays
 
 Root = tuple[int, ...]
 
@@ -168,6 +169,11 @@ def _sum_index(roots) -> np.ndarray:
     return np.vstack([top, negative[np.roll(top, n // 2, axis=1)]])
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class RootDatum:
     """Immutable combinatorial skeleton of one simple type."""
@@ -182,58 +188,44 @@ class RootDatum:
     weyl_has_minus_one: bool
     simple_norms: tuple[int, ...]  # d_i = (alpha_i, alpha_i)/2, each 1, 2 or 3
 
-    # -- pairings -------------------------------------------------------
-
-    def norm2(self, a: Root) -> int:
-        """Weyl-invariant (a, a), normalised so short simple roots have (a, a) = 2."""
-        d, A = self.simple_norms, self.cartan
-        return sum(a[i] * a[j] * d[i] * A[i][j] for i in range(self.rank) for j in range(self.rank) if a[i] and a[j])
-
     @cached_property
     def all_roots(self) -> tuple[Root, ...]:
         """The positive roots, then their negatives in the same order."""
         return self.positive_roots + tuple(tuple(-c for c in r) for r in self.positive_roots)
 
-    @cached_property
-    def _index(self) -> dict:
-        return {r: k for k, r in enumerate(self.all_roots)}
-
-    def root_index(self, root: Root) -> int:
-        """The index of `root` in `all_roots`; ValueError if it is not a root."""
-        k = self._index.get(root)
-        if k is None:
-            raise ValueError(f"not a root of {self.simple_type}: {root}")
-        return k
+    # -- read-only per-root arrays, built once and indexed like all_roots --
 
     @cached_property
     def root_sums(self) -> np.ndarray:
-        """Read-only (2N x 2N) integer array: entry (i, j) is the index of root i + root j, -1 if not a root."""
-        sums = _sum_index(self.all_roots)
-        sums.flags.writeable = False
-        return sums
+        """(2N x 2N) integer array: entry (i, j) is the index of root i + root j, -1 if not a root."""
+        return _read_only(_sum_index(self.all_roots))
 
-    def root_sum(self, i: int, j: int) -> int | None:
-        """The index of root i + root j, or None if that sum is not a root."""
-        k = int(self.root_sums[i, j])
-        return None if k < 0 else k
+    @cached_property
+    def pairings(self) -> np.ndarray:
+        """(2N x rank) int64 array: entry (u, i) is <alpha_i^vee, root u>."""
+        return _read_only(np.array(self.all_roots, dtype=np.int64) @ np.array(self.cartan, dtype=np.int64).T)
 
-    def string_depth(self, u: Root, v: Root) -> int:
-        """Depth of the u-string through the root v: the largest k with v - k*u a root."""
-        n = len(self.positive_roots)
-        minus_u = (self.root_index(u) + n) % (2 * n)
-        w, k = self.root_index(v), 0
-        while (w := self.root_sum(w, minus_u)) is not None:
-            k += 1
-        return k
+    @cached_property
+    def norm2(self) -> np.ndarray:
+        """2N int64 array of the Weyl-invariant (u, u) = sum_i u_i d_i <alpha_i^vee, u>; short simple roots have 2."""
+        return _read_only((np.array(self.all_roots, dtype=np.int64) * self.simple_norms * self.pairings).sum(1))
 
-    def coroot(self, root: Root) -> Root:
-        """The coroot of `root` in simple-coroot coordinates."""
-        self.root_index(root)
-        n2 = self.norm2(root)
-        return tuple(
-            exact_div(2 * root[i] * self.simple_norms[i], n2, f"coroot of {root}")
-            for i in range(self.rank)
-        )
+    @cached_property
+    def coroots(self) -> np.ndarray:
+        """(2N x rank) int64 array: the coroot 2 u / (u, u) of root u in simple-coroot coordinates."""
+        twice = 2 * np.array(self.all_roots, dtype=np.int64) * self.simple_norms
+        return _read_only(exact_div_arrays(twice, self.norm2[:, None], "coroot"))
+
+    @cached_property
+    def string_depths(self) -> np.ndarray:
+        """(2N x 2N) int8 array: entry (u, v) is the depth of the u-string through v, the largest k with v - k*u a root."""
+        n = len(self.all_roots)
+        minus = np.roll(np.arange(n), n // 2)[:, None]  # minus[u]: the index of -(root u)
+        depths, w = np.zeros((n, n), dtype=np.int8), self.root_sums[minus[:, 0]]  # w[u, v]: v - u, -1 if no root
+        while (live := w >= 0).any():
+            depths += live
+            w = np.where(live, self.root_sums[w, minus], -1)  # one step further down the string
+        return _read_only(depths)
 
     # -- serialisation ---------------------------------------------------
 
@@ -260,7 +252,9 @@ def _close_positive_roots(cartan) -> list[Root]:
     A candidate beta + alpha_i is accepted iff the alpha_i-string through
     beta continues upward, i.e. q = p - <alpha_i^vee, beta> >= 1 where p is
     the depth of the string below beta.  Only validated string data is used,
-    never Euclidean geometry.
+    never Euclidean geometry.  This walk of p on tuples finds the roots, so it
+    runs before any root index exists; every later depth is read from
+    `RootDatum.string_depths`.
     """
     n = len(cartan)
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]

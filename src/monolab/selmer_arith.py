@@ -110,22 +110,6 @@ class SelmerLedger:
         extra = tuple(c.h0_local for c in self.locals if c.kind == "archimedean")
         return tuple(self.archimedean_fixed_dims) + extra
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "h0_global": self.h0_global,
-            "h0_global_twist": self.h0_global_twist,
-            "dim_n": self.dim_n,
-            "totally_real_degree": self.totally_real_degree,
-            "archimedean_fixed_dims": list(self.archimedean_fixed_dims),
-            "locals": [  # field_degree only when nonzero, custom_dim only when set
-                {"kind": c.kind, "h0_local": c.h0_local}
-                | ({"field_degree": c.field_degree} if c.field_degree else {})
-                | ({} if c.custom_dim is None else {"custom_dim": c.custom_dim})
-                for c in self.locals
-            ],
-        }
-
     @staticmethod
     def from_json_dict(doc) -> "SelmerLedger":
         """The ledger of a parsed JSON document; ValueError naming a missing key or a bad shape."""

@@ -182,11 +182,11 @@ def crit_structure_constants() -> CriterionResult:
             res.details.append(f"{t}: exhaustive Jacobi on {n} triples ok")
     for t in EXCEPTIONAL_TYPES:
         alg = build_chevalley_algebra(t)
-        d, roots = alg.datum, alg.datum.all_roots
+        depths = alg.datum.string_depths.tolist()
         magnitudes = [  # [x_i, x_j] = n x_k for roots i, j and k
-            (abs(n), d.string_depth(roots[i], roots[j]) + 1)
+            (abs(n), depths[i][j] + 1)
             for i, j, k, n in alg.structure_constant_triples()
-            if max(i, j, k) < len(roots)
+            if max(i, j, k) < len(depths)
         ]
         bad = sum(got != want for got, want in magnitudes)
         res.ok &= bad == 0

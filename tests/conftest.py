@@ -39,15 +39,27 @@ def ad_power(y, n, v):
     return v
 
 
-def string_depth(datum, u, v):
-    """Tuple-arithmetic oracle for the depth p of the u-string through v, as in |N| = p+1."""
-    roots = set(datum.all_roots)
+def string_depth(roots, u, v):
+    """Tuple-arithmetic oracle for the depth p of the u-string through v, as in |N| = p+1; `roots` is the root set."""
     p = 0
     w = tuple(a - b for a, b in zip(v, u))
     while w in roots:
         p += 1
         w = tuple(a - b for a, b in zip(w, u))
     return p
+
+
+def norm2(datum, a):
+    """Tuple-arithmetic oracle for the Weyl-invariant (a, a): sum_ij a_i a_j d_i A_ij."""
+    d, A, n = datum.simple_norms, datum.cartan, datum.rank
+    return sum(a[i] * a[j] * d[i] * A[i][j] for i in range(n) for j in range(n))
+
+
+def coroot(datum, a):
+    """Tuple-arithmetic oracle for the coroot 2 a / (a, a) in simple-coroot coordinates."""
+    n2 = norm2(datum, a)
+    assert all(2 * c * d % n2 == 0 for c, d in zip(a, datum.simple_norms)), a
+    return tuple(2 * c * d // n2 for c, d in zip(a, datum.simple_norms))
 
 
 def root_constants(alg):
@@ -68,3 +80,21 @@ def flipped_algebra(name):
     for pair in ((i, j), (j, i)):
         table[pair] = tuple((k, -c) for k, c in table[pair])
     return ChevalleyAlgebra(alg.datum, _shared=table)
+
+
+def ledger_json_dict(ledger):
+    """The JSON document of a SelmerLedger, in the schema that `SelmerLedger.from_json_dict` reads."""
+    return {
+        "schema_version": ledger.schema_version,
+        "h0_global": ledger.h0_global,
+        "h0_global_twist": ledger.h0_global_twist,
+        "dim_n": ledger.dim_n,
+        "totally_real_degree": ledger.totally_real_degree,
+        "archimedean_fixed_dims": list(ledger.archimedean_fixed_dims),
+        "locals": [  # field_degree only when nonzero, custom_dim only when set
+            {"kind": c.kind, "h0_local": c.h0_local}
+            | ({"field_degree": c.field_degree} if c.field_degree else {})
+            | ({} if c.custom_dim is None else {"custom_dim": c.custom_dim})
+            for c in ledger.locals
+        ],
+    }

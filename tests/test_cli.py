@@ -4,6 +4,7 @@ import io
 import json
 
 import pytest
+from conftest import ledger_json_dict
 
 from monolab import fixtures
 from monolab.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
@@ -56,7 +57,7 @@ def test_primescan_without_check(capsys):
 
 def test_selmer_subcommand(tmp_path, capsys):
     path = tmp_path / "ledger.json"
-    path.write_text(json.dumps(balanced_ledger("E6", 2).to_json_dict(), indent=2, sort_keys=True))
+    path.write_text(json.dumps(ledger_json_dict(balanced_ledger("E6", 2)), indent=2, sort_keys=True))
     code, out, _ = run_cli(capsys, "selmer", "--ledger", str(path))
     assert code == EXIT_OK
     doc = json.loads(out)
@@ -69,7 +70,7 @@ def test_selmer_missing_file(capsys):
     assert "error" in err
 
 
-G2_LEDGER = balanced_ledger("G2", 1).to_json_dict()
+G2_LEDGER = ledger_json_dict(balanced_ledger("G2", 1))
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import x_of
 
+from monolab import exact
 from monolab.chevalley import build_chevalley_algebra
 from monolab.exact import (
     _CHUNK,
     EchelonState,
+    check_prime_modulus,
     det_mod,
     integer_kernel,
     is_probable_prime,
@@ -17,7 +20,7 @@ from monolab.exact import (
     rank_mod,
     residues,
 )
-from monolab.group_cohomology import module_from_matrices
+from monolab.group_cohomology import h1, module_from_matrices, sl2_group, sym_module
 
 
 def rational_rank(rows, ncols):
@@ -194,6 +197,27 @@ def test_kernel_rejects_bad_moduli():
             det_mod([[1, 2], [3, 4]], bad)
         with pytest.raises(ValueError, match="modulus is not an int"):
             EchelonState(2, bad)
+
+
+@pytest.mark.parametrize("bad", [7.0, np.int64(7), True, [7]], ids=["float", "int64", "bool", "list"])
+def test_modulus_type_checked_after_seven_is_accepted(bad):
+    # the primality verdict is cached, the type and range checks are not:
+    # 7.0 and True hash like 7 and 1, and would find a cached verdict
+    check_prime_modulus(7)
+    with pytest.raises(ValueError):
+        check_prime_modulus(bad)
+    with pytest.raises(ValueError):
+        build_chevalley_algebra("A2").mod(bad)
+
+
+def test_prime_verdict_computed_once_per_modulus():
+    ell = 2**31 - 1
+    exact._is_prime_modulus.cache_clear()
+    with mock.patch.object(exact, "is_probable_prime", wraps=exact.is_probable_prime) as spy:
+        assert det_mod([[1, 2], [3, 4]], ell) == ell - 2
+        assert det_mod([[2, 0], [0, 3]], ell) == 6
+        assert h1(sl2_group(ell), sym_module(ell, 3, 0)).h1 == 0
+    assert spy.call_count == 1
 
 
 @pytest.mark.parametrize(

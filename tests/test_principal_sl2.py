@@ -61,6 +61,7 @@ def test_principal_coefficients_match_inverse_cartan(name):
     d = build_root_datum(name)
     c = principal_coefficients(d)
     assert c == coefficients_via_inverse_cartan(d)
+    assert all(type(v) is int for v in c)  # alg.element rejects numpy integers
     # pairing identity <alpha_j, H> = 2 for every simple root
     for j in range(d.rank):
         assert sum(c[i] * d.cartan[i][j] for i in range(d.rank)) == 2

@@ -4,7 +4,7 @@ from operator import add
 
 import numpy as np
 import pytest
-from conftest import run_optimized, string_depth
+from conftest import coroot, norm2, run_optimized, string_depth
 
 from monolab.rootsys import (
     EXCEPTIONAL_TYPES,
@@ -84,8 +84,7 @@ def test_reflection_stability(name):
     # s_alpha(beta) = beta - <beta, alpha^vee> alpha stays a root, all pairs
     d = build_root_datum(name)
     roots = set(d.all_roots)
-    for alpha in d.all_roots:
-        ac = d.coroot(alpha)
+    for alpha, ac in zip(d.all_roots, d.coroots.tolist()):
         for beta in roots:
             pairing = sum(ac[i] * d.cartan[i][j] * beta[j] for i in range(d.rank) for j in range(d.rank))
             refl = tuple(b - pairing * a for b, a in zip(beta, alpha))
@@ -100,29 +99,40 @@ def test_root_sum_matches_tuple_sums(name):
     roots = d.all_roots
     assert roots == d.positive_roots + tuple(tuple(-c for c in r) for r in d.positive_roots)
     index = {r: k for k, r in enumerate(roots)}
-    assert [d.root_index(u) for u in roots] == list(range(len(roots)))
+    assert len(index) == len(roots)
     sums = d.root_sums
     assert sums.dtype == np.min_scalar_type(-len(roots)) and not sums.flags.writeable
     assert sums.tolist() == [[index.get(tuple(map(add, u, v)), -1) for v in roots] for u in roots]
-    for i, j in [(0, 1), (0, len(roots) // 2), (len(roots) - 1, 0)]:
-        assert d.root_sum(i, j) == (None if sums[i, j] < 0 else sums[i, j])
 
 
-@pytest.mark.parametrize("name", ["G2", "F4", "B8"])
+@pytest.mark.parametrize("name", ALL_TYPES + ["B17"])
 def test_string_depth_matches_tuple_walk(name):
     d = build_root_datum(name)
-    for u in d.all_roots:
-        for v in d.all_roots:
-            assert d.string_depth(u, v) == string_depth(d, u, v), (u, v)
+    roots, root_set = d.all_roots, set(d.all_roots)
+    assert d.string_depths.dtype == np.int8
+    assert d.string_depths.tolist() == [[string_depth(root_set, u, v) for v in roots] for u in roots]
 
 
-def test_tuple_input_checked_against_root_set():
-    # in B2 the keys use base 9, so (9, 0) has the key of the root (0, 1)
-    d = build_root_datum("B2")
-    assert (0, 1) in set(d.all_roots) and (9, 0) not in set(d.all_roots)
-    for call in (d.coroot, d.root_index, lambda r: d.string_depth(r, (0, 1))):
-        with pytest.raises(ValueError, match="not a root of B2"):
-            call((9, 0))
+@pytest.mark.parametrize("name", ALL_TYPES + ["B17"])
+def test_coroots_and_norms_match_tuple_formula(name):
+    d = build_root_datum(name)
+    roots, n = d.all_roots, d.rank
+    assert d.pairings.tolist() == [[sum(d.cartan[i][j] * r[j] for j in range(n)) for i in range(n)] for r in roots]
+    assert d.norm2.tolist() == [norm2(d, r) for r in roots]
+    assert d.coroots.tolist() == [list(coroot(d, r)) for r in roots]
+
+
+def test_per_root_arrays_read_only_and_built_once():
+    d = dataclasses.replace(build_root_datum("F4"))  # a fresh datum, so nothing is cached yet
+    names = ("root_sums", "pairings", "norm2", "coroots", "string_depths")
+    assert not set(names) & set(vars(d))
+    for name in names:
+        array = getattr(d, name)
+        assert getattr(d, name) is array and not array.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    assert d.pairings.shape == d.coroots.shape == (48, 4) and d.norm2.shape == (48,)
+    assert d.root_sums.shape == d.string_depths.shape == (48, 48)
 
 
 def test_weyl_minus_one_table():
@@ -140,27 +150,27 @@ def test_heights_and_coroots():
     for i in range(e8.rank):
         assert sum(e8.positive_roots[i]) == 1
     a2 = build_root_datum("A2")
-    assert a2.coroot((1, 0)) == (1, 0)
-    assert a2.coroot((1, 1)) == (1, 1)
+    assert a2.all_roots[0] == (1, 0) and a2.all_roots[2] == (1, 1)
+    assert a2.coroots[[0, 2]].tolist() == [[1, 0], [1, 1]]
     g2 = build_root_datum("G2")
-    # long-root coroots shrink by the squared-length ratio
-    theta = g2.highest_root
-    assert g2.norm2(theta) == 3 * g2.norm2(g2.positive_roots[0])
-    with pytest.raises(ValueError):
-        g2.coroot((5, 5))
+    # long-root coroots shrink by the squared-length ratio: theta = (3, 2) has coroot (1, 2)
+    theta = len(g2.positive_roots) - 1
+    assert g2.all_roots[theta] == g2.highest_root == (3, 2)
+    assert g2.norm2[theta] == 3 * g2.norm2[0]
+    assert g2.coroots[theta].tolist() == [1, 2]
 
 
 def test_norms_are_ints():
     for name, norms in (("A2", (1, 1)), ("B3", (2, 2, 1)), ("C3", (1, 1, 2)), ("F4", (2, 2, 1, 1)), ("G2", (1, 3))):
         d = build_root_datum(name)
         assert d.simple_norms == norms
-        assert all(type(d.norm2(r)) is int for r in d.all_roots)
-        assert {d.norm2(r) for r in d.all_roots} == {2 * n for n in norms}
+        assert d.norm2.dtype == np.int64
+        assert set(d.norm2.tolist()) == {2 * n for n in norms}
 
 
 # tampered data that each invariant check must reject, also under python -O
 BAD_EXPONENTS = "_validate(dataclasses.replace(build_root_datum('G2'), exponents=(1, 4)))"
-BAD_COROOT = "dataclasses.replace(build_root_datum('A2'), simple_norms=(1, 2)).coroot((1, 1))"
+BAD_COROOT = "dataclasses.replace(build_root_datum('A2'), simple_norms=(1, 2)).coroots"
 
 
 @pytest.mark.parametrize("expr", [BAD_EXPONENTS, BAD_COROOT], ids=["exponents", "coroot"])

@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from conftest import ledger_json_dict
 
 from monolab.selmer_arith import (
     LocalCondition,
@@ -194,14 +195,14 @@ def test_bounds():
 
 def test_ledger_json_round_trip():
     led = balanced_ledger("E7", 2)
-    again = SelmerLedger.from_json(json.dumps(led.to_json_dict(), indent=2, sort_keys=True))
+    again = SelmerLedger.from_json(json.dumps(ledger_json_dict(led), indent=2, sort_keys=True))
     assert again == led
-    doc = led.to_json_dict()
+    doc = ledger_json_dict(led)
     assert doc["schema_version"] == 1
 
 
 def test_ledger_schema_version_guard():
-    doc = balanced_ledger("G2", 1).to_json_dict()
+    doc = ledger_json_dict(balanced_ledger("G2", 1))
     doc["schema_version"] = 99
     with pytest.raises(ValueError):
         SelmerLedger.from_json_dict(doc)

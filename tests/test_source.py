@@ -1,12 +1,31 @@
 import ast
+import contextlib
 import importlib
 import inspect
+import io
 import pathlib
-from collections import Counter
+import re
+import shlex
+from collections import Counter, defaultdict
 
 import monolab
+from monolab import cli
 
-PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+# Method names that two or more classes define, with the package function that
+# reads each owner's method.  A count of reads by bare name cannot tell the
+# owners apart, so every owner of a shared name is listed here.
+SHARED_METHOD_READERS = {
+    "to_json_dict": {
+        "RootDatum": "_cmd_roots",
+        "KostantDecomposition": "_cmd_kostant",
+        "PrimeScanReport": "_cmd_primescan",
+        "CohomologyReport": "_cmd_cohomology",
+        "PrimeBounds": "_cmd_bounds",
+    },
+}
 
 
 def test_no_assert_statements_in_package():
@@ -101,7 +120,6 @@ def test_benchmark_call_shapes_bind():
     assert not unbound, unbound
 
 
-
 def _names_read(tree):
     """Every identifier a syntax tree reads: variable names and attribute names."""
     for node in ast.walk(tree):
@@ -129,3 +147,50 @@ def test_every_definition_has_a_reader():
         and named[node.name] == Counter(_names_read(node))[node.name]
     ]
     assert not unread, unread
+    # a method name on two or more classes needs a named reader for each owner
+    owners, functions = defaultdict(set), {}
+    for tree in package.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef) and not method.name.startswith("__"):
+                        owners[method.name].add(node.name)
+            elif isinstance(node, ast.FunctionDef):
+                functions[node.name] = node
+    shared = {name: classes for name, classes in owners.items() if len(classes) > 1}
+    assert shared == {name: set(readers) for name, readers in SHARED_METHOD_READERS.items()}
+    for name, readers in SHARED_METHOD_READERS.items():
+        for owner, reader in readers.items():
+            calls = [
+                node
+                for node in ast.walk(functions[reader])
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == name
+            ]
+            assert calls, f"{reader} does not call .{name}() on {owner}"
+
+
+def _readme_block(heading, language=""):
+    """The first fenced block under a README heading."""
+    section = (ROOT / "README.md").read_text().split(f"\n## {heading}\n", 1)[1]
+    return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_library_example_runs():
+    # each print with a trailing comment prints that comment's text
+    code = _readme_block("Library", "python")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    printed = dict(zip((line for line in code.splitlines() if line.startswith("print(")), out.getvalue().splitlines()))
+    expected = {line: line.rpartition("# ")[2] for line in printed if "# " in line}
+    assert set(expected.values()) == {"(1, 4, 5, 7, 8, 11)", "(2, 3, 5, 7, 11)"}
+    assert {line: printed[line] for line in expected} == expected
+
+
+def test_readme_command_lines_parse():
+    # parsed only: every documented command line is accepted by the CLI's parser
+    lines = [line.split("#")[0] for line in _readme_block("Command line").splitlines() if line.startswith("monolab ")]
+    assert len(lines) == 9
+    for line in lines:
+        ns = cli.build_parser().parse_args(shlex.split(line)[1:])
+        assert ns.subcommand == shlex.split(line)[1], line
