@@ -20,18 +20,21 @@ Magnitudes are |N_{a,b}| = p+1, p the depth of the a-string through b; signs
 are +(p+1) on extraspecial pairs in the (height, lex) root order and follow
 elsewhere from the root-quadruple identities.  The table `_table` is the one
 store of them; criterion 5 checks it by exhaustive Jacobi and the p+1 rule.
+The depths p are read from `RootDatum.string_depths`, the one root-string
+walk; the roots themselves come from simple reflections.
+`build_chevalley_algebra` is cached once per parsed simple type, and its
+`datum` is the cached `build_root_datum` of that type.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .exact import check_prime_modulus, exact_div_arrays
-from .rootsys import RootDatum, SimpleType, build_root_datum
+from .rootsys import RootDatum, SimpleType, build_root_datum, per_type
 
 
 def _carter_constants(datum: RootDatum):
@@ -215,19 +218,6 @@ class LieElement:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other):
-        _check_compat(self, other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return LieElement(self.algebra, self.algebra._clean(out))
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, c):
         _check_scalar(c)
         return LieElement(self.algebra, self.algebra._clean({k: v * c for k, v in self.coeffs.items()}))
@@ -259,16 +249,10 @@ def _check_compat(a: LieElement, b: LieElement):
         )
 
 
-@lru_cache(maxsize=None)
-def _z_algebra(t: SimpleType) -> ChevalleyAlgebra:
+@per_type
+def build_chevalley_algebra(t: SimpleType) -> ChevalleyAlgebra:
+    """The ZZ form of the Chevalley algebra of a simple type; `.mod(ell)` reduces it."""
     return ChevalleyAlgebra(build_root_datum(t))
-
-
-def build_chevalley_algebra(source) -> ChevalleyAlgebra:
-    """The ZZ form of the Chevalley algebra of a simple type / RootDatum; `.mod(ell)` reduces it."""
-    if isinstance(source, RootDatum):
-        return _z_algebra(source.simple_type)
-    return _z_algebra(SimpleType.parse(source))
 
 
 def bracket(a: LieElement, b: LieElement) -> LieElement:

@@ -132,8 +132,7 @@ def run(ns: argparse.Namespace) -> int:
 
 
 def _cmd_roots(ns: argparse.Namespace) -> int:
-    d = build_root_datum(SimpleType.parse(ns.type))
-    _emit(d.to_json_dict(), ns)
+    _emit(build_root_datum(ns.type).to_json_dict(), ns)
     return EXIT_OK
 
 
@@ -167,13 +166,14 @@ def _cmd_cohomology(ns: argparse.Namespace) -> int:
         if not ns.type:
             print("sweep mode needs --type", file=sys.stderr)
             return EXIT_USAGE
+        t = SimpleType.parse(ns.type)  # an unknown type fails here, not silently in an empty range
         lo, hi = ell_range or (ell, ell)
         rows = []
         for ell in range(lo, hi + 1):
             if not is_probable_prime(ell):
                 continue
-            rows.append({"ell": ell, "h1_total": adjoint_h1_via_kostant(ns.type, ell)})
-        _emit({"simple_type": ns.type, "sweep": rows}, ns)
+            rows.append({"ell": ell, "h1_total": adjoint_h1_via_kostant(t, ell)})
+        _emit({"simple_type": str(t), "sweep": rows}, ns)
         return EXIT_OK
     if ell is None or ns.sym is None:
         print("need --ell and --sym (or the sweep mode)", file=sys.stderr)

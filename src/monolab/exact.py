@@ -313,12 +313,13 @@ def residues(matrix, ell: int) -> np.ndarray:
     """An integer matrix, entries of any size, as int64 residues in [0, ell).
 
     Raises ValueError for an entry that is not an int or a numpy integer
-    (a float such as 1.5 is never truncated) and for a bad modulus.
+    (a float such as 1.5 is never truncated, and neither kind of bool is an
+    integer entry) and for a bad modulus.
     """
     check_prime_modulus(ell)
     a = matrix if isinstance(matrix, np.ndarray) else np.array(matrix, dtype=object)
     kinds = set(map(type, a.flat)) if a.dtype == object else {a.dtype.type}
-    bad = sorted(t.__name__ for t in kinds if not issubclass(t, (int, np.integer)))
+    bad = sorted(t.__name__ for t in kinds if not issubclass(t, (int, np.integer)) or issubclass(t, bool))
     if bad:
         raise ValueError(f"matrix entries must be integers, got {', '.join(bad)}")
     return np.asarray(a % ell).astype(np.int64)  # a 0-d object array reduces to a bare int

@@ -535,7 +535,7 @@ def adjoint_h1_via_kostant(t: SimpleType | str, ell: int) -> int:
     Requires ell >= 2h-1 so the exponent decomposition persists mod ell and
     every summand has 2m < ell.
     """
-    d = build_root_datum(SimpleType.parse(t))
+    d = build_root_datum(t)
     bound = 2 * d.coxeter_number - 1
     if ell < bound:
         raise ValueError(

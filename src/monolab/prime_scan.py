@@ -23,7 +23,7 @@ import numpy as np
 from .exact import is_probable_prime
 from .fixtures import E8_CANDIDATES, OBSTRUCTION_PRIMES
 from .principal_sl2 import KostantDecomposition, principal_kostant
-from .rootsys import SimpleType
+from .rootsys import SimpleType, per_type
 
 # The char-0 zeros of an exceptional scan, keyed by (type, exponent); none
 # elsewhere.  In E6 they sit at exponents 4 and 8, on the simple roots fixed by
@@ -248,8 +248,8 @@ def scan_e6_cartan(kd: KostantDecomposition) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def build_report(t: SimpleType | str) -> PrimeScanReport:
+@per_type
+def build_report(t: SimpleType) -> PrimeScanReport:
     """Full scan pipeline for one simple type.
 
     The primes are those of every nonzero scan coefficient (and, in E6, of
@@ -257,7 +257,6 @@ def build_report(t: SimpleType | str) -> PrimeScanReport:
     zeros of `_CHAR0_ZEROS`; any other simple type is scanned for
     information only, with no zero pattern asserted.
     """
-    t = SimpleType.parse(t)
     kd = principal_kostant(t)
     name = str(t)
     scans = scan_simple_projections(kd)

@@ -11,17 +11,20 @@ with eigenvalues {2m : m an exponent}, and the eigenvectors are returned as
 primitive integer vectors in a deterministic order.  Each p_i of exponent m_i
 spans the string ad(Y)^k p_i, k <= 2 m_i, of the Kostant summand V_{2 m_i};
 `KostantDecomposition.strings` builds every string once, and `principal_kostant`
-one ZZ decomposition per simple type, shared by the scan, verify-paper and the CLI.
+one ZZ decomposition per parsed simple type, shared by the scan, verify-paper and
+the CLI.  H comes from `RootDatum.coroots`; no root string is walked here (the
+roots come from simple reflections, and `RootDatum.string_depths` is the one
+root-string walk).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .chevalley import ChevalleyAlgebra, LieElement, bracket, build_chevalley_algebra
 from .exact import integer_kernel, normalize_primitive
-from .rootsys import RootDatum, SimpleType
+from .rootsys import RootDatum, SimpleType, per_type
 
 
 def principal_coefficients(d: RootDatum) -> tuple[int, ...]:
@@ -200,13 +203,9 @@ def kostant_decomposition(alg: ChevalleyAlgebra, triple: Sl2Triple) -> KostantDe
     return KostantDecomposition(triple, tuple(pairs))
 
 
-def principal_kostant(t: SimpleType | str) -> KostantDecomposition:
-    """The Kostant decomposition of the ZZ form of a simple type, built on the first call for that type."""
-    return _principal_kostant(SimpleType.parse(t))
-
-
-@lru_cache(maxsize=None)
-def _principal_kostant(t: SimpleType) -> KostantDecomposition:
+@per_type
+def principal_kostant(t: SimpleType) -> KostantDecomposition:
+    """The Kostant decomposition of the ZZ form of a simple type."""
     alg = build_chevalley_algebra(t)
     return kostant_decomposition(alg, build_principal_sl2(alg))
 

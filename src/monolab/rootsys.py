@@ -3,22 +3,25 @@
 Roots live in simple-root coordinates (integer tuples); every pairing goes
 through the Cartan matrix, and a squared root length is 1, 2 or 3 times the
 short one, so the whole module is exact integer arithmetic.  Positive roots
-are enumerated by closure under root addition and frozen in a deterministic
-order whose first ``rank`` entries are the simple roots alpha_1, ..., alpha_l
-in their conventional numbering.
+are the closure of the simple roots under the simple reflections, frozen in a
+deterministic order whose first ``rank`` entries are the simple roots
+alpha_1, ..., alpha_l in their conventional numbering.
 
 Below `RootDatum` a root is its index k into `all_roots` (the N positive
 roots, then their negatives in the same order, so -(root k) is root
 (k + N) mod 2N).  `RootDatum` alone computes per-root numbers, each a read-only
 array built once per datum: `root_sums`, `pairings`, `norm2`, `coroots` and the
-int8 `string_depths`, walked on `root_sums`.  `_sum_index` builds the sums with
-array operations on int64 keys short enough that no key wraps at any rank.
+int8 `string_depths`, walked on `root_sums`, the one root-string walk.
+`_sum_index` builds the sums with array operations on int64 keys short enough
+that no key wraps at any rank.  `per_type` caches each per-type builder (the
+datum here, the Chevalley algebra, the Kostant decomposition and the prime
+scan report) once per parsed `SimpleType`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 
 import numpy as np
 
@@ -247,14 +250,15 @@ class RootDatum:
 
 
 def _close_positive_roots(cartan) -> list[Root]:
-    """All positive roots, by breadth-first closure from the simple roots.
+    """All positive roots, by closing the simple roots under the simple reflections.
 
-    A candidate beta + alpha_i is accepted iff the alpha_i-string through
-    beta continues upward, i.e. q = p - <alpha_i^vee, beta> >= 1 where p is
-    the depth of the string below beta.  Only validated string data is used,
-    never Euclidean geometry.  This walk of p on tuples finds the roots, so it
-    runs before any root index exists; every later depth is read from
-    `RootDatum.string_depths`.
+    s_i(beta) = beta - <alpha_i^vee, beta> alpha_i changes only coordinate i,
+    and s_i permutes the positive roots other than alpha_i, which it sends to
+    -alpha_i, the one image with a negative coordinate.  Every non-simple
+    positive root beta has some i with <alpha_i^vee, beta> > 0, so s_i(beta)
+    is a positive root of lower height (Humphreys, Introduction to Lie
+    Algebras and Representation Theory, 10.2): the closure is all of them.
+    Only the Cartan matrix is read; no root string is walked.
     """
     n = len(cartan)
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
@@ -264,20 +268,12 @@ def _close_positive_roots(cartan) -> list[Root]:
         new = []
         for beta in frontier:
             for i in range(n):
-                if beta == simple[i]:  # 2 alpha_i is no root
-                    continue
-                pairing = sum(cartan[i][j] * beta[j] for j in range(n))
-                p = 0
-                down = tuple(b - s for b, s in zip(beta, simple[i]))
-                while down in known:
-                    p += 1
-                    down = tuple(b - s for b, s in zip(down, simple[i]))
-                q = p - pairing
-                if q >= 1:
-                    up = tuple(b + s for b, s in zip(beta, simple[i]))
-                    if up not in known:
-                        known.add(up)
-                        new.append(up)
+                gamma = list(beta)
+                gamma[i] -= sum(cartan[i][j] * beta[j] for j in range(n))
+                gamma = tuple(gamma)
+                if gamma[i] >= 0 and gamma not in known:
+                    known.add(gamma)
+                    new.append(gamma)
         frontier = new
     # (height, alpha_1-first lexicographic): simple roots land on indices 0..n-1
     # in their conventional numbering.
@@ -298,10 +294,24 @@ def _exponents_from_heights(positive_roots) -> tuple[int, ...]:
     return tuple(sorted(conj))
 
 
-@lru_cache(maxsize=None)
-def build_root_datum(t: SimpleType | str) -> RootDatum:
+def per_type(build):
+    """Cache `build(t)` once per simple type, parsing t first: 'E8', 'e8' and SimpleType('E', 8) share one result.
+
+    The wrapper exposes `cache_clear`; its `__wrapped__` is the uncached `build`, which takes a parsed SimpleType.
+    """
+    cached = lru_cache(maxsize=None)(build)
+
+    @wraps(build)
+    def by_type(t: SimpleType | str):
+        return cached(SimpleType.parse(t))
+
+    by_type.cache_clear = cached.cache_clear
+    return by_type
+
+
+@per_type
+def build_root_datum(t: SimpleType) -> RootDatum:
     """Construct the validated RootDatum of a simple type."""
-    t = SimpleType.parse(t)
     A = cartan_matrix(t)
     pos = tuple(_close_positive_roots(A))
     theta = pos[-1]

@@ -181,7 +181,7 @@ def split_cartan_fixed_dim(t: SimpleType | str) -> int:
 
     involution, equal to the number of positive roots.
     """
-    d = build_root_datum(SimpleType.parse(t))
+    d = build_root_datum(t)
     return len(d.positive_roots)
 
 

@@ -49,6 +49,29 @@ def string_depth(roots, u, v):
     return p
 
 
+def string_walk_positive_roots(cartan):
+    """Reference closure: beta + alpha_i is a root iff q = p - <alpha_i^vee, beta> >= 1, with p walked down on tuples.
+
+    Sorted by (height, alpha_1-first lexicographic), the order `RootDatum.positive_roots` keeps.
+    """
+    n = len(cartan)
+    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    known, frontier = set(simple), list(simple)
+    while frontier:
+        new = []
+        for beta in frontier:
+            for i in range(n):
+                if beta == simple[i]:  # 2 alpha_i is no root
+                    continue
+                p = string_depth(known, simple[i], beta)
+                up = tuple(b + s for b, s in zip(beta, simple[i]))
+                if p - sum(cartan[i][j] * beta[j] for j in range(n)) >= 1 and up not in known:
+                    known.add(up)
+                    new.append(up)
+        frontier = new
+    return sorted(known, key=lambda r: (sum(r), tuple(-c for c in r)))
+
+
 def norm2(datum, a):
     """Tuple-arithmetic oracle for the Weyl-invariant (a, a): sum_ij a_i a_j d_i A_ij."""
     d, A, n = datum.simple_norms, datum.cartan, datum.rank

@@ -219,7 +219,7 @@ def test_verify_paper_builds_each_kostant_decomposition_once(monkeypatch):
 
     for module in (principal_sl2, prime_scan, verify):  # also counts a caller that imports the builder itself
         monkeypatch.setattr(module, "kostant_decomposition", counting, raising=False)
-    principal_sl2._principal_kostant.cache_clear()
+    principal_sl2.principal_kostant.cache_clear()
     prime_scan.build_report.cache_clear()
     assert all(r.ok for r in verify.verify_paper())
     assert built == {t: 1 for t in ("G2", "F4", "E6", "E7", "E8")}

@@ -172,6 +172,15 @@ def test_invalid_type_is_usage_error(capsys):
     assert "error" in err
 
 
+def test_cohomology_sweep_checks_type(capsys):
+    # an unknown type fails even over a range without primes; a lowercase one is echoed as parsed
+    code, out, err = run_cli(capsys, "cohomology", "sweep", "--type", "Z9", "--ell", "24..28")
+    assert (code, out) == (EXIT_USAGE, "") and "not a classified simple type: Z9" in err
+    code, out, _ = run_cli(capsys, "cohomology", "sweep", "--type", "g2", "--ell", "13..17")
+    assert code == EXIT_OK
+    assert json.loads(out) == {"simple_type": "G2", "sweep": [{"ell": 13, "h1_total": 1}, {"ell": 17, "h1_total": 0}]}
+
+
 def test_csv_and_json_carry_same_numbers(capsys, tmp_path):
     code, json_out, _ = run_cli(capsys, "bounds", "--type", "E8")
     code2, csv_out, _ = run_cli(capsys, "bounds", "--type", "E8", "--format", "csv")

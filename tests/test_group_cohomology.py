@@ -309,19 +309,22 @@ def test_sym_module_matches_binomial_reference(ell):
         (lambda: sym_module(7, 2, 1, [((1, 1), (0, 1)), ((1, 0), (0, 0))]), "generator 1 is singular mod 7"),
         (lambda: module_from_matrices(7, [np.zeros((0, 0), dtype=np.int64)]), r"got \[\(0, 0\)\]"),
         (lambda: close_group([np.zeros((0, 0), dtype=np.int64)], 7), r"got \[\(0, 0\)\]"),
+        (lambda: det_mod([[True, 1], [0, True]], 7), "must be integers, got bool"),
+        (lambda: det_mod(np.eye(2, dtype=bool), 7), "must be integers, got bool"),
     ],
     ids=[
         "module-float", "close-float", "sym-float-twist", "module-empty", "sym-3x3",
         "rank-empty", "det-2x3", "close-mixed", "sym-singular", "sym-singular-twist",
-        "module-0x0", "close-0x0",
+        "module-0x0", "close-0x0", "det-bool", "det-numpy-bool",
     ],
 )
 def test_non_integer_or_empty_input_rejected(call, match):
-    # a float entry is never truncated, an empty list gets a clean error, a
-    # 3 x 3 generator is not read through its top-left 2 x 2 block, a wrong
-    # shape is named instead of surfacing as a numpy error, and a singular
-    # generator is named whatever the twist (not pow()'s own error, and no
-    # non-invertible module matrices)
+    # a float entry is never truncated, a bool (Python's or numpy's) is not
+    # read as 0 or 1, an empty list gets a clean error, a 3 x 3 generator is
+    # not read through its top-left 2 x 2 block, a wrong shape is named
+    # instead of surfacing as a numpy error, and a singular generator is
+    # named whatever the twist (not pow()'s own error, and no non-invertible
+    # module matrices)
     with pytest.raises(ValueError, match=match):
         call()
 

@@ -20,6 +20,7 @@ from monolab.prime_scan import (
     scan_e6_cartan,
     scan_simple_projections,
 )
+from monolab.rootsys import SimpleType
 
 
 def decomposition(name):
@@ -120,8 +121,8 @@ def test_char0_zero_rule_is_enforced(monkeypatch):
     monkeypatch.setattr(prime_scan, "scan_simple_projections", with_zero_at_0)
     for name in ("G2", "E6"):
         with pytest.raises(ArithmeticError, match=f"{name} exponent 1: char-0 zeros at \\[0\\]"):
-            build_report.__wrapped__(name)  # uncached, so the cached reports stay untouched
-    assert build_report.__wrapped__("A3").informational
+            build_report.__wrapped__(SimpleType.parse(name))  # uncached, so the cached reports stay untouched
+    assert build_report.__wrapped__(SimpleType("A", 3)).informational
 
 
 def test_e6_cartan_scan():

@@ -1,11 +1,16 @@
 import dataclasses
 import json
 from operator import add
+from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import coroot, norm2, run_optimized, string_depth
+from conftest import coroot, norm2, run_optimized, string_depth, string_walk_positive_roots
 
+from monolab import rootsys
+from monolab.chevalley import build_chevalley_algebra
+from monolab.prime_scan import build_report
+from monolab.principal_sl2 import principal_kostant
 from monolab.rootsys import (
     EXCEPTIONAL_TYPES,
     SimpleType,
@@ -103,6 +108,33 @@ def test_root_sum_matches_tuple_sums(name):
     sums = d.root_sums
     assert sums.dtype == np.min_scalar_type(-len(roots)) and not sums.flags.writeable
     assert sums.tolist() == [[index.get(tuple(map(add, u, v)), -1) for v in roots] for u in roots]
+
+
+@pytest.mark.parametrize("name", ALL_TYPES + ["B17", "D21", "A30"])
+def test_positive_roots_match_string_walk(name):
+    # the reflection closure finds the roots the string-walk closure finds, in the same order
+    d = build_root_datum(name)
+    assert list(d.positive_roots) == string_walk_positive_roots(d.cartan)
+
+
+BUILDERS = [build_root_datum, build_chevalley_algebra, principal_kostant, build_report]
+
+
+@pytest.mark.parametrize("build", BUILDERS, ids=lambda build: build.__name__)
+def test_one_object_per_simple_type(build):
+    assert build("E8") is build("e8") is build(SimpleType("E", 8)) is build(" E8 ")
+    assert build_chevalley_algebra("E8").datum is build_root_datum("E8")
+    with pytest.raises(ValueError, match="not a classified simple type: Z9"):
+        build("Z9")
+
+
+def test_cold_datum_and_algebra_close_the_roots_once():
+    for build in BUILDERS:  # all four, so no cached object keeps a datum that the others dropped
+        build.cache_clear()
+    with mock.patch.object(rootsys, "_close_positive_roots", wraps=rootsys._close_positive_roots) as spy:
+        d = build_root_datum("F4")
+        assert build_chevalley_algebra(SimpleType("F", 4)).datum is d
+    assert spy.call_count == 1
 
 
 @pytest.mark.parametrize("name", ALL_TYPES + ["B17"])
