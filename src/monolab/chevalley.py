@@ -54,7 +54,7 @@ def _carter_constants(datum: RootDatum):
     gamma, least = sums[a, b], np.argmax((down >= 0) & (down < num_pos), axis=1)
     alpha = least[gamma]  # the extraspecial pair of gamma: (alpha, beta) with the least alpha
     beta, first = down[gamma, alpha], a == alpha
-    height = np.array([sum(r) for r in datum.positive_roots])[gamma]
+    height = datum.heights[gamma]
     table = np.zeros((num_pos, num_pos), dtype=np.int64)
     for h in range(2, datum.coxeter_number):  # the heights of sums of two positive roots
         ext, rest = np.flatnonzero((height == h) & first), np.flatnonzero((height == h) & ~first)

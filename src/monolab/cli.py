@@ -161,8 +161,16 @@ def _cmd_primescan(ns: argparse.Namespace) -> int:
 
 
 def _cmd_cohomology(ns: argparse.Namespace) -> int:
+    sweep = ns.mode == "sweep"
+    if sweep:  # the options that only the other mode reads
+        unread = {"--sym": ns.sym is not None, "--twist": ns.twist is not None, "--naive": ns.naive}
+    else:
+        unread = {"--type": ns.type is not None}
+    stray = [opt for opt, given in unread.items() if given]
+    if stray:
+        raise ValueError(f"{', '.join(stray)} not read {'in' if sweep else 'outside'} sweep mode")
     ell, ell_range = _parse_ell(ns.ell)
-    if ns.mode == "sweep":
+    if sweep:
         if not ns.type:
             print("sweep mode needs --type", file=sys.stderr)
             return EXIT_USAGE

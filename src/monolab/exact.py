@@ -8,9 +8,9 @@ with no rational intermediate step.
 
 Every elimination over F_ell in the package goes through one kernel at the end
 of this module: `matmul_mod`, the streamed reduced echelon form
-`EchelonState`, `rank_mod` and `det_mod`.  It is exact for every prime
-ell < 2**31.  `residues` reduces every integer matrix that enters from
-outside.
+`EchelonState`, `rank_mod`, `kernel_mod` and `det_mod`; no other module reads
+how `EchelonState` stores its rows.  It is exact for every prime ell < 2**31.
+`residues` reduces every integer matrix that enters from outside.
 """
 
 from __future__ import annotations
@@ -186,7 +186,7 @@ def integer_kernel(rows: list[list[int]], ncols: int) -> list[tuple[int, ...]]:
             g, x, y = _xgcd(a, b)
             aa, bb = a // g, b // g
             cj0, cj = cols[j0], cols[j]
-            for i in range(m + ncols):
+            for i in range(r, m + ncols):  # columns col.. are 0 on the rows above r
                 u, v = cj0[i], cj[i]
                 cj0[i] = x * u + y * v
                 cj[i] = aa * v - bb * u
@@ -194,11 +194,8 @@ def integer_kernel(rows: list[list[int]], ncols: int) -> list[tuple[int, ...]]:
                 raise ArithmeticError(f"column reduction left row {r} uncleared")
         cols[col], cols[j0] = cols[j0], cols[col]
         col += 1
-    kernel = []
-    for j in range(ncols):
-        if all(cols[j][r] == 0 for r in range(m)):
-            kernel.append(normalize_primitive(tuple(cols[j][m:])))
-    return kernel
+    # columns col.. are 0 on every row of M, so they carry the kernel
+    return [normalize_primitive(tuple(c[m:])) for c in cols[col:]]
 
 
 def normalize_primitive(vec) -> tuple[int, ...]:
@@ -325,14 +322,33 @@ def residues(matrix, ell: int) -> np.ndarray:
     return np.asarray(a % ell).astype(np.int64)  # a 0-d object array reduces to a bare int
 
 
-def rank_mod(matrix, ell: int) -> int:
-    """Rank over F_ell of an integer matrix; ValueError for anything not 2-d."""
+def _echelon(matrix, ell: int, caller: str) -> EchelonState:
+    """The reduced echelon form over F_ell of an integer matrix; ValueError (naming `caller`) for anything not 2-d."""
     matrix = residues(matrix, ell)
     if matrix.ndim != 2:
-        raise ValueError(f"rank_mod needs a 2-d matrix, got shape {matrix.shape}")
+        raise ValueError(f"{caller} needs a 2-d matrix, got shape {matrix.shape}")
     state = EchelonState(matrix.shape[1], ell)
     state.add(matrix)
-    return state.rank
+    return state
+
+
+def rank_mod(matrix, ell: int) -> int:
+    """Rank over F_ell of an integer matrix; ValueError for anything not 2-d."""
+    return _echelon(matrix, ell, "rank_mod").rank
+
+
+def kernel_mod(matrix, ell: int) -> np.ndarray:
+    """Columns spanning the kernel over F_ell of an integer matrix; ValueError for anything not 2-d.
+
+    Free column j gives the basis vector with 1 at j, 0 at the other free
+    columns and minus the pivot rows' entries at the pivot columns.
+    """
+    state = _echelon(matrix, ell, "kernel_mod")
+    free = state.free
+    basis = np.zeros((len(free) + state.rank, len(free)), dtype=np.int64)
+    basis[free, np.arange(len(free))] = 1
+    basis[state.pivots] = -state.rows % ell
+    return basis
 
 
 def det_mod(rows, ell: int) -> int:

@@ -34,7 +34,7 @@ from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-from .exact import EchelonState, det_mod, matmul_mod, rank_mod, residues
+from .exact import EchelonState, det_mod, kernel_mod, matmul_mod, rank_mod, residues
 from .rootsys import SimpleType, build_root_datum
 
 DEFAULT_MEMORY_BUDGET = 2 * 1024**3
@@ -355,7 +355,7 @@ def _h1_sl2(M: ModuleAction) -> int:
     _check_sl2_presentation(U, W, Ul, U4, Uh, ell)
     Wi = _product(ell, W, W, W)
     S = _product(ell, Ua, W, Uai, Wi, Ua, Wi, Nc)
-    V = _kernel_basis(N, ell)
+    V = kernel_mod(N, ell)
     eye = np.eye(dim, dtype=np.int64)
     span = np.hstack([matmul_mod((S - eye) % ell, V, ell), (U - eye) % ell])
     return V.shape[1] - rank_mod(span, ell)
@@ -419,16 +419,6 @@ def _primitive_root(ell: int) -> int:
     if m > 1:
         primes.append(m)
     return next(g for g in range(1, ell) if all(pow(g, (ell - 1) // q, ell) != 1 for q in primes))
-
-
-def _kernel_basis(A: np.ndarray, ell: int) -> np.ndarray:
-    """Columns spanning the kernel of A over F_ell, read off its reduced echelon form."""
-    state = EchelonState(A.shape[1], ell)
-    state.add(A)
-    basis = np.zeros((A.shape[1], len(state.free)), dtype=np.int64)
-    basis[state.free, np.arange(len(state.free))] = 1
-    basis[state.pivots] = -state.rows % ell
-    return basis
 
 
 def h1_naive(G: FiniteMatrixGroup, M: ModuleAction) -> CohomologyReport:

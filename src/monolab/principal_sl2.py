@@ -6,15 +6,19 @@ vectors making (X, H, Y) satisfy
 
     [X, H] = 2X,    [Y, H] = -2Y,    [Y, X] = H.
 
-The centralizer P of X is abelian of dimension equal to the rank; H acts on P
-with eigenvalues {2m : m an exponent}, and the eigenvectors are returned as
-primitive integer vectors in a deterministic order.  Each p_i of exponent m_i
-spans the string ad(Y)^k p_i, k <= 2 m_i, of the Kostant summand V_{2 m_i};
-`KostantDecomposition.strings` builds every string once, and `principal_kostant`
-one ZZ decomposition per parsed simple type, shared by the scan, verify-paper and
-the CLI.  H comes from `RootDatum.coroots`; no root string is walked here (the
-roots come from simple reflections, and `RootDatum.string_depths` is the one
-root-string walk).
+The centralizer P of X is abelian of dimension equal to the rank, and H acts
+on it with eigenvalues {2m : m an exponent} (Kostant, Amer. J. Math. 81,
+1959).  `kostant_decomposition` finds P in one pass over the H-grading of g
+(twice `RootDatum.heights` on root vectors, 0 on the Cartan): at every weight
+w it takes the integer kernel of ad(X): g_w -> g_{w+2} and checks that its
+dimension is the number of exponents m with 2m = w.  The eigenvectors come
+back as primitive integer vectors in a deterministic order.  Each p_i of
+exponent m_i spans the string ad(Y)^k p_i, k <= 2 m_i, of the Kostant summand
+V_{2 m_i}; `KostantDecomposition.strings` builds every string once, and
+`principal_kostant` one ZZ decomposition per parsed simple type, shared by the
+scan, verify-paper and the CLI.  H comes from `RootDatum.coroots`; no root
+string is walked here (the roots come from simple reflections, and
+`RootDatum.string_depths` is the one root-string walk).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .chevalley import ChevalleyAlgebra, LieElement, bracket, build_chevalley_algebra
-from .exact import integer_kernel, normalize_primitive
+from .exact import integer_kernel
 from .rootsys import RootDatum, SimpleType, per_type
 
 
@@ -84,50 +88,17 @@ def relations_hold(triple: Sl2Triple) -> bool:
     return bracket(X, H) == X.scale(2) and bracket(Y, H) == Y.scale(-2) and bracket(Y, X) == H
 
 
-def _weight_of_index(alg: ChevalleyAlgebra, k: int) -> int:
-    # H-eigenvalue of basis vector k: twice the height of root k, 0 on the Cartan
-    roots = alg.datum.all_roots
-    return 2 * sum(roots[k]) if k < len(roots) else 0
+def _graded_kernel(alg: ChevalleyAlgebra, X: LieElement, grading: dict, w: int) -> list[tuple[int, ...]]:
+    """Primitive integer kernel of ad(X): g_w -> g_{w+2}, in coordinates on the basis of g_w.
 
-
-def _graded_kernel(alg: ChevalleyAlgebra, X: LieElement, weight: int) -> list[tuple[int, ...]]:
-    """Integer kernel of ad(X): g_weight -> g_{weight+2}, as full-dim vectors."""
-    src = [k for k in range(alg.dim) if _weight_of_index(alg, k) == weight]
-    dst = [k for k in range(alg.dim) if _weight_of_index(alg, k) == weight + 2]
-    dst_pos = {k: r for r, k in enumerate(dst)}
+    `grading` maps each weight to its basis indices in increasing order.
+    """
+    src, dst = grading[w], {k: r for r, k in enumerate(grading.get(w + 2, ()))}
     rows = [[0] * len(src) for _ in dst]
     for col, k in enumerate(src):
-        img = bracket(X, alg.basis_element(k))
-        for kk, v in img.coeffs.items():
-            rows[dst_pos[kk]][col] = v
-    out = []
-    for vec in integer_kernel(rows, len(src)):
-        full = [0] * alg.dim
-        for col, k in enumerate(src):
-            full[k] = vec[col]
-        out.append(tuple(full))
-    return out
-
-
-def centralizer_of_X(alg: ChevalleyAlgebra, triple: Sl2Triple) -> list[tuple[int, ...]]:
-    """Saturated integer lattice basis of ker(ad X), as coefficient vectors.
-
-    ad(X) is homogeneous of degree +2 for the H-grading, so the kernel is the
-    direct sum of the graded kernels; each graded piece is a small exact
-    integer kernel computation and the result is saturated blockwise.
-    """
-    if alg.ell is not None:
-        raise ValueError("centralizer is computed on the ZZ form")
-    weights = sorted({_weight_of_index(alg, k) for k in range(alg.dim)})
-    basis = []
-    for w in weights:
-        basis.extend(_graded_kernel(alg, triple.X, w))
-    rank = alg.datum.rank
-    if len(basis) != rank:
-        raise ArithmeticError(
-            f"centralizer has rank {len(basis)}, expected {rank} for {alg.datum.simple_type}"
-        )
-    return basis
+        for kk, v in bracket(X, alg.basis_element(k)).coeffs.items():
+            rows[dst[kk]][col] = v
+    return integer_kernel(rows, len(src))
 
 
 @dataclass(frozen=True)
@@ -169,35 +140,37 @@ class KostantDecomposition:
 
 
 def kostant_decomposition(alg: ChevalleyAlgebra, triple: Sl2Triple) -> KostantDecomposition:
-    """Primitive H-eigenvectors p_i of the centralizer, [p_i, H] = 2 m_i p_i.
+    """Primitive H-eigenvectors p_i of the centralizer of X, [p_i, H] = 2 m_i p_i, in one graded pass.
 
-    Eigenvectors are normalised to content 1 with positive leading coordinate;
-    repeated exponents (type D_{2n}) get the echelon basis of their graded
-    kernel, in deterministic order.
+    The basis is grouped by H-weight, twice the height on root vectors and 0
+    on the Cartan.  ad(X) raises the weight by 2, so ker ad(X) is the sum of
+    its graded pieces; at every weight w the piece must have dimension
+    #{exponents m : 2m = w} (ArithmeticError naming w otherwise), which is
+    the one check that dim ker ad(X) = rank.  Kernel vectors are primitive
+    with positive leading coordinate; repeated exponents (type D_{2n}) get the
+    echelon basis of their graded kernel, in deterministic order.
     """
     if alg.ell is not None:
         raise ValueError("the decomposition is computed on the ZZ form")
     d = alg.datum
+    grading: dict = {}
+    for k, w in enumerate([2 * h for h in d.heights.tolist()] + [0] * d.rank):
+        grading.setdefault(w, []).append(k)
     pairs = []
-    for m in sorted(set(d.exponents)):
-        vecs = _graded_kernel(alg, triple.X, 2 * m)
-        mult = d.exponents.count(m)
+    for w in sorted(grading):
+        vecs = _graded_kernel(alg, triple.X, grading, w)
+        mult = sum(2 * m == w for m in d.exponents)
         if len(vecs) != mult:
-            raise ArithmeticError(
-                f"eigenvalue 2*{m}: got {len(vecs)} eigenvectors, expected {mult}"
-            )
+            raise ArithmeticError(f"weight {w}: ker ad X has dimension {len(vecs)}, expected {mult}")
         for vec in vecs:
-            coeffs = {k: v for k, v in enumerate(normalize_primitive(vec)) if v}
-            p = alg.element(coeffs)
-            if bracket(p, triple.H) != p.scale(2 * m):
-                raise ArithmeticError(f"eigenvalue 2*{m}: kernel vector is not an H-eigenvector")
-            pairs.append((m, p))
-    if len(pairs) != d.rank:
-        raise ArithmeticError(f"{len(pairs)} eigenvectors for rank {d.rank}")
+            p = alg.element({k: v for k, v in zip(grading[w], vec) if v})
+            if bracket(p, triple.H) != p.scale(w):
+                raise ArithmeticError(f"weight {w}: kernel vector is not an H-eigenvector")
+            pairs.append((w // 2, p))
     if pairs[0][0] != 1 or pairs[0][1] != triple.X:
         raise ArithmeticError("p_1 must be X itself")
-    for _, p in pairs:
-        for _, q in pairs:
+    for i, (_, p) in enumerate(pairs):
+        for _, q in pairs[i + 1 :]:  # the bracket is alternating
             if not bracket(p, q).is_zero():
                 raise ArithmeticError("centralizer of X is not abelian: structure bug")
     return KostantDecomposition(triple, tuple(pairs))

@@ -10,8 +10,9 @@ alpha_1, ..., alpha_l in their conventional numbering.
 Below `RootDatum` a root is its index k into `all_roots` (the N positive
 roots, then their negatives in the same order, so -(root k) is root
 (k + N) mod 2N).  `RootDatum` alone computes per-root numbers, each a read-only
-array built once per datum: `root_sums`, `pairings`, `norm2`, `coroots` and the
-int8 `string_depths`, walked on `root_sums`, the one root-string walk.
+array built once per datum: `root_sums`, the signed `heights`, `pairings`,
+`norm2`, `coroots` and the int8 `string_depths`, walked on `root_sums`, the one
+root-string walk.
 `_sum_index` builds the sums with array operations on int64 keys short enough
 that no key wraps at any rank.  `per_type` caches each per-type builder (the
 datum here, the Chevalley algebra, the Kostant decomposition and the prime
@@ -204,6 +205,11 @@ class RootDatum:
         return _read_only(_sum_index(self.all_roots))
 
     @cached_property
+    def heights(self) -> np.ndarray:
+        """2N int64 array of signed heights: the sum of the simple-root coordinates of root u."""
+        return _read_only(np.array(self.all_roots, dtype=np.int64).sum(1))
+
+    @cached_property
     def pairings(self) -> np.ndarray:
         """(2N x rank) int64 array: entry (u, i) is <alpha_i^vee, root u>."""
         return _read_only(np.array(self.all_roots, dtype=np.int64) @ np.array(self.cartan, dtype=np.int64).T)
@@ -241,7 +247,7 @@ class RootDatum:
             "num_roots": 2 * len(self.positive_roots),
             "dim_algebra": 2 * len(self.positive_roots) + self.rank,
             "positive_roots": [list(r) for r in self.positive_roots],
-            "heights": [sum(r) for r in self.positive_roots],
+            "heights": self.heights[: len(self.positive_roots)].tolist(),
             "highest_root": list(self.highest_root),
             "coxeter_number": self.coxeter_number,
             "exponents": list(self.exponents),

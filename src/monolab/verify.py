@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import fixtures
-from .chevalley import bracket, build_chevalley_algebra, jacobi_sweep
+from .chevalley import build_chevalley_algebra, jacobi_sweep
 from .exact import det_mod, is_probable_prime
 from .group_cohomology import (
     adjoint_h1_via_kostant,
@@ -34,9 +34,7 @@ from .group_cohomology import (
 )
 from .principal_sl2 import (
     build_principal_sl2,
-    centralizer_of_X,
     principal_kostant,
-    relations_hold,
     sl2_string_family_rows,
     sl2_string_lengths_ok,
 )
@@ -108,24 +106,16 @@ def crit_e8_adjudication() -> CriterionResult:
 
 
 def crit_kostant_structure() -> CriterionResult:
+    # principal_kostant raises ArithmeticError, which verify_paper reports as
+    # FAIL, unless ker ad X has dimension #{m : 2m = w} at every weight w (so
+    # dim P = rank), each eigenvector has eigenvalue 2m and P is abelian;
+    # build_root_datum raises unless sum(2m+1) = dim g.  The string lengths
+    # are the one check that no constructor makes.
     res = CriterionResult("kostant-structure", True)
     for t in EXCEPTIONAL_TYPES:
-        kd = principal_kostant(t)
-        triple = kd.triple
-        alg, d = triple.algebra, triple.algebra.datum
-        P = centralizer_of_X(alg, triple)
-        checks = {
-            "dim P = rank": len(P) == d.rank,
-            "eigenvalues = 2*exponents": kd.exponents == d.exponents,
-            "abelian": all(
-                bracket(p, q).is_zero() for _, p in kd.pairs for _, q in kd.pairs
-            ),
-            "sum(2m+1) = dim": sum(2 * m + 1 for m in kd.exponents) == alg.dim,
-            "strings of length 2m+1": sl2_string_lengths_ok(kd),
-        }
-        res.ok &= all(checks.values())
-        bad = [k for k, v in checks.items() if not v]
-        res.details.append(f"{t}: {'ok' if not bad else 'FAIL ' + ', '.join(bad)}")
+        ok = sl2_string_lengths_ok(principal_kostant(t))
+        res.ok &= ok
+        res.details.append(f"{t}: {'ok' if ok else 'FAIL strings of length 2m+1'}")
     return res
 
 
@@ -133,10 +123,11 @@ def crit_kostant_structure() -> CriterionResult:
 
 
 def _sl2_relations_ok(alg) -> bool:
-    try:  # the constructor checks the relations first
-        return relations_hold(build_principal_sl2(alg))
+    try:  # the constructor raises ArithmeticError if a relation fails
+        build_principal_sl2(alg)
     except ArithmeticError:
         return False
+    return True
 
 
 def crit_sl2_relations() -> CriterionResult:

@@ -7,9 +7,9 @@ nonzero value included (that class is certified by an explicit cocycle in the
 unit suite), and adjoint sums equal to the number of exponents m with
 2m = ell - 3.  Negative controls stub the solvers to show that the criterion
 still fails on the all-zero pattern and on a spurious nonzero value, stub
-the string-length and sl2-relations checks to show that criteria 3 and 4
-report FAIL, and hand criterion 5 a sign-flipped G2 table to show that it
-reports FAIL, also under python -O.
+the string-length and sl2-relations checks and add a centralizer vector at
+weight 0 to show that criteria 3 and 4 report FAIL, and hand criterion 5 a
+sign-flipped G2 table to show that it reports FAIL, also under python -O.
 """
 
 import time
@@ -19,6 +19,8 @@ import pytest
 from conftest import flipped_algebra, run_optimized
 
 from monolab import prime_scan, principal_sl2, verify
+from monolab.chevalley import build_chevalley_algebra
+from monolab.cli import EXIT_MISMATCH, main
 from monolab.group_cohomology import CohomologyReport
 from monolab.verify import (
     crit_bounds_and_persistence,
@@ -60,8 +62,10 @@ def test_criterion_2_e8_adjudication():
 
 
 def test_criterion_3_kostant_structure():
-    # dim P = rank, eigenvalues 2m, abelian, sum(2m+1) = dim g, strings of
-    # length 2m+1; all five types
+    # strings of length 2m+1 on all five types; principal_kostant raises,
+    # and so fails the criterion, unless dim ker ad X = #{m : 2m = w} at every
+    # weight w (so dim P = rank), the eigenvalues are 2m and P is abelian, and
+    # build_root_datum raises unless sum(2m+1) = dim g
     report(timed(crit_kostant_structure), budget_s=30)
 
 
@@ -75,18 +79,37 @@ def test_criterion_3_reports_broken_strings(monkeypatch):
     assert res.details == [f"{t}: FAIL strings of length 2m+1" for t in ("G2", "F4", "E6", "E7", "E8")]
 
 
+def test_criterion_3_reports_extra_centralizer_vector(monkeypatch, capsys):
+    # one extra kernel vector at weight 0, where no exponent lives: the
+    # weight-by-weight dimension check raises, and criterion 3 and the CLI
+    # report FAIL
+    real = principal_sl2._graded_kernel
+
+    def extra_at_zero(alg, X, grading, w):
+        vecs = real(alg, X, grading, w)
+        return vecs + [(1,) + (0,) * (len(grading[w]) - 1)] if w == 0 else vecs
+
+    monkeypatch.setattr(principal_sl2, "_graded_kernel", extra_at_zero)
+    message = "weight 0: ker ad X has dimension 1, expected 0"
+    alg = build_chevalley_algebra("G2")
+    with pytest.raises(ArithmeticError, match=message):
+        principal_sl2.kostant_decomposition(alg, principal_sl2.build_principal_sl2(alg))
+    principal_sl2.principal_kostant.cache_clear()
+    (res,) = verify.verify_paper(only=["kostant-structure"])
+    assert res.ok is False and res.details == [f"ArithmeticError: {message}"]
+    assert main(["verify-paper", "--only", "kostant-structure"]) == EXIT_MISMATCH
+    assert "FAIL kostant-structure" in capsys.readouterr().err
+
+
 def test_criterion_4_sl2_relations():
     # exact relations over ZZ and sampled F_ell; constructor rejects ell < h
     report(timed(crit_sl2_relations))
 
 
 def test_criterion_4_reports_broken_relations(monkeypatch):
-    # the constructor and the criterion both see a failing relations check;
-    # the criterion must report FAIL lines instead of raising
-    from monolab import principal_sl2
-
+    # the constructor's relations check is the one check; when it fails, the
+    # criterion must report FAIL lines instead of raising
     monkeypatch.setattr(principal_sl2, "relations_hold", lambda triple: False)
-    monkeypatch.setattr(verify, "relations_hold", lambda triple: False)
     res = crit_sl2_relations()
     assert res.ok is False
     assert len(res.details) == 5

@@ -181,6 +181,20 @@ def test_cohomology_sweep_checks_type(capsys):
     assert json.loads(out) == {"simple_type": "G2", "sweep": [{"ell": 13, "h1_total": 1}, {"ell": 17, "h1_total": 0}]}
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("cohomology", "--type", "Z9", "--ell", "7", "--sym", "2"), "--type not read outside sweep mode"),
+        (("cohomology", "sweep", "--type", "G2", "--ell", "13", "--sym", "4", "--naive"), "--sym, --naive not read in sweep mode"),
+        (("cohomology", "sweep", "--type", "G2", "--ell", "13", "--twist", "0"), "--twist not read in sweep mode"),
+    ],
+    ids=["type-outside-sweep", "sym-and-naive-in-sweep", "twist-in-sweep"],
+)
+def test_cohomology_rejects_options_its_mode_does_not_read(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {named}\n")
+
+
 def test_csv_and_json_carry_same_numbers(capsys, tmp_path):
     code, json_out, _ = run_cli(capsys, "bounds", "--type", "E8")
     code2, csv_out, _ = run_cli(capsys, "bounds", "--type", "E8", "--format", "csv")

@@ -15,6 +15,7 @@ from monolab.exact import (
     det_mod,
     integer_kernel,
     is_probable_prime,
+    kernel_mod,
     matmul_mod,
     normalize_primitive,
     rank_mod,
@@ -185,6 +186,27 @@ def test_kernel_against_python_reference(ell):
             assert got.tolist() == want, (m, n, kind)
 
 
+@pytest.mark.parametrize("ell", [7, 101, 2**31 - 1])
+def test_kernel_mod_spans_the_kernel(ell):
+    # B = kernel_mod(A): A B = 0, and B has full column rank ncols - rank(A);
+    # a zero matrix gives the identity, a full-rank one no columns
+    rng = random.Random(ell)
+    cases = [
+        random_residue_matrix(rng, m, n, ell, kind)
+        for m, n in [(1, 1), (3, 5), (7, 4), (12, 12), (40, 70)]
+        for kind in ("random", "low-rank", "zero-columns")
+    ]
+    cases += [[[0] * 6] * 4, [[(i + 1) * (i == j) for j in range(5)] for i in range(5)]]
+    for rows in cases:
+        A = np.array(rows, dtype=np.int64)
+        B = kernel_mod(A, ell)
+        assert B.shape == (A.shape[1], A.shape[1] - rank_mod(A, ell))
+        assert not matmul_mod(A, B, ell).any()
+        assert rank_mod(B, ell) == B.shape[1]
+    assert kernel_mod(cases[-2], ell).tolist() == np.eye(6, dtype=int).tolist()
+    assert kernel_mod(cases[-1], ell).shape == (5, 0)
+
+
 def test_kernel_rejects_bad_moduli():
     with pytest.raises(ValueError, match="not a prime: 12"):
         det_mod([[1, 2], [3, 4]], 12)
@@ -236,9 +258,10 @@ def test_kernel_rejects_non_integer_entries(call):
     [
         (lambda: det_mod(5, 7), r"square matrix, got shape \(\)"),
         (lambda: rank_mod(5, 7), r"2-d matrix, got shape \(\)"),
+        (lambda: kernel_mod(5, 7), r"kernel_mod needs a 2-d matrix, got shape \(\)"),
         (lambda: module_from_matrices(7, [5]), r"square of one size, got \[\(\)\]"),
     ],
-    ids=["det_mod", "rank_mod", "module_from_matrices"],
+    ids=["det_mod", "rank_mod", "kernel_mod", "module_from_matrices"],
 )
 def test_bare_integer_is_not_a_matrix(call, match):
     # a 0-d input reaches the shape checks as a 0-d residue array

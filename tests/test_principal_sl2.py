@@ -10,7 +10,6 @@ from monolab.prime_scan import scan_e6_cartan, scan_simple_projections
 from monolab.principal_sl2 import (
     KostantDecomposition,
     build_principal_sl2,
-    centralizer_of_X,
     kostant_decomposition,
     principal_coefficients,
     sl2_string_family_rows,
@@ -106,20 +105,17 @@ def test_coxeter_boundary_on_modular_triples():
 
 def test_centralizer_a1():
     alg = build_chevalley_algebra("A1")
-    trip = build_principal_sl2(alg)
-    P = centralizer_of_X(alg, trip)
-    assert P == [(1, 0, 0)]  # the line through x itself
+    kd = kostant_decomposition(alg, build_principal_sl2(alg))
+    assert [p.coeffs for _, p in kd.pairs] == [{0: 1}]  # the line through x itself
 
 
 @pytest.mark.parametrize("name", EXCEPTIONAL_TYPES)
 def test_centralizer_dimension(name):
     alg = build_chevalley_algebra(name)
-    trip = build_principal_sl2(alg)
-    P = centralizer_of_X(alg, trip)
-    assert len(P) == alg.datum.rank
-    for vec in P:
-        elem = alg.element(dict(enumerate(vec)))
-        assert bracket(trip.X, elem).is_zero()
+    kd = kostant_decomposition(alg, build_principal_sl2(alg))
+    assert len(kd.pairs) == alg.datum.rank
+    for _, p in kd.pairs:
+        assert bracket(kd.triple.X, p).is_zero()
 
 
 def test_g2_eigenvalues_on_centralizer():

@@ -150,20 +150,21 @@ def test_coroots_and_norms_match_tuple_formula(name):
     d = build_root_datum(name)
     roots, n = d.all_roots, d.rank
     assert d.pairings.tolist() == [[sum(d.cartan[i][j] * r[j] for j in range(n)) for i in range(n)] for r in roots]
+    assert d.heights.tolist() == [sum(r) for r in roots]
     assert d.norm2.tolist() == [norm2(d, r) for r in roots]
     assert d.coroots.tolist() == [list(coroot(d, r)) for r in roots]
 
 
 def test_per_root_arrays_read_only_and_built_once():
     d = dataclasses.replace(build_root_datum("F4"))  # a fresh datum, so nothing is cached yet
-    names = ("root_sums", "pairings", "norm2", "coroots", "string_depths")
+    names = ("root_sums", "heights", "pairings", "norm2", "coroots", "string_depths")
     assert not set(names) & set(vars(d))
     for name in names:
         array = getattr(d, name)
         assert getattr(d, name) is array and not array.flags.writeable, name
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
-    assert d.pairings.shape == d.coroots.shape == (48, 4) and d.norm2.shape == (48,)
+    assert d.pairings.shape == d.coroots.shape == (48, 4) and d.norm2.shape == d.heights.shape == (48,)
     assert d.root_sums.shape == d.string_depths.shape == (48, 48)
 
 
