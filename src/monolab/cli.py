@@ -73,13 +73,6 @@ def _emit(doc: dict, ns: argparse.Namespace):
         sys.stdout.write(text)
 
 
-def _parse_ell(text: str):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return None, (int(lo), int(hi))
-    return int(text), None
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="monolab", description=__doc__)
     sub = ap.add_subparsers(dest="subcommand", required=True)
@@ -169,23 +162,20 @@ def _cmd_cohomology(ns: argparse.Namespace) -> int:
     stray = [opt for opt, given in unread.items() if given]
     if stray:
         raise ValueError(f"{', '.join(stray)} not read {'in' if sweep else 'outside'} sweep mode")
-    ell, ell_range = _parse_ell(ns.ell)
+    ell, is_range, hi = ns.ell.partition("..")
+    ell, hi = int(ell), int(hi if is_range else ell)
     if sweep:
         if not ns.type:
-            print("sweep mode needs --type", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("sweep mode needs --type")
         t = SimpleType.parse(ns.type)  # an unknown type fails here, not silently in an empty range
-        lo, hi = ell_range or (ell, ell)
-        rows = []
-        for ell in range(lo, hi + 1):
-            if not is_probable_prime(ell):
-                continue
-            rows.append({"ell": ell, "h1_total": adjoint_h1_via_kostant(t, ell)})
+        primes = [p for p in range(ell, hi + 1) if is_probable_prime(p)]
+        rows = [{"ell": p, "h1_total": adjoint_h1_via_kostant(t, p)} for p in primes]
         _emit({"simple_type": str(t), "sweep": rows}, ns)
         return EXIT_OK
-    if ell is None or ns.sym is None:
-        print("need --ell and --sym (or the sweep mode)", file=sys.stderr)
-        return EXIT_USAGE
+    if is_range:
+        raise ValueError(f"--ell {ns.ell}: a range is read only in sweep mode")
+    if ns.sym is None:
+        raise ValueError("--sym is needed outside sweep mode")
     twist = ns.twist if ns.twist is not None else -(ns.sym // 2)
     G = sl2_group(ell)
     M = sym_module(ell, ns.sym, -twist)

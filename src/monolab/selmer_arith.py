@@ -207,24 +207,27 @@ def lifting_prime_bounds(t: SimpleType | str) -> PrimeBounds:
     maximal_image_bound: ell - 1 must exceed max(8z, (h-1)z) for even center
     order z, or max(8z, (2h-2)z) for odd z, z the simply-connected center
     order.  principal_sl2_bound: 4h - 1 (for E6 this runs through the dual
-    Coxeter number, which agrees since E6 is simply laced).  The E8 exclusion
-    list carries the unresolved 367-vs-397 pair explicitly; the prime scan is
-    what adjudicates it.
+    Coxeter number, which agrees since E6 is simply laced).  The E8 exclusions
+    are "certain", the primes common to both candidate lists that exceed the
+    principal-sl2 bound, and "disputed", the unresolved 367-vs-397 pair that
+    the prime scan adjudicates.
     """
     t = SimpleType.parse(t)
     d = build_root_datum(t)
     h = d.coxeter_number
     z = _center_order(t)
     height_term = (h - 1) * z if z % 2 == 0 else (2 * h - 2) * z
-    bounds = PrimeBounds(
+    principal = 4 * h - 1
+    exclusions = {}
+    if str(t) == "E8":
+        shared = set.intersection(*map(set, E8_CANDIDATES.values()))
+        exclusions = {"certain": sorted(p for p in shared if p > principal), "disputed": sorted(E8_CANDIDATES)}
+    return PrimeBounds(
         simple_type=str(t),
         maximal_image_bound=1 + max(8 * z, height_term),
-        principal_sl2_bound=4 * h - 1,
-        e8_exclusions=(
-            {"certain": [229, 269], "disputed": sorted(E8_CANDIDATES)} if str(t) == "E8" else {}
-        ),
+        principal_sl2_bound=principal,
+        e8_exclusions=exclusions,
     )
-    return bounds
 
 
 def _center_order(t: SimpleType) -> int:

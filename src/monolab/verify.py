@@ -1,8 +1,11 @@
 """The reference acceptance matrix: every conformance criterion in one place.
 
-Each criterion is a function returning a CriterionResult; `verify_paper` runs
-them (optionally restricted) and reports one pass/fail line per criterion.
-The same functions back the test suite and the `verify-paper` CLI subcommand,
+Each criterion is a generator that yields one (ok, detail) pair per check it
+reports, in report order; `CRITERIA` names them.  `verify_paper` runs them
+(optionally restricted) and is the one place a verdict is formed: a
+criterion passes when every check it yielded passes, and one that raises
+ArithmeticError is a FAIL whose one detail is the error.  The same
+`verify_paper` backs the test suite and the `verify-paper` CLI subcommand,
 so there is a single source of truth for what "conforms" means.
 
 Criterion `cohomology-vanishing` pins the classical H^1 pattern exactly:
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import fixtures
 from .chevalley import build_chevalley_algebra, jacobi_sweep
@@ -55,8 +58,8 @@ from .selmer_arith import (
 class CriterionResult:
     name: str
     ok: bool
-    details: list = field(default_factory=list)
-    elapsed: float = 0.0
+    details: list
+    elapsed: float
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"
@@ -76,47 +79,37 @@ def _next_primes(start: int, count: int):
 # --- criterion 1 -----------------------------------------------------------
 
 
-def crit_prime_lists() -> CriterionResult:
-    res = CriterionResult("prime-lists", True)
+def crit_prime_lists():
     for t in ("G2", "F4", "E7", "E6"):
-        got = build_report(t).bad_primes
-        want = fixtures.OBSTRUCTION_PRIMES[t]
-        ok = got == want
-        res.ok &= ok
-        res.details.append(f"{t}: scan {list(got)} vs reference {list(want)} -> {'ok' if ok else 'MISMATCH'}")
-    return res
+        rep = build_report(t)
+        ok, want, _ = check_against_reference(rep)
+        yield ok, f"{t}: scan {list(rep.bad_primes)} vs reference {list(want)} -> {'ok' if ok else 'MISMATCH'}"
 
 
 # --- criterion 2 -----------------------------------------------------------
 
 
-def crit_e8_adjudication() -> CriterionResult:
-    res = CriterionResult("e8-adjudication", True)
+def crit_e8_adjudication():
     rep = build_report("E8")
     ok, expected, note = check_against_reference(rep)
-    res.ok = ok
-    res.details.append(f"E8 scan: {list(rep.bad_primes)}")
-    res.details.append(f"adjudication: {rep.e8_adjudication} ({note})")
+    yield ok, f"E8 scan: {list(rep.bad_primes)}"
+    yield ok, f"adjudication: {rep.e8_adjudication} ({note})"
     if not ok:
-        res.details.append(f"neither candidate matched; closest reference {list(expected)}")
-    return res
+        yield False, f"neither candidate matched; closest reference {list(expected)}"
 
 
 # --- criterion 3 -----------------------------------------------------------
 
 
-def crit_kostant_structure() -> CriterionResult:
+def crit_kostant_structure():
     # principal_kostant raises ArithmeticError, which verify_paper reports as
     # FAIL, unless ker ad X has dimension #{m : 2m = w} at every weight w (so
     # dim P = rank), each eigenvector has eigenvalue 2m and P is abelian;
     # build_root_datum raises unless sum(2m+1) = dim g.  The string lengths
     # are the one check that no constructor makes.
-    res = CriterionResult("kostant-structure", True)
     for t in EXCEPTIONAL_TYPES:
         ok = sl2_string_lengths_ok(principal_kostant(t))
-        res.ok &= ok
-        res.details.append(f"{t}: {'ok' if ok else 'FAIL strings of length 2m+1'}")
-    return res
+        yield ok, f"{t}: {'ok' if ok else 'FAIL strings of length 2m+1'}"
 
 
 # --- criterion 4 -----------------------------------------------------------
@@ -130,8 +123,7 @@ def _sl2_relations_ok(alg) -> bool:
     return True
 
 
-def crit_sl2_relations() -> CriterionResult:
-    res = CriterionResult("sl2-relations", True)
+def crit_sl2_relations():
     for t in EXCEPTIONAL_TYPES:
         d = build_root_datum(t)
         h = d.coxeter_number
@@ -148,29 +140,24 @@ def crit_sl2_relations() -> CriterionResult:
                 reject_ok = False
             except ValueError:
                 pass
-        ok = rel_ok and mod_ok and reject_ok
-        res.ok &= ok
-        res.details.append(
+        yield rel_ok and mod_ok and reject_ok, (
             f"{t}: ZZ relations {'ok' if rel_ok else 'FAIL'},"
             f" mod-ell {'ok' if mod_ok else 'FAIL'},"
             f" reject ell<h {'ok' if reject_ok else 'FAIL'}"
         )
-    return res
 
 
 # --- criterion 5 -----------------------------------------------------------
 
 
-def crit_structure_constants() -> CriterionResult:
-    res = CriterionResult("structure-constants", True)
+def crit_structure_constants():
     for t in EXCEPTIONAL_TYPES:
         try:
             n = jacobi_sweep(build_chevalley_algebra(t))
         except ArithmeticError as exc:
-            res.ok = False
-            res.details.append(f"{t}: exhaustive Jacobi FAIL: {exc}")
+            yield False, f"{t}: exhaustive Jacobi FAIL: {exc}"
         else:
-            res.details.append(f"{t}: exhaustive Jacobi on {n} triples ok")
+            yield True, f"{t}: exhaustive Jacobi on {n} triples ok"
     for t in EXCEPTIONAL_TYPES:
         alg = build_chevalley_algebra(t)
         depths = alg.datum.string_depths.tolist()
@@ -180,12 +167,10 @@ def crit_structure_constants() -> CriterionResult:
             if max(i, j, k) < len(depths)
         ]
         bad = sum(got != want for got, want in magnitudes)
-        res.ok &= bad == 0
-        res.details.append(
+        yield bad == 0, (
             f"{t}: p+1 magnitude exhaustive over {len(magnitudes)} pairs"
             f" -> {'ok' if bad == 0 else f'{bad} violations'}"
         )
-    return res
 
 
 # --- criterion 6 -----------------------------------------------------------
@@ -211,7 +196,7 @@ def _oracle_fixture_groups():
 CROSS_CHECK_PRIMES = (7, 11, 13)
 
 
-def crit_cohomology_vanishing() -> CriterionResult:
+def crit_cohomology_vanishing():
     """h1(SL2(F_ell), Sym^r (x) det^{-r/2}) is [r = ell-3] for every even r < ell.
 
     The adjoint sum over the principal-sl2 exponents m therefore counts the
@@ -219,7 +204,6 @@ def crit_cohomology_vanishing() -> CriterionResult:
     ell in CROSS_CHECK_PRIMES every swept module is also solved by the Cayley
     solver, on SL2(F_ell) closed from the generators in swapped order.
     """
-    res = CriterionResult("cohomology-vanishing", True)
     cross_cases, cross_bad = 0, []
     for ell in (7, 11, 13, 17, 19, 23, 29):
         G = sl2_group(ell)
@@ -236,17 +220,12 @@ def crit_cohomology_vanishing() -> CriterionResult:
                     cross_bad.append((ell, r))
         want = {ell - 3: 1}
         ok = got == want
-        res.ok &= ok
-        res.details.append(
-            f"ell={ell}: even r < ell, nonzero h1 expected {want}, computed {got}"
-            f" -> {'ok' if ok else 'MISMATCH'}"
-        )
+        yield ok, f"ell={ell}: even r < ell, nonzero h1 expected {want}, computed {got} -> {'ok' if ok else 'MISMATCH'}"
     for t, ell in (("G2", 13), ("F4", 29), ("E6", 29)):
         hits = [m for m in build_root_datum(t).exponents if 2 * m == ell - 3]
         got = adjoint_h1_via_kostant(t, ell)
         ok = got == len(hits)
-        res.ok &= ok
-        res.details.append(
+        yield ok, (
             f"{t} adjoint at ell={ell}: expected {len(hits)} (exponents m with"
             f" 2m = ell-3: {hits}), computed {got} -> {'ok' if ok else 'MISMATCH'}"
         )
@@ -256,30 +235,29 @@ def crit_cohomology_vanishing() -> CriterionResult:
         a, b = h1(G, M), h1_naive(G, M)
         if a != b:
             oracle_ok = False
-            res.details.append(f"oracle mismatch: |G|={G.order} {M.description}: {a} vs {b}")
-    res.ok &= oracle_ok
-    res.details.append(
+            yield False, f"oracle mismatch: |G|={G.order} {M.description}: {a} vs {b}"
+    yield oracle_ok, (
         f"streamed-vs-naive oracle equivalence on {len(fixture_groups)} fixture groups of order <= 200:"
         f" {'ok' if oracle_ok else 'FAIL'}"
     )
-    res.ok &= not cross_bad
-    res.details.append(
+    yield not cross_bad, (
         f"Borel-vs-Cayley cross-check on {cross_cases} modules (every even r < ell at ell in"
         f" {CROSS_CHECK_PRIMES}, Cayley solver on the swapped generators):"
         f" {'ok' if not cross_bad else f'FAIL at (ell, r) {cross_bad}'}"
     )
-    res.details.append(
+    # the last two lines say which solver ran where and what is checked
+    # elsewhere; they report no check of their own
+    yield True, (
         "solvers: the r sweep and the adjoint totals ran the Borel solver (restriction to U x| T);"
         " the Cayley cocycle solver ran on the swapped-generator cross-check and on the fixture"
         " groups not generated by sl2_generators; the naive whole-group oracle ran only on the"
         " fixture groups of order <= 200"
     )
-    res.details.append(
+    yield True, (
         "the r = ell-3 class is not certified here; its explicit non-coboundary cocycle is"
         " checked on every group-element pair by"
         " tests/test_group_cohomology.py::test_certified_nonvanishing_at_ell_minus_3"
     )
-    return res
 
 
 # --- criterion 7 -----------------------------------------------------------
@@ -314,39 +292,31 @@ def _random_ledger(rng: random.Random) -> SelmerLedger:
     )
 
 
-def crit_selmer_identities() -> CriterionResult:
-    res = CriterionResult("selmer-identities", True)
+def crit_selmer_identities():
     for t in EXCEPTIONAL_TYPES:
         vals = []
         for degree in (1, 2, 3):
             led = balanced_ledger(t, degree)
             vals.append((wiles_difference(led), oddness_deficit(led)))
-        ok = all(v == (0, 0) for v in vals)
-        res.ok &= ok
-        res.details.append(f"{t}: balanced ledgers degrees 1..3 -> {vals}")
+        yield all(v == (0, 0) for v in vals), f"{t}: balanced ledgers degrees 1..3 -> {vals}"
     rng = random.Random(777)
     mismatches = 0
     for _ in range(100):
         led = _random_ledger(rng)
         if wiles_difference(led) != lgroup_euler_difference(led):
             mismatches += 1
-    res.ok &= mismatches == 0
-    res.details.append(
+    yield mismatches == 0, (
         f"difference-formula rearrangement identity on 100 random ledgers:"
         f" {'ok' if mismatches == 0 else f'{mismatches} mismatches'}"
     )
-    return res
 
 
 # --- criterion 8 -----------------------------------------------------------
 
 
-def crit_bounds_and_persistence() -> CriterionResult:
-    res = CriterionResult("bounds-and-persistence", True)
+def crit_bounds_and_persistence():
     b = lifting_prime_bounds("E6").principal_sl2_bound
-    ok = b == 47
-    res.ok &= ok
-    res.details.append(f"E6 principal bound: {b} (want 47) -> {'ok' if ok else 'FAIL'}")
+    yield b == 47, f"E6 principal bound: {b} (want 47) -> {'ok' if b == 47 else 'FAIL'}"
     for t in EXCEPTIONAL_TYPES:
         kd = principal_kostant(t)
         alg = kd.triple.algebra
@@ -355,11 +325,7 @@ def crit_bounds_and_persistence() -> CriterionResult:
         primes = _next_primes(2 * h - 1, 3)
         # det != 0 mod ell keeps the family a basis of g: integral persistence for ell >= 2h-1
         good = len(rows) == alg.dim and all(det_mod(rows, ell) for ell in primes)
-        res.ok &= good
-        res.details.append(
-            f"{t}: string family stays a basis mod {primes} -> {'ok' if good else 'FAIL'}"
-        )
-    return res
+        yield good, f"{t}: string family stays a basis mod {primes} -> {'ok' if good else 'FAIL'}"
 
 
 CRITERIA = (
@@ -375,7 +341,11 @@ CRITERIA = (
 
 
 def verify_paper(only=None) -> list[CriterionResult]:
-    """Run the acceptance matrix in fixed criterion order; a criterion raising ArithmeticError FAILs."""
+    """Run the acceptance matrix in fixed criterion order.
+
+    A criterion passes when every (ok, detail) pair it yields is ok; one that
+    raises ArithmeticError FAILs with the error as its one detail.
+    """
     fixtures.assert_data_file_sync()
     selected = [(n, f) for n, f in CRITERIA if only is None or n in only]
     if only is not None:
@@ -384,12 +354,12 @@ def verify_paper(only=None) -> list[CriterionResult]:
             raise ValueError(f"unknown criteria: {sorted(unknown)}")
 
     results = []
-    for name, fn in selected:
+    for name, criterion in selected:
         t0 = time.time()
         try:
-            out = fn()
+            checks = list(criterion())
         except ArithmeticError as exc:
-            out = CriterionResult(name, False, [f"{type(exc).__name__}: {exc}"])
-        out.elapsed = time.time() - t0
-        results.append(out)
+            checks = [(False, f"{type(exc).__name__}: {exc}")]
+        ok = all(passed for passed, _ in checks)
+        results.append(CriterionResult(name, ok, [detail for _, detail in checks], time.time() - t0))
     return results

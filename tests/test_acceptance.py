@@ -10,9 +10,11 @@ still fails on the all-zero pattern and on a spurious nonzero value, stub
 the string-length and sl2-relations checks and add a centralizer vector at
 weight 0 to show that criteria 3 and 4 report FAIL, and hand criterion 5 a
 sign-flipped G2 table to show that it reports FAIL, also under python -O.
+Every result is read through `verify_paper`, the one place a verdict is
+formed; stub criteria show that one failing check fails the whole criterion
+and that an ArithmeticError after a check becomes the one FAIL line.
 """
 
-import time
 from collections import Counter
 
 import pytest
@@ -22,16 +24,6 @@ from monolab import prime_scan, principal_sl2, verify
 from monolab.chevalley import build_chevalley_algebra
 from monolab.cli import EXIT_MISMATCH, main
 from monolab.group_cohomology import CohomologyReport
-from monolab.verify import (
-    crit_bounds_and_persistence,
-    crit_cohomology_vanishing,
-    crit_e8_adjudication,
-    crit_kostant_structure,
-    crit_prime_lists,
-    crit_selmer_identities,
-    crit_sl2_relations,
-    crit_structure_constants,
-)
 
 
 def report(result, budget_s=None):
@@ -44,21 +36,42 @@ def report(result, budget_s=None):
     assert result.ok, f"criterion {result.name} failed; see printed details"
 
 
-def timed(fn, *args):
-    t0 = time.time()
-    out = fn(*args)
-    out.elapsed = time.time() - t0
-    return out
+def run(name):
+    """The result of the one named criterion, as verify_paper forms it."""
+    (res,) = verify.verify_paper(only=[name])
+    return res
+
+
+def test_verdict_fails_on_any_failing_check(monkeypatch):
+    def stub():
+        yield True, "a"
+        yield False, "b"
+        yield True, "c"
+
+    monkeypatch.setattr(verify, "CRITERIA", (("stub", stub),))
+    res = run("stub")
+    assert res.ok is False and res.details == ["a", "b", "c"]
+
+
+def test_verdict_of_a_raising_criterion_is_the_error_alone(monkeypatch):
+    def stub():
+        yield True, "a"
+        raise ArithmeticError("weight 0: ker ad X has dimension 1, expected 0")
+
+    monkeypatch.setattr(verify, "CRITERIA", (("stub", stub),))
+    res = run("stub")
+    assert res.ok is False
+    assert res.details == ["ArithmeticError: weight 0: ker ad X has dimension 1, expected 0"]
 
 
 def test_criterion_1_prime_list_reproduction():
     # G2 {2,3,5}; F4 {2,3,5,7,11}; E7 {...53}; E6 {2,3,5,7,11}; exact equality
-    report(timed(crit_prime_lists), budget_s=10)
+    report(run("prime-lists"), budget_s=10)
 
 
 def test_criterion_2_e8_adjudication():
     # must match one of the two candidate lists exactly and flag which
-    report(timed(crit_e8_adjudication), budget_s=60)
+    report(run("e8-adjudication"), budget_s=60)
 
 
 def test_criterion_3_kostant_structure():
@@ -66,7 +79,7 @@ def test_criterion_3_kostant_structure():
     # and so fails the criterion, unless dim ker ad X = #{m : 2m = w} at every
     # weight w (so dim P = rank), the eigenvalues are 2m and P is abelian, and
     # build_root_datum raises unless sum(2m+1) = dim g
-    report(timed(crit_kostant_structure), budget_s=30)
+    report(run("kostant-structure"), budget_s=30)
 
 
 def test_criterion_3_reports_broken_strings(monkeypatch):
@@ -74,7 +87,7 @@ def test_criterion_3_reports_broken_strings(monkeypatch):
     # sl2; with the string-length check stubbed to fail, criterion 3 must
     # report FAIL and name that check for every type
     monkeypatch.setattr(verify, "sl2_string_lengths_ok", lambda kd: False)
-    res = crit_kostant_structure()
+    res = run("kostant-structure")
     assert res.ok is False
     assert res.details == [f"{t}: FAIL strings of length 2m+1" for t in ("G2", "F4", "E6", "E7", "E8")]
 
@@ -95,7 +108,7 @@ def test_criterion_3_reports_extra_centralizer_vector(monkeypatch, capsys):
     with pytest.raises(ArithmeticError, match=message):
         principal_sl2.kostant_decomposition(alg, principal_sl2.build_principal_sl2(alg))
     principal_sl2.principal_kostant.cache_clear()
-    (res,) = verify.verify_paper(only=["kostant-structure"])
+    res = run("kostant-structure")
     assert res.ok is False and res.details == [f"ArithmeticError: {message}"]
     assert main(["verify-paper", "--only", "kostant-structure"]) == EXIT_MISMATCH
     assert "FAIL kostant-structure" in capsys.readouterr().err
@@ -103,14 +116,14 @@ def test_criterion_3_reports_extra_centralizer_vector(monkeypatch, capsys):
 
 def test_criterion_4_sl2_relations():
     # exact relations over ZZ and sampled F_ell; constructor rejects ell < h
-    report(timed(crit_sl2_relations))
+    report(run("sl2-relations"))
 
 
 def test_criterion_4_reports_broken_relations(monkeypatch):
     # the constructor's relations check is the one check; when it fails, the
     # criterion must report FAIL lines instead of raising
     monkeypatch.setattr(principal_sl2, "relations_hold", lambda triple: False)
-    res = crit_sl2_relations()
+    res = run("sl2-relations")
     assert res.ok is False
     assert len(res.details) == 5
     assert all("ZZ relations FAIL, mod-ell FAIL, reject ell<h ok" in d for d in res.details)
@@ -119,7 +132,7 @@ def test_criterion_4_reports_broken_relations(monkeypatch):
 def test_criterion_5_structure_constant_integrity():
     # Jacobi on every basis triple and the p+1 magnitude rule on every root
     # pair, for all five exceptional types
-    report(timed(crit_structure_constants), budget_s=10)
+    report(run("structure-constants"), budget_s=10)
 
 
 G2_FAIL = "G2: exhaustive Jacobi FAIL: Jacobi fails on basis triple (0, 1, 3): {5: 6}"
@@ -130,7 +143,7 @@ def test_criterion_5_reports_broken_table(monkeypatch):
     # criterion must report a FAIL line naming the triple instead of raising
     real = verify.build_chevalley_algebra
     monkeypatch.setattr(verify, "build_chevalley_algebra", lambda t: flipped_algebra(t) if t == "G2" else real(t))
-    res = crit_structure_constants()
+    res = run("structure-constants")
     assert res.ok is False
     assert [d for d in res.details if "FAIL" in d] == [G2_FAIL]
 
@@ -141,7 +154,7 @@ def test_criterion_5_reports_broken_table_under_optimize():
         "from conftest import flipped_algebra\n"
         "from monolab import verify\n"
         "verify.build_chevalley_algebra = lambda t: flipped_algebra('G2')\n"
-        "res = verify.crit_structure_constants()\n"
+        "(res,) = verify.verify_paper(only=['structure-constants'])\n"
         "print(res.ok, res.details[0])\n"
     )
     assert run_optimized(code) == f"False {G2_FAIL}"
@@ -151,7 +164,7 @@ def test_criterion_6_cohomology_vanishing():
     # asserted: h1 = 1 at r = ell-3 and 0 at every other even r < ell
     # (ell in {7,...,29}); adjoint sums (G2,13) = 1 since 2*5 = 13-3,
     # (F4,29) = 0 and (E6,29) = 0
-    report(timed(crit_cohomology_vanishing), budget_s=300)
+    report(run("cohomology-vanishing"), budget_s=300)
 
 
 def _stub_solvers(monkeypatch, h1_value, adjoint_value):
@@ -178,14 +191,14 @@ def _true_adjoint(t, ell):
 
 def test_criterion_6_rejects_all_zero_pattern(monkeypatch):
     _stub_solvers(monkeypatch, lambda ell, r: 0, lambda t, ell: 0)
-    res = crit_cohomology_vanishing()
+    res = run("cohomology-vanishing")
     assert res.ok is False
     assert "ell=7: even r < ell, nonzero h1 expected {4: 1}, computed {} -> MISMATCH" in res.details
 
 
 def test_criterion_6_rejects_spurious_nonzero(monkeypatch):
     _stub_solvers(monkeypatch, lambda ell, r: int(r == ell - 3 or (ell, r) == (11, 4)), _true_adjoint)
-    res = crit_cohomology_vanishing()
+    res = run("cohomology-vanishing")
     assert res.ok is False
     assert [d for d in res.details if "MISMATCH" in d] == [
         "ell=11: even r < ell, nonzero h1 expected {8: 1}, computed {4: 1, 8: 1} -> MISMATCH"
@@ -194,7 +207,7 @@ def test_criterion_6_rejects_spurious_nonzero(monkeypatch):
 
 def test_criterion_6_rejects_wrong_adjoint_total(monkeypatch):
     _stub_solvers(monkeypatch, lambda ell, r: int(r == ell - 3), lambda t, ell: 0)
-    res = crit_cohomology_vanishing()
+    res = run("cohomology-vanishing")
     assert res.ok is False
     assert [d for d in res.details if "MISMATCH" in d] == [
         "G2 adjoint at ell=13: expected 1 (exponents m with 2m = ell-3: [5]), computed 0 -> MISMATCH"
@@ -214,7 +227,7 @@ def test_criterion_6_rejects_borel_cayley_disagreement(monkeypatch):
         return rep
 
     monkeypatch.setattr(verify, "h1", skewed_h1)
-    res = crit_cohomology_vanishing()
+    res = run("cohomology-vanishing")
     assert res.ok is False
     assert [d for d in res.details if "FAIL" in d or "MISMATCH" in d] == [
         "Borel-vs-Cayley cross-check on 17 modules (every even r < ell at ell in (7, 11, 13),"
@@ -223,11 +236,11 @@ def test_criterion_6_rejects_borel_cayley_disagreement(monkeypatch):
 
 
 def test_criterion_7_selmer_identities():
-    report(timed(crit_selmer_identities), budget_s=1)
+    report(run("selmer-identities"), budget_s=1)
 
 
 def test_criterion_8_bounds_and_persistence():
-    report(timed(crit_bounds_and_persistence))
+    report(run("bounds-and-persistence"))
 
 
 def test_verify_paper_builds_each_kostant_decomposition_once(monkeypatch):

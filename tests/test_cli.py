@@ -2,10 +2,14 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from conftest import ledger_json_dict
 
+import monolab
 from monolab import fixtures
 from monolab.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from monolab.selmer_arith import balanced_ledger
@@ -164,6 +168,20 @@ def test_cohomology_sym_at_or_beyond_ell(capsys):
 def test_cohomology_usage_error(capsys):
     code, _, err = run_cli(capsys, "cohomology", "--ell", "7")
     assert code == EXIT_USAGE
+    assert err == "error: --sym is needed outside sweep mode\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("cohomology", "--ell", "13..17", "--sym", "2"), "--ell 13..17: a range is read only in sweep mode"),
+        (("cohomology", "sweep", "--ell", "13..17"), "sweep mode needs --type"),
+    ],
+    ids=["range-outside-sweep", "sweep-without-type"],
+)
+def test_cohomology_usage_errors_take_the_error_path(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
 
 
 def test_invalid_type_is_usage_error(capsys):
@@ -281,3 +299,15 @@ def test_verify_fixture_corruption_exits_2(capsys, monkeypatch):
 
 def test_fixture_data_file_in_sync():
     fixtures.assert_data_file_sync()
+
+
+def test_python_dash_m_runs_the_cli():
+    # `python -m monolab` is the same program as `python -m monolab.cli`
+    src = os.path.dirname(os.path.dirname(monolab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    package, module = (
+        subprocess.run([sys.executable, "-m", name, "roots", "--type", "G2"], env=env, capture_output=True, text=True, timeout=60)
+        for name in ("monolab", "monolab.cli")
+    )
+    assert package.returncode == module.returncode == EXIT_OK
+    assert package.stdout == module.stdout != ""

@@ -37,6 +37,23 @@ def test_no_assert_statements_in_package():
     assert not found, found
 
 
+def test_criterion_results_are_built_only_by_verify_paper():
+    # a criterion yields (ok, detail) pairs; verify_paper alone turns them into a verdict
+    builders = []
+    for path in sorted(pathlib.Path(monolab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}  # node -> innermost enclosing function; ast.walk meets outer functions first
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                owner.update((node, fn.name) for node in ast.walk(fn))
+        builders += [
+            f"{path.name}:{owner.get(node, '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "CriterionResult"
+        ]
+    assert builders == ["verify.py:verify_paper"], builders
+
+
 def _monolab_imports(tree):
     """(module, name) for every `from monolab... import name`, and (module, None) for `import monolab...`."""
     for node in ast.walk(tree):
