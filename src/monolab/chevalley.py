@@ -1,8 +1,8 @@
 """Integral Chevalley bases with exact structure-constant arithmetic.
 
 Every coefficient is a plain int.  An algebra is the ZZ form (`ell` None) or
-the F_ell view `alg.mod(ell)`, which shares the ZZ bracket table and reduces
-its results mod ell.
+the F_ell view `alg.mod(ell)`, which shares the ZZ `entries` and reduces its
+results mod ell.
 
 The basis is {x_a : a in Phi+} u {y_a : a in Phi+} u {h_1..h_l}, where h_i is
 the i-th simple coroot vector, so basis vector k < 2N is the root vector of
@@ -13,13 +13,16 @@ the computer-algebra normalisation
     [y_a, x_a] = a^vee,      [x_a, t] = a(t) * x_a  for t in the Cartan,
 
 so in particular [x_i, h[j]] = delta_ij * x_i against the dual Cartan basis
-h[j] (fundamental coweights), which this module exposes as a derived linear
-transform of the coroot coordinates.
+h[j] (fundamental coweights).
 
 Magnitudes are |N_{a,b}| = p+1, p the depth of the a-string through b; signs
 are +(p+1) on extraspecial pairs in the (height, lex) root order and follow
-elsewhere from the root-quadruple identities.  The table `_table` is the one
-store of them; criterion 5 checks it by exhaustive Jacobi and the p+1 rule.
+elsewhere from the root-quadruple identities.  Their one store is the
+read-only int64 array `entries` of rows (i, j, k, c), [e_i, e_j] having c on
+e_k, sorted by (i, j, k): `ad`, the one builder of ad matrices, scatters it,
+the exhaustive Jacobi check contracts it, and `bracket` reads the (i, j)
+index built from it once per ZZ form.  Criterion 5 checks it by exhaustive
+Jacobi and Carter's magnitude identity.
 The depths p are read from `RootDatum.string_depths`, the one root-string
 walk; the roots themselves come from simple reflections.
 `build_chevalley_algebra` is cached once per parsed simple type, and its
@@ -28,13 +31,14 @@ walk; the roots themselves come from simple reflections.
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exact import check_prime_modulus, exact_div_arrays
-from .rootsys import RootDatum, SimpleType, build_root_datum, per_type
+from .rootsys import RootDatum, SimpleType, _read_only, build_root_datum, per_type
 
 
 def _carter_constants(datum: RootDatum):
@@ -107,7 +111,7 @@ class _Basis:
 
 
 class ChevalleyAlgebra:
-    """Simple Lie algebra over ZZ (`ell` None) or F_ell, with a frozen bracket table.
+    """Simple Lie algebra over ZZ (`ell` None) or F_ell, with frozen structure constants `entries`.
 
     Coefficients are plain ints; on an F_ell view they are residues in
     [0, ell).  Instances are immutable after construction; `bracket` and
@@ -117,24 +121,27 @@ class ChevalleyAlgebra:
     checks).
     """
 
-    def __init__(self, datum: RootDatum, ell: int | None = None, _shared=None):
+    def __init__(self, datum: RootDatum, _shared=None):
         self.datum = datum
-        self.ell = ell
+        self.ell = None
         self.basis = _Basis(len(datum.positive_roots), datum.rank)
         self.dim = self.basis.dim
-        self._table = _build_table(datum) if _shared is None else _shared
+        self.entries = _build_table(datum) if _shared is None else _shared
+        self._table: dict = {}  # (i, j) -> ((k, c), ...), read by bracket and the sampled Jacobi loop
+        for i, j, k, c in zip(*self.entries.tolist()):
+            self._table[i, j] = self._table.get((i, j), ()) + ((k, c),)
         # the ZZ form, set on views only: a self-reference would keep a
         # dropped algebra's table alive until the next gc
         self._base = None
         self._views = {}
 
     def mod(self, ell: int) -> "ChevalleyAlgebra":
-        """The F_ell view of the ZZ form: the same table, scalars reduced mod ell."""
+        """The F_ell view of the ZZ form: the same entries and index, scalars reduced mod ell."""
         check_prime_modulus(ell)  # before the lookup: 7.0 would find the view of 7
         base = self._base or self
         if ell not in base._views:
-            view = ChevalleyAlgebra(base.datum, ell, _shared=base._table)
-            view._base = base
+            view = copy.copy(base)  # shares the entries and their index
+            view.ell, view._base, view._views = ell, base, {}
             base._views[ell] = view
         return base._views[ell]
 
@@ -152,7 +159,9 @@ class ChevalleyAlgebra:
     # -- element constructors ----------------------------------------------
 
     def element(self, coeffs: dict) -> "LieElement":
-        for v in coeffs.values():
+        for k, v in coeffs.items():
+            if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k < self.dim:
+                raise ValueError(f"not a basis index of {self!r}: {k!r}")
             _check_scalar(v)
         return LieElement(self, self._clean(coeffs))
 
@@ -167,45 +176,37 @@ class ChevalleyAlgebra:
             return f"y[{k - b.num_pos}]"
         return f"h[{k - 2 * b.num_pos}]"
 
-    # -- Cartan coordinate helpers ------------------------------------------
-
-    def cartan_coords(self, elem: "LieElement") -> tuple:
-        """Coroot-basis coordinates of the Cartan part of elem."""
-        b = self.basis
-        return tuple(elem.coeffs.get(b.h(i), 0) for i in range(b.rank))
-
-    def dual_cartan_coords(self, elem: "LieElement") -> tuple:
-        """Coordinates of the Cartan part in the dual basis h[j].
-
-        h[j] is defined by [x_i, h[j]] = delta_ij x_i for simple i, j, i.e.
-        the fundamental-coweight basis; if the Cartan part is sum_k t_k H_k
-        then its h[j]-coefficient is sum_k t_k A[k][j].
-        """
-        t = self.cartan_coords(elem)
-        A, rank = self.datum.cartan, self.datum.rank
-        out = self._clean({j: sum(t[k] * A[k][j] for k in range(rank)) for j in range(rank)})
-        return tuple(out.get(j, 0) for j in range(rank))
-
     # -- structure constants ------------------------------------------------
 
     def structure_constant_triples(self):
-        """All (i, j, k, c) with [e_i, e_j] having coefficient c on e_k."""
-        for (i, j), terms in sorted(self._table.items()):
-            for k, c in terms:
-                yield (i, j, k, c)
+        """All (i, j, k, c) with [e_i, e_j] having coefficient c on e_k, in (i, j, k) order."""
+        yield from zip(*self.entries.tolist())
+
+    def ad(self, z: "LieElement") -> np.ndarray:
+        """The dim x dim int64 matrix of ad z: column j holds the coordinates of [z, e_j]."""
+        _check_compat(z.algebra, self)
+        if any(abs(v) >= 2**31 for v in z.coeffs.values()):
+            raise ValueError("ad takes coefficients below 2**31 in absolute value")
+        coeffs, out = np.zeros(self.dim, dtype=np.int64), np.zeros((self.dim, self.dim), dtype=np.int64)
+        coeffs[list(z.coeffs)] = list(z.coeffs.values())
+        i, j, k, c = self.entries
+        # exact in int64: every |c| <= 6 (a coroot coordinate at most), so under the
+        # guard a term is below 6 * 2**31, and a cell (k, j) sums at most rank terms
+        np.add.at(out, (k, j), coeffs[i] * c)
+        return out if self.ell is None else out % self.ell
 
 
-def _build_table(datum: RootDatum):
-    """Dense pair table {(i, j): ((k, c), ...)} over basis indices, over ZZ."""
+def _build_table(datum: RootDatum) -> np.ndarray:
+    """The read-only int64 (4, n) array of rows (i, j, k, c), [e_i, e_j] = c e_k + ..., sorted by (i, j, k), over ZZ."""
     num_pos, num_roots, pairings = len(datum.positive_roots), 2 * len(datum.positive_roots), datum.pairings
     u, v, n = _carter_constants(datum)  # root-root brackets: [x_u, x_v] = -n x_{u+v}
-    table = dict(zip(zip(u.tolist(), v.tolist()), zip(zip(datum.root_sums[u, v].tolist(), (-n).tolist()))))
-    for i, row in enumerate((-datum.coroots).tolist()):  # [x_u, x_-u] = -u^vee
-        table[(i, (i + num_pos) % num_roots)] = tuple((num_roots + k, c) for k, c in enumerate(row) if c)
-    rows, cols = np.nonzero(pairings)  # Cartan against root vectors: [x_u, h_k] = <alpha_k^vee, u> x_u
-    for i, k, c in zip(rows.tolist(), (num_roots + cols).tolist(), pairings[rows, cols].tolist()):
-        table[(i, k)], table[(k, i)] = ((i, c),), ((i, -c),)
-    return table
+    cu, ck = np.nonzero(datum.coroots)  # [x_u, x_-u] = -u^vee
+    pu, pk = np.nonzero(pairings)  # Cartan against root vectors: [x_u, h_k] = <alpha_k^vee, u> x_u
+    h, pc = num_roots + pk, pairings[pu, pk]
+    i, j = np.r_[u, cu, pu, h], np.r_[v, (cu + num_pos) % num_roots, h, pu]
+    k, c = np.r_[datum.root_sums[u, v], num_roots + ck, pu, pu], np.r_[-n, -datum.coroots[cu, ck], pc, -pc]
+    dim = num_roots + datum.rank  # one sort key per (i, j, k): an argsort is several times faster than np.lexsort
+    return _read_only(np.array([i, j, k, c], dtype=np.int64)[:, np.argsort((i * dim + j) * dim + k)])
 
 
 @dataclass
@@ -237,16 +238,13 @@ class LieElement:
 
 
 def _check_scalar(c):
-    if not isinstance(c, int):
+    if isinstance(c, bool) or not isinstance(c, int):
         raise TypeError(f"not an integer scalar: {c!r}")
 
 
-def _check_compat(a: LieElement, b: LieElement):
-    if a.algebra is not b.algebra:
-        raise ValueError(
-            f"incompatible operands: {a.algebra!r} vs {b.algebra!r}"
-            " (mixed algebras or mixed scalar rings)"
-        )
+def _check_compat(a: ChevalleyAlgebra, b: ChevalleyAlgebra):
+    if a is not b:
+        raise ValueError(f"incompatible operands: {a!r} vs {b!r} (mixed algebras or mixed scalar rings)")
 
 
 @per_type
@@ -257,7 +255,7 @@ def build_chevalley_algebra(t: SimpleType) -> ChevalleyAlgebra:
 
 def bracket(a: LieElement, b: LieElement) -> LieElement:
     """Exact Lie bracket [a, b]; bilinear, alternating."""
-    _check_compat(a, b)
+    _check_compat(a.algebra, b.algebra)
     alg = a.algebra
     table = alg._table
     acc: dict = {}
@@ -316,7 +314,7 @@ def _jacobi_contraction(alg: ChevalleyAlgebra) -> int:
     A triple with no term sums to zero, so all dim**3 triples are checked.
     """
     dim = alg.dim
-    a, b, m, c = np.array(list(alg.structure_constant_triples()), dtype=np.int64).T
+    a, b, m, c = alg.entries
     start = np.searchsorted(a, m, "left")  # the entries are sorted by (a, b)
     n = np.searchsorted(a, m, "right") - start
     first = np.repeat(np.arange(len(a)), n)

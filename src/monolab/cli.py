@@ -163,6 +163,8 @@ def _cmd_cohomology(ns: argparse.Namespace) -> int:
     if stray:
         raise ValueError(f"{', '.join(stray)} not read {'in' if sweep else 'outside'} sweep mode")
     ell, is_range, hi = ns.ell.partition("..")
+    if not (ell.isdecimal() and (hi.isdecimal() or not is_range)):
+        raise ValueError(f"--ell {ns.ell}: expected a prime like 13, or a range like 13..31 in sweep mode")
     ell, hi = int(ell), int(hi if is_range else ell)
     if sweep:
         if not ns.type:

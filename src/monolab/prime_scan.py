@@ -7,8 +7,9 @@ the Kostant string `kd.strings`, records its integer coordinates there,
 factors every nonzero one, and aggregates the primes.  In type E6 two of the
 summands project to zero on the outer-automorphism-fixed simple roots in
 characteristic zero, so the aggregation additionally reads the first dual
-Cartan component of ad(Y)^m(p) for every exponent; those zeros are data, not
-errors, and are recorded structurally.
+Cartan component of ad(Y)^m(p), its x_1-coefficient under ad(x_1) (one row of
+`ChevalleyAlgebra.ad`, read from the structure-constant `entries`), for every
+exponent; those zeros are data, not errors, and are recorded structurally.
 """
 
 from __future__ import annotations
@@ -232,19 +233,21 @@ def scan_e6_cartan(kd: KostantDecomposition) -> tuple[tuple[int, int], ...]:
     """For every exponent m, the h[1] dual-basis component of ad(Y)^m(p).
 
     Only defined in type E6, where alpha_1 is a simple root not fixed by the
-    outer diagram automorphism; ad(Y)^m(p) lies in the Cartan, and the dual
-    component is read off through the Cartan matrix.
+    outer diagram automorphism.  ad(Y)^m(p) lies in the Cartan, and by the
+    definition [x_1, h[j]] = delta_1j x_1 its h[1] component is the coefficient
+    of x_1 in [x_1, ad(Y)^m(p)], read with the x_1 row of ad(x_1).
     """
     alg = kd.triple.algebra
     if str(alg.datum.simple_type) != "E6":
         raise ValueError("the Cartan scan is specific to type E6")
-    out = []
+    x1 = alg.basis.x(0)
+    row, out = alg.ad(alg.basis_element(x1))[x1].tolist(), []
     for m, string in zip(kd.exponents, kd.strings):
         v = string[m]
         nonc = [k for k in v.coeffs if k < 2 * alg.basis.num_pos]
         if nonc:
             raise ArithmeticError(f"ad(Y)^{m}(p) has non-Cartan support: {nonc}")
-        out.append((m, alg.dual_cartan_coords(v)[0]))
+        out.append((m, sum(row[k] * c for k, c in v.coeffs.items())))
     return tuple(out)
 
 

@@ -10,11 +10,12 @@ The centralizer P of X is abelian of dimension equal to the rank, and H acts
 on it with eigenvalues {2m : m an exponent} (Kostant, Amer. J. Math. 81,
 1959).  `kostant_decomposition` finds P in one pass over the H-grading of g
 (twice `RootDatum.heights` on root vectors, 0 on the Cartan): at every weight
-w it takes the integer kernel of ad(X): g_w -> g_{w+2} and checks that its
-dimension is the number of exponents m with 2m = w.  The eigenvectors come
-back as primitive integer vectors in a deterministic order.  Each p_i of
-exponent m_i spans the string ad(Y)^k p_i, k <= 2 m_i, of the Kostant summand
-V_{2 m_i}; `KostantDecomposition.strings` builds every string once, and
+w it takes the integer kernel of ad(X): g_w -> g_{w+2}, a block of the one
+matrix `ChevalleyAlgebra.ad(X)`, and checks that its dimension is the number
+of exponents m with 2m = w.  The eigenvectors come back as primitive integer
+vectors in a deterministic order.  Each p_i of exponent m_i spans the string
+ad(Y)^k p_i, k <= 2 m_i, of the Kostant summand V_{2 m_i};
+`KostantDecomposition.strings` builds every string once, and
 `principal_kostant` one ZZ decomposition per parsed simple type, shared by the
 scan, verify-paper and the CLI.  H comes from `RootDatum.coroots`; no root
 string is walked here (the roots come from simple reflections, and
@@ -88,17 +89,13 @@ def relations_hold(triple: Sl2Triple) -> bool:
     return bracket(X, H) == X.scale(2) and bracket(Y, H) == Y.scale(-2) and bracket(Y, X) == H
 
 
-def _graded_kernel(alg: ChevalleyAlgebra, X: LieElement, grading: dict, w: int) -> list[tuple[int, ...]]:
+def _graded_kernel(ad_x, grading: dict, w: int) -> list[tuple[int, ...]]:
     """Primitive integer kernel of ad(X): g_w -> g_{w+2}, in coordinates on the basis of g_w.
 
-    `grading` maps each weight to its basis indices in increasing order.
+    `ad_x` is `ChevalleyAlgebra.ad(X)`; `grading` maps each weight to its basis indices in increasing order.
     """
-    src, dst = grading[w], {k: r for r, k in enumerate(grading.get(w + 2, ()))}
-    rows = [[0] * len(src) for _ in dst]
-    for col, k in enumerate(src):
-        for kk, v in bracket(X, alg.basis_element(k)).coeffs.items():
-            rows[dst[kk]][col] = v
-    return integer_kernel(rows, len(src))
+    src, dst = grading[w], grading.get(w + 2, [])
+    return integer_kernel(ad_x[dst][:, src].tolist(), len(src))
 
 
 @dataclass(frozen=True)
@@ -156,9 +153,9 @@ def kostant_decomposition(alg: ChevalleyAlgebra, triple: Sl2Triple) -> KostantDe
     grading: dict = {}
     for k, w in enumerate([2 * h for h in d.heights.tolist()] + [0] * d.rank):
         grading.setdefault(w, []).append(k)
-    pairs = []
+    pairs, ad_x = [], alg.ad(triple.X)
     for w in sorted(grading):
-        vecs = _graded_kernel(alg, triple.X, grading, w)
+        vecs = _graded_kernel(ad_x, grading, w)
         mult = sum(2 * m == w for m in d.exponents)
         if len(vecs) != mult:
             raise ArithmeticError(f"weight {w}: ker ad X has dimension {len(vecs)}, expected {mult}")

@@ -160,15 +160,14 @@ def crit_structure_constants():
             yield True, f"{t}: exhaustive Jacobi on {n} triples ok"
     for t in EXCEPTIONAL_TYPES:
         alg = build_chevalley_algebra(t)
-        depths = alg.datum.string_depths.tolist()
-        magnitudes = [  # [x_i, x_j] = n x_k for roots i, j and k
-            (abs(n), depths[i][j] + 1)
-            for i, j, k, n in alg.structure_constant_triples()
-            if max(i, j, k) < len(depths)
-        ]
-        bad = sum(got != want for got, want in magnitudes)
+        num_pos, norm2 = alg.basis.num_pos, alg.datum.norm2
+        # [x_a, x_b] = n x_s for roots a, b, s = a+b; with q the up-length of the a-string through b,
+        # N^2 = q (p+1) (s,s)/(b,b) (Carter, Simple Groups of Lie Type, 4.1) and |N| = p+1 give |N| (b,b) = q (s,s)
+        a, b, s, n = alg.entries[:, (alg.entries[:3] < 2 * num_pos).all(0)]
+        q = alg.datum.string_depths[(a + num_pos) % (2 * num_pos), b]
+        bad = int((abs(n) * norm2[b] != q * norm2[s]).sum())
         yield bad == 0, (
-            f"{t}: p+1 magnitude exhaustive over {len(magnitudes)} pairs"
+            f"{t}: |N_ab|(b,b) = q(a+b,a+b) exhaustive over {len(n)} pairs"
             f" -> {'ok' if bad == 0 else f'{bad} violations'}"
         )
 

@@ -91,18 +91,18 @@ def root_constants(alg):
     return {(i, j): n for i, j, k, n in alg.structure_constant_triples() if max(i, j, k) < num_roots}
 
 
-def flipped_algebra(name):
-    """A copy of the ZZ algebra with the first antisymmetric pair of its table negated.
+def flipped_algebra(name, factor=-1):
+    """A copy of the ZZ algebra with the first antisymmetric pair of its entries times factor, negated by default.
 
-    Antisymmetry still holds, so only the Jacobi identity can catch it.  The
-    cached algebra and its table are left untouched.
+    Under negation antisymmetry still holds, so only the Jacobi identity can
+    catch it.  The cached algebra and its entries are left untouched.
     """
     alg = build_chevalley_algebra(name)
-    table = dict(alg._table)
-    i, j = min(table)
-    for pair in ((i, j), (j, i)):
-        table[pair] = tuple((k, -c) for k, c in table[pair])
-    return ChevalleyAlgebra(alg.datum, _shared=table)
+    entries = alg.entries.copy()
+    i, j = entries[:2, 0]  # the least (i, j) pair
+    pair = ((entries[0] == i) & (entries[1] == j)) | ((entries[0] == j) & (entries[1] == i))
+    entries[3, pair] *= factor
+    return ChevalleyAlgebra(alg.datum, _shared=entries)
 
 
 def ledger_json_dict(ledger):

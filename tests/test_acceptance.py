@@ -9,7 +9,9 @@ unit suite), and adjoint sums equal to the number of exponents m with
 still fails on the all-zero pattern and on a spurious nonzero value, stub
 the string-length and sl2-relations checks and add a centralizer vector at
 weight 0 to show that criteria 3 and 4 report FAIL, and hand criterion 5 a
-sign-flipped G2 table to show that it reports FAIL, also under python -O.
+sign-flipped G2 table to show that it reports FAIL, also under python -O, and
+a G2 table with one constant doubled to show that its magnitude line counts
+the violations.
 Every result is read through `verify_paper`, the one place a verdict is
 formed; stub criteria show that one failing check fails the whole criterion
 and that an ArithmeticError after a check becomes the one FAIL line.
@@ -98,8 +100,8 @@ def test_criterion_3_reports_extra_centralizer_vector(monkeypatch, capsys):
     # report FAIL
     real = principal_sl2._graded_kernel
 
-    def extra_at_zero(alg, X, grading, w):
-        vecs = real(alg, X, grading, w)
+    def extra_at_zero(ad_x, grading, w):
+        vecs = real(ad_x, grading, w)
         return vecs + [(1,) + (0,) * (len(grading[w]) - 1)] if w == 0 else vecs
 
     monkeypatch.setattr(principal_sl2, "_graded_kernel", extra_at_zero)
@@ -146,6 +148,18 @@ def test_criterion_5_reports_broken_table(monkeypatch):
     res = run("structure-constants")
     assert res.ok is False
     assert [d for d in res.details if "FAIL" in d] == [G2_FAIL]
+
+
+def test_criterion_5_reports_magnitude_violations(monkeypatch):
+    # G2 with one root pair's constant doubled in both orders: antisymmetry
+    # holds, |N| is no longer q (a+b,a+b)/(b,b), and the magnitude line counts
+    # both ordered pairs
+    real = verify.build_chevalley_algebra
+    monkeypatch.setattr(verify, "build_chevalley_algebra", lambda t: flipped_algebra(t, 2) if t == "G2" else real(t))
+    res = run("structure-constants")
+    assert res.ok is False
+    assert "G2: |N_ab|(b,b) = q(a+b,a+b) exhaustive over 60 pairs -> 2 violations" in res.details
+    assert res.details[0].startswith("G2: exhaustive Jacobi FAIL")
 
 
 def test_criterion_5_reports_broken_table_under_optimize():

@@ -5,8 +5,9 @@ import json
 import random
 import weakref
 
+import numpy as np
 import pytest
-from conftest import ad_power, flipped_algebra, h_of, root_constants, run_optimized, string_depth, x_of, y_of
+from conftest import ad_power, flipped_algebra, h_of, norm2, root_constants, run_optimized, string_depth, x_of, y_of
 
 from monolab.chevalley import (
     ChevalleyAlgebra,
@@ -14,7 +15,7 @@ from monolab.chevalley import (
     build_chevalley_algebra,
     jacobi_sweep,
 )
-from monolab.principal_sl2 import build_principal_sl2, kostant_decomposition
+from monolab.principal_sl2 import build_principal_sl2, kostant_decomposition, principal_kostant
 from monolab.rootsys import build_root_datum
 
 
@@ -73,7 +74,7 @@ def test_extraspecial_sign_convention():
                         assert n == string_depth(roots, d.positive_roots[i], d.positive_roots[j]) + 1
 
 
-@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2", "F4", "E6", "E7", "E8"])
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2", "F4", "E6", "E7", "E8", "A4", "B5", "C6", "D5"])
 def test_magnitude_rule_exhaustive(name):
     alg = build_chevalley_algebra(name)
     d = alg.datum
@@ -84,6 +85,9 @@ def test_magnitude_rule_exhaustive(name):
     assert set(pairs) == {(u, v) for u in roots for v in roots if tuple(a + b for a, b in zip(u, v)) in root_set}
     for (u, v), n in pairs.items():
         assert abs(n) == string_depth(root_set, u, v) + 1, (u, v)
+        # criterion 5's identity |N_uv| (v,v) = q (u+v,u+v), q the up-length of the u-string through v
+        q = string_depth(root_set, tuple(-c for c in u), v)
+        assert abs(n) * norm2(d, v) == q * norm2(d, tuple(a + b for a, b in zip(u, v))), (u, v)
 
 
 def test_inexact_norm_ratio_raises_under_optimize():
@@ -105,9 +109,76 @@ def test_inexact_norm_ratio_raises_under_optimize():
 
 def test_table_antisymmetry():
     alg = build_chevalley_algebra("F4")
-    for (i, j), terms in alg._table.items():
-        back = dict(alg._table.get((j, i), ()))
-        assert back == {k: -c for k, c in terms}
+    rows = {tuple(r) for r in alg.entries.T.tolist()}
+    assert rows == {(j, i, k, -c) for i, j, k, c in rows}
+
+
+def test_entries_are_the_one_read_only_store():
+    alg = build_chevalley_algebra("G2")
+    assert alg.entries.dtype == np.int64 and alg.entries.shape[0] == 4
+    assert not alg.entries.flags.writeable
+    with pytest.raises(ValueError):
+        alg.entries[3, 0] = 0
+    assert alg.mod(7).entries is alg.entries
+    order = np.lexsort(alg.entries[2::-1])
+    assert (order == np.arange(alg.entries.shape[1])).all()  # sorted by (i, j, k)
+
+
+def bracket_matrix(alg, z):
+    """ad z column by column, one bracket per basis vector."""
+    m = np.zeros((alg.dim, alg.dim), dtype=np.int64)
+    for j in range(alg.dim):
+        for k, c in bracket(z, alg.basis_element(j)).coeffs.items():
+            m[k, j] = c
+    return m
+
+
+@pytest.mark.parametrize("name", ["G2", "F4", "B3"])
+def test_ad_of_basis_vectors_matches_brackets(name):
+    alg = build_chevalley_algebra(name)
+    for k in range(alg.dim):
+        e = alg.basis_element(k)
+        assert (alg.ad(e) == bracket_matrix(alg, e)).all(), k
+
+
+def test_ad_of_principal_triple_and_on_a_view():
+    alg = build_chevalley_algebra("E8")
+    trip = build_principal_sl2(alg)
+    for z in (trip.X, trip.Y, trip.H):
+        assert (alg.ad(z) == bracket_matrix(alg, z)).all()
+    f7 = build_chevalley_algebra("G2").mod(7)
+    for z in (f7.element({0: 3, 7: 5, 12: 6}), f7.basis_element(13)):
+        got = f7.ad(z)
+        assert (got == bracket_matrix(f7, z)).all() and got.min() >= 0 and got.max() < 7
+    with pytest.raises(ValueError, match="incompatible operands"):
+        alg.ad(trip.X.algebra.mod(31).basis_element(0))
+
+
+def test_ad_rejects_coefficients_beyond_its_int64_guard():
+    alg = build_chevalley_algebra("G2")
+    with pytest.raises(ValueError, match="below 2\\*\\*31"):
+        alg.ad(alg.element({0: 2**31}))
+    assert alg.ad(alg.element({0: 2**31 - 1})).any()
+    e8 = build_chevalley_algebra("E8")
+    big = principal_kostant("E8").strings[7][58]
+    assert max(abs(v) for v in big.coeffs.values()).bit_length() == 474
+    with pytest.raises(ValueError, match="below 2\\*\\*31"):
+        e8.ad(big)
+
+
+@pytest.mark.parametrize("key", [-1, 99, True, 1.0, "0"])
+def test_element_rejects_keys_outside_the_basis(key):
+    alg = build_chevalley_algebra("A2")
+    with pytest.raises(ValueError, match="not a basis index"):
+        alg.element({key: 1})
+
+
+def test_element_rejects_bool_coefficients():
+    alg = build_chevalley_algebra("A2")
+    with pytest.raises(TypeError, match="not an integer scalar: True"):
+        alg.element({0: True})
+    with pytest.raises(TypeError, match="not an integer scalar: False"):
+        x_of(alg, 0).scale(False)
 
 
 def sweep_outcome(alg, triples=None):
@@ -284,7 +355,7 @@ def test_change_ring_views_cached():
     alg = build_chevalley_algebra("A2")
     assert alg.mod(7) is alg.mod(7)
     assert alg.mod(7).mod(11) is alg.mod(11)
-    assert alg.mod(7)._table is alg._table
+    assert alg.mod(7).entries is alg.entries
     assert build_chevalley_algebra("A2") is alg
     assert (repr(alg), repr(alg.mod(7))) == ("ChevalleyAlgebra(A2, ZZ)", "ChevalleyAlgebra(A2, GF(7))")
 

@@ -184,6 +184,13 @@ def test_cohomology_usage_errors_take_the_error_path(capsys, argv, message):
     assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("value", ["13..", "x", "13..x"])
+def test_cohomology_malformed_ell_is_a_usage_error(capsys, value):
+    code, out, err = run_cli(capsys, "cohomology", "sweep", "--type", "G2", "--ell", value)
+    expected = f"error: --ell {value}: expected a prime like 13, or a range like 13..31 in sweep mode\n"
+    assert (code, out, err) == (EXIT_USAGE, "", expected)
+
+
 def test_invalid_type_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "roots", "--type", "Z9")
     assert code == EXIT_USAGE

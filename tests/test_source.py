@@ -54,6 +54,23 @@ def test_criterion_results_are_built_only_by_verify_paper():
     assert builders == ["verify.py:verify_paper"], builders
 
 
+def test_only_chevalley_touches_the_bracket_index():
+    # `entries` is the one store; the (i, j) index built from it is private to
+    # chevalley.py, and ChevalleyAlgebra.__init__ is its one writer
+    readers, writers = set(), set()
+    for path in sorted(pathlib.Path(monolab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if any(isinstance(node, ast.Attribute) and node.attr == "_table" for node in ast.walk(tree)):
+            readers.add(path.name)
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                stored = (n for n in ast.walk(fn) if isinstance(getattr(n, "ctx", None), ast.Store))
+                stores = (n.value if isinstance(n, ast.Subscript) else n for n in stored)  # alg._table[key] = ...
+                writers.update(f"{path.name}:{fn.name}" for n in stores if getattr(n, "attr", None) == "_table")
+    assert readers == {"chevalley.py"}, readers
+    assert writers == {"chevalley.py:__init__"}, writers
+
+
 def _monolab_imports(tree):
     """(module, name) for every `from monolab... import name`, and (module, None) for `import monolab...`."""
     for node in ast.walk(tree):
