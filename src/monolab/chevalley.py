@@ -1,32 +1,30 @@
 """Integral Chevalley bases with exact structure-constant arithmetic.
 
 Every coefficient is a plain int.  An algebra is the ZZ form (`ell` None) or
-the F_ell view `alg.mod(ell)`, which shares the ZZ `entries` and reduces its
+the F_ell view `alg.mod(ell)`, which shares the ZZ arrays and reduces its
 results mod ell.
 
 The basis is {x_a : a in Phi+} u {y_a : a in Phi+} u {h_1..h_l}, where h_i is
 the i-th simple coroot vector, so basis vector k < 2N is the root vector of
-root k of `RootDatum.all_roots`, and the table is built on root indices alone,
-in array operations on the arrays of `RootDatum`.  Bracket conventions follow
-the computer-algebra normalisation
+root k of `RootDatum.all_roots`.  Bracket conventions follow the
+computer-algebra normalisation
 
     [y_a, x_a] = a^vee,      [x_a, t] = a(t) * x_a  for t in the Cartan,
 
 so in particular [x_i, h[j]] = delta_ij * x_i against the dual Cartan basis
 h[j] (fundamental coweights).
 
-Magnitudes are |N_{a,b}| = p+1, p the depth of the a-string through b; signs
-are +(p+1) on extraspecial pairs in the (height, lex) root order and follow
-elsewhere from the root-quadruple identities.  Their one store is the
-read-only int64 array `entries` of rows (i, j, k, c), [e_i, e_j] having c on
-e_k, sorted by (i, j, k): `ad`, the one builder of ad matrices, scatters it,
-the exhaustive Jacobi check contracts it, and `bracket` reads the (i, j)
-index built from it once per ZZ form.  Criterion 5 checks it by exhaustive
-Jacobi and Carter's magnitude identity.
-The depths p are read from `RootDatum.string_depths`, the one root-string
-walk; the roots themselves come from simple reflections.
-`build_chevalley_algebra` is cached once per parsed simple type, and its
-`datum` is the cached `build_root_datum` of that type.
+Magnitudes are |N_{a,b}| = p+1, p the depth of the a-string through b (read
+from `RootDatum.string_depths`); signs are +(p+1) on extraspecial pairs in the
+(height, lex) root order and follow elsewhere from the root-quadruple
+identities.  The one store is the read-only int64 array `entries` of rows
+(i, j, k, c), [e_i, e_j] having c on e_k, sorted by (i, j, k) and built in
+array operations on the arrays of `RootDatum`; its one index is the sorted
+array `keys` of i*dim + j.  `ad`, the one builder of ad matrices, scatters the
+entries; `bracket` and `jacobi_sweep` find their rows by one lookup, `_rows`.
+Criterion 5 checks the table by exhaustive Jacobi and Carter's magnitude
+identity.  `build_chevalley_algebra` is cached once per parsed simple type,
+and its `datum` is the cached `build_root_datum` of that type.
 """
 
 from __future__ import annotations
@@ -111,7 +109,7 @@ class _Basis:
 
 
 class ChevalleyAlgebra:
-    """Simple Lie algebra over ZZ (`ell` None) or F_ell, with frozen structure constants `entries`.
+    """Simple Lie algebra over ZZ (`ell` None) or F_ell, with frozen structure constants `entries` and their `keys`.
 
     Coefficients are plain ints; on an F_ell view they are residues in
     [0, ell).  Instances are immutable after construction; `bracket` and
@@ -127,20 +125,18 @@ class ChevalleyAlgebra:
         self.basis = _Basis(len(datum.positive_roots), datum.rank)
         self.dim = self.basis.dim
         self.entries = _build_table(datum) if _shared is None else _shared
-        self._table: dict = {}  # (i, j) -> ((k, c), ...), read by bracket and the sampled Jacobi loop
-        for i, j, k, c in zip(*self.entries.tolist()):
-            self._table[i, j] = self._table.get((i, j), ()) + ((k, c),)
+        self.keys = _read_only(self.entries[0] * self.dim + self.entries[1])  # i*dim + j, sorted as entries are
         # the ZZ form, set on views only: a self-reference would keep a
         # dropped algebra's table alive until the next gc
         self._base = None
         self._views = {}
 
     def mod(self, ell: int) -> "ChevalleyAlgebra":
-        """The F_ell view of the ZZ form: the same entries and index, scalars reduced mod ell."""
+        """The F_ell view of the ZZ form: the same entries and keys, scalars reduced mod ell."""
         check_prime_modulus(ell)  # before the lookup: 7.0 would find the view of 7
         base = self._base or self
         if ell not in base._views:
-            view = copy.copy(base)  # shares the entries and their index
+            view = copy.copy(base)  # shares the entries and their keys
             view.ell, view._base, view._views = ell, base, {}
             base._views[ell] = view
         return base._views[ell]
@@ -160,10 +156,15 @@ class ChevalleyAlgebra:
 
     def element(self, coeffs: dict) -> "LieElement":
         for k, v in coeffs.items():
-            if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k < self.dim:
-                raise ValueError(f"not a basis index of {self!r}: {k!r}")
+            self._index(k)
             _check_scalar(v)
         return LieElement(self, self._clean(coeffs))
+
+    def _index(self, k) -> int:
+        """k, checked to be a basis index: an int in range(dim), not a bool."""
+        if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k < self.dim:
+            raise ValueError(f"not a basis index of {self!r}: {k!r}")
+        return k
 
     def basis_element(self, k: int) -> "LieElement":
         return self.element({k: 1})
@@ -253,20 +254,23 @@ def build_chevalley_algebra(t: SimpleType) -> ChevalleyAlgebra:
     return ChevalleyAlgebra(build_root_datum(t))
 
 
+def _rows(keys, queries):
+    """(query, position) pairs with keys[position] == queries[query], in query order; `keys` is sorted."""
+    start = np.searchsorted(keys, queries, "left")
+    n = np.searchsorted(keys, queries, "right") - start
+    return np.repeat(np.arange(len(queries)), n), np.arange(n.sum()) + np.repeat(start - (np.cumsum(n) - n), n)
+
+
 def bracket(a: LieElement, b: LieElement) -> LieElement:
     """Exact Lie bracket [a, b]; bilinear, alternating."""
     _check_compat(a.algebra, b.algebra)
     alg = a.algebra
-    table = alg._table
+    ca, cb = list(a.coeffs.values()), list(b.coeffs.values())
+    keys = np.add.outer(np.fromiter(a.coeffs, np.int64, len(ca)) * alg.dim, np.fromiter(b.coeffs, np.int64, len(cb)))
+    pair, pos = _rows(alg.keys, keys.ravel())  # pair = its index in a * len(cb) + its index in b
     acc: dict = {}
-    for i, ci in a.coeffs.items():
-        for j, cj in b.coeffs.items():
-            terms = table.get((i, j))
-            if not terms:
-                continue
-            cij = ci * cj
-            for k, c in terms:
-                acc[k] = acc.get(k, 0) + cij * c
+    for p, k, c in zip(pair.tolist(), *alg.entries[2:, pos].tolist()):  # Python ints: exact at any size
+        acc[k] = acc.get(k, 0) + ca[p // len(cb)] * cb[p % len(cb)] * c
     return LieElement(alg, alg._clean(acc))
 
 
@@ -274,8 +278,9 @@ def jacobi_sweep(alg: ChevalleyAlgebra, triples=None, samples: int | None = None
     """Check [[u,v],w] + [[v,w],u] + [[w,u],v] = 0 on basis triples.
 
     With neither `triples` nor `samples`, checks every triple at once by
-    `_jacobi_contraction`.  Otherwise loops over the given triples, or over
-    `samples` pseudo-random ones (seeded, so the sweep is reproducible).
+    `_jacobi_contraction`.  Otherwise checks the given triples, or `samples`
+    pseudo-random ones (seeded, so the sweep is reproducible): each rotation
+    (a, b, c) of a triple joins [e_a, e_b] = c1 e_m with [e_m, e_c] = c2 e_t.
     Returns the number of triples checked; raises ArithmeticError naming the
     first failing triple and its nonzero coefficients.
     """
@@ -283,24 +288,19 @@ def jacobi_sweep(alg: ChevalleyAlgebra, triples=None, samples: int | None = None
     if triples is None:
         if samples is None:
             return _jacobi_contraction(alg)
-        rng = random.Random(seed)
-        triples = [
-            (rng.randrange(dim), rng.randrange(dim), rng.randrange(dim))
-            for _ in range(samples)
-        ]
-    table = alg._table
-    checked = 0
-    for i, j, k in triples:
-        acc: dict = {}
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, cm in table.get((a, b), ()):
-                for t, ct in table.get((m, c), ()):
-                    acc[t] = acc.get(t, 0) + cm * ct
-        acc = alg._clean(acc)
-        if acc:
-            raise ArithmeticError(f"Jacobi fails on basis triple {(i, j, k)}: {dict(sorted(acc.items()))}")
-        checked += 1
-    return checked
+        if isinstance(samples, bool) or not isinstance(samples, int) or samples < 0:
+            raise ValueError(f"samples must be an int >= 0, got {samples!r}")
+        draw = random.Random(seed).randrange
+        triples = [(draw(dim), draw(dim), draw(dim)) for _ in range(samples)]
+    else:
+        triples = [(alg._index(i), alg._index(j), alg._index(k)) for i, j, k in triples]
+    i, j, k = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    first, p = _rows(alg.keys, np.r_[i, j, k] * dim + np.r_[j, k, i])
+    second, q = _rows(alg.keys, alg.entries[2, p] * dim + np.r_[k, i, j][first])
+    slot = np.tile(np.arange(len(triples)), 3)[first[second]]  # the triple's position in the list
+    terms = alg.entries[3, p[second]] * alg.entries[3, q]
+    _check_sums(alg, slot * dim + alg.entries[2, q], terms, triples.__getitem__)
+    return len(triples)
 
 
 def _jacobi_contraction(alg: ChevalleyAlgebra) -> int:
@@ -308,34 +308,32 @@ def _jacobi_contraction(alg: ChevalleyAlgebra) -> int:
 
     Joining each entry [e_a, e_b] = c e_m with each entry [e_m, e_k] = c2 e_t
     of row m gives every nonzero term c*c2 of [[e_a, e_b], e_k] at e_t.  The
-    loop's sum for (i, j, k) runs over the three rotations of the triple, so
+    sum for (i, j, k) runs over the three rotations of the triple, so
     (a, b, k), (k, a, b) and (b, k, a) share one sum: each term is keyed by
     the least of the three, together with t, and the terms are summed per key.
     A triple with no term sums to zero, so all dim**3 triples are checked.
     """
     dim = alg.dim
     a, b, m, c = alg.entries
-    start = np.searchsorted(a, m, "left")  # the entries are sorted by (a, b)
-    n = np.searchsorted(a, m, "right") - start
-    first = np.repeat(np.arange(len(a)), n)
-    second = np.arange(n.sum()) + np.repeat(start - (np.cumsum(n) - n), n)
+    first, second = _rows(a, m)  # the entries are sorted by a
     i, j, k = a[first], b[first], b[second]
+    least = np.minimum((i * dim + j) * dim + k, (k * dim + i) * dim + j)  # the least of the three rotations
+    least = np.minimum(least, (j * dim + k) * dim + i)
+    _check_sums(alg, least * dim + m[second], c[first] * c[second], lambda s: (s // dim**2, s // dim % dim, s % dim))
+    return dim**3
 
-    def key(x, y, z):
-        return (x * dim + y) * dim + z
 
-    keys = np.minimum(np.minimum(key(i, j, k), key(k, i, j)), key(j, k, i)) * dim + m[second]
+def _check_sums(alg: ChevalleyAlgebra, keys, terms, triple):
+    """Sum the Jacobi terms per key slot*dim + t, mod ell; raise naming `triple(slot)` for the least failing slot."""
     order = np.argsort(keys)
     keys = keys[order]
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    sums = np.add.reduceat((c[first] * c[second])[order], starts)
+    starts = np.flatnonzero(keys != np.r_[-1, keys[:-1]])  # keys are >= 0, so the first starts a run
+    sums = np.add.reduceat(terms[order], starts)
     keys = keys[starts]
     if alg.ell is not None:
         sums %= alg.ell
     bad = np.flatnonzero(sums)
     if bad.size:
-        triple = int(keys[bad[0]] // dim)
-        coeffs = {int(keys[s] % dim): int(sums[s]) for s in bad if keys[s] // dim == triple}
-        ijk = (triple // dim**2, triple // dim % dim, triple % dim)
-        raise ArithmeticError(f"Jacobi fails on basis triple {ijk}: {coeffs}")
-    return dim**3
+        slot = int(keys[bad[0]] // alg.dim)
+        coeffs = {int(keys[s] % alg.dim): int(sums[s]) for s in bad if keys[s] // alg.dim == slot}
+        raise ArithmeticError(f"Jacobi fails on basis triple {triple(slot)}: {coeffs}")

@@ -166,6 +166,8 @@ def _cmd_cohomology(ns: argparse.Namespace) -> int:
     if not (ell.isdecimal() and (hi.isdecimal() or not is_range)):
         raise ValueError(f"--ell {ns.ell}: expected a prime like 13, or a range like 13..31 in sweep mode")
     ell, hi = int(ell), int(hi if is_range else ell)
+    if hi < ell:
+        raise ValueError(f"--ell {ns.ell}: the range runs downwards; expected low..high like 13..31")
     if sweep:
         if not ns.type:
             raise ValueError("sweep mode needs --type")

@@ -111,12 +111,18 @@ class KostantDecomposition:
 
     @cached_property
     def strings(self) -> tuple[tuple[LieElement, ...], ...]:
-        """Per pair (m, p): (ad(Y)^k p for k = 0..2m+1); built on first read."""
-        Y, out = self.triple.Y, []
+        """Per pair (m, p): (ad(Y)^k p for k = 0..2m+1); built on first read from the columns of one ad(Y)."""
+        alg, out = self.triple.algebra, []
+        ad_y = alg.ad(self.triple.Y).T  # ad_y[j]: the coordinates of [Y, e_j]
+        col = [list(zip(r.nonzero()[0].tolist(), r[r != 0].tolist())) for r in ad_y]  # its nonzero (k, c)
         for m, p in self.pairs:
             string = [p]
             for _ in range(2 * m + 1):
-                string.append(bracket(Y, string[-1]))
+                acc: dict = {}
+                for j, v in string[-1].coeffs.items():
+                    for k, c in col[j]:
+                        acc[k] = acc.get(k, 0) + v * c  # Python ints: E8's strings reach 474 bits
+                string.append(LieElement(alg, alg._clean(acc)))
             out.append(tuple(string))
         return tuple(out)
 

@@ -1,6 +1,8 @@
 """Helpers shared by the test modules (importable as `conftest`)."""
 
+import functools
 import os
+import random
 import subprocess
 import sys
 
@@ -30,6 +32,54 @@ def y_of(alg, a):
 def h_of(alg, i):
     """The i-th simple coroot vector."""
     return alg.basis_element(alg.basis.h(i))
+
+
+@functools.lru_cache(maxsize=4)
+def reference_table(alg):
+    """The (i, j) -> [(k, c), ...] dict of the structure constants, read off `structure_constant_triples()`."""
+    table = {}
+    for i, j, k, c in alg.structure_constant_triples():
+        table.setdefault((i, j), []).append((k, c))
+    return table
+
+
+def reference_clean(alg, acc):
+    """acc without zero values, reduced mod ell on an F_ell view."""
+    ell = alg.ell
+    return {k: v if ell is None else v % ell for k, v in acc.items() if (v if ell is None else v % ell)}
+
+
+def reference_bracket(a, b):
+    """Dict-table oracle for the coefficients of [a, b]: every pair of coefficients times every (k, c) of its (i, j)."""
+    assert a.algebra is b.algebra
+    table, acc = reference_table(a.algebra), {}
+    for i, ci in a.coeffs.items():
+        for j, cj in b.coeffs.items():
+            for k, c in table.get((i, j), ()):
+                acc[k] = acc.get(k, 0) + ci * cj * c
+    return reference_clean(a.algebra, acc)
+
+
+def reference_triples(dim, samples, seed):
+    """The `samples` seeded basis triples that `jacobi_sweep(alg, None, samples, seed)` checks."""
+    rng = random.Random(seed)
+    return [(rng.randrange(dim), rng.randrange(dim), rng.randrange(dim)) for _ in range(samples)]
+
+
+def reference_jacobi(alg, triples):
+    """Per-triple Jacobi loop over the dict table: the number of triples, or the error text naming the first failing one."""
+    table, checked = reference_table(alg), 0
+    for i, j, k in triples:
+        acc = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, cm in table.get((a, b), ()):
+                for t, ct in table.get((m, c), ()):
+                    acc[t] = acc.get(t, 0) + cm * ct
+        acc = reference_clean(alg, acc)
+        if acc:
+            return f"Jacobi fails on basis triple {(i, j, k)}: {dict(sorted(acc.items()))}"
+        checked += 1
+    return checked
 
 
 def ad_power(y, n, v):

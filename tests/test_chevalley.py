@@ -7,7 +7,20 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import ad_power, flipped_algebra, h_of, norm2, root_constants, run_optimized, string_depth, x_of, y_of
+from conftest import (
+    ad_power,
+    flipped_algebra,
+    h_of,
+    norm2,
+    reference_bracket,
+    reference_jacobi,
+    reference_triples,
+    root_constants,
+    run_optimized,
+    string_depth,
+    x_of,
+    y_of,
+)
 
 from monolab.chevalley import (
     ChevalleyAlgebra,
@@ -190,7 +203,7 @@ def sweep_outcome(alg, triples=None):
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "F4"])
 def test_jacobi_exhaustive_small(name):
-    # the contraction against the per-triple loop over all dim**3 triples,
+    # the contraction against the explicit-triple path over all dim**3 triples,
     # on the intact table, a sign-flipped copy, and that copy mod 3
     alg = build_chevalley_algebra(name)
     every = itertools.product(range(alg.dim), repeat=3)
@@ -200,6 +213,8 @@ def test_jacobi_exhaustive_small(name):
         got = sweep_outcome(view)
         assert got.startswith("Jacobi fails on basis triple")
         assert got == sweep_outcome(view, itertools.product(range(alg.dim), repeat=3))
+        if alg.dim < 20:  # the dict-table loop over every triple
+            assert got == reference_jacobi(view, itertools.product(range(alg.dim), repeat=3))
 
 
 @pytest.mark.parametrize("name", ["E6", "E7", "E8"])
@@ -231,6 +246,81 @@ def test_jacobi_loop_raises_under_optimize():
 def test_jacobi_sampled_large(name):
     alg = build_chevalley_algebra(name)
     jacobi_sweep(alg, samples=3000, seed=11)
+
+
+@pytest.mark.parametrize("name", ["G2", "F4", "E8"])
+def test_jacobi_paths_match_the_reference_loop(name):
+    alg = build_chevalley_algebra(name)
+    rng = random.Random(name)
+    triples = [tuple(rng.randrange(alg.dim) for _ in range(3)) for _ in range(300)]
+    assert jacobi_sweep(alg, triples=triples) == reference_jacobi(alg, triples) == 300
+    assert jacobi_sweep(alg, samples=500, seed=4) == reference_jacobi(alg, reference_triples(alg.dim, 500, 4)) == 500
+
+
+def test_jacobi_paths_report_the_reference_failure():
+    # the first failing triple in list order, with the same coefficients, over ZZ and mod 3
+    broken = flipped_algebra("G2")
+    every = list(itertools.product(range(broken.dim), repeat=3))
+    random.Random(2).shuffle(every)
+    for view in (broken, broken.mod(3)):
+        want = reference_jacobi(view, every)
+        assert want.startswith("Jacobi fails on basis triple")
+        assert sweep_outcome(view, every) == want
+        for seed in range(3):
+            try:
+                got = jacobi_sweep(view, samples=400, seed=seed)
+            except ArithmeticError as exc:
+                got = str(exc)
+            assert got == reference_jacobi(view, reference_triples(view.dim, 400, seed))
+            assert isinstance(got, str)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"triples": [(999, 0, 0)]},
+        {"triples": [(-1, 0, 1)]},
+        {"triples": [(0.5, 1, 2)]},
+        {"triples": [(True, 1, 2)]},
+        {"triples": [(0, 1, 2), (0, 1)]},
+        {"samples": -5},
+        {"samples": 2.0},
+        {"samples": True},
+    ],
+    ids=["too-large", "negative", "float", "bool", "pair", "negative-samples", "float-samples", "bool-samples"],
+)
+def test_jacobi_sweep_rejects_what_is_not_a_basis_triple(kwargs):
+    alg = build_chevalley_algebra("G2")
+    with pytest.raises(ValueError):
+        jacobi_sweep(alg, **kwargs)
+    assert jacobi_sweep(alg, samples=0) == jacobi_sweep(alg, triples=[]) == 0
+
+
+@pytest.mark.parametrize("name", ["G2", "F4", "B3", "E8"])
+def test_bracket_matches_the_reference(name):
+    alg = build_chevalley_algebra(name)
+    rng = random.Random(name)
+
+    def sparse():
+        return {rng.randrange(alg.dim): rng.randrange(-9, 10) for _ in range(rng.randrange(6))}
+
+    for _ in range(300):
+        a, b = alg.element(sparse()), alg.element(sparse())
+        assert bracket(a, b).coeffs == reference_bracket(a, b)
+
+
+def test_bracket_matches_the_reference_on_e8_strings_and_a_view():
+    kd = principal_kostant("E8")
+    vectors = [v for string in kd.strings for v in string[:-1:2]]  # strings[7][58] has the 474-bit one
+    assert max(abs(c).bit_length() for v in vectors for c in v.coeffs.values()) == 474
+    for v in vectors:
+        for w in (kd.triple.Y, kd.triple.X, vectors[len(vectors) // 2], v):
+            assert bracket(w, v).coeffs == reference_bracket(w, v)
+    f7, rng = build_chevalley_algebra("G2").mod(7), random.Random(7)
+    for _ in range(300):
+        a, b = (f7.element({rng.randrange(14): rng.randrange(7) for _ in range(4)}) for _ in range(2))
+        got = bracket(a, b).coeffs
+        assert got == reference_bracket(a, b) and all(0 < c < 7 for c in got.values())
 
 
 def test_root_graded():

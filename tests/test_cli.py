@@ -123,6 +123,8 @@ def test_cohomology_sweep(capsys):
     assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["sweep"] == [{"ell": 13, "h1_total": 1}, {"ell": 17, "h1_total": 0}]
+    code, out, _ = run_cli(capsys, "cohomology", "sweep", "--type", "G2", "--ell", "24..28")  # no prime in range
+    assert (code, json.loads(out)) == (EXIT_OK, {"simple_type": "G2", "sweep": []})
 
 
 # sha256 of stdout, computed with the per-edge closure and propagation that
@@ -176,8 +178,12 @@ def test_cohomology_usage_error(capsys):
     [
         (("cohomology", "--ell", "13..17", "--sym", "2"), "--ell 13..17: a range is read only in sweep mode"),
         (("cohomology", "sweep", "--ell", "13..17"), "sweep mode needs --type"),
+        (
+            ("cohomology", "sweep", "--type", "G2", "--ell", "31..13"),
+            "--ell 31..13: the range runs downwards; expected low..high like 13..31",
+        ),
     ],
-    ids=["range-outside-sweep", "sweep-without-type"],
+    ids=["range-outside-sweep", "sweep-without-type", "reversed-range"],
 )
 def test_cohomology_usage_errors_take_the_error_path(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

@@ -3,8 +3,7 @@ from fractions import Fraction
 import pytest
 from conftest import ad_power, h_of, x_of, y_of
 
-import monolab
-from monolab.chevalley import bracket, build_chevalley_algebra
+from monolab.chevalley import ChevalleyAlgebra, bracket, build_chevalley_algebra
 from monolab.exact import content, det_mod
 from monolab.prime_scan import scan_e6_cartan, scan_simple_projections
 from monolab.principal_sl2 import (
@@ -170,23 +169,22 @@ def test_sl2_strings_reject_wrong_lengths():
 
 
 def test_strings_built_once(monkeypatch):
-    # the four string readers on one decomposition share one bracket per string step
+    # the four string readers on one decomposition share one ad(Y), built on the first read
     alg = build_chevalley_algebra("E6")
     kd = kostant_decomposition(alg, build_principal_sl2(alg))
     calls = []
 
-    def counting(a, b):
-        calls.append(1)
-        return bracket(a, b)
+    def counting(self, z):
+        calls.append(z)
+        return ad(self, z)
 
-    for module in vars(monolab).values():
-        if getattr(module, "bracket", None) is bracket:
-            monkeypatch.setattr(module, "bracket", counting)
+    ad = ChevalleyAlgebra.ad
+    monkeypatch.setattr(ChevalleyAlgebra, "ad", counting)
     readers = (sl2_string_lengths_ok, sl2_string_family_rows, scan_simple_projections, scan_e6_cartan)
     first = [reader(kd) for reader in readers]
-    assert len(calls) == sum(2 * m + 1 for m in kd.exponents)
     assert [reader(kd) for reader in readers] == first
-    assert len(calls) == sum(2 * m + 1 for m in kd.exponents)
+    assert calls.count(kd.triple.Y) == 1  # the other calls are scan_e6_cartan's ad(x_1)
+    assert all(z == alg.basis_element(alg.basis.x(0)) for z in calls if z != kd.triple.Y)
 
 
 @pytest.mark.parametrize("name", ["G2", "F4", "E6"])

@@ -8,8 +8,12 @@ import re
 import shlex
 from collections import Counter, defaultdict
 
+import numpy as np
+
 import monolab
 from monolab import cli
+from monolab.chevalley import ChevalleyAlgebra
+from monolab.rootsys import build_root_datum
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -54,21 +58,18 @@ def test_criterion_results_are_built_only_by_verify_paper():
     assert builders == ["verify.py:verify_paper"], builders
 
 
-def test_only_chevalley_touches_the_bracket_index():
-    # `entries` is the one store; the (i, j) index built from it is private to
-    # chevalley.py, and ChevalleyAlgebra.__init__ is its one writer
-    readers, writers = set(), set()
-    for path in sorted(pathlib.Path(monolab.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        if any(isinstance(node, ast.Attribute) and node.attr == "_table" for node in ast.walk(tree)):
-            readers.add(path.name)
-        for fn in ast.walk(tree):
-            if isinstance(fn, ast.FunctionDef):
-                stored = (n for n in ast.walk(fn) if isinstance(getattr(n, "ctx", None), ast.Store))
-                stores = (n.value if isinstance(n, ast.Subscript) else n for n in stored)  # alg._table[key] = ...
-                writers.update(f"{path.name}:{fn.name}" for n in stores if getattr(n, "attr", None) == "_table")
-    assert readers == {"chevalley.py"}, readers
-    assert writers == {"chevalley.py:__init__"}, writers
+def test_a_built_algebra_keeps_its_table_only_in_arrays():
+    # `entries` is the one store and `keys` its one index; a per-entry dict or
+    # list beside them would be a second copy of the table
+    alg = ChevalleyAlgebra(build_root_datum("E8"))
+    view = alg.mod(7)
+    for obj in (alg, view):
+        for name, value in vars(obj).items():
+            if isinstance(value, (dict, list, tuple, set, frozenset)):
+                assert len(value) < alg.dim, name
+            elif isinstance(value, np.ndarray):
+                assert name in {"entries", "keys"} and value.dtype == np.int64 and not value.flags.writeable, name
+    assert view.entries is alg.entries and view.keys is alg.keys
 
 
 def _monolab_imports(tree):
