@@ -21,7 +21,7 @@ identities.  The one store is the read-only int64 array `entries` of rows
 (i, j, k, c), [e_i, e_j] having c on e_k, sorted by (i, j, k) and built in
 array operations on the arrays of `RootDatum`; its one index is the sorted
 array `keys` of i*dim + j.  `ad`, the one builder of ad matrices, scatters the
-entries; `bracket` and `jacobi_sweep` find their rows by one lookup, `_rows`.
+entries; `brackets` and `jacobi_sweep` find their rows by one lookup, `_rows`.
 Criterion 5 checks the table by exhaustive Jacobi and Carter's magnitude
 identity.  `build_chevalley_algebra` is cached once per parsed simple type,
 and its `datum` is the cached `build_root_datum` of that type.
@@ -32,6 +32,7 @@ from __future__ import annotations
 import copy
 import random
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -112,7 +113,7 @@ class ChevalleyAlgebra:
     """Simple Lie algebra over ZZ (`ell` None) or F_ell, with frozen structure constants `entries` and their `keys`.
 
     Coefficients are plain ints; on an F_ell view they are residues in
-    [0, ell).  Instances are immutable after construction; `bracket` and
+    [0, ell).  Instances are immutable after construction; `brackets` and
     friends are pure and safe to share across threads.  Use
     `build_chevalley_algebra` to get the ZZ form and `.mod(ell)` for the F_ell
     views (cached, so view identity can be used for operand compatibility
@@ -165,9 +166,6 @@ class ChevalleyAlgebra:
         if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k < self.dim:
             raise ValueError(f"not a basis index of {self!r}: {k!r}")
         return k
-
-    def basis_element(self, k: int) -> "LieElement":
-        return self.element({k: 1})
 
     def basis_label(self, k: int) -> str:
         b = self.basis
@@ -261,17 +259,28 @@ def _rows(keys, queries):
     return np.repeat(np.arange(len(queries)), n), np.arange(n.sum()) + np.repeat(start - (np.cumsum(n) - n), n)
 
 
-def bracket(a: LieElement, b: LieElement) -> LieElement:
-    """Exact Lie bracket [a, b]; bilinear, alternating."""
-    _check_compat(a.algebra, b.algebra)
-    alg = a.algebra
-    ca, cb = list(a.coeffs.values()), list(b.coeffs.values())
-    keys = np.add.outer(np.fromiter(a.coeffs, np.int64, len(ca)) * alg.dim, np.fromiter(b.coeffs, np.int64, len(cb)))
-    pair, pos = _rows(alg.keys, keys.ravel())  # pair = its index in a * len(cb) + its index in b
-    acc: dict = {}
-    for p, k, c in zip(pair.tolist(), *alg.entries[2:, pos].tolist()):  # Python ints: exact at any size
-        acc[k] = acc.get(k, 0) + ca[p // len(cb)] * cb[p % len(cb)] * c
-    return LieElement(alg, alg._clean(acc))
+def brackets(pairs) -> list[LieElement]:
+    """The exact Lie bracket [a, b] of every pair (a, b) of elements of one algebra, with one `_rows` lookup for all.
+
+    Bilinear and alternating; pass a list of one pair for a single bracket.
+    """
+    alg = pairs[0][0].algebra
+    for a, b in pairs:
+        _check_compat(alg, a.algebra)
+        _check_compat(a.algebra, b.algebra)
+    lefts, rights = [a.coeffs for a, _ in pairs], [b.coeffs for _, b in pairs]
+    na, nb = np.array([len(d) for d in lefts], dtype=np.int64), np.array([len(d) for d in rights], dtype=np.int64)
+    ka, kb = np.fromiter(chain(*lefts), np.int64, na.sum()), np.fromiter(chain(*rights), np.int64, nb.sum())
+    ca, cb = [v for d in lefts for v in d.values()], [v for d in rights for v in d.values()]
+    n = na * nb  # each term of a with each term of b, pair after pair
+    pair = np.repeat(np.arange(len(pairs)), n)
+    local = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    u, v = np.repeat(np.cumsum(na) - na, n) + local // nb[pair], np.repeat(np.cumsum(nb) - nb, n) + local % nb[pair]
+    query, pos = _rows(alg.keys, ka[u] * alg.dim + kb[v])
+    acc: list[dict] = [{} for _ in pairs]
+    for p, x, y, k, c in zip(*np.array([pair[query], u[query], v[query], *alg.entries[2:, pos]]).tolist()):
+        acc[p][k] = acc[p].get(k, 0) + ca[x] * cb[y] * c  # Python ints: exact at any size
+    return [LieElement(alg, alg._clean(d)) for d in acc]
 
 
 def jacobi_sweep(alg: ChevalleyAlgebra, triples=None, samples: int | None = None, seed: int = 0):

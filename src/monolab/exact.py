@@ -10,12 +10,19 @@ Every elimination over F_ell in the package goes through one kernel at the end
 of this module: `matmul_mod`, the streamed reduced echelon form
 `EchelonState`, `rank_mod`, `kernel_mod` and `det_mod`; no other module reads
 how `EchelonState` stores its rows.  It is exact for every prime ell < 2**31.
+A pivot step touches only the columns from the pivot on, and of a sparse
+pivot row only its nonzero columns.  `matmul_mod` has three products: float64
+on numpy's BLAS while every partial sum is an integer below 2**53 and the
+product is large enough to repay the conversion, with the bundled OpenBLAS
+pinned to one thread for the call; int64 below 2**63; and int64 on 16-bit
+halves above that.  Floating point appears nowhere else.
 `residues` reduces every integer matrix that enters from outside.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import threading
+from functools import cache, lru_cache
 from math import gcd
 
 import numpy as np
@@ -222,24 +229,69 @@ def content(vec) -> int:
 
 # surviving rows are eliminated this many at a time: a wider chunk makes each
 # pivot step cost more, a narrower one adds reduction and back-substitution
-# products
+# products.  Replaying every elimination of one pass of each perfbench
+# workload (2 vCPUs, this kernel) with chunks of 32, 64, 128 and 256 rows:
+# small-group-oracle 0.62, 0.55, 0.55, 0.58 s, lie-scan 0.29, 0.30, 0.30,
+# 0.31 s, sl2-cohomology 0.027-0.028 s at each
 _CHUNK = 64
+
+# a product of at least this volume m * k * n goes to BLAS.  Replaying the
+# 7,608 products of one pass of each perfbench workload (seed 604) through
+# both paths (2 vCPUs, OpenBLAS 0.3.31 on one thread): float64 was slower
+# than int64 on 6 of the 505 products of volume >= 8,000 and on none of the
+# 472 of volume >= 16,384, and the replay's total was flat at 0.14 s for any
+# crossover from 4,000 to 32,000 (0.41 s on int64 alone, 0.28 s at 10**6)
+_BLAS_VOLUME = 2**14
+_BLAS_LOCK = threading.Lock()  # the thread count is one setting of the whole process
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, ell: int) -> np.ndarray:
-    """a @ b mod ell, exact for ell < 2**31 and inner dimension k < 2**16.
+    """a @ b mod ell, exact for ell < 2**31 and inner dimension k < 2**16, by one of three products.
 
-    The plain int64 product is used while k * (ell - 1)**2 < 2**63; otherwise
-    a is split into 16-bit halves so that every partial sum stays below 2**63.
-    Entries of a and b must lie in [0, ell).  The modulus is not checked here:
-    callers pass one already checked where they were entered.
+    float64 on BLAS while k * (ell - 1)**2 < 2**53, so every partial sum is an
+    integer that float64 holds exactly, once the volume m * k * n of one matrix
+    product reaches `_BLAS_VOLUME`; numpy's bundled OpenBLAS is pinned to one
+    thread for the call and given back its old count after it, also when the
+    product raises, and where the count cannot be set the int64 product runs.
+    int64 while k * (ell - 1)**2 < 2**63.  Otherwise int64 with a split into
+    16-bit halves, so that every partial sum stays below 2**63.  Entries of a
+    and b must lie in [0, ell).  The modulus is not checked here: callers pass
+    one already checked where they were entered.
     """
     k = a.shape[-1]
+    if a.shape[-2] * k * b.shape[-1] >= _BLAS_VOLUME and k * (ell - 1) ** 2 < 2**53 and (threads := _blas_threads()):
+        get, pin = threads
+        a, b = a.astype(np.float64), b.astype(np.float64)
+        with _BLAS_LOCK:
+            old = get()
+            pin(1)
+            try:
+                product = a @ b
+            finally:
+                pin(old)
+        product = product.astype(np.int64)
+        product %= ell
+        return product
     if k * (ell - 1) ** 2 < 2**63:
         return a @ b % ell
     if k >= 2**16:
         raise ValueError(f"inner dimension {k} too large for an exact product mod {ell}")
     return ((a >> 16) @ b % ell * 2**16 + (a & 0xFFFF) @ b % ell) % ell
+
+
+@cache
+def _blas_threads():
+    """(get, pin): read and set the thread count of numpy's bundled OpenBLAS; None where numpy exports neither."""
+    import ctypes
+
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)  # its symbol lookup reaches the BLAS it links
+        get, pin = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    pin.argtypes, pin.restype = [ctypes.c_int], None
+    return get, pin
 
 
 class EchelonState:
@@ -289,12 +341,23 @@ class EchelonState:
             if not support.size:
                 continue
             q = int(support[0])
-            self.scale = self.scale * int(a[i, q]) % ell
-            a[i] = a[i] * pow(int(a[i, q]), -1, ell) % ell
+            # the other rows change only on the pivot row's support; gathering
+            # it costs more per entry than a slice, so where it fills over a
+            # quarter of the columns from q on, the slice from q is taken
+            dense = 4 * support.size > a.shape[1] - q
+            cols = slice(q, None) if dense else support
+            row = a[i, cols]
+            pivot = int(row[0])
+            self.scale = self.scale * pivot % ell
+            if pivot != 1:
+                row = row * pow(pivot, -1, ell) % ell
+                a[i, cols] = row
             col = a[:, q].copy()
             col[i] = 0
             nz = col.nonzero()[0]
-            a[nz] = (a[nz] - col[nz, None] * a[i]) % ell
+            if nz.size:
+                at = nz if dense else nz[:, None]
+                a[at, cols] = (a[at, cols] - col[nz, None] * row) % ell
             new_rows.append(i)
             new_cols.append(q)
         new = a[new_rows]

@@ -21,6 +21,7 @@ from math import gcd
 
 import numpy as np
 
+from .chevalley import _rows
 from .exact import is_probable_prime
 from .fixtures import E8_CANDIDATES, OBSTRUCTION_PRIMES
 from .principal_sl2 import KostantDecomposition, principal_kostant
@@ -235,19 +236,22 @@ def scan_e6_cartan(kd: KostantDecomposition) -> tuple[tuple[int, int], ...]:
     Only defined in type E6, where alpha_1 is a simple root not fixed by the
     outer diagram automorphism.  ad(Y)^m(p) lies in the Cartan, and by the
     definition [x_1, h[j]] = delta_1j x_1 its h[1] component is the coefficient
-    of x_1 in [x_1, ad(Y)^m(p)], read with the x_1 row of ad(x_1).
+    of x_1 in [x_1, ad(Y)^m(p)], read with the x_1 row of ad(x_1), taken from
+    the table's entries by one `_rows` lookup.
     """
     alg = kd.triple.algebra
     if str(alg.datum.simple_type) != "E6":
         raise ValueError("the Cartan scan is specific to type E6")
     x1 = alg.basis.x(0)
-    row, out = alg.ad(alg.basis_element(x1))[x1].tolist(), []
+    _, pos = _rows(alg.keys, x1 * alg.dim + np.arange(alg.dim))  # every entry [x_1, e_j] = c e_k
+    on_x1 = pos[alg.entries[2, pos] == x1]
+    row, out = dict(zip(alg.entries[1, on_x1].tolist(), alg.entries[3, on_x1].tolist())), []
     for m, string in zip(kd.exponents, kd.strings):
         v = string[m]
         nonc = [k for k in v.coeffs if k < 2 * alg.basis.num_pos]
         if nonc:
             raise ArithmeticError(f"ad(Y)^{m}(p) has non-Cartan support: {nonc}")
-        out.append((m, sum(row[k] * c for k, c in v.coeffs.items())))
+        out.append((m, sum(row.get(k, 0) * c for k, c in v.coeffs.items())))
     return tuple(out)
 
 

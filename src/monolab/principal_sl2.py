@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .chevalley import ChevalleyAlgebra, LieElement, bracket, build_chevalley_algebra
+from .chevalley import ChevalleyAlgebra, LieElement, brackets, build_chevalley_algebra
 from .exact import integer_kernel
 from .rootsys import RootDatum, SimpleType, per_type
 
@@ -86,7 +86,7 @@ def build_principal_sl2(alg: ChevalleyAlgebra) -> Sl2Triple:
 def relations_hold(triple: Sl2Triple) -> bool:
     """Whether [X, H] = 2X, [Y, H] = -2Y and [Y, X] = H hold exactly."""
     X, H, Y = triple.X, triple.H, triple.Y
-    return bracket(X, H) == X.scale(2) and bracket(Y, H) == Y.scale(-2) and bracket(Y, X) == H
+    return brackets([(X, H), (Y, H), (Y, X)]) == [X.scale(2), Y.scale(-2), H]
 
 
 def _graded_kernel(ad_x, grading: dict, w: int) -> list[tuple[int, ...]]:
@@ -151,7 +151,9 @@ def kostant_decomposition(alg: ChevalleyAlgebra, triple: Sl2Triple) -> KostantDe
     #{exponents m : 2m = w} (ArithmeticError naming w otherwise), which is
     the one check that dim ker ad(X) = rank.  Kernel vectors are primitive
     with positive leading coordinate; repeated exponents (type D_{2n}) get the
-    echelon basis of their graded kernel, in deterministic order.
+    echelon basis of their graded kernel, in deterministic order.  One batch
+    of `brackets` then checks that every p_i is an H-eigenvector and that the
+    p_i commute pairwise.
     """
     if alg.ell is not None:
         raise ValueError("the decomposition is computed on the ZZ form")
@@ -165,17 +167,17 @@ def kostant_decomposition(alg: ChevalleyAlgebra, triple: Sl2Triple) -> KostantDe
         mult = sum(2 * m == w for m in d.exponents)
         if len(vecs) != mult:
             raise ArithmeticError(f"weight {w}: ker ad X has dimension {len(vecs)}, expected {mult}")
-        for vec in vecs:
-            p = alg.element({k: v for k, v in zip(grading[w], vec) if v})
-            if bracket(p, triple.H) != p.scale(w):
-                raise ArithmeticError(f"weight {w}: kernel vector is not an H-eigenvector")
-            pairs.append((w // 2, p))
+        pairs += [(w // 2, alg.element({k: v for k, v in zip(grading[w], vec) if v})) for vec in vecs]
+    # one batch: [p, H] for every p, then [p, q] for every p before q (the bracket is alternating)
+    ps = [p for _, p in pairs]
+    got = brackets([(p, triple.H) for p in ps] + [(p, q) for i, p in enumerate(ps) for q in ps[i + 1 :]])
+    for (m, p), pH in zip(pairs, got):
+        if pH != p.scale(2 * m):
+            raise ArithmeticError(f"weight {2 * m}: kernel vector is not an H-eigenvector")
     if pairs[0][0] != 1 or pairs[0][1] != triple.X:
         raise ArithmeticError("p_1 must be X itself")
-    for i, (_, p) in enumerate(pairs):
-        for _, q in pairs[i + 1 :]:  # the bracket is alternating
-            if not bracket(p, q).is_zero():
-                raise ArithmeticError("centralizer of X is not abelian: structure bug")
+    if any(not pq.is_zero() for pq in got[len(pairs) :]):
+        raise ArithmeticError("centralizer of X is not abelian: structure bug")
     return KostantDecomposition(triple, tuple(pairs))
 
 

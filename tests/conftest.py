@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import monolab
-from monolab.chevalley import ChevalleyAlgebra, bracket, build_chevalley_algebra
+from monolab.chevalley import ChevalleyAlgebra, brackets, build_chevalley_algebra
 
 
 def run_optimized(code):
@@ -19,19 +19,24 @@ def run_optimized(code):
     return out.stdout.strip()
 
 
+def bracket(a, b):
+    """[a, b], one pair through `brackets`."""
+    return brackets([(a, b)])[0]
+
+
 def x_of(alg, a):
     """The root vector x_a of the positive root with index a."""
-    return alg.basis_element(alg.basis.x(a))
+    return alg.element({alg.basis.x(a): 1})
 
 
 def y_of(alg, a):
     """The root vector y_a of the negative of the positive root with index a."""
-    return alg.basis_element(alg.basis.y(a))
+    return alg.element({alg.basis.y(a): 1})
 
 
 def h_of(alg, i):
     """The i-th simple coroot vector."""
-    return alg.basis_element(alg.basis.h(i))
+    return alg.element({alg.basis.h(i): 1})
 
 
 @functools.lru_cache(maxsize=4)

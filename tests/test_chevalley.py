@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from conftest import (
     ad_power,
+    bracket,
     flipped_algebra,
     h_of,
     norm2,
@@ -24,7 +25,7 @@ from conftest import (
 
 from monolab.chevalley import (
     ChevalleyAlgebra,
-    bracket,
+    brackets,
     build_chevalley_algebra,
     jacobi_sweep,
 )
@@ -141,7 +142,7 @@ def bracket_matrix(alg, z):
     """ad z column by column, one bracket per basis vector."""
     m = np.zeros((alg.dim, alg.dim), dtype=np.int64)
     for j in range(alg.dim):
-        for k, c in bracket(z, alg.basis_element(j)).coeffs.items():
+        for k, c in bracket(z, alg.element({j: 1})).coeffs.items():
             m[k, j] = c
     return m
 
@@ -150,7 +151,7 @@ def bracket_matrix(alg, z):
 def test_ad_of_basis_vectors_matches_brackets(name):
     alg = build_chevalley_algebra(name)
     for k in range(alg.dim):
-        e = alg.basis_element(k)
+        e = alg.element({k: 1})
         assert (alg.ad(e) == bracket_matrix(alg, e)).all(), k
 
 
@@ -160,11 +161,11 @@ def test_ad_of_principal_triple_and_on_a_view():
     for z in (trip.X, trip.Y, trip.H):
         assert (alg.ad(z) == bracket_matrix(alg, z)).all()
     f7 = build_chevalley_algebra("G2").mod(7)
-    for z in (f7.element({0: 3, 7: 5, 12: 6}), f7.basis_element(13)):
+    for z in (f7.element({0: 3, 7: 5, 12: 6}), f7.element({13: 1})):
         got = f7.ad(z)
         assert (got == bracket_matrix(f7, z)).all() and got.min() >= 0 and got.max() < 7
     with pytest.raises(ValueError, match="incompatible operands"):
-        alg.ad(trip.X.algebra.mod(31).basis_element(0))
+        alg.ad(trip.X.algebra.mod(31).element({0: 1}))
 
 
 def test_ad_rejects_coefficients_beyond_its_int64_guard():
@@ -304,9 +305,10 @@ def test_bracket_matches_the_reference(name):
     def sparse():
         return {rng.randrange(alg.dim): rng.randrange(-9, 10) for _ in range(rng.randrange(6))}
 
-    for _ in range(300):
-        a, b = alg.element(sparse()), alg.element(sparse())
-        assert bracket(a, b).coeffs == reference_bracket(a, b)
+    pairs = [(alg.element(sparse()), alg.element(sparse())) for _ in range(300)]
+    want = [reference_bracket(a, b) for a, b in pairs]
+    assert [bracket(a, b).coeffs for a, b in pairs] == want
+    assert [c.coeffs for c in brackets(pairs)] == want  # one batch, zero operands among them
 
 
 def test_bracket_matches_the_reference_on_e8_strings_and_a_view():
@@ -340,7 +342,7 @@ def test_root_graded():
         i, j = rng.randrange(2 * num_pos), rng.randrange(2 * num_pos)
         u, v = root_of(i), root_of(j)
         s = tuple(a + b for a, b in zip(u, v))
-        out = bracket(alg.basis_element(i), alg.basis_element(j))
+        out = bracket(alg.element({i: 1}), alg.element({j: 1}))
         if out.is_zero():
             continue
         if all(c == 0 for c in s):
@@ -439,6 +441,9 @@ def test_mixed_operand_rejection():
         bracket(x_of(a2, 0), x_of(mod7, 0))
     with pytest.raises(ValueError):
         bracket(x_of(mod7, 0), x_of(a2.mod(11), 0))
+    for late in [(x_of(mod7, 0), x_of(mod7, 1)), (x_of(a2, 0), x_of(mod7, 1))]:  # a later pair of another ring
+        with pytest.raises(ValueError, match="incompatible operands"):
+            brackets([(x_of(a2, 0), x_of(a2, 1)), late])
 
 
 def test_change_ring_views_cached():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 from unittest import mock
 
 import numpy as np
@@ -205,6 +206,85 @@ def test_kernel_mod_spans_the_kernel(ell):
         assert rank_mod(B, ell) == B.shape[1]
     assert kernel_mod(cases[-2], ell).tolist() == np.eye(6, dtype=int).tolist()
     assert kernel_mod(cases[-1], ell).shape == (5, 0)
+
+
+@pytest.fixture
+def pins(monkeypatch):
+    """The thread counts that matmul_mod sets on numpy's BLAS, recorded around the real setter."""
+    handle = exact._blas_threads()
+    if handle is None:
+        pytest.skip("numpy's BLAS exports no thread-count setter here")
+    get, pin = handle
+    calls = []
+    monkeypatch.setattr(exact, "_blas_threads", lambda: (get, lambda n: calls.append(n) or pin(n)))
+    return calls
+
+
+def python_product(a, b, ell):
+    return [[sum(x * y for x, y in zip(row, col)) % ell for col in zip(*b)] for row in a]
+
+
+def test_blas_products_match_the_python_reference(pins):
+    # 64 x 64 x 80 is past the volume gate; with k = 64 the float64 product is
+    # exact while 64 * (ell - 1)**2 < 2**53, and the first row of a and first
+    # column of b, all ell - 1, reach that sum in entry (0, 0)
+    k = 64
+    below = next(p for p in range(isqrt(2**53 // k) + 1, 2, -1) if k * (p - 1) ** 2 < 2**53 and is_probable_prime(p))
+    above = next(p for p in range(below + 1, 2**31) if is_probable_prime(p))
+    assert k * (above - 1) ** 2 >= 2**53 and k * 64 * 80 >= exact._BLAS_VOLUME
+    before = exact._blas_threads()[0]()
+    rng = random.Random(53)
+    for ell, pinned in [(below, [1, before]), (above, []), (2**31 - 1, [])]:  # float64, int64, 16-bit split
+        a = [[ell - 1] * k] + [[rng.randrange(ell) for _ in range(k)] for _ in range(63)]
+        b = [[ell - 1] + [rng.randrange(ell) for _ in range(79)] for _ in range(k)]
+        got = matmul_mod(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), ell)
+        assert got.dtype == np.int64 and got.tolist() == python_product(a, b, ell), ell
+        assert pins == pinned, ell
+        pins.clear()
+
+
+def test_blas_thread_count_restored_also_when_the_product_raises(pins):
+    get = exact._blas_threads()[0]
+    before = get()
+    a = np.ones((64, 64), dtype=np.int64)
+    assert matmul_mod(a, a, 7).tolist() == [[64 % 7] * 64] * 64
+    assert get() == before
+    with pytest.raises(ValueError):
+        matmul_mod(a, np.ones((65, 64), dtype=np.int64), 7)  # a has 64 columns, b 65 rows
+    assert get() == before
+    assert pins == [1, before, 1, before]
+
+
+def test_missing_blas_handle_gives_the_same_product(monkeypatch):
+    rng = np.random.default_rng(11)
+    a, b = rng.integers(0, 65521, (64, 100)), rng.integers(0, 65521, (100, 70))
+    want = matmul_mod(a, b, 65521)
+    monkeypatch.setattr(exact, "_blas_threads", lambda: None)
+    assert np.array_equal(matmul_mod(a, b, 65521), want)
+    assert np.array_equal(want, a @ b % 65521)
+
+
+def test_sparse_system_across_chunks_matches_the_reference(monkeypatch):
+    # 150 rows span three chunks; each row has its diagonal and two more
+    # nonzeros, and the elimination fills them in.  The last row of the second
+    # matrix is the sum of two others, so its rank is 149 and its det 0.
+    ell, n = 65521, 150
+    gated = []
+    real = exact._blas_threads
+    monkeypatch.setattr(exact, "_blas_threads", lambda: gated.append(1) or real())
+    rng = random.Random(150)
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in [i, *rng.sample(range(n), 2)]:
+            row[j] = rng.randrange(1, ell)
+    singular = rows[:-1] + [[(x + y) % ell for x, y in zip(rows[3], rows[77])]]
+    assert _CHUNK < n // 2
+    for matrix, want_rank in [(rows, n), (singular, n - 1)]:
+        rank, det = reference_rank_det(matrix, ell)
+        assert rank == want_rank and (det != 0) == (rank == n)
+        assert rank_mod(matrix, ell) == rank
+        assert det_mod(matrix, ell) == det
+    assert gated  # some product passed the BLAS gate
 
 
 def test_kernel_rejects_bad_moduli():
