@@ -16,7 +16,8 @@ on numpy's BLAS while every partial sum is an integer below 2**53 and the
 product is large enough to repay the conversion, with the bundled OpenBLAS
 pinned to one thread for the call; int64 below 2**63; and int64 on 16-bit
 halves above that.  Floating point appears nowhere else.
-`residues` reduces every integer matrix that enters from outside.
+`residues` is the one reducer, of every integer matrix that enters from outside;
+`EchelonState.add` takes its int64 residues in [0, ell) and only checks them.
 """
 
 from __future__ import annotations
@@ -300,10 +301,10 @@ class EchelonState:
     Pivot row i has a 1 in column `pivots[i]` and every pivot row has 0 in the
     other pivot columns, so only its entries on the `free` columns are stored
     (in `rows`), and reducing a row against the state is one product.  An
-    added batch is reduced with one such product; only its surviving rows are
-    eliminated, `_CHUNK` rows at a time.  `scale` is the product of the pivot
-    values divided out, which is the determinant when the rows added so far
-    form a nonsingular square matrix.
+    added batch is reduced with one such product, none at rank 0; only its
+    nonzero rows are eliminated, `_CHUNK` rows at a time.  `scale` is the
+    product of the pivot values divided out, which is the determinant when
+    the rows added so far form a nonsingular square matrix.
     """
 
     def __init__(self, ncols: int, ell: int):
@@ -323,10 +324,14 @@ class EchelonState:
         return (batch[:, self.free] - matmul_mod(batch[:, self.pivots], self.rows, self.ell)) % self.ell
 
     def add(self, batch: np.ndarray) -> None:
-        batch = np.asarray(batch, dtype=np.int64) % self.ell
-        batch = batch[self._reduce(batch).any(axis=1)]
-        for start in range(0, len(batch), _CHUNK):
-            self._absorb(self._reduce(batch[start : start + _CHUNK]))
+        """Absorb a 2-d int64 batch of residues in [0, ell), as `residues` makes them; ValueError for anything else."""
+        batch, ncols, ell = np.asarray(batch), len(self.free) + self.rank, self.ell
+        shaped = batch.dtype == np.int64 and batch.shape[1:] == (ncols,)
+        if not shaped or batch.size and not 0 <= batch.min() <= batch.max() < ell:
+            raise ValueError(f"need {ncols}-column 2-d int64 residues in [0, {ell}), got {batch.dtype} {batch.shape}")
+        batch = batch[(self._reduce(batch) if self.rank else batch).any(axis=1)]  # at rank 0 nothing is reduced
+        for chunk in (batch[start : start + _CHUNK] for start in range(0, len(batch), _CHUNK)):
+            self._absorb(self._reduce(chunk) if self.rank else chunk)
 
     def _absorb(self, a: np.ndarray) -> None:
         """Gauss-Jordan on reduced rows, then back-substitution into the state.
@@ -382,7 +387,12 @@ def residues(matrix, ell: int) -> np.ndarray:
     bad = sorted(t.__name__ for t in kinds if not issubclass(t, (int, np.integer)) or issubclass(t, bool))
     if bad:
         raise ValueError(f"matrix entries must be integers, got {', '.join(bad)}")
-    return np.asarray(a % ell).astype(np.int64)  # a 0-d object array reduces to a bare int
+    if a.dtype == object:  # only the nonzero entries are reduced, as ints: np.int8(3) % 251 overflows
+        out, nz = np.zeros(a.shape, dtype=np.int64), np.flatnonzero(a)
+        out.flat[nz] = [int(x) % ell for x in a.flat[nz]]
+        return out
+    # uint64 is reduced before the cast to int64, which would wrap values >= 2**63; narrower dtypes widen
+    return np.remainder(a % ell if a.dtype == np.uint64 else a, ell, dtype=np.int64)
 
 
 def _echelon(matrix, ell: int, caller: str) -> EchelonState:

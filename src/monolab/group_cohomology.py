@@ -299,7 +299,7 @@ def _z1_cayley(G: FiniteMatrixGroup, M: ModuleAction) -> int:
     in one product and one gather-and-add; the non-tree blocks are gathered
     by fancy indexing, at most 4096 rows per elimination batch.  C holds
     residues below ell < 2**31 and is stored as int32; each block is formed
-    in int64.
+    in int64 and reduced in place.
     """
     n, ng, dim, ell = G.order, len(G.generators), M.dim, G.ell
     ncols = ng * dim
@@ -322,7 +322,7 @@ def _z1_cayley(G: FiniteMatrixGroup, M: ModuleAction) -> int:
             raise ValueError(f"not a module: rho(g) M_j != rho(g s_j) at element g={g[bad[0]]}, generator j={j[bad[0]]}")
         block = C[g].astype(np.int64) - C[G.cayley[g, j]]
         block[np.arange(len(g)), :, j] += rho[g]
-        state.add(block.reshape(-1, ncols))
+        state.add(np.remainder(block, ell, out=block).reshape(-1, ncols))
     return ncols - state.rank
 
 

@@ -1,11 +1,12 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import isqrt
 from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import x_of
+from conftest import run_optimized, x_of
 
 from monolab import exact
 from monolab.chevalley import build_chevalley_algebra
@@ -22,7 +23,7 @@ from monolab.exact import (
     rank_mod,
     residues,
 )
-from monolab.group_cohomology import h1, module_from_matrices, sl2_group, sym_module
+from monolab.group_cohomology import close_group, h1, h1_naive, module_from_matrices, sl2_group, sym_module
 
 
 def rational_rank(rows, ncols):
@@ -354,6 +355,123 @@ def test_kernel_reduces_entries_of_any_size():
     assert rank_mod([[2**70, 0], [0, 1]], 7) == 2
     assert det_mod([[2**70, 0], [0, -(2**65)]], 7) == 2 * (-(2**65)) % 7
     assert residues(np.array([[2**64 - 1]], dtype=np.uint64), 7).tolist() == [[(2**64 - 1) % 7]]
+    # numpy scalars in a list are reduced as ints, whatever their width
+    assert det_mod([[np.int8(3), np.uint64(2**64 - 1)], [np.int16(-1), 2]], 251) == (6 + (2**64 - 1)) % 251
+
+
+@pytest.mark.parametrize("ell", [7, 251, 65521, 2**31 - 1])
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.uint8, np.uint16, np.uint64, np.int64])
+def test_residues_widen_every_integer_dtype(dtype, ell):
+    # numpy 2 will not hold a modulus past the dtype's range, so narrow
+    # dtypes widen before they are reduced, and uint64 is reduced before its
+    # cast to int64, which would wrap entries >= 2**63
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(ell)
+    a = rng.integers(info.min, info.max, (6, 6), dtype=dtype, endpoint=True)
+    a[0, :2] = info.min, info.max
+    rows = a.tolist()
+    assert residues(a, ell).tolist() == [[x % ell for x in r] for r in rows]
+    rank, det = reference_rank_det(rows, ell)
+    assert rank_mod(a, ell) == rank and det_mod(a, ell) == det
+    assert rank_mod(a[:4], ell) == reference_rank_det(rows[:4], ell)[0]
+
+
+def test_narrow_dtype_generators_and_modules():
+    # -1 in int8 is 250 mod 251; the signed permutation matrices of degree 2
+    # form the dihedral group of order 8
+    flip, sign = [[0, 1], [1, 0]], [[-1, 0], [0, 1]]
+    G = close_group([np.array(flip, dtype=np.int8), np.array(sign, dtype=np.int8)], 251)
+    assert G.order == 8 and np.array_equal(G.cayley, close_group([flip, sign], 251).cayley)
+    M = module_from_matrices(251, [np.array(sign, dtype=np.int8)])
+    assert M.matrices[0].dtype == np.int64 and M.matrices[0].tolist() == [[250, 0], [0, 1]]
+
+
+ADD_REJECTS = [
+    ([[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]], r"3-column .*got int64 \(2, 5\)"),
+    ([[1, 2]], r"3-column .*got int64 \(1, 2\)"),
+    ([1, 2, 3], r"2-d int64 .*got int64 \(3,\)"),
+    ([[1, -1, 0]], r"residues in \[0, 7\)"),
+    ([[1, 7, 0]], r"residues in \[0, 7\)"),
+    ([[1.5, 0, 0]], r"int64 .*got float64 \(1, 3\)"),
+]
+
+
+@pytest.mark.parametrize("batch, match", ADD_REJECTS, ids=["wide", "narrow", "1-d", "negative", "ell", "float"])
+def test_echelon_add_rejects_a_bad_batch(batch, match):
+    # add takes int64 residues, which it checks and does not reduce: unchecked,
+    # a wide batch would give a wrong rank, a narrow or 1-d one an IndexError,
+    # and a float one would be truncated
+    state = EchelonState(3, 7)
+    state.add([[0, 1, 2]])
+    with pytest.raises(ValueError, match=match):
+        state.add(batch)
+    with pytest.raises(ValueError, match=match):
+        EchelonState(3, 7).add(batch)
+    assert state.rank == 1 and state.pivots == [1]
+
+
+def test_echelon_add_rejects_a_bad_batch_under_optimize():
+    code = (
+        "from monolab.exact import EchelonState\n"
+        f"for batch in {[batch for batch, _ in ADD_REJECTS]!r}:\n"
+        "    try:\n"
+        "        EchelonState(3, 7).add(batch)\n"
+        "    except ValueError:\n"
+        "        print('rejected')\n"
+    )
+    assert run_optimized(code) == "\n".join(["rejected"] * len(ADD_REJECTS))
+
+
+def test_first_batch_is_not_reduced(monkeypatch):
+    # at rank 0 every column is free and no row has a pivot to clear, so the
+    # first batch goes to _absorb as it is; later batches are reduced
+    calls = []
+    real = EchelonState._reduce
+    monkeypatch.setattr(EchelonState, "_reduce", lambda self, batch: calls.append(len(batch)) or real(self, batch))
+    state = EchelonState(5, 7)
+    state.add(np.array([[0] * 5, [1, 2, 3, 4, 5], [1, 2, 3, 4, 5], [0, 0, 6, 1, 0]] * 16))
+    assert state.rank == 2 and calls == []
+    state.add(np.array([[2, 4, 6, 1, 3], [0, 0, 0, 0, 1]]))
+    assert state.rank == 3 and calls
+
+
+def test_first_batch_with_zero_duplicate_and_unreduced_rows():
+    # the rank-0 path sees leading zero rows, duplicates and entries that
+    # rank_mod and det_mod reduce before they reach it
+    ell = 7
+    zero, big, low, mixed, ones = [0] * 4, [3, -1, 8, 2**70], [-7, 14, 1, -2], [9, 0, -3, 5], [1, 1, 1, 1]
+    rows = [zero, zero, big, big, low, mixed]
+    for matrix in (rows, rows[2:], [zero, low, mixed, big], [low, big, mixed, ones], [zero, big, ones, ones]):
+        rank, det = reference_rank_det(matrix, ell)
+        assert rank_mod(matrix, ell) == rank, matrix
+        if len(matrix) == 4:
+            assert det_mod(matrix, ell) == det, matrix
+
+
+def traced_peak(call):
+    """Peak bytes that tracemalloc counts during call(), numpy's buffers included."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_rank_mod_of_a_zero_matrix_copies_it_once():
+    # the one copy is its reduction; at rank 0 the zero rows come from any(),
+    # not from a reduction pass
+    zero = np.zeros((960, 480), dtype=np.int64)
+    assert traced_peak(lambda: rank_mod(zero, 7)) <= 1.1 * zero.nbytes
+
+
+def test_h1_naive_peak_against_its_system():
+    # the naive system of SL2(F_5) on Sym^3 is 960 x 480 int64 (3.5 MB); the
+    # elimination adds its reduction and its nonzero rows, about 12.6 MB at
+    # peak with the rest of the solver
+    G, M = sl2_group(5), sym_module(5, 3, 0)
+    assert G.order * len(G.generators) * M.dim == 960 and G.order * M.dim == 480
+    assert traced_peak(lambda: h1_naive(G, M)) < 4 * 960 * 480 * 8
 
 
 def test_prime_field_ops():
