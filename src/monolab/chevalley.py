@@ -252,6 +252,50 @@ def build_chevalley_algebra(t: SimpleType) -> ChevalleyAlgebra:
     return ChevalleyAlgebra(build_root_datum(t))
 
 
+def _opposition(d: RootDatum) -> list[int]:
+    """The simple-root permutation -w0, 0-based: the identity when -1 is in W, Bourbaki's 1 <-> 6, 3 <-> 5 on E6."""
+    n = d.rank
+    opposite = {"A": [*range(n)][::-1], "D": [*range(n - 2), n - 1, n - 2], "E": [5, 1, 4, 3, 2, 0]}
+    return list(range(n)) if d.weyl_has_minus_one else opposite[d.simple_type.family]
+
+
+def diagram_involution(alg: ChevalleyAlgebra) -> tuple[np.ndarray, np.ndarray]:
+    """The diagram automorphism sigma of -w0 as read-only int64 arrays (perm, sign): sigma e_k = sign[k] e_perm[k].
+
+    sigma permutes the simple x_i, y_i and h_i by `_opposition` and extends one
+    root height at a time: root k = s + b with s simple, so sigma e_k =
+    [sigma e_s, sigma e_b] / N_{s,b} (Carter, Simple Groups of Lie Type, the
+    chapter on twisted groups).  ArithmeticError unless `_check_involution` passes.
+    """
+    d, num_pos, dim = alg.datum, alg.basis.num_pos, alg.dim
+    simple, pi = np.arange(d.rank), np.array(_opposition(d))
+    perm, sign = np.arange(dim), np.ones(dim, dtype=np.int64)
+    perm[simple], perm[simple + num_pos], perm[simple + 2 * num_pos] = pi, pi + num_pos, pi + 2 * num_pos
+    for h in range(2, d.coxeter_number):  # the heights of the non-simple roots
+        k = np.flatnonzero(np.abs(d.heights) == h)
+        s = simple + num_pos * (k[:, None] >= num_pos)  # the simple roots of each root's sign
+        down = d.root_sums[k[:, None], (s + num_pos) % (2 * num_pos)]  # root k - s, -1 if none
+        least, rows = np.argmax(down >= 0, axis=1), np.arange(len(k))
+        s, b = s[rows, least], down[rows, least]
+        perm[k] = d.root_sums[perm[s], perm[b]]
+        if (perm[k] < 0).any():
+            raise ArithmeticError(f"the permutation {pi.tolist()} of the simple roots is no diagram symmetry")
+        n, image = alg.entries[3, np.searchsorted(alg.keys, [s * dim + b, perm[s] * dim + perm[b]])]
+        sign[k] = sign[b] * image // n
+    _check_involution(alg, perm, sign)
+    return _read_only(perm), _read_only(sign)
+
+
+def _check_involution(alg: ChevalleyAlgebra, perm, sign):
+    """ArithmeticError unless the signed permutation maps every entry (i, j, k, c) onto the table and squares to 1."""
+    i, j, k, c = alg.entries
+    image = np.array([perm[i], perm[j], perm[k], c * sign[i] * sign[j] * sign[k]])
+    image = image[:, np.argsort((image[0] * alg.dim + image[1]) * alg.dim + image[2])]
+    square = np.r_[perm[perm] - np.arange(alg.dim), sign * sign[perm] - 1]
+    if not np.array_equal(image, alg.entries) or square.any():
+        raise ArithmeticError("the signed permutation is no involution mapping the structure constants onto themselves")
+
+
 def _rows(keys, queries):
     """(query, position) pairs with keys[position] == queries[query], in query order; `keys` is sorted."""
     start = np.searchsorted(keys, queries, "left")

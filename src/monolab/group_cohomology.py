@@ -21,9 +21,9 @@ n_generators * dim(M) columns, so the elimination state stays small however
 large the group is; the per-element expression matrices are the dominant
 memory cost and are guarded by a budget.
 
-Specialised helpers cover SL2(F_ell) acting on the twisted symmetric powers
-Sym^r(F_ell^2) (x) det^{-m}, and the adjoint-type vanishing sum driven by the
-exponent data of a root system.
+Specialised helpers cover SL2(F_ell) acting on Sym^r(F_ell^2) (x) det^{-m}
+(det = 1 on `sl2_generators`, so on SL2 the twist changes no matrix), and
+the adjoint-type vanishing sum driven by the exponent data of a root system.
 """
 
 from __future__ import annotations
@@ -520,7 +520,7 @@ def h1_trivial_module_rank(G: FiniteMatrixGroup, dim: int = 1) -> int:
 
 
 def adjoint_h1_via_kostant(t: SimpleType | str, ell: int) -> int:
-    """Sum over exponents m of dim(P_2m) * h1(SL2(F_ell), Sym^{2m} (x) det^{-m}).
+    """Sum over exponents m of dim(P_2m) * h1(SL2(F_ell), Sym^{2m}), built as Sym^{2m} (x) det^{-m}: det = 1 on SL2.
 
     Requires ell >= 2h-1 so the exponent decomposition persists mod ell and
     every summand has 2m < ell.

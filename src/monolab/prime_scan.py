@@ -4,12 +4,10 @@ For each exponent m with primitive eigenvector p in the centralizer of X, the
 element ad(Y)^{m+1}(p) lands in the span of the y_alpha for simple alpha (it
 sits two weight steps below the zero weight space).  The scan reads it from
 the Kostant string `kd.strings`, records its integer coordinates there,
-factors every nonzero one, and aggregates the primes.  In type E6 two of the
-summands project to zero on the outer-automorphism-fixed simple roots in
-characteristic zero, so the aggregation additionally reads the first dual
-Cartan component of ad(Y)^m(p), its x_1-coefficient under ad(x_1) (one row of
-`ChevalleyAlgebra.ad`, read from the structure-constant `entries`), for every
-exponent; those zeros are data, not errors, and are recorded structurally.
+factors every nonzero one, and aggregates the primes.  `char0_zeros` derives
+the zeros in characteristic zero from the diagram involution; E6 has them at
+exponents 4 and 8, so its aggregation also reads the first dual Cartan
+component of ad(Y)^m(p), its x_1-coefficient (row x_1 of ad(x_1)).
 """
 
 from __future__ import annotations
@@ -21,16 +19,11 @@ from math import gcd
 
 import numpy as np
 
-from .chevalley import _rows
+from .chevalley import diagram_involution
 from .exact import is_probable_prime
 from .fixtures import E8_CANDIDATES, OBSTRUCTION_PRIMES
 from .principal_sl2 import KostantDecomposition, principal_kostant
 from .rootsys import SimpleType, per_type
-
-# The char-0 zeros of an exceptional scan, keyed by (type, exponent); none
-# elsewhere.  In E6 they sit at exponents 4 and 8, on the simple roots fixed by
-# the outer diagram automorphism (0-based indices, Bourbaki numbering minus one).
-_CHAR0_ZEROS = {("E6", 4): frozenset({1, 3}), ("E6", 8): frozenset({1, 3})}
 
 
 # ---------------------------------------------------------------------------
@@ -236,22 +229,38 @@ def scan_e6_cartan(kd: KostantDecomposition) -> tuple[tuple[int, int], ...]:
     Only defined in type E6, where alpha_1 is a simple root not fixed by the
     outer diagram automorphism.  ad(Y)^m(p) lies in the Cartan, and by the
     definition [x_1, h[j]] = delta_1j x_1 its h[1] component is the coefficient
-    of x_1 in [x_1, ad(Y)^m(p)], read with the x_1 row of ad(x_1), taken from
-    the table's entries by one `_rows` lookup.
+    of x_1 in [x_1, ad(Y)^m(p)], read with row x_1 of ad(x_1) and summed in
+    Python ints.
     """
     alg = kd.triple.algebra
     if str(alg.datum.simple_type) != "E6":
         raise ValueError("the Cartan scan is specific to type E6")
     x1 = alg.basis.x(0)
-    _, pos = _rows(alg.keys, x1 * alg.dim + np.arange(alg.dim))  # every entry [x_1, e_j] = c e_k
-    on_x1 = pos[alg.entries[2, pos] == x1]
-    row, out = dict(zip(alg.entries[1, on_x1].tolist(), alg.entries[3, on_x1].tolist())), []
+    row, out = alg.ad(alg.element({x1: 1}))[x1].tolist(), []
     for m, string in zip(kd.exponents, kd.strings):
         v = string[m]
         nonc = [k for k in v.coeffs if k < 2 * alg.basis.num_pos]
         if nonc:
             raise ArithmeticError(f"ad(Y)^{m}(p) has non-Cartan support: {nonc}")
-        out.append((m, sum(row.get(k, 0) * c for k, c in v.coeffs.items())))
+        out.append((m, sum(row[k] * c for k, c in v.coeffs.items())))
+    return tuple(out)
+
+
+def char0_zeros(kd: KostantDecomposition) -> tuple[frozenset, ...]:
+    """Per pair (m, p) of kd, the simple roots where ad(Y)^{m+1}(p) vanishes in characteristic 0.
+
+    `diagram_involution` fixes X and Y, so sigma p = +p or -p (ArithmeticError
+    otherwise).  Where sigma p = -p, ad(Y)^{m+1}(p) is odd under sigma and
+    vanishes on the y_i that sigma fixes; elsewhere no zero is expected.
+    """
+    alg, out = kd.triple.algebra, []
+    perm, sign = diagram_involution(alg)
+    fixed = frozenset(i for i in range(alg.datum.rank) if perm[alg.basis.y(i)] == alg.basis.y(i))
+    for m, p in kd.pairs:
+        image = {int(perm[k]): int(sign[k]) * c for k, c in p.coeffs.items()}
+        if image not in (p.coeffs, {k: -c for k, c in p.coeffs.items()}):
+            raise ArithmeticError(f"sigma maps the eigenvector of exponent {m} to neither p nor -p")
+        out.append(frozenset() if image == p.coeffs else fixed)
     return tuple(out)
 
 
@@ -261,7 +270,7 @@ def build_report(t: SimpleType) -> PrimeScanReport:
 
     The primes are those of every nonzero scan coefficient (and, in E6, of
     every Cartan component).  Exceptional types must show exactly the char-0
-    zeros of `_CHAR0_ZEROS`; any other simple type is scanned for
+    zeros that `char0_zeros` derives; any other simple type is scanned for
     information only, with no zero pattern asserted.
     """
     kd = principal_kostant(t)
@@ -269,8 +278,7 @@ def build_report(t: SimpleType) -> PrimeScanReport:
     scans = scan_simple_projections(kd)
     cartan = scan_e6_cartan(kd) if name == "E6" else ()
     primes: set[int] = set()
-    for s in scans:
-        want = _CHAR0_ZEROS.get((name, s.exponent), frozenset())
+    for s, want in zip(scans, char0_zeros(kd)):
         if t.is_exceptional and s.zero_in_char_zero != want:
             raise ArithmeticError(
                 f"{name} exponent {s.exponent}: char-0 zeros at {sorted(s.zero_in_char_zero)},"

@@ -17,10 +17,8 @@ nilpotent radical of a Borel, equal to the number of positive roots):
     archimedean   0
     custom        explicit override
 
-The two difference formulas group the archimedean contribution differently
-(inside the sum over places vs. subtracted separately) and agree on any
-consistent ledger; both groupings are exposed because input files come in
-both shapes.
+An archimedean place may be declared in `archimedean_fixed_dims` or as an
+`archimedean` local condition; the difference formula reads both the same.
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ def _required(doc: dict, key: str, where: str):
 class LocalCondition:
     kind: str
     h0_local: int
-    field_degree: int = 0  # degree over Q_ell; only meaningful for kind="ordinary"
+    field_degree: int = 0  # degree over Q_ell; read only for kind="ordinary"
     custom_dim: int | None = None
 
     def __post_init__(self):
@@ -65,6 +63,8 @@ class LocalCondition:
         if (self.custom_dim is None) == (self.kind == "custom"):
             raise ValueError("custom_dim is required exactly when kind='custom'")
         _check_dims(h0_local=self.h0_local, field_degree=self.field_degree)
+        if self.field_degree and self.kind != "ordinary":
+            raise ValueError(f"field_degree is read only when kind='ordinary', got it on kind={self.kind!r}")
         if self.custom_dim is not None:
             _check_dims(custom_dim=self.custom_dim)
 
@@ -161,30 +161,6 @@ def oddness_deficit(ledger: SelmerLedger) -> int:
     return sum(ledger.all_archimedean_dims()) - ledger.totally_real_degree * ledger.dim_n
 
 
-def lgroup_euler_difference(ledger: SelmerLedger) -> int:
-    """The Euler-characteristic variant with an explicit archimedean term:
-
-    h0 - h0(1) - sum_{v | infinity} h0_v + sum over finite places
-    (dim L_v - h0_v).  Agrees with wiles_difference on any ledger; only the
-    bookkeeping placement of the archimedean places differs.
-    """
-    total = ledger.h0_global - ledger.h0_global_twist
-    total -= sum(ledger.all_archimedean_dims())
-    for c in ledger.locals:
-        if c.kind != "archimedean":
-            total += local_dim(c, ledger.dim_n) - c.h0_local
-    return total
-
-
-def split_cartan_fixed_dim(t: SimpleType | str) -> int:
-    """(dim g - rank) / 2: the fixed-space dimension of a split Cartan
-
-    involution, equal to the number of positive roots.
-    """
-    d = build_root_datum(t)
-    return len(d.positive_roots)
-
-
 @dataclass(frozen=True)
 class PrimeBounds:
     simple_type: str
@@ -237,12 +213,13 @@ def _center_order(t: SimpleType) -> int:
 
 
 def balanced_ledger(t: SimpleType | str, degree: int) -> SelmerLedger:
-    """The balanced fixture: ordinary surplus degree*dim_n at ell, split
+    """The balanced fixture: ordinary surplus degree*dim_n at ell, odd
 
-    Cartan archimedean dims, and two balanced places (steinberg, minimal); both
-    difference formulas evaluate to 0 on it.
+    archimedean places (fixed dimension N, the number of positive roots, which
+    criterion 7 computes from g), and two balanced places (steinberg, minimal);
+    the difference formula evaluates to 0 on it.
     """
-    dim_n = split_cartan_fixed_dim(t)
+    dim_n = len(build_root_datum(t).positive_roots)
     conds = [LocalCondition("ordinary", h0_local=0, field_degree=degree)]
     conds += [LocalCondition("steinberg", h0_local=0), LocalCondition("minimal", h0_local=1)]
     return SelmerLedger(

@@ -8,6 +8,7 @@ import sys
 
 import monolab
 from monolab.chevalley import ChevalleyAlgebra, brackets, build_chevalley_algebra
+from monolab.selmer_arith import local_dim
 
 
 def run_optimized(code):
@@ -158,6 +159,19 @@ def flipped_algebra(name, factor=-1):
     pair = ((entries[0] == i) & (entries[1] == j)) | ((entries[0] == j) & (entries[1] == i))
     entries[3, pair] *= factor
     return ChevalleyAlgebra(alg.datum, _shared=entries)
+
+
+def reference_euler_difference(ledger):
+    """The difference formula in its Euler-characteristic grouping, the oracle for `wiles_difference`.
+
+    h0 - h0(1) - sum_{v | infinity} h0_v + sum over finite places (dim L_v - h0_v):
+    every archimedean place, however declared, is subtracted outside the sum.
+    """
+    total = ledger.h0_global - ledger.h0_global_twist - sum(ledger.all_archimedean_dims())
+    for c in ledger.locals:
+        if c.kind != "archimedean":
+            total += local_dim(c, ledger.dim_n) - c.h0_local
+    return total
 
 
 def ledger_json_dict(ledger):

@@ -11,14 +11,18 @@ the string-length and sl2-relations checks and add a centralizer vector at
 weight 0 to show that criteria 3 and 4 report FAIL, and hand criterion 5 a
 sign-flipped G2 table to show that it reports FAIL, also under python -O, and
 a G2 table with one constant doubled to show that its magnitude line counts
-the violations.
+the violations.  Criterion 7 reports FAIL when the E6 diagram involution is
+stubbed to the identity (theta alone fixes 38 dimensions, not N = 36) and
+when a balanced ledger's archimedean dimension is not dim g^(sigma theta).
 Every result is read through `verify_paper`, the one place a verdict is
 formed; stub criteria show that one failing check fails the whole criterion
 and that an ArithmeticError after a check becomes the one FAIL line.
 """
 
+import dataclasses
 from collections import Counter
 
+import numpy as np
 import pytest
 from conftest import flipped_algebra, run_optimized
 
@@ -250,7 +254,36 @@ def test_criterion_6_rejects_borel_cayley_disagreement(monkeypatch):
 
 
 def test_criterion_7_selmer_identities():
-    report(run("selmer-identities"), budget_s=1)
+    res = run("selmer-identities")
+    report(res, budget_s=1)
+    assert "E6: dim g^theta = 38, N + #even exponents = 36 + 2, -1 not in W -> ok" in res.details
+    assert "E6: dim g^(sigma theta) = 36 with sigma outer, N = 36, balanced-ledger archimedean dim 36 -> ok" in res.details
+
+
+def test_criterion_7_rejects_e6_without_sigma(monkeypatch):
+    # negative control: with sigma stubbed to the identity, theta alone fixes 38 dimensions of E6, not N = 36
+    def identity(alg):
+        return np.arange(alg.dim), np.ones(alg.dim, dtype=np.int64)
+
+    monkeypatch.setattr(verify, "diagram_involution", identity)
+    res = run("selmer-identities")
+    assert not res.ok
+    bad = [d for d in res.details if not d.endswith("-> ok") and "balanced ledgers" not in d]
+    assert bad == ["E6: dim g^(sigma theta) = 38 with sigma the identity, N = 36, balanced-ledger archimedean dim 36 -> MISMATCH"]
+
+
+def test_criterion_7_rejects_a_ledger_that_is_not_odd(monkeypatch):
+    # negative control: a balanced ledger whose archimedean dimension is not dim g^(sigma theta) fails
+    real = verify.balanced_ledger
+
+    def even_places(t, degree):
+        led = real(t, degree)
+        return dataclasses.replace(led, archimedean_fixed_dims=(led.dim_n + 1,) * degree)
+
+    monkeypatch.setattr(verify, "balanced_ledger", even_places)
+    res = run("selmer-identities")
+    assert not res.ok
+    assert "G2: dim g^(sigma theta) = 6 with sigma the identity, N = 6, balanced-ledger archimedean dim 7 -> MISMATCH" in res.details
 
 
 def test_criterion_8_bounds_and_persistence():

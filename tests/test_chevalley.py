@@ -15,6 +15,7 @@ from conftest import (
     norm2,
     reference_bracket,
     reference_jacobi,
+    reference_table,
     reference_triples,
     root_constants,
     run_optimized,
@@ -23,10 +24,13 @@ from conftest import (
     y_of,
 )
 
+from monolab import chevalley
 from monolab.chevalley import (
     ChevalleyAlgebra,
+    _check_involution,
     brackets,
     build_chevalley_algebra,
+    diagram_involution,
     jacobi_sweep,
 )
 from monolab.principal_sl2 import build_principal_sl2, kostant_decomposition, principal_kostant
@@ -527,3 +531,56 @@ def test_element_canonical_form():
     assert 1 not in v.coeffs
     assert v.scale(0).is_zero()
     assert alg.mod(7).element({0: 7, 3: -1}).coeffs == {3: 6}
+
+
+# -- the diagram involution ---------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["G2", "F4", "E6", "E7", "E8", "A1", "A4", "B3", "C3", "D4", "D5"])
+def test_diagram_involution_is_an_automorphism(name):
+    # on the dict table: [sigma e_i, sigma e_j] = sigma [e_i, e_j] for every basis pair with a bracket, and
+    # sigma maps the pairs with no bracket to pairs with none; sigma is the identity exactly when -1 is in W
+    alg = build_chevalley_algebra(name)
+    perm, sign = diagram_involution(alg)
+    table = reference_table(alg)
+    image = {
+        (int(perm[i]), int(perm[j])): sorted((int(perm[k]), c * int(sign[i] * sign[j] * sign[k])) for k, c in terms)
+        for (i, j), terms in table.items()
+    }
+    assert image == {key: sorted(terms) for key, terms in table.items()}
+    assert (perm[perm] == np.arange(alg.dim)).all() and set(sign.tolist()) <= {-1, 1}
+    assert (perm == np.arange(alg.dim)).all() == alg.datum.weyl_has_minus_one
+    assert not perm.flags.writeable and not sign.flags.writeable
+
+
+def test_e6_diagram_involution_swaps_the_outer_simple_roots():
+    alg = build_chevalley_algebra("E6")
+    perm, sign = diagram_involution(alg)
+    num_pos = alg.basis.num_pos
+    pi = [5, 1, 4, 3, 2, 0]
+    for i in range(6):  # x_i, y_i and h_i go to x, y and h of Bourbaki's 1 <-> 6, 3 <-> 5, with sign +1
+        assert perm[[i, num_pos + i, 2 * num_pos + i]].tolist() == [pi[i], num_pos + pi[i], 2 * num_pos + pi[i]]
+    assert (sign[alg.basis.h(0) :] == 1).all() and (sign[:6] == 1).all()
+    kd = principal_kostant("E6")  # sigma fixes the principal triple
+    for z in (kd.triple.X, kd.triple.H, kd.triple.Y):
+        assert {int(perm[k]): int(sign[k]) * c for k, c in z.coeffs.items()} == z.coeffs
+
+
+def test_flipped_sign_fails_the_involution_check():
+    # negative control: flipping sigma's sign on any one non-simple root vector breaks the automorphism
+    alg = build_chevalley_algebra("E6")
+    perm, sign = diagram_involution(alg)
+    for k in range(alg.datum.rank, alg.basis.num_pos):
+        flipped = sign.copy()
+        flipped[k] *= -1
+        with pytest.raises(ArithmeticError, match="no involution mapping the structure constants onto themselves"):
+            _check_involution(alg, perm, flipped)
+    _check_involution(alg, perm, sign)
+
+
+@pytest.mark.parametrize("pi", [[1, 0, 2, 3, 4, 5], [5, 1, 2, 3, 4, 0], [5, 3, 4, 1, 2, 0]])
+def test_wrong_simple_permutation_is_rejected(monkeypatch, pi):
+    # only the diagram symmetry extends to an automorphism; the identity does too, and criterion 7 rejects it
+    monkeypatch.setattr(chevalley, "_opposition", lambda d: pi)
+    with pytest.raises(ArithmeticError):
+        diagram_involution(build_chevalley_algebra("E6"))

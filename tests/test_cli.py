@@ -91,6 +91,13 @@ G2_LEDGER = ledger_json_dict(balanced_ledger("G2", 1))
         ({**G2_LEDGER, "locals": [{"kind": "custom", "h0_local": 0, "custom_dim": 2.5}]}, "custom_dim must be an int"),
         ({**G2_LEDGER, "locals": [{"kind": "ordinary", "h0_local": False}]}, "h0_local must be an int, got False"),
         ({**G2_LEDGER, "locals": [3]}, "locals a list of objects"),
+        (
+            {
+                **G2_LEDGER,
+                "locals": [{"kind": "steinberg", "h0_local": 0, "field_degree": 3}, {"kind": "ordinary", "h0_local": 0}],
+            },
+            "field_degree is read only when kind='ordinary', got it on kind='steinberg'",
+        ),
     ],
 )
 def test_selmer_malformed_ledger_is_a_clean_error(tmp_path, capsys, doc, message):
@@ -100,6 +107,24 @@ def test_selmer_malformed_ledger_is_a_clean_error(tmp_path, capsys, doc, message
     assert code == EXIT_USAGE and out == ""
     assert err.startswith("error:") and "Traceback" not in err
     assert message in err, err
+
+
+# sha256 of stdout on the shipped sample ledger, computed while the
+# lgroup_euler_difference key still came from a second formula in its own
+# archimedean grouping
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("json", "b4c7110465b5e214687333bc46254a5614e3ea15fb17a9f172446c7e9caf3db1"),
+        ("csv", "fab0c9f3b669199815e6ed10cc5f0478155db3c60b14122d69abc692a1e7ce76"),
+        ("text", "9211e1c3ac974c723964e665885b6447efe1988667aacf1a792af1d365e63acd"),
+    ],
+)
+def test_selmer_sample_ledger_stdout_pinned(capsys, fmt, digest):
+    path = os.path.join(os.path.dirname(monolab.__file__), "data", "sample_ledger.json")
+    code, out, _ = run_cli(capsys, "selmer", "--ledger", path, "--format", fmt)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_bounds_subcommand(capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 from conftest import ad_power, run_optimized
 
@@ -15,6 +16,7 @@ from monolab.prime_scan import (
     ExponentScan,
     Factorization,
     build_report,
+    char0_zeros,
     check_against_reference,
     factor,
     scan_e6_cartan,
@@ -123,6 +125,39 @@ def test_char0_zero_rule_is_enforced(monkeypatch):
         with pytest.raises(ArithmeticError, match=f"{name} exponent 1: char-0 zeros at \\[0\\]"):
             build_report.__wrapped__(SimpleType.parse(name))  # uncached, so the cached reports stay untouched
     assert build_report.__wrapped__(SimpleType("A", 3)).informational
+
+
+def test_char0_zeros_derive_the_e6_pattern():
+    # sigma p_m = -p_m exactly at E6's exponents 4 and 8, so the zeros sit on sigma's fixed simple roots 1 and 3
+    kd = decomposition("E6")
+    assert dict(zip(kd.exponents, char0_zeros(kd))) == {
+        1: frozenset(), 4: frozenset({1, 3}), 5: frozenset(), 7: frozenset(), 8: frozenset({1, 3}), 11: frozenset()
+    }
+    for name in ("G2", "F4", "E7", "E8"):  # sigma is the identity where -1 is in W
+        assert not any(char0_zeros(decomposition(name)))
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "A5", "D5", "D7"])
+def test_char0_zeros_match_the_classical_scans(name):
+    # where -1 is not in W, sigma predicts these classical scans' zeros too; build_report still
+    # asserts no classical pattern, because B3 and D4, say, have zeros that sigma = id does not explain
+    kd = decomposition(name)
+    assert tuple(s.zero_in_char_zero for s in scan_simple_projections(kd)) == char0_zeros(kd)
+    assert any(char0_zeros(kd)) == (name != "A2")  # A2's diagram symmetry fixes no simple root
+
+
+def test_e6_zeros_need_sigma_odd_on_p4(monkeypatch):
+    # negative control: with sigma's sign on p_4 (the height-4 root vectors) stubbed to +1, the
+    # derived pattern expects no zero at exponent 4, and the E6 report stops
+    real = prime_scan.diagram_involution
+
+    def even_on_p4(alg):
+        perm, sign = real(alg)
+        return perm, np.where(np.r_[np.abs(alg.datum.heights), np.zeros(alg.datum.rank, int)] == 4, -sign, sign)
+
+    monkeypatch.setattr(prime_scan, "diagram_involution", even_on_p4)
+    with pytest.raises(ArithmeticError, match=r"E6 exponent 4: char-0 zeros at \[1, 3\], expected exactly \[\]"):
+        build_report.__wrapped__(SimpleType.parse("E6"))  # uncached, so the cached report stays untouched
 
 
 def test_e6_cartan_scan():

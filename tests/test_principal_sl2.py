@@ -169,7 +169,8 @@ def test_sl2_strings_reject_wrong_lengths():
 
 
 def test_strings_built_once(monkeypatch):
-    # the four string readers on one decomposition share one ad(Y), built on the first read
+    # the four string readers on one decomposition share one ad(Y), built on the first read;
+    # scan_e6_cartan reads row x_1 of ad(x_1) on each call
     alg = build_chevalley_algebra("E6")
     kd = kostant_decomposition(alg, build_principal_sl2(alg))
     calls = []
@@ -183,7 +184,8 @@ def test_strings_built_once(monkeypatch):
     readers = (sl2_string_lengths_ok, sl2_string_family_rows, scan_simple_projections, scan_e6_cartan)
     first = [reader(kd) for reader in readers]
     assert [reader(kd) for reader in readers] == first
-    assert calls == [kd.triple.Y]  # scan_e6_cartan reads its x_1 row from the entries, with no ad
+    x1 = alg.element({alg.basis.x(0): 1})
+    assert calls == [kd.triple.Y, x1, x1]
 
 
 @pytest.mark.parametrize("name", ["G2", "F4", "E6"])

@@ -2,17 +2,15 @@ import json
 import random
 
 import pytest
-from conftest import ledger_json_dict
+from conftest import ledger_json_dict, reference_euler_difference
 
 from monolab.selmer_arith import (
     LocalCondition,
     SelmerLedger,
     balanced_ledger,
-    lgroup_euler_difference,
     lifting_prime_bounds,
     local_dim,
     oddness_deficit,
-    split_cartan_fixed_dim,
     wiles_difference,
 )
 
@@ -55,9 +53,16 @@ def test_condition_validation():
             LocalCondition("custom", 0, custom_dim=bad)
         with pytest.raises(ValueError, match="h0_local must be an int"):
             LocalCondition("minimal", bad)
+    for kind in ("ramakrishna", "steinberg", "minimal", "archimedean", "unramified"):
+        # a degree only the ordinary catalog entry reads would be dropped in silence
+        with pytest.raises(ValueError, match=f"field_degree is read only when kind='ordinary', got it on kind='{kind}'"):
+            LocalCondition(kind, 0, field_degree=3)
+    with pytest.raises(ValueError, match="field_degree is read only"):
+        LocalCondition("custom", 0, field_degree=1, custom_dim=2)
+    assert LocalCondition("steinberg", 0, field_degree=0).field_degree == 0
 
 
-# -- the difference formulas -----------------------------------------------
+# -- the difference formula, against the Euler grouping in conftest ------------
 
 
 def test_all_balanced_gives_zero():
@@ -73,7 +78,7 @@ def test_all_balanced_gives_zero():
         ),
     )
     assert wiles_difference(led) == 0
-    assert lgroup_euler_difference(led) == 0
+    assert reference_euler_difference(led) == 0
 
 
 @pytest.mark.parametrize("name", EXC)
@@ -82,7 +87,7 @@ def test_balanced_fixture(name, degree):
     led = balanced_ledger(name, degree)
     assert wiles_difference(led) == 0
     assert oddness_deficit(led) == 0
-    assert lgroup_euler_difference(led) == 0
+    assert reference_euler_difference(led) == 0
 
 
 def test_extra_ramakrishna_place_is_neutral():
@@ -110,7 +115,7 @@ def test_archimedean_placement_rearrangement():
         + tuple(LocalCondition("archimedean", d) for d in base.archimedean_fixed_dims),
     )
     assert wiles_difference(base) == wiles_difference(moved)
-    assert lgroup_euler_difference(base) == lgroup_euler_difference(moved)
+    assert reference_euler_difference(base) == reference_euler_difference(moved)
     assert oddness_deficit(base) == oddness_deficit(moved)
 
 
@@ -138,7 +143,7 @@ def test_formulas_agree_on_random_ledgers():
             archimedean_fixed_dims=tuple(rng.randrange(260) for _ in range(degree - n_in_locals)),
             locals=tuple(conds),
         )
-        assert wiles_difference(led) == lgroup_euler_difference(led)
+        assert wiles_difference(led) == reference_euler_difference(led)
 
 
 def test_oddness_deficit():
@@ -171,9 +176,10 @@ def test_ledger_arch_count_validation():
 
 
 def test_split_cartan_dims():
-    assert split_cartan_fixed_dim("G2") == 6
-    assert split_cartan_fixed_dim("E8") == 120
-    assert split_cartan_fixed_dim("A1") == 1
+    # a balanced ledger's dim_n and archimedean dims are N, the number of positive roots
+    for name, n in (("G2", 6), ("E8", 120), ("A1", 1)):
+        led = balanced_ledger(name, 2)
+        assert led.dim_n == n and led.archimedean_fixed_dims == (n, n)
 
 
 def test_bounds():
