@@ -25,7 +25,7 @@ from .group_cohomology import (
 )
 from .principal_sl2 import principal_kostant
 from .prime_scan import build_report, check_against_reference
-from .rootsys import SimpleType, build_root_datum
+from .rootsys import MAX_RANK, SimpleType, build_root_datum
 from .selmer_arith import SelmerLedger, lifting_prime_bounds, oddness_deficit, wiles_difference
 from .verify import verify_paper
 
@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_type=True):
         if with_type:
-            p.add_argument("--type", required=True, help="simple type, e.g. E6 or A3")
+            p.add_argument("--type", required=True, help=f"simple type, e.g. E6 or A3; classical ranks up to {MAX_RANK}")
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
 
@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cohomology", help="H^0/H^1 of SL2(F_ell) on symmetric powers")
     p.add_argument("mode", nargs="?", choices=("sweep",), help="run the adjoint sweep over a prime range")
-    p.add_argument("--type", help="simple type (sweep mode)")
+    p.add_argument("--type", help=f"simple type (sweep mode); classical ranks up to {MAX_RANK}")
     p.add_argument("--ell", required=True, help="prime, or range like 13..31 in sweep mode")
     p.add_argument("--sym", type=int, help="symmetric power r")
     p.add_argument("--twist", type=int, default=None,

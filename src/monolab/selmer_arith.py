@@ -96,10 +96,8 @@ class SelmerLedger:
     def __post_init__(self):
         _check_dims(**{key: getattr(self, key) for key in GLOBAL_DIMS})
         _check_dims(**{f"archimedean_fixed_dims[{i}]": d for i, d in enumerate(self.archimedean_fixed_dims)})
-        n_arch = len(self.archimedean_fixed_dims) + sum(
-            1 for c in self.locals if c.kind == "archimedean"
-        )
-        if self.totally_real_degree and n_arch != self.totally_real_degree:
+        n_arch = len(self.all_archimedean_dims())
+        if n_arch != self.totally_real_degree:
             raise ValueError(
                 f"a totally real field of degree {self.totally_real_degree} needs as many"
                 f" archimedean entries, found {n_arch}"
@@ -135,7 +133,11 @@ class SelmerLedger:
 
     @staticmethod
     def from_json(text: str) -> "SelmerLedger":
-        return SelmerLedger.from_json_dict(json.loads(text))
+        try:
+            doc = json.loads(text)
+        except RecursionError:  # the parser recurses once per level of [ or {
+            raise ValueError("ledger JSON nested too deeply to parse") from None
+        return SelmerLedger.from_json_dict(doc)
 
 
 def wiles_difference(ledger: SelmerLedger) -> int:

@@ -223,7 +223,7 @@ def test_tampered_datum_rejected(expr):
 
 @pytest.mark.parametrize(
     "family,rank",
-    [("E", 9), ("E", 5), ("F", 5), ("F", 3), ("G", 3), ("G", 1), ("A", 0), ("B", 1), ("C", 2), ("D", 3), ("H", 4)],
+    [("E", 9), ("E", 5), ("F", 5), ("F", 3), ("G", 3), ("G", 1), ("A", 0), ("B", 1), ("C", 2), ("D", 3), ("H", 4), ("A", 33), ("D", 10**10)],
 )
 def test_invalid_types_rejected(family, rank):
     with pytest.raises(ValueError):
