@@ -21,7 +21,8 @@ identities.  The one store is the read-only int64 array `entries` of rows
 (i, j, k, c), [e_i, e_j] having c on e_k, sorted by (i, j, k) and built in
 array operations on the arrays of `RootDatum`; its one index is the sorted
 array `keys` of i*dim + j.  `ad`, the one builder of ad matrices, scatters the
-entries; `brackets` and `jacobi_sweep` find their rows by one lookup, `_rows`.
+entries; `brackets` and `jacobi_sweep` find their rows by one lookup, `_rows`,
+which sorts its queries and runs its binary searches of `keys` in that order.
 Criterion 5 checks the table by exhaustive Jacobi and Carter's magnitude
 identity.  `build_chevalley_algebra` is cached once per parsed simple type,
 and its `datum` is the cached `build_root_datum` of that type.
@@ -297,9 +298,17 @@ def _check_involution(alg: ChevalleyAlgebra, perm, sign):
 
 
 def _rows(keys, queries):
-    """(query, position) pairs with keys[position] == queries[query], in query order; `keys` is sorted."""
-    start = np.searchsorted(keys, queries, "left")
-    n = np.searchsorted(keys, queries, "right") - start
+    """(query, position) pairs with keys[position] == queries[query], in query order; `keys` is sorted.
+
+    Both binary searches run on the sorted queries, where numpy starts each
+    search from the previous one's result (several times faster than in
+    query order); start and count are scattered back to query order.
+    """
+    order = np.argsort(queries)
+    ordered = queries[order]
+    lo, hi = np.searchsorted(keys, ordered, "left"), np.searchsorted(keys, ordered, "right")
+    start, n = np.empty_like(lo), np.empty_like(lo)
+    start[order], n[order] = lo, hi - lo
     return np.repeat(np.arange(len(queries)), n), np.arange(n.sum()) + np.repeat(start - (np.cumsum(n) - n), n)
 
 
@@ -332,7 +341,8 @@ def jacobi_sweep(alg: ChevalleyAlgebra, triples=None, samples: int | None = None
 
     With neither `triples` nor `samples`, checks every triple at once by
     `_jacobi_contraction`.  Otherwise checks the given triples, or `samples`
-    pseudo-random ones (seeded, so the sweep is reproducible): each rotation
+    pseudo-random ones: the triples that `random.Random(seed).randrange(dim)`
+    would draw, read off one block of words by `_draw_below`.  Each rotation
     (a, b, c) of a triple joins [e_a, e_b] = c1 e_m with [e_m, e_c] = c2 e_t.
     Returns the number of triples checked; raises ArithmeticError naming the
     first failing triple and its nonzero coefficients.
@@ -343,17 +353,36 @@ def jacobi_sweep(alg: ChevalleyAlgebra, triples=None, samples: int | None = None
             return _jacobi_contraction(alg)
         if isinstance(samples, bool) or not isinstance(samples, int) or samples < 0:
             raise ValueError(f"samples must be an int >= 0, got {samples!r}")
-        draw = random.Random(seed).randrange
-        triples = [(draw(dim), draw(dim), draw(dim)) for _ in range(samples)]
+        triples = _draw_below(random.Random(seed), dim, 3 * samples)
     else:
         triples = [(alg._index(i), alg._index(j), alg._index(k)) for i, j, k in triples]
-    i, j, k = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    i, j, k = triples.T
     first, p = _rows(alg.keys, np.r_[i, j, k] * dim + np.r_[j, k, i])
     second, q = _rows(alg.keys, alg.entries[2, p] * dim + np.r_[k, i, j][first])
     slot = np.tile(np.arange(len(triples)), 3)[first[second]]  # the triple's position in the list
     terms = alg.entries[3, p[second]] * alg.entries[3, q]
-    _check_sums(alg, slot * dim + alg.entries[2, q], terms, triples.__getitem__)
+    _check_sums(alg, slot * dim + alg.entries[2, q], terms, lambda s: tuple(triples[s].tolist()))
     return len(triples)
+
+
+def _draw_below(rng: random.Random, bound: int, n: int) -> np.ndarray:
+    """The int64 array of n draws `rng.randrange(bound)`, bit for bit, from blocks of 32-bit words.
+
+    For a bound below 2**32, `randrange` takes the top `bound.bit_length()`
+    bits of one 32-bit word per try and keeps the first try below `bound`;
+    `getrandbits(32 * m)` returns the next m words, the first lowest.
+    ValueError for a bound outside [1, 2**32).
+    """
+    if not 0 < bound < 2**32:
+        raise ValueError(f"draws take a bound in [1, 2**32), got {bound}")
+    shift, kept = 32 - bound.bit_length(), np.zeros(0, dtype=np.int64)
+    while len(kept) < n:
+        need = n - len(kept)
+        m = (need << (32 - shift)) // bound + 64  # a try is kept with probability bound / 2**bit_length
+        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4") >> shift
+        kept = np.r_[kept, words[words < bound][:need]]
+    return kept
 
 
 def _jacobi_contraction(alg: ChevalleyAlgebra) -> int:

@@ -302,7 +302,9 @@ class EchelonState:
     other pivot columns, so only its entries on the `free` columns are stored
     (in `rows`), and reducing a row against the state is one product.  An
     added batch is reduced with one such product, none at rank 0; only its
-    nonzero rows are eliminated, `_CHUNK` rows at a time.  `scale` is the
+    nonzero rows are eliminated, `_CHUNK` rows at a time, the first chunk as
+    that product left it and each later one reduced again against the pivots
+    the earlier chunks added.  `scale` is the
     product of the pivot values divided out, which is the determinant when
     the rows added so far form a nonsingular square matrix.
     """
@@ -329,9 +331,12 @@ class EchelonState:
         shaped = batch.dtype == np.int64 and batch.shape[1:] == (ncols,)
         if not shaped or batch.size and not 0 <= batch.min() <= batch.max() < ell:
             raise ValueError(f"need {ncols}-column 2-d int64 residues in [0, {ell}), got {batch.dtype} {batch.shape}")
-        batch = batch[(self._reduce(batch) if self.rank else batch).any(axis=1)]  # at rank 0 nothing is reduced
-        for chunk in (batch[start : start + _CHUNK] for start in range(0, len(batch), _CHUNK)):
-            self._absorb(self._reduce(chunk) if self.rank else chunk)
+        reduced = self._reduce(batch) if self.rank else batch  # at rank 0 nothing is reduced
+        nonzero = np.flatnonzero(reduced.any(axis=1))
+        first = reduced[nonzero[:_CHUNK]]  # reduced against the state it meets
+        del reduced  # not held through the elimination
+        for start in range(0, len(nonzero), _CHUNK):  # a later chunk meets the pivots added since
+            self._absorb(first if start == 0 else self._reduce(batch[nonzero[start : start + _CHUNK]]))
 
     def _absorb(self, a: np.ndarray) -> None:
         """Gauss-Jordan on reduced rows, then back-substitution into the state.

@@ -58,9 +58,15 @@ class SimpleType:
         if isinstance(name, SimpleType):
             return name
         name = str(name).strip()
-        if len(name) < 2 or not name[1:].isdigit():
+        family, digits = name[:1].upper(), name[1:]
+        if not (digits.isascii() and digits.isdigit()):  # str.isdigit alone passes '³' and '٣'
             raise ValueError(f"cannot parse simple type {name!r}")
-        return SimpleType(name[0].upper(), int(name[1:]))
+        rank = digits.lstrip("0")
+        if len(rank) > len(str(MAX_RANK)):  # answered before int(), which refuses 4,301 digits
+            if family in _CLASSICAL_MIN_RANKS:
+                raise ValueError(f"{family}{rank}: ranks above {MAX_RANK} are not built")
+            raise ValueError(f"not a classified simple type: {family}{rank}")
+        return SimpleType(family, int(digits))
 
     def __str__(self):
         return f"{self.family}{self.rank}"

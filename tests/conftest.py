@@ -6,6 +6,8 @@ import random
 import subprocess
 import sys
 
+import numpy as np
+
 import monolab
 from monolab.chevalley import ChevalleyAlgebra, brackets, build_chevalley_algebra
 from monolab.selmer_arith import local_dim
@@ -70,6 +72,13 @@ def reference_triples(dim, samples, seed):
     """The `samples` seeded basis triples that `jacobi_sweep(alg, None, samples, seed)` checks."""
     rng = random.Random(seed)
     return [(rng.randrange(dim), rng.randrange(dim), rng.randrange(dim)) for _ in range(samples)]
+
+
+def reference_rows(keys, queries):
+    """`chevalley._rows` by two binary searches in query order: (query, position) pairs with keys[position] == queries[query]."""
+    start = np.searchsorted(keys, queries, "left")
+    n = np.searchsorted(keys, queries, "right") - start
+    return np.repeat(np.arange(len(queries)), n), np.arange(n.sum()) + np.repeat(start - (np.cumsum(n) - n), n)
 
 
 def reference_jacobi(alg, triples):

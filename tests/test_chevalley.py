@@ -15,6 +15,7 @@ from conftest import (
     norm2,
     reference_bracket,
     reference_jacobi,
+    reference_rows,
     reference_table,
     reference_triples,
     root_constants,
@@ -28,6 +29,8 @@ from monolab import chevalley
 from monolab.chevalley import (
     ChevalleyAlgebra,
     _check_involution,
+    _draw_below,
+    _rows,
     brackets,
     build_chevalley_algebra,
     diagram_involution,
@@ -260,6 +263,37 @@ def test_jacobi_paths_match_the_reference_loop(name):
     triples = [tuple(rng.randrange(alg.dim) for _ in range(3)) for _ in range(300)]
     assert jacobi_sweep(alg, triples=triples) == reference_jacobi(alg, triples) == 300
     assert jacobi_sweep(alg, samples=500, seed=4) == reference_jacobi(alg, reference_triples(alg.dim, 500, 4)) == 500
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 7, 8, 48, 248, 1088])
+def test_block_draw_is_randrange_bit_for_bit(bound):
+    for seed in (0, 1, 301, "E8"):
+        for n in (0, 1, 12000):
+            rng = random.Random(seed)
+            want = [rng.randrange(bound) for _ in range(n)]
+            got = _draw_below(random.Random(seed), bound, n)
+            assert got.dtype == np.int64 and got.shape == (n,) and got.tolist() == want, (seed, n)
+
+
+def test_block_draw_rejects_a_bound_past_one_word():
+    with pytest.raises(ValueError, match=r"bound in \[1, 2\*\*32\)"):
+        _draw_below(random.Random(0), 2**32, 1)
+
+
+@pytest.mark.parametrize("name", ["A1", "G2", "E8"])
+def test_rows_matches_the_query_order_search(name):
+    # duplicates, pairs with no entry and no queries at all
+    alg = build_chevalley_algebra(name)
+    rng = random.Random(name)
+    present = alg.keys[[rng.randrange(len(alg.keys)) for _ in range(50)]]
+    for queries in (
+        np.zeros(0, dtype=np.int64),
+        np.r_[present, present[::-1], present[:7]],
+        np.array([rng.randrange(alg.dim**2) for _ in range(500)], dtype=np.int64),
+        np.r_[present, [alg.dim**2, -1, 0, 0]],
+    ):
+        got, want = _rows(alg.keys, queries), reference_rows(alg.keys, queries)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_jacobi_paths_report_the_reference_failure():

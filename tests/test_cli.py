@@ -211,6 +211,9 @@ ROWS = [
     row("roots --type A10000000000", 1, EMPTY, "error: A10000000000: ranks above 32 are not built"),
     row("primescan --type A99", 1, EMPTY, "error: A99: ranks above 32 are not built"),
     row("bounds --type A33", 1, EMPTY, "error: A33: ranks above 32 are not built"),
+    row("roots --type A³", 1, EMPTY, "error: cannot parse simple type 'A³'"),
+    row("roots --type A٣", 1, EMPTY, "error: cannot parse simple type 'A٣'"),
+    row("roots --type A" + "9" * 5000, 1, EMPTY, f"error: A{'9' * 5000}: ranks above 32 are not built"),
     row("verify-paper --only nonsense", 1, EMPTY, "error: unknown criteria: ['nonsense']"),
     row("verify-paper --nightly", 1, EMPTY, "usage: monolab [-h] {roots,kostant,primescan,cohomology,selmer,bounds,verify-paper} ...\nmonolab: error: unrecognized arguments: --nightly"),
 ]

@@ -435,6 +435,43 @@ def test_first_batch_is_not_reduced(monkeypatch):
     assert state.rank == 3 and calls
 
 
+def test_first_chunk_keeps_its_reduction(monkeypatch):
+    # at rank > 0 the whole batch is reduced once; its first chunk of nonzero
+    # rows goes to _absorb as reduced there, and only later chunks are reduced again
+    rng, ell = random.Random(64), 7
+    state = EchelonState(300, ell)
+    state.add(np.array(random_residue_matrix(rng, 20, 300, ell, "random"), dtype=np.int64))
+    batch = np.array(random_residue_matrix(rng, 3 * _CHUNK + 10, 300, ell, "low-rank"), dtype=np.int64)
+    batch[::7] = 0
+    nonzero = int(state._reduce(batch).any(axis=1).sum())
+    assert nonzero > 2 * _CHUNK
+    calls, real = [], EchelonState._reduce
+    monkeypatch.setattr(EchelonState, "_reduce", lambda self, b: calls.append(len(b)) or real(self, b))
+    state.add(batch)
+    assert calls == [len(batch), *(min(_CHUNK, nonzero - s) for s in range(_CHUNK, nonzero, _CHUNK))]
+
+
+def two_pass_add(state, batch):
+    """`EchelonState.add` as it was when every chunk of nonzero rows was reduced again, the first one too."""
+    batch = batch[(state._reduce(batch) if state.rank else batch).any(axis=1)]
+    for chunk in (batch[start : start + _CHUNK] for start in range(0, len(batch), _CHUNK)):
+        state._absorb(state._reduce(chunk) if state.rank else chunk)
+
+
+@pytest.mark.parametrize("ell", [2, 7, 65521])
+def test_add_matches_the_two_pass_add(ell):
+    # batch after batch, the pivots, free columns, pivot rows and scale agree
+    rng = random.Random(ell)
+    for n in (5, 90, 160):
+        ours, theirs = EchelonState(n, ell), EchelonState(n, ell)
+        for m, kind in [(3, "random"), (2 * _CHUNK + 5, "low-rank"), (_CHUNK + 1, "zero-columns"), (n, "random")]:
+            batch = np.array(random_residue_matrix(rng, m, n, ell, kind), dtype=np.int64)
+            ours.add(batch)
+            two_pass_add(theirs, batch)
+            assert ours.pivots == theirs.pivots and ours.scale == theirs.scale, (n, m, kind)
+            assert np.array_equal(ours.free, theirs.free) and np.array_equal(ours.rows, theirs.rows)
+
+
 def test_first_batch_with_zero_duplicate_and_unreduced_rows():
     # the rank-0 path sees leading zero rows, duplicates and entries that
     # rank_mod and det_mod reduce before they reach it

@@ -233,10 +233,29 @@ def test_invalid_types_rejected(family, rank):
 def test_parse():
     assert SimpleType.parse("e6") == SimpleType("E", 6)
     assert str(SimpleType.parse("D13")) == "D13"
+    assert SimpleType.parse("A0032") == SimpleType("A", 32)
     with pytest.raises(ValueError):
         SimpleType.parse("Q5")
     with pytest.raises(ValueError):
         SimpleType.parse("E")
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("A³", "cannot parse simple type 'A³'"),
+        ("A٣", "cannot parse simple type 'A٣'"),
+        ("A0033", "A33: ranks above 32 are not built"),
+        ("b00" + "7" * 40, f"B{'7' * 40}: ranks above 32 are not built"),
+        ("E" + "8" * 5000, f"not a classified simple type: E{'8' * 5000}"),
+    ],
+    ids=["superscript", "arabic-indic", "leading-zeros", "long", "long-exceptional"],
+)
+def test_parse_reads_ascii_ranks_and_answers_long_ones_before_int(name, message):
+    # a rank of more digits than MAX_RANK is answered as the constructor would answer it
+    with pytest.raises(ValueError) as exc:
+        SimpleType.parse(name)
+    assert str(exc.value) == message
 
 
 def test_cartan_matrix_shapes():

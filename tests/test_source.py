@@ -3,9 +3,12 @@ import contextlib
 import importlib
 import inspect
 import io
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -70,6 +73,24 @@ def test_a_built_algebra_keeps_its_table_only_in_arrays():
             elif isinstance(value, np.ndarray):
                 assert name in {"entries", "keys"} and value.dtype == np.int64 and not value.flags.writeable, name
     assert view.entries is alg.entries and view.keys is alg.keys
+
+
+def test_the_lie_path_leaves_numpy_random_unimported():
+    # numpy.random is several MB of modules: imported, it would raise lie-scan's
+    # peak RSS by about 2.7 MB, so seeded draws come from the random module
+    code = (
+        "import sys\n"
+        "import monolab.cli\n"
+        "from monolab.chevalley import build_chevalley_algebra, jacobi_sweep\n"
+        "from monolab.principal_sl2 import principal_kostant\n"
+        "jacobi_sweep(build_chevalley_algebra('E8'), samples=4000, seed=301)\n"
+        "principal_kostant('E8')\n"
+        "print(sorted(name for name in sys.modules if name.startswith('numpy.random')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(monolab.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
 
 
 def _monolab_imports(tree):
