@@ -6,10 +6,13 @@ over F_ell, where ell is a bare int prime below 2**31 that
 unimodular column reduction, so kernels come back as saturated lattice bases
 with no rational intermediate step.
 
-Every elimination over F_ell in the package goes through one kernel at the end
-of this module: `matmul_mod`, the streamed reduced echelon form
-`EchelonState`, `rank_mod`, `kernel_mod` and `det_mod`; no other module reads
-how `EchelonState` stores its rows.  It is exact for every prime ell < 2**31.
+Every rank and kernel over F_ell in the package goes through one kernel at the
+end of this module: `matmul_mod`, the streamed reduced echelon form
+`EchelonState`, `rank_mod` and `kernel_mod`; no other module reads how
+`EchelonState` stores its rows.  It is exact for every prime ell < 2**31.
+`det_mod` eliminates its matrix's blocks side by side and shares no logic
+with `EchelonState`, whose pivot step a block split would tax on systems
+that form one block.
 A pivot step touches only the columns from the pivot on, and of a sparse
 pivot row only its nonzero columns.  `matmul_mod` has three products: float64
 on numpy's BLAS while every partial sum is an integer below 2**53 and the
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import threading
 from functools import cache, lru_cache
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
@@ -304,9 +307,7 @@ class EchelonState:
     added batch is reduced with one such product, none at rank 0; only its
     nonzero rows are eliminated, `_CHUNK` rows at a time, the first chunk as
     that product left it and each later one reduced again against the pivots
-    the earlier chunks added.  `scale` is the
-    product of the pivot values divided out, which is the determinant when
-    the rows added so far form a nonsingular square matrix.
+    the earlier chunks added.
     """
 
     def __init__(self, ncols: int, ell: int):
@@ -315,7 +316,6 @@ class EchelonState:
         self.free = np.arange(ncols)
         self.pivots: list[int] = []
         self.rows = np.zeros((0, ncols), dtype=np.int64)
-        self.scale = 1
 
     @property
     def rank(self) -> int:
@@ -339,11 +339,7 @@ class EchelonState:
             self._absorb(first if start == 0 else self._reduce(batch[nonzero[start : start + _CHUNK]]))
 
     def _absorb(self, a: np.ndarray) -> None:
-        """Gauss-Jordan on reduced rows, then back-substitution into the state.
-
-        Pivot rows are taken in row order, so a nonsingular square input keeps
-        its row order, which `det_mod` relies on for the sign.
-        """
+        """Gauss-Jordan on reduced rows, then back-substitution into the state."""
         ell = self.ell
         new_rows, new_cols = [], []
         for i in a.any(axis=1).nonzero()[0]:  # a zero row stays zero
@@ -358,7 +354,6 @@ class EchelonState:
             cols = slice(q, None) if dense else support
             row = a[i, cols]
             pivot = int(row[0])
-            self.scale = self.scale * pivot % ell
             if pivot != 1:
                 row = row * pow(pivot, -1, ell) % ell
                 a[i, cols] = row
@@ -429,15 +424,64 @@ def kernel_mod(matrix, ell: int) -> np.ndarray:
     return basis
 
 
+def _components(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """Each node's least connected node, in the graph on 0..n-1 with edges (u[i], v[i]): hooking, pointer jumping."""
+    root = np.arange(n)
+    while (cross := (ru := root[u]) != (rv := root[v])).any():
+        np.minimum.at(root, np.maximum(ru, rv)[cross], np.minimum(ru, rv)[cross])
+        while not np.array_equal(up := root[root], root):
+            root = up
+    return root
+
+
 def det_mod(rows, ell: int) -> int:
-    """Determinant mod ell of a square integer matrix, by elimination over F_ell."""
+    """Determinant mod ell of a square integer matrix, block by block over F_ell.
+
+    Sorted stably into the connected blocks of its nonzero pattern, largest
+    first, the matrix is block diagonal: the sign of the two orders times the
+    block determinants, 0 unless every block is square.  Zero-padded to the
+    width k of the first, the blocks go into int64 batches of at most n**2
+    entries, each eliminated in k Python steps (step j only on the blocks
+    wider than j), with products of two residues below ell**2 < 2**62.  One
+    wide block costs O(k**3) numpy work: on 2 vCPUs a dense 300 x 300 took
+    0.09-0.11 s (0.03-0.04 s through `EchelonState`), a bidiagonal
+    1000 x 1000 3.3 s (0.16 s).
+    """
     matrix = residues(rows, ell)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"det_mod needs a square matrix, got shape {matrix.shape}")
-    state = EchelonState(len(matrix), ell)
-    state.add(matrix)
-    if state.rank < len(matrix):
+    n = len(matrix)
+    r, c = matrix.nonzero()
+    root = _components(r, c + n, 2 * n)  # rows are nodes 0..n-1, columns n..2n-1
+    size = np.bincount(root[:n], minlength=2 * n)
+    if not np.array_equal(size, np.bincount(root[n:], minlength=2 * n)):  # a block is not square
         return 0
-    p = np.array(state.pivots)
-    inversions = int(np.triu(p[:, None] > p[None, :], 1).sum())
-    return state.scale * (-1) ** inversions % ell
+    blocks = np.flatnonzero(size)[np.argsort(-size[size > 0], kind="stable")]  # roots, largest block first
+    sizes, block = size[blocks], np.zeros(2 * n, dtype=np.int64)
+    block[blocks] = np.arange(len(blocks))
+    block = block[root]  # the block of each row and column
+    row_order, col_order = np.argsort(block[:n], kind="stable"), np.argsort(block[n:], kind="stable")
+    at = np.empty(2 * n, dtype=np.int64)  # the place of each row and column inside its block
+    at[row_order] = at[n + col_order] = np.arange(n) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    swaps = n - np.count_nonzero(_components(row_order, col_order, n) == np.arange(n))  # both orders' parity
+    det, start = 1, 0
+    while start < len(sizes):
+        k = int(sizes[start])
+        stop = min(len(sizes), start + n * n // (k * k))
+        batch, width = np.zeros((stop - start, k, k), dtype=np.int64), sizes[start:stop]
+        e = np.flatnonzero((start <= block[r]) & (block[r] < stop))  # the entries in this batch
+        batch[block[r[e]] - start, at[r[e]], at[n + c[e]]] = matrix[r[e], c[e]]
+        for j in range(k):
+            live = batch[: np.count_nonzero(width > j)]  # the blocks wider than j, a prefix of the batch
+            each = np.arange(len(live))
+            p = j + np.argmax(live[:, j:, j] != 0, axis=1)
+            pivots = live[each, p, j]
+            if not (det := det * prod(pivots.tolist()) % ell):
+                return 0
+            swaps += np.count_nonzero(p != j)
+            live[each, p], live[each, j] = live[each, j], live[each, p]
+            scale = live[:, j + 1 :, j] * np.array([pow(x, -1, ell) for x in pivots.tolist()])[:, None] % ell
+            live[:, j + 1 :, j + 1 :] -= scale[:, :, None] * live[:, j, None, j + 1 :]
+            live[:, j + 1 :, j + 1 :] %= ell
+        start = stop
+    return (-det if swaps % 2 else det) % ell

@@ -34,7 +34,7 @@ from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-from .exact import EchelonState, det_mod, kernel_mod, matmul_mod, rank_mod, residues
+from .exact import EchelonState, kernel_mod, matmul_mod, rank_mod, residues
 from .rootsys import SimpleType, build_root_datum
 
 DEFAULT_MEMORY_BUDGET = 2 * 1024**3
@@ -127,11 +127,10 @@ def _generated(generators, ell: int) -> FiniteMatrixGroup:
     gens = [residues(g, ell) for g in generators]
     if not gens:
         raise ValueError("need at least one generator")
-    if len({g.shape for g in gens}) > 1 or not gens[0].size:
-        raise ValueError(f"generators must be nonempty and all of one shape, got {[g.shape for g in gens]}")
-    for g in gens:
-        if det_mod(g, ell) == 0:
-            raise ValueError("generators must be invertible")
+    if len({g.shape for g in gens}) > 1 or gens[0].ndim != 2 or not 0 < gens[0].shape[0] == gens[0].shape[1]:
+        raise ValueError(f"generators must be nonempty and all square of one shape, got {[g.shape for g in gens]}")
+    if any(rank_mod(g, ell) < len(g) for g in gens):
+        raise ValueError("generators must be invertible")
     return FiniteMatrixGroup(ell, len(gens[0]), (tuple(map(tuple, g.tolist())) for g in gens))
 
 

@@ -24,6 +24,8 @@ from monolab.exact import (
     residues,
 )
 from monolab.group_cohomology import close_group, h1, h1_naive, module_from_matrices, sl2_group, sym_module
+from monolab.principal_sl2 import principal_kostant, sl2_string_family_rows
+from monolab.verify import _next_primes
 
 
 def rational_rank(rows, ncols):
@@ -186,6 +188,82 @@ def test_kernel_against_python_reference(ell):
             want = [[sum(r[t] * other[t][j] for t in range(n)) % ell for j in range(3)] for r in rows]
             got = matmul_mod(np.array(rows, dtype=np.int64), np.array(other, dtype=np.int64), ell)
             assert got.tolist() == want, (m, n, kind)
+
+
+def shuffled_blocks(rng, blocks):
+    """The matrix with these blocks (lists of rows, of any shapes) on its diagonal, rows and columns shuffled."""
+    ncols = sum(len(b[0]) for b in blocks)
+    rows, at = [], 0
+    for b in blocks:
+        rows += [[0] * at + r + [0] * (ncols - at - len(r)) for r in b]
+        at += len(b[0])
+    rng.shuffle(rows)
+    cols = list(range(ncols))
+    rng.shuffle(cols)
+    return [[r[j] for j in cols] for r in rows]
+
+
+def block_cases(rng, ell):
+    """(name, matrix) pairs whose nonzero pattern splits into blocks, for `det_mod` against the reference."""
+
+    def square(k):  # nonsingular, so that a shuffle's sign shows
+        while reference_rank_det(block := random_residue_matrix(rng, k, k, ell, "random"), ell)[0] < k:
+            pass
+        return block
+
+    chain = [[rng.randrange(1, ell) if j in (i, i + 1) else 0 for j in range(40)] for i in range(40)]
+    zero_row = shuffled_blocks(rng, [square(3), square(2), square(4)])
+    zero_row[rng.randrange(9)] = [0] * 9
+    zero_col = shuffled_blocks(rng, [square(3), square(1), square(5)])
+    zero_col = [r[:4] + [0] + r[5:] for r in zero_col]
+    yield "1x1 zero", [[0]]
+    for t in range(6):
+        yield f"blocks {t}", shuffled_blocks(rng, [square(rng.randrange(1, 7)) for _ in range(rng.randrange(1, 9))])
+    yield "singular block", shuffled_blocks(rng, [square(3), random_residue_matrix(rng, 4, 4, ell, "low-rank"), square(2)])
+    yield "zero row", zero_row
+    yield "zero column", zero_col
+    tall, wide = random_residue_matrix(rng, 3, 2, ell, "random"), random_residue_matrix(rng, 2, 3, ell, "random")
+    yield "more rows than columns", shuffled_blocks(rng, [square(2), tall, wide])
+    yield "bidiagonal chain", chain
+    yield "shuffled chain", shuffled_blocks(rng, [chain, square(3)])
+
+
+@pytest.mark.parametrize("ell", [2, 3, 7, 65521, 2**31 - 1])
+def test_det_mod_block_by_block_against_the_reference(ell):
+    # the shuffles make the sign of the row and column orders matter, and a
+    # block that is singular, has a zero row or column, or more rows than
+    # columns makes the determinant 0
+    rng, nonzero = random.Random(ell), 0
+    for name, matrix in block_cases(rng, ell):
+        det = reference_rank_det(matrix, ell)[1]
+        assert det_mod(matrix, ell) == det, name
+        nonzero += det != 0
+    assert nonzero >= 8
+    assert det_mod(np.zeros((0, 0), dtype=np.int64), ell) == 1  # the empty product
+
+
+@pytest.mark.parametrize("name", ["G2", "F4", "E6", "E7", "E8"])
+def test_det_mod_of_string_families_against_the_reference(name):
+    # criterion 8's determinants: a string family splits into its weight
+    # blocks, at most the rank wide
+    kd = principal_kostant(name)
+    rows, h = sl2_string_family_rows(kd), kd.triple.algebra.datum.coxeter_number
+    for ell in _next_primes(2 * h - 1, 3):
+        det = reference_rank_det(rows, ell)[1]
+        assert det != 0 and det_mod(rows, ell) == det, ell
+
+
+def test_det_mod_peak_on_one_wide_block():
+    # one 200-wide block and 300 singletons, shuffled: the 200-wide batch
+    # holds the wide block and five zero-padded singletons, and the rest is
+    # one batch of width 1
+    rng, ell, n = np.random.default_rng(200), 65521, 500
+    matrix = np.zeros((n, n), dtype=np.int64)
+    matrix[:200, :200] = rng.integers(0, ell, (200, 200))
+    matrix[np.arange(200, n), np.arange(200, n)] = rng.integers(1, ell, n - 200)
+    matrix = matrix[rng.permutation(n)][:, rng.permutation(n)]
+    assert det_mod(matrix, ell) == reference_rank_det(matrix.tolist(), ell)[1]
+    assert traced_peak(lambda: det_mod(matrix, ell)) <= 4 * matrix.nbytes
 
 
 @pytest.mark.parametrize("ell", [7, 101, 2**31 - 1])
@@ -460,7 +538,7 @@ def two_pass_add(state, batch):
 
 @pytest.mark.parametrize("ell", [2, 7, 65521])
 def test_add_matches_the_two_pass_add(ell):
-    # batch after batch, the pivots, free columns, pivot rows and scale agree
+    # batch after batch, the pivots, free columns and pivot rows agree
     rng = random.Random(ell)
     for n in (5, 90, 160):
         ours, theirs = EchelonState(n, ell), EchelonState(n, ell)
@@ -468,7 +546,7 @@ def test_add_matches_the_two_pass_add(ell):
             batch = np.array(random_residue_matrix(rng, m, n, ell, kind), dtype=np.int64)
             ours.add(batch)
             two_pass_add(theirs, batch)
-            assert ours.pivots == theirs.pivots and ours.scale == theirs.scale, (n, m, kind)
+            assert ours.pivots == theirs.pivots, (n, m, kind)
             assert np.array_equal(ours.free, theirs.free) and np.array_equal(ours.rows, theirs.rows)
 
 

@@ -309,13 +309,16 @@ def test_sym_module_matches_binomial_reference(ell):
         (lambda: sym_module(7, 2, 1, [((1, 1), (0, 1)), ((1, 0), (0, 0))]), "generator 1 is singular mod 7"),
         (lambda: module_from_matrices(7, [np.zeros((0, 0), dtype=np.int64)]), r"got \[\(0, 0\)\]"),
         (lambda: close_group([np.zeros((0, 0), dtype=np.int64)], 7), r"got \[\(0, 0\)\]"),
+        (lambda: close_group([((1, 1), (0, 1)), ((1, 0), (2, 0))], 5), "generators must be invertible"),
+        (lambda: close_group([((1, 0, 0), (0, 1, 0))], 7), r"all square of one shape, got \[\(2, 3\)\]"),
+        (lambda: close_group([(1, 2)], 7), r"all square of one shape, got \[\(2,\)\]"),
         (lambda: det_mod([[True, 1], [0, True]], 7), "must be integers, got bool"),
         (lambda: det_mod(np.eye(2, dtype=bool), 7), "must be integers, got bool"),
     ],
     ids=[
         "module-float", "close-float", "sym-float-twist", "module-empty", "sym-3x3",
         "rank-empty", "det-2x3", "close-mixed", "sym-singular", "sym-singular-twist",
-        "module-0x0", "close-0x0", "det-bool", "det-numpy-bool",
+        "module-0x0", "close-0x0", "close-singular", "close-2x3", "close-1-d", "det-bool", "det-numpy-bool",
     ],
 )
 def test_non_integer_or_empty_input_rejected(call, match):
@@ -324,7 +327,7 @@ def test_non_integer_or_empty_input_rejected(call, match):
     # not read through its top-left 2 x 2 block, a wrong shape is named
     # instead of surfacing as a numpy error, and a singular generator is
     # named whatever the twist (not pow()'s own error, and no non-invertible
-    # module matrices)
+    # module matrices), as is a singular or non-square generator of a group
     with pytest.raises(ValueError, match=match):
         call()
 

@@ -172,7 +172,10 @@ def test_benchmark_call_shapes_bind():
             except TypeError as exc:
                 unbound.append(f"{name_of_file}:{node.lineno}: {ast.unparse(node)}: {exc}")
             checked.add(getattr(fn, "__name__", repr(fn)))
-    assert {"h1", "sym_module", "jacobi_sweep", "close_group", "memory_budget", "factor"} <= checked, checked
+    required = {
+        "h1", "sym_module", "jacobi_sweep", "close_group", "memory_budget", "factor", "det_mod", "sl2_string_family_rows"
+    }
+    assert required <= checked, checked
     assert not unbound, unbound
 
 
