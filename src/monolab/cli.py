@@ -14,7 +14,7 @@ import io
 import json
 import sys
 
-from .exact import is_probable_prime
+from .exact import is_prime
 from .group_cohomology import (
     ResourceLimitError,
     adjoint_h1_via_kostant,
@@ -158,16 +158,20 @@ def _cmd_cohomology(ns: argparse.Namespace) -> int:
     if stray:
         raise ValueError(f"{', '.join(stray)} not read {'in' if sweep else 'outside'} sweep mode")
     ell, is_range, hi = ns.ell.partition("..")
-    if not (ell.isdecimal() and (hi.isdecimal() or not is_range)):
+    bounds = (ell, hi) if is_range else (ell, ell)
+    if not all(b.isascii() and b.isdigit() for b in bounds):  # str.isdecimal alone passes '١٣'
         raise ValueError(f"--ell {ns.ell}: expected a prime like 13, or a range like 13..31 in sweep mode")
-    ell, hi = int(ell), int(hi if is_range else ell)
+    bounds = [b.lstrip("0") or "0" for b in bounds]
+    if any(len(b) > 10 or int(b) >= 2**31 for b in bounds):  # before int() refuses 4,301 digits, and before a sweep
+        raise ValueError(f"--ell {ns.ell}: primes are read only below 2**31")
+    ell, hi = map(int, bounds)
     if hi < ell:
         raise ValueError(f"--ell {ns.ell}: the range runs downwards; expected low..high like 13..31")
     if sweep:
         if not ns.type:
             raise ValueError("sweep mode needs --type")
         t = SimpleType.parse(ns.type)  # an unknown type fails here, not silently in an empty range
-        primes = [p for p in range(ell, hi + 1) if is_probable_prime(p)]
+        primes = [p for p in range(ell, hi + 1) if is_prime(p)]
         rows = [{"ell": p, "h1_total": adjoint_h1_via_kostant(t, p)} for p in primes]
         _emit({"simple_type": str(t), "sweep": rows}, ns)
         return EXIT_OK

@@ -61,17 +61,19 @@ def check_prime_modulus(ell: int) -> None:
 
 @lru_cache(maxsize=1024)
 def _is_prime_modulus(ell: int) -> bool:
-    """is_probable_prime, memoized: reached only by an int that passed the type check, since 7.0 hashes like 7."""
-    return is_probable_prime(ell)
+    """is_prime, memoized: reached only by an int that passed the type check, since 7.0 hashes like 7."""
+    return is_prime(ell)
 
 
 # ---------------------------------------------------------------------------
-# primality (deterministic Miller-Rabin for the sizes this package meets,
-# with a Lucas step past the proven base-set range)
+# primality: Miller-Rabin on the first 13 prime bases, which Sorenson and
+# Webster ("Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017)
+# prove exact below psi_13; an n at or above it that every base passes is
+# refused, not guessed
 # ---------------------------------------------------------------------------
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_PROVEN_LIMIT = 3317044064679887385961981  # exact for the base set above
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN_LIMIT = 3317044064679887385961981  # psi_13, the least strong pseudoprime to every base above
 
 
 def _miller_rabin(n: int, a: int) -> bool:
@@ -89,69 +91,22 @@ def _miller_rabin(n: int, a: int) -> bool:
     return False
 
 
-def _lucas_strong(n: int) -> bool:
-    # Selfridge parameter choice; standard strong Lucas probable-prime test.
-    from math import isqrt
+def is_prime(n: int) -> bool:
+    """Whether n is prime, proven: False once a base witnesses n composite, True below psi_13.
 
-    if isqrt(n) ** 2 == n:
-        return False  # squares would loop in the parameter search
-    d = 5
-    while True:
-        j = _jacobi(d, n)
-        if j == 0:
-            return False
-        if j == -1:
-            break
-        d = -(abs(d) + 2) if d > 0 else abs(d) + 2
-    p, q = 1, (1 - d) // 4
-    k, s = n + 1, 0
-    while k % 2 == 0:
-        k //= 2
-        s += 1
-    u, v, qk = 0, 2, 1
-    for bit in bin(k)[2:]:
-        u, v = u * v % n, (v * v - 2 * qk) % n
-        qk = qk * qk % n
-        if bit == "1":
-            u, v = (p * u + v) * ((n + 1) // 2) % n, (d * u + p * v) * ((n + 1) // 2) % n
-            qk = qk * q % n
-    if u == 0 or v == 0:
-        return True
-    for _ in range(s - 1):
-        u, v = u * v % n, (v * v - 2 * qk) % n
-        qk = qk * qk % n
-        if v == 0:
-            return True
-    return False
-
-
-def _jacobi(a: int, n: int) -> int:
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
-def is_probable_prime(n: int) -> bool:
-    """Primality certificate: deterministic below ~3.3e24, BPSW-style above."""
+    Raises ValueError for an n >= psi_13 that every base passes (Sorenson and
+    Webster, 2017), since no base set here decides it.
+    """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     if not all(_miller_rabin(n, a) for a in _MR_BASES):
         return False
     if n < _MR_PROVEN_LIMIT:
         return True
-    return _lucas_strong(n)
+    raise ValueError(f"{n} passes Miller-Rabin on the first 13 prime bases, a proof only below {_MR_PROVEN_LIMIT}")
 
 
 # ---------------------------------------------------------------------------

@@ -239,7 +239,12 @@ class CohomologyReport:
 
 
 def h0(G: FiniteMatrixGroup, M: ModuleAction) -> int:
-    """Dimension of the simultaneous fixed space of the generator action."""
+    """Dimension of the simultaneous fixed space of the generator action.
+
+    The one check, for `h1` and `h1_naive` too, that M has G's field and one matrix per generator.
+    """
+    if M.ell != G.ell or len(M.matrices) != len(G.generators):
+        raise ValueError("module does not match the group's generator list")
     eye = np.eye(M.dim, dtype=np.int64)
     stacked = np.vstack([m - eye for m in M.matrices]) % M.ell
     return M.dim - rank_mod(stacked, M.ell)
@@ -253,8 +258,6 @@ def h1(G: FiniteMatrixGroup, M: ModuleAction) -> CohomologyReport:
     Cayley solver dim Z^1, and the report is the same from both.  Each
     solver checks its own memory estimate against `memory_budget()`.
     """
-    if M.ell != G.ell or len(M.matrices) != len(G.generators):
-        raise ValueError("module does not match the group's generator list")
     fixed = h0(G, M)
     dim_B1 = M.dim - fixed
     if G.is_standard_sl2:
@@ -427,6 +430,7 @@ def h1_naive(G: FiniteMatrixGroup, M: ModuleAction) -> CohomologyReport:
     (element, generator) pairs; only usable for small groups, which is what
     it is for: cross-checking both of `h1`'s solvers.
     """
+    fixed = h0(G, M)
     n, ng, dim, ell = G.order, len(G.generators), M.dim, G.ell
     if n * dim > 1500:
         raise ResourceLimitError("naive solver is restricted to |G| * dim <= 1500")
@@ -446,7 +450,6 @@ def h1_naive(G: FiniteMatrixGroup, M: ModuleAction) -> CohomologyReport:
     rows[g, j, a, g, a] -= 1
     rows[g, j, :, G.cayley[0, j], :] -= rho[g]
     dim_Z1 = n * dim - rank_mod(rows.reshape(n * ng * dim, n * dim), ell)
-    fixed = h0(G, M)
     return CohomologyReport(h0=fixed, dim_Z1=dim_Z1, dim_B1=dim - fixed, h1=dim_Z1 - (dim - fixed))
 
 

@@ -20,7 +20,7 @@ from math import gcd
 import numpy as np
 
 from .chevalley import diagram_involution
-from .exact import is_probable_prime
+from .exact import is_prime
 from .fixtures import E8_CANDIDATES, OBSTRUCTION_PRIMES
 from .principal_sl2 import KostantDecomposition, principal_kostant
 from .rootsys import SimpleType, per_type
@@ -59,8 +59,9 @@ class Factorization:
             raise ArithmeticError(f"factorization {self.factors} does not reconstruct |{self.n}|")
 
 
-def _brent_rho(n: int, rng: random.Random) -> int:
-    # Brent's cycle variant of the rho splitter; n odd composite, not a prime power
+def _brent_rho(n: int) -> int:
+    # Brent's cycle variant of the rho splitter, seeded from n; n odd composite, not a prime power
+    rng = random.Random(n)
     while True:
         y, c, m = rng.randrange(1, n), rng.randrange(1, n), 128
         g, r, q = 1, 1, 1
@@ -98,10 +99,10 @@ def _iroot(n: int, k: int) -> int:
         x = y
 
 
-def _split(n: int, out: dict, rng: random.Random):
+def _split(n: int, out: dict):
     if n == 1:
         return
-    if is_probable_prime(n):
+    if is_prime(n):
         out[n] = out.get(n, 0) + 1
         return
     # perfect-power peel-off keeps rho away from its worst case
@@ -111,20 +112,21 @@ def _split(n: int, out: dict, rng: random.Random):
             break
         if root**k == n:
             for _ in range(k):
-                _split(root, out, rng)
+                _split(root, out)
             return
-    d = _brent_rho(n, rng)
-    _split(d, out, rng)
-    _split(n // d, out, rng)
+    d = _brent_rho(n)
+    _split(d, out)
+    _split(n // d, out)
 
 
 def factor(n: int) -> Factorization:
     """Complete factorization of a nonzero integer.
 
     Trial division by the primes below 10^6, then a Brent-style rho splitter
-    (seeded from n, so runs are reproducible) with a primality certificate on
-    every reported prime.  Zero is rejected; callers route structural zeros
-    elsewhere.
+    (seeded from the number it splits, so runs are reproducible).  Every
+    reported prime carries a certificate, a proven Miller-Rabin verdict from
+    `is_prime`, which raises ValueError for a factor it cannot decide.  Zero
+    is rejected; callers route structural zeros elsewhere.
     """
     if n == 0:
         raise ValueError("cannot factor 0; zero coefficients are structural data")
@@ -137,15 +139,9 @@ def factor(n: int) -> Factorization:
             out[p] = out.get(p, 0) + 1
             m //= p
     if m > 1:
-        if m < _TRIAL_LIMIT * _TRIAL_LIMIT or is_probable_prime(m):
-            # cofactor below the trial bound squared is prime by construction
-            if not is_probable_prime(m):
-                raise ArithmeticError(f"trial-division cofactor {m} of {n} is not prime")
-            out[m] = out.get(m, 0) + 1
-        else:
-            _split(m, out, random.Random(m))
+        _split(m, out)
     fact = Factorization(n, tuple(sorted(out.items())))
-    composite = [p for p in fact.primes() if not is_probable_prime(p)]
+    composite = [p for p in fact.primes() if not is_prime(p)]
     if composite:
         raise ArithmeticError(f"factor({n}) reported composite factors {composite}")
     return fact

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import fixtures
 from .chevalley import build_chevalley_algebra, diagram_involution, jacobi_sweep
-from .exact import det_mod, is_probable_prime
+from .exact import det_mod, is_prime
 from .group_cohomology import (
     adjoint_h1_via_kostant,
     close_group,
@@ -66,7 +66,7 @@ def _next_primes(start: int, count: int):
     out = []
     n = max(2, start)
     while len(out) < count:
-        if is_probable_prime(n):
+        if is_prime(n):
             out.append(n)
         n += 1
     return out
@@ -128,7 +128,7 @@ def crit_sl2_relations():
         primes = _next_primes(h, 1) + _next_primes(h + 2, 1)
         mod_ok = all(_sl2_relations_ok(algZ.mod(ell)) for ell in primes)
         # the largest prime below h must be rejected
-        below = [p for p in range(2, h) if is_probable_prime(p)]
+        below = [p for p in range(2, h) if is_prime(p)]
         reject_ok = True
         if below:
             try:

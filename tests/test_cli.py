@@ -200,6 +200,9 @@ ROWS = [
     row("cohomology sweep --type G2 --ell 13..", 1, EMPTY, "error: --ell 13..: expected a prime like 13, or a range like 13..31 in sweep mode"),
     row("cohomology sweep --type G2 --ell x", 1, EMPTY, "error: --ell x: expected a prime like 13, or a range like 13..31 in sweep mode"),
     row("cohomology sweep --type G2 --ell 13..x", 1, EMPTY, "error: --ell 13..x: expected a prime like 13, or a range like 13..31 in sweep mode"),
+    row("cohomology sweep --type G2 --ell ١٣", 1, EMPTY, "error: --ell ١٣: expected a prime like 13, or a range like 13..31 in sweep mode"),
+    row("cohomology sweep --type G2 --ell 13..100000000000000", 1, EMPTY, "error: --ell 13..100000000000000: primes are read only below 2**31"),
+    row("cohomology --ell " + "9" * 5000 + " --sym 2", 1, EMPTY, f"error: --ell {'9' * 5000}: primes are read only below 2**31"),
     row("cohomology --type Z9 --ell 7 --sym 2", 1, EMPTY, "error: --type not read outside sweep mode"),
     row("cohomology sweep --type G2 --ell 13 --sym 4 --naive", 1, EMPTY, "error: --sym, --naive not read in sweep mode"),
     row("cohomology sweep --type G2 --ell 13 --twist 0", 1, EMPTY, "error: --twist not read in sweep mode"),

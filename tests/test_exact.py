@@ -16,7 +16,7 @@ from monolab.exact import (
     check_prime_modulus,
     det_mod,
     integer_kernel,
-    is_probable_prime,
+    is_prime,
     kernel_mod,
     matmul_mod,
     normalize_primitive,
@@ -106,13 +106,26 @@ def test_normalize_primitive():
 
 
 def test_primality():
-    small = [n for n in range(2, 60) if is_probable_prime(n)]
+    small = [n for n in range(2, 60) if is_prime(n)]
     assert small == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
-    assert not is_probable_prime(561)  # Carmichael
-    assert not is_probable_prime(1)
-    assert is_probable_prime(2**61 - 1)
-    assert is_probable_prime(1000000000039)
-    assert not is_probable_prime(1000000000039 * 1000000000061)
+    assert not is_prime(561)  # Carmichael
+    assert not is_prime(1)
+    assert is_prime(2**61 - 1)
+    assert is_prime(1000000000039)
+    assert not is_prime(1000000000039 * 1000000000061)
+    # psi_12 and psi_13, the least strong pseudoprimes to the first 12 and 13 prime bases
+    # (Sorenson and Webster, Math. Comp. 86, 2017): the first is caught by base 41, the second is refused
+    psi12, psi13 = 399165290221 * 798330580441, 1287836182261 * 2575672364521
+    assert (psi12, psi13) == (318665857834031151167461, exact._MR_PROVEN_LIMIT)
+    assert all(exact._miller_rabin(psi12, a) for a in exact._MR_BASES[:12])
+    assert not exact._miller_rabin(psi12, 41)
+    assert all(exact._miller_rabin(psi13, a) for a in exact._MR_BASES)
+    assert not is_prime(psi12)
+    for n in (psi13, 2**89 - 1):
+        with pytest.raises(ValueError, match=f"^{n} passes Miller-Rabin on the first 13 prime bases"):
+            is_prime(n)
+    assert not is_prime(3 * (2**89 - 1))
+    assert not is_prime((2**89 - 1) * (2**61 - 1))
 
 
 def test_det_mod_against_rational():
@@ -308,8 +321,8 @@ def test_blas_products_match_the_python_reference(pins):
     # exact while 64 * (ell - 1)**2 < 2**53, and the first row of a and first
     # column of b, all ell - 1, reach that sum in entry (0, 0)
     k = 64
-    below = next(p for p in range(isqrt(2**53 // k) + 1, 2, -1) if k * (p - 1) ** 2 < 2**53 and is_probable_prime(p))
-    above = next(p for p in range(below + 1, 2**31) if is_probable_prime(p))
+    below = next(p for p in range(isqrt(2**53 // k) + 1, 2, -1) if k * (p - 1) ** 2 < 2**53 and is_prime(p))
+    above = next(p for p in range(below + 1, 2**31) if is_prime(p))
     assert k * (above - 1) ** 2 >= 2**53 and k * 64 * 80 >= exact._BLAS_VOLUME
     before = exact._blas_threads()[0]()
     rng = random.Random(53)
@@ -394,7 +407,7 @@ def test_modulus_type_checked_after_seven_is_accepted(bad):
 def test_prime_verdict_computed_once_per_modulus():
     ell = 2**31 - 1
     exact._is_prime_modulus.cache_clear()
-    with mock.patch.object(exact, "is_probable_prime", wraps=exact.is_probable_prime) as spy:
+    with mock.patch.object(exact, "is_prime", wraps=exact.is_prime) as spy:
         assert det_mod([[1, 2], [3, 4]], ell) == ell - 2
         assert det_mod([[2, 0], [0, 3]], ell) == 6
         assert h1(sl2_group(ell), sym_module(ell, 3, 0)).h1 == 0

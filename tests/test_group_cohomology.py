@@ -7,7 +7,7 @@ import pytest
 from conftest import run_optimized
 
 from monolab import group_cohomology
-from monolab.exact import det_mod, is_probable_prime, rank_mod
+from monolab.exact import det_mod, is_prime, rank_mod
 from monolab.group_cohomology import (
     CohomologyReport,
     FiniteMatrixGroup,
@@ -733,6 +733,12 @@ def test_module_group_mismatch_rejected():
     G = sl2_group(5)
     with pytest.raises(ValueError):
         h1(G, sym_module(7, 2, 1))
+    # h1_naive shares the check: a module over another field, and one with a matrix too many
+    cyclic_7 = close_group([((1, 1), (0, 1))], 7)
+    for group, module in [(G, trivial_module(7, 2)), (cyclic_7, trivial_module(7, 2))]:
+        for solver in (h1, h1_naive):
+            with pytest.raises(ValueError, match="^module does not match the group's generator list$"):
+                solver(group, module)
 
 
 def test_report_consistency():
@@ -974,7 +980,7 @@ def test_sl2_group_builds_no_closure(monkeypatch):
     assert adjoint_h1_via_kostant("G2", 13) == 1
     # Sym^1 is faithful, so the presentation check that accepts it checks the
     # relation word in SL2(F_ell) itself; -1 kills the cohomology for odd ell
-    for ell in [p for p in range(2, 2000) if is_probable_prime(p)] + [2**31 - 1]:
+    for ell in [p for p in range(2, 2000) if is_prime(p)] + [2**31 - 1]:
         assert h1(sl2_group(ell), sym_module(ell, 1, 0)) == CohomologyReport(h0=0, dim_Z1=2, dim_B1=2, h1=0), ell
     with pytest.raises(AssertionError, match="closure built"):
         G.order

@@ -38,6 +38,9 @@ def test_factor_known():
     assert factor(1).factors == ()
     assert factor(2**40).factors == ((2, 40),)
     assert factor(997).factors == ((997, 1),)
+    assert factor(318665857834031151167461).factors == ((399165290221, 1), (798330580441, 1))  # psi_12
+    with pytest.raises(ValueError, match="passes Miller-Rabin on the first 13 prime bases"):
+        factor(3317044064679887385961981)  # psi_13, refused rather than split on an unproven verdict
 
 
 def test_factor_two_large_primes():
