@@ -426,9 +426,10 @@ def _primitive_root(ell: int) -> int:
 def h1_naive(G: FiniteMatrixGroup, M: ModuleAction) -> CohomologyReport:
     """Oracle solver with one unknown module vector per group element.
 
-    Builds the full system phi(g s) = phi(g) + rho(g) phi(s) over all
-    (element, generator) pairs; only usable for small groups, which is what
-    it is for: cross-checking both of `h1`'s solvers.
+    Solves phi(g s) = phi(g) + rho(g) phi(s) over all (element, generator)
+    pairs; only usable for small groups, which is what it is for:
+    cross-checking both of `h1`'s solvers.  The rows are built and eliminated
+    a block of whole elements (about 256 rows) at a time, never all at once.
     """
     fixed = h0(G, M)
     n, ng, dim, ell = G.order, len(G.generators), M.dim, G.ell
@@ -443,13 +444,17 @@ def h1_naive(G: FiniteMatrixGroup, M: ModuleAction) -> CohomologyReport:
     if len(bad):
         g, j = bad[0]
         raise ValueError(f"not a module: rho(g) M_j != rho(g s_j) at element g={g}, generator j={j}")
-    # row (g, j, a) is coordinate a of phi(g s_j) - phi(g) - rho(g) phi(s_j), and s_j = 1 * s_j
-    rows = np.zeros((n, ng, dim, n, dim), dtype=np.int64)
-    g, j, a = np.ix_(range(n), range(ng), range(dim))
-    rows[g, j, a, G.cayley[g, j], a] = 1
-    rows[g, j, a, g, a] -= 1
-    rows[g, j, :, G.cayley[0, j], :] -= rho[g]
-    dim_Z1 = n * dim - rank_mod(rows.reshape(n * ng * dim, n * dim), ell)
+    state = EchelonState(n * dim, ell)
+    step = max(1, 256 // (ng * dim))
+    for lo in range(0, n, step):
+        # row (g, j, a) is coordinate a of phi(g s_j) - phi(g) - rho(g) phi(s_j), and s_j = 1 * s_j
+        g, j, a = np.ix_(range(lo, min(lo + step, n)), range(ng), range(dim))
+        rows = np.zeros((len(g), ng, dim, n, dim), dtype=np.int64)
+        rows[g - lo, j, a, G.cayley[g, j], a] = 1
+        rows[g - lo, j, a, g, a] -= 1
+        rows[g - lo, j, :, G.cayley[0, j], :] -= rho[g]
+        state.add(np.remainder(rows, ell, out=rows).reshape(-1, n * dim))
+    dim_Z1 = n * dim - state.rank
     return CohomologyReport(h0=fixed, dim_Z1=dim_Z1, dim_B1=dim - fixed, h1=dim_Z1 - (dim - fixed))
 
 

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 
-import numpy as np
-
 from .chevalley import diagram_involution
 from .exact import is_prime
 from .fixtures import E8_CANDIDATES, OBSTRUCTION_PRIMES
@@ -30,17 +28,12 @@ from .rootsys import SimpleType, per_type
 # factorization
 # ---------------------------------------------------------------------------
 
-_TRIAL_LIMIT = 10**6
+_TRIAL_LIMIT = 2**10
 
 
 @lru_cache(maxsize=1)
 def _small_primes() -> tuple[int, ...]:
-    sieve = bytearray([1]) * _TRIAL_LIMIT
-    sieve[0] = sieve[1] = 0
-    for p in range(2, int(_TRIAL_LIMIT**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return tuple(np.flatnonzero(np.frombuffer(sieve, np.uint8)).tolist())
+    return tuple(p for p in range(2, _TRIAL_LIMIT) if is_prime(p))
 
 
 @dataclass(frozen=True)
@@ -122,11 +115,12 @@ def _split(n: int, out: dict):
 def factor(n: int) -> Factorization:
     """Complete factorization of a nonzero integer.
 
-    Trial division by the primes below 10^6, then a Brent-style rho splitter
-    (seeded from the number it splits, so runs are reproducible).  Every
-    reported prime carries a certificate, a proven Miller-Rabin verdict from
-    `is_prime`, which raises ValueError for a factor it cannot decide.  Zero
-    is rejected; callers route structural zeros elsewhere.
+    Trial division by the 172 primes below 2^10 (the paper's obstruction
+    primes lie below 400), then a perfect-power peel and a Brent-style rho
+    splitter, seeded from the number it splits so that runs are reproducible.
+    Every reported prime carries a certificate, a proven Miller-Rabin verdict
+    from `is_prime`, which raises ValueError for a factor it cannot decide.
+    Zero is rejected; callers route structural zeros elsewhere.
     """
     if n == 0:
         raise ValueError("cannot factor 0; zero coefficients are structural data")

@@ -66,7 +66,7 @@ class SimpleType:
             if family in _CLASSICAL_MIN_RANKS:
                 raise ValueError(f"{family}{rank}: ranks above {MAX_RANK} are not built")
             raise ValueError(f"not a classified simple type: {family}{rank}")
-        return SimpleType(family, int(digits))
+        return SimpleType(family, int(rank or 0))
 
     def __str__(self):
         return f"{self.family}{self.rank}"

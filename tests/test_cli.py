@@ -62,6 +62,8 @@ ROWS = [
     row("roots --type A2", 0, "d1083968e92be1b9878d998b98cc09c7a9daf938c38e0c7611536a181e3a0f16"),
     row("roots --type A2 --format csv", 0, "e616cabdb9dd980d2653b91806df7d97a355225326d7e5728bb028ef9885ff5c"),
     row("roots --type A2 --format text", 0, "1c8f3667bfbd9c80e5773a8032c7ea2cf515fe11754251d3d48345655e7ffeb4"),
+    row("roots --type A3", 0, "25c73180d9710c8dff394b5e79d685ddee400e37b3ceb5d5252278f34a01d88f"),
+    row("roots --type A" + "0" * 5000 + "3", 0, "25c73180d9710c8dff394b5e79d685ddee400e37b3ceb5d5252278f34a01d88f"),
     row("roots --type B3", 0, "9c160f1bc13fe4eb2e038a8adff24d03b3873ba77cb04e5d08e10c30003bcc51"),
     row("roots --type B3 --format csv", 0, "55413423f1b5f8b19c135d3a8bb51096799b8b99ed49c315fd7037dfb5aaff19"),
     row("roots --type B3 --format text", 0, "8e0ee97501d2b4db06d836abd7c8ee71c261f06c34b3af4924370a6ce9ea8b86"),
@@ -159,6 +161,7 @@ ROWS = [
     row("cohomology --ell 7 --sym 2 --twist 5", 0, "ff9d6352099b6cff66262a504863c7bae46831624518eb45e0b04e0a2ba1e29c"),
     row("cohomology --ell 7 --sym 2 --twist -1 --naive", 0, "543779804628440fee70c514244c13f2b6a53b2c6a222ee15e18aabcb7c946d3", None, h0=0, h1=0, solver="naive"),
     row("cohomology --ell 7 --sym 2 --naive", 0, "543779804628440fee70c514244c13f2b6a53b2c6a222ee15e18aabcb7c946d3"),
+    row("cohomology --ell 7 --sym 3 --naive", 0, "a29f27b1faa521a021c3f8f395e56841f8cfe9c3ae108ecebf191b33faa1f3d1", None, h0=0, h1=0),
     row("cohomology --ell 127 --sym 4", 0, "3eaf3eeaee767ad3da7659d41696d929f4c688b7b02a2f188d06fd87ce1dfd36", None, h1=0, solver="borel"),
     row("cohomology --ell 29 --sym 8", 0, "c8238fb35d5e001b2295928db5ee98c51e457280e6fc9a01d5dd9654304544b4"),
     row("cohomology sweep --type G2 --ell 13..17", 0, "3bc062039db2b7df0fab0da7bbdf00283f9d216ebbf4785de0aca66e675a2bd2", None, sweep=G2_13_17),

@@ -1,12 +1,11 @@
 import random
-import tracemalloc
 from fractions import Fraction
 from math import isqrt
 from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import run_optimized, x_of
+from conftest import run_optimized, traced_peak, x_of
 
 from monolab import exact
 from monolab.chevalley import build_chevalley_algebra
@@ -23,7 +22,7 @@ from monolab.exact import (
     rank_mod,
     residues,
 )
-from monolab.group_cohomology import close_group, h1, h1_naive, module_from_matrices, sl2_group, sym_module
+from monolab.group_cohomology import close_group, h1, h1_naive, module_from_matrices, sl2_generators, sl2_group, sym_module
 from monolab.principal_sl2 import principal_kostant, sl2_string_family_rows
 from monolab.verify import _next_primes
 
@@ -576,16 +575,6 @@ def test_first_batch_with_zero_duplicate_and_unreduced_rows():
             assert det_mod(matrix, ell) == det, matrix
 
 
-def traced_peak(call):
-    """Peak bytes that tracemalloc counts during call(), numpy's buffers included."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_rank_mod_of_a_zero_matrix_copies_it_once():
     # the one copy is its reduction; at rank 0 the zero rows come from any(),
     # not from a reduction pass
@@ -594,12 +583,23 @@ def test_rank_mod_of_a_zero_matrix_copies_it_once():
 
 
 def test_h1_naive_peak_against_its_system():
-    # the naive system of SL2(F_5) on Sym^3 is 960 x 480 int64 (3.5 MB); the
-    # elimination adds its reduction and its nonzero rows, about 12.6 MB at
-    # peak with the rest of the solver
+    # the naive system of SL2(F_5) on Sym^3 is 960 x 480 int64 (3.5 MiB),
+    # eliminated in blocks of 256 rows; about 3.9 MiB at peak with the rest
+    # of the solver
     G, M = sl2_group(5), sym_module(5, 3, 0)
     assert G.order * len(G.generators) * M.dim == 960 and G.order * M.dim == 480
     assert traced_peak(lambda: h1_naive(G, M)) < 4 * 960 * 480 * 8
+
+
+@pytest.mark.parametrize("ell, r", [(7, 3), (5, 11)])
+def test_h1_naive_never_holds_its_whole_system(ell, r):
+    # the largest naive systems under the |G| * dim <= 1500 guard: 2688 x 1344
+    # int64 (27.6 MiB) on SL2(F_7), 2880 x 1440 (31.6 MiB) on SL2(F_5); built
+    # and eliminated a block at a time they peak near 18 and 20 MiB
+    G = close_group(sl2_generators(ell)[::-1], ell)
+    M = module_from_matrices(ell, sym_module(ell, r, 0).matrices[::-1])
+    assert G.order * M.dim in (1344, 1440)
+    assert traced_peak(lambda: h1_naive(G, M)) < 24 * 2**20
 
 
 def test_prime_field_ops():

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import ad_power, run_optimized
+from conftest import ad_power, run_optimized, traced_peak
 
 from monolab import prime_scan
 from monolab.chevalley import build_chevalley_algebra
@@ -54,6 +54,19 @@ def test_factor_rho_path():
     p, q = 1000003, 1000033
     assert factor(p * q).factors == ((p, 1), (q, 1))
     assert factor(p**3).factors == ((p, 3),)
+    # factors between the trial-division bound 2^10 and 10^6, alone and past small ones
+    assert factor(1031 * 1033).factors == ((1031, 1), (1033, 1))
+    assert factor(65537 * 999983).factors == ((65537, 1), (999983, 1))
+    assert factor(-(2**3) * 1021 * 1031 * 999983).factors == ((2, 3), (1021, 1), (1031, 1), (999983, 1))
+    assert factor(1031**2).factors == ((1031, 2),)  # the perfect-power peel
+    assert factor(3 * 9541733).factors == ((3, 1), (9541733, 1))  # the one scan factor above 10^6
+
+
+def test_factor_set_up_is_small():
+    # the trial divisors are the 172 primes below 2^10, not a table of the 78,498 below 10^6
+    prime_scan._small_primes.cache_clear()
+    assert traced_peak(lambda: factor(2)) < 64 * 1024
+    assert len(prime_scan._small_primes()) == 172 and prime_scan._small_primes()[-1] == 1021
 
 
 def test_factor_rejects_zero():
