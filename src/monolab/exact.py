@@ -261,8 +261,8 @@ class EchelonState:
     (in `rows`), and reducing a row against the state is one product.  An
     added batch is reduced with one such product, none at rank 0; only its
     nonzero rows are eliminated, `_CHUNK` rows at a time, the first chunk as
-    that product left it and each later one reduced again against the pivots
-    the earlier chunks added.
+    that product left it and each later one reduced by one more product
+    against only the pivots that the earlier chunks added.
     """
 
     def __init__(self, ncols: int, ell: int):
@@ -286,12 +286,15 @@ class EchelonState:
         shaped = batch.dtype == np.int64 and batch.shape[1:] == (ncols,)
         if not shaped or batch.size and not 0 <= batch.min() <= batch.max() < ell:
             raise ValueError(f"need {ncols}-column 2-d int64 residues in [0, {ell}), got {batch.dtype} {batch.shape}")
-        reduced = self._reduce(batch) if self.rank else batch  # at rank 0 nothing is reduced
+        rank, free = self.rank, self.free
+        reduced = self._reduce(batch) if rank else batch  # at rank 0 nothing is reduced
         nonzero = np.flatnonzero(reduced.any(axis=1))
-        first = reduced[nonzero[:_CHUNK]]  # reduced against the state it meets
-        del reduced  # not held through the elimination
-        for start in range(0, len(nonzero), _CHUNK):  # a later chunk meets the pivots added since
-            self._absorb(first if start == 0 else self._reduce(batch[nonzero[start : start + _CHUNK]]))
+        for start in range(0, len(nonzero), _CHUNK):
+            chunk = reduced[nonzero[start : start + _CHUNK]]
+            if self.rank > rank:  # a later chunk meets the pivots added since, on the batch's free columns
+                added = chunk[:, np.searchsorted(free, self.pivots[rank:])]
+                chunk = (chunk[:, np.searchsorted(free, self.free)] - matmul_mod(added, self.rows[rank:], ell)) % ell
+            self._absorb(chunk)
 
     def _absorb(self, a: np.ndarray) -> None:
         """Gauss-Jordan on reduced rows, then back-substitution into the state."""

@@ -99,7 +99,7 @@ def _bfs_closure(gens: tuple[Matrix, ...], ell: int):
     the new elements form the next level.  tree[k - 1] is the flat Cayley
     position g * ng + j of the edge that found element k, the first edge
     into it, so the parents g are non-decreasing and each BFS level is a
-    contiguous range of labels (`_levels` relies on this).
+    contiguous range of labels.
     """
     degree = len(gens[0])
     frontier, stacked = np.eye(degree, dtype=np.int64)[None], np.array(gens, dtype=np.int64)
@@ -275,45 +275,53 @@ def _check_budget(need: int, what: str) -> None:
         )
 
 
-def _levels(G: FiniteMatrixGroup):
-    """Yield (lo, hi, parents, generators) per BFS level [lo, hi) of G.tree past the identity.
+def _tree_products(G: FiniteMatrixGroup, mats: np.ndarray, ell: int) -> np.ndarray:
+    """Each element's product of the affine maps mats[j] = [M_j | E_j] (or M_j alone) along its tree path.
 
-    Element k of a level is parents[k - lo] * s_j, j = generators[k - lo], and every parent precedes lo.
+    [A | B] [A' | B'] = [A A' | B + A B'], so the product for g is [rho(g) | C_g].
+    Pointer jumping (Wyllie 1979): anc[k] starts as k's parent, and each step, one
+    batched product, takes it to anc[anc[k]] until it is 1: ceil(log2 depth) steps.
+    word[k] names the map of the path (anc[k], k] in T, and each step multiplies each
+    new pair of words once.  Tree paths are shortlex-least words, whose factors are
+    tree paths too, so this is one product per element of depth 2 or more in all.
     """
-    parent, gen = np.divmod(G.tree, len(G.generators))  # the tree edge into element k sits at index k - 1
-    lo = 1
-    while lo < G.order:
-        hi = 1 + int(np.searchsorted(parent, lo))
-        yield lo, hi, parent[lo - 1 : hi - 1], gen[lo - 1 : hi - 1]
-        lo = hi
+    ng, dim = len(G.generators), mats.shape[1]
+    parent, gen = np.divmod(G.tree, ng)  # the tree edge into element k sits at index k - 1
+    T = np.concatenate([mats, np.eye(dim, mats.shape[2], dtype=np.int64)[None]])  # word j < ng is s_j, word ng is 1
+    anc, word = np.concatenate([[0], parent]), np.concatenate([[ng], gen])
+    live = np.flatnonzero(anc)
+    while live.size:
+        up = anc[live]
+        pairs, new = np.unique(word[up] * len(T) + word[live], return_inverse=True)
+        a, b = np.divmod(pairs, len(T))
+        step = matmul_mod(T[a, :, :dim], T[b], ell)
+        step[:, :, dim:] = (step[:, :, dim:] + T[a, :, dim:]) % ell
+        word[live] = len(T) + new
+        T = np.concatenate([T, step])
+        anc[live] = anc[up]
+        live = live[anc[live] != 0]
+    return T[word]
 
 
 def _z1_cayley(G: FiniteMatrixGroup, M: ModuleAction) -> int:
     """dim Z^1(G, M) by tree-propagated cocycles.
 
     phi is encoded by its generator values u = (phi(s_1), ..., phi(s_ng));
-    each element g carries the matrix C_g with phi(g) = C_g u, built along the
-    BFS spanning tree; each non-tree Cayley edge (g, j) contributes the block
+    each element g carries the matrix C_g with phi(g) = C_g u, and as
+    phi(g s_j) = C_g u + rho(g) E_j u, `_tree_products` of [M_j | E_j] gives
+    every [rho(g) | C_g]; each non-tree Cayley edge (g, j) contributes the block
     C_g + rho(g) E_j - C_{g s_j} = 0 of linear constraints.  dim Z^1 is the
-    constraint-matrix corank.
-
-    Each BFS level from `_levels` gets its rho and C from the earlier levels
-    in one product and one gather-and-add; the non-tree blocks are gathered
-    by fancy indexing, at most 4096 rows per elimination batch.  C holds
-    residues below ell < 2**31 and is stored as int32; each block is formed
-    in int64 and reduced in place.
+    constraint-matrix corank.  The non-tree blocks are gathered by fancy
+    indexing, at most 4096 rows per elimination batch.  The budget covers
+    n int64 maps [rho(g) | C_g] and six more arrays of their size: the
+    jumping table and one step's gathers, factor copies and products.
     """
     n, ng, dim, ell = G.order, len(G.generators), M.dim, G.ell
     ncols = ng * dim
-    _check_budget(n * (dim * ncols * 4 + dim * dim * 8) + 64 * n, "cocycle propagation")
+    _check_budget(7 * 8 * n * dim * (ncols + dim) + 64 * n * ng, "cocycle propagation")
     mats = np.array(M.matrices)
-    rho = np.zeros((n, dim, dim), dtype=np.int64)
-    rho[0] = np.eye(dim, dtype=np.int64)
-    C = np.zeros((n, dim, ng, dim), dtype=np.int32)  # C[g, :, j] multiplies phi(s_j)
-    for lo, hi, src, js in _levels(G):
-        rho[lo:hi] = matmul_mod(rho[src], mats[js], ell)
-        C[lo:hi] = C[src]
-        C[np.arange(lo, hi), :, js] = (C[src, :, js] + rho[src]) % ell
+    X = _tree_products(G, np.concatenate([mats, np.eye(ncols, dtype=np.int64).reshape(ng, dim, ncols)], axis=2), ell)
+    rho, C = X[:, :, :dim], X[:, :, dim:].reshape(n, dim, ng, dim)  # C[g, :, j] multiplies phi(s_j)
     edges = np.setdiff1d(np.arange(n * ng), G.tree, assume_unique=True)
     state = EchelonState(ncols, ell)
     step = max(1, 4096 // dim)
@@ -322,7 +330,7 @@ def _z1_cayley(G: FiniteMatrixGroup, M: ModuleAction) -> int:
         bad = np.flatnonzero((matmul_mod(rho[g], mats[j], ell) != rho[G.cayley[g, j]]).any(axis=(1, 2)))
         if bad.size:
             raise ValueError(f"not a module: rho(g) M_j != rho(g s_j) at element g={g[bad[0]]}, generator j={j[bad[0]]}")
-        block = C[g].astype(np.int64) - C[G.cayley[g, j]]
+        block = C[g] - C[G.cayley[g, j]]
         block[np.arange(len(g)), :, j] += rho[g]
         state.add(np.remainder(block, ell, out=block).reshape(-1, ncols))
     return ncols - state.rank
@@ -430,16 +438,15 @@ def h1_naive(G: FiniteMatrixGroup, M: ModuleAction) -> CohomologyReport:
     pairs; only usable for small groups, which is what it is for:
     cross-checking both of `h1`'s solvers.  The rows are built and eliminated
     a block of whole elements (about 256 rows) at a time, never all at once.
+    Element g's unknowns are column block n - 1 - g, newest first, so a tree edge's
+    row leads with its child's columns and elimination does not fill in from the generators'.
     """
     fixed = h0(G, M)
     n, ng, dim, ell = G.order, len(G.generators), M.dim, G.ell
     if n * dim > 1500:
         raise ResourceLimitError("naive solver is restricted to |G| * dim <= 1500")
     mats = np.array(M.matrices)
-    rho = np.zeros((n, dim, dim), dtype=np.int64)
-    rho[0] = np.eye(dim, dtype=np.int64)
-    for lo, hi, src, js in _levels(G):
-        rho[lo:hi] = matmul_mod(rho[src], mats[js], ell)
+    rho = _tree_products(G, mats, ell)
     bad = np.argwhere((matmul_mod(rho[:, None], mats, ell) != rho[G.cayley]).any(axis=(2, 3)))
     if len(bad):
         g, j = bad[0]
@@ -450,9 +457,9 @@ def h1_naive(G: FiniteMatrixGroup, M: ModuleAction) -> CohomologyReport:
         # row (g, j, a) is coordinate a of phi(g s_j) - phi(g) - rho(g) phi(s_j), and s_j = 1 * s_j
         g, j, a = np.ix_(range(lo, min(lo + step, n)), range(ng), range(dim))
         rows = np.zeros((len(g), ng, dim, n, dim), dtype=np.int64)
-        rows[g - lo, j, a, G.cayley[g, j], a] = 1
-        rows[g - lo, j, a, g, a] -= 1
-        rows[g - lo, j, :, G.cayley[0, j], :] -= rho[g]
+        rows[g - lo, j, a, n - 1 - G.cayley[g, j], a] = 1
+        rows[g - lo, j, a, n - 1 - g, a] -= 1
+        rows[g - lo, j, :, n - 1 - G.cayley[0, j], :] -= rho[g]
         state.add(np.remainder(rows, ell, out=rows).reshape(-1, n * dim))
     dim_Z1 = n * dim - state.rank
     return CohomologyReport(h0=fixed, dim_Z1=dim_Z1, dim_B1=dim - fixed, h1=dim_Z1 - (dim - fixed))

@@ -525,9 +525,11 @@ def test_first_batch_is_not_reduced(monkeypatch):
     assert state.rank == 3 and calls
 
 
-def test_first_chunk_keeps_its_reduction(monkeypatch):
-    # at rank > 0 the whole batch is reduced once; its first chunk of nonzero
-    # rows goes to _absorb as reduced there, and only later chunks are reduced again
+def test_later_chunks_meet_only_the_added_pivots(monkeypatch):
+    # at rank > 0 the whole batch is reduced once, a product of inner dimension
+    # the rank it meets; each later chunk of nonzero rows is then reduced
+    # against only the pivots the earlier chunks added, a product of inner
+    # dimension rank - rank0, and a batch of one chunk takes no such product
     rng, ell = random.Random(64), 7
     state = EchelonState(300, ell)
     state.add(np.array(random_residue_matrix(rng, 20, 300, ell, "random"), dtype=np.int64))
@@ -535,10 +537,19 @@ def test_first_chunk_keeps_its_reduction(monkeypatch):
     batch[::7] = 0
     nonzero = int(state._reduce(batch).any(axis=1).sum())
     assert nonzero > 2 * _CHUNK
-    calls, real = [], EchelonState._reduce
-    monkeypatch.setattr(EchelonState, "_reduce", lambda self, b: calls.append(len(b)) or real(self, b))
-    state.add(batch)
-    assert calls == [len(batch), *(min(_CHUNK, nonzero - s) for s in range(_CHUNK, nonzero, _CHUNK))]
+    events, matmul, absorb = [], exact.matmul_mod, EchelonState._absorb
+    monkeypatch.setattr(exact, "matmul_mod", lambda a, b, ell: events.append(a.shape[-1]) or matmul(a, b, ell))
+    monkeypatch.setattr(EchelonState, "_absorb", lambda s, a: events.append(("absorb", s.rank)) or absorb(s, a))
+    single = np.array(random_residue_matrix(rng, _CHUNK, 300, ell, "random"), dtype=np.int64)
+    for batch, chunks in [(batch, -(-nonzero // _CHUNK)), (single, 1)]:
+        rank0, events[:] = state.rank, []
+        state.add(batch)
+        ranks = [e[1] for e in events if isinstance(e, tuple)] + [state.rank]
+        assert len(ranks) == chunks + 1 and ranks[1] > rank0
+        want = [rank0]
+        for i, (before, after) in enumerate(zip(ranks, ranks[1:])):
+            want += [before - rank0] * (i > 0) + [("absorb", before), after - before]
+        assert events == want
 
 
 def two_pass_add(state, batch):

@@ -4,16 +4,18 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from conftest import run_optimized
+from conftest import run_optimized, traced_peak
 
 from monolab import group_cohomology
-from monolab.exact import det_mod, is_prime, rank_mod
+from monolab.exact import EchelonState, det_mod, is_prime, rank_mod
 from monolab.group_cohomology import (
     CohomologyReport,
     FiniteMatrixGroup,
     ResourceLimitError,
+    _primitive_root,
     _relation_lattice,
     _smith_divisors,
+    _tree_products,
     adjoint_h1_via_kostant,
     close_group,
     h0,
@@ -677,6 +679,138 @@ def test_h1_borel_two_generator_levels():
             rep = h1(B, M)
             assert rep == h1_naive(B, M), (r, twist)
             assert rep.h1 == int(r == 4) + trivial_rank, (r, twist)
+
+
+def torus_generator(ell):
+    a = _primitive_root(ell)
+    return ((a, 0), (0, pow(a, -1, ell)))
+
+
+def affine_maps(G, M):
+    # [M_j | E_j] for each generator: E_j places phi(s_j) among the ng generator values
+    ncols = len(G.generators) * M.dim
+    return np.concatenate([np.array(M.matrices), np.eye(ncols, dtype=np.int64).reshape(-1, M.dim, ncols)], axis=2)
+
+
+def tree_walk(G, M):
+    # [rho(k) | C_k] of every element k by the Python-int walk along G.tree: element k is
+    # element g times s_j, so rho(k) = rho(g) M_j and C_k = C_g + rho(g) E_j
+    ng, dim, ell = len(G.generators), M.dim, G.ell
+    mats = [tuple(map(tuple, m.tolist())) for m in M.matrices]
+    rho = [tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))]
+    C = [tuple((0,) * (ng * dim) for _ in range(dim))]
+    for e in G.tree.tolist():
+        g, j = divmod(e, ng)
+        rho.append(mat_mult(rho[g], mats[j], ell))
+        step = [[rho[g][a][b - j * dim] if b // dim == j else 0 for b in range(ng * dim)] for a in range(dim)]
+        C.append(tuple(tuple((c + s) % ell for c, s in zip(*rows)) for rows in zip(C[g], step)))
+    return [[list(r) + list(c) for r, c in zip(*rc)] for rc in zip(rho, C)]
+
+
+def oracle_groups():
+    # (generators, ell) of every kind of group that the small-group-oracle benchmark draws
+    groups = [(sl2_generators(ell), ell) for ell in (2, 3, 5, 7)]
+    groups += [([((1, 1), (0, 1)), torus_generator(ell)], ell) for ell in (3, 5, 7, 11, 13)]
+    groups += [([((1, 1), (0, 1))], 251), ([torus_generator(127)], 127)]
+    return groups + [([g], 2**31 - 1) for g in CYCLIC_GENERATORS.values()]
+
+
+@pytest.mark.parametrize("gens, ell", oracle_groups())
+def test_tree_products_match_the_tree_walk(gens, ell):
+    G = close_group(gens, ell)
+    M = sym_module(ell, 2, 1, generators=G.generators)
+    walk = tree_walk(G, M)
+    assert _tree_products(G, affine_maps(G, M), ell).tolist() == walk
+    assert _tree_products(G, np.array(M.matrices), ell).tolist() == [[row[: M.dim] for row in X] for X in walk]
+
+
+@pytest.mark.parametrize(
+    "gens, ell, steps",
+    [
+        ([((1, 1), (0, 1))], 251, 8),
+        (sl2_generators(13), 13, 5),
+        ([torus_generator(127)], 127, 7),
+        ([((1, 1), (0, 1)), ((2, 0), (0, 1)), ((0, 1), (1, 0))], 5, 4),
+    ],
+    ids=["cyclic-251", "sl2-13", "torus-126", "gl2-5"],
+)
+def test_tree_products_take_log_depth_steps(monkeypatch, gens, ell, steps):
+    # a tree of depth d takes ceil(log2 d) jumping steps, one product each;
+    # step t jumps only the elements deeper than 2^t and multiplies each
+    # distinct pair of path words once; every factor of a tree path is a tree
+    # path, so the products number one per element of depth 2 or more, where
+    # one per jumping element and step would be about log2 d times as many
+    G = close_group(gens, ell)
+    dist = bfs_tree(G)[0]
+    assert (max(dist) - 1).bit_length() == steps
+    calls, real = [], group_cohomology.matmul_mod
+    monkeypatch.setattr(group_cohomology, "matmul_mod", lambda a, b, ell: calls.append(len(a)) or real(a, b, ell))
+    _tree_products(G, np.array(sym_module(ell, 1, 0, generators=G.generators).matrices), ell)
+    assert len(calls) == steps
+    assert all(0 < c <= sum(d > 2**t for d in dist) for t, c in enumerate(calls))
+    assert sum(calls) == sum(d > 1 for d in dist)
+
+
+def test_cayley_peak_under_its_estimate(monkeypatch):
+    # the Cayley solver's budget estimate covers what it allocates, also on
+    # the int64 products of all elements and one jumping step over them, and
+    # a budget one byte below the estimate refuses the run
+    U = close_group([((1, 1), (0, 1))], 251)
+    cases = [
+        (swapped_group(13), swapped_module(sym_module(13, 6, 0))),
+        (U, sym_module(251, 5, 0, generators=U.generators)),
+    ]
+    needs, real = [], group_cohomology._check_budget
+    monkeypatch.setattr(group_cohomology, "_check_budget", lambda need, what: needs.append(need) or real(need, what))
+    for G, M in cases:
+        needs.clear()
+        peak = traced_peak(lambda: h1(G, M))
+        [need] = needs
+        assert need / 4 < peak < need, (G.order, M.dim)
+        monkeypatch.setenv("MONOLAB_MEMORY_BUDGET", str(need - 1))
+        with pytest.raises(ResourceLimitError, match="cocycle propagation"):
+            h1(G, M)
+        monkeypatch.delenv("MONOLAB_MEMORY_BUDGET")
+
+
+@pytest.mark.parametrize("r", [0, 1])
+def test_naive_on_the_unipotent_group_of_order_251(r):
+    # 250 BFS levels of one element each (order 61 is test_h1_one_element_levels);
+    # Sym^r is one Jordan block, so h1 = 1 and h0 = 1
+    U = close_group([((1, 1), (0, 1))], 251)
+    M = sym_module(251, r, 0, generators=U.generators)
+    assert h1_naive(U, M) == h1(U, M) == CohomologyReport(h0=1, dim_Z1=r + 1, dim_B1=r, h1=1)
+
+
+def test_naive_on_the_torus_of_order_126():
+    # the order is prime to 127, so h1 vanishes on the trivial module of dim 4
+    T = close_group([torus_generator(127)], 127)
+    M = trivial_module(127, 1, 4)
+    assert T.order == 126
+    assert h1_naive(T, M) == h1(T, M) == CohomologyReport(h0=4, dim_Z1=0, dim_B1=0, h1=0)
+
+
+def test_naive_columns_newest_element_first(monkeypatch):
+    # element h's unknowns are column block n - 1 - h, so the row of the tree
+    # edge from g into k leads with k's own block; the edges from the identity
+    # are left out, where phi(s_j) cancels and the row is -phi(1)
+    G = close_group(BOREL_7, 7)
+    M = sym_module(7, 2, 1, generators=G.generators)
+    n, ng, dim = G.order, len(G.generators), M.dim
+    batches = []
+
+    class Recording(EchelonState):
+        def add(self, batch):
+            batches.append(batch.copy())
+            super().add(batch)
+
+    monkeypatch.setattr(group_cohomology, "EchelonState", Recording)
+    h1_naive(G, M)
+    rows = np.vstack(batches).reshape(n, ng, dim, n * dim)
+    g, j = np.divmod(G.tree, ng)
+    lead = (rows[g, j] != 0).argmax(axis=-1)[g > 0]
+    k = np.arange(1, n)[g > 0]
+    assert lead.tolist() == ((n - 1 - k)[:, None] * dim + np.arange(dim)).tolist()
 
 
 def test_h1_direct_sum_additive():
