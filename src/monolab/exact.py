@@ -2,7 +2,9 @@
 
 Scalars are plain ints: arbitrary precision over ZZ, residues in [0, ell)
 over F_ell, where ell is a bare int prime below 2**31 that
-`check_prime_modulus` accepts.  The kernel routines work over ZZ by
+`check_prime_modulus` accepts.  Integers are tested and factored here, and
+nowhere else: `is_prime` gives a proven verdict, and `factor` certifies each
+prime it reports with it.  The kernel routines work over ZZ by
 unimodular column reduction, so kernels come back as saturated lattice bases
 with no rational intermediate step.
 
@@ -25,7 +27,9 @@ halves above that.  Floating point appears nowhere else.
 
 from __future__ import annotations
 
+import random
 import threading
+from dataclasses import dataclass
 from functools import cache, lru_cache
 from math import gcd, prod
 
@@ -107,6 +111,120 @@ def is_prime(n: int) -> bool:
     if n < _MR_PROVEN_LIMIT:
         return True
     raise ValueError(f"{n} passes Miller-Rabin on the first 13 prime bases, a proof only below {_MR_PROVEN_LIMIT}")
+
+
+# ---------------------------------------------------------------------------
+# factorization
+# ---------------------------------------------------------------------------
+
+_TRIAL_LIMIT = 2**10
+
+
+@lru_cache(maxsize=1)
+def _small_primes() -> tuple[int, ...]:
+    return tuple(p for p in range(2, _TRIAL_LIMIT) if is_prime(p))
+
+
+@dataclass(frozen=True)
+class Factorization:
+    n: int
+    factors: tuple[tuple[int, int], ...]  # ((prime, exponent), ...) sorted
+
+    def primes(self) -> tuple[int, ...]:
+        return tuple(p for p, _ in self.factors)
+
+    def __post_init__(self):
+        if prod(p**e for p, e in self.factors) != abs(self.n):
+            raise ArithmeticError(f"factorization {self.factors} does not reconstruct |{self.n}|")
+
+
+def _brent_rho(n: int) -> int:
+    # Brent's cycle variant of the rho splitter, seeded from n; n odd composite, not a prime power
+    rng = random.Random(n)
+    while True:
+        y, c, m = rng.randrange(1, n), rng.randrange(1, n), 128
+        g, r, q = 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += m
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _iroot(n: int, k: int) -> int:
+    """Floor of the integer k-th root, Newton iteration on ints only."""
+    if n < 2:
+        return n
+    x = 1 << (n.bit_length() + k - 1) // k
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _split(n: int, out: dict):
+    if n == 1:
+        return
+    if is_prime(n):
+        out[n] = out.get(n, 0) + 1
+        return
+    # perfect-power peel-off keeps rho away from its worst case
+    for k in range(2, n.bit_length()):
+        root = _iroot(n, k)
+        if root < 2:
+            break
+        if root**k == n:
+            for _ in range(k):
+                _split(root, out)
+            return
+    d = _brent_rho(n)
+    _split(d, out)
+    _split(n // d, out)
+
+
+def factor(n: int) -> Factorization:
+    """Complete factorization of a nonzero integer.
+
+    Trial division by the 172 primes below 2^10 (the paper's obstruction
+    primes lie below 400), then a perfect-power peel and a Brent-style rho
+    splitter, seeded from the number it splits so that runs are reproducible.
+    Every reported prime carries a certificate, a proven Miller-Rabin verdict
+    from `is_prime`, which raises ValueError for a factor it cannot decide.
+    Zero is rejected; callers route structural zeros elsewhere.
+    """
+    if n == 0:
+        raise ValueError("cannot factor 0; zero coefficients are structural data")
+    m = abs(n)
+    out: dict[int, int] = {}
+    for p in _small_primes():
+        if p * p > m:
+            break
+        while m % p == 0:
+            out[p] = out.get(p, 0) + 1
+            m //= p
+    if m > 1:
+        _split(m, out)
+    fact = Factorization(n, tuple(sorted(out.items())))
+    composite = [p for p in fact.primes() if not is_prime(p)]
+    if composite:
+        raise ArithmeticError(f"factor({n}) reported composite factors {composite}")
+    return fact
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ Groups, III.10).  U is cyclic of order ell, so this is linear algebra on
 dim(M) x dim(M) matrices whatever the group order is.  The module matrices
 are first checked against a five-relation presentation of SL2(F_ell) (Behr
 and Mennicke's presentation of PSL(2, ell) with a central y^2), and the
-whole solver takes O(log ell) products of them.
+whole solver takes O(log ell) products of them.  Its torus generator is read
+off `exact.factor(ell - 1)`.
 
 Every other group goes to the Cayley solver, which never needs a
 presentation: a cocycle is determined by its values on the generators, and
@@ -19,7 +20,9 @@ of the Cayley graph turns every non-tree edge into linear consistency
 constraints on those generator values.  The constraint matrix has only
 n_generators * dim(M) columns, so the elimination state stays small however
 large the group is; the per-element expression matrices are the dominant
-memory cost and are guarded by a budget.
+memory cost and are guarded by a budget.  It shares `_tree_products` and the
+module check `_check_module` with the naive oracle `h1_naive`, and every
+matrix list enters through one validator, `_square_stack`.
 
 Specialised helpers cover SL2(F_ell) acting on Sym^r(F_ell^2) (x) det^{-m}
 (det = 1 on `sl2_generators`, so on SL2 the twist changes no matrix), and
@@ -34,7 +37,7 @@ from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-from .exact import EchelonState, kernel_mod, matmul_mod, rank_mod, residues
+from .exact import EchelonState, factor, kernel_mod, matmul_mod, rank_mod, residues
 from .rootsys import SimpleType, build_root_datum
 
 DEFAULT_MEMORY_BUDGET = 2 * 1024**3
@@ -122,16 +125,22 @@ def _bfs_closure(gens: tuple[Matrix, ...], ell: int):
     return np.array(edges, dtype=np.int64).reshape(-1, len(gens)), np.array(tree, dtype=np.int64)
 
 
+def _square_stack(matrices, ell: int, what: tuple[str, str]) -> np.ndarray:
+    """The (k, d, d) residues of k >= 1 d x d matrices, d >= 1; ValueError naming them by `what` = (one, many)."""
+    mats = [residues(m, ell) for m in matrices]
+    if not mats:
+        raise ValueError(f"need at least one {what[0]}")
+    if len({m.shape for m in mats}) > 1 or mats[0].ndim != 2 or not 0 < mats[0].shape[0] == mats[0].shape[1]:
+        raise ValueError(f"{what[1]} must be nonempty and all square of one shape, got {[m.shape for m in mats]}")
+    return np.array(mats)
+
+
 def _generated(generators, ell: int) -> FiniteMatrixGroup:
     """The unclosed group of a generator list; ValueError for a bad list, entry, shape or modulus."""
-    gens = [residues(g, ell) for g in generators]
-    if not gens:
-        raise ValueError("need at least one generator")
-    if len({g.shape for g in gens}) > 1 or gens[0].ndim != 2 or not 0 < gens[0].shape[0] == gens[0].shape[1]:
-        raise ValueError(f"generators must be nonempty and all square of one shape, got {[g.shape for g in gens]}")
+    gens = _square_stack(generators, ell, ("generator", "generators"))
     if any(rank_mod(g, ell) < len(g) for g in gens):
         raise ValueError("generators must be invertible")
-    return FiniteMatrixGroup(ell, len(gens[0]), (tuple(map(tuple, g.tolist())) for g in gens))
+    return FiniteMatrixGroup(ell, gens.shape[1], (tuple(map(tuple, g)) for g in gens.tolist()))
 
 
 def close_group(generators, ell: int) -> FiniteMatrixGroup:
@@ -167,13 +176,8 @@ class ModuleAction:
 
 def module_from_matrices(ell, matrices, description="explicit") -> ModuleAction:
     """The module with these generator matrices; ValueError for no matrix, a non-integer entry, 0 x 0 or mixed shape."""
-    mats = tuple(residues(m, ell) for m in matrices)
-    if not mats:
-        raise ValueError("need at least one module matrix")
-    dim = len(mats[0]) if mats[0].ndim else None
-    if not dim or not all(m.shape == (dim, dim) for m in mats):
-        raise ValueError(f"module matrices must be nonempty and all square of one size, got {[m.shape for m in mats]}")
-    return ModuleAction(ell, dim, mats, description)
+    mats = _square_stack(matrices, ell, ("module matrix", "module matrices"))
+    return ModuleAction(ell, mats.shape[1], tuple(mats), description)
 
 
 def sym_module(ell: int, r: int, twist: int, generators=None) -> ModuleAction:
@@ -192,8 +196,8 @@ def sym_module(ell: int, r: int, twist: int, generators=None) -> ModuleAction:
     """
     if not (isinstance(r, (int, np.integer)) and isinstance(twist, (int, np.integer))) or r < 0:
         raise ValueError(f"need an int r >= 0 and an int twist, got r={r!r}, twist={twist!r}")
-    g = residues(sl2_generators(ell) if generators is None else generators, ell)
-    if g.ndim != 3 or g.shape[1:] != (2, 2):
+    g = _square_stack(sl2_generators(ell) if generators is None else generators, ell, ("generator", "generators"))
+    if g.shape[1:] != (2, 2):
         raise ValueError(f"Sym^r needs 2 x 2 generator matrices, got shape {g.shape}")
     a, b, c, d = (g[:, i, j, None] for i in (0, 1) for j in (0, 1))
     dets = ((a * d - b * c) % ell).ravel()
@@ -303,6 +307,13 @@ def _tree_products(G: FiniteMatrixGroup, mats: np.ndarray, ell: int) -> np.ndarr
     return T[word]
 
 
+def _check_module(G: FiniteMatrixGroup, rho: np.ndarray, mats: np.ndarray, g: np.ndarray, j: np.ndarray) -> None:
+    """Raise ValueError at the first edge (g[k], j[k]) with rho(g) M_j != rho(g s_j); tree edges hold by construction."""
+    bad = np.flatnonzero((matmul_mod(rho[g], mats[j], G.ell) != rho[G.cayley[g, j]]).any(axis=(1, 2)))
+    if bad.size:
+        raise ValueError(f"not a module: rho(g) M_j != rho(g s_j) at element g={g[bad[0]]}, generator j={j[bad[0]]}")
+
+
 def _z1_cayley(G: FiniteMatrixGroup, M: ModuleAction) -> int:
     """dim Z^1(G, M) by tree-propagated cocycles.
 
@@ -327,9 +338,7 @@ def _z1_cayley(G: FiniteMatrixGroup, M: ModuleAction) -> int:
     step = max(1, 4096 // dim)
     for start in range(0, len(edges), step):
         g, j = np.divmod(edges[start : start + step], ng)
-        bad = np.flatnonzero((matmul_mod(rho[g], mats[j], ell) != rho[G.cayley[g, j]]).any(axis=(1, 2)))
-        if bad.size:
-            raise ValueError(f"not a module: rho(g) M_j != rho(g s_j) at element g={g[bad[0]]}, generator j={j[bad[0]]}")
+        _check_module(G, rho, mats, g, j)
         block = C[g] - C[G.cayley[g, j]]
         block[np.arange(len(g)), :, j] += rho[g]
         state.add(np.remainder(block, ell, out=block).reshape(-1, ncols))
@@ -419,15 +428,7 @@ def _product(ell: int, *factors: np.ndarray) -> np.ndarray:
 
 def _primitive_root(ell: int) -> int:
     """The least generator of F_ell^x, for a prime ell."""
-    primes, m, p = [], ell - 1, 2
-    while p * p <= m:
-        if m % p == 0:
-            primes.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        primes.append(m)
+    primes = factor(ell - 1).primes()
     return next(g for g in range(1, ell) if all(pow(g, (ell - 1) // q, ell) != 1 for q in primes))
 
 
@@ -447,10 +448,7 @@ def h1_naive(G: FiniteMatrixGroup, M: ModuleAction) -> CohomologyReport:
         raise ResourceLimitError("naive solver is restricted to |G| * dim <= 1500")
     mats = np.array(M.matrices)
     rho = _tree_products(G, mats, ell)
-    bad = np.argwhere((matmul_mod(rho[:, None], mats, ell) != rho[G.cayley]).any(axis=(2, 3)))
-    if len(bad):
-        g, j = bad[0]
-        raise ValueError(f"not a module: rho(g) M_j != rho(g s_j) at element g={g}, generator j={j}")
+    _check_module(G, rho, mats, *np.divmod(np.setdiff1d(np.arange(n * ng), G.tree, assume_unique=True), ng))
     state = EchelonState(n * dim, ell)
     step = max(1, 256 // (ng * dim))
     for lo in range(0, n, step):

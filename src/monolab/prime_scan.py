@@ -4,146 +4,22 @@ For each exponent m with primitive eigenvector p in the centralizer of X, the
 element ad(Y)^{m+1}(p) lands in the span of the y_alpha for simple alpha (it
 sits two weight steps below the zero weight space).  The scan reads it from
 the Kostant string `kd.strings`, records its integer coordinates there,
-factors every nonzero one, and aggregates the primes.  `char0_zeros` derives
-the zeros in characteristic zero from the diagram involution; E6 has them at
-exponents 4 and 8, so its aggregation also reads the first dual Cartan
-component of ad(Y)^m(p), its x_1-coefficient (row x_1 of ad(x_1)).
+factors every nonzero one with `exact.factor`, and aggregates the primes.
+`char0_zeros` derives the zeros in characteristic zero from the diagram
+involution; E6 has them at exponents 4 and 8, so its aggregation also reads
+the first dual Cartan component of ad(Y)^m(p), its x_1-coefficient (row x_1
+of ad(x_1)).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from functools import lru_cache
-from math import gcd
 
 from .chevalley import diagram_involution
-from .exact import is_prime
+from .exact import factor
 from .fixtures import E8_CANDIDATES, OBSTRUCTION_PRIMES
 from .principal_sl2 import KostantDecomposition, principal_kostant
 from .rootsys import SimpleType, per_type
-
-
-# ---------------------------------------------------------------------------
-# factorization
-# ---------------------------------------------------------------------------
-
-_TRIAL_LIMIT = 2**10
-
-
-@lru_cache(maxsize=1)
-def _small_primes() -> tuple[int, ...]:
-    return tuple(p for p in range(2, _TRIAL_LIMIT) if is_prime(p))
-
-
-@dataclass(frozen=True)
-class Factorization:
-    n: int
-    factors: tuple[tuple[int, int], ...]  # ((prime, exponent), ...) sorted
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-    def __post_init__(self):
-        prod = 1
-        for p, e in self.factors:
-            prod *= p**e
-        if prod != abs(self.n):
-            raise ArithmeticError(f"factorization {self.factors} does not reconstruct |{self.n}|")
-
-
-def _brent_rho(n: int) -> int:
-    # Brent's cycle variant of the rho splitter, seeded from n; n odd composite, not a prime power
-    rng = random.Random(n)
-    while True:
-        y, c, m = rng.randrange(1, n), rng.randrange(1, n), 128
-        g, r, q = 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if g != n:
-            return g
-
-
-def _iroot(n: int, k: int) -> int:
-    """Floor of the integer k-th root, Newton iteration on ints only."""
-    if n < 2:
-        return n
-    x = 1 << (n.bit_length() + k - 1) // k
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
-
-
-def _split(n: int, out: dict):
-    if n == 1:
-        return
-    if is_prime(n):
-        out[n] = out.get(n, 0) + 1
-        return
-    # perfect-power peel-off keeps rho away from its worst case
-    for k in range(2, n.bit_length()):
-        root = _iroot(n, k)
-        if root < 2:
-            break
-        if root**k == n:
-            for _ in range(k):
-                _split(root, out)
-            return
-    d = _brent_rho(n)
-    _split(d, out)
-    _split(n // d, out)
-
-
-def factor(n: int) -> Factorization:
-    """Complete factorization of a nonzero integer.
-
-    Trial division by the 172 primes below 2^10 (the paper's obstruction
-    primes lie below 400), then a perfect-power peel and a Brent-style rho
-    splitter, seeded from the number it splits so that runs are reproducible.
-    Every reported prime carries a certificate, a proven Miller-Rabin verdict
-    from `is_prime`, which raises ValueError for a factor it cannot decide.
-    Zero is rejected; callers route structural zeros elsewhere.
-    """
-    if n == 0:
-        raise ValueError("cannot factor 0; zero coefficients are structural data")
-    m = abs(n)
-    out: dict[int, int] = {}
-    for p in _small_primes():
-        if p * p > m:
-            break
-        while m % p == 0:
-            out[p] = out.get(p, 0) + 1
-            m //= p
-    if m > 1:
-        _split(m, out)
-    fact = Factorization(n, tuple(sorted(out.items())))
-    composite = [p for p in fact.primes() if not is_prime(p)]
-    if composite:
-        raise ArithmeticError(f"factor({n}) reported composite factors {composite}")
-    return fact
-
-
-# ---------------------------------------------------------------------------
-# the scan
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)

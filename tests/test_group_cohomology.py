@@ -301,6 +301,11 @@ def test_sym_module_matches_binomial_reference(ell):
         (lambda: sym_module(7, 2, 1.0), "int twist"),
         (lambda: module_from_matrices(7, []), "at least one module matrix"),
         (lambda: sym_module(7, 2, 0, [np.eye(3, dtype=np.int64)]), "2 x 2 generator matrices"),
+        (lambda: sym_module(7, 2, 0, []), "need at least one generator"),
+        (
+            lambda: sym_module(7, 2, 0, [((1, 1), (0, 1)), np.eye(3, dtype=np.int64)]),
+            r"generators must be nonempty and all square of one shape, got \[\(2, 2\), \(3, 3\)\]",
+        ),
         (lambda: rank_mod([], 7), r"2-d matrix, got shape \(0,\)"),
         (lambda: det_mod([[1, 2, 3], [4, 5, 6]], 7), r"square matrix, got shape \(2, 3\)"),
         (
@@ -318,7 +323,7 @@ def test_sym_module_matches_binomial_reference(ell):
         (lambda: det_mod(np.eye(2, dtype=bool), 7), "must be integers, got bool"),
     ],
     ids=[
-        "module-float", "close-float", "sym-float-twist", "module-empty", "sym-3x3",
+        "module-float", "close-float", "sym-float-twist", "module-empty", "sym-3x3", "sym-empty", "sym-ragged",
         "rank-empty", "det-2x3", "close-mixed", "sym-singular", "sym-singular-twist",
         "module-0x0", "close-0x0", "close-singular", "close-2x3", "close-1-d", "det-bool", "det-numpy-bool",
     ],
@@ -684,6 +689,20 @@ def test_h1_borel_two_generator_levels():
 def torus_generator(ell):
     a = _primitive_root(ell)
     return ((a, 0), (0, pow(a, -1, ell)))
+
+
+def multiplicative_order(g, p):
+    k, x = 1, g % p
+    while x != 1:
+        k, x = k + 1, x * g % p
+    return k
+
+
+def test_primitive_root_is_the_least_generator():
+    # the Borel solver's torus element h(a) needs a generator a of F_p^x; orders brute-forced
+    for p in [p for p in range(2, 2000) if is_prime(p)]:
+        assert _primitive_root(p) == next(g for g in range(1, p) if multiplicative_order(g, p) == p - 1), p
+    assert _primitive_root(2) == 1 and _primitive_root(2**31 - 1) == 7
 
 
 def affine_maps(G, M):

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 from conftest import ad_power, run_optimized, traced_peak
 
-from monolab import prime_scan
+from monolab import exact, prime_scan
 from monolab.chevalley import build_chevalley_algebra
 from monolab.principal_sl2 import (
     KostantDecomposition,
     build_principal_sl2,
     kostant_decomposition,
 )
+from monolab.exact import Factorization
 from monolab.prime_scan import (
     ExponentScan,
-    Factorization,
     build_report,
     char0_zeros,
     check_against_reference,
@@ -64,9 +64,9 @@ def test_factor_rho_path():
 
 def test_factor_set_up_is_small():
     # the trial divisors are the 172 primes below 2^10, not a table of the 78,498 below 10^6
-    prime_scan._small_primes.cache_clear()
+    exact._small_primes.cache_clear()
     assert traced_peak(lambda: factor(2)) < 64 * 1024
-    assert len(prime_scan._small_primes()) == 172 and prime_scan._small_primes()[-1] == 1021
+    assert len(exact._small_primes()) == 172 and exact._small_primes()[-1] == 1021
 
 
 def test_factor_rejects_zero():
@@ -82,7 +82,7 @@ def test_factor_reconstruction_guard():
 
 def test_factor_reconstruction_guard_under_optimize():
     code = (
-        "from monolab.prime_scan import Factorization\n"
+        "from monolab.exact import Factorization\n"
         "try:\n"
         "    Factorization(12, ((2, 2),))\n"
         "except ArithmeticError:\n"

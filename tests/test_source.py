@@ -228,6 +228,20 @@ def test_every_definition_has_a_reader():
             assert calls, f"{reader} does not call .{name}() on {owner}"
 
 
+def test_each_cohomology_job_has_one_home():
+    # the module check, factorisation and primality are each written once; the
+    # Borel solver factors ell - 1 with `factor`, not by its own trial division
+    sources = {path.name: path.read_text() for path in sorted(pathlib.Path(monolab.__file__).parent.glob("*.py"))}
+    assert sum(text.count("not a module: rho(g) M_j != rho(g s_j)") for text in sources.values()) == 1
+    homes = defaultdict(list)
+    for file_name, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.FunctionDef) and node.name in {"factor", "is_prime"}:
+                homes[node.name].append(file_name)
+    assert homes == {"factor": ["exact.py"], "is_prime": ["exact.py"]}
+    assert not re.search(r"% *\w+ *== *0", sources["group_cohomology.py"])
+
+
 def _readme_block(heading, language=""):
     """The first fenced block under a README heading."""
     section = (ROOT / "README.md").read_text().split(f"\n## {heading}\n", 1)[1]
