@@ -16,7 +16,8 @@ end of this module: `matmul_mod`, the streamed reduced echelon form
 with `EchelonState`, whose pivot step a block split would tax on systems
 that form one block.
 A pivot step touches only the columns from the pivot on, and of a sparse
-pivot row only its nonzero columns.  `matmul_mod` has three products: float64
+pivot row only its nonzero columns; back-substitution touches only the
+pivot rows that a new pivot hits.  `matmul_mod` has three products: float64
 on numpy's BLAS while every partial sum is an integer below 2**53 and the
 product is large enough to repay the conversion, with the bundled OpenBLAS
 pinned to one thread for the call; int64 below 2**63; and int64 on 16-bit
@@ -179,9 +180,10 @@ def _iroot(n: int, k: int) -> int:
 
 
 def _split(n: int, out: dict):
+    """Count n's prime factors into out, which holds only primes that `is_prime` has proven, each proven once."""
     if n == 1:
         return
-    if is_prime(n):
+    if n in out or is_prime(n):
         out[n] = out.get(n, 0) + 1
         return
     # perfect-power peel-off keeps rho away from its worst case
@@ -204,26 +206,27 @@ def factor(n: int) -> Factorization:
     Trial division by the 172 primes below 2^10 (the paper's obstruction
     primes lie below 400), then a perfect-power peel and a Brent-style rho
     splitter, seeded from the number it splits so that runs are reproducible.
-    Every reported prime carries a certificate, a proven Miller-Rabin verdict
-    from `is_prime`, which raises ValueError for a factor it cannot decide.
-    Zero is rejected; callers route structural zeros elsewhere.
+    Every reported prime is proven once: a trial prime when the table was
+    built, any other by `is_prime` in the splitter, which raises ValueError
+    for a factor it cannot decide.  Zero is rejected; callers route
+    structural zeros elsewhere.
     """
     if n == 0:
         raise ValueError("cannot factor 0; zero coefficients are structural data")
-    m = abs(n)
+    m, small = abs(n), _small_primes()
     out: dict[int, int] = {}
-    for p in _small_primes():
+    for p in small:
         if p * p > m:
             break
         while m % p == 0:
             out[p] = out.get(p, 0) + 1
             m //= p
-    if m > 1:
-        _split(m, out)
-    fact = Factorization(n, tuple(sorted(out.items())))
-    composite = [p for p in fact.primes() if not is_prime(p)]
-    if composite:
-        raise ArithmeticError(f"factor({n}) reported composite factors {composite}")
+    proven: dict[int, int] = {}
+    _split(m, proven)
+    fact = Factorization(n, tuple(sorted((out | proven).items())))
+    uncertified = [p for p in fact.primes() if p not in proven and p not in small]
+    if uncertified:
+        raise ArithmeticError(f"factor({n}) reported factors neither in the trial table nor proven: {uncertified}")
     return fact
 
 
@@ -380,7 +383,11 @@ class EchelonState:
     added batch is reduced with one such product, none at rank 0; only its
     nonzero rows are eliminated, `_CHUNK` rows at a time, the first chunk as
     that product left it and each later one reduced by one more product
-    against only the pivots that the earlier chunks added.
+    against only the pivots that the earlier chunks added.  Each chunk
+    rebuilds the state once, into one new array of the kept columns of the
+    old and new pivot rows, and back-substitutes into only the old rows
+    that are nonzero in a new pivot column, by one product over those rows;
+    no row is hit at rank 0.
     """
 
     def __init__(self, ncols: int, ell: int):
@@ -441,11 +448,17 @@ class EchelonState:
                 a[at, cols] = (a[at, cols] - col[nz, None] * row) % ell
             new_rows.append(i)
             new_cols.append(q)
-        new = a[new_rows]
-        old = (self.rows - matmul_mod(self.rows[:, new_cols], new, ell)) % ell
-        keep = np.ones(len(self.free), dtype=bool)
+        rank, keep = self.rank, np.ones(len(self.free), dtype=bool)
         keep[new_cols] = False
-        self.rows = np.vstack([old, new])[:, keep]
+        rows = np.empty((rank + len(new_rows), len(self.free) - len(new_cols)), dtype=np.int64)
+        np.compress(keep, self.rows, axis=1, out=rows[:rank])
+        np.compress(keep, a[new_rows], axis=1, out=rows[rank:])
+        # an old row changes only where it is nonzero in a new pivot column
+        hits = self.rows[:, new_cols]
+        hit = np.flatnonzero(hits.any(axis=1))
+        if hit.size:
+            rows[hit] = (rows[hit] - matmul_mod(hits[hit], rows[rank:], ell)) % ell
+        self.rows = rows
         self.pivots += self.free[new_cols].tolist()
         self.free = self.free[keep]
 

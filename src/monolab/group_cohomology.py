@@ -37,7 +37,7 @@ from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-from .exact import EchelonState, factor, kernel_mod, matmul_mod, rank_mod, residues
+from .exact import _CHUNK, EchelonState, factor, kernel_mod, matmul_mod, rank_mod, residues
 from .rootsys import SimpleType, build_root_datum
 
 DEFAULT_MEMORY_BUDGET = 2 * 1024**3
@@ -438,7 +438,8 @@ def h1_naive(G: FiniteMatrixGroup, M: ModuleAction) -> CohomologyReport:
     Solves phi(g s) = phi(g) + rho(g) phi(s) over all (element, generator)
     pairs; only usable for small groups, which is what it is for:
     cross-checking both of `h1`'s solvers.  The rows are built and eliminated
-    a block of whole elements (about 256 rows) at a time, never all at once.
+    one elimination chunk at a time, the whole elements that fit in
+    `exact._CHUNK` rows (or one element), never all at once.
     Element g's unknowns are column block n - 1 - g, newest first, so a tree edge's
     row leads with its child's columns and elimination does not fill in from the generators'.
     """
@@ -450,7 +451,7 @@ def h1_naive(G: FiniteMatrixGroup, M: ModuleAction) -> CohomologyReport:
     rho = _tree_products(G, mats, ell)
     _check_module(G, rho, mats, *np.divmod(np.setdiff1d(np.arange(n * ng), G.tree, assume_unique=True), ng))
     state = EchelonState(n * dim, ell)
-    step = max(1, 256 // (ng * dim))
+    step = max(1, _CHUNK // (ng * dim))
     for lo in range(0, n, step):
         # row (g, j, a) is coordinate a of phi(g s_j) - phi(g) - rho(g) phi(s_j), and s_j = 1 * s_j
         g, j, a = np.ix_(range(lo, min(lo + step, n)), range(ng), range(dim))

@@ -410,7 +410,7 @@ def test_prime_verdict_computed_once_per_modulus():
         assert det_mod([[1, 2], [3, 4]], ell) == ell - 2
         assert det_mod([[2, 0], [0, 3]], ell) == 6
         assert h1(sl2_group(ell), sym_module(ell, 3, 0)).h1 == 0
-    # `factor` certifies the primes of ell - 1 with is_prime too; only the calls on ell count here
+    # `factor` proves the factor 331 of ell - 1 with is_prime too; only the calls on ell count here
     assert [c.args for c in spy.call_args_list].count((ell,)) == 1
 
 
@@ -530,7 +530,10 @@ def test_later_chunks_meet_only_the_added_pivots(monkeypatch):
     # at rank > 0 the whole batch is reduced once, a product of inner dimension
     # the rank it meets; each later chunk of nonzero rows is then reduced
     # against only the pivots the earlier chunks added, a product of inner
-    # dimension rank - rank0, and a batch of one chunk takes no such product
+    # dimension rank - rank0, and a batch of one chunk takes no such product.
+    # Each absorb back-substitutes by one product over the old rows that are
+    # nonzero in its new pivot columns, of inner dimension the pivots it adds,
+    # and by none when no old row is hit, as at rank 0
     rng, ell = random.Random(64), 7
     state = EchelonState(300, ell)
     state.add(np.array(random_residue_matrix(rng, 20, 300, ell, "random"), dtype=np.int64))
@@ -538,19 +541,36 @@ def test_later_chunks_meet_only_the_added_pivots(monkeypatch):
     batch[::7] = 0
     nonzero = int(state._reduce(batch).any(axis=1).sum())
     assert nonzero > 2 * _CHUNK
-    events, matmul, absorb = [], exact.matmul_mod, EchelonState._absorb
-    monkeypatch.setattr(exact, "matmul_mod", lambda a, b, ell: events.append(a.shape[-1]) or matmul(a, b, ell))
-    monkeypatch.setattr(EchelonState, "_absorb", lambda s, a: events.append(("absorb", s.rank)) or absorb(s, a))
+    events, heights, hits, matmul, absorb = [], [], [], exact.matmul_mod, EchelonState._absorb
+
+    def spy_matmul(a, b, ell):
+        events.append(a.shape[-1])
+        heights.append(a.shape[0])
+        return matmul(a, b, ell)
+
+    def spy_absorb(s, a):
+        events.append(("absorb", s.rank))
+        rows, free, rank, made = s.rows, s.free, s.rank, len(heights)
+        absorb(s, a)
+        hit = int(rows[:, np.searchsorted(free, s.pivots[rank:])].any(axis=1).sum())
+        hits.append(hit)
+        assert heights[made:] == [hit] * (hit > 0)
+
+    monkeypatch.setattr(exact, "matmul_mod", spy_matmul)
+    monkeypatch.setattr(EchelonState, "_absorb", spy_absorb)
     single = np.array(random_residue_matrix(rng, _CHUNK, 300, ell, "random"), dtype=np.int64)
     for batch, chunks in [(batch, -(-nonzero // _CHUNK)), (single, 1)]:
-        rank0, events[:] = state.rank, []
+        rank0, events[:], hits[:] = state.rank, [], []
         state.add(batch)
         ranks = [e[1] for e in events if isinstance(e, tuple)] + [state.rank]
         assert len(ranks) == chunks + 1 and ranks[1] > rank0
         want = [rank0]
         for i, (before, after) in enumerate(zip(ranks, ranks[1:])):
-            want += [before - rank0] * (i > 0) + [("absorb", before), after - before]
+            want += [before - rank0] * (i > 0) + [("absorb", before)] + [after - before] * (hits[i] > 0)
         assert events == want
+    events[:] = []
+    EchelonState(300, ell).add(single)
+    assert events == [("absorb", 0)]
 
 
 def two_pass_add(state, batch):
@@ -572,6 +592,59 @@ def test_add_matches_the_two_pass_add(ell):
             two_pass_add(theirs, batch)
             assert ours.pivots == theirs.pivots, (n, m, kind)
             assert np.array_equal(ours.free, theirs.free) and np.array_equal(ours.rows, theirs.rows)
+
+
+def reference_rref_add(rref, row, ell):
+    """Add one row to a reduced echelon form kept as {pivot column: row} of Python ints."""
+    for p, r in rref.items():
+        if row[p]:
+            row = [(x - row[p] * y) % ell for x, y in zip(row, r)]
+    q = next((j for j, x in enumerate(row) if x), None)
+    if q is None:
+        return
+    inv = pow(row[q], -1, ell)
+    row = [x * inv % ell for x in row]
+    for p, r in rref.items():
+        if r[q]:
+            rref[p] = [(x - r[q] * y) % ell for x, y in zip(r, row)]
+    rref[q] = row
+
+
+def hit_batches(rng, n, ell):
+    """Batches whose pivots land in columns that the earlier rows leave 0, then batches whose pivots hit them."""
+    half = n // 2
+    left = [row[:half] + [0] * (n - half) for row in random_residue_matrix(rng, 3, n, ell, "random")]
+    right = [[0] * half + row[half:] for row in random_residue_matrix(rng, 2 * _CHUNK + 5, n, ell, "low-rank")]
+    yield left, False
+    yield right, False
+    for m, kind in [(3, "random"), (_CHUNK + 1, "zero-columns"), (2 * _CHUNK + 5, "low-rank"), (n, "random")]:
+        yield random_residue_matrix(rng, m, n, ell, kind), None
+
+
+@pytest.mark.parametrize("ell", [2, 7, 65521, 2**31 - 1])
+def test_state_grown_batch_by_batch_is_the_reduced_echelon_form(ell):
+    # after every batch the pivots, free columns and pivot rows are those of
+    # a pure-Python reduced echelon form of every row added so far; batches
+    # whose new pivots hit no earlier row and batches whose pivots do both occur
+    rng, seen = random.Random(ell), set()
+    for n in (6, 40, 90):
+        state, rref = EchelonState(n, ell), {}
+        for batch, want_hit in hit_batches(rng, n, ell):
+            old = {p: list(r) for p, r in rref.items()}
+            for row in batch:
+                reference_rref_add(rref, list(row), ell)
+            new = rref.keys() - old.keys()
+            hit = any(r[q] for r in old.values() for q in new)
+            assert want_hit in (None, hit), (n, len(batch))
+            if old and new:
+                seen.add(hit)
+            state.add(np.array(batch, dtype=np.int64))
+            assert sorted(state.pivots) == sorted(rref), (n, len(batch))
+            free = [j for j in range(n) if j not in rref]
+            assert state.free.tolist() == free
+            order = np.argsort(state.pivots)
+            assert state.rows[order].tolist() == [[rref[p][j] for j in free] for p in sorted(rref)]
+    assert seen == {False, True}
 
 
 def test_first_batch_with_zero_duplicate_and_unreduced_rows():
@@ -596,8 +669,8 @@ def test_rank_mod_of_a_zero_matrix_copies_it_once():
 
 def test_h1_naive_peak_against_its_system():
     # the naive system of SL2(F_5) on Sym^3 is 960 x 480 int64 (3.5 MiB),
-    # eliminated in blocks of 256 rows; about 3.9 MiB at peak with the rest
-    # of the solver
+    # eliminated one 64-row chunk at a time; about 1.7 MiB at peak with the
+    # rest of the solver
     G, M = sl2_group(5), sym_module(5, 3, 0)
     assert G.order * len(G.generators) * M.dim == 960 and G.order * M.dim == 480
     assert traced_peak(lambda: h1_naive(G, M)) < 4 * 960 * 480 * 8
@@ -607,11 +680,12 @@ def test_h1_naive_peak_against_its_system():
 def test_h1_naive_never_holds_its_whole_system(ell, r):
     # the largest naive systems under the |G| * dim <= 1500 guard: 2688 x 1344
     # int64 (27.6 MiB) on SL2(F_7), 2880 x 1440 (31.6 MiB) on SL2(F_5); built
-    # and eliminated a block at a time they peak near 18 and 20 MiB
+    # and eliminated one elimination chunk at a time, with back-substitution
+    # into only the pivot rows a new pivot hits, they peak near 11.4 and 12.8 MiB
     G = close_group(sl2_generators(ell)[::-1], ell)
     M = module_from_matrices(ell, sym_module(ell, r, 0).matrices[::-1])
     assert G.order * M.dim in (1344, 1440)
-    assert traced_peak(lambda: h1_naive(G, M)) < 24 * 2**20
+    assert traced_peak(lambda: h1_naive(G, M)) < 16 * 2**20
 
 
 def test_prime_field_ops():

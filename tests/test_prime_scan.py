@@ -69,6 +69,23 @@ def test_factor_set_up_is_small():
     assert len(exact._small_primes()) == 172 and exact._small_primes()[-1] == 1021
 
 
+@pytest.mark.parametrize(
+    "n, tested",
+    [(2**31 - 2, [331]), (3 * 9541733, [9541733]), (1031**3, [1031**3, 1031])],
+    ids=["2^31-2", "3*9541733", "1031^3"],
+)
+def test_factor_proves_each_prime_once(monkeypatch, n, tested):
+    # the trial primes were proven when the table was built and the splitter
+    # proves the rest, so nothing is proven a second time: 331 = 2^31 - 2
+    # over 2 * 3^2 * 7 * 11 * 31 * 151 is left when trial division stops at
+    # 157^2, and the perfect-power peel proves 1031 once for its three copies
+    factor(2)
+    calls, real = [], exact.is_prime
+    monkeypatch.setattr(exact, "is_prime", lambda m: calls.append(m) or real(m))
+    assert tested[-1] in factor(n).primes()
+    assert calls == tested
+
+
 def test_factor_rejects_zero():
     with pytest.raises(ValueError):
         factor(0)
