@@ -15,13 +15,13 @@ end of this module: `matmul_mod`, the streamed reduced echelon form
 `det_mod` eliminates its matrix's blocks side by side and shares no logic
 with `EchelonState`, whose pivot step a block split would tax on systems
 that form one block.
-A pivot step touches only the columns from the pivot on, and of a sparse
-pivot row only its nonzero columns; back-substitution touches only the
-pivot rows that a new pivot hits.  `matmul_mod` has three products: float64
-on numpy's BLAS while every partial sum is an integer below 2**53 and the
-product is large enough to repay the conversion, with the bundled OpenBLAS
-pinned to one thread for the call; int64 below 2**63; and int64 on 16-bit
-halves above that.  Floating point appears nowhere else.
+Both eliminations take one update rule: a pivot rewrites, from its column
+on, only the rows with an entry in that column; back-substitution touches
+only the pivot rows that a new pivot hits.  `matmul_mod` has three
+products: float64 on numpy's BLAS while every partial sum is an integer
+below 2**53 and the product is large enough to repay the conversion, with
+the bundled OpenBLAS pinned to one thread for the call; int64 below 2**63;
+and int64 on 16-bit halves above that.  Floating point appears nowhere else.
 `residues` is the one reducer, of every integer matrix that enters from outside;
 `EchelonState.add` takes its int64 residues in [0, ell) and only checks them.
 """
@@ -430,22 +430,16 @@ class EchelonState:
             if not support.size:
                 continue
             q = int(support[0])
-            # the other rows change only on the pivot row's support; gathering
-            # it costs more per entry than a slice, so where it fills over a
-            # quarter of the columns from q on, the slice from q is taken
-            dense = 4 * support.size > a.shape[1] - q
-            cols = slice(q, None) if dense else support
-            row = a[i, cols]
+            row = a[i, q:]
             pivot = int(row[0])
             if pivot != 1:
                 row = row * pow(pivot, -1, ell) % ell
-                a[i, cols] = row
+                a[i, q:] = row
             col = a[:, q].copy()
             col[i] = 0
             nz = col.nonzero()[0]
             if nz.size:
-                at = nz if dense else nz[:, None]
-                a[at, cols] = (a[at, cols] - col[nz, None] * row) % ell
+                a[nz, q:] = (a[nz, q:] - col[nz, None] * row) % ell
             new_rows.append(i)
             new_cols.append(q)
         rank, keep = self.rank, np.ones(len(self.free), dtype=bool)
@@ -531,10 +525,11 @@ def det_mod(rows, ell: int) -> int:
     block determinants, 0 unless every block is square.  Zero-padded to the
     width k of the first, the blocks go into int64 batches of at most n**2
     entries, each eliminated in k Python steps (step j only on the blocks
-    wider than j), with products of two residues below ell**2 < 2**62.  One
-    wide block costs O(k**3) numpy work: on 2 vCPUs a dense 300 x 300 took
-    0.09-0.11 s (0.03-0.04 s through `EchelonState`), a bidiagonal
-    1000 x 1000 3.3 s (0.16 s).
+    wider than j, and there only on the rows with an entry in column j),
+    with products of two residues below ell**2 < 2**62.  A dense k x k block
+    costs O(k**3) numpy work, a sparse one only the rows its pivots reach:
+    on 2 vCPUs a dense 300 x 300 took 0.07-0.08 s (0.025-0.03 s through
+    `EchelonState`), a lower-bidiagonal 1000 x 1000 0.05-0.06 s (0.05 s).
     """
     matrix = residues(rows, ell)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -569,8 +564,9 @@ def det_mod(rows, ell: int) -> int:
                 return 0
             swaps += np.count_nonzero(p != j)
             live[each, p], live[each, j] = live[each, j], live[each, p]
-            scale = live[:, j + 1 :, j] * np.array([pow(x, -1, ell) for x in pivots.tolist()])[:, None] % ell
-            live[:, j + 1 :, j + 1 :] -= scale[:, :, None] * live[:, j, None, j + 1 :]
-            live[:, j + 1 :, j + 1 :] %= ell
+            b, i = np.nonzero(live[:, j + 1 :, j])  # the rows below the pivot with an entry in its column
+            i += j + 1
+            scale = live[b, i, j] * np.array([pow(x, -1, ell) for x in pivots.tolist()])[b] % ell
+            live[b, i, j + 1 :] = (live[b, i, j + 1 :] - scale[:, None] * live[b, j, j + 1 :]) % ell
         start = stop
     return (-det if swaps % 2 else det) % ell

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 from unittest import mock
 
 import numpy as np
@@ -276,6 +276,34 @@ def test_det_mod_peak_on_one_wide_block():
     matrix = matrix[rng.permutation(n)][:, rng.permutation(n)]
     assert det_mod(matrix, ell) == reference_rank_det(matrix.tolist(), ell)[1]
     assert traced_peak(lambda: det_mod(matrix, ell)) <= 4 * matrix.nbytes
+
+
+def _sign(perm):
+    """The sign of a permutation of 0..n-1, from its cycle count."""
+    seen, cycles = np.zeros(len(perm), dtype=bool), 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycles += 1
+            k = start
+            while not seen[k]:
+                seen[k], k = True, perm[k]
+    return -1 if (len(perm) - cycles) % 2 else 1
+
+
+def test_det_mod_of_one_wide_sparse_block():
+    # one 600-wide bidiagonal block, lower and upper, rows and columns
+    # shuffled: each pivot column reaches one row below its pivot, so a step
+    # that rewrote every row below it would hold a (k-1)**2 temporary on top
+    # of the batch
+    rng, ell, n = np.random.default_rng(600), 61, 600
+    for offset in (-1, 1):
+        diag = rng.integers(1, ell, n)
+        matrix = np.diag(diag) + np.diag(rng.integers(1, ell, n - 1), offset)
+        rows, cols = rng.permutation(n), rng.permutation(n)
+        matrix = matrix[rows][:, cols]
+        det = prod(diag.tolist()) * _sign(rows) * _sign(cols) % ell
+        assert det_mod(matrix, ell) == det, offset
+        assert traced_peak(lambda: det_mod(matrix, ell)) <= 2.5 * matrix.nbytes
 
 
 @pytest.mark.parametrize("ell", [7, 101, 2**31 - 1])
