@@ -50,8 +50,10 @@ class ResourceLimitError(RuntimeError):
 
 
 def memory_budget() -> int:
-    """Bytes the solvers may allocate: MONOLAB_MEMORY_BUDGET, or 2 GiB."""
+    """Bytes the solvers may allocate: MONOLAB_MEMORY_BUDGET, or 2 GiB; ValueError unless it is a positive integer."""
     env = os.environ.get(_BUDGET_ENV)
+    if env and not (env.isdecimal() and int(env) > 0):
+        raise ValueError(f"{_BUDGET_ENV}={env!r}: the memory budget must be a positive integer number of bytes")
     return int(env) if env else DEFAULT_MEMORY_BUDGET
 
 

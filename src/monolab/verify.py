@@ -28,7 +28,7 @@ import numpy as np
 
 from . import fixtures
 from .chevalley import build_chevalley_algebra, diagram_involution, jacobi_sweep
-from .exact import det_mod, is_prime
+from .exact import content, det_mod, is_prime
 from .group_cohomology import (
     adjoint_h1_via_kostant,
     close_group,
@@ -101,11 +101,14 @@ def crit_kostant_structure():
     # principal_kostant raises ArithmeticError, which verify_paper reports as
     # FAIL, unless ker ad X has dimension #{m : 2m = w} at every weight w (so
     # dim P = rank), each eigenvector has eigenvalue 2m and P is abelian;
-    # build_root_datum raises unless sum(2m+1) = dim g.  The string lengths
-    # are the one check that no constructor makes.
+    # build_root_datum raises unless sum(2m+1) = dim g.  No constructor checks
+    # the string lengths, nor that each p_i is primitive (content 1), which a
+    # rescaled p_i would break while every relation above still held.
     for t in EXCEPTIONAL_TYPES:
-        ok = sl2_string_lengths_ok(principal_kostant(t))
-        yield ok, f"{t}: {'ok' if ok else 'FAIL strings of length 2m+1'}"
+        kd = principal_kostant(t)
+        fails = [] if sl2_string_lengths_ok(kd) else ["strings of length 2m+1"]
+        fails += [f"p of exponent {m} has content {c}" for m, p in kd.pairs if (c := content(p.coeffs.values())) != 1]
+        yield not fails, f"{t}: {'FAIL ' + ', '.join(fails) if fails else 'ok'}"
 
 
 # --- criterion 4 -----------------------------------------------------------

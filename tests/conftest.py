@@ -8,10 +8,32 @@ import sys
 import tracemalloc
 
 import numpy as np
+import pytest
 
 import monolab
 from monolab.chevalley import ChevalleyAlgebra, brackets, build_chevalley_algebra
+from monolab.prime_scan import build_report
+from monolab.principal_sl2 import principal_kostant
 from monolab.selmer_arith import local_dim
+
+
+def _clear_per_type_caches():
+    for cached in (principal_kostant, build_report):
+        cached.cache_clear()
+
+
+@pytest.fixture
+def mutant():
+    """A MonkeyPatch for library mutations, applied between two clears of the per-type caches they can feed.
+
+    `principal_kostant` and `build_report` keep one result per simple type: the
+    first clear makes them rebuild through the patches, and the second, once the
+    patches are undone, keeps a mutant result from reaching a later test.
+    """
+    _clear_per_type_caches()
+    with pytest.MonkeyPatch.context() as mp:
+        yield mp
+    _clear_per_type_caches()
 
 
 def run_optimized(code):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 from functools import lru_cache
 
@@ -878,6 +879,10 @@ def test_budget_env_override(monkeypatch):
 
     monkeypatch.setenv("MONOLAB_MEMORY_BUDGET", "12345")
     assert memory_budget() == 12345
+    for bad in ("abc", "-5", "0", "1.5", " 7"):  # each a ValueError that names the variable and its value
+        monkeypatch.setenv("MONOLAB_MEMORY_BUDGET", bad)
+        with pytest.raises(ValueError, match=re.escape(f"MONOLAB_MEMORY_BUDGET={bad!r}")):
+            memory_budget()
     monkeypatch.delenv("MONOLAB_MEMORY_BUDGET")
     assert memory_budget() == 2 * 1024**3
 
