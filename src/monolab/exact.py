@@ -54,10 +54,15 @@ def exact_div_arrays(num: np.ndarray, den: np.ndarray, what: str) -> np.ndarray:
     return q
 
 
+def check_int(x, what: str) -> None:
+    """Raise ValueError naming x unless it is a bare int: a bool, a float or a numpy integer is not one."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} is not an int: {x!r}")
+
+
 def check_prime_modulus(ell: int) -> None:
     """Raise ValueError unless ell is an int prime below 2**31."""
-    if not isinstance(ell, int):
-        raise ValueError(f"modulus is not an int: {ell!r}")
+    check_int(ell, "modulus")
     if not (2 <= ell < 2**31):
         raise ValueError(f"prime out of machine-width range: {ell}")
     if not _is_prime_modulus(ell):
@@ -100,8 +105,9 @@ def is_prime(n: int) -> bool:
     """Whether n is prime, proven: False once a base witnesses n composite, True below psi_13.
 
     Raises ValueError for an n >= psi_13 that every base passes (Sorenson and
-    Webster, 2017), since no base set here decides it.
+    Webster, 2017), since no base set here decides it, and for an n that is not an int.
     """
+    check_int(n, "is_prime's argument")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -208,9 +214,10 @@ def factor(n: int) -> Factorization:
     splitter, seeded from the number it splits so that runs are reproducible.
     Every reported prime is proven once: a trial prime when the table was
     built, any other by `is_prime` in the splitter, which raises ValueError
-    for a factor it cannot decide.  Zero is rejected; callers route
-    structural zeros elsewhere.
+    for a factor it cannot decide, as it does for an n that is not an int.
+    Zero is rejected; callers route structural zeros elsewhere.
     """
+    check_int(n, "factor's argument")
     if n == 0:
         raise ValueError("cannot factor 0; zero coefficients are structural data")
     m, small = abs(n), _small_primes()

@@ -196,7 +196,8 @@ def sym_module(ell: int, r: int, twist: int, generators=None) -> ModuleAction:
     aX + cY, then the last column times bX + dY appended.  Each entry is
     below 2 (ell - 1)^2 < 2**63 before it is reduced.
     """
-    if not (isinstance(r, (int, np.integer)) and isinstance(twist, (int, np.integer))) or r < 0:
+    ints = (int, np.integer)  # a bool is an int to isinstance, and would build Sym^1
+    if not (isinstance(r, ints) and isinstance(twist, ints)) or bool in (type(r), type(twist)) or r < 0:
         raise ValueError(f"need an int r >= 0 and an int twist, got r={r!r}, twist={twist!r}")
     g = _square_stack(sl2_generators(ell) if generators is None else generators, ell, ("generator", "generators"))
     if g.shape[1:] != (2, 2):

@@ -71,8 +71,7 @@ class LocalCondition:
 
 def local_dim(c: LocalCondition, dim_n: int) -> int:
     """Tangent-space dimension of a local condition, per the catalog."""
-    if dim_n < 0:
-        raise ValueError("dim_n must be nonnegative")
+    _check_dims(dim_n=dim_n)
     if c.kind == "ordinary":
         return c.h0_local + c.field_degree * dim_n
     if c.kind == "archimedean":
@@ -91,7 +90,7 @@ class SelmerLedger:
     totally_real_degree: int
     archimedean_fixed_dims: tuple[int, ...] = ()
     locals: tuple[LocalCondition, ...] = ()
-    schema_version: int = SCHEMA_VERSION
+    schema_version: int = field(default=SCHEMA_VERSION, init=False)  # the one schema this class reads
 
     def __post_init__(self):
         _check_dims(**{key: getattr(self, key) for key in GLOBAL_DIMS})
@@ -114,7 +113,7 @@ class SelmerLedger:
         if not isinstance(doc, dict):
             raise ValueError(f"a ledger must be a JSON object, got {type(doc).__name__}")
         version = doc.get("schema_version")
-        if version != SCHEMA_VERSION:
+        if isinstance(version, bool) or not isinstance(version, int) or version != SCHEMA_VERSION:
             raise ValueError(f"unsupported ledger schema_version {version!r}, expected {SCHEMA_VERSION}")
         arch, locs = doc.get("archimedean_fixed_dims", []), doc.get("locals", [])
         if not isinstance(arch, list) or not isinstance(locs, list) or not all(isinstance(c, dict) for c in locs):
@@ -213,22 +212,3 @@ def _center_order(t: SimpleType) -> int:
         return CENTER_ORDERS[str(t)]
     return {"A": t.rank + 1, "B": 2, "C": 2, "D": 4}[t.family]
 
-
-def balanced_ledger(t: SimpleType | str, degree: int) -> SelmerLedger:
-    """The balanced fixture: ordinary surplus degree*dim_n at ell, odd
-
-    archimedean places (fixed dimension N, the number of positive roots, which
-    criterion 7 computes from g), and two balanced places (steinberg, minimal);
-    the difference formula evaluates to 0 on it.
-    """
-    dim_n = len(build_root_datum(t).positive_roots)
-    conds = [LocalCondition("ordinary", h0_local=0, field_degree=degree)]
-    conds += [LocalCondition("steinberg", h0_local=0), LocalCondition("minimal", h0_local=1)]
-    return SelmerLedger(
-        h0_global=0,
-        h0_global_twist=0,
-        dim_n=dim_n,
-        totally_real_degree=degree,
-        archimedean_fixed_dims=tuple([dim_n] * degree),
-        locals=tuple(conds),
-    )

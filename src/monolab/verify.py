@@ -32,6 +32,7 @@ from .exact import content, det_mod, is_prime
 from .group_cohomology import (
     adjoint_h1_via_kostant,
     close_group,
+    h0,
     h1,
     h1_naive,
     module_from_matrices,
@@ -47,7 +48,7 @@ from .principal_sl2 import (
 )
 from .prime_scan import build_report, check_against_reference
 from .rootsys import EXCEPTIONAL_TYPES, build_root_datum
-from .selmer_arith import balanced_ledger, lifting_prime_bounds, oddness_deficit, wiles_difference
+from .selmer_arith import LocalCondition, SelmerLedger, lifting_prime_bounds, oddness_deficit, wiles_difference
 
 
 @dataclass
@@ -262,17 +263,20 @@ def crit_cohomology_vanishing():
 # --- criterion 7 -----------------------------------------------------------
 
 
-def crit_selmer_identities():
-    """The balanced ledgers balance, and their archimedean dimension N is that of an odd involution of g.
+def _ledgers(alg, arch: int, h0_g: int) -> list[SelmerLedger]:
+    """g's ledgers of degree k = 1..3: dim_n = N, k places of dimension arch, h0 = h0(1) = h0_g, ordinary surplus k N."""
+    n, places = len(alg.datum.positive_roots), (LocalCondition("steinberg", 0), LocalCondition("minimal", 1))
+    return [SelmerLedger(h0_g, h0_g, n, k, (arch,) * k, (LocalCondition("ordinary", 0, k), *places)) for k in (1, 2, 3)]
 
-    theta acts by (-1)^ht on x_alpha and by 1 on the Cartan, so dim g^theta =
-    N + #{even exponents}, N exactly when -1 is in W; composed with the
-    diagram involution sigma it is odd, dim g^(sigma theta) = N (B. Gross,
-    "Odd Galois representations").
+
+def crit_selmer_identities():
+    """g's ledgers balance when complex conjugation acts on g as an odd involution, and only then.
+
+    theta acts by (-1)^ht on x_alpha and by 1 on the Cartan, so dim g^theta = N + #{even exponents},
+    N exactly when -1 is in W; composed with the diagram involution sigma it is odd, dim g^(sigma theta)
+    = N (B. Gross, "Odd Galois representations").  So the ledgers with dim g^(sigma theta) must balance
+    on every type, and those with dim g^theta exactly when -1 is in W.
     """
-    for t in EXCEPTIONAL_TYPES:
-        vals = [(wiles_difference(led), oddness_deficit(led)) for led in (balanced_ledger(t, k) for k in (1, 2, 3))]
-        yield all(v == (0, 0) for v in vals), f"{t}: balanced ledgers degrees 1..3 -> {vals}"
     for t in EXCEPTIONAL_TYPES:
         alg = build_chevalley_algebra(t)
         d, n = alg.datum, len(alg.datum.positive_roots)
@@ -286,11 +290,18 @@ def crit_selmer_identities():
             f"{t}: dim g^theta = {fixed}, N + #even exponents = {n} + {even},"
             f" -1 {'in' if d.weyl_has_minus_one else 'not in'} W -> {'ok' if ok else 'MISMATCH'}"
         )
-        arch = balanced_ledger(t, 1).archimedean_fixed_dims[0]
-        ok = odd == n == arch
+        ell = _next_primes((bound := lifting_prime_bounds(t).principal_sl2_bound) + 1, 1)[0]
+        h0_g = sum(h0(sl2_group(ell), sym_module(ell, 2 * m, m)) for m in d.exponents)
+        leds = [_ledgers(alg, arch, h0_g) for arch in (odd, fixed)]
+        vals, theta_vals = ([(wiles_difference(x), oddness_deficit(x)) for x in led] for led in leds)
+        ok = vals == [(0, 0)] * 3 and (theta_vals == [(0, 0)] * 3) == d.weyl_has_minus_one
+        led = leds[0][0]  # the entries printed are the ledgers' own
         yield ok, (
-            f"{t}: dim g^(sigma theta) = {odd} with sigma {'outer' if moved.any() else 'the identity'},"
-            f" N = {n}, balanced-ledger archimedean dim {arch} -> {'ok' if ok else 'MISMATCH'}"
+            f"{t}: ledgers k = 1..3: dim_n = N = {led.dim_n} (root datum), k archimedean places of dim g^(sigma theta)"
+            f" = {led.archimedean_fixed_dims[0]} (sigma {'outer' if moved.any() else 'the identity'}), h0 = h0(1) ="
+            f" {led.h0_global} over the Kostant summands Sym^2m at ell = {ell}, the first prime > 4h-1 = {bound} (det = 1"
+            f" on SL2: h0(1) is h0 until a GL2 group is built); (wiles_difference, oddness_deficit) {vals}, with"
+            f" dim g^theta instead {theta_vals} -> {'ok' if ok else 'MISMATCH'}"
         )
 
 

@@ -14,7 +14,8 @@ import monolab
 from monolab.chevalley import ChevalleyAlgebra, brackets, build_chevalley_algebra
 from monolab.prime_scan import build_report
 from monolab.principal_sl2 import principal_kostant
-from monolab.selmer_arith import local_dim
+from monolab.rootsys import build_root_datum
+from monolab.selmer_arith import LocalCondition, SelmerLedger, local_dim
 
 
 def _clear_per_type_caches():
@@ -214,6 +215,14 @@ def reference_euler_difference(ledger):
         if c.kind != "archimedean":
             total += local_dim(c, ledger.dim_n) - c.h0_local
     return total
+
+
+def balanced_ledger(t, degree):
+    """A ledger balanced by construction: ordinary surplus degree*N at ell, degree archimedean places of fixed
+    dimension N (the number of positive roots of type t), and two balanced places (steinberg, minimal)."""
+    dim_n = len(build_root_datum(t).positive_roots)
+    conds = (LocalCondition("ordinary", 0, degree), LocalCondition("steinberg", 0), LocalCondition("minimal", 1))
+    return SelmerLedger(0, 0, dim_n, degree, (dim_n,) * degree, conds)
 
 
 def ledger_json_dict(ledger):

@@ -121,7 +121,20 @@ C1, C2, C3, C4, C5, C6, C7, C8 = (name for name, _ in verify.CRITERIA)  # criter
 WEIGHT_0 = "weight 0: ker ad X has dimension 1, expected 0"
 G2_FAIL = "G2: exhaustive Jacobi FAIL: Jacobi fails on basis triple (0, 1, 3): {5: 6}"
 KOSTANT, H1, BOUNDS = (principal_sl2, "kostant_decomposition"), (verify, "h1"), (verify, "lifting_prime_bounds")
-TABLE, FAMILY = (verify, "build_chevalley_algebra"), (verify, "sl2_string_family_rows")
+TABLE, FAMILY, LEDGERS = (verify, "build_chevalley_algebra"), (verify, "sl2_string_family_rows"), (verify, "_ledgers")
+
+
+def each_ledger(change):
+    """change(ledger) on each of the degree 1..3 ledgers that `verify._ledgers` builds."""
+    return lambda ledgers: [change(x) for x in ledgers]
+
+
+def ledger_line(t, n, arch, h0, ell, bound, odd_vals, theta_vals, verdict="ok"):
+    """Criterion 7's ledger line for type t."""
+    return (f"{t}: ledgers k = 1..3: dim_n = N = {n} (root datum), k archimedean places of dim g^(sigma theta) = {arch},"
+            f" h0 = h0(1) = {h0} over the Kostant summands Sym^2m at ell = {ell}, the first prime > 4h-1 = {bound}"
+            f" (det = 1 on SL2: h0(1) is h0 until a GL2 group is built); (wiles_difference, oddness_deficit)"
+            f" {odd_vals}, with dim g^theta instead {theta_vals} -> {verdict}")
 
 MUTATIONS = (
     # criterion 6's adjoint sums assume g = sum of V_{2m} under the principal sl2
@@ -172,14 +185,13 @@ MUTATIONS = (
     # sigma the identity: theta alone fixes 38 dimensions of E6, not N = 36
     Mutation("criterion_7_rejects_e6_without_sigma", (verify, "diagram_involution"),
              lambda real, alg: (np.arange(alg.dim), np.ones(alg.dim, dtype=np.int64)),
-             {C7: ["E6: dim g^(sigma theta) = 38 with sigma the identity, N = 36,"
-                   " balanced-ledger archimedean dim 36 -> MISMATCH"]}),
-    # G2's balanced ledgers with archimedean dimension N + 1 = 7, not dim g^(sigma theta)
-    Mutation("criterion_7_rejects_a_ledger_that_is_not_odd", (verify, "balanced_ledger"),
-             where(typed("G2"), lambda x: dataclasses.replace(x, archimedean_fixed_dims=(7,) * x.totally_real_degree)),
-             {C7: ["G2: balanced ledgers degrees 1..3 -> [(-1, 1), (-2, 2), (-3, 3)]",
-                   "G2: dim g^(sigma theta) = 6 with sigma the identity, N = 6,"
-                   " balanced-ledger archimedean dim 7 -> MISMATCH"]}),
+             {C7: [ledger_line("E6", 36, "38 (sigma the identity)", 0, 53, 47, [(-2, 2), (-4, 4), (-6, 6)],
+                               [(-2, 2), (-4, 4), (-6, 6)], "MISMATCH")]}),
+    # G2's ledgers with archimedean dimension N + 1 = 7, not dim g^(sigma theta)
+    Mutation("criterion_7_rejects_a_ledger_that_is_not_odd", LEDGERS,
+             where(typed("G2"), each_ledger(lambda x: dataclasses.replace(x, archimedean_fixed_dims=(7,) * x.totally_real_degree))),
+             {C7: [ledger_line("G2", 6, "7 (sigma the identity)", 0, 29, 23, [(-1, 1), (-2, 2), (-3, 3)],
+                               [(-1, 1), (-2, 2), (-3, 3)], "MISMATCH")]}),
     Mutation("criterion_8_rejects_a_string_family_row_times_59", FAMILY,
              where(typed("E8"), lambda rows: [[59 * c for c in rows[0]], *rows[1:]]),
              {C8: ["E8: string family stays a basis mod [59, 61, 67] -> FAIL"]}),
@@ -194,11 +206,15 @@ MUTATIONS = (
              caught_by="ROADMAP item 15, criterion 8 naming every prime where the family stops being a basis"),
     Mutation("survivor_twist_forced_to_0", (verify, "sym_module"), lambda real, ell, r, twist, **kw: real(ell, r, 0, **kw),
              caught_by="ROADMAP item 18, H^1 over GL2(F_ell), where det is not 1"),
+    Mutation("survivor_both_h0_entries_plus_1", LEDGERS,
+             where(typed(*TYPES), each_ledger(lambda x: dataclasses.replace(x, h0_global=x.h0_global + 1,
+                                                                           h0_global_twist=x.h0_global_twist + 1))),
+             caught_by="nothing: wiles_difference reads only h0 - h0(1); ROADMAP item 18 makes them differ"),
     Mutation("survivor_maximal_image_bound_plus_100", BOUNDS, where(typed(*TYPES), plus("maximal_image_bound", 100)),
              caught_by="nothing: declared data that no criterion reads"),
     Mutation("survivor_principal_bound_plus_2_but_e6", BOUNDS,
              where(typed("G2", "F4", "E7", "E8"), plus("principal_sl2_bound", 2)),
-             caught_by="nothing: declared data that no criterion reads"),
+             caught_by="nothing: criterion 7 reads it only to take h0 at the first prime above it, where h0 is 0"),
 )
 
 
@@ -284,7 +300,11 @@ def test_criterion_7_selmer_identities():
     res = run("selmer-identities")
     report(res, budget_s=1)
     assert "E6: dim g^theta = 38, N + #even exponents = 36 + 2, -1 not in W -> ok" in res.details
-    assert "E6: dim g^(sigma theta) = 36 with sigma outer, N = 36, balanced-ledger archimedean dim 36 -> ok" in res.details
+    zeros = [(0, 0)] * 3
+    assert ledger_line("E6", 36, "36 (sigma outer)", 0, 53, 47, zeros, [(-2, 2), (-4, 4), (-6, 6)]) in res.details
+    # sigma theta balances on every type, theta exactly where -1 is in W; h0 is taken at the first prime > 4h-1
+    for t, n, ell, bound in (("G2", 6, 29, 23), ("F4", 24, 53, 47), ("E7", 63, 73, 71), ("E8", 120, 127, 119)):
+        assert ledger_line(t, n, f"{n} (sigma the identity)", 0, ell, bound, zeros, zeros) in res.details
 
 
 def test_criterion_8_bounds_and_persistence():

@@ -14,12 +14,11 @@ import subprocess
 import sys
 
 import pytest
-from conftest import ledger_json_dict
+from conftest import balanced_ledger, ledger_json_dict
 
 import monolab
 from monolab import cli, fixtures
 from monolab.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
-from monolab.selmer_arith import balanced_ledger
 
 SAMPLE = os.path.join(os.path.dirname(monolab.__file__), "data", "sample_ledger.json")
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -176,9 +175,9 @@ ROWS = [
     row("selmer --ledger {tmp}/e6-balanced.json", 0, "b4c7110465b5e214687333bc46254a5614e3ea15fb17a9f172446c7e9caf3db1", None, ledger=E6_LEDGER, wiles_difference=0, oddness_deficit=0, lgroup_euler_difference=0),
     row("selmer --ledger {tmp}/e6-balanced.json --format csv", 0, "fab0c9f3b669199815e6ed10cc5f0478155db3c60b14122d69abc692a1e7ce76", None, ledger=E6_LEDGER),
     row("selmer --ledger {tmp}/e6-balanced.json --format text", 0, "9211e1c3ac974c723964e665885b6447efe1988667aacf1a792af1d365e63acd", None, ledger=E6_LEDGER),
-    row("verify-paper", 0, "07b541008580aa9c0e5446cc0897f1463e905397628fd4b45551301b228f6d02", "PASS prime-lists"),
-    row("verify-paper --only prime-lists --only selmer-identities", 0, "671a053a3f0e652688044b8e1dbc4638b1482b3626e00516758b780e6fc41ba0", "PASS prime-lists", all_ok=True, **{"criteria.0.name": "prime-lists", "criteria.1.name": "selmer-identities"}),
-    row("verify-paper --only prime-lists --only selmer-identities --format text", 0, "15c8517ef7e9a9bd468e285bb3137300a8082a12a98fa8adce468be0e8efb2e7", "PASS prime-lists"),
+    row("verify-paper", 0, "ac9e85d93468faf4fedaff17f19d995dbc9eeb631256205f33db10316a1aaa46", "PASS prime-lists"),
+    row("verify-paper --only prime-lists --only selmer-identities", 0, "981a3d13a914dd196bae6c3d19588164bae16b4abaaf4fb43681a398326f0ffc", "PASS prime-lists", all_ok=True, **{"criteria.0.name": "prime-lists", "criteria.1.name": "selmer-identities"}),
+    row("verify-paper --only prime-lists --only selmer-identities --format text", 0, "5bf4ff644416d116cbbaf23074b5b4e82581fd86970f2add89fc3f75ca7ee1a2", "PASS prime-lists"),
     row("roots --type A2 --out {tmp}/roots.json", 0, "d1083968e92be1b9878d998b98cc09c7a9daf938c38e0c7611536a181e3a0f16", None, coxeter_number=3),
     # rejected: exit 1, nothing on stdout
     row("selmer --ledger {tmp}/no-such-dir/ledger.json", 1, EMPTY, "error: [Errno 2] No such file or directory: "),
@@ -195,6 +194,7 @@ ROWS = [
     row("selmer --ledger {tmp}/local-not-an-object.json", 1, EMPTY, "error: archimedean_fixed_dims must be a list of ints and locals a list of objects", ledger={**G2_LEDGER, "locals": [3]}),
     row("selmer --ledger {tmp}/stray-field-degree.json", 1, EMPTY, "error: field_degree is read only when kind='ordinary', got it on kind='steinberg'", ledger={**G2_LEDGER, "locals": [STEINBERG_DEGREE_3, {"kind": "ordinary", "h0_local": 0}]}),
     row("selmer --ledger {tmp}/degree-0-with-archimedean.json", 1, EMPTY, "error: a totally real field of degree 0 needs as many archimedean entries, found 2", ledger={**G2_LEDGER, "totally_real_degree": 0, "archimedean_fixed_dims": [6, 6]}),
+    row("selmer --ledger {tmp}/bool-version.json", 1, EMPTY, "error: unsupported ledger schema_version True, expected 1", ledger={**G2_LEDGER, "schema_version": True}),
     row("selmer --ledger {tmp}/nested.json", 1, EMPTY, "error: ledger JSON nested too deeply to parse", ledger="[" * 100000),
     row("cohomology --ell 7", 1, EMPTY, "error: --sym is needed outside sweep mode"),
     row("cohomology --ell 13..17 --sym 2", 1, EMPTY, "error: --ell 13..17: a range is read only in sweep mode"),

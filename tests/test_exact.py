@@ -5,15 +5,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import run_optimized, traced_peak, x_of
+from conftest import ledger_json_dict, run_optimized, traced_peak, x_of
 
 from monolab import exact
-from monolab.chevalley import build_chevalley_algebra
+from monolab.chevalley import build_chevalley_algebra, jacobi_sweep
 from monolab.exact import (
     _CHUNK,
     EchelonState,
     check_prime_modulus,
     det_mod,
+    factor,
     integer_kernel,
     is_prime,
     kernel_mod,
@@ -24,6 +25,7 @@ from monolab.exact import (
 )
 from monolab.group_cohomology import close_group, h1, h1_naive, module_from_matrices, sl2_generators, sl2_group, sym_module
 from monolab.principal_sl2 import principal_kostant, sl2_string_family_rows
+from monolab.selmer_arith import LocalCondition, SelmerLedger, local_dim
 from monolab.verify import _next_primes
 
 
@@ -429,6 +431,67 @@ def test_modulus_type_checked_after_seven_is_accepted(bad):
         check_prime_modulus(bad)
     with pytest.raises(ValueError):
         build_chevalley_algebra("A2").mod(bad)
+
+
+G2 = build_chevalley_algebra("G2")
+NEED_R = "need an int r >= 0 and an int twist, got "
+INT_ARGUMENTS = {  # entry point -> a call on the one argument under test
+    "factor": factor,
+    "is_prime": is_prime,
+    "check_prime_modulus": check_prime_modulus,
+    "sym_module r": lambda x: sym_module(7, x, 0),
+    "sym_module twist": lambda x: sym_module(7, 2, x),
+    "jacobi_sweep samples": lambda x: jacobi_sweep(G2, None, x),
+    "element index": lambda x: G2.element({x: 1}),
+    "element scalar": lambda x: G2.element({0: x}),
+    "SelmerLedger dim_n": lambda x: SelmerLedger(0, 0, x, 0),
+    "local_dim dim_n": lambda x: local_dim(LocalCondition("ordinary", 0, 2), x),
+    "SelmerLedger h0_global": lambda x: SelmerLedger(x, 0, 6, 0),
+    "SelmerLedger schema_version": lambda x: SelmerLedger(0, 0, 6, 0, schema_version=x),
+    "from_json_dict schema_version": lambda x: SelmerLedger.from_json_dict({**ledger_json_dict(SelmerLedger(0, 0, 6, 0)), "schema_version": x}),
+}
+INT_ROWS = [  # (entry point, bad value, exception type, message with {!r} for the value): a bool, a float or a numpy integer is no int
+    ("factor", True, ValueError, "factor's argument is not an int: {!r}"),
+    ("factor", 2.0, ValueError, "factor's argument is not an int: {!r}"),
+    ("factor", np.int64(12), ValueError, "factor's argument is not an int: {!r}"),
+    ("is_prime", True, ValueError, "is_prime's argument is not an int: {!r}"),
+    ("is_prime", 2.0, ValueError, "is_prime's argument is not an int: {!r}"),
+    ("is_prime", np.int64(2**61 - 1), ValueError, "is_prime's argument is not an int: {!r}"),
+    ("check_prime_modulus", True, ValueError, "modulus is not an int: {!r}"),
+    ("check_prime_modulus", 2.0, ValueError, "modulus is not an int: {!r}"),
+    ("check_prime_modulus", np.int64(7), ValueError, "modulus is not an int: {!r}"),
+    ("sym_module r", True, ValueError, NEED_R + "r={!r}, twist=0"),  # would build Sym^1
+    ("sym_module r", 2.0, ValueError, NEED_R + "r={!r}, twist=0"),
+    ("sym_module twist", True, ValueError, NEED_R + "r=2, twist={!r}"),
+    ("sym_module twist", 2.0, ValueError, NEED_R + "r=2, twist={!r}"),
+    ("jacobi_sweep samples", True, ValueError, "samples must be an int >= 0, got {!r}"),
+    ("jacobi_sweep samples", 2.0, ValueError, "samples must be an int >= 0, got {!r}"),
+    ("jacobi_sweep samples", np.int64(3), ValueError, "samples must be an int >= 0, got {!r}"),
+    ("element index", True, ValueError, "not a basis index of ChevalleyAlgebra(G2, ZZ): {!r}"),
+    ("element index", 2.0, ValueError, "not a basis index of ChevalleyAlgebra(G2, ZZ): {!r}"),
+    ("element index", np.int64(0), ValueError, "not a basis index of ChevalleyAlgebra(G2, ZZ): {!r}"),
+    ("element scalar", True, TypeError, "not an integer scalar: {!r}"),
+    ("element scalar", 2.0, TypeError, "not an integer scalar: {!r}"),
+    ("element scalar", np.int64(1), TypeError, "not an integer scalar: {!r}"),
+    ("SelmerLedger dim_n", True, ValueError, "dim_n must be an int, got {!r}"),
+    ("SelmerLedger dim_n", 2.0, ValueError, "dim_n must be an int, got {!r}"),
+    ("SelmerLedger dim_n", np.int64(6), ValueError, "dim_n must be an int, got {!r}"),
+    ("local_dim dim_n", True, ValueError, "dim_n must be an int, got {!r}"),  # was the ordinary surplus 2 * True
+    ("local_dim dim_n", 2.0, ValueError, "dim_n must be an int, got {!r}"),
+    ("SelmerLedger h0_global", True, ValueError, "h0_global must be an int, got {!r}"),
+    ("from_json_dict schema_version", True, ValueError, "unsupported ledger schema_version {!r}, expected 1"),
+    ("from_json_dict schema_version", 1.0, ValueError, "unsupported ledger schema_version {!r}, expected 1"),
+    ("from_json_dict schema_version", np.int64(1), ValueError, "unsupported ledger schema_version {!r}, expected 1"),
+    # the version is the class's, not an argument: a ledger cannot be built claiming another
+    ("SelmerLedger schema_version", True, TypeError, "SelmerLedger.__init__() got an unexpected keyword argument 'schema_version'"),
+]
+
+
+@pytest.mark.parametrize("entry, bad, exc, message", INT_ROWS, ids=[f"{e}-{b!r}" for e, b, *_ in INT_ROWS])
+def test_integer_arguments_refuse_bools_floats_and_numpy_integers(entry, bad, exc, message):
+    with pytest.raises(exc) as caught:
+        INT_ARGUMENTS[entry](bad)
+    assert str(caught.value) == message.format(bad)
 
 
 def test_prime_verdict_computed_once_per_modulus():

@@ -2,12 +2,11 @@ import json
 import random
 
 import pytest
-from conftest import ledger_json_dict, reference_euler_difference
+from conftest import balanced_ledger, ledger_json_dict, reference_euler_difference
 
 from monolab.selmer_arith import (
     LocalCondition,
     SelmerLedger,
-    balanced_ledger,
     lifting_prime_bounds,
     local_dim,
     oddness_deficit,
