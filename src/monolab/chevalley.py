@@ -14,18 +14,18 @@ computer-algebra normalisation
 so in particular [x_i, h[j]] = delta_ij * x_i against the dual Cartan basis
 h[j] (fundamental coweights).
 
-Magnitudes are |N_{a,b}| = p+1, p the depth of the a-string through b (read
-from `RootDatum.string_depths`); signs are +(p+1) on extraspecial pairs in the
-(height, lex) root order and follow elsewhere from the root-quadruple
-identities.  The one store is the read-only int64 array `entries` of rows
-(i, j, k, c), [e_i, e_j] having c on e_k, sorted by (i, j, k) and built in
-array operations on the arrays of `RootDatum`; its one index is the sorted
-array `keys` of i*dim + j.  `ad`, the one builder of ad matrices, scatters the
-entries; `brackets` and `jacobi_sweep` find their rows by one lookup, `_rows`,
-which sorts its queries and runs its binary searches of `keys` in that order.
-Criterion 5 checks the table by exhaustive Jacobi and Carter's magnitude
-identity.  `build_chevalley_algebra` is cached once per parsed simple type,
-and its `datum` is the cached `build_root_datum` of that type.
+Magnitudes are |N_{a,b}| = p+1, p the depth of the a-string through b (from
+`RootDatum.string_depth(u, v)`, the one root-string walk, run on the pairs
+asked); signs are +(p+1) on extraspecial pairs in the (height, lex) root order
+and follow elsewhere from the root-quadruple identities.  The one store is the
+read-only int64 array `entries` of rows (i, j, k, c), [e_i, e_j] having c on
+e_k, sorted by (i, j, k) and built in array operations on the arrays of
+`RootDatum`; its one index is the sorted array `keys` of i*dim + j.  `ad`, the
+one builder of ad matrices, scatters the entries; `brackets` and `jacobi_sweep`
+find their rows by one lookup, `_rows`, which sorts its queries and runs its
+binary searches of `keys` in that order.  Criterion 5 checks the table by
+exhaustive Jacobi and Carter's magnitude identity.  `build_chevalley_algebra`
+is cached once per parsed simple type, on the cached `build_root_datum`.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from itertools import chain
 import numpy as np
 
 from .exact import check_prime_modulus, exact_div_arrays
+from .group_cohomology import _check_budget
 from .rootsys import RootDatum, SimpleType, _read_only, build_root_datum, per_type
 
 
@@ -53,7 +54,7 @@ def _carter_constants(datum: RootDatum):
     """
     num_pos, sums, norm2 = len(datum.positive_roots), datum.root_sums, datum.norm2
     a, b = np.nonzero(np.triu(sums[:num_pos, :num_pos] >= 0))  # positive pairs a < b
-    depth = datum.string_depths[a, b]  # p: depth of the a-string through b
+    depth = datum.string_depth(a, b)  # p: depth of the a-string through b
     down = sums[:num_pos, num_pos:]  # down[g, k]: the index of root g - root k
     gamma, least = sums[a, b], np.argmax((down >= 0) & (down < num_pos), axis=1)
     alpha = least[gamma]  # the extraspecial pair of gamma: (alpha, beta) with the least alpha
@@ -342,10 +343,12 @@ def jacobi_sweep(alg: ChevalleyAlgebra, triples=None, samples: int | None = None
     With neither `triples` nor `samples`, checks every triple at once by
     `_jacobi_contraction`.  Otherwise checks the given triples, or `samples`
     pseudo-random ones: the triples that `random.Random(seed).randrange(dim)`
-    would draw, read off one block of words by `_draw_below`.  Each rotation
+    would draw, read off blocks of words by `_draw_below`.  Each rotation
     (a, b, c) of a triple joins [e_a, e_b] = c1 e_m with [e_m, e_c] = c2 e_t.
-    Returns the number of triples checked; raises ArithmeticError naming the
-    first failing triple and its nonzero coefficients.
+    Returns the number of triples checked.  ArithmeticError names the first
+    failing triple and its nonzero coefficients, ValueError a triple that is
+    not three basis indices; ResourceLimitError refuses, before any draw,
+    samples whose triples (24 bytes each) exceed `memory_budget()`.
     """
     dim = alg.dim
     if triples is None:
@@ -353,8 +356,12 @@ def jacobi_sweep(alg: ChevalleyAlgebra, triples=None, samples: int | None = None
             return _jacobi_contraction(alg)
         if isinstance(samples, bool) or not isinstance(samples, int) or samples < 0:
             raise ValueError(f"samples must be an int >= 0, got {samples!r}")
+        _check_budget(24 * samples, f"{samples} sampled Jacobi triples")
         triples = _draw_below(random.Random(seed), dim, 3 * samples)
     else:
+        triples = list(triples)  # an iterator is read twice
+        if bad := [t for t in triples if not isinstance(t, (tuple, list)) or len(t) != 3][:1]:
+            raise ValueError(f"not a triple of basis indices of {alg!r}: {bad[0]!r}")
         triples = [(alg._index(i), alg._index(j), alg._index(k)) for i, j, k in triples]
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     i, j, k = triples.T
@@ -371,18 +378,18 @@ def _draw_below(rng: random.Random, bound: int, n: int) -> np.ndarray:
 
     For a bound below 2**32, `randrange` takes the top `bound.bit_length()`
     bits of one 32-bit word per try and keeps the first try below `bound`;
-    `getrandbits(32 * m)` returns the next m words, the first lowest.
-    ValueError for a bound outside [1, 2**32).
+    `getrandbits(32 * m)` returns the next m words, the first lowest, so
+    blocks of at most 2**20 words (getrandbits refuses 2**31 bits) draw what
+    one block would.  ValueError for a bound outside [1, 2**32).
     """
     if not 0 < bound < 2**32:
         raise ValueError(f"draws take a bound in [1, 2**32), got {bound}")
-    shift, kept = 32 - bound.bit_length(), np.zeros(0, dtype=np.int64)
-    while len(kept) < n:
-        need = n - len(kept)
-        m = (need << (32 - shift)) // bound + 64  # a try is kept with probability bound / 2**bit_length
+    shift, kept = 32 - bound.bit_length(), [np.zeros(0, dtype=np.int64)]
+    while need := n - sum(map(len, kept)):
+        m = min((need << (32 - shift)) // bound + 64, 2**20)  # a try is kept with probability bound / 2**bit_length
         words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4") >> shift
-        kept = np.r_[kept, words[words < bound][:need]]
-    return kept
+        kept.append(words[words < bound][:need])
+    return np.concatenate(kept)
 
 
 def _jacobi_contraction(alg: ChevalleyAlgebra) -> int:

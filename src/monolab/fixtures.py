@@ -2,10 +2,10 @@
 
 These are the published target values the engines are checked against under
 ``--check-paper`` / ``verify-paper``: `OBSTRUCTION_PRIMES` for G2, F4, E6 and
-E7, the two `E8_CANDIDATES`, and `CENTER_ORDERS`.  The same tables ship as a
-human-readable data file (data/reference_lists.json); `assert_data_file_sync`
-confirms the two copies agree so that conformance checks cannot silently
-drift with the working directory.
+E7 and the two `E8_CANDIDATES`; `CENTER_ORDERS` is reference data for the
+tests of the center order.  The same tables ship as a human-readable data
+file (data/reference_lists.json); `assert_data_file_sync` confirms the two
+copies agree, so conformance checks cannot drift with the working directory.
 
 For E8 the two candidate obstruction-prime lists differ in a single entry
 (367 vs 397); the scan adjudicates which one is real, so both are carried

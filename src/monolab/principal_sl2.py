@@ -19,7 +19,7 @@ ad(Y)^k p_i, k <= 2 m_i, of the Kostant summand V_{2 m_i};
 `principal_kostant` one ZZ decomposition per parsed simple type, shared by the
 scan, verify-paper and the CLI.  H comes from `RootDatum.coroots`; no root
 string is walked here (the roots come from simple reflections, and
-`RootDatum.string_depths` is the one root-string walk).
+`RootDatum.string_depth(u, v)`, run on the pairs asked, is the one walk).
 """
 
 from __future__ import annotations

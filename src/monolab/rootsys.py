@@ -11,8 +11,8 @@ Below `RootDatum` a root is its index k into `all_roots` (the N positive
 roots, then their negatives in the same order, so -(root k) is root
 (k + N) mod 2N).  `RootDatum` alone computes per-root numbers, each a read-only
 array built once per datum: `root_sums`, the signed `heights`, `pairings`,
-`norm2`, `coroots` and the int8 `string_depths`, walked on `root_sums`, the one
-root-string walk.
+`norm2` and `coroots`.  `string_depth(u, v)`, walked on `root_sums`, is the one
+root-string walk, run only on the index pairs a reader passes.
 `_sum_index` builds the sums with array operations on int64 keys short enough
 that no key wraps at any rank.  `per_type` caches each per-type builder (the
 datum here, the Chevalley algebra, the Kostant decomposition and the prime
@@ -227,16 +227,14 @@ class RootDatum:
         twice = 2 * np.array(self.all_roots, dtype=np.int64) * self.simple_norms
         return _read_only(exact_div_arrays(twice, self.norm2[:, None], "coroot"))
 
-    @cached_property
-    def string_depths(self) -> np.ndarray:
-        """(2N x 2N) int8 array: entry (u, v) is the depth of the u-string through v, the largest k with v - k*u a root."""
-        n = len(self.all_roots)
-        minus = np.roll(np.arange(n), n // 2)[:, None]  # minus[u]: the index of -(root u)
-        depths, w = np.zeros((n, n), dtype=np.int8), self.root_sums[minus[:, 0]]  # w[u, v]: v - u, -1 if no root
+    def string_depth(self, u, v) -> np.ndarray:
+        """Int64 depths of the u-strings through v, each the largest k with v - k*u a root; u, v are root indices."""
+        minus = (np.asarray(u) + len(self.positive_roots)) % len(self.all_roots)  # the index of -(root u)
+        depth, w = np.zeros(np.broadcast(minus, v).shape, dtype=np.int64), self.root_sums[minus, v]  # v - u, or -1
         while (live := w >= 0).any():
-            depths += live
+            depth += live
             w = np.where(live, self.root_sums[w, minus], -1)  # one step further down the string
-        return _read_only(depths)
+        return depth
 
     # -- serialisation ---------------------------------------------------
 

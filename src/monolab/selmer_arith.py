@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .fixtures import CENTER_ORDERS, E8_CANDIDATES
+from .fixtures import E8_CANDIDATES
 from .rootsys import SimpleType, build_root_datum
 
 SCHEMA_VERSION = 1
@@ -181,34 +181,24 @@ class PrimeBounds:
 def lifting_prime_bounds(t: SimpleType | str) -> PrimeBounds:
     """Prime thresholds of the two lifting settings for one simple type.
 
-    maximal_image_bound: ell - 1 must exceed max(8z, (h-1)z) for even center
-    order z, or max(8z, (2h-2)z) for odd z, z the simply-connected center
-    order.  principal_sl2_bound: 4h - 1 (for E6 this runs through the dual
-    Coxeter number, which agrees since E6 is simply laced).  The E8 exclusions
-    are "certain", the primes common to both candidate lists that exceed the
-    principal-sl2 bound, and "disputed", the unresolved 367-vs-397 pair that
-    the prime scan adjudicates.
+    maximal_image_bound: ell - 1 must exceed max(8z, (h-1)z) for even z, or
+    max(8z, (2h-2)z) for odd z, z = 1 + #{i : theta_i = 1} the simply-connected
+    center order, read off the highest root theta (one plus the number of
+    minuscule coweights; Bourbaki, Lie Groups and Lie Algebras, ch. VI).
+    principal_sl2_bound: 4h - 1 (through the dual Coxeter number for E6, which
+    agrees as E6 is simply laced).  The E8 exclusions are "certain", the primes
+    common to both candidate lists that exceed the principal-sl2 bound, and
+    "disputed", the unresolved 367-vs-397 pair that the prime scan adjudicates.
     """
-    t = SimpleType.parse(t)
     d = build_root_datum(t)
-    h = d.coxeter_number
-    z = _center_order(t)
+    name, h, z = str(d.simple_type), d.coxeter_number, 1 + d.highest_root.count(1)
     height_term = (h - 1) * z if z % 2 == 0 else (2 * h - 2) * z
     principal = 4 * h - 1
-    exclusions = {}
-    if str(t) == "E8":
-        shared = set.intersection(*map(set, E8_CANDIDATES.values()))
-        exclusions = {"certain": sorted(p for p in shared if p > principal), "disputed": sorted(E8_CANDIDATES)}
+    shared = set.intersection(*map(set, E8_CANDIDATES.values()))
+    exclusions = {"certain": sorted(p for p in shared if p > principal), "disputed": sorted(E8_CANDIDATES)}
     return PrimeBounds(
-        simple_type=str(t),
+        simple_type=name,
         maximal_image_bound=1 + max(8 * z, height_term),
         principal_sl2_bound=principal,
-        e8_exclusions=exclusions,
+        e8_exclusions=exclusions if name == "E8" else {},
     )
-
-
-def _center_order(t: SimpleType) -> int:
-    if t.is_exceptional:
-        return CENTER_ORDERS[str(t)]
-    return {"A": t.rank + 1, "B": 2, "C": 2, "D": 4}[t.family]
-

@@ -164,7 +164,7 @@ def crit_structure_constants():
         # [x_a, x_b] = n x_s for roots a, b, s = a+b; with q the up-length of the a-string through b,
         # N^2 = q (p+1) (s,s)/(b,b) (Carter, Simple Groups of Lie Type, 4.1) and |N| = p+1 give |N| (b,b) = q (s,s)
         a, b, s, n = alg.entries[:, (alg.entries[:3] < 2 * num_pos).all(0)]
-        q = alg.datum.string_depths[(a + num_pos) % (2 * num_pos), b]
+        q = alg.datum.string_depth((a + num_pos) % (2 * num_pos), b)
         bad = int((abs(n) * norm2[b] != q * norm2[s]).sum())
         yield bad == 0, (
             f"{t}: |N_ab|(b,b) = q(a+b,a+b) exhaustive over {len(n)} pairs"

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import monolab
+from monolab import chevalley
 from monolab.chevalley import ChevalleyAlgebra, brackets, build_chevalley_algebra
 from monolab.prime_scan import build_report
 from monolab.principal_sl2 import principal_kostant
@@ -202,6 +203,61 @@ def flipped_algebra(name, factor=-1):
     pair = ((entries[0] == i) & (entries[1] == j)) | ((entries[0] == j) & (entries[1] == i))
     entries[3, pair] *= factor
     return ChevalleyAlgebra(alg.datum, _shared=entries)
+
+
+def frenkel_kac_constants(datum):
+    """(u, v, n) for every pair of roots with a root sum, in `_carter_constants`' orientation, from Frenkel-Kac signs.
+
+    For a simply-laced type, eps(u, v) is bimultiplicative on the root lattice
+    with eps(alpha_i, alpha_j) = -1 exactly when i = j or i < j are linked
+    (Frenkel and Kac, Invent. Math. 62, 1980).  The table's bracket is the
+    negated one, [x_u, x_-u] = -u^vee, so n takes eps(u, v) times -1 for each
+    negative root among u, v and u + v.
+    """
+    num_pos, sums = len(datum.positive_roots), datum.root_sums
+    assert set(datum.simple_norms) == {1}, f"{datum.simple_type} is not simply laced"
+    u, v = np.nonzero(sums >= 0)
+    form = np.eye(datum.rank, dtype=np.int64) + np.triu(np.array(datum.cartan) == -1, 1)  # i = j or i < j linked
+    coords = np.array(datum.all_roots, dtype=np.int64)
+    parity = ((coords[u] @ form) * coords[v]).sum(1) + (u >= num_pos) + (v >= num_pos) + (sums[u, v] >= num_pos)
+    return u, v, 1 - 2 * (parity % 2)
+
+
+def frenkel_kac_algebra(name):
+    """The ZZ Chevalley algebra of a simply-laced type on the Frenkel-Kac signs, built by `_build_table`."""
+    datum = build_root_datum(name)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chevalley, "_carter_constants", frenkel_kac_constants)
+        return ChevalleyAlgebra(datum, _shared=chevalley._build_table(datum))
+
+
+def frenkel_kac_signs(alg, fk):
+    """The int64 signs with sigma e_k = sign[k] e_k mapping alg's table onto the table fk, entry by entry.
+
+    Simple root vectors and the Cartan keep their sign; a positive root k of
+    height >= 2 is s + b with s the least simple root that leaves a root, so
+    sigma [x_s, x_b] = [sigma x_s, sigma x_b] fixes sign[k] from sign[b], one
+    height at a time, and x_-k takes the sign of x_k, as [x_k, x_-k] = -k^vee
+    asks.  AssertionError naming the first entry (i, j, k, c) of alg that does
+    not land on fk.
+    """
+    d, num_pos, dim = alg.datum, alg.basis.num_pos, alg.dim
+    simple, sign = np.arange(d.rank), np.ones(dim, dtype=np.int64)
+    for h in range(2, d.coxeter_number):
+        k = np.flatnonzero(d.heights == h)
+        down = d.root_sums[k[:, None], simple + num_pos]  # root k - s, -1 if none
+        least = np.argmax(down >= 0, axis=1)
+        s, b = simple[least], down[np.arange(len(k)), least]
+        n, image = (t.entries[3, np.searchsorted(t.keys, s * dim + b)] for t in (alg, fk))
+        sign[k] = sign[b] * image * n  # |n| = 1 on a simply-laced type
+    sign[num_pos : 2 * num_pos] = sign[:num_pos]
+    i, j, k, c = alg.entries
+    mapped = np.array([i, j, k, c * sign[i] * sign[j] * sign[k]])
+    if mapped.shape != fk.entries.shape:
+        raise AssertionError(f"{alg!r} has {mapped.shape[1]} entries, the Frenkel-Kac table {fk.entries.shape[1]}")
+    for bad in np.flatnonzero((mapped != fk.entries).any(0))[:1]:
+        raise AssertionError(f"entry {tuple(alg.entries[:, bad].tolist())} of {alg!r} does not land on the table")
+    return sign
 
 
 def reference_euler_difference(ledger):

@@ -3,7 +3,9 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from conftest import (
     ad_power,
     bracket,
     flipped_algebra,
+    frenkel_kac_algebra,
+    frenkel_kac_signs,
     h_of,
     norm2,
     reference_bracket,
@@ -36,6 +40,7 @@ from monolab.chevalley import (
     diagram_involution,
     jacobi_sweep,
 )
+from monolab.group_cohomology import ResourceLimitError
 from monolab.principal_sl2 import build_principal_sl2, kostant_decomposition, principal_kostant
 from monolab.rootsys import build_root_datum
 
@@ -314,25 +319,70 @@ def test_jacobi_paths_report_the_reference_failure():
             assert isinstance(got, str)
 
 
+NOT_A_TRIPLE = "not a triple of basis indices of ChevalleyAlgebra(G2, ZZ): "
+
+
 @pytest.mark.parametrize(
-    "kwargs",
+    "kwargs, message",
     [
-        {"triples": [(999, 0, 0)]},
-        {"triples": [(-1, 0, 1)]},
-        {"triples": [(0.5, 1, 2)]},
-        {"triples": [(True, 1, 2)]},
-        {"triples": [(0, 1, 2), (0, 1)]},
-        {"samples": -5},
-        {"samples": 2.0},
-        {"samples": True},
+        ({"triples": [(999, 0, 0)]}, "not a basis index of ChevalleyAlgebra(G2, ZZ): 999"),
+        ({"triples": [(-1, 0, 1)]}, "not a basis index of ChevalleyAlgebra(G2, ZZ): -1"),
+        ({"triples": [(0.5, 1, 2)]}, "not a basis index of ChevalleyAlgebra(G2, ZZ): 0.5"),
+        ({"triples": [(True, 1, 2)]}, "not a basis index of ChevalleyAlgebra(G2, ZZ): True"),
+        ({"triples": [(0, 1, 2), (0, 1)]}, NOT_A_TRIPLE + "(0, 1)"),
+        ({"triples": [(0, 1, 2, 3)]}, NOT_A_TRIPLE + "(0, 1, 2, 3)"),
+        ({"triples": [5]}, NOT_A_TRIPLE + "5"),
+        ({"triples": ["abc"]}, NOT_A_TRIPLE + "'abc'"),
+        ({"triples": [{0, 1, 2}]}, NOT_A_TRIPLE + "{0, 1, 2}"),
+        ({"samples": -5}, "samples must be an int >= 0, got -5"),
+        ({"samples": 2.0}, "samples must be an int >= 0, got 2.0"),
+        ({"samples": True}, "samples must be an int >= 0, got True"),
     ],
-    ids=["too-large", "negative", "float", "bool", "pair", "negative-samples", "float-samples", "bool-samples"],
+    ids=[
+        "too-large", "negative", "float", "bool", "pair", "four", "int", "str", "set",
+        "negative-samples", "float-samples", "bool-samples",
+    ],
 )
-def test_jacobi_sweep_rejects_what_is_not_a_basis_triple(kwargs):
+def test_jacobi_sweep_rejects_what_is_not_a_basis_triple(kwargs, message):
     alg = build_chevalley_algebra("G2")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(message)):
         jacobi_sweep(alg, **kwargs)
     assert jacobi_sweep(alg, samples=0) == jacobi_sweep(alg, triples=[]) == 0
+
+
+def test_jacobi_sweep_refuses_samples_past_the_memory_budget(monkeypatch):
+    # refused before any draw: 10**8 samples would ask getrandbits for more bits than it takes
+    alg = build_chevalley_algebra("G2")
+    with mock.patch.object(chevalley, "_draw_below") as draw:
+        with pytest.raises(ResourceLimitError, match="100000000 sampled Jacobi triples needs about 2400000000 bytes"):
+            jacobi_sweep(alg, samples=10**8)
+        monkeypatch.setenv("MONOLAB_MEMORY_BUDGET", str(24 * 100))
+        with pytest.raises(ResourceLimitError, match="101 sampled Jacobi triples"):
+            jacobi_sweep(alg, samples=101)
+    assert draw.call_count == 0
+    assert jacobi_sweep(alg, samples=100) == 100  # 24 bytes a triple, exactly the budget
+
+
+def test_jacobi_sweep_draws_lie_scans_triples(monkeypatch):
+    # the 4000 samples of every lie-scan op are the triples randrange draws, bit for bit
+    alg, draw, drawn = build_chevalley_algebra("E8"), chevalley._draw_below, []
+    monkeypatch.setattr(chevalley, "_draw_below", lambda *args: drawn.append(draw(*args)) or drawn[-1])
+    assert jacobi_sweep(alg, samples=4000, seed=301) == 4000
+    assert [list(map(tuple, d.reshape(-1, 3).tolist())) for d in drawn] == [reference_triples(alg.dim, 4000, 301)]
+
+
+def test_block_draw_splits_past_one_getrandbits_block():
+    # 600,000 draws below 1088 take about 1.13 million words, so two blocks of at most 2**20
+    class Spy(random.Random):
+        def getrandbits(self, k):
+            self.asked.append(k)
+            return super().getrandbits(k)
+
+    rng, ref = Spy(7), random.Random(7)
+    rng.asked = []
+    got = _draw_below(rng, 1088, 600_000)
+    assert len(rng.asked) == 2 and max(rng.asked) == 32 * 2**20
+    assert got.tolist() == [ref.randrange(1088) for _ in range(600_000)]
 
 
 @pytest.mark.parametrize("name", ["G2", "F4", "B3", "E8"])
@@ -610,6 +660,28 @@ def test_flipped_sign_fails_the_involution_check():
         with pytest.raises(ArithmeticError, match="no involution mapping the structure constants onto themselves"):
             _check_involution(alg, perm, flipped)
     _check_involution(alg, perm, sign)
+
+
+# -- Frenkel-Kac signs: a second table that Carter's signs must map onto ---------
+
+
+FK_NEGATED = {"A3": 0, "A7": 0, "A14": 0, "D4": 3, "D5": 6, "D8": 21, "D11": 45, "E6": 7, "E7": 18, "E8": 38}
+
+
+@pytest.mark.parametrize("name", FK_NEGATED)
+def test_carter_signs_map_onto_frenkel_kac(name):
+    # the Frenkel-Kac table is a Lie algebra, and a sign on each root vector takes Carter's table onto it
+    fk, alg = frenkel_kac_algebra(name), build_chevalley_algebra(name)
+    assert jacobi_sweep(fk) == fk.dim**3
+    sign = frenkel_kac_signs(alg, fk)
+    assert int((sign[: alg.basis.num_pos] < 0).sum()) == FK_NEGATED[name]
+    assert np.array_equal(fk.entries, alg.entries) == name.startswith("A")  # on type A the two tables agree
+
+
+def test_flipped_carter_sign_fails_the_frenkel_kac_certificate():
+    # negative control: one negated antisymmetric pair lands on no Frenkel-Kac entry under any sign map
+    with pytest.raises(AssertionError, match="does not land on the table"):
+        frenkel_kac_signs(flipped_algebra("E6"), frenkel_kac_algebra("E6"))
 
 
 @pytest.mark.parametrize("pi", [[1, 0, 2, 3, 4, 5], [5, 1, 2, 3, 4, 0], [5, 3, 4, 1, 2, 0]])

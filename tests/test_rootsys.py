@@ -139,10 +139,14 @@ def test_cold_datum_and_algebra_close_the_roots_once():
 
 @pytest.mark.parametrize("name", ALL_TYPES + ["B17"])
 def test_string_depth_matches_tuple_walk(name):
+    # every pair (u, v), asked at once as two index grids
     d = build_root_datum(name)
     roots, root_set = d.all_roots, set(d.all_roots)
-    assert d.string_depths.dtype == np.int8
-    assert d.string_depths.tolist() == [[string_depth(root_set, u, v) for v in roots] for u in roots]
+    u, v = np.indices((len(roots), len(roots)))
+    depth = d.string_depth(u, v)
+    assert depth.dtype == np.int64
+    assert depth.tolist() == [[string_depth(root_set, a, b) for b in roots] for a in roots]
+    assert d.string_depth(0, 1).tolist() == depth[0, 1]  # one pair, as plain ints
 
 
 @pytest.mark.parametrize("name", ALL_TYPES + ["B17"])
@@ -157,7 +161,7 @@ def test_coroots_and_norms_match_tuple_formula(name):
 
 def test_per_root_arrays_read_only_and_built_once():
     d = dataclasses.replace(build_root_datum("F4"))  # a fresh datum, so nothing is cached yet
-    names = ("root_sums", "heights", "pairings", "norm2", "coroots", "string_depths")
+    names = ("root_sums", "heights", "pairings", "norm2", "coroots")
     assert not set(names) & set(vars(d))
     for name in names:
         array = getattr(d, name)
@@ -165,7 +169,7 @@ def test_per_root_arrays_read_only_and_built_once():
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
     assert d.pairings.shape == d.coroots.shape == (48, 4) and d.norm2.shape == d.heights.shape == (48,)
-    assert d.root_sums.shape == d.string_depths.shape == (48, 48)
+    assert d.root_sums.shape == (48, 48)
 
 
 def test_weyl_minus_one_table():

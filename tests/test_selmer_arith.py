@@ -4,6 +4,8 @@ import random
 import pytest
 from conftest import balanced_ledger, ledger_json_dict, reference_euler_difference
 
+from monolab.fixtures import CENTER_ORDERS
+from monolab.rootsys import MAX_RANK, SimpleType, build_root_datum
 from monolab.selmer_arith import (
     LocalCondition,
     SelmerLedger,
@@ -193,6 +195,23 @@ def test_bounds():
     assert a3.maximal_image_bound == 1 + max(8 * 4, 3 * 4)
     a2 = lifting_prime_bounds("A2")  # z = 3 odd, h = 3
     assert a2.maximal_image_bound == 1 + max(8 * 3, 4 * 3)
+
+
+def family_center_order(t):
+    """The center order of the simply connected group by family: n + 1 on A_n, 2 on B and C, 4 on D, else the fixture."""
+    return CENTER_ORDERS[str(t)] if t.is_exceptional else {"A": t.rank + 1, "B": 2, "C": 2, "D": 4}[t.family]
+
+
+def test_center_order_read_off_the_highest_root_is_the_family_rule():
+    # every buildable type: z = 1 + #{i : theta_i = 1} gives the bound that the per-family z gives
+    first = {"A": 1, "B": 2, "C": 3, "D": 4}
+    types = [SimpleType(f, n) for f, lo in first.items() for n in range(lo, MAX_RANK + 1)]
+    types += [SimpleType.parse(t) for t in EXC]
+    assert len(types) == 127
+    for t in types:
+        z, h = family_center_order(t), build_root_datum(t).coxeter_number
+        height_term = (h - 1) * z if z % 2 == 0 else (2 * h - 2) * z
+        assert lifting_prime_bounds(t).maximal_image_bound == 1 + max(8 * z, height_term), t
 
 
 # -- serialisation -----------------------------------------------------------

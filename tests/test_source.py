@@ -242,6 +242,21 @@ def test_each_cohomology_job_has_one_home():
     assert not re.search(r"% *\w+ *== *0", sources["group_cohomology.py"])
 
 
+def test_each_root_fact_has_one_home():
+    # the root-string walk is `RootDatum.string_depth`, run on the pairs asked, and the
+    # center order is read off the highest root: only the reference data names CENTER_ORDERS
+    sources = {path.name: path.read_text() for path in sorted(pathlib.Path(monolab.__file__).parent.glob("*.py"))}
+    assert [name for name, text in sources.items() if "string_depths" in text] == []
+    homes = [
+        file_name
+        for file_name, text in sources.items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.FunctionDef) and node.name == "string_depth"
+    ]
+    assert homes == ["rootsys.py"]
+    assert [name for name, text in sources.items() if "CENTER_ORDERS" in text] == ["fixtures.py"]
+
+
 def _readme_block(heading, language=""):
     """The first fenced block under a README heading."""
     section = (ROOT / "README.md").read_text().split(f"\n## {heading}\n", 1)[1]
