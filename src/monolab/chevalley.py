@@ -26,6 +26,7 @@ find their rows by one lookup, `_rows`, which sorts its queries and runs its
 binary searches of `keys` in that order.  Criterion 5 checks the table by
 exhaustive Jacobi and Carter's magnitude identity.  `build_chevalley_algebra`
 is cached once per parsed simple type, on the cached `build_root_datum`.
+`_signed_map`, the one signed-map builder, gives sigma and the Frenkel-Kac maps.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ import numpy as np
 from .exact import check_prime_modulus, exact_div_arrays
 from .group_cohomology import _check_budget
 from .rootsys import RootDatum, SimpleType, _read_only, build_root_datum, per_type
+
+_BLOCK = 2**12  # triples per pass of `jacobi_sweep`; a pass takes under 6 KiB of temporaries a triple, charged as 16
 
 
 def _carter_constants(datum: RootDatum):
@@ -262,40 +265,46 @@ def _opposition(d: RootDatum) -> list[int]:
 
 
 def diagram_involution(alg: ChevalleyAlgebra) -> tuple[np.ndarray, np.ndarray]:
-    """The diagram automorphism sigma of -w0 as read-only int64 arrays (perm, sign): sigma e_k = sign[k] e_perm[k].
+    """The diagram automorphism sigma of -w0, `_signed_map(alg, alg, _opposition(d))`; ArithmeticError if sigma^2 != 1."""
+    perm, sign = _signed_map(alg, alg, _opposition(alg.datum))
+    if (perm[perm] != np.arange(alg.dim)).any() or (sign * sign[perm] != 1).any():
+        raise ArithmeticError("the signed permutation is no involution")
+    return perm, sign
 
-    sigma permutes the simple x_i, y_i and h_i by `_opposition` and extends one
-    root height at a time: root k = s + b with s simple, so sigma e_k =
-    [sigma e_s, sigma e_b] / N_{s,b} (Carter, Simple Groups of Lie Type, the
-    chapter on twisted groups).  ArithmeticError unless `_check_involution` passes.
+
+def _signed_map(a: ChevalleyAlgebra, b: ChevalleyAlgebra, pi) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only int64 arrays (perm, sign) of e_k -> sign[k] e_perm[k], taking table a onto table b of one root datum.
+
+    The simple x_i, y_i and h_i go to those of pi(i) with sign 1, and the map
+    extends one root height at a time: root k = s + r with s simple, so
+    sigma e_k = [sigma e_s, sigma e_r] / N_{s,r} (Carter, Simple Groups of Lie
+    Type, the chapter on twisted groups).  ArithmeticError unless `_check_map`
+    lands every entry of a on b, which is onto: one root datum's tables share their (i, j, k).
     """
-    d, num_pos, dim = alg.datum, alg.basis.num_pos, alg.dim
-    simple, pi = np.arange(d.rank), np.array(_opposition(d))
-    perm, sign = np.arange(dim), np.ones(dim, dtype=np.int64)
+    d, num_pos, dim = a.datum, a.basis.num_pos, a.dim
+    simple, pi, perm, sign = np.arange(d.rank), np.array(pi), np.arange(dim), np.ones(dim, dtype=np.int64)
     perm[simple], perm[simple + num_pos], perm[simple + 2 * num_pos] = pi, pi + num_pos, pi + 2 * num_pos
     for h in range(2, d.coxeter_number):  # the heights of the non-simple roots
         k = np.flatnonzero(np.abs(d.heights) == h)
         s = simple + num_pos * (k[:, None] >= num_pos)  # the simple roots of each root's sign
         down = d.root_sums[k[:, None], (s + num_pos) % (2 * num_pos)]  # root k - s, -1 if none
         least, rows = np.argmax(down >= 0, axis=1), np.arange(len(k))
-        s, b = s[rows, least], down[rows, least]
-        perm[k] = d.root_sums[perm[s], perm[b]]
+        s, r = s[rows, least], down[rows, least]
+        perm[k] = d.root_sums[perm[s], perm[r]]
         if (perm[k] < 0).any():
             raise ArithmeticError(f"the permutation {pi.tolist()} of the simple roots is no diagram symmetry")
-        n, image = alg.entries[3, np.searchsorted(alg.keys, [s * dim + b, perm[s] * dim + perm[b]])]
-        sign[k] = sign[b] * image // n
-    _check_involution(alg, perm, sign)
+        n, image = (t.entries[3, np.searchsorted(t.keys, u * dim + v)] for t, u, v in ((a, s, r), (b, perm[s], perm[r])))
+        sign[k] = sign[r] * image // n
+    _check_map(a, b, perm, sign)
     return _read_only(perm), _read_only(sign)
 
 
-def _check_involution(alg: ChevalleyAlgebra, perm, sign):
-    """ArithmeticError unless the signed permutation maps every entry (i, j, k, c) onto the table and squares to 1."""
-    i, j, k, c = alg.entries
-    image = np.array([perm[i], perm[j], perm[k], c * sign[i] * sign[j] * sign[k]])
-    image = image[:, np.argsort((image[0] * alg.dim + image[1]) * alg.dim + image[2])]
-    square = np.r_[perm[perm] - np.arange(alg.dim), sign * sign[perm] - 1]
-    if not np.array_equal(image, alg.entries) or square.any():
-        raise ArithmeticError("the signed permutation is no involution mapping the structure constants onto themselves")
+def _check_map(a: ChevalleyAlgebra, b: ChevalleyAlgebra, perm, sign):
+    """ArithmeticError naming the first entry (i, j, k, c) of table a that the signed permutation does not land on b."""
+    key, keys = np.ravel_multi_index(perm[a.entries[:3]], (a.dim,) * 3), np.ravel_multi_index(b.entries[:3], (b.dim,) * 3)
+    at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)  # keys are sorted, as b's entries are
+    for bad in np.flatnonzero((keys[at] != key) | (b.entries[3, at] != a.entries[3] * sign[a.entries[:3]].prod(0)))[:1]:
+        raise ArithmeticError(f"entry {tuple(a.entries[:, bad].tolist())} does not land on the second table")
 
 
 def _rows(keys, queries):
@@ -344,11 +353,12 @@ def jacobi_sweep(alg: ChevalleyAlgebra, triples=None, samples: int | None = None
     `_jacobi_contraction`.  Otherwise checks the given triples, or `samples`
     pseudo-random ones: the triples that `random.Random(seed).randrange(dim)`
     would draw, read off blocks of words by `_draw_below`.  Each rotation
-    (a, b, c) of a triple joins [e_a, e_b] = c1 e_m with [e_m, e_c] = c2 e_t.
-    Returns the number of triples checked.  ArithmeticError names the first
-    failing triple and its nonzero coefficients, ValueError a triple that is
-    not three basis indices; ResourceLimitError refuses, before any draw,
-    samples whose triples (24 bytes each) exceed `memory_budget()`.
+    (a, b, c) of a triple joins [e_a, e_b] = c1 e_m with [e_m, e_c] = c2 e_t,
+    `_BLOCK` triples at a time.  Returns the number of triples checked.
+    ArithmeticError names the first failing triple and its nonzero
+    coefficients, ValueError a triple that is not three basis indices;
+    ResourceLimitError refuses, before any draw, samples whose draws (64 bytes
+    a sample) and one block's check (16 KiB a triple) exceed `memory_budget()`.
     """
     dim = alg.dim
     if triples is None:
@@ -356,7 +366,7 @@ def jacobi_sweep(alg: ChevalleyAlgebra, triples=None, samples: int | None = None
             return _jacobi_contraction(alg)
         if isinstance(samples, bool) or not isinstance(samples, int) or samples < 0:
             raise ValueError(f"samples must be an int >= 0, got {samples!r}")
-        _check_budget(24 * samples, f"{samples} sampled Jacobi triples")
+        _check_budget(64 * samples + 2**14 * min(samples, _BLOCK), f"{samples} sampled Jacobi triples")
         triples = _draw_below(random.Random(seed), dim, 3 * samples)
     else:
         triples = list(triples)  # an iterator is read twice
@@ -364,12 +374,13 @@ def jacobi_sweep(alg: ChevalleyAlgebra, triples=None, samples: int | None = None
             raise ValueError(f"not a triple of basis indices of {alg!r}: {bad[0]!r}")
         triples = [(alg._index(i), alg._index(j), alg._index(k)) for i, j, k in triples]
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-    i, j, k = triples.T
-    first, p = _rows(alg.keys, np.r_[i, j, k] * dim + np.r_[j, k, i])
-    second, q = _rows(alg.keys, alg.entries[2, p] * dim + np.r_[k, i, j][first])
-    slot = np.tile(np.arange(len(triples)), 3)[first[second]]  # the triple's position in the list
-    terms = alg.entries[3, p[second]] * alg.entries[3, q]
-    _check_sums(alg, slot * dim + alg.entries[2, q], terms, lambda s: tuple(triples[s].tolist()))
+    for block in np.split(triples, range(_BLOCK, len(triples), _BLOCK)):  # the first failing block has the first failure
+        i, j, k = block.T
+        first, p = _rows(alg.keys, np.r_[i, j, k] * dim + np.r_[j, k, i])
+        second, q = _rows(alg.keys, alg.entries[2, p] * dim + np.r_[k, i, j][first])
+        slot = np.tile(np.arange(len(block)), 3)[first[second]]  # the triple's position in the block
+        terms = alg.entries[3, p[second]] * alg.entries[3, q]
+        _check_sums(alg, slot * dim + alg.entries[2, q], terms, lambda s: tuple(block[s].tolist()))
     return len(triples)
 
 

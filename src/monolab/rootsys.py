@@ -268,6 +268,7 @@ def _close_positive_roots(cartan) -> list[Root]:
     """
     n = len(cartan)
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    rows = [[(j, a) for j, a in enumerate(row) if a] for row in cartan]  # at most four nonzero entries a row
     known = set(simple)
     frontier = list(simple)
     while frontier:
@@ -275,7 +276,7 @@ def _close_positive_roots(cartan) -> list[Root]:
         for beta in frontier:
             for i in range(n):
                 gamma = list(beta)
-                gamma[i] -= sum(cartan[i][j] * beta[j] for j in range(n))
+                gamma[i] -= sum(a * beta[j] for j, a in rows[i])
                 gamma = tuple(gamma)
                 if gamma[i] >= 0 and gamma not in known:
                     known.add(gamma)

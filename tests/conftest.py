@@ -231,35 +231,6 @@ def frenkel_kac_algebra(name):
         return ChevalleyAlgebra(datum, _shared=chevalley._build_table(datum))
 
 
-def frenkel_kac_signs(alg, fk):
-    """The int64 signs with sigma e_k = sign[k] e_k mapping alg's table onto the table fk, entry by entry.
-
-    Simple root vectors and the Cartan keep their sign; a positive root k of
-    height >= 2 is s + b with s the least simple root that leaves a root, so
-    sigma [x_s, x_b] = [sigma x_s, sigma x_b] fixes sign[k] from sign[b], one
-    height at a time, and x_-k takes the sign of x_k, as [x_k, x_-k] = -k^vee
-    asks.  AssertionError naming the first entry (i, j, k, c) of alg that does
-    not land on fk.
-    """
-    d, num_pos, dim = alg.datum, alg.basis.num_pos, alg.dim
-    simple, sign = np.arange(d.rank), np.ones(dim, dtype=np.int64)
-    for h in range(2, d.coxeter_number):
-        k = np.flatnonzero(d.heights == h)
-        down = d.root_sums[k[:, None], simple + num_pos]  # root k - s, -1 if none
-        least = np.argmax(down >= 0, axis=1)
-        s, b = simple[least], down[np.arange(len(k)), least]
-        n, image = (t.entries[3, np.searchsorted(t.keys, s * dim + b)] for t in (alg, fk))
-        sign[k] = sign[b] * image * n  # |n| = 1 on a simply-laced type
-    sign[num_pos : 2 * num_pos] = sign[:num_pos]
-    i, j, k, c = alg.entries
-    mapped = np.array([i, j, k, c * sign[i] * sign[j] * sign[k]])
-    if mapped.shape != fk.entries.shape:
-        raise AssertionError(f"{alg!r} has {mapped.shape[1]} entries, the Frenkel-Kac table {fk.entries.shape[1]}")
-    for bad in np.flatnonzero((mapped != fk.entries).any(0))[:1]:
-        raise AssertionError(f"entry {tuple(alg.entries[:, bad].tolist())} of {alg!r} does not land on the table")
-    return sign
-
-
 def reference_euler_difference(ledger):
     """The difference formula in its Euler-characteristic grouping, the oracle for `wiles_difference`.
 

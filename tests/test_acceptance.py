@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 from conftest import flipped_algebra, run_optimized
 
-from monolab import prime_scan, principal_sl2, verify
+from monolab import chevalley, prime_scan, principal_sl2, verify
 from monolab.cli import EXIT_MISMATCH, EXIT_OK, main
 from monolab.fixtures import E8_CANDIDATES
 from monolab.group_cohomology import CohomologyReport, sl2_generators
@@ -186,6 +186,12 @@ MUTATIONS = (
     Mutation("criterion_7_rejects_e6_without_sigma", (verify, "diagram_involution"),
              lambda real, alg: (np.arange(alg.dim), np.ones(alg.dim, dtype=np.int64)),
              {C7: [ledger_line("E6", 36, "38 (sigma the identity)", 0, 53, 47, [(-2, 2), (-4, 4), (-6, 6)],
+                               [(-2, 2), (-4, 4), (-6, 6)], "MISMATCH")]}),
+    # sigma's sign on E6's highest root vector (index 35, fixed by sigma) flipped past the map's check: both readers see it
+    Mutation("criteria_1_and_7_reject_a_sigma_sign_past_the_map_check", (chevalley, "_signed_map"),
+             where(typed("E6"), lambda m: (m[0], m[1] * np.where(np.arange(len(m[1])) == 35, -1, 1))),
+             {C1: ["ArithmeticError: E6 exponent 11: char-0 zeros at [], expected exactly [1, 3]"],
+              C7: [ledger_line("E6", 36, "37 (sigma outer)", 0, 53, 47, [(-1, 1), (-2, 2), (-3, 3)],
                                [(-2, 2), (-4, 4), (-6, 6)], "MISMATCH")]}),
     # G2's ledgers with archimedean dimension N + 1 = 7, not dim g^(sigma theta)
     Mutation("criterion_7_rejects_a_ledger_that_is_not_odd", LEDGERS,

@@ -14,7 +14,6 @@ from conftest import (
     bracket,
     flipped_algebra,
     frenkel_kac_algebra,
-    frenkel_kac_signs,
     h_of,
     norm2,
     reference_bracket,
@@ -25,6 +24,7 @@ from conftest import (
     root_constants,
     run_optimized,
     string_depth,
+    traced_peak,
     x_of,
     y_of,
 )
@@ -32,9 +32,10 @@ from conftest import (
 from monolab import chevalley
 from monolab.chevalley import (
     ChevalleyAlgebra,
-    _check_involution,
+    _check_map,
     _draw_below,
     _rows,
+    _signed_map,
     brackets,
     build_chevalley_algebra,
     diagram_involution,
@@ -310,6 +311,7 @@ def test_jacobi_paths_report_the_reference_failure():
         want = reference_jacobi(view, every)
         assert want.startswith("Jacobi fails on basis triple")
         assert sweep_outcome(view, every) == want
+        assert sweep_outcome(view, [(0, 0, 0)] * 5000 + every) == want  # found in the second block of 4096
         for seed in range(3):
             try:
                 got = jacobi_sweep(view, samples=400, seed=seed)
@@ -354,13 +356,22 @@ def test_jacobi_sweep_refuses_samples_past_the_memory_budget(monkeypatch):
     # refused before any draw: 10**8 samples would ask getrandbits for more bits than it takes
     alg = build_chevalley_algebra("G2")
     with mock.patch.object(chevalley, "_draw_below") as draw:
-        with pytest.raises(ResourceLimitError, match="100000000 sampled Jacobi triples needs about 2400000000 bytes"):
+        with pytest.raises(ResourceLimitError, match="100000000 sampled Jacobi triples needs about 6467108864 bytes"):
             jacobi_sweep(alg, samples=10**8)
-        monkeypatch.setenv("MONOLAB_MEMORY_BUDGET", str(24 * 100))
+        monkeypatch.setenv("MONOLAB_MEMORY_BUDGET", str((64 + 2**14) * 100))
         with pytest.raises(ResourceLimitError, match="101 sampled Jacobi triples"):
             jacobi_sweep(alg, samples=101)
     assert draw.call_count == 0
-    assert jacobi_sweep(alg, samples=100) == 100  # 24 bytes a triple, exactly the budget
+    assert jacobi_sweep(alg, samples=100) == 100  # 64 bytes a sample and 16 KiB a triple of the block: exactly the budget
+
+
+@pytest.mark.parametrize("samples", [1, 10_000])
+@pytest.mark.parametrize("name", ["A1", "G2", "E8"])
+def test_jacobi_sweep_stays_within_its_charge(monkeypatch, name, samples):
+    # what the budget check charges bounds the traced peak, draws and one block's check included
+    alg, charged = build_chevalley_algebra(name), []
+    monkeypatch.setattr(chevalley, "_check_budget", lambda need, what: charged.append(need))
+    assert traced_peak(lambda: jacobi_sweep(alg, samples=samples)) <= charged[0]
 
 
 def test_jacobi_sweep_draws_lie_scans_triples(monkeypatch):
@@ -617,21 +628,22 @@ def test_element_canonical_form():
     assert alg.mod(7).element({0: 7, 3: -1}).coeffs == {3: 6}
 
 
-# -- the diagram involution ---------------------------------------------------
+# -- signed maps between tables: the diagram involution --------------------------
+
+
+def lands_on_dict_table(a, b, perm, sign):
+    """Whether [s e_i, s e_j] = s [e_i, e_j] on the dict tables of a and b, for s e_k = sign[k] e_perm[k], and s is onto."""
+    image = {(int(perm[i]), int(perm[j])): sorted((int(perm[k]), c * int(sign[i] * sign[j] * sign[k])) for k, c in terms)
+             for (i, j), terms in reference_table(a).items()}
+    return image == {key: sorted(terms) for key, terms in reference_table(b).items()}
 
 
 @pytest.mark.parametrize("name", ["G2", "F4", "E6", "E7", "E8", "A1", "A4", "B3", "C3", "D4", "D5"])
 def test_diagram_involution_is_an_automorphism(name):
-    # on the dict table: [sigma e_i, sigma e_j] = sigma [e_i, e_j] for every basis pair with a bracket, and
-    # sigma maps the pairs with no bracket to pairs with none; sigma is the identity exactly when -1 is in W
+    # an automorphism of the dict table; sigma is the identity exactly when -1 is in W
     alg = build_chevalley_algebra(name)
     perm, sign = diagram_involution(alg)
-    table = reference_table(alg)
-    image = {
-        (int(perm[i]), int(perm[j])): sorted((int(perm[k]), c * int(sign[i] * sign[j] * sign[k])) for k, c in terms)
-        for (i, j), terms in table.items()
-    }
-    assert image == {key: sorted(terms) for key, terms in table.items()}
+    assert lands_on_dict_table(alg, alg, perm, sign)
     assert (perm[perm] == np.arange(alg.dim)).all() and set(sign.tolist()) <= {-1, 1}
     assert (perm == np.arange(alg.dim)).all() == alg.datum.weyl_has_minus_one
     assert not perm.flags.writeable and not sign.flags.writeable
@@ -650,16 +662,28 @@ def test_e6_diagram_involution_swaps_the_outer_simple_roots():
         assert {int(perm[k]): int(sign[k]) * c for k, c in z.coeffs.items()} == z.coeffs
 
 
-def test_flipped_sign_fails_the_involution_check():
-    # negative control: flipping sigma's sign on any one non-simple root vector breaks the automorphism
+def test_flipped_sign_fails_the_map_check():
+    # negative control: flipping sigma's sign on any one non-simple root vector, positive or negative, breaks the map
     alg = build_chevalley_algebra("E6")
     perm, sign = diagram_involution(alg)
-    for k in range(alg.datum.rank, alg.basis.num_pos):
+    for k in np.flatnonzero(np.abs(alg.datum.heights) >= 2):
         flipped = sign.copy()
         flipped[k] *= -1
-        with pytest.raises(ArithmeticError, match="no involution mapping the structure constants onto themselves"):
-            _check_involution(alg, perm, flipped)
-    _check_involution(alg, perm, sign)
+        with pytest.raises(ArithmeticError, match=r"entry \(.*\) does not land on the second table"):
+            _check_map(alg, alg, perm, flipped)
+    _check_map(alg, alg, perm, sign)
+
+
+def test_d4_triality_lands_with_order_3(monkeypatch):
+    # the one builder takes triality too; only diagram_involution's square check refuses it
+    alg = build_chevalley_algebra("D4")
+    perm, sign = _signed_map(alg, alg, [2, 1, 3, 0])
+    square, identity = perm[perm], np.arange(alg.dim)
+    assert (square != identity).any() and (perm[square] == identity).all() and (sign * sign[perm] * sign[square] == 1).all()
+    assert lands_on_dict_table(alg, alg, perm, sign)
+    monkeypatch.setattr(chevalley, "_opposition", lambda d: [2, 1, 3, 0])
+    with pytest.raises(ArithmeticError, match="the signed permutation is no involution"):
+        diagram_involution(alg)
 
 
 # -- Frenkel-Kac signs: a second table that Carter's signs must map onto ---------
@@ -673,15 +697,16 @@ def test_carter_signs_map_onto_frenkel_kac(name):
     # the Frenkel-Kac table is a Lie algebra, and a sign on each root vector takes Carter's table onto it
     fk, alg = frenkel_kac_algebra(name), build_chevalley_algebra(name)
     assert jacobi_sweep(fk) == fk.dim**3
-    sign = frenkel_kac_signs(alg, fk)
+    perm, sign = _signed_map(alg, fk, range(alg.datum.rank))
+    assert (perm == np.arange(alg.dim)).all() and lands_on_dict_table(alg, fk, perm, sign)
     assert int((sign[: alg.basis.num_pos] < 0).sum()) == FK_NEGATED[name]
     assert np.array_equal(fk.entries, alg.entries) == name.startswith("A")  # on type A the two tables agree
 
 
 def test_flipped_carter_sign_fails_the_frenkel_kac_certificate():
     # negative control: one negated antisymmetric pair lands on no Frenkel-Kac entry under any sign map
-    with pytest.raises(AssertionError, match="does not land on the table"):
-        frenkel_kac_signs(flipped_algebra("E6"), frenkel_kac_algebra("E6"))
+    with pytest.raises(ArithmeticError, match=re.escape("entry (3, 6, 11, -1) does not land on the second table")):
+        _signed_map(flipped_algebra("E6"), frenkel_kac_algebra("E6"), range(6))
 
 
 @pytest.mark.parametrize("pi", [[1, 0, 2, 3, 4, 5], [5, 1, 2, 3, 4, 0], [5, 3, 4, 1, 2, 0]])

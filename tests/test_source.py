@@ -257,6 +257,13 @@ def test_each_root_fact_has_one_home():
     assert [name for name, text in sources.items() if "CENTER_ORDERS" in text] == ["fixtures.py"]
 
 
+def test_signed_maps_have_one_builder():
+    # sigma and the Frenkel-Kac certificate share `chevalley._signed_map`: no copy of it or of its old check remains
+    files = [*pathlib.Path(monolab.__file__).parent.glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    defs = [(f.name, n.name) for f in files for n in ast.walk(ast.parse(f.read_text())) if isinstance(n, ast.FunctionDef)]
+    assert [d for d in defs if d[1] in {"_signed_map", "frenkel_kac_signs", "_check_involution"}] == [("chevalley.py", "_signed_map")]
+
+
 def _readme_block(heading, language=""):
     """The first fenced block under a README heading."""
     section = (ROOT / "README.md").read_text().split(f"\n## {heading}\n", 1)[1]
