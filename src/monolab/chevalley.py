@@ -390,17 +390,20 @@ def _draw_below(rng: random.Random, bound: int, n: int) -> np.ndarray:
     For a bound below 2**32, `randrange` takes the top `bound.bit_length()`
     bits of one 32-bit word per try and keeps the first try below `bound`;
     `getrandbits(32 * m)` returns the next m words, the first lowest, so
-    blocks of at most 2**20 words (getrandbits refuses 2**31 bits) draw what
-    one block would.  ValueError for a bound outside [1, 2**32).
+    blocks of words draw what one long block would.  The draws fill one
+    preallocated array, and a block of at most 2**12 words keeps only its
+    own temporaries beside it.  ValueError for a bound outside [1, 2**32).
     """
     if not 0 < bound < 2**32:
         raise ValueError(f"draws take a bound in [1, 2**32), got {bound}")
-    shift, kept = 32 - bound.bit_length(), [np.zeros(0, dtype=np.int64)]
-    while need := n - sum(map(len, kept)):
-        m = min((need << (32 - shift)) // bound + 64, 2**20)  # a try is kept with probability bound / 2**bit_length
+    shift, out, done = 32 - bound.bit_length(), np.empty(n, dtype=np.int64), 0
+    while done < n:
+        m = min(((n - done) << (32 - shift)) // bound + 64, 2**12)  # a try is kept with probability bound / 2**bit_length
         words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4") >> shift
-        kept.append(words[words < bound][:need])
-    return np.concatenate(kept)
+        kept = words[words < bound][: n - done]
+        out[done : done + len(kept)] = kept
+        done += len(kept)
+    return out
 
 
 def _jacobi_contraction(alg: ChevalleyAlgebra) -> int:

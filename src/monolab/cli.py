@@ -19,7 +19,6 @@ from .group_cohomology import (
     ResourceLimitError,
     adjoint_h1_via_kostant,
     h1,
-    h1_naive,
     sl2_group,
     sym_module,
 )
@@ -94,7 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sym", type=int, help="symmetric power r")
     p.add_argument("--twist", type=int, default=None,
                    help="determinant twist exponent t for det^t (default -r//2); det = 1 on SL2: no matrix changes")
-    p.add_argument("--naive", action="store_true", help="use the per-element oracle solver")
     common(p, with_type=False)
 
     p = sub.add_parser("selmer", help="evaluate the difference formulas on a ledger file")
@@ -151,7 +149,7 @@ def _cmd_primescan(ns: argparse.Namespace) -> int:
 def _cmd_cohomology(ns: argparse.Namespace) -> int:
     sweep = ns.mode == "sweep"
     if sweep:  # the options that only the other mode reads
-        unread = {"--sym": ns.sym is not None, "--twist": ns.twist is not None, "--naive": ns.naive}
+        unread = {"--sym": ns.sym is not None, "--twist": ns.twist is not None}
     else:
         unread = {"--type": ns.type is not None}
     stray = [opt for opt, given in unread.items() if given]
@@ -182,9 +180,8 @@ def _cmd_cohomology(ns: argparse.Namespace) -> int:
     twist = ns.twist if ns.twist is not None else -(ns.sym // 2)
     G = sl2_group(ell)
     M = sym_module(ell, ns.sym, -twist)
-    rep = h1_naive(G, M) if ns.naive else h1(G, M)
-    doc = rep.to_json_dict()
-    doc.update({"ell": ell, "sym": ns.sym, "twist": twist, "solver": "naive" if ns.naive else "borel"})
+    doc = h1(G, M).to_json_dict()
+    doc.update({"ell": ell, "sym": ns.sym, "twist": twist, "solver": "borel"})
     _emit(doc, ns)
     return EXIT_OK
 

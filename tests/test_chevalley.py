@@ -383,7 +383,7 @@ def test_jacobi_sweep_draws_lie_scans_triples(monkeypatch):
 
 
 def test_block_draw_splits_past_one_getrandbits_block():
-    # 600,000 draws below 1088 take about 1.13 million words, so two blocks of at most 2**20
+    # 600,000 draws below 1088 take about 1.13 million words, so at least 276 blocks of at most 2**12
     class Spy(random.Random):
         def getrandbits(self, k):
             self.asked.append(k)
@@ -392,8 +392,14 @@ def test_block_draw_splits_past_one_getrandbits_block():
     rng, ref = Spy(7), random.Random(7)
     rng.asked = []
     got = _draw_below(rng, 1088, 600_000)
-    assert len(rng.asked) == 2 and max(rng.asked) == 32 * 2**20
+    assert len(rng.asked) >= 276 and max(rng.asked) == 32 * 2**12
     assert got.tolist() == [ref.randrange(1088) for _ in range(600_000)]
+
+
+def test_block_draw_holds_its_draws_once():
+    # the 30,000 int64 draws of 10,000 E8 samples take 24 bytes a sample; each
+    # block's words, mask and kept copy add at most 2**12 entries beside them
+    assert traced_peak(lambda: _draw_below(random.Random(0), 248, 30_000)) <= 36 * 10_000
 
 
 @pytest.mark.parametrize("name", ["G2", "F4", "B3", "E8"])

@@ -158,9 +158,6 @@ ROWS = [
     row("cohomology --ell 7 --sym 2 --twist -1", 0, "ec35aa44681448681eba90442aa8a32ce116fa1316fc80ccdb9211c42e589dfd", None, h0=0, h1=0),
     row("cohomology --ell 7 --sym 2 --twist 0", 0, "3ef2be1051ae3cf44ceb97f748c4b6e654375302427de9586b6e3df145111d98"),
     row("cohomology --ell 7 --sym 2 --twist 5", 0, "ff9d6352099b6cff66262a504863c7bae46831624518eb45e0b04e0a2ba1e29c"),
-    row("cohomology --ell 7 --sym 2 --twist -1 --naive", 0, "543779804628440fee70c514244c13f2b6a53b2c6a222ee15e18aabcb7c946d3", None, h0=0, h1=0, solver="naive"),
-    row("cohomology --ell 7 --sym 2 --naive", 0, "543779804628440fee70c514244c13f2b6a53b2c6a222ee15e18aabcb7c946d3"),
-    row("cohomology --ell 7 --sym 3 --naive", 0, "a29f27b1faa521a021c3f8f395e56841f8cfe9c3ae108ecebf191b33faa1f3d1", None, h0=0, h1=0),
     row("cohomology --ell 127 --sym 4", 0, "3eaf3eeaee767ad3da7659d41696d929f4c688b7b02a2f188d06fd87ce1dfd36", None, h1=0, solver="borel"),
     row("cohomology --ell 29 --sym 8", 0, "c8238fb35d5e001b2295928db5ee98c51e457280e6fc9a01d5dd9654304544b4"),
     row("cohomology sweep --type G2 --ell 13..17", 0, "3bc062039db2b7df0fab0da7bbdf00283f9d216ebbf4785de0aca66e675a2bd2", None, sweep=G2_13_17),
@@ -207,7 +204,7 @@ ROWS = [
     row("cohomology sweep --type G2 --ell 13..100000000000000", 1, EMPTY, "error: --ell 13..100000000000000: primes are read only below 2**31"),
     row("cohomology --ell " + "9" * 5000 + " --sym 2", 1, EMPTY, f"error: --ell {'9' * 5000}: primes are read only below 2**31"),
     row("cohomology --type Z9 --ell 7 --sym 2", 1, EMPTY, "error: --type not read outside sweep mode"),
-    row("cohomology sweep --type G2 --ell 13 --sym 4 --naive", 1, EMPTY, "error: --sym, --naive not read in sweep mode"),
+    row("cohomology sweep --type G2 --ell 13 --sym 4", 1, EMPTY, "error: --sym not read in sweep mode"),
     row("cohomology sweep --type G2 --ell 13 --twist 0", 1, EMPTY, "error: --twist not read in sweep mode"),
     row("cohomology sweep --type Z9 --ell 24..28", 1, EMPTY, "error: not a classified simple type: Z9"),
     row("roots --type Z9", 1, EMPTY, "error: not a classified simple type: Z9"),
@@ -221,6 +218,7 @@ ROWS = [
     row("roots --type A٣", 1, EMPTY, "error: cannot parse simple type 'A٣'"),
     row("roots --type A" + "9" * 5000, 1, EMPTY, f"error: A{'9' * 5000}: ranks above 32 are not built"),
     row("verify-paper --only nonsense", 1, EMPTY, "error: unknown criteria: ['nonsense']"),
+    row("cohomology --ell 7 --sym 2 --naive", 1, EMPTY, "usage: monolab [-h] {roots,kostant,primescan,cohomology,selmer,bounds,verify-paper} ...\nmonolab: error: unrecognized arguments: --naive"),
     row("verify-paper --nightly", 1, EMPTY, "usage: monolab [-h] {roots,kostant,primescan,cohomology,selmer,bounds,verify-paper} ...\nmonolab: error: unrecognized arguments: --nightly"),
 ]
 

@@ -1,17 +1,20 @@
+import dataclasses
 import hashlib
+import math
 import re
 import tracemalloc
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 import pytest
 from conftest import run_optimized, traced_peak
 
-from monolab import group_cohomology
+from monolab import group_cohomology, verify
 from monolab.exact import EchelonState, det_mod, is_prime, rank_mod
 from monolab.group_cohomology import (
     CohomologyReport,
     FiniteMatrixGroup,
+    ModuleAction,
     ResourceLimitError,
     _primitive_root,
     _relation_lattice,
@@ -201,6 +204,17 @@ def test_closure_residues_near_2_31():
             assert elements[G.cayley[g, j]] == mat_mult(elements[g], s, p), (g, j)
 
 
+def test_bfs_level_shapes():
+    # the unipotent groups of orders 61 and 251 take one element per level, and some
+    # level of the Borel subgroup of SL2(F_7) is entered by both of its generators
+    for ell in (61, 251):
+        assert bfs_tree(close_group([((1, 1), (0, 1))], ell))[0] == list(range(ell))
+    level_gens = {}
+    for d, j in zip(*bfs_tree(close_group(BOREL_7, 7))):
+        level_gens.setdefault(d, set()).add(j)
+    assert {0, 1} in level_gens.values()
+
+
 def test_closed_group_keeps_no_element_tuples():
     # a closed group is its Cayley table and tree: SL2(F_29) keeps about
     # 0.6 MB of arrays, where its 24,360 element tuples took about 4.7 MB
@@ -351,12 +365,6 @@ def test_sym_build_checked_against_budget(monkeypatch):
         sym_module(2**31 - 1, 10**6, 0)
 
 
-def test_det_twist_trivial_on_sl2():
-    a = sym_module(13, 4, 2).matrices
-    b = sym_module(13, 4, 0).matrices
-    assert all(np.array_equal(x, y) for x, y in zip(a, b))
-
-
 # -- h0 ------------------------------------------------------------------------
 
 
@@ -388,36 +396,6 @@ def abelianization_elementary_divisors(G):
     return tuple(d for d in _smith_divisors(_relation_lattice(G), len(G.generators)) if d != 1)
 
 
-def test_h1_trivial_on_perfect_group():
-    G = sl2_group(7)
-    rep = h1(G, trivial_module(7, 2))
-    assert rep.h1 == 0
-    assert rep.h1 == h1_trivial_module_rank(G)
-    assert abelianization_elementary_divisors(G) == ()
-
-
-def test_h1_trivial_on_cyclic_group():
-    C = close_group([((1, 1), (0, 1))], 7)
-    assert C.order == 7
-    assert abelianization_elementary_divisors(C) == (7,)
-    rep = h1(C, trivial_module(7, 1))
-    assert rep.h1 == 1 == h1_trivial_module_rank(C)
-
-
-def test_h1_trivial_sl2_f3():
-    # SL2(F_3) has abelianisation Z/3, so the trivial F_3 module sees it
-    G = sl2_group(3)
-    assert abelianization_elementary_divisors(G) == (3,)
-    assert h1(G, trivial_module(3, 2)).h1 == 1 == h1_trivial_module_rank(G)
-
-
-def test_torus_relation_lattice():
-    T = close_group([((2, 0), (0, 7))], 13)  # cyclic of order 12
-    assert T.order == 12
-    assert abelianization_elementary_divisors(T) == (12,)
-    assert h1_trivial_module_rank(T) == 0  # gcd(12, 13) = 1
-
-
 def loop_relations(G):
     # the nonzero count vectors of the loops that non-tree edges close, by a
     # plain loop over the Cayley edges in breadth-first order
@@ -446,78 +424,25 @@ IDENTITY_2 = ((1, 0), (0, 1))
         ([((3, 0), (0, 1)), ((1, 0), (0, 6)), ((6, 0), (0, 6))], 7, (2, 6)),
         ([((1, 1, 0), (0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 1), (0, 0, 1))], 3, (3, 3)),
         (list(sl2_generators(5)[::-1]) + [sl2_generators(5)[0]], 5, ()),
+        # the groups of the smith rows of CROSS_CHECKS: SL2(F_7) is perfect, SL2(F_3)^ab = Z/3,
+        # and the cyclic group of order 7, the torus of order 12 and the Borel subgroup of SL2(F_7)
+        (sl2_generators(7), 7, ()),
+        (sl2_generators(3), 3, (3,)),
+        ([((1, 1), (0, 1))], 7, (7,)),
+        ([((2, 0), (0, 7))], 13, (12,)),
+        (BOREL_7, 7, (6,)),
     ],
 )
 def test_relation_lattice_rows(gens, ell, divisors):
     # the lattice is handed over as its distinct nonzero loop relations; the
-    # elementary divisors are those the gcd echelon basis gave
+    # elementary divisors are those the gcd echelon basis gave, and G^ab (x) F_ell
+    # has one dimension for each of them that ell divides
     G = close_group(gens, ell)
     rows = _relation_lattice(G)
     assert len(set(rows)) == len(rows) and all(any(r) for r in rows)
     assert set(rows) == loop_relations(G)
     assert abelianization_elementary_divisors(G) == divisors
-
-
-@pytest.mark.parametrize(
-    "gens",
-    [[IDENTITY_2] + BOREL_7, BOREL_7 + [BOREL_7[0]], [BOREL_7[1], IDENTITY_2, BOREL_7[1], BOREL_7[0]]],
-    ids=["identity-first", "repeated", "identity-and-repeated"],
-)
-def test_naive_matches_cayley_on_repeated_and_identity_generators(gens):
-    # the naive system reads s_j's element as cayley[0, j]; a repeated
-    # generator or the identity in the list must not shift it
-    B = close_group(gens, 7)
-    assert B.order == 42
-    for r in range(6):
-        M = sym_module(7, r, 1, generators=B.generators)
-        rep = h1(B, M)
-        assert rep == h1_naive(B, M), r
-        assert rep.h1 == int(r == 4), r
-
-
-def test_symmetric_power_vanishing_values():
-    # away from the single exceptional weight, even symmetric powers vanish
-    G = sl2_group(13)
-    for r in (0, 2, 4, 6, 8, 12):
-        assert h1(G, sym_module(13, r, r // 2)).h1 == 0
-    # the exceptional weight r = ell - 3 is genuinely nonzero (certified below)
-    assert h1(G, sym_module(13, 10, 5)).h1 == 1
-
-
-def test_excluded_size_exploratory_value():
-    G = sl2_group(5)
-    rep = h1(G, sym_module(5, 2, 1))
-    assert rep.h1 == EXPLORATORY_SL2_F5_SYM2
-    assert h1_naive(G, sym_module(5, 2, 1)) == rep
-
-
-# generators of cyclic subgroups of SL2(ZZ), by order
-CYCLIC_GENERATORS = {
-    2: ((-1, 0), (0, -1)),
-    3: ((0, -1), (1, -1)),
-    4: ((0, -1), (1, 0)),
-    6: ((1, -1), (1, 0)),
-}
-
-
-def test_h1_exact_at_largest_prime():
-    # products of residues near 2**31 overflow int64; the true value is 0
-    # because the group order 3 is prime to ell
-    ell = 2**31 - 1
-    C = close_group([CYCLIC_GENERATORS[3]], ell)
-    M = sym_module(ell, 6, 0, generators=C.generators)
-    assert h1(C, M).h1 == 0
-    assert h1_naive(C, M).h1 == 0
-
-
-@pytest.mark.parametrize("order", sorted(CYCLIC_GENERATORS))
-def test_coprime_cyclic_h1_vanishes_below_2_31(order):
-    for ell in (2**31 - 1, 2147483629, 2147483587):
-        C = close_group([CYCLIC_GENERATORS[order]], ell)
-        assert C.order == order
-        for r in (4, 5, 6):
-            M = sym_module(ell, r, 0, generators=C.generators)
-            assert h1(C, M).h1 == h1_naive(C, M).h1 == 0, (ell, r)
+    assert h1_trivial_module_rank(G) == sum(d % ell == 0 for d in divisors)
 
 
 def test_report_rejects_negative_dimensions():
@@ -611,27 +536,6 @@ def certified_nonvanishing(ell, r):
     return True
 
 
-def test_certified_nonvanishing_at_ell_minus_3():
-    # the one nonzero weight below ell: verified by an explicit non-coboundary
-    # cocycle whose cocycle identity is checked on every pair of elements
-    assert certified_nonvanishing(7, 4)
-
-
-def test_oracle_equivalence_small_groups():
-    cases = []
-    g3 = sl2_group(3)
-    cases += [(g3, sym_module(3, 2, 1)), (g3, trivial_module(3, 2))]
-    g5 = sl2_group(5)
-    cases += [(g5, sym_module(5, 2, 1)), (g5, sym_module(5, 4, 2)), (g5, trivial_module(5, 2))]
-    c7 = close_group([((1, 1), (0, 1))], 7)
-    cases += [(c7, sym_module(7, 1, 0, generators=c7.generators)), (c7, trivial_module(7, 1))]
-    t13 = close_group([((2, 0), (0, 7))], 13)
-    cases += [(t13, sym_module(13, 2, 1, generators=t13.generators))]
-    for G, M in cases:
-        assert G.order <= 200
-        assert h1(G, M) == h1_naive(G, M), (G, M.description)
-
-
 def bfs_tree(G):
     # breadth-first distance of every element and the generator of the first
     # edge reaching it, by a plain loop of its own
@@ -643,53 +547,253 @@ def bfs_tree(G):
     return dist, via
 
 
-def test_h1_one_element_levels():
-    # the unipotent group of order 61 has one element per level; Sym^r with
-    # r + 1 < ell is one Jordan block, so h1 = dim ker N / im(u - 1) = 1
-    U = close_group([((1, 1), (0, 1))], 61)
-    assert bfs_tree(U)[0] == list(range(61))
-    for r in range(9):
-        M = sym_module(61, r, 0, generators=U.generators)
-        rep = h1(U, M)
-        assert rep == h1_naive(U, M), r
-        assert rep.h1 == 1 and rep.h0 == 1, r
+# -- H^1 cross-checks --------------------------------------------------------
+#
+# CROSS_CHECKS has one row per group and solver set.  `cross_check` runs each
+# named solver on each module of the row, requires one CohomologyReport from
+# all of them, and compares that report with the value that the row's source
+# gives from outside the solvers:
+#   coprime      gcd(|G|, ell) = 1, so h1 = 0;
+#   closed-form  h1 = [r = ell - 3] on SL2(F_ell) or its Borel subgroup, for
+#                ell >= 7 and r < ell (restriction to B is an isomorphism on
+#                H^1: the index ell + 1 is prime to ell, and the torus has no
+#                H^1); on the unipotent group of order ell, Sym^r with
+#                r + 1 < ell is one Jordan block, so h1 = h0 = 1;
+#   smith        `h1_trivial_module_rank`, read off the relation lattice;
+#   additive     h1 adds over direct sums;
+#   certificate  `certified_nonvanishing`: an explicit cocycle outside B^1 at
+#                r = ell - 3, the one class there;
+#   pinned       EXPLORATORY_SL2_F5_SYM2, where the solver itself is the source;
+#   None         only agreement vouches for the value (AGREEMENT_ONLY).
+# On a trivial module h0 = dim as well, and every report has dim B^1 = dim - h0.
+# Agreement alone is weak: all three solvers reduce through exact.EchelonState,
+# and the Cayley solver and h1_naive share _tree_products and _check_module
+# (cocycles as in K. S. Brown, Cohomology of Groups, IV.2; independent checks
+# as in McConnell, Mehlhorn, Naeher and Schweitzer, "Certifying algorithms", 2011).
 
 
-def test_h1_torus_levels():
-    # the split torus of SL2(F_31) is cyclic of order 30, prime to 31
-    T = close_group([((3, 0), (0, 21))], 31)
-    assert T.order == 30
-    for r in (0, 1, 2, 7, 15, 30):
-        M = sym_module(31, r, r // 2, generators=T.generators)
-        rep = h1(T, M)
-        assert rep == h1_naive(T, M), r
-        assert rep.h1 == 0, r
+@dataclasses.dataclass(frozen=True)
+class CrossCheck:
+    name: str  # run by test_<name>; the rows named x[p] are the parameters p of test_x
+    gens: tuple  # the generator list
+    ell: int
+    modules: tuple  # each (r1, r2, ...): Sym^r1 + Sym^r2 + ... on gens, twist 0; or a fixture module as it is
+    solvers: tuple  # names in SOLVERS
+    source: str | None
+    order: int | None = None  # the group order, where the row pins it
 
 
-def test_h1_borel_two_generator_levels():
-    # restriction from SL2(F_7) to its Borel subgroup B is an isomorphism on
-    # H^1 (the index 8 is prime to 7 and the torus has no H^1), so
-    # h1(B, Sym^r) = [r = ell - 3]; the trivial summand adds the rank of
-    # B^ab (x) F_7, which is 0
-    B = close_group(BOREL_7, 7)
-    dist, via = bfs_tree(B)
-    level_gens = {}
-    for d, j in zip(dist[1:], via[1:]):
-        level_gens.setdefault(d, set()).add(j)
-    assert {0, 1} in level_gens.values()
-    trivial_rank = h1_trivial_module_rank(B, 2)
-    assert trivial_rank == 0
-    for r in range(7):
-        for twist in (0, 1, 3):
-            M = module_direct_sum(sym_module(7, r, twist, generators=B.generators), trivial_module(7, 2, 2))
-            rep = h1(B, M)
-            assert rep == h1_naive(B, M), (r, twist)
-            assert rep.h1 == int(r == 4) + trivial_rank, (r, twist)
+SOLVERS = {
+    "h1": h1,  # on the given generators: the Borel solver on `sl2_generators`, else the Cayley solver
+    "swapped": lambda G, M: h1(swapped_group(G.ell, G.generators), swapped_module(M)),
+    "naive": h1_naive,
+}
+ALL, NO_NAIVE = tuple(SOLVERS), ("h1", "swapped")
+ONE_GENERATOR = ("h1", "naive")  # the swapped list is the same list
+
+# generators of cyclic subgroups of SL2(ZZ), by order
+CYCLIC_GENERATORS = {
+    2: ((-1, 0), (0, -1)),
+    3: ((0, -1), (1, -1)),
+    4: ((0, -1), (1, 0)),
+    6: ((1, -1), (1, 0)),
+}
+UNIPOTENT = ((1, 1), (0, 1))
 
 
 def torus_generator(ell):
     a = _primitive_root(ell)
     return ((a, 0), (0, pow(a, -1, ell)))
+
+
+def each(rs):
+    return tuple((r,) for r in rs)
+
+
+def sl2_row(name, ell, modules, solvers, source):
+    return CrossCheck(name, sl2_generators(ell), ell, modules, solvers, source)
+
+
+# verify's oracle fixtures, one row per (G, M) in its order: name, source and group order
+FIXTURE_ROWS = [
+    CrossCheck(name, G.generators, G.ell, (M,), ALL if len(G.generators) > 1 else ONE_GENERATOR, source, order)
+    for (name, source, order), (G, M) in zip(
+        [
+            ("oracle_fixture[sl2-3-sym2]", None, 24),
+            ("h1_trivial_sl2_f3", "smith", 24),
+            ("excluded_size_exploratory_value", "pinned", 120),
+            ("oracle_fixture[sl2-5-sym4]", None, 120),
+            ("oracle_fixture[unipotent-7-sym1]", "closed-form", 7),
+            ("h1_trivial_on_cyclic_group", "smith", 7),
+            ("oracle_fixture[torus-13-sym2]", "coprime", 12),
+        ],
+        verify._oracle_fixture_groups(),
+        strict=True,
+    )
+]
+
+# the Borel subgroup of SL2(F_7) on lists with the identity or a repeated generator: the naive
+# system reads s_j's element as cayley[0, j], which such a list must not shift
+BOREL_LISTS = {
+    "identity-first": (IDENTITY_2, *BOREL_7),
+    "repeated": (*BOREL_7, BOREL_7[0]),
+    "identity-and-repeated": (BOREL_7[1], IDENTITY_2, BOREL_7[1], BOREL_7[0]),
+}
+
+CROSS_CHECKS = (
+    *FIXTURE_ROWS,
+    sl2_row("h1_trivial_on_perfect_group", 7, ((0,),), ALL, "smith"),
+    sl2_row("certified_nonvanishing_at_ell_minus_3", 7, ((4,),), NO_NAIVE, "certificate"),
+    sl2_row("h1_direct_sum_additive", 5, ((2, 4),), ALL, "additive"),
+    *(sl2_row(f"symmetric_power_vanishing_values[{ell}]", ell, each(range(ell)), NO_NAIVE, "closed-form")
+      for ell in (7, 11, 13)),
+    # every r < 8 at ell < 5, and past r = ell - 1 with a direct sum from ell = 5 on
+    sl2_row("borel_matches_cayley[2]", 2, each(range(8)) + ((0, 3, 0, 0),), ALL, None),
+    sl2_row("borel_matches_cayley[3]", 3, each(range(8)) + ((0, 4, 0, 0), (4, 0, 0)), ALL, None),
+    *(sl2_row(f"borel_matches_cayley[{ell}]", ell, each(range(ell, ell + 3)) + ((ell - 3, ell + 1, 0, 0),), NO_NAIVE,
+              None) for ell in (5, 7, 11, 13)),
+    # h1_naive refuses |G| dim > 1500; Sym^2 and Sym^4 at ell = 5 and Sym^0 at ell = 7 are rows above
+    sl2_row("borel_matches_naive[5]", 5, each((0, 1, 3)), ALL, None),
+    sl2_row("borel_matches_naive[7]", 7, each((1,)), ALL, "closed-form"),
+    *(CrossCheck(f"naive_matches_cayley_on_repeated_and_identity_generators[{key}]", gens, 7, each(range(7)),
+                 ALL, "closed-form", 42) for key, gens in BOREL_LISTS.items()),
+    CrossCheck("h1_borel_two_generator_levels", tuple(BOREL_7), 7, tuple((r, 0, 0) for r in range(7)), ALL,
+               "closed-form", 42),
+    CrossCheck("h1_one_element_levels", (UNIPOTENT,), 61, each(range(9)), ONE_GENERATOR, "closed-form", 61),
+    *(CrossCheck(f"naive_on_the_unipotent_group_of_order_251[{r}]", (UNIPOTENT,), 251, ((r,),), ONE_GENERATOR,
+                 "closed-form", 251) for r in (0, 1)),
+    CrossCheck("h1_torus_levels", (((3, 0), (0, 21)),), 31, each((0, 1, 2, 7, 15, 30)), ONE_GENERATOR, "coprime", 30),
+    CrossCheck("naive_on_the_torus_of_order_126", (torus_generator(127),), 127, ((0, 0, 0, 0),), ONE_GENERATOR,
+               "coprime", 126),
+    CrossCheck("torus_relation_lattice", (((2, 0), (0, 7)),), 13, ((0,),), ONE_GENERATOR, "smith", 12),
+    # products of residues near 2**31 overflow int64, which once gave h1 = -2 at order 3 on Sym^6;
+    # the id k is order k at 2**31 - 1
+    CrossCheck("h1_exact_at_largest_prime", (CYCLIC_GENERATORS[3],), 2**31 - 1, ((6,),), ONE_GENERATOR, "coprime", 3),
+    *(CrossCheck(f"coprime_cyclic_h1_vanishes_below_2_31[{k if ell == 2**31 - 1 else f'{k}-{ell}'}]", (g,), ell,
+                 each((4, 5) if (k, ell) == (3, 2**31 - 1) else (4, 5, 6)), ONE_GENERATOR, "coprime", k)
+      for k, g in CYCLIC_GENERATORS.items() for ell in (2**31 - 1, 2147483629, 2147483587)),
+)
+
+# the rows that only agreement vouches for, each with the ROADMAP item that would give it an
+# independent value: 14, a Fox-calculus solver at every ell, or 25, certificates for every (ell, r)
+AGREEMENT_ONLY = {
+    "oracle_fixture[sl2-3-sym2]": 14,
+    "oracle_fixture[sl2-5-sym4]": 14,
+    "borel_matches_cayley[2]": 14,
+    "borel_matches_cayley[3]": 14,
+    "borel_matches_cayley[5]": 14,
+    "borel_matches_cayley[7]": 25,
+    "borel_matches_cayley[11]": 25,
+    "borel_matches_cayley[13]": 25,
+    "borel_matches_naive[5]": 14,
+}
+
+
+@lru_cache(maxsize=None)
+def table_group(gens, ell):
+    # SL2(F_ell) on sl2_generators stays unclosed until something reads its closure
+    return sl2_group(ell) if gens == sl2_generators(ell) else close_group(gens, ell)
+
+
+def table_module(G, spec):
+    if isinstance(spec, ModuleAction):
+        return spec
+    return reduce(module_direct_sum, [sym_module(G.ell, r, 0, generators=G.generators) for r in spec])
+
+
+def independent_value(row, G, spec):
+    """The report fields that row.source fixes for the module of spec, each from outside the solvers."""
+    rs = (spec.dim - 1,) if isinstance(spec, ModuleAction) else spec  # a fixture module is one Sym^r
+    ell = G.ell
+    value = {} if any(rs) else {"h0": len(rs)}
+    if row.source == "coprime":
+        assert math.gcd(G.order, ell) == 1
+        value["h1"] = 0
+    elif row.source == "closed-form" and G.order == ell:  # the unipotent group
+        assert max(rs) + 1 < ell
+        value.update(h0=len(rs), h1=len(rs))
+    elif row.source == "closed-form":  # SL2(F_ell) or its Borel subgroup
+        assert ell >= 7 and max(rs) < ell
+        value["h1"] = rs.count(ell - 3)
+    elif row.source == "smith":
+        assert not any(rs)
+        value["h1"] = h1_trivial_module_rank(G, len(rs))
+    elif row.source == "additive":
+        assert len(rs) > 1
+        value["h1"] = sum(h1(G, table_module(G, (r,))).h1 for r in rs)
+    elif row.source == "certificate":
+        assert rs == (ell - 3,) and certified_nonvanishing(ell, ell - 3)
+        value["h1"] = 1
+    elif row.source == "pinned":
+        assert (ell, rs) == (5, (2,))
+        value["h1"] = EXPLORATORY_SL2_F5_SYM2
+    else:
+        assert row.source is None, row.source
+    return value
+
+
+def cross_check(row):
+    G = table_group(row.gens, row.ell)
+    assert row.order in (None, G.order)
+    for spec in row.modules:
+        M = table_module(G, spec)
+        reports = {name: SOLVERS[name](G, M) for name in row.solvers}
+        rep = reports[row.solvers[0]]
+        assert set(reports.values()) == {rep}, (spec, reports)
+        assert rep.dim_B1 == M.dim - rep.h0, (spec, rep)
+        want = independent_value(row, G, spec)
+        assert {key: getattr(rep, key) for key in want} == want, (spec, rep)
+
+
+def _runner(rows):
+    """test_x: the one row named x, or the rows x[p] as its parameters p."""
+    if len(rows) == 1 and "[" not in rows[0].name:
+        return lambda: cross_check(rows[0])
+
+    @pytest.mark.parametrize("row", rows, ids=[row.name.partition("[")[2][:-1] for row in rows])
+    def test(row):
+        cross_check(row)
+
+    return test
+
+
+for _name in dict.fromkeys(row.name.partition("[")[0] for row in CROSS_CHECKS):
+    globals()[f"test_{_name}"] = _runner([row for row in CROSS_CHECKS if row.name.partition("[")[0] == _name])
+
+
+def test_agreement_only_rows_are_pinned():
+    # a row that gains or loses an independent value moves in or out of AGREEMENT_ONLY
+    assert len({row.name for row in CROSS_CHECKS}) == len(CROSS_CHECKS)
+    assert {row.name for row in CROSS_CHECKS if row.source is None} == set(AGREEMENT_ONLY)
+    assert set(AGREEMENT_ONLY.values()) <= {14, 25}
+
+
+def test_cross_check_fails_on_a_disagreement_or_a_missed_value(monkeypatch):
+    row = next(row for row in CROSS_CHECKS if row.name == "h1_torus_levels")
+    cross_check(row)
+
+    def skew(solver):  # one cocycle class more
+        def skewed(G, M):
+            rep = solver(G, M)
+            return dataclasses.replace(rep, dim_Z1=rep.dim_Z1 + 1, h1=rep.h1 + 1)
+
+        return skewed
+
+    monkeypatch.setitem(SOLVERS, "naive", skew(h1_naive))
+    with pytest.raises(AssertionError, match=r"'naive': CohomologyReport\(h0=1, dim_Z1=1, dim_B1=0, h1=1\)"):
+        cross_check(row)
+    monkeypatch.setitem(SOLVERS, "h1", skew(h1))  # both agree now, on h1 = 1 where gcd(30, 31) = 1 says 0
+    with pytest.raises(AssertionError, match=r"\(\(0,\), CohomologyReport\(h0=1, dim_Z1=1, dim_B1=0, h1=1\)\)"):
+        cross_check(row)
+
+
+def test_det_twist_trivial_on_sl2():
+    # every generator list of the table has det 1, so det^-t changes no matrix and each row takes twist 0;
+    # a generator with det != 1 in the table fails here
+    for gens, ell in {(row.gens, row.ell) for row in CROSS_CHECKS}:
+        want = sym_module(ell, 4, 0, gens).matrices
+        for t in (1, 2, 3):
+            assert all(np.array_equal(x, y) for x, y in zip(sym_module(ell, 4, t, gens).matrices, want)), (gens, ell, t)
 
 
 def multiplicative_order(g, p):
@@ -793,23 +897,6 @@ def test_cayley_peak_under_its_estimate(monkeypatch):
         monkeypatch.delenv("MONOLAB_MEMORY_BUDGET")
 
 
-@pytest.mark.parametrize("r", [0, 1])
-def test_naive_on_the_unipotent_group_of_order_251(r):
-    # 250 BFS levels of one element each (order 61 is test_h1_one_element_levels);
-    # Sym^r is one Jordan block, so h1 = 1 and h0 = 1
-    U = close_group([((1, 1), (0, 1))], 251)
-    M = sym_module(251, r, 0, generators=U.generators)
-    assert h1_naive(U, M) == h1(U, M) == CohomologyReport(h0=1, dim_Z1=r + 1, dim_B1=r, h1=1)
-
-
-def test_naive_on_the_torus_of_order_126():
-    # the order is prime to 127, so h1 vanishes on the trivial module of dim 4
-    T = close_group([torus_generator(127)], 127)
-    M = trivial_module(127, 1, 4)
-    assert T.order == 126
-    assert h1_naive(T, M) == h1(T, M) == CohomologyReport(h0=4, dim_Z1=0, dim_B1=0, h1=0)
-
-
 def test_naive_columns_newest_element_first(monkeypatch):
     # element h's unknowns are column block n - 1 - h, so the row of the tree
     # edge from g into k leads with k's own block; the edges from the identity
@@ -831,13 +918,6 @@ def test_naive_columns_newest_element_first(monkeypatch):
     lead = (rows[g, j] != 0).argmax(axis=-1)[g > 0]
     k = np.arange(1, n)[g > 0]
     assert lead.tolist() == ((n - 1 - k)[:, None] * dim + np.arange(dim)).tolist()
-
-
-def test_h1_direct_sum_additive():
-    G = sl2_group(5)
-    M1, M2 = sym_module(5, 2, 1), sym_module(5, 4, 2)
-    s = h1(G, module_direct_sum(M1, M2))
-    assert s.h1 == h1(G, M1).h1 + h1(G, M2).h1
 
 
 def test_adjoint_h1_values():
@@ -910,10 +990,9 @@ def test_report_consistency():
 # -- Borel solver ------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def swapped_group(ell):
-    # SL2(F_ell) again, but not on sl2_generators, so h1 takes the Cayley solver
-    return close_group(sl2_generators(ell)[::-1], ell)
+def swapped_group(ell, gens=None):
+    # the group again on its generator list reversed: for SL2(F_ell), the default, h1 then takes the Cayley solver
+    return table_group(tuple(gens or sl2_generators(ell))[::-1], ell)
 
 
 def swapped_module(M):
@@ -936,31 +1015,6 @@ def test_solver_selected_by_generator_list(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(group_cohomology, "_h1_sl2", refuse)
     assert h1(swapped_group(7), swapped_module(M)).h1 == 1
-
-
-@pytest.mark.parametrize("ell", [2, 3, 5, 7, 11, 13])
-def test_borel_matches_cayley(ell):
-    G, Gs = sl2_group(ell), swapped_group(ell)
-    mods = [sym_module(ell, r, twist) for r in range(ell + 3) for twist in (0, 1, 2)]
-    mods.append(
-        module_direct_sum(
-            sym_module(ell, max(ell - 3, 0), 1),
-            module_direct_sum(sym_module(ell, ell + 1, 0), trivial_module(ell, 2)),
-        )
-    )
-    for M in mods:
-        assert h1(G, M) == h1(Gs, swapped_module(M)), (ell, M.description)
-
-
-def test_borel_matches_naive():
-    # h1_naive is bounded by |G| * dim <= 1500, and slow near that bound
-    cases = [(2, r) for r in range(8)] + [(3, r) for r in range(8)] + [(5, r) for r in range(5)] + [(7, 0), (7, 1)]
-    for ell, r in cases:
-        for twist in (0, 1):
-            M = sym_module(ell, r, twist)
-            assert h1(sl2_group(ell), M) == h1_naive(sl2_group(ell), M), (ell, r, twist)
-    M = module_direct_sum(sym_module(3, 4, 0), trivial_module(3, 2))
-    assert h1(sl2_group(3), M) == h1_naive(sl2_group(3), M)
 
 
 def is_module_oracle(G, mats):

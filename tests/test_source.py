@@ -242,6 +242,27 @@ def test_each_cohomology_job_has_one_home():
     assert not re.search(r"% *\w+ *== *0", sources["group_cohomology.py"])
 
 
+def test_solver_cross_checks_have_one_home():
+    # the CLI runs no oracle solver; in the cohomology tests only the cross-check table
+    # and the error-path tests named here read h1_naive
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "h1_naive" not in imported | set(_names_read(tree))
+    body = ast.parse((ROOT / "tests" / "test_group_cohomology.py").read_text()).body
+    readers = {
+        node.name if hasattr(node, "name") else node.targets[0].id
+        for node in body
+        if any(isinstance(n, ast.Name) and n.id == "h1_naive" for n in ast.walk(node))
+    }
+    assert readers == {
+        "SOLVERS",  # the table runner's solvers
+        "test_cross_check_fails_on_a_disagreement_or_a_missed_value",
+        "test_module_group_mismatch_rejected",
+        "test_non_modules_rejected_off_sl2",
+        "test_naive_columns_newest_element_first",
+    }
+
+
 def test_each_root_fact_has_one_home():
     # the root-string walk is `RootDatum.string_depth`, run on the pairs asked, and the
     # center order is read off the highest root: only the reference data names CENTER_ORDERS
