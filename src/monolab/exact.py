@@ -524,12 +524,37 @@ def _components(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     return root
 
 
+def _entries(rows, ell: int):
+    """n and the nonzero residues v at (r, c) of an n x n integer matrix, dense or a list of n {column: entry} dicts."""
+    if not (isinstance(rows, (list, tuple)) and any(isinstance(row, dict) for row in rows)):
+        matrix = residues(rows, ell)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise ValueError(f"det_mod needs a square matrix, got shape {matrix.shape}")
+        r, c = matrix.nonzero()
+        return len(matrix), r, c, matrix[r, c]
+    n = len(rows)
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ValueError(f"det_mod row {i} is a {type(row).__name__} among dict rows")
+        for k in row:
+            if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < n:
+                raise ValueError(f"det_mod row {i} has column key {k!r}, not an integer in [0, {n})")
+    r = np.repeat(np.arange(n), [len(row) for row in rows])
+    c = np.fromiter((k for row in rows for k in row), dtype=np.int64, count=len(r))
+    v = residues(np.fromiter((x for row in rows for x in row.values()), dtype=object, count=len(r)), ell)
+    keep = np.flatnonzero(v)
+    return n, r[keep], c[keep], v[keep]
+
+
 def det_mod(rows, ell: int) -> int:
     """Determinant mod ell of a square integer matrix, block by block over F_ell.
 
-    Sorted stably into the connected blocks of its nonzero pattern, largest
-    first, the matrix is block diagonal: the sign of the two orders times the
-    block determinants, 0 unless every block is square.  Zero-padded to the
+    The matrix is dense (anything `residues` reads) or a list of n sparse
+    rows {column: entry}; either is read once into its nonzero residues, and
+    the sparse form never builds an n x n array.  Sorted stably into the
+    connected blocks of its nonzero pattern, largest first, the matrix is
+    block diagonal: the sign of the two orders times the block determinants,
+    0 unless every block is square.  Zero-padded to the
     width k of the first, the blocks go into int64 batches of at most n**2
     entries, each eliminated in k Python steps (step j only on the blocks
     wider than j, and there only on the rows with an entry in column j),
@@ -538,11 +563,7 @@ def det_mod(rows, ell: int) -> int:
     on 2 vCPUs a dense 300 x 300 took 0.07-0.08 s (0.025-0.03 s through
     `EchelonState`), a lower-bidiagonal 1000 x 1000 0.05-0.06 s (0.05 s).
     """
-    matrix = residues(rows, ell)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"det_mod needs a square matrix, got shape {matrix.shape}")
-    n = len(matrix)
-    r, c = matrix.nonzero()
+    n, r, c, v = _entries(rows, ell)
     root = _components(r, c + n, 2 * n)  # rows are nodes 0..n-1, columns n..2n-1
     size = np.bincount(root[:n], minlength=2 * n)
     if not np.array_equal(size, np.bincount(root[n:], minlength=2 * n)):  # a block is not square
@@ -561,7 +582,7 @@ def det_mod(rows, ell: int) -> int:
         stop = min(len(sizes), start + n * n // (k * k))
         batch, width = np.zeros((stop - start, k, k), dtype=np.int64), sizes[start:stop]
         e = np.flatnonzero((start <= block[r]) & (block[r] < stop))  # the entries in this batch
-        batch[block[r[e]] - start, at[r[e]], at[n + c[e]]] = matrix[r[e], c[e]]
+        batch[block[r[e]] - start, at[r[e]], at[n + c[e]]] = v[e]
         for j in range(k):
             live = batch[: np.count_nonzero(width > j)]  # the blocks wider than j, a prefix of the batch
             each = np.arange(len(live))

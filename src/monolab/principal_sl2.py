@@ -195,11 +195,6 @@ def sl2_string_lengths_ok(kd: KostantDecomposition) -> bool:
     )
 
 
-def sl2_string_family_rows(kd: KostantDecomposition) -> list[list[int]]:
-    """Integer coordinate rows of the family {ad(Y)^k p_i : 0 <= k <= 2m_i}."""
-    dim, rows = kd.triple.algebra.dim, []
-    for v in (v for string in kd.strings for v in string[:-1]):
-        rows.append(row := [0] * dim)
-        for k, c in v.coeffs.items():
-            row[k] = c
-    return rows
+def sl2_string_family_rows(kd: KostantDecomposition) -> list[dict[int, int]]:
+    """The family {ad(Y)^k p_i : 0 <= k <= 2m_i} as sparse rows {column: coefficient}, each a fresh dict."""
+    return [dict(v.coeffs) for string in kd.strings for v in string[:-1]]

@@ -199,7 +199,7 @@ MUTATIONS = (
              {C7: [ledger_line("G2", 6, "7 (sigma the identity)", 0, 29, 23, [(-1, 1), (-2, 2), (-3, 3)],
                                [(-1, 1), (-2, 2), (-3, 3)], "MISMATCH")]}),
     Mutation("criterion_8_rejects_a_string_family_row_times_59", FAMILY,
-             where(typed("E8"), lambda rows: [[59 * c for c in rows[0]], *rows[1:]]),
+             where(typed("E8"), lambda rows: [{k: 59 * c for k, c in rows[0].items()}, *rows[1:]]),
              {C8: ["E8: string family stays a basis mod [59, 61, 67] -> FAIL"]}),
     Mutation("criterion_8_rejects_e6_principal_bound_plus_2", BOUNDS, where(typed("E6"), plus("principal_sl2_bound", 2)),
              {C8: ["E6 principal bound: 49 (want 47) -> FAIL"]}),
@@ -208,7 +208,7 @@ MUTATIONS = (
              where(typed("E8"), lambda r: dataclasses.replace(r, bad_primes=tuple(sorted({*r.bad_primes} ^ {367, 397})))),
              caught_by="ROADMAP item 12, a second, mod-p route to the obstruction primes"),
     Mutation("survivor_e8_family_row_times_1009", FAMILY,
-             where(typed("E8"), lambda rows: [[1009 * c for c in rows[0]], *rows[1:]]),
+             where(typed("E8"), lambda rows: [{k: 1009 * c for k, c in rows[0].items()}, *rows[1:]]),
              caught_by="ROADMAP item 15, criterion 8 naming every prime where the family stops being a basis"),
     Mutation("survivor_twist_forced_to_0", (verify, "sym_module"), lambda real, ell, r, twist, **kw: real(ell, r, 0, **kw),
              caught_by="ROADMAP item 18, H^1 over GL2(F_ell), where det is not 1"),

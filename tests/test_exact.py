@@ -242,17 +242,25 @@ def block_cases(rng, ell):
     yield "shuffled chain", shuffled_blocks(rng, [chain, square(3)])
 
 
+def dict_rows(matrix):
+    """The matrix as sparse rows {column: entry}, with an explicit 0 on the diagonal of each nonzero row that has none."""
+    return [{j: x for j, x in enumerate(row) if x or (i == j and any(row))} for i, row in enumerate(matrix)]
+
+
 @pytest.mark.parametrize("ell", [2, 3, 7, 65521, 2**31 - 1])
 def test_det_mod_block_by_block_against_the_reference(ell):
     # the shuffles make the sign of the row and column orders matter, and a
     # block that is singular, has a zero row or column, or more rows than
-    # columns makes the determinant 0
-    rng, nonzero = random.Random(ell), 0
+    # columns makes the determinant 0; each matrix goes in dense and as dict
+    # rows, where a zero row is an empty dict
+    rng, nonzero, explicit_zeros, empty_rows = random.Random(ell), 0, 0, 0
     for name, matrix in block_cases(rng, ell):
-        det = reference_rank_det(matrix, ell)[1]
-        assert det_mod(matrix, ell) == det, name
+        det, rows = reference_rank_det(matrix, ell)[1], dict_rows(matrix)
+        assert det_mod(matrix, ell) == det_mod(rows, ell) == det, name
         nonzero += det != 0
-    assert nonzero >= 8
+        explicit_zeros += sum(0 in row.values() for row in rows)
+        empty_rows += rows.count({})
+    assert nonzero >= 8 and explicit_zeros and empty_rows
     assert det_mod(np.zeros((0, 0), dtype=np.int64), ell) == 1  # the empty product
 
 
@@ -262,9 +270,10 @@ def test_det_mod_of_string_families_against_the_reference(name):
     # blocks, at most the rank wide
     kd = principal_kostant(name)
     rows, h = sl2_string_family_rows(kd), kd.triple.algebra.datum.coxeter_number
+    dense = [[row.get(j, 0) for j in range(len(rows))] for row in rows]
     for ell in _next_primes(2 * h - 1, 3):
-        det = reference_rank_det(rows, ell)[1]
-        assert det != 0 and det_mod(rows, ell) == det, ell
+        det = reference_rank_det(dense, ell)[1]
+        assert det != 0 and det_mod(rows, ell) == det_mod(dense, ell) == det, ell
 
 
 def test_det_mod_peak_on_one_wide_block():
@@ -278,6 +287,16 @@ def test_det_mod_peak_on_one_wide_block():
     matrix = matrix[rng.permutation(n)][:, rng.permutation(n)]
     assert det_mod(matrix, ell) == reference_rank_det(matrix.tolist(), ell)[1]
     assert traced_peak(lambda: det_mod(matrix, ell)) <= 4 * matrix.nbytes
+
+
+def test_det_mod_peak_on_the_e8_string_family():
+    # E8's family reaches det_mod as 248 sparse rows, 2.2 % of the entries
+    # nonzero: read into those entries, it stays below half of one dense
+    # int64 copy, which the dense path alone would build
+    rows = sl2_string_family_rows(principal_kostant("E8"))
+    n, ell = len(rows), 61
+    assert det_mod(rows, ell) != 0
+    assert traced_peak(lambda: det_mod(rows, ell)) <= 4 * n * n
 
 
 def _sign(perm):
@@ -507,8 +526,12 @@ def test_prime_verdict_computed_once_per_modulus():
 
 @pytest.mark.parametrize(
     "call",
-    [lambda: det_mod([[1.5, 0], [0, 1]], 7), lambda: rank_mod([[0.5, 0], [0, 1]], 7)],
-    ids=["det_mod-float", "rank_mod-float"],
+    [
+        lambda: det_mod([[1.5, 0], [0, 1]], 7),
+        lambda: rank_mod([[0.5, 0], [0, 1]], 7),
+        lambda: det_mod([{0: 1}, {0: 2, 1: 1.5}], 7),
+    ],
+    ids=["det_mod-float", "rank_mod-float", "det_mod-dict-row-float"],
 )
 def test_kernel_rejects_non_integer_entries(call):
     # a float entry is rejected, never truncated to an int

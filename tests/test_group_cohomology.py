@@ -336,11 +336,19 @@ def test_sym_module_matches_binomial_reference(ell):
         (lambda: close_group([(1, 2)], 7), r"all square of one shape, got \[\(2,\)\]"),
         (lambda: det_mod([[True, 1], [0, True]], 7), "must be integers, got bool"),
         (lambda: det_mod(np.eye(2, dtype=bool), 7), "must be integers, got bool"),
+        (lambda: det_mod([{0: 1}, {1: True}], 7), "must be integers, got bool"),
+        (lambda: det_mod([{0: 1}, {True: 1}], 7), r"det_mod row 1 has column key True, not an integer in \[0, 2\)"),
+        (lambda: det_mod([{0: 1}, {1.0: 1}], 7), r"det_mod row 1 has column key 1.0, not an integer in \[0, 2\)"),
+        (lambda: det_mod([{0: 1}, {2: 1}], 7), r"det_mod row 1 has column key 2, not an integer in \[0, 2\)"),
+        (lambda: det_mod([{-1: 1}, {1: 1}], 7), r"det_mod row 0 has column key -1, not an integer in \[0, 2\)"),
+        (lambda: det_mod([{0: 1}, [0, 1]], 7), "det_mod row 1 is a list among dict rows"),
     ],
     ids=[
         "module-float", "close-float", "sym-float-twist", "module-empty", "sym-3x3", "sym-empty", "sym-ragged",
         "rank-empty", "det-2x3", "close-mixed", "sym-singular", "sym-singular-twist",
         "module-0x0", "close-0x0", "close-singular", "close-2x3", "close-1-d", "det-bool", "det-numpy-bool",
+        "det-dict-bool-value", "det-dict-bool-key", "det-dict-float-key", "det-dict-key-n", "det-dict-key-minus-1",
+        "det-dict-list-row",
     ],
 )
 def test_non_integer_or_empty_input_rejected(call, match):
@@ -349,7 +357,9 @@ def test_non_integer_or_empty_input_rejected(call, match):
     # not read through its top-left 2 x 2 block, a wrong shape is named
     # instead of surfacing as a numpy error, and a singular generator is
     # named whatever the twist (not pow()'s own error, and no non-invertible
-    # module matrices), as is a singular or non-square generator of a group
+    # module matrices), as is a singular or non-square generator of a group;
+    # det_mod's dict rows name the row of a column key outside [0, n) or of a
+    # row that is not a dict
     with pytest.raises(ValueError, match=match):
         call()
 

@@ -209,6 +209,9 @@ def test_mod_ell_persistence(name):
     # criterion 8's test: the string family stays a basis of g mod ell
     rows = sl2_string_family_rows(kd)
     assert len(rows) == alg.dim and det_mod(rows, ell) != 0
+    # the rows are fresh dicts: editing one leaves the strings as they were
+    rows[0].clear()
+    assert sl2_string_family_rows(kd)[0] == kd.strings[0][0].coeffs != {}
 
 
 def test_decomposition_requires_zz():
