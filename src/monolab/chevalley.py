@@ -17,16 +17,18 @@ h[j] (fundamental coweights).
 Magnitudes are |N_{a,b}| = p+1, p the depth of the a-string through b (from
 `RootDatum.string_depth(u, v)`, the one root-string walk, run on the pairs
 asked); signs are +(p+1) on extraspecial pairs in the (height, lex) root order
-and follow elsewhere from the root-quadruple identities.  The one store is the
-read-only int64 array `entries` of rows (i, j, k, c), [e_i, e_j] having c on
-e_k, sorted by (i, j, k) and built in array operations on the arrays of
-`RootDatum`; its one index is the sorted array `keys` of i*dim + j.  `ad`, the
-one builder of ad matrices, scatters the entries; `brackets` and `jacobi_sweep`
-find their rows by one lookup, `_rows`, which sorts its queries and runs its
-binary searches of `keys` in that order.  Criterion 5 checks the table by
-exhaustive Jacobi and Carter's magnitude identity.  `build_chevalley_algebra`
-is cached once per parsed simple type, on the cached `build_root_datum`.
-`_signed_map`, the one signed-map builder, gives sigma and the Frenkel-Kac maps.
+and follow elsewhere from the root-quadruple identities, from gather indices
+computed once.  The one store is the read-only int64 array `entries` of rows
+(i, j, k, c), [e_i, e_j] having c on e_k, sorted by (i, j, k) and built in
+array operations on the arrays of `RootDatum`; its one index is `starts`, the
+read-only int32 compressed-sparse-row pointer of q = i*dim + j, whose entries
+are entries[:, starts[q]:starts[q + 1]].  `ad`, the one builder of ad
+matrices, scatters the entries; `brackets` and `jacobi_sweep` find their rows
+by one lookup, `_rows`, two gathers of `starts` a query.  Criterion 5 checks
+the table by exhaustive Jacobi and Carter's magnitude identity.
+`build_chevalley_algebra` is cached once per parsed simple type, on the cached
+`build_root_datum`.  `_signed_map`, the one signed-map builder, gives sigma
+and the Frenkel-Kac maps.
 """
 
 from __future__ import annotations
@@ -48,12 +50,12 @@ _BLOCK = 2**12  # triples per pass of `jacobi_sweep`; a pass takes under 6 KiB o
 def _carter_constants(datum: RootDatum):
     """Structure constants in standard orientation: arrays u, v, n with N_{u,v} = n, one entry per root sum.
 
-    Positive pairs are fixed one height of their sum at a time, in (height,
-    lex) root order: the extraspecial pair of a sum (least first member) gets
-    n = -(p+1), the others follow by the root-quadruple identity, which reads
-    only pairs of lower sums, and `_opposite` carries them to every sign
-    (Carter, Simple Groups of Lie Type, 4.1).  The exposed bracket negates the
-    table, so users see +(p+1) on extraspecial pairs.
+    The extraspecial pair of a sum (least first member) gets n = -(p+1), all at
+    once; the other positive pairs follow by the root-quadruple identity, one
+    height of their sum at a time in (height, pair) order, from gather indices
+    computed once, reading only extraspecial pairs and pairs of lower sums, and
+    `_opposite` carries them to every sign (Carter, Simple Groups of Lie Type,
+    4.1).  The exposed bracket negates the table: users see +(p+1) there.
     """
     num_pos, sums, norm2 = len(datum.positive_roots), datum.root_sums, datum.norm2
     a, b = np.nonzero(np.triu(sums[:num_pos, :num_pos] >= 0))  # positive pairs a < b
@@ -61,36 +63,37 @@ def _carter_constants(datum: RootDatum):
     down = sums[:num_pos, num_pos:]  # down[g, k]: the index of root g - root k
     gamma, least = sums[a, b], np.argmax((down >= 0) & (down < num_pos), axis=1)
     alpha = least[gamma]  # the extraspecial pair of gamma: (alpha, beta) with the least alpha
-    beta, first = down[gamma, alpha], a == alpha
-    height = datum.heights[gamma]
+    beta, first, height = down[gamma, alpha], a == alpha, datum.heights[gamma]
     table = np.zeros((num_pos, num_pos), dtype=np.int64)
-    for h in range(2, datum.coxeter_number):  # the heights of sums of two positive roots
-        ext, rest = np.flatnonzero((height == h) & first), np.flatnonzero((height == h) & ~first)
-        table[a[ext], b[ext]], table[b[ext], a[ext]] = -(depth[ext] + 1), depth[ext] + 1
-        al, be, xi, eta = alpha[rest], beta[rest], a[rest], b[rest]
-        # N_{xi,eta} = (gamma,gamma)/n0 * (N_{beta,-xi} N_{alpha,-eta} / (beta-xi)^2
-        #                                 - N_{alpha,-xi} N_{beta,-eta} / (alpha-xi)^2); absent terms are 0/1
-        d1, d2 = sums[be, xi + num_pos], sums[al, xi + num_pos]
-        q1, q2 = np.where(d1 >= 0, norm2[d1], 1), np.where(d2 >= 0, norm2[d2], 1)
-        n1, n2, n3, n4 = _opposite(table, norm2, sums, np.r_[be, al, al, be], np.r_[xi, eta, xi, eta]).reshape(4, -1)
-        num, den = norm2[gamma[rest]] * (n1 * n2 * q2 - n3 * n4 * q1), q1 * q2 * table[al, be]
-        table[xi, eta] = exact_div_arrays(num, den, "root-quadruple identity")
-        table[eta, xi] = -table[xi, eta]
-        for i in rest[np.abs(table[xi, eta]) != depth[rest] + 1][:1]:
+    table[a[first], b[first]], table[b[first], a[first]] = -(depth[first] + 1), depth[first] + 1
+    rest = np.flatnonzero(~first)[np.argsort(height[~first], kind="stable")]  # (height, pair) order
+    al, be, xi, eta = alpha[rest], beta[rest], a[rest], b[rest]
+    # N_{xi,eta} = (gamma,gamma)/n0 * (N_{beta,-xi} N_{alpha,-eta} / (beta-xi)^2
+    #                                 - N_{alpha,-xi} N_{beta,-eta} / (alpha-xi)^2); absent terms are 0/1
+    d1, d2 = sums[be, xi + num_pos], sums[al, xi + num_pos]
+    q1, q2 = np.where(d1 >= 0, norm2[d1], 1), np.where(d2 >= 0, norm2[d2], 1)
+    row, col, num, den = (x.reshape(4, -1) for x in _opposite(norm2, sums, np.r_[be, al, al, be], np.r_[xi, eta, xi, eta]))
+    ng, den0, cuts = norm2[gamma[rest]], q1 * q2 * table[al, be], np.flatnonzero(np.diff(height[rest])) + 1
+    for s in map(slice, np.r_[0, cuts], np.r_[cuts, len(rest)]):  # one height at a time
+        n1, n2, n3, n4 = exact_div_arrays(num[:, s] * table[row[:, s], col[:, s]], den[:, s], "structure constant")
+        table[xi[s], eta[s]] = exact_div_arrays(ng[s] * (n1 * n2 * q2[s] - n3 * n4 * q1[s]), den0[s], "root-quadruple identity")
+        table[eta[s], xi[s]] = -table[xi[s], eta[s]]
+        for i in rest[s][np.abs(table[xi[s], eta[s]]) != depth[rest[s]] + 1][:1]:
             r, got = datum.all_roots, abs(table[a[i], b[i]])
             raise ArithmeticError(f"|N{r[a[i]], r[b[i]]}| = {got} under {r[gamma[i]]}, want p+1 = {depth[i] + 1}")
     p, q = np.nonzero(down >= 0)  # root p plus the negative of root q
-    n, mixed = table[a, b], _opposite(table, norm2, sums, p, q)
+    row, col, num, den = _opposite(norm2, sums, p, q)
+    n, mixed = table[a, b], exact_div_arrays(num * table[row, col], den, "structure constant")
     u, v = np.r_[a, b, a + num_pos, b + num_pos, p, q + num_pos], np.r_[b, a, b + num_pos, a + num_pos, q + num_pos, p]
     return u, v, np.r_[n, -n, -n, n, mixed, -mixed]
 
 
-def _opposite(table, norm2, sums, u, v):
-    """N_{u,-v} for positive u, v: (w,w)/(u,u) N_{w,v} if w = u - v > 0, else (w,w)/(v,v) N_{-w,u}; 0 if no root."""
-    w = sums[u, v + len(table)]
-    up, pos = w < len(table), w % len(table)
-    num = np.where(w >= 0, norm2[w] * np.where(up, table[pos, v], table[pos, u]), 0)
-    return exact_div_arrays(num, np.where(up, norm2[u], norm2[v]), "structure constant")
+def _opposite(norm2, sums, u, v):
+    """Gathers of N_{u,-v} = num*table[row, col]/den: (w,w)/(u,u) N_{w,v} if w = u-v > 0, else (w,w)/(v,v) N_{-w,u}."""
+    num_pos = len(sums) // 2
+    w = sums[u, v + num_pos]
+    up = w < num_pos
+    return w % num_pos, np.where(up, v, u), np.where(w >= 0, norm2[w], 0), np.where(up, norm2[u], norm2[v])
 
 
 @dataclass(frozen=True)
@@ -115,7 +118,7 @@ class _Basis:
 
 
 class ChevalleyAlgebra:
-    """Simple Lie algebra over ZZ (`ell` None) or F_ell, with frozen structure constants `entries` and their `keys`.
+    """Simple Lie algebra over ZZ (`ell` None) or F_ell, with frozen structure constants `entries` and their `starts`.
 
     Coefficients are plain ints; on an F_ell view they are residues in
     [0, ell).  Instances are immutable after construction; `brackets` and
@@ -131,18 +134,18 @@ class ChevalleyAlgebra:
         self.basis = _Basis(len(datum.positive_roots), datum.rank)
         self.dim = self.basis.dim
         self.entries = _build_table(datum) if _shared is None else _shared
-        self.keys = _read_only(self.entries[0] * self.dim + self.entries[1])  # i*dim + j, sorted as entries are
+        self.starts = _pointer(self.entries[0] * self.dim + self.entries[1], self.dim**2)  # over i*dim + j
         # the ZZ form, set on views only: a self-reference would keep a
         # dropped algebra's table alive until the next gc
         self._base = None
         self._views = {}
 
     def mod(self, ell: int) -> "ChevalleyAlgebra":
-        """The F_ell view of the ZZ form: the same entries and keys, scalars reduced mod ell."""
+        """The F_ell view of the ZZ form: the same entries and starts, scalars reduced mod ell."""
         check_prime_modulus(ell)  # before the lookup: 7.0 would find the view of 7
         base = self._base or self
         if ell not in base._views:
-            view = copy.copy(base)  # shares the entries and their keys
+            view = copy.copy(base)  # shares the entries and their starts
             view.ell, view._base, view._views = ell, base, {}
             base._views[ell] = view
         return base._views[ell]
@@ -293,7 +296,7 @@ def _signed_map(a: ChevalleyAlgebra, b: ChevalleyAlgebra, pi) -> tuple[np.ndarra
         perm[k] = d.root_sums[perm[s], perm[r]]
         if (perm[k] < 0).any():
             raise ArithmeticError(f"the permutation {pi.tolist()} of the simple roots is no diagram symmetry")
-        n, image = (t.entries[3, np.searchsorted(t.keys, u * dim + v)] for t, u, v in ((a, s, r), (b, perm[s], perm[r])))
+        n, image = (t.entries[3, t.starts[u * dim + v]] for t, u, v in ((a, s, r), (b, perm[s], perm[r])))
         sign[k] = sign[r] * image // n
     _check_map(a, b, perm, sign)
     return _read_only(perm), _read_only(sign)
@@ -307,19 +310,22 @@ def _check_map(a: ChevalleyAlgebra, b: ChevalleyAlgebra, perm, sign):
         raise ArithmeticError(f"entry {tuple(a.entries[:, bad].tolist())} does not land on the second table")
 
 
-def _rows(keys, queries):
-    """(query, position) pairs with keys[position] == queries[query], in query order; `keys` is sorted.
+def _pointer(keys, n):
+    """Read-only int32 CSR pointer of sorted keys in [0, n): key q at starts[q]:starts[q + 1]; no n-long int64 temporary."""
+    first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    return _read_only(np.repeat(np.r_[first, len(keys)].astype(np.int32), np.diff(np.r_[-1, keys[first], n])))
 
-    Both binary searches run on the sorted queries, where numpy starts each
-    search from the previous one's result (several times faster than in
-    query order); start and count are scattered back to query order.
+
+def _rows(starts, queries):
+    """(query, position) pairs with position in starts[q]:starts[q + 1], q = queries[query], in query order.
+
+    IndexError for a query outside [0, len(starts) - 1), negative ones included.
     """
-    order = np.argsort(queries)
-    ordered = queries[order]
-    lo, hi = np.searchsorted(keys, ordered, "left"), np.searchsorted(keys, ordered, "right")
-    start, n = np.empty_like(lo), np.empty_like(lo)
-    start[order], n[order] = lo, hi - lo
-    return np.repeat(np.arange(len(queries)), n), np.arange(n.sum()) + np.repeat(start - (np.cumsum(n) - n), n)
+    if queries.min(initial=0) < 0:
+        raise IndexError(f"negative query {queries.min()}")
+    lo = starts[queries]
+    n = starts[queries + 1] - lo
+    return np.repeat(np.arange(len(queries)), n), np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
 
 
 def brackets(pairs) -> list[LieElement]:
@@ -327,6 +333,8 @@ def brackets(pairs) -> list[LieElement]:
 
     Bilinear and alternating; pass a list of one pair for a single bracket.
     """
+    if not pairs:
+        return []
     alg = pairs[0][0].algebra
     for a, b in pairs:
         _check_compat(alg, a.algebra)
@@ -339,7 +347,7 @@ def brackets(pairs) -> list[LieElement]:
     pair = np.repeat(np.arange(len(pairs)), n)
     local = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
     u, v = np.repeat(np.cumsum(na) - na, n) + local // nb[pair], np.repeat(np.cumsum(nb) - nb, n) + local % nb[pair]
-    query, pos = _rows(alg.keys, ka[u] * alg.dim + kb[v])
+    query, pos = _rows(alg.starts, ka[u] * alg.dim + kb[v])
     acc: list[dict] = [{} for _ in pairs]
     for p, x, y, k, c in zip(*np.array([pair[query], u[query], v[query], *alg.entries[2:, pos]]).tolist()):
         acc[p][k] = acc[p].get(k, 0) + ca[x] * cb[y] * c  # Python ints: exact at any size
@@ -376,8 +384,8 @@ def jacobi_sweep(alg: ChevalleyAlgebra, triples=None, samples: int | None = None
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     for block in np.split(triples, range(_BLOCK, len(triples), _BLOCK)):  # the first failing block has the first failure
         i, j, k = block.T
-        first, p = _rows(alg.keys, np.r_[i, j, k] * dim + np.r_[j, k, i])
-        second, q = _rows(alg.keys, alg.entries[2, p] * dim + np.r_[k, i, j][first])
+        first, p = _rows(alg.starts, np.r_[i, j, k] * dim + np.r_[j, k, i])
+        second, q = _rows(alg.starts, alg.entries[2, p] * dim + np.r_[k, i, j][first])
         slot = np.tile(np.arange(len(block)), 3)[first[second]]  # the triple's position in the block
         terms = alg.entries[3, p[second]] * alg.entries[3, q]
         _check_sums(alg, slot * dim + alg.entries[2, q], terms, lambda s: tuple(block[s].tolist()))
@@ -418,7 +426,7 @@ def _jacobi_contraction(alg: ChevalleyAlgebra) -> int:
     """
     dim = alg.dim
     a, b, m, c = alg.entries
-    first, second = _rows(a, m)  # the entries are sorted by a
+    first, second = _rows(_pointer(a, dim), m)  # the entries are sorted by a
     i, j, k = a[first], b[first], b[second]
     least = np.minimum((i * dim + j) * dim + k, (k * dim + i) * dim + j)  # the least of the three rotations
     least = np.minimum(least, (j * dim + k) * dim + i)

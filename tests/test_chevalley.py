@@ -43,7 +43,7 @@ from monolab.chevalley import (
 )
 from monolab.group_cohomology import ResourceLimitError
 from monolab.principal_sl2 import build_principal_sl2, kostant_decomposition, principal_kostant
-from monolab.rootsys import build_root_datum
+from monolab.rootsys import RootDatum, SimpleType, build_root_datum
 
 
 def test_a1_sl2_relations():
@@ -132,6 +132,31 @@ def test_inexact_norm_ratio_raises_under_optimize():
         "    print(exc)\n"
     )
     assert run_optimized(code) == "structure constant: -6/7 is not integral"
+
+
+@pytest.mark.parametrize(
+    "name, pairs, message",
+    [
+        ("G2", [((1, 1), (2, 1))], "|N((1, 1), (2, 1))| = 3 under (3, 2), want p+1 = 4"),
+        ("B3", [((0, 0, 1), (1, 1, 1))], "|N((0, 0, 1), (1, 1, 1))| = 2 under (1, 1, 2), want p+1 = 3"),
+        # two at one height: the first in pair order is named
+        ("B3", [((0, 1, 1), (1, 1, 1)), ((1, 1, 0), (0, 1, 2))], "|N((1, 1, 0), (0, 1, 2))| = 1 under (1, 2, 2), want p+1 = 2"),
+        # the first in pair order has the higher sum: the lower height is named
+        ("C3", [((0, 1, 0), (1, 1, 1)), ((0, 0, 1), (1, 1, 0))], "|N((0, 0, 1), (1, 1, 0))| = 1 under (1, 1, 1), want p+1 = 2"),
+    ],
+)
+def test_carter_magnitude_check_names_the_first_failing_pair(mutant, name, pairs, message):
+    # string_depth one too deep on non-extraspecial pairs: the root-quadruple
+    # identity still fixes N there, so only the p+1 check fails, first in
+    # (height, pair) order; the messages were recorded before the gather
+    # indices were hoisted out of the height loop
+    d = build_root_datum(name)
+    bumped = {(d.all_roots.index(u), d.all_roots.index(v)) for u, v in pairs}
+    real = RootDatum.string_depth
+    mutant.setattr(RootDatum, "string_depth", lambda self, u, v: real(self, u, v) + [(x, y) in bumped for x, y in zip(u, v)])
+    with pytest.raises(ArithmeticError) as caught:
+        chevalley._carter_constants(d)
+    assert str(caught.value) == message
 
 
 def test_table_antisymmetry():
@@ -288,18 +313,25 @@ def test_block_draw_rejects_a_bound_past_one_word():
 
 @pytest.mark.parametrize("name", ["A1", "G2", "E8"])
 def test_rows_matches_the_query_order_search(name):
-    # duplicates, pairs with no entry and no queries at all
+    # the pointer is the binary search of every pair; duplicates, pairs with
+    # no entry and no queries at all; a query out of range raises, and -1
+    # never reads the wrapped starts[-1]
     alg = build_chevalley_algebra(name)
+    keys = alg.entries[0] * alg.dim + alg.entries[1]
+    assert np.array_equal(alg.starts, np.searchsorted(keys, np.arange(alg.dim**2 + 1)))
     rng = random.Random(name)
-    present = alg.keys[[rng.randrange(len(alg.keys)) for _ in range(50)]]
+    present = keys[[rng.randrange(len(keys)) for _ in range(50)]]
     for queries in (
         np.zeros(0, dtype=np.int64),
         np.r_[present, present[::-1], present[:7]],
         np.array([rng.randrange(alg.dim**2) for _ in range(500)], dtype=np.int64),
-        np.r_[present, [alg.dim**2, -1, 0, 0]],
+        np.r_[present, [alg.dim**2 - 1, 0, 0]],
     ):
-        got, want = _rows(alg.keys, queries), reference_rows(alg.keys, queries)
+        got, want = _rows(alg.starts, queries), reference_rows(keys, queries)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    for bad in (alg.dim**2, -1, -2):
+        with pytest.raises(IndexError):
+            _rows(alg.starts, np.r_[present, [bad, 0]])
 
 
 def test_jacobi_paths_report_the_reference_failure():
@@ -414,6 +446,10 @@ def test_bracket_matches_the_reference(name):
     want = [reference_bracket(a, b) for a, b in pairs]
     assert [bracket(a, b).coeffs for a, b in pairs] == want
     assert [c.coeffs for c in brackets(pairs)] == want  # one batch, zero operands among them
+
+
+def test_brackets_of_no_pairs_is_no_brackets():
+    assert brackets([]) == []
 
 
 def test_bracket_matches_the_reference_on_e8_strings_and_a_view():
@@ -624,6 +660,26 @@ EXPORT_SHA256 = {
 def test_structure_constants_export_pinned(name):
     text = structure_constants_export(build_chevalley_algebra(name))
     assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_SHA256[name]
+
+
+# sha256 of `entries.tobytes()` for the deepest classical tables (62 heights
+# on B32), whose JSON export is too large to hash here
+ENTRIES_SHA256 = {
+    "A32": "17141d6ba20525c712045ad272330d67f87a6b172dcc262a819d80c899c62449",
+    "B32": "2288804a829621a21f983b64dc6a8de2c4131dce8ab75825d76c09ffa96443b2",
+    "C32": "19eaa52e01332c09e62b144de62ce806b02f67c6f38aa2c832f397a1bbc9da4c",
+    "D32": "231dca8a9a10692f3519a3a23acab88888072db6e94332cedaa595cf049656f8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRIES_SHA256))
+def test_deepest_tables_pinned(name):
+    # uncached: the rank-32 root data and tables are not kept for later tests;
+    # the int32 pointer is built with no dim**2-long int64 array beside it
+    alg = ChevalleyAlgebra(build_root_datum.__wrapped__(SimpleType.parse(name)))
+    assert hashlib.sha256(alg.entries.tobytes()).hexdigest() == ENTRIES_SHA256[name]
+    keys = alg.entries[0] * alg.dim + alg.entries[1]
+    assert traced_peak(lambda: chevalley._pointer(keys, alg.dim**2)) < 8 * alg.dim**2
 
 
 def test_element_canonical_form():

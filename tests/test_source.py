@@ -62,8 +62,8 @@ def test_criterion_results_are_built_only_by_verify_paper():
 
 
 def test_a_built_algebra_keeps_its_table_only_in_arrays():
-    # `entries` is the one store and `keys` its one index; a per-entry dict or
-    # list beside them would be a second copy of the table
+    # `entries` is the one store and `starts`, an int32 pointer, its one index;
+    # a per-entry dict or list beside them would be a second copy of the table
     alg = ChevalleyAlgebra(build_root_datum("E8"))
     view = alg.mod(7)
     for obj in (alg, view):
@@ -71,8 +71,9 @@ def test_a_built_algebra_keeps_its_table_only_in_arrays():
             if isinstance(value, (dict, list, tuple, set, frozenset)):
                 assert len(value) < alg.dim, name
             elif isinstance(value, np.ndarray):
-                assert name in {"entries", "keys"} and value.dtype == np.int64 and not value.flags.writeable, name
-    assert view.entries is alg.entries and view.keys is alg.keys
+                want = {"entries": np.int64, "starts": np.int32}[name]
+                assert value.dtype == want and not value.flags.writeable, name
+    assert view.entries is alg.entries and view.starts is alg.starts
 
 
 def test_the_lie_path_leaves_numpy_random_unimported():
