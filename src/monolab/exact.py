@@ -4,9 +4,9 @@ Scalars are plain ints: arbitrary precision over ZZ, residues in [0, ell)
 over F_ell, where ell is a bare int prime below 2**31 that
 `check_prime_modulus` accepts.  Integers are tested and factored here, and
 nowhere else: `is_prime` gives a proven verdict, and `factor` certifies each
-prime it reports with it.  The kernel routines work over ZZ by
-unimodular column reduction, so kernels come back as saturated lattice bases
-with no rational intermediate step.
+prime it reports with it.  Every unimodular reduction over ZZ is one loop,
+`_column_reduce`: `integer_kernel` returns saturated lattice bases with no
+rational intermediate step, and `diagonal_divisors` a diagonal form.
 
 Every rank and kernel over F_ell in the package goes through one kernel at the
 end of this module: `matmul_mod`, the streamed reduced echelon form
@@ -254,20 +254,19 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def integer_kernel(rows: list[list[int]], ncols: int) -> list[tuple[int, ...]]:
-    """Basis of {v in ZZ^ncols : M v = 0} for the integer matrix with these rows.
+def _int_rows(rows, ncols: int) -> list[list[int]]:
+    """Rows of ncols Python ints, an integer array by one `.tolist()`; ValueError names a row of other entries or length."""
+    if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu" and rows.shape[1:] == (ncols,):
+        return rows.tolist()
+    for r, row in enumerate(rows):
+        if len(row) != ncols or not all(type(x) is int or isinstance(x, np.integer) for x in row):
+            raise ValueError(f"row {r} is not {ncols} integers: {list(row)!r}")
+    return [list(map(int, row)) for row in rows]
 
-    Unimodular column reduction of M stacked over the identity: columns whose
-    M-part vanishes carry a basis of the integer kernel, which is automatically
-    saturated.  Deterministic; returned vectors are sign-normalised so the
-    first nonzero coordinate is positive.
-    """
-    m = len(rows)
-    # column-major: cols[j] holds column j of M stacked over e_j
-    cols = [[rows[r][j] for r in range(m)] + [0] * ncols for j in range(ncols)]
-    for j in range(ncols):
-        cols[j][m + j] = 1
-    col = 0
+
+def _column_reduce(cols: list[list[int]], m: int) -> int:
+    """Column echelon form on the first m coordinates, in place, by unimodular 2 x 2 steps; returns the rank."""
+    ncols, col = len(cols), 0
     for r in range(m):
         if col >= ncols:
             break
@@ -280,7 +279,7 @@ def integer_kernel(rows: list[list[int]], ncols: int) -> list[tuple[int, ...]]:
             g, x, y = _xgcd(a, b)
             aa, bb = a // g, b // g
             cj0, cj = cols[j0], cols[j]
-            for i in range(r, m + ncols):  # columns col.. are 0 on the rows above r
+            for i in range(r, len(cj0)):  # columns col.. are 0 on the rows above r
                 u, v = cj0[i], cj[i]
                 cj0[i] = x * u + y * v
                 cj[i] = aa * v - bb * u
@@ -288,8 +287,45 @@ def integer_kernel(rows: list[list[int]], ncols: int) -> list[tuple[int, ...]]:
                 raise ArithmeticError(f"column reduction left row {r} uncleared")
         cols[col], cols[j0] = cols[j0], cols[col]
         col += 1
-    # columns col.. are 0 on every row of M, so they carry the kernel
-    return [normalize_primitive(tuple(c[m:])) for c in cols[col:]]
+    return col
+
+
+def integer_kernel(rows, ncols: int) -> list[tuple[int, ...]]:
+    """Basis of {v in ZZ^ncols : M v = 0} for the integer matrix with these rows.
+
+    Unimodular column reduction of M stacked over the identity: columns whose
+    M-part vanishes carry a basis of the integer kernel, which is automatically
+    saturated.  Deterministic; returned vectors are sign-normalised so the
+    first nonzero coordinate is positive.
+    """
+    m = len(rows := _int_rows(rows, ncols))
+    # column-major: cols[j] holds column j of M stacked over e_j
+    cols = [[rows[r][j] for r in range(m)] + [0] * ncols for j in range(ncols)]
+    for j in range(ncols):
+        cols[j][m + j] = 1
+    rank = _column_reduce(cols, m)
+    # columns rank.. are 0 on every row of M, so they carry the kernel
+    return [normalize_primitive(tuple(c[m:])) for c in cols[rank:]]
+
+
+def diagonal_divisors(rows, ncols: int) -> list[int]:
+    """Sorted |d| over the nonzero d of a diagonal form of the integer matrix with these rows, not always a divisor chain.
+
+    Column echelon passes on the matrix and its transpose in turn (Kannan and
+    Bachem, SIAM J. Comput. 8, 1979) until a pass keeps the |pivots|.  On the
+    transpose of an echelon E, a pass's first pivot is the gcd of E's first
+    column, which divides its pivot; if equal, row steps clear that column
+    below the pivot, and so on down.  So kept pivots make E equivalent to their
+    diagonal; a changed list falls lexicographically, so the loop ends.
+    """
+    rows = _int_rows(rows, ncols)
+    m, cols, old = len(rows), [list(c) for c in zip(*rows)], None
+    while True:
+        rank = _column_reduce(cols, m)
+        pivots = [abs(next(x for x in c if x)) for c in cols[:rank]]
+        if pivots == old:
+            return sorted(pivots)
+        m, cols, old = rank, [list(r) for r in zip(*cols[:rank]) if any(r)], pivots  # the transpose, less zero columns
 
 
 def normalize_primitive(vec) -> tuple[int, ...]:

@@ -22,7 +22,8 @@ n_generators * dim(M) columns, so the elimination state stays small however
 large the group is; the per-element expression matrices are the dominant
 memory cost and are guarded by a budget.  It shares `_tree_products` and the
 module check `_check_module` with the naive oracle `h1_naive`, and every
-matrix list enters through one validator, `_square_stack`.
+matrix list enters through one validator, `_square_stack`.  The oracle on
+trivial modules reads G^ab off `exact.diagonal_divisors`, which no solver reaches.
 
 Specialised helpers cover SL2(F_ell) acting on Sym^r(F_ell^2) (x) det^{-m}
 (det = 1 on `sl2_generators`, so on SL2 the twist changes no matrix), and
@@ -37,7 +38,7 @@ from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-from .exact import _CHUNK, EchelonState, factor, kernel_mod, matmul_mod, rank_mod, residues
+from .exact import _CHUNK, EchelonState, check_int, diagonal_divisors, factor, kernel_mod, matmul_mod, rank_mod, residues
 from .rootsys import SimpleType, build_root_datum
 
 DEFAULT_MEMORY_BUDGET = 2 * 1024**3
@@ -485,53 +486,15 @@ def _relation_lattice(G: FiniteMatrixGroup) -> list[tuple[int, ...]]:
     return list(dict.fromkeys(map(tuple, rels[rels.any(axis=1)].tolist())))
 
 
-def _smith_divisors(rows, ncols) -> list[int]:
-    """|d| for the nonzero entries d of a diagonal form of the integer rows, by unimodular row and column steps."""
-    rows = [list(r) for r in rows]
-    divs = []
-    col_alive = list(range(ncols))
-    while rows and col_alive:
-        piv = min(
-            ((abs(rows[i][j]), i, j) for i in range(len(rows)) for j in col_alive if rows[i][j]),
-            default=None,
-        )
-        if piv is None:
-            break
-        _, pi, pj = piv
-        clean = False
-        while not clean:
-            clean = True
-            for i in range(len(rows)):
-                if i != pi and rows[i][pj]:
-                    q = rows[i][pj] // rows[pi][pj]
-                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[pi])]
-                    if rows[i][pj]:
-                        pi = i
-                        clean = False
-                        break
-            for j in col_alive:
-                if j != pj and rows[pi][j]:
-                    q = rows[pi][j] // rows[pi][pj]
-                    for row in rows:
-                        row[j] -= q * row[pj]
-                    if rows[pi][j]:
-                        pj = j
-                        clean = False
-                        break
-        divs.append(abs(rows[pi][pj]))
-        rows.pop(pi)
-        col_alive.remove(pj)
-        rows = [r for r in rows if any(r[j] for j in col_alive)]
-    # divisor chain condition is not needed downstream; sort for determinism
-    return sorted(divs)
-
-
 def h1_trivial_module_rank(G: FiniteMatrixGroup, dim: int = 1) -> int:
     """dim Hom(G^ab (x) F_ell, F_ell^dim), the value of h1 on a trivial module: an oracle for the solvers.
 
     G^ab (x) F_ell is F_ell^ng modulo one row per divisor d, and that row is zero when ell divides d.
     """
-    divisors = _smith_divisors(_relation_lattice(G), len(G.generators))
+    check_int(dim, "dim")
+    if dim < 1:
+        raise ValueError(f"dim must be at least 1, got {dim}")
+    divisors = diagonal_divisors(_relation_lattice(G), len(G.generators))
     return (len(G.generators) - sum(d % G.ell != 0 for d in divisors)) * dim
 
 

@@ -95,7 +95,7 @@ def _graded_kernel(ad_x, grading: dict, w: int) -> list[tuple[int, ...]]:
     `ad_x` is `ChevalleyAlgebra.ad(X)`; `grading` maps each weight to its basis indices in increasing order.
     """
     src, dst = grading[w], grading.get(w + 2, [])
-    return integer_kernel(ad_x[dst][:, src].tolist(), len(src))
+    return integer_kernel(ad_x[dst][:, src], len(src))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from math import isqrt, prod
+from itertools import combinations
+from math import gcd, isqrt, prod
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ from monolab.exact import (
     EchelonState,
     check_prime_modulus,
     det_mod,
+    diagonal_divisors,
     factor,
     integer_kernel,
     is_prime,
@@ -71,6 +73,51 @@ def test_kernel_known_cases():
     assert len(k) == 2
     for v in k:
         assert v[0] + 2 * v[1] + 3 * v[2] == 0
+    # int64 entries are read as Python ints: the column steps pass 2**63 without wrapping
+    row = [2**40 + 1, 3**25, 7**14]
+    k = integer_kernel([row], 3)
+    assert k[1] == (90825462104588418349408, -117862615606108191366555, 1)
+    assert integer_kernel(np.array([row], dtype=np.int64), 3) == integer_kernel([list(np.array(row))], 3) == k
+    assert all(sum(a * b for a, b in zip(row, v)) == 0 for v in k)
+
+
+def divisor_chain(ds):
+    # gcd and lcm of each pair in turn, so each entry divides the next
+    ds = list(ds)
+    for i in range(len(ds)):
+        for j in range(i + 1, len(ds)):
+            ds[i], ds[j] = gcd(ds[i], ds[j]), ds[i] * ds[j] // gcd(ds[i], ds[j])
+    return ds
+
+
+def determinantal_divisors(rows, ncols):
+    # d_k / d_(k-1), where d_k is the gcd of all k x k minors, up to the rank
+    out, last = [], 1
+    for k in range(1, min(len(rows), ncols) + 1):
+        d = 0
+        for rs in combinations(rows, k):
+            for cs in combinations(range(ncols), k):
+                d = gcd(d, int(rational_det([[r[c] for c in cs] for r in rs])))
+        if d == 0:
+            break
+        out.append(d // last)
+        last = d
+    return out
+
+
+def test_diagonal_divisors_against_determinantal_divisors():
+    rng = random.Random(4404)
+    for _ in range(300):
+        m, n, bound = rng.randrange(1, 6), rng.randrange(1, 5), rng.choice([3, 10, 200])
+        rows = [[rng.randrange(-bound, bound + 1) for _ in range(n)] for _ in range(m)]
+        assert divisor_chain(diagonal_divisors(rows, n)) == determinantal_divisors(rows, n), rows
+    # a loop that stopped at one nonzero per column would cycle here between two
+    # lower-triangular forms, since _xgcd(1, -2) mixes the pivot column back in
+    cycle_prone = [[14, 0], [0, 0], [27, 2], [0, 0], [0, 30]]
+    assert determinantal_divisors(cycle_prone, 2) == diagonal_divisors(cycle_prone, 2) == [1, 2]
+    assert diagonal_divisors([[0, 0], [0, 0]], 2) == diagonal_divisors([], 3) == diagonal_divisors([[], []], 0) == []
+    wide = [[2**70, 6 * 2**64], [3 * 2**66, 0]]
+    assert divisor_chain(diagonal_divisors(wide, 2)) == determinantal_divisors(wide, 2) == [2**65, 9 * 2**66]
 
 
 def test_kernel_saturation():

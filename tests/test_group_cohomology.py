@@ -10,7 +10,7 @@ import pytest
 from conftest import run_optimized, traced_peak
 
 from monolab import group_cohomology, verify
-from monolab.exact import EchelonState, det_mod, is_prime, rank_mod
+from monolab.exact import EchelonState, det_mod, diagonal_divisors, integer_kernel, is_prime, rank_mod
 from monolab.group_cohomology import (
     CohomologyReport,
     FiniteMatrixGroup,
@@ -18,7 +18,6 @@ from monolab.group_cohomology import (
     ResourceLimitError,
     _primitive_root,
     _relation_lattice,
-    _smith_divisors,
     _tree_products,
     adjoint_h1_via_kostant,
     close_group,
@@ -342,13 +341,26 @@ def test_sym_module_matches_binomial_reference(ell):
         (lambda: det_mod([{0: 1}, {2: 1}], 7), r"det_mod row 1 has column key 2, not an integer in \[0, 2\)"),
         (lambda: det_mod([{-1: 1}, {1: 1}], 7), r"det_mod row 0 has column key -1, not an integer in \[0, 2\)"),
         (lambda: det_mod([{0: 1}, [0, 1]], 7), "det_mod row 1 is a list among dict rows"),
+        (lambda: integer_kernel([[1, 2, 3]], 2), r"^row 0 is not 2 integers: \[1, 2, 3\]$"),
+        (lambda: integer_kernel([[0, 0, 0], [1, 2]], 3), r"^row 1 is not 3 integers: \[1, 2\]$"),
+        (lambda: integer_kernel([[True, 1]], 2), r"^row 0 is not 2 integers: \[True, 1\]$"),
+        (lambda: integer_kernel([[1.5, 1]], 2), r"^row 0 is not 2 integers: \[1.5, 1\]$"),
+        (lambda: integer_kernel(np.eye(2, dtype=bool), 2), r"^row 0 is not 2 integers: \[np\.True_, np\.False_\]$"),
+        (lambda: diagonal_divisors([[1, 2], [1.0, 2]], 2), r"^row 1 is not 2 integers: \[1.0, 2\]$"),
+        (lambda: diagonal_divisors([[1, 2]], 1), r"^row 0 is not 1 integers: \[1, 2\]$"),
+        (lambda: h1_trivial_module_rank(close_group([((1, 1), (0, 1))], 7), -2), "^dim must be at least 1, got -2$"),
+        (lambda: h1_trivial_module_rank(close_group([((1, 1), (0, 1))], 7), 0), "^dim must be at least 1, got 0$"),
+        (lambda: h1_trivial_module_rank(close_group([((1, 1), (0, 1))], 7), 1.5), "^dim is not an int: 1.5$"),
+        (lambda: h1_trivial_module_rank(close_group([((1, 1), (0, 1))], 7), True), "^dim is not an int: True$"),
     ],
     ids=[
         "module-float", "close-float", "sym-float-twist", "module-empty", "sym-3x3", "sym-empty", "sym-ragged",
         "rank-empty", "det-2x3", "close-mixed", "sym-singular", "sym-singular-twist",
         "module-0x0", "close-0x0", "close-singular", "close-2x3", "close-1-d", "det-bool", "det-numpy-bool",
         "det-dict-bool-value", "det-dict-bool-key", "det-dict-float-key", "det-dict-key-n", "det-dict-key-minus-1",
-        "det-dict-list-row",
+        "det-dict-list-row", "kernel-wide-row", "kernel-short-row", "kernel-bool", "kernel-float", "kernel-numpy-bool",
+        "divisors-float", "divisors-wide-row", "trivial-rank-dim-minus-2", "trivial-rank-dim-0", "trivial-rank-dim-float",
+        "trivial-rank-dim-bool",
     ],
 )
 def test_non_integer_or_empty_input_rejected(call, match):
@@ -359,7 +371,9 @@ def test_non_integer_or_empty_input_rejected(call, match):
     # named whatever the twist (not pow()'s own error, and no non-invertible
     # module matrices), as is a singular or non-square generator of a group;
     # det_mod's dict rows name the row of a column key outside [0, n) or of a
-    # row that is not a dict
+    # row that is not a dict; an integer matrix over ZZ names its first row
+    # that is not ncols integers, never dropping, padding or truncating one;
+    # the trivial-module rank takes an int dimension of at least 1
     with pytest.raises(ValueError, match=match):
         call()
 
@@ -403,7 +417,7 @@ def test_h0_additive():
 
 def abelianization_elementary_divisors(G):
     # nontrivial elementary divisors of G^ab = ZZ^ng / (relation lattice)
-    return tuple(d for d in _smith_divisors(_relation_lattice(G), len(G.generators)) if d != 1)
+    return tuple(d for d in diagonal_divisors(_relation_lattice(G), len(G.generators)) if d != 1)
 
 
 def loop_relations(G):

@@ -243,6 +243,34 @@ def test_each_cohomology_job_has_one_home():
     assert not re.search(r"% *\w+ *== *0", sources["group_cohomology.py"])
 
 
+def test_integer_elimination_has_one_home():
+    # every unimodular reduction over ZZ is `exact._column_reduce`, called by the integer
+    # kernel and the diagonal form alone; in group_cohomology only the trivial-module
+    # oracle reads either, so no H^1 solver reaches the loop or its `_xgcd` step
+    files = [*pathlib.Path(monolab.__file__).parent.glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    trees = {f.name: ast.parse(f.read_text()) for f in files}
+    defs = sorted((name, n.name) for name, t in trees.items() for n in ast.walk(t) if isinstance(n, ast.FunctionDef))
+    assert [d for d in defs if d[1] in {"_column_reduce", "_xgcd", "_smith_divisors"}] == [
+        ("exact.py", "_column_reduce"),
+        ("exact.py", "_xgcd"),
+    ]
+
+    def readers(tree, names):
+        return {
+            fn.name
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and names & set(_names_read(fn))
+        }
+
+    assert set().union(*(readers(t, {"_column_reduce"}) for t in trees.values())) == {"integer_kernel", "diagonal_divisors"}
+    assert readers(trees["group_cohomology.py"], {"_column_reduce", "_xgcd", "integer_kernel", "diagonal_divisors"}) == {
+        "h1_trivial_module_rank"
+    }
+    # no identifier, import or attribute anywhere names the deleted second elimination
+    imported = {alias.name for t in trees.values() for n in ast.walk(t) if isinstance(n, ast.ImportFrom) for alias in n.names}
+    assert "_smith_divisors" not in imported | {name for t in trees.values() for name in _names_read(t)}
+
+
 def test_solver_cross_checks_have_one_home():
     # the CLI runs no oracle solver; in the cohomology tests only the cross-check table
     # and the error-path tests named here read h1_naive
