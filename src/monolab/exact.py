@@ -12,9 +12,9 @@ Every rank and kernel over F_ell in the package goes through one kernel at the
 end of this module: `matmul_mod`, the streamed reduced echelon form
 `EchelonState`, `rank_mod` and `kernel_mod`; no other module reads how
 `EchelonState` stores its rows.  It is exact for every prime ell < 2**31.
-`det_mod` eliminates its matrix's blocks side by side and shares no logic
-with `EchelonState`, whose pivot step a block split would tax on systems
-that form one block.
+`det_mod` reads its matrix as sparse rows {column: entry}, eliminates its
+blocks side by side and shares no logic with `EchelonState`, whose pivot
+step a block split would tax on systems that form one block.
 Both eliminations take one update rule: a pivot rewrites, from its column
 on, only the rows with an entry in that column; back-substitution touches
 only the pivot rows that a new pivot hits.  `matmul_mod` has three
@@ -561,17 +561,13 @@ def _components(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
 
 
 def _entries(rows, ell: int):
-    """n and the nonzero residues v at (r, c) of an n x n integer matrix, dense or a list of n {column: entry} dicts."""
-    if not (isinstance(rows, (list, tuple)) and any(isinstance(row, dict) for row in rows)):
-        matrix = residues(rows, ell)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError(f"det_mod needs a square matrix, got shape {matrix.shape}")
-        r, c = matrix.nonzero()
-        return len(matrix), r, c, matrix[r, c]
+    """n and the nonzero residues v at (r, c) of the n x n integer matrix with these n {column: entry} dict rows."""
+    if not isinstance(rows, (list, tuple)):
+        raise ValueError(f"det_mod takes a list or tuple of {{column: entry}} dict rows, got {type(rows).__name__}")
     n = len(rows)
     for i, row in enumerate(rows):
         if not isinstance(row, dict):
-            raise ValueError(f"det_mod row {i} is a {type(row).__name__} among dict rows")
+            raise ValueError(f"det_mod row {i} is a {type(row).__name__}, not a {{column: entry}} dict")
         for k in row:
             if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < n:
                 raise ValueError(f"det_mod row {i} has column key {k!r}, not an integer in [0, {n})")
@@ -583,11 +579,11 @@ def _entries(rows, ell: int):
 
 
 def det_mod(rows, ell: int) -> int:
-    """Determinant mod ell of a square integer matrix, block by block over F_ell.
+    """Determinant mod ell of an n x n integer matrix, block by block over F_ell.
 
-    The matrix is dense (anything `residues` reads) or a list of n sparse
-    rows {column: entry}; either is read once into its nonzero residues, and
-    the sparse form never builds an n x n array.  Sorted stably into the
+    The matrix is a list or tuple of n sparse rows {column: entry}, read once
+    into its nonzero residues; no n x n array is built, n = 0 gives the empty
+    product 1, and any other input is a ValueError.  Sorted stably into the
     connected blocks of its nonzero pattern, largest first, the matrix is
     block diagonal: the sign of the two orders times the block determinants,
     0 unless every block is square.  Zero-padded to the
@@ -595,9 +591,7 @@ def det_mod(rows, ell: int) -> int:
     entries, each eliminated in k Python steps (step j only on the blocks
     wider than j, and there only on the rows with an entry in column j),
     with products of two residues below ell**2 < 2**62.  A dense k x k block
-    costs O(k**3) numpy work, a sparse one only the rows its pivots reach:
-    on 2 vCPUs a dense 300 x 300 took 0.07-0.08 s (0.025-0.03 s through
-    `EchelonState`), a lower-bidiagonal 1000 x 1000 0.05-0.06 s (0.05 s).
+    costs O(k**3) numpy work, a sparse one only the rows its pivots reach.
     """
     n, r, c, v = _entries(rows, ell)
     root = _components(r, c + n, 2 * n)  # rows are nodes 0..n-1, columns n..2n-1

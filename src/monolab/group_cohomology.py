@@ -38,7 +38,9 @@ from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-from .exact import _CHUNK, EchelonState, check_int, diagonal_divisors, factor, kernel_mod, matmul_mod, rank_mod, residues
+from .exact import (
+    _CHUNK, EchelonState, check_int, check_prime_modulus, diagonal_divisors, factor, kernel_mod, matmul_mod, rank_mod, residues
+)
 from .rootsys import SimpleType, build_root_datum
 
 DEFAULT_MEMORY_BUDGET = 2 * 1024**3
@@ -197,8 +199,7 @@ def sym_module(ell: int, r: int, twist: int, generators=None) -> ModuleAction:
     aX + cY, then the last column times bX + dY appended.  Each entry is
     below 2 (ell - 1)^2 < 2**63 before it is reduced.
     """
-    ints = (int, np.integer)  # a bool is an int to isinstance, and would build Sym^1
-    if not (isinstance(r, ints) and isinstance(twist, ints)) or bool in (type(r), type(twist)) or r < 0:
+    if type(r) is not int or type(twist) is not int or r < 0:  # a bool would build Sym^1, an np.uint8 255 wrap r + 1
         raise ValueError(f"need an int r >= 0 and an int twist, got r={r!r}, twist={twist!r}")
     g = _square_stack(sl2_generators(ell) if generators is None else generators, ell, ("generator", "generators"))
     if g.shape[1:] != (2, 2):
@@ -207,7 +208,7 @@ def sym_module(ell: int, r: int, twist: int, generators=None) -> ModuleAction:
     dets = ((a * d - b * c) % ell).ravel()
     if not dets.all():
         raise ValueError(f"generator {int(np.flatnonzero(dets == 0)[0])} is singular mod {ell}")
-    _check_budget(4 * len(g) * (int(r) + 1) ** 2 * 8, f"Sym^{r}")  # S, T and two temporaries
+    _check_budget(4 * len(g) * (r + 1) ** 2 * 8, f"Sym^{r}")  # S, T and two temporaries
     S = np.ones((len(g), 1, 1), dtype=np.int64)
     for n in range(1, r + 1):
         T = np.zeros((len(g), n + 1, n + 1), dtype=np.int64)
@@ -504,6 +505,7 @@ def adjoint_h1_via_kostant(t: SimpleType | str, ell: int) -> int:
     Requires ell >= 2h-1 so the exponent decomposition persists mod ell and
     every summand has 2m < ell.
     """
+    check_prime_modulus(ell)
     d = build_root_datum(t)
     bound = 2 * d.coxeter_number - 1
     if ell < bound:

@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache, wraps
 
 import numpy as np
 
-from .exact import exact_div, exact_div_arrays
+from .exact import check_int, exact_div, exact_div_arrays
 
 Root = tuple[int, ...]
 
@@ -46,6 +46,7 @@ class SimpleType:
     rank: int
 
     def __post_init__(self):
+        check_int(self.rank, "rank")  # True and np.int64(8) hash like 1 and 8, and would share their per-type caches
         if (self.family, self.rank) in _EXCEPTIONAL_ROOT_COUNTS:
             return
         if self.family not in _CLASSICAL_MIN_RANKS or self.rank < _CLASSICAL_MIN_RANKS[self.family]:

@@ -25,7 +25,16 @@ from monolab.exact import (
     rank_mod,
     residues,
 )
-from monolab.group_cohomology import close_group, h1, h1_naive, module_from_matrices, sl2_generators, sl2_group, sym_module
+from monolab.group_cohomology import (
+    adjoint_h1_via_kostant,
+    close_group,
+    h1,
+    h1_naive,
+    module_from_matrices,
+    sl2_generators,
+    sl2_group,
+    sym_module,
+)
 from monolab.principal_sl2 import principal_kostant, sl2_string_family_rows
 from monolab.selmer_arith import LocalCondition, SelmerLedger, local_dim
 from monolab.verify import _next_primes
@@ -183,7 +192,7 @@ def test_det_mod_against_rational():
         rows = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
         d = rational_det(rows)
         for ell in (2, 3, 5, 13, 101):
-            assert det_mod(rows, ell) == int(d) % ell
+            assert det_mod(dict_rows(rows), ell) == int(d) % ell
 
 
 def reference_rank_det(rows, ell):
@@ -244,7 +253,7 @@ def test_kernel_against_python_reference(ell):
                 state.add(np.array(rows[lo:hi], dtype=np.int64))
             assert state.rank == rank, (m, n, kind, cuts)
             if m == n:
-                assert det_mod(rows, ell) == det, (m, kind)
+                assert det_mod(dict_rows(rows), ell) == det, (m, kind)
             other = [[rng.randrange(ell) for _ in range(3)] for _ in range(n)]
             want = [[sum(r[t] * other[t][j] for t in range(n)) % ell for j in range(3)] for r in rows]
             got = matmul_mod(np.array(rows, dtype=np.int64), np.array(other, dtype=np.int64), ell)
@@ -298,17 +307,17 @@ def dict_rows(matrix):
 def test_det_mod_block_by_block_against_the_reference(ell):
     # the shuffles make the sign of the row and column orders matter, and a
     # block that is singular, has a zero row or column, or more rows than
-    # columns makes the determinant 0; each matrix goes in dense and as dict
-    # rows, where a zero row is an empty dict
+    # columns makes the determinant 0; each matrix goes in as dict rows,
+    # where a zero row is an empty dict
     rng, nonzero, explicit_zeros, empty_rows = random.Random(ell), 0, 0, 0
     for name, matrix in block_cases(rng, ell):
         det, rows = reference_rank_det(matrix, ell)[1], dict_rows(matrix)
-        assert det_mod(matrix, ell) == det_mod(rows, ell) == det, name
+        assert det_mod(rows, ell) == det, name
         nonzero += det != 0
         explicit_zeros += sum(0 in row.values() for row in rows)
         empty_rows += rows.count({})
     assert nonzero >= 8 and explicit_zeros and empty_rows
-    assert det_mod(np.zeros((0, 0), dtype=np.int64), ell) == 1  # the empty product
+    assert det_mod([], ell) == det_mod((), ell) == 1  # the empty product
 
 
 @pytest.mark.parametrize("name", ["G2", "F4", "E6", "E7", "E8"])
@@ -320,7 +329,7 @@ def test_det_mod_of_string_families_against_the_reference(name):
     dense = [[row.get(j, 0) for j in range(len(rows))] for row in rows]
     for ell in _next_primes(2 * h - 1, 3):
         det = reference_rank_det(dense, ell)[1]
-        assert det != 0 and det_mod(rows, ell) == det_mod(dense, ell) == det, ell
+        assert det != 0 and det_mod(rows, ell) == det, ell
 
 
 def test_det_mod_peak_on_one_wide_block():
@@ -332,14 +341,15 @@ def test_det_mod_peak_on_one_wide_block():
     matrix[:200, :200] = rng.integers(0, ell, (200, 200))
     matrix[np.arange(200, n), np.arange(200, n)] = rng.integers(1, ell, n - 200)
     matrix = matrix[rng.permutation(n)][:, rng.permutation(n)]
-    assert det_mod(matrix, ell) == reference_rank_det(matrix.tolist(), ell)[1]
-    assert traced_peak(lambda: det_mod(matrix, ell)) <= 4 * matrix.nbytes
+    rows = dict_rows(matrix.tolist())
+    assert det_mod(rows, ell) == reference_rank_det(matrix.tolist(), ell)[1]
+    assert traced_peak(lambda: det_mod(rows, ell)) <= 4 * matrix.nbytes
 
 
 def test_det_mod_peak_on_the_e8_string_family():
     # E8's family reaches det_mod as 248 sparse rows, 2.2 % of the entries
     # nonzero: read into those entries, it stays below half of one dense
-    # int64 copy, which the dense path alone would build
+    # int64 copy
     rows = sl2_string_family_rows(principal_kostant("E8"))
     n, ell = len(rows), 61
     assert det_mod(rows, ell) != 0
@@ -369,9 +379,9 @@ def test_det_mod_of_one_wide_sparse_block():
         matrix = np.diag(diag) + np.diag(rng.integers(1, ell, n - 1), offset)
         rows, cols = rng.permutation(n), rng.permutation(n)
         matrix = matrix[rows][:, cols]
-        det = prod(diag.tolist()) * _sign(rows) * _sign(cols) % ell
-        assert det_mod(matrix, ell) == det, offset
-        assert traced_peak(lambda: det_mod(matrix, ell)) <= 2.5 * matrix.nbytes
+        det, sparse = prod(diag.tolist()) * _sign(rows) * _sign(cols) % ell, dict_rows(matrix.tolist())
+        assert det_mod(sparse, ell) == det, offset
+        assert traced_peak(lambda: det_mod(sparse, ell)) <= 2.5 * matrix.nbytes
 
 
 @pytest.mark.parametrize("ell", [7, 101, 2**31 - 1])
@@ -470,20 +480,20 @@ def test_sparse_system_across_chunks_matches_the_reference(monkeypatch):
         rank, det = reference_rank_det(matrix, ell)
         assert rank == want_rank and (det != 0) == (rank == n)
         assert rank_mod(matrix, ell) == rank
-        assert det_mod(matrix, ell) == det
+        assert det_mod(dict_rows(matrix), ell) == det
     assert gated  # some product passed the BLAS gate
 
 
 def test_kernel_rejects_bad_moduli():
     with pytest.raises(ValueError, match="not a prime: 12"):
-        det_mod([[1, 2], [3, 4]], 12)
+        det_mod([{0: 1, 1: 2}, {0: 3, 1: 4}], 12)
     with pytest.raises(ValueError, match="not a prime: 12"):
         rank_mod([[1, 2]], 12)
     with pytest.raises(ValueError, match="prime out of machine-width range"):
-        det_mod([[1]], 2**31 + 11)
+        det_mod([{0: 1}], 2**31 + 11)
     for bad in (7.0, 7.5):
         with pytest.raises(ValueError, match="modulus is not an int"):
-            det_mod([[1, 2], [3, 4]], bad)
+            det_mod([{0: 1, 1: 2}, {0: 3, 1: 4}], bad)
         with pytest.raises(ValueError, match="modulus is not an int"):
             EchelonState(2, bad)
 
@@ -507,6 +517,7 @@ INT_ARGUMENTS = {  # entry point -> a call on the one argument under test
     "check_prime_modulus": check_prime_modulus,
     "sym_module r": lambda x: sym_module(7, x, 0),
     "sym_module twist": lambda x: sym_module(7, 2, x),
+    "adjoint_h1_via_kostant ell": lambda x: adjoint_h1_via_kostant("G2", x),
     "jacobi_sweep samples": lambda x: jacobi_sweep(G2, None, x),
     "element index": lambda x: G2.element({x: 1}),
     "element scalar": lambda x: G2.element({0: x}),
@@ -530,6 +541,11 @@ INT_ROWS = [  # (entry point, bad value, exception type, message with {!r} for t
     ("sym_module r", 2.0, ValueError, NEED_R + "r={!r}, twist=0"),
     ("sym_module twist", True, ValueError, NEED_R + "r=2, twist={!r}"),
     ("sym_module twist", 2.0, ValueError, NEED_R + "r=2, twist={!r}"),
+    ("sym_module r", np.int64(2), ValueError, NEED_R + "r={!r}, twist=0"),
+    ("sym_module r", np.uint8(255), ValueError, NEED_R + "r={!r}, twist=0"),  # r + 1 would wrap to 0
+    ("sym_module twist", np.int64(0), ValueError, NEED_R + "r=2, twist={!r}"),
+    ("adjoint_h1_via_kostant ell", True, ValueError, "modulus is not an int: {!r}"),  # checked before the bound 2h-1
+    ("adjoint_h1_via_kostant ell", 7.5, ValueError, "modulus is not an int: {!r}"),
     ("jacobi_sweep samples", True, ValueError, "samples must be an int >= 0, got {!r}"),
     ("jacobi_sweep samples", 2.0, ValueError, "samples must be an int >= 0, got {!r}"),
     ("jacobi_sweep samples", np.int64(3), ValueError, "samples must be an int >= 0, got {!r}"),
@@ -564,8 +580,8 @@ def test_prime_verdict_computed_once_per_modulus():
     ell = 2**31 - 1
     exact._is_prime_modulus.cache_clear()
     with mock.patch.object(exact, "is_prime", wraps=exact.is_prime) as spy:
-        assert det_mod([[1, 2], [3, 4]], ell) == ell - 2
-        assert det_mod([[2, 0], [0, 3]], ell) == 6
+        assert det_mod([{0: 1, 1: 2}, {0: 3, 1: 4}], ell) == ell - 2
+        assert det_mod([{0: 2}, {1: 3}], ell) == 6
         assert h1(sl2_group(ell), sym_module(ell, 3, 0)).h1 == 0
     # `factor` proves the factor 331 of ell - 1 with is_prime too; only the calls on ell count here
     assert [c.args for c in spy.call_args_list].count((ell,)) == 1
@@ -574,7 +590,7 @@ def test_prime_verdict_computed_once_per_modulus():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: det_mod([[1.5, 0], [0, 1]], 7),
+        lambda: det_mod([{0: 1.5}, {1: 1}], 7),
         lambda: rank_mod([[0.5, 0], [0, 1]], 7),
         lambda: det_mod([{0: 1}, {0: 2, 1: 1.5}], 7),
     ],
@@ -589,7 +605,7 @@ def test_kernel_rejects_non_integer_entries(call):
 @pytest.mark.parametrize(
     "call, match",
     [
-        (lambda: det_mod(5, 7), r"square matrix, got shape \(\)"),
+        (lambda: det_mod(5, 7), r"^det_mod takes a list or tuple of \{column: entry\} dict rows, got int$"),
         (lambda: rank_mod(5, 7), r"2-d matrix, got shape \(\)"),
         (lambda: kernel_mod(5, 7), r"kernel_mod needs a 2-d matrix, got shape \(\)"),
         (lambda: module_from_matrices(7, [5]), r"square of one shape, got \[\(\)\]"),
@@ -605,10 +621,10 @@ def test_bare_integer_is_not_a_matrix(call, match):
 def test_kernel_reduces_entries_of_any_size():
     # entries beyond int64 are reduced exactly; 2**70 = 2 mod 7
     assert rank_mod([[2**70, 0], [0, 1]], 7) == 2
-    assert det_mod([[2**70, 0], [0, -(2**65)]], 7) == 2 * (-(2**65)) % 7
+    assert det_mod([{0: 2**70}, {1: -(2**65)}], 7) == 2 * (-(2**65)) % 7
     assert residues(np.array([[2**64 - 1]], dtype=np.uint64), 7).tolist() == [[(2**64 - 1) % 7]]
     # numpy scalars in a list are reduced as ints, whatever their width
-    assert det_mod([[np.int8(3), np.uint64(2**64 - 1)], [np.int16(-1), 2]], 251) == (6 + (2**64 - 1)) % 251
+    assert det_mod([{0: np.int8(3), 1: np.uint64(2**64 - 1)}, {0: np.int16(-1), 1: 2}], 251) == (6 + (2**64 - 1)) % 251
 
 
 @pytest.mark.parametrize("ell", [7, 251, 65521, 2**31 - 1])
@@ -624,7 +640,7 @@ def test_residues_widen_every_integer_dtype(dtype, ell):
     rows = a.tolist()
     assert residues(a, ell).tolist() == [[x % ell for x in r] for r in rows]
     rank, det = reference_rank_det(rows, ell)
-    assert rank_mod(a, ell) == rank and det_mod(a, ell) == det
+    assert rank_mod(a, ell) == rank and det_mod(dict_rows(a), ell) == det
     assert rank_mod(a[:4], ell) == reference_rank_det(rows[:4], ell)[0]
 
 
@@ -818,7 +834,7 @@ def test_first_batch_with_zero_duplicate_and_unreduced_rows():
         rank, det = reference_rank_det(matrix, ell)
         assert rank_mod(matrix, ell) == rank, matrix
         if len(matrix) == 4:
-            assert det_mod(matrix, ell) == det, matrix
+            assert det_mod(dict_rows(matrix), ell) == det, matrix
 
 
 def test_rank_mod_of_a_zero_matrix_copies_it_once():

@@ -321,7 +321,7 @@ def test_sym_module_matches_binomial_reference(ell):
             r"generators must be nonempty and all square of one shape, got \[\(2, 2\), \(3, 3\)\]",
         ),
         (lambda: rank_mod([], 7), r"2-d matrix, got shape \(0,\)"),
-        (lambda: det_mod([[1, 2, 3], [4, 5, 6]], 7), r"square matrix, got shape \(2, 3\)"),
+        (lambda: det_mod([[1, 2, 3], [4, 5, 6]], 7), r"^det_mod row 0 is a list, not a \{column: entry\} dict$"),
         (
             lambda: close_group([((1, 1), (0, 1)), np.eye(3, dtype=np.int64)], 7),
             r"one shape, got \[\(2, 2\), \(3, 3\)\]",
@@ -333,14 +333,15 @@ def test_sym_module_matches_binomial_reference(ell):
         (lambda: close_group([((1, 1), (0, 1)), ((1, 0), (2, 0))], 5), "generators must be invertible"),
         (lambda: close_group([((1, 0, 0), (0, 1, 0))], 7), r"all square of one shape, got \[\(2, 3\)\]"),
         (lambda: close_group([(1, 2)], 7), r"all square of one shape, got \[\(2,\)\]"),
-        (lambda: det_mod([[True, 1], [0, True]], 7), "must be integers, got bool"),
-        (lambda: det_mod(np.eye(2, dtype=bool), 7), "must be integers, got bool"),
+        (lambda: det_mod([{0: True, 1: 1}, {1: True}], 7), "must be integers, got bool"),
+        (lambda: det_mod([{0: np.True_}, {1: np.True_}], 7), "must be integers, got bool"),
+        (lambda: det_mod(np.eye(2, dtype=np.int64), 7), r"^det_mod takes a list or tuple of \{column: entry\} dict rows, got ndarray$"),
         (lambda: det_mod([{0: 1}, {1: True}], 7), "must be integers, got bool"),
         (lambda: det_mod([{0: 1}, {True: 1}], 7), r"det_mod row 1 has column key True, not an integer in \[0, 2\)"),
         (lambda: det_mod([{0: 1}, {1.0: 1}], 7), r"det_mod row 1 has column key 1.0, not an integer in \[0, 2\)"),
         (lambda: det_mod([{0: 1}, {2: 1}], 7), r"det_mod row 1 has column key 2, not an integer in \[0, 2\)"),
         (lambda: det_mod([{-1: 1}, {1: 1}], 7), r"det_mod row 0 has column key -1, not an integer in \[0, 2\)"),
-        (lambda: det_mod([{0: 1}, [0, 1]], 7), "det_mod row 1 is a list among dict rows"),
+        (lambda: det_mod([{0: 1}, [0, 1]], 7), r"^det_mod row 1 is a list, not a \{column: entry\} dict$"),
         (lambda: integer_kernel([[1, 2, 3]], 2), r"^row 0 is not 2 integers: \[1, 2, 3\]$"),
         (lambda: integer_kernel([[0, 0, 0], [1, 2]], 3), r"^row 1 is not 3 integers: \[1, 2\]$"),
         (lambda: integer_kernel([[True, 1]], 2), r"^row 0 is not 2 integers: \[True, 1\]$"),
@@ -356,7 +357,7 @@ def test_sym_module_matches_binomial_reference(ell):
     ids=[
         "module-float", "close-float", "sym-float-twist", "module-empty", "sym-3x3", "sym-empty", "sym-ragged",
         "rank-empty", "det-2x3", "close-mixed", "sym-singular", "sym-singular-twist",
-        "module-0x0", "close-0x0", "close-singular", "close-2x3", "close-1-d", "det-bool", "det-numpy-bool",
+        "module-0x0", "close-0x0", "close-singular", "close-2x3", "close-1-d", "det-bool", "det-numpy-bool", "det-ndarray",
         "det-dict-bool-value", "det-dict-bool-key", "det-dict-float-key", "det-dict-key-n", "det-dict-key-minus-1",
         "det-dict-list-row", "kernel-wide-row", "kernel-short-row", "kernel-bool", "kernel-float", "kernel-numpy-bool",
         "divisors-float", "divisors-wide-row", "trivial-rank-dim-minus-2", "trivial-rank-dim-0", "trivial-rank-dim-float",
@@ -370,9 +371,10 @@ def test_non_integer_or_empty_input_rejected(call, match):
     # instead of surfacing as a numpy error, and a singular generator is
     # named whatever the twist (not pow()'s own error, and no non-invertible
     # module matrices), as is a singular or non-square generator of a group;
-    # det_mod's dict rows name the row of a column key outside [0, n) or of a
-    # row that is not a dict; an integer matrix over ZZ names its first row
-    # that is not ncols integers, never dropping, padding or truncating one;
+    # det_mod takes only a list or tuple of dict rows, and names the row of a
+    # column key outside [0, n) or of a row that is not a dict; an integer
+    # matrix over ZZ names its first row that is not ncols integers, never
+    # dropping, padding or truncating one;
     # the trivial-module rank takes an int dimension of at least 1
     with pytest.raises(ValueError, match=match):
         call()
@@ -955,6 +957,8 @@ def test_adjoint_h1_values():
 def test_adjoint_h1_bound_guard():
     with pytest.raises(ValueError):
         adjoint_h1_via_kostant("G2", 7)  # below 2h-1 = 11
+    with pytest.raises(ValueError, match="^not a prime: 9$"):
+        adjoint_h1_via_kostant("G2", 9)  # a composite is refused as one, before the bound
 
 
 def test_memory_budget(monkeypatch):
@@ -1123,7 +1127,7 @@ def test_module_check_against_edge_oracle(ell):
         # the same module in a random basis, still a module
         while True:
             B = rng.integers(0, ell, (r + 1, r + 1))
-            if det_mod(B, ell):
+            if det_mod([dict(enumerate(row)) for row in B.tolist()], ell):
                 break
         Binv = np.array(inverse_mod(B, ell))
         pairs.append([B @ U @ Binv % ell, B @ W @ Binv % ell])

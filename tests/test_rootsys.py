@@ -227,11 +227,23 @@ def test_tampered_datum_rejected(expr):
 
 @pytest.mark.parametrize(
     "family,rank",
-    [("E", 9), ("E", 5), ("F", 5), ("F", 3), ("G", 3), ("G", 1), ("A", 0), ("B", 1), ("C", 2), ("D", 3), ("H", 4), ("A", 33), ("D", 10**10)],
+    [("E", 9), ("E", 5), ("F", 5), ("F", 3), ("G", 3), ("G", 1), ("A", 0), ("B", 1), ("C", 2), ("D", 3), ("H", 4), ("A", 33), ("D", 10**10),
+     ("A", True), ("E", np.int64(8)), ("A", 2.0)],
 )
 def test_invalid_types_rejected(family, rank):
     with pytest.raises(ValueError):
         SimpleType(family, rank)
+
+
+def test_a_refused_bool_rank_leaves_a1_named_a1():
+    # SimpleType("A", True) equals and hashes like A1, so a build through it
+    # would be the cached A1 of every later caller, named "ATrue"
+    for build in BUILDERS:
+        build.cache_clear()
+    with pytest.raises(ValueError, match=r"^rank is not an int: True$"):
+        build_root_datum(SimpleType("A", True))
+    assert build_root_datum("A1").to_json_dict()["simple_type"] == "A1"
+    assert str(build_report("A1").simple_type) == "A1"
 
 
 def test_parse():
