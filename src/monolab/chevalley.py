@@ -28,7 +28,8 @@ by one lookup, `_rows`, two gathers of `starts` a query.  Criterion 5 checks
 the table by exhaustive Jacobi and Carter's magnitude identity.
 `build_chevalley_algebra` is cached once per parsed simple type, on the cached
 `build_root_datum`.  `_signed_map`, the one signed-map builder, gives sigma
-and the Frenkel-Kac maps.
+and the Frenkel-Kac maps; sigma lifts -w0, which `_opposition` reads off
+`RootDatum.diagram_symmetries`.
 """
 
 from __future__ import annotations
@@ -230,13 +231,6 @@ class LieElement:
         _check_scalar(c)
         return LieElement(self.algebra, self.algebra._clean({k: v * c for k, v in self.coeffs.items()}))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, LieElement)
-            and other.algebra is self.algebra
-            and other.coeffs == self.coeffs
-        )
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
@@ -261,10 +255,12 @@ def build_chevalley_algebra(t: SimpleType) -> ChevalleyAlgebra:
 
 
 def _opposition(d: RootDatum) -> list[int]:
-    """The simple-root permutation -w0, 0-based: the identity when -1 is in W, Bourbaki's 1 <-> 6, 3 <-> 5 on E6."""
-    n = d.rank
-    opposite = {"A": [*range(n)][::-1], "D": [*range(n - 2), n - 1, n - 2], "E": [5, 1, 4, 3, 2, 0]}
-    return list(range(n)) if d.weyl_has_minus_one else opposite[d.simple_type.family]
+    """The simple-root permutation -w0, 0-based: the identity when -1 is in W, else the one nontrivial diagram symmetry."""
+    if d.weyl_has_minus_one:
+        return list(range(d.rank))
+    if (count := len(d.diagram_symmetries)) != 2:  # -w0 is then a nontrivial diagram involution (Steinberg, Lectures, 11)
+        raise ArithmeticError(f"{d.simple_type}: -1 is not in W, and the diagram has {count} symmetries, not 2")
+    return list(d.diagram_symmetries[1])
 
 
 def diagram_involution(alg: ChevalleyAlgebra) -> tuple[np.ndarray, np.ndarray]:

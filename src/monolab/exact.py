@@ -330,20 +330,13 @@ def diagonal_divisors(rows, ncols: int) -> list[int]:
 
 def normalize_primitive(vec) -> tuple[int, ...]:
     """Divide out the content and make the first nonzero coordinate positive."""
-    g = content(vec)
+    g = gcd(*vec)
     if g == 0:
         return tuple(vec)
     lead = next(x for x in vec if x != 0)
     if lead < 0:
         g = -g
     return tuple(x // g for x in vec)
-
-
-def content(vec) -> int:
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
-    return g
 
 
 # ---------------------------------------------------------------------------

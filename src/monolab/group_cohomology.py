@@ -33,7 +33,7 @@ the adjoint-type vanishing sum driven by the exponent data of a root system.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
@@ -244,7 +244,7 @@ class CohomologyReport:
             raise ArithmeticError(f"inconsistent cohomology dimensions: {self}")
 
     def to_json_dict(self):
-        return {"h0": self.h0, "dim_Z1": self.dim_Z1, "dim_B1": self.dim_B1, "h1": self.h1}
+        return asdict(self)
 
 
 def h0(G: FiniteMatrixGroup, M: ModuleAction) -> int:

@@ -12,7 +12,9 @@ roots, then their negatives in the same order, so -(root k) is root
 (k + N) mod 2N).  `RootDatum` alone computes per-root numbers, each a read-only
 array built once per datum: `root_sums`, the signed `heights`, `pairings`,
 `norm2` and `coroots`.  `string_depth(u, v)`, walked on `root_sums`, is the one
-root-string walk, run only on the index pairs a reader passes.
+root-string walk, run only on the index pairs a reader passes.  The node
+numbering is written only in `cartan_matrix`: `diagram_symmetries`, the node
+permutations that keep the Cartan matrix, is read off it.
 `_sum_index` builds the sums with array operations on int64 keys short enough
 that no key wraps at any rank.  `per_type` caches each per-type builder (the
 datum here, the Chevalley algebra, the Kostant decomposition and the prime
@@ -236,6 +238,26 @@ class RootDatum:
             depth += live
             w = np.where(live, self.root_sums[w, minus], -1)  # one step further down the string
         return depth
+
+    @cached_property
+    def diagram_symmetries(self) -> tuple[tuple[int, ...], ...]:
+        """The sorted node permutations pi with C[pi][:, pi] = C, the identity first.
+
+        Each pi grows along a breadth-first order of the connected diagram, a
+        node going to a neighbour of its parent's image; only the finished maps
+        that keep C are kept (Kac, Infinite-dimensional Lie algebras, ch. 7).
+        """
+        C, n = self.cartan, self.rank
+        order, parent = [0], {0: 0}
+        for i in order:  # `order` grows in place while it is walked
+            new = [j for j in range(n) if C[i][j] and j not in parent]
+            parent.update(dict.fromkeys(new, i))
+            order += new
+        maps = [{0: k} for k in range(n)]
+        for j in order[1:]:
+            maps = [{**m, j: k} for m in maps for k in range(n) if C[m[parent[j]]][k] and k not in m.values()]
+        perms = (tuple(m[i] for i in range(n)) for m in maps)
+        return tuple(sorted(p for p in perms if tuple(tuple(C[a][b] for b in p) for a in p) == C))
 
     # -- serialisation ---------------------------------------------------
 

@@ -24,7 +24,7 @@ An archimedean place may be declared in `archimedean_fixed_dims` or as an
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .fixtures import E8_CANDIDATES
 from .rootsys import SimpleType, build_root_datum
@@ -170,12 +170,7 @@ class PrimeBounds:
     e8_exclusions: dict = field(default_factory=dict)
 
     def to_json_dict(self):
-        return {
-            "simple_type": self.simple_type,
-            "maximal_image_bound": self.maximal_image_bound,
-            "principal_sl2_bound": self.principal_sl2_bound,
-            "e8_exclusions": self.e8_exclusions,
-        }
+        return asdict(self)
 
 
 def lifting_prime_bounds(t: SimpleType | str) -> PrimeBounds:

@@ -139,6 +139,12 @@ def ad_power(y, n, v):
     return v
 
 
+# every buildable simple type: the classical ones up to rank 32 and the five exceptional ones, 127 in all
+EVERY_TYPE = [f"{family}{n}" for family, lo in (("A", 1), ("B", 2), ("C", 3), ("D", 4)) for n in range(lo, 33)] + [
+    "G2", "F4", "E6", "E7", "E8"
+]
+
+
 def string_depth(roots, u, v):
     """Tuple-arithmetic oracle for the depth p of the u-string through v, as in |N| = p+1; `roots` is the root set."""
     p = 0

@@ -10,6 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import (
+    EVERY_TYPE,
     ad_power,
     bracket,
     flipped_algebra,
@@ -746,6 +747,39 @@ def test_d4_triality_lands_with_order_3(monkeypatch):
     monkeypatch.setattr(chevalley, "_opposition", lambda d: [2, 1, 3, 0])
     with pytest.raises(ArithmeticError, match="the signed permutation is no involution"):
         diagram_involution(alg)
+
+
+def reference_opposition(t: SimpleType) -> list[int]:
+    """-w0 on the simple roots, 0-based, written out per family: A_n reversed, odd D_n's end swap, E6's 1 <-> 6, 3 <-> 5."""
+    n = t.rank
+    if t.family == "A":
+        return [*range(n)][::-1]
+    if t.family == "D" and n % 2:
+        return [*range(n - 2), n - 1, n - 2]
+    return [5, 1, 4, 3, 2, 0] if str(t) == "E6" else [*range(n)]
+
+
+def test_opposition_read_off_the_cartan_matrix_matches_the_written_table():
+    for name in EVERY_TYPE:
+        d = build_root_datum(name)
+        assert chevalley._opposition(d) == reference_opposition(d.simple_type), name
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "D7", "E6"])
+def test_every_diagram_symmetry_lifts_to_the_table(name):
+    alg = build_chevalley_algebra(name)
+    for pi in alg.datum.diagram_symmetries:
+        perm, sign = _signed_map(alg, alg, pi)
+        assert lands_on_dict_table(alg, alg, perm, sign), pi
+
+
+@pytest.mark.parametrize("name", ["A3", "E6"])
+@pytest.mark.parametrize("count", [1, 3])
+def test_opposition_needs_exactly_one_nontrivial_symmetry(monkeypatch, name, count):
+    # negative control: with -1 not in W, a diagram of 1 or 3 symmetries has no one -w0 to offer
+    monkeypatch.setattr(RootDatum, "diagram_symmetries", property(lambda d: (tuple(range(d.rank)),) * count))
+    with pytest.raises(ArithmeticError, match=f"{name}: -1 is not in W, and the diagram has {count} symmetries, not 2"):
+        chevalley._opposition(build_root_datum(name))
 
 
 # -- Frenkel-Kac signs: a second table that Carter's signs must map onto ---------

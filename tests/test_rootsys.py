@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import coroot, norm2, run_optimized, string_depth, string_walk_positive_roots
+from conftest import EVERY_TYPE, coroot, norm2, run_optimized, string_depth, string_walk_positive_roots
 
 from monolab import rootsys
 from monolab.chevalley import build_chevalley_algebra
@@ -179,6 +179,26 @@ def test_weyl_minus_one_table():
         assert build_root_datum(t).weyl_has_minus_one, t
     for t in expected_false:
         assert not build_root_datum(t).weyl_has_minus_one, t
+
+
+def symmetry_count(t: SimpleType) -> int:
+    # the automorphisms of the Dynkin diagram: one flip of A_n (n >= 2), D_n (n >= 5) and E6, S3 on D4, else none
+    if str(t) == "D4":
+        return 6
+    flips = t.family == "A" and t.rank >= 2 or t.family == "D" and t.rank >= 5 or str(t) == "E6"
+    return 2 if flips else 1
+
+
+def test_diagram_symmetries_of_every_type():
+    for name in EVERY_TYPE:
+        d = build_root_datum(name)
+        syms, cartan = d.diagram_symmetries, np.array(d.cartan)
+        assert len(syms) == symmetry_count(d.simple_type), name
+        assert syms[0] == tuple(range(d.rank)) and list(syms) == sorted(set(syms)), name
+        assert all(sorted(p) == list(range(d.rank)) and (cartan[np.ix_(p, p)] == cartan).all() for p in syms), name
+        assert "diagram_symmetries" not in d.to_json_dict()
+    assert (2, 1, 3, 0) in build_root_datum("D4").diagram_symmetries  # triality
+    assert build_root_datum("D6").diagram_symmetries[1] == (0, 1, 2, 3, 5, 4)  # the end swap, not -w0 on even D_n
 
 
 def test_heights_and_coroots():

@@ -305,6 +305,11 @@ def test_each_root_fact_has_one_home():
     ]
     assert homes == ["rootsys.py"]
     assert [name for name, text in sources.items() if "CENTER_ORDERS" in text] == ["fixtures.py"]
+    # the node numbering is written only in `cartan_matrix`: -w0 is read off `RootDatum.diagram_symmetries`
+    defs = {name: [node for node in ast.walk(ast.parse(text)) if isinstance(node, ast.FunctionDef)] for name, text in sources.items()}
+    assert [name for name, nodes in defs.items() for node in nodes if node.name == "diagram_symmetries"] == ["rootsys.py"]
+    (opposition,) = [node for node in defs["chevalley.py"] if node.name == "_opposition"]
+    assert not [node for node in ast.walk(opposition) if isinstance(node, (ast.List, ast.Dict))]
 
 
 def test_signed_maps_have_one_builder():
