@@ -41,8 +41,7 @@ from itertools import chain
 
 import numpy as np
 
-from .exact import check_prime_modulus, exact_div_arrays
-from .group_cohomology import _check_budget
+from .exact import _check_budget, check_prime_modulus, exact_div_arrays
 from .rootsys import RootDatum, SimpleType, _read_only, build_root_datum, per_type
 
 _BLOCK = 2**12  # triples per pass of `jacobi_sweep`; a pass takes under 6 KiB of temporaries a triple, charged as 16

@@ -177,6 +177,8 @@ def _cmd_cohomology(ns: argparse.Namespace) -> int:
         raise ValueError(f"--ell {ns.ell}: a range is read only in sweep mode")
     if ns.sym is None:
         raise ValueError("--sym is needed outside sweep mode")
+    if ns.sym < 0:  # checked here, as sym_module's message would name the internal twist -t
+        raise ValueError(f"--sym {ns.sym}: expected a symmetric power r >= 0")
     twist = ns.twist if ns.twist is not None else -(ns.sym // 2)
     G = sl2_group(ell)
     M = sym_module(ell, ns.sym, -twist)

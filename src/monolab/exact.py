@@ -6,7 +6,8 @@ over F_ell, where ell is a bare int prime below 2**31 that
 nowhere else: `is_prime` gives a proven verdict, and `factor` certifies each
 prime it reports with it.  Every unimodular reduction over ZZ is one loop,
 `_column_reduce`: `integer_kernel` returns saturated lattice bases with no
-rational intermediate step, and `diagonal_divisors` a diagonal form.
+rational intermediate step, and `diagonal_divisors` a diagonal form.  The
+shared guards live here too: `check_int`, and `_check_budget` on `memory_budget()`.
 
 Every rank and kernel over F_ell in the package goes through one kernel at the
 end of this module: `matmul_mod`, the streamed reduced echelon form
@@ -28,6 +29,7 @@ and int64 on 16-bit halves above that.  Floating point appears nowhere else.
 
 from __future__ import annotations
 
+import os
 import random
 import threading
 from dataclasses import dataclass
@@ -73,6 +75,27 @@ def check_prime_modulus(ell: int) -> None:
 def _is_prime_modulus(ell: int) -> bool:
     """is_prime, memoized: reached only by an int that passed the type check, since 7.0 hashes like 7."""
     return is_prime(ell)
+
+
+DEFAULT_MEMORY_BUDGET = 2 * 1024**3
+_BUDGET_ENV = "MONOLAB_MEMORY_BUDGET"
+
+
+class ResourceLimitError(RuntimeError):
+    """Closure cap or memory budget exceeded."""
+
+
+def memory_budget() -> int:
+    """Bytes the solvers may allocate: MONOLAB_MEMORY_BUDGET, or 2 GiB; ValueError unless it is a positive integer."""
+    env = os.environ.get(_BUDGET_ENV)
+    if env and not (env.isdecimal() and int(env) > 0):
+        raise ValueError(f"{_BUDGET_ENV}={env!r}: the memory budget must be a positive integer number of bytes")
+    return int(env) if env else DEFAULT_MEMORY_BUDGET
+
+
+def _check_budget(need: int, what: str) -> None:
+    if need > (limit := memory_budget()):
+        raise ResourceLimitError(f"{what} needs about {need} bytes, budget is {limit} (set {_BUDGET_ENV} to override)")
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +278,9 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _int_rows(rows, ncols: int) -> list[list[int]]:
-    """Rows of ncols Python ints, an integer array by one `.tolist()`; ValueError names a row of other entries or length."""
+    """Rows of ncols Python ints, an integer array by one `.tolist()`; ValueError names a negative ncols or a bad row."""
+    if ncols < 0:
+        raise ValueError(f"ncols must be >= 0, got {ncols}")
     if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu" and rows.shape[1:] == (ncols,):
         return rows.tolist()
     for r, row in enumerate(rows):

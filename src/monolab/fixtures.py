@@ -1,54 +1,30 @@
-"""Embedded reference tables for the exceptional types.
+"""Reference tables for the exceptional types, read from the shipped data file.
 
-These are the published target values the engines are checked against under
-``--check-paper`` / ``verify-paper``: `OBSTRUCTION_PRIMES` for G2, F4, E6 and
-E7 and the two `E8_CANDIDATES`; `CENTER_ORDERS` is reference data for the
-tests of the center order.  The same tables ship as a human-readable data
-file (data/reference_lists.json); `assert_data_file_sync` confirms the two
-copies agree, so conformance checks cannot drift with the working directory.
-
-For E8 the two candidate obstruction-prime lists differ in a single entry
-(367 vs 397); the scan adjudicates which one is real, so both are carried
-here and neither is treated as ground truth.
+`OBSTRUCTION_PRIMES` for G2, F4, E6 and E7 and the two `E8_CANDIDATES` are the
+published target values that ``--check-paper`` / ``verify-paper`` check the
+engines against.  Their one copy is data/reference_lists.json, read at import;
+`assert_data_file_sync` reads it again and compares.  The two E8 lists differ
+in one entry (367 vs 397); the scan adjudicates which one is real, so both are
+carried and neither is treated as ground truth.
 """
-
-from __future__ import annotations
 
 import json
 from importlib import resources
 
-OBSTRUCTION_PRIMES = {
-    "G2": (2, 3, 5),
-    "F4": (2, 3, 5, 7, 11),
-    "E6": (2, 3, 5, 7, 11),
-    "E7": (2, 3, 5, 7, 11, 13, 17, 19, 31, 37, 53),
-}
 
-# The E8 list is disputed between 367 and 397; keys name the disputed member.
-E8_CANDIDATES = {
-    397: (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 61, 67, 71, 97, 103, 109, 229, 269, 397),
-    367: (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 61, 67, 71, 97, 103, 109, 229, 269, 367),
-}
-
-# Order of the center of the simply-connected form.
-CENTER_ORDERS = {"G2": 1, "F4": 1, "E6": 3, "E7": 2, "E8": 1}
+def _read_tables():
+    """(OBSTRUCTION_PRIMES, E8_CANDIDATES) from the data file: tuples of primes, E8's keyed by the disputed member."""
+    doc = json.loads(resources.files("monolab").joinpath("data/reference_lists.json").read_text())
+    return (
+        {name: tuple(primes) for name, primes in doc["obstruction_primes"].items()},
+        {int(disputed): tuple(primes) for disputed, primes in doc["e8_candidates"].items()},
+    )
 
 
-def _as_jsonable():
-    return {
-        "obstruction_primes": {k: list(v) for k, v in OBSTRUCTION_PRIMES.items()},
-        "e8_candidates": {str(k): list(v) for k, v in E8_CANDIDATES.items()},
-        "center_orders": dict(CENTER_ORDERS),
-    }
-
-
-def data_file_text() -> str:
-    return resources.files("monolab").joinpath("data/reference_lists.json").read_text()
+OBSTRUCTION_PRIMES, E8_CANDIDATES = _read_tables()
 
 
 def assert_data_file_sync():
-    """Fail loudly if the shipped data file diverges from the embedded tables."""
-    on_disk = json.loads(data_file_text())
-    embedded = json.loads(json.dumps(_as_jsonable()))
-    if on_disk != embedded:
+    """Fail loudly if the tables in memory diverge from the shipped data file."""
+    if _read_tables() != (OBSTRUCTION_PRIMES, E8_CANDIDATES):
         raise AssertionError("data/reference_lists.json is out of sync with monolab.fixtures")

@@ -32,32 +32,19 @@ the adjoint-type vanishing sum driven by the exponent data of a root system.
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
+# the memory budget lives in exact; memory_budget is imported for the benchmark and the tests, which read it here
 from .exact import (
-    _CHUNK, EchelonState, check_int, check_prime_modulus, diagonal_divisors, factor, kernel_mod, matmul_mod, rank_mod, residues
+    _CHUNK, EchelonState, ResourceLimitError, _check_budget, check_int, check_prime_modulus, diagonal_divisors, factor,
+    kernel_mod, matmul_mod, memory_budget, rank_mod, residues
 )
 from .rootsys import SimpleType, build_root_datum
 
-DEFAULT_MEMORY_BUDGET = 2 * 1024**3
 CLOSURE_CAP = 2_000_000
-_BUDGET_ENV = "MONOLAB_MEMORY_BUDGET"
-
-
-class ResourceLimitError(RuntimeError):
-    """Closure cap or memory budget exceeded."""
-
-
-def memory_budget() -> int:
-    """Bytes the solvers may allocate: MONOLAB_MEMORY_BUDGET, or 2 GiB; ValueError unless it is a positive integer."""
-    env = os.environ.get(_BUDGET_ENV)
-    if env and not (env.isdecimal() and int(env) > 0):
-        raise ValueError(f"{_BUDGET_ENV}={env!r}: the memory budget must be a positive integer number of bytes")
-    return int(env) if env else DEFAULT_MEMORY_BUDGET
 
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -274,14 +261,6 @@ def h1(G: FiniteMatrixGroup, M: ModuleAction) -> CohomologyReport:
     else:
         dim_Z1 = _z1_cayley(G, M)
     return CohomologyReport(h0=fixed, dim_Z1=dim_Z1, dim_B1=dim_B1, h1=dim_Z1 - dim_B1)
-
-
-def _check_budget(need: int, what: str) -> None:
-    limit = memory_budget()
-    if need > limit:
-        raise ResourceLimitError(
-            f"{what} needs about {need} bytes, budget is {limit} (set {_BUDGET_ENV} to override)"
-        )
 
 
 def _tree_products(G: FiniteMatrixGroup, mats: np.ndarray, ell: int) -> np.ndarray:

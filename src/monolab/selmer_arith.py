@@ -24,7 +24,7 @@ An archimedean place may be declared in `archimedean_fixed_dims` or as an
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .fixtures import E8_CANDIDATES
 from .rootsys import SimpleType, build_root_datum
@@ -48,6 +48,13 @@ def _required(doc: dict, key: str, where: str):
     if key not in doc:
         raise ValueError(f"{where} is missing the key {key!r}")
     return doc[key]
+
+
+def _check_keys(doc: dict, cls, where: str, *extra: str) -> None:
+    """Raise ValueError naming a key of doc outside the fields of cls and extra: a misspelt key reads as its default."""
+    stray = [key for key in doc if key not in {*extra, *(f.name for f in fields(cls))}]
+    if stray:
+        raise ValueError(f"{where} has the unknown key {stray[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -90,7 +97,6 @@ class SelmerLedger:
     totally_real_degree: int
     archimedean_fixed_dims: tuple[int, ...] = ()
     locals: tuple[LocalCondition, ...] = ()
-    schema_version: int = field(default=SCHEMA_VERSION, init=False)  # the one schema this class reads
 
     def __post_init__(self):
         _check_dims(**{key: getattr(self, key) for key in GLOBAL_DIMS})
@@ -109,15 +115,18 @@ class SelmerLedger:
 
     @staticmethod
     def from_json_dict(doc) -> "SelmerLedger":
-        """The ledger of a parsed JSON document; ValueError naming a missing key or a bad shape."""
+        """The ledger of a parsed JSON document; ValueError naming a missing or unknown key or a bad shape."""
         if not isinstance(doc, dict):
             raise ValueError(f"a ledger must be a JSON object, got {type(doc).__name__}")
         version = doc.get("schema_version")
         if isinstance(version, bool) or not isinstance(version, int) or version != SCHEMA_VERSION:
             raise ValueError(f"unsupported ledger schema_version {version!r}, expected {SCHEMA_VERSION}")
+        _check_keys(doc, SelmerLedger, "ledger", "schema_version")
         arch, locs = doc.get("archimedean_fixed_dims", []), doc.get("locals", [])
         if not isinstance(arch, list) or not isinstance(locs, list) or not all(isinstance(c, dict) for c in locs):
             raise ValueError("archimedean_fixed_dims must be a list of ints and locals a list of objects")
+        for i, c in enumerate(locs):
+            _check_keys(c, LocalCondition, f"local condition {i}")
         conds = tuple(
             LocalCondition(
                 kind=_required(c, "kind", f"local condition {i}"),

@@ -336,17 +336,19 @@ CRITERIA = (
 
 
 def verify_paper(only=None) -> list[CriterionResult]:
-    """Run the acceptance matrix in fixed criterion order.
+    """Run the acceptance matrix in fixed criterion order, or the criteria named in `only`, a nonempty list.
 
     A criterion passes when every (ok, detail) pair it yields is ok; one that
     raises ArithmeticError FAILs with the error as its one detail.
     """
     fixtures.assert_data_file_sync()
-    selected = [(n, f) for n, f in CRITERIA if only is None or n in only]
     if only is not None:
+        if not isinstance(only, (list, tuple, set, frozenset)) or not only:  # a str reads as letters, [] as no check
+            raise ValueError(f"only takes a nonempty list of criterion names, got {only!r}")
         unknown = set(only) - {n for n, _ in CRITERIA}
         if unknown:
             raise ValueError(f"unknown criteria: {sorted(unknown)}")
+    selected = [(n, f) for n, f in CRITERIA if only is None or n in only]
 
     results = []
     for name, criterion in selected:

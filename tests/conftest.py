@@ -16,7 +16,7 @@ from monolab.chevalley import ChevalleyAlgebra, brackets, build_chevalley_algebr
 from monolab.prime_scan import build_report
 from monolab.principal_sl2 import principal_kostant
 from monolab.rootsys import build_root_datum
-from monolab.selmer_arith import LocalCondition, SelmerLedger, local_dim
+from monolab.selmer_arith import SCHEMA_VERSION, LocalCondition, SelmerLedger, local_dim
 
 
 def _clear_per_type_caches():
@@ -261,7 +261,7 @@ def balanced_ledger(t, degree):
 def ledger_json_dict(ledger):
     """The JSON document of a SelmerLedger, in the schema that `SelmerLedger.from_json_dict` reads."""
     return {
-        "schema_version": ledger.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "h0_global": ledger.h0_global,
         "h0_global_twist": ledger.h0_global_twist,
         "dim_n": ledger.dim_n,

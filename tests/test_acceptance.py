@@ -20,6 +20,7 @@ import dataclasses
 import functools
 import io
 import json
+import re
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -69,6 +70,18 @@ def test_verdict_of_a_raising_criterion_is_the_error_alone(monkeypatch):
     res = run("stub")
     assert res.ok is False
     assert res.details == ["ArithmeticError: weight 0: ker ad X has dimension 1, expected 0"]
+
+
+def test_only_that_selects_nothing_is_rejected(monkeypatch):
+    # a bare str would run its letters as names, an empty list no check at all, and a generator
+    # only the names that the first membership tests leave: each would read as a pass
+    monkeypatch.setattr(verify, "CRITERIA", (("stub", lambda: iter([(True, "a")])),))
+    for only in ("stub", [], (), (name for name in ["stub"])):
+        with pytest.raises(ValueError, match=re.escape(f"only takes a nonempty list of criterion names, got {only!r}")):
+            verify.verify_paper(only=only)
+    with pytest.raises(ValueError, match=r"^unknown criteria: \['stu'\]$"):
+        verify.verify_paper(only=["stu"])
+    assert [r.name for r in verify.verify_paper(only=("stub",))] == ["stub"]
 
 
 @dataclasses.dataclass(frozen=True)

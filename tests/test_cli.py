@@ -193,7 +193,11 @@ ROWS = [
     row("selmer --ledger {tmp}/degree-0-with-archimedean.json", 1, EMPTY, "error: a totally real field of degree 0 needs as many archimedean entries, found 2", ledger={**G2_LEDGER, "totally_real_degree": 0, "archimedean_fixed_dims": [6, 6]}),
     row("selmer --ledger {tmp}/bool-version.json", 1, EMPTY, "error: unsupported ledger schema_version True, expected 1", ledger={**G2_LEDGER, "schema_version": True}),
     row("selmer --ledger {tmp}/nested.json", 1, EMPTY, "error: ledger JSON nested too deeply to parse", ledger="[" * 100000),
+    row("selmer --ledger {tmp}/misspelt-local-key.json", 1, EMPTY, "error: local condition 0 has the unknown key 'field_degre'", ledger={**G2_LEDGER, "locals": [{"kind": "ordinary", "h0_local": 0, "field_degre": 1}]}),
+    row("selmer --ledger {tmp}/misspelt-key.json", 1, EMPTY, "error: ledger has the unknown key 'local'", ledger={"local" if k == "locals" else k: v for k, v in G2_LEDGER.items()}),
     row("cohomology --ell 7", 1, EMPTY, "error: --sym is needed outside sweep mode"),
+    row("cohomology --ell 7 --sym -1", 1, EMPTY, "error: --sym -1: expected a symmetric power r >= 0"),
+    row("cohomology --ell 7 --sym -1 --twist 3", 1, EMPTY, "error: --sym -1: expected a symmetric power r >= 0"),
     row("cohomology --ell 13..17 --sym 2", 1, EMPTY, "error: --ell 13..17: a range is read only in sweep mode"),
     row("cohomology sweep --ell 13..17", 1, EMPTY, "error: sweep mode needs --type"),
     row("cohomology sweep --type G2 --ell 31..13", 1, EMPTY, "error: --ell 31..13: the range runs downwards; expected low..high like 13..31"),

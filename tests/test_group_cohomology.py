@@ -349,6 +349,8 @@ def test_sym_module_matches_binomial_reference(ell):
         (lambda: integer_kernel(np.eye(2, dtype=bool), 2), r"^row 0 is not 2 integers: \[np\.True_, np\.False_\]$"),
         (lambda: diagonal_divisors([[1, 2], [1.0, 2]], 2), r"^row 1 is not 2 integers: \[1.0, 2\]$"),
         (lambda: diagonal_divisors([[1, 2]], 1), r"^row 0 is not 1 integers: \[1, 2\]$"),
+        (lambda: integer_kernel([], -5), "^ncols must be >= 0, got -5$"),
+        (lambda: diagonal_divisors([], -2), "^ncols must be >= 0, got -2$"),
         (lambda: h1_trivial_module_rank(close_group([((1, 1), (0, 1))], 7), -2), "^dim must be at least 1, got -2$"),
         (lambda: h1_trivial_module_rank(close_group([((1, 1), (0, 1))], 7), 0), "^dim must be at least 1, got 0$"),
         (lambda: h1_trivial_module_rank(close_group([((1, 1), (0, 1))], 7), 1.5), "^dim is not an int: 1.5$"),
@@ -360,7 +362,7 @@ def test_sym_module_matches_binomial_reference(ell):
         "module-0x0", "close-0x0", "close-singular", "close-2x3", "close-1-d", "det-bool", "det-numpy-bool", "det-ndarray",
         "det-dict-bool-value", "det-dict-bool-key", "det-dict-float-key", "det-dict-key-n", "det-dict-key-minus-1",
         "det-dict-list-row", "kernel-wide-row", "kernel-short-row", "kernel-bool", "kernel-float", "kernel-numpy-bool",
-        "divisors-float", "divisors-wide-row", "trivial-rank-dim-minus-2", "trivial-rank-dim-0", "trivial-rank-dim-float",
+        "divisors-float", "divisors-wide-row", "kernel-ncols-minus-5", "divisors-ncols-minus-2", "trivial-rank-dim-minus-2", "trivial-rank-dim-0", "trivial-rank-dim-float",
         "trivial-rank-dim-bool",
     ],
 )

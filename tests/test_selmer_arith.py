@@ -4,7 +4,6 @@ import random
 import pytest
 from conftest import balanced_ledger, ledger_json_dict, reference_euler_difference
 
-from monolab.fixtures import CENTER_ORDERS
 from monolab.rootsys import MAX_RANK, SimpleType, build_root_datum
 from monolab.selmer_arith import (
     LocalCondition,
@@ -16,6 +15,8 @@ from monolab.selmer_arith import (
 )
 
 EXC = ("G2", "F4", "E6", "E7", "E8")
+# Order of the center of the simply-connected form (Bourbaki, Lie Groups and Lie Algebras, ch. VI, Plates V-IX).
+CENTER_ORDERS = {"G2": 1, "F4": 1, "E6": 3, "E7": 2, "E8": 1}
 
 
 # -- local dimension catalog --------------------------------------------------
@@ -198,7 +199,7 @@ def test_bounds():
 
 
 def family_center_order(t):
-    """The center order of the simply connected group by family: n + 1 on A_n, 2 on B and C, 4 on D, else the fixture."""
+    """The center order of the simply connected group by family: n + 1 on A_n, 2 on B and C, 4 on D, else the table."""
     return CENTER_ORDERS[str(t)] if t.is_exceptional else {"A": t.rank + 1, "B": 2, "C": 2, "D": 4}[t.family]
 
 

@@ -294,7 +294,7 @@ def test_solver_cross_checks_have_one_home():
 
 def test_each_root_fact_has_one_home():
     # the root-string walk is `RootDatum.string_depth`, run on the pairs asked, and the
-    # center order is read off the highest root: only the reference data names CENTER_ORDERS
+    # center order is read off the highest root: CENTER_ORDERS is a table of the tests alone
     sources = {path.name: path.read_text() for path in sorted(pathlib.Path(monolab.__file__).parent.glob("*.py"))}
     assert [name for name, text in sources.items() if "string_depths" in text] == []
     homes = [
@@ -304,12 +304,51 @@ def test_each_root_fact_has_one_home():
         if isinstance(node, ast.FunctionDef) and node.name == "string_depth"
     ]
     assert homes == ["rootsys.py"]
-    assert [name for name, text in sources.items() if "CENTER_ORDERS" in text] == ["fixtures.py"]
+    assert [name for name, text in sources.items() if "CENTER_ORDERS" in text] == []
     # the node numbering is written only in `cartan_matrix`: -w0 is read off `RootDatum.diagram_symmetries`
     defs = {name: [node for node in ast.walk(ast.parse(text)) if isinstance(node, ast.FunctionDef)] for name, text in sources.items()}
     assert [name for name, nodes in defs.items() for node in nodes if node.name == "diagram_symmetries"] == ["rootsys.py"]
     (opposition,) = [node for node in defs["chevalley.py"] if node.name == "_opposition"]
     assert not [node for node in ast.walk(opposition) if isinstance(node, (ast.List, ast.Dict))]
+
+
+def test_reference_lists_have_one_copy():
+    # fixtures reads the paper's lists from data/reference_lists.json: no list, tuple, dict or set
+    # display in the module spells a number, so the data file is their one copy
+    tree = ast.parse((pathlib.Path(monolab.__file__).parent / "fixtures.py").read_text())
+    displays = [node for node in ast.walk(tree) if isinstance(node, (ast.List, ast.Tuple, ast.Dict, ast.Set))]
+    assert not [
+        ast.unparse(node)
+        for display in displays
+        for node in ast.walk(display)
+        if isinstance(node, ast.Constant) and type(node.value) is int
+    ]
+
+
+def _reached(graph, start):
+    """The modules that importing start loads: start and, transitively, every package module it imports."""
+    seen, todo = set(), [start]
+    while todo:
+        if (name := todo.pop()) not in seen:
+            seen.add(name)
+            todo += graph[name]
+    return seen
+
+
+def test_lower_layers_leave_group_cohomology_unloaded():
+    # the memory budget lives in exact, so the root, table, scan and reference layers load no cohomology code
+    graph = {
+        path.stem: {
+            node.module or alias.name
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names
+        }
+        for path in pathlib.Path(monolab.__file__).parent.glob("*.py")
+    }
+    lower = ("exact", "rootsys", "chevalley", "principal_sl2", "prime_scan", "fixtures", "selmer_arith")
+    assert {name: "group_cohomology" in _reached(graph, name) for name in lower} == dict.fromkeys(lower, False)
+    assert "group_cohomology" in _reached(graph, "verify")  # a control: the walk sees an import that exists
 
 
 def test_signed_maps_have_one_builder():
