@@ -169,7 +169,7 @@ class Factorization:
 
 
 def _brent_rho(n: int) -> int:
-    # Brent's cycle variant of the rho splitter, seeded from n; n odd composite, not a prime power
+    # Brent's cycle variant of the rho splitter, seeded from n; n odd composite with no prime factor below 2^10, prime powers too
     rng = random.Random(n)
     while True:
         y, c, m = rng.randrange(1, n), rng.randrange(1, n), 128
@@ -196,18 +196,6 @@ def _brent_rho(n: int) -> int:
             return g
 
 
-def _iroot(n: int, k: int) -> int:
-    """Floor of the integer k-th root, Newton iteration on ints only."""
-    if n < 2:
-        return n
-    x = 1 << (n.bit_length() + k - 1) // k
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
-
-
 def _split(n: int, out: dict):
     """Count n's prime factors into out, which holds only primes that `is_prime` has proven, each proven once."""
     if n == 1:
@@ -215,15 +203,6 @@ def _split(n: int, out: dict):
     if n in out or is_prime(n):
         out[n] = out.get(n, 0) + 1
         return
-    # perfect-power peel-off keeps rho away from its worst case
-    for k in range(2, n.bit_length()):
-        root = _iroot(n, k)
-        if root < 2:
-            break
-        if root**k == n:
-            for _ in range(k):
-                _split(root, out)
-            return
     d = _brent_rho(n)
     _split(d, out)
     _split(n // d, out)
@@ -233,8 +212,8 @@ def factor(n: int) -> Factorization:
     """Complete factorization of a nonzero integer.
 
     Trial division by the 172 primes below 2^10 (the paper's obstruction
-    primes lie below 400), then a perfect-power peel and a Brent-style rho
-    splitter, seeded from the number it splits so that runs are reproducible.
+    primes lie below 400), then a Brent-style rho splitter, which also splits
+    prime powers, seeded from the number it splits so that runs are reproducible.
     Every reported prime is proven once: a trial prime when the table was
     built, any other by `is_prime` in the splitter, which raises ValueError
     for a factor it cannot decide, as it does for an n that is not an int.

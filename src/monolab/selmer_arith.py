@@ -123,9 +123,13 @@ class SelmerLedger:
             raise ValueError(f"unsupported ledger schema_version {version!r}, expected {SCHEMA_VERSION}")
         _check_keys(doc, SelmerLedger, "ledger", "schema_version")
         arch, locs = doc.get("archimedean_fixed_dims", []), doc.get("locals", [])
-        if not isinstance(arch, list) or not isinstance(locs, list) or not all(isinstance(c, dict) for c in locs):
-            raise ValueError("archimedean_fixed_dims must be a list of ints and locals a list of objects")
+        if not isinstance(arch, list):
+            raise ValueError(f"archimedean_fixed_dims must be a list of ints, got {arch!r}")
+        if not isinstance(locs, list):
+            raise ValueError(f"locals must be a list of objects, got {locs!r}")
         for i, c in enumerate(locs):
+            if not isinstance(c, dict):
+                raise ValueError(f"local condition {i} must be an object, got {c!r}")
             _check_keys(c, LocalCondition, f"local condition {i}")
         conds = tuple(
             LocalCondition(
@@ -182,6 +186,11 @@ class PrimeBounds:
         return asdict(self)
 
 
+def bound_formulas(z: int, h: int) -> tuple[int, int]:
+    """(maximal_image_bound, principal_sl2_bound) of `lifting_prime_bounds` from the center order z and Coxeter number h."""
+    return 1 + max(8 * z, (h - 1) * z if z % 2 == 0 else (2 * h - 2) * z), 4 * h - 1
+
+
 def lifting_prime_bounds(t: SimpleType | str) -> PrimeBounds:
     """Prime thresholds of the two lifting settings for one simple type.
 
@@ -195,14 +204,12 @@ def lifting_prime_bounds(t: SimpleType | str) -> PrimeBounds:
     "disputed", the unresolved 367-vs-397 pair that the prime scan adjudicates.
     """
     d = build_root_datum(t)
-    name, h, z = str(d.simple_type), d.coxeter_number, 1 + d.highest_root.count(1)
-    height_term = (h - 1) * z if z % 2 == 0 else (2 * h - 2) * z
-    principal = 4 * h - 1
+    name, (maximal, principal) = str(d.simple_type), bound_formulas(1 + d.highest_root.count(1), d.coxeter_number)
     shared = set.intersection(*map(set, E8_CANDIDATES.values()))
     exclusions = {"certain": sorted(p for p in shared if p > principal), "disputed": sorted(E8_CANDIDATES)}
     return PrimeBounds(
         simple_type=name,
-        maximal_image_bound=1 + max(8 * z, height_term),
+        maximal_image_bound=maximal,
         principal_sl2_bound=principal,
         e8_exclusions=exclusions if name == "E8" else {},
     )

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
 from . import fixtures
 from .chevalley import build_chevalley_algebra, diagram_involution, jacobi_sweep
-from .exact import det_mod, is_prime
+from .exact import det_mod, diagonal_divisors, exact_div, is_prime
 from .group_cohomology import (
     adjoint_h1_via_kostant,
     close_group,
@@ -49,7 +49,7 @@ from .principal_sl2 import (
 )
 from .prime_scan import build_report, check_against_reference
 from .rootsys import EXCEPTIONAL_TYPES, build_root_datum
-from .selmer_arith import LocalCondition, SelmerLedger, lifting_prime_bounds, oddness_deficit, wiles_difference
+from .selmer_arith import LocalCondition, SelmerLedger, bound_formulas, lifting_prime_bounds, oddness_deficit, wiles_difference
 
 
 @dataclass
@@ -314,9 +314,13 @@ def crit_bounds_and_persistence():
     yield b == 47, f"E6 principal bound: {b} (want 47) -> {'ok' if b == 47 else 'FAIL'}"
     for t in EXCEPTIONAL_TYPES:
         kd = principal_kostant(t)
-        alg = kd.triple.algebra
+        alg, d, bounds = kd.triple.algebra, kd.triple.algebra.datum, lifting_prime_bounds(t)
+        # both bounds by a second route: z = |det C| = |P/Q| and h = |Phi|/rank, not theta or the Coxeter number
+        z, h = prod(diagonal_divisors(d.cartan, d.rank)), exact_div(2 * len(d.positive_roots), d.rank, "|Phi|/rank")
+        got, want = (bounds.maximal_image_bound, bounds.principal_sl2_bound), bound_formulas(z, h)
+        yield got == want, (f"{t}: bounds {got}, from z = |det C| = {z} and h = |Phi|/rank = {h}: {want}"
+                            f" -> {'ok' if got == want else 'FAIL'}")
         rows = sl2_string_family_rows(kd)
-        h = alg.datum.coxeter_number
         primes = _next_primes(2 * h - 1, 3)
         # det != 0 mod ell keeps the family a basis of g: integral persistence for ell >= 2h-1
         good = len(rows) == alg.dim and all(det_mod(rows, ell) for ell in primes)

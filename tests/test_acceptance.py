@@ -149,6 +149,16 @@ def ledger_line(t, n, arch, h0, ell, bound, odd_vals, theta_vals, verdict="ok"):
             f" (det = 1 on SL2: h0(1) is h0 until a GL2 group is built); (wiles_difference, oddness_deficit)"
             f" {odd_vals}, with dim g^theta instead {theta_vals} -> {verdict}")
 
+
+def bounds_line(t, got, z, h, want):
+    """Criterion 8's line comparing type t's lifting bounds with the ones read off |det C| and |Phi|/rank."""
+    return f"{t}: bounds {got}, from z = |det C| = {z} and h = |Phi|/rank = {h}: {want} -> FAIL"
+
+
+# (type, (maximal_image_bound, principal_sl2_bound), z, h) on the unmutated library
+BOUNDS_BY_TYPE = (("G2", (11, 23), 1, 6), ("F4", (23, 47), 1, 12), ("E6", (67, 47), 3, 12), ("E7", (35, 71), 2, 18),
+                  ("E8", (59, 119), 1, 30))
+
 MUTATIONS = (
     # criterion 6's adjoint sums assume g = sum of V_{2m} under the principal sl2
     Mutation("criterion_3_reports_broken_strings", (verify, "sl2_string_lengths_ok"), lambda real, kd: False,
@@ -215,7 +225,12 @@ MUTATIONS = (
              where(typed("E8"), lambda rows: [{k: 59 * c for k, c in rows[0].items()}, *rows[1:]]),
              {C8: ["E8: string family stays a basis mod [59, 61, 67] -> FAIL"]}),
     Mutation("criterion_8_rejects_e6_principal_bound_plus_2", BOUNDS, where(typed("E6"), plus("principal_sl2_bound", 2)),
-             {C8: ["E6 principal bound: 49 (want 47) -> FAIL"]}),
+             {C8: ["E6 principal bound: 49 (want 47) -> FAIL", bounds_line("E6", (67, 49), 3, 12, (67, 47))]}),
+    Mutation("criterion_8_rejects_maximal_image_bound_plus_100", BOUNDS, where(typed(*TYPES), plus("maximal_image_bound", 100)),
+             {C8: [bounds_line(t, (m + 100, p), z, h, (m, p)) for t, (m, p), z, h in BOUNDS_BY_TYPE]}),
+    Mutation("criterion_8_rejects_principal_bound_plus_2_but_e6", BOUNDS,
+             where(typed("G2", "F4", "E7", "E8"), plus("principal_sl2_bound", 2)),
+             {C8: [bounds_line(t, (m, p + 2), z, h, (m, p)) for t, (m, p), z, h in BOUNDS_BY_TYPE if t != "E6"]}),
     # survivors: every criterion still passes, and caught_by names what will make one FAIL
     Mutation("survivor_367_flip", (verify, "build_report"),
              where(typed("E8"), lambda r: dataclasses.replace(r, bad_primes=tuple(sorted({*r.bad_primes} ^ {367, 397})))),
@@ -229,11 +244,6 @@ MUTATIONS = (
              where(typed(*TYPES), each_ledger(lambda x: dataclasses.replace(x, h0_global=x.h0_global + 1,
                                                                            h0_global_twist=x.h0_global_twist + 1))),
              caught_by="nothing: wiles_difference reads only h0 - h0(1); ROADMAP item 18 makes them differ"),
-    Mutation("survivor_maximal_image_bound_plus_100", BOUNDS, where(typed(*TYPES), plus("maximal_image_bound", 100)),
-             caught_by="nothing: declared data that no criterion reads"),
-    Mutation("survivor_principal_bound_plus_2_but_e6", BOUNDS,
-             where(typed("G2", "F4", "E7", "E8"), plus("principal_sl2_bound", 2)),
-             caught_by="nothing: criterion 7 reads it only to take h0 at the first prime above it, where h0 is 0"),
 )
 
 

@@ -172,7 +172,7 @@ ROWS = [
     row("selmer --ledger {tmp}/e6-balanced.json", 0, "b4c7110465b5e214687333bc46254a5614e3ea15fb17a9f172446c7e9caf3db1", None, ledger=E6_LEDGER, wiles_difference=0, oddness_deficit=0, lgroup_euler_difference=0),
     row("selmer --ledger {tmp}/e6-balanced.json --format csv", 0, "fab0c9f3b669199815e6ed10cc5f0478155db3c60b14122d69abc692a1e7ce76", None, ledger=E6_LEDGER),
     row("selmer --ledger {tmp}/e6-balanced.json --format text", 0, "9211e1c3ac974c723964e665885b6447efe1988667aacf1a792af1d365e63acd", None, ledger=E6_LEDGER),
-    row("verify-paper", 0, "ac9e85d93468faf4fedaff17f19d995dbc9eeb631256205f33db10316a1aaa46", "PASS prime-lists"),
+    row("verify-paper", 0, "e5fc51d80b1d4256f7572db950acaca8724dc14a6846ccbf813932459fedd788", "PASS prime-lists"),
     row("verify-paper --only prime-lists --only selmer-identities", 0, "981a3d13a914dd196bae6c3d19588164bae16b4abaaf4fb43681a398326f0ffc", "PASS prime-lists", all_ok=True, **{"criteria.0.name": "prime-lists", "criteria.1.name": "selmer-identities"}),
     row("verify-paper --only prime-lists --only selmer-identities --format text", 0, "5bf4ff644416d116cbbaf23074b5b4e82581fd86970f2add89fc3f75ca7ee1a2", "PASS prime-lists"),
     row("roots --type A2 --out {tmp}/roots.json", 0, "d1083968e92be1b9878d998b98cc09c7a9daf938c38e0c7611536a181e3a0f16", None, coxeter_number=3),
@@ -185,10 +185,11 @@ ROWS = [
     row("selmer --ledger {tmp}/float-dim.json", 1, EMPTY, "error: h0_global must be an int, got 1.5", ledger={**G2_LEDGER, "h0_global": 1.5}),
     row("selmer --ledger {tmp}/bool-dim.json", 1, EMPTY, "error: dim_n must be an int, got True", ledger={**G2_LEDGER, "dim_n": True}),
     row("selmer --ledger {tmp}/float-arch.json", 1, EMPTY, "error: archimedean_fixed_dims[0] must be an int, got 2.5", ledger={**G2_LEDGER, "archimedean_fixed_dims": [2.5]}),
-    row("selmer --ledger {tmp}/arch-not-a-list.json", 1, EMPTY, "error: archimedean_fixed_dims must be a list of ints and locals a list of objects", ledger={**G2_LEDGER, "archimedean_fixed_dims": 6}),
+    row("selmer --ledger {tmp}/arch-not-a-list.json", 1, EMPTY, "error: archimedean_fixed_dims must be a list of ints, got 6", ledger={**G2_LEDGER, "archimedean_fixed_dims": 6}),
     row("selmer --ledger {tmp}/float-custom.json", 1, EMPTY, "error: custom_dim must be an int, got 2.5", ledger={**G2_LEDGER, "locals": [{"kind": "custom", "h0_local": 0, "custom_dim": 2.5}]}),
     row("selmer --ledger {tmp}/bool-local.json", 1, EMPTY, "error: h0_local must be an int, got False", ledger={**G2_LEDGER, "locals": [{"kind": "ordinary", "h0_local": False}]}),
-    row("selmer --ledger {tmp}/local-not-an-object.json", 1, EMPTY, "error: archimedean_fixed_dims must be a list of ints and locals a list of objects", ledger={**G2_LEDGER, "locals": [3]}),
+    row("selmer --ledger {tmp}/locals-not-a-list.json", 1, EMPTY, "error: locals must be a list of objects, got 3", ledger={**G2_LEDGER, "locals": 3}),
+    row("selmer --ledger {tmp}/local-not-an-object.json", 1, EMPTY, "error: local condition 0 must be an object, got 3", ledger={**G2_LEDGER, "locals": [3]}),
     row("selmer --ledger {tmp}/stray-field-degree.json", 1, EMPTY, "error: field_degree is read only when kind='ordinary', got it on kind='steinberg'", ledger={**G2_LEDGER, "locals": [STEINBERG_DEGREE_3, {"kind": "ordinary", "h0_local": 0}]}),
     row("selmer --ledger {tmp}/degree-0-with-archimedean.json", 1, EMPTY, "error: a totally real field of degree 0 needs as many archimedean entries, found 2", ledger={**G2_LEDGER, "totally_real_degree": 0, "archimedean_fixed_dims": [6, 6]}),
     row("selmer --ledger {tmp}/bool-version.json", 1, EMPTY, "error: unsupported ledger schema_version True, expected 1", ledger={**G2_LEDGER, "schema_version": True}),

@@ -1,4 +1,6 @@
 import json
+import random
+from math import prod
 
 import numpy as np
 import pytest
@@ -58,8 +60,21 @@ def test_factor_rho_path():
     assert factor(1031 * 1033).factors == ((1031, 1), (1033, 1))
     assert factor(65537 * 999983).factors == ((65537, 1), (999983, 1))
     assert factor(-(2**3) * 1021 * 1031 * 999983).factors == ((2, 3), (1021, 1), (1031, 1), (999983, 1))
-    assert factor(1031**2).factors == ((1031, 2),)  # the perfect-power peel
+    assert factor(1031**2).factors == ((1031, 2),)
     assert factor(3 * 9541733).factors == ((3, 1), (9541733, 1))  # the one scan factor above 10^6
+
+
+def test_factor_splits_prime_powers():
+    # rho is the one splitter past trial division, prime powers included: it peels them one factor at a time
+    assert [factor(1031**k).factors for k in range(1, 9)] == [((1031, k),) for k in range(1, 9)]
+    rng, primes = random.Random(48), []
+    while len(primes) < 60:
+        p = rng.randrange(1031, 2 * 10**5)
+        if exact.is_prime(p) and p not in primes:
+            primes.append(p)
+    for _ in range(300):
+        want = sorted((p, rng.randint(1, 6)) for p in rng.sample(primes, rng.randint(1, 3)))
+        assert factor(prod(p**e for p, e in want)).factors == tuple(want)
 
 
 def test_factor_set_up_is_small():
@@ -71,18 +86,19 @@ def test_factor_set_up_is_small():
 
 @pytest.mark.parametrize(
     "n, tested",
-    [(2**31 - 2, [331]), (3 * 9541733, [9541733]), (1031**3, [1031**3, 1031])],
+    [(2**31 - 2, [331]), (3 * 9541733, [9541733]), (1031**3, [1031**3, 1031, 1031**2])],
     ids=["2^31-2", "3*9541733", "1031^3"],
 )
 def test_factor_proves_each_prime_once(monkeypatch, n, tested):
     # the trial primes were proven when the table was built and the splitter
     # proves the rest, so nothing is proven a second time: 331 = 2^31 - 2
     # over 2 * 3^2 * 7 * 11 * 31 * 151 is left when trial division stops at
-    # 157^2, and the perfect-power peel proves 1031 once for its three copies
+    # 157^2, and rho splits 1031^3 into 1031 and 1031^2, so 1031 is proven once
+    # for its three copies and the composite 1031^2 is tested once
     factor(2)
     calls, real = [], exact.is_prime
     monkeypatch.setattr(exact, "is_prime", lambda m: calls.append(m) or real(m))
-    assert tested[-1] in factor(n).primes()
+    assert factor(n).primes()[-1] in tested
     assert calls == tested
 
 
