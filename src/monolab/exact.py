@@ -12,7 +12,8 @@ shared guards live here too: `check_int`, and `_check_budget` on `memory_budget(
 Every rank and kernel over F_ell in the package goes through one kernel at the
 end of this module: `matmul_mod`, the streamed reduced echelon form
 `EchelonState`, `rank_mod` and `kernel_mod`; no other module reads how
-`EchelonState` stores its rows.  It is exact for every prime ell < 2**31.
+`EchelonState` stores its rows, each only on the free columns that some added
+row reached.  It is exact for every prime ell < 2**31.
 `det_mod` reads its matrix as sparse rows {column: entry}, eliminates its
 blocks side by side and shares no logic with `EchelonState`, whose pivot
 step a block split would tax on systems that form one block.
@@ -418,32 +419,45 @@ class EchelonState:
     """Reduced row echelon form over F_ell, grown one batch of rows at a time.
 
     Pivot row i has a 1 in column `pivots[i]` and every pivot row has 0 in the
-    other pivot columns, so only its entries on the `free` columns are stored
-    (in `rows`), and reducing a row against the state is one product.  An
-    added batch is reduced with one such product, none at rank 0; only its
-    nonzero rows are eliminated, `_CHUNK` rows at a time, the first chunk as
-    that product left it and each later one reduced by one more product
-    against only the pivots that the earlier chunks added.  Each chunk
-    rebuilds the state once, into one new array of the kept columns of the
-    old and new pivot rows, and back-substitutes into only the old rows
-    that are nonzero in a new pivot column, by one product over those rows;
-    no row is hit at rank 0.
+    other pivot columns, so only its entries on the `free` columns are stored,
+    and of those only the ones on `cols`, the sorted free columns that some
+    absorbed row reached: `rows` is rank x len(cols), and every pivot row is 0
+    on the free columns outside `cols`.  Reducing a row against the state is
+    one product, subtracted at `cols`.  An added batch is reduced with one
+    such product, none at rank 0; only its nonzero rows are eliminated,
+    `_CHUNK` rows at a time, the first chunk as that product left it and each
+    later one reduced by one more product against only the pivots that the
+    earlier chunks added.  Each chunk rebuilds the state once, into one new
+    array over the old `cols` and the free columns its new pivot rows reach,
+    less its new pivots, and back-substitutes into only the old rows that are
+    nonzero in a new pivot column, which must be one of the old `cols`, by one
+    product over those rows; no row is hit at rank 0.
     """
 
     def __init__(self, ncols: int, ell: int):
+        check_int(ncols, "ncols")
+        if ncols < 0:
+            raise ValueError(f"ncols must be >= 0, got {ncols}")
         check_prime_modulus(ell)
         self.ell = ell
         self.free = np.arange(ncols)
         self.pivots: list[int] = []
-        self.rows = np.zeros((0, ncols), dtype=np.int64)
+        self.cols = self.free[:0]
+        self.rows = np.zeros((0, 0), dtype=np.int64)
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
+    def _at(self):
+        """The positions of `cols` among the free columns: a slice when they are all of them."""
+        return slice(None) if len(self.cols) == len(self.free) else np.searchsorted(self.free, self.cols)
+
     def _reduce(self, batch: np.ndarray) -> np.ndarray:
         """The rows of batch minus their pivot-column combination, on the free columns."""
-        return (batch[:, self.free] - matmul_mod(batch[:, self.pivots], self.rows, self.ell)) % self.ell
+        reduced, at = batch[:, self.free], self._at()
+        reduced[:, at] = (reduced[:, at] - matmul_mod(batch[:, self.pivots], self.rows, self.ell)) % self.ell
+        return reduced
 
     def add(self, batch: np.ndarray) -> None:
         """Absorb a 2-d int64 batch of residues in [0, ell), as `residues` makes them; ValueError for anything else."""
@@ -457,8 +471,9 @@ class EchelonState:
         for start in range(0, len(nonzero), _CHUNK):
             chunk = reduced[nonzero[start : start + _CHUNK]]
             if self.rank > rank:  # a later chunk meets the pivots added since, on the batch's free columns
-                added = chunk[:, np.searchsorted(free, self.pivots[rank:])]
-                chunk = (chunk[:, np.searchsorted(free, self.free)] - matmul_mod(added, self.rows[rank:], ell)) % ell
+                added, at = chunk[:, np.searchsorted(free, self.pivots[rank:])], self._at()
+                chunk = np.take(chunk, np.searchsorted(free, self.free), axis=1)  # C order, for the pivot loop's row steps
+                chunk[:, at] = (chunk[:, at] - matmul_mod(added, self.rows[rank:], ell)) % ell
             self._absorb(chunk)
 
     def _absorb(self, a: np.ndarray) -> None:
@@ -482,19 +497,24 @@ class EchelonState:
                 a[nz, q:] = (a[nz, q:] - col[nz, None] * row) % ell
             new_rows.append(i)
             new_cols.append(q)
-        rank, keep = self.rank, np.ones(len(self.free), dtype=bool)
+        if not new_rows:  # every row reduced to 0
+            return
+        rank, keep, old = self.rank, np.ones(len(self.free), dtype=bool), np.zeros(len(self.free), dtype=bool)
         keep[new_cols] = False
-        rows = np.empty((rank + len(new_rows), len(self.free) - len(new_cols)), dtype=np.int64)
-        np.compress(keep, self.rows, axis=1, out=rows[:rank])
-        np.compress(keep, a[new_rows], axis=1, out=rows[rank:])
-        # an old row changes only where it is nonzero in a new pivot column
-        hits = self.rows[:, new_cols]
-        hit = np.flatnonzero(hits.any(axis=1))
-        if hit.size:
-            rows[hit] = (rows[hit] - matmul_mod(hits[hit], rows[rank:], ell)) % ell
-        self.rows = rows
-        self.pivots += self.free[new_cols].tolist()
-        self.free = self.free[keep]
+        old[self._at()] = True
+        new, pivots = a[new_rows], self.free[new_cols]
+        reach = (old | new.any(axis=0)) & keep  # the new cols, as a mask over the free columns
+        rows = np.zeros((rank + len(new_rows), np.count_nonzero(reach)), dtype=np.int64)
+        np.compress(reach, new, axis=1, out=rows[rank:])
+        if rank:  # an old row moves to the new cols; it changes only if nonzero in a new pivot column, an old col
+            rows[:rank, old[reach]] = self.rows[:, keep[old]]
+            was = old[new_cols]
+            hits = self.rows[:, np.searchsorted(self.cols, pivots[was])]
+            hit = np.flatnonzero(hits.any(axis=1))
+            if hit.size:
+                rows[hit] = (rows[hit] - matmul_mod(hits[hit], rows[rank:][was], ell)) % ell
+        self.rows, self.cols, self.free = rows, self.free[reach], self.free[keep]
+        self.pivots += pivots.tolist()
 
 
 def residues(matrix, ell: int) -> np.ndarray:
@@ -543,7 +563,7 @@ def kernel_mod(matrix, ell: int) -> np.ndarray:
     free = state.free
     basis = np.zeros((len(free) + state.rank, len(free)), dtype=np.int64)
     basis[free, np.arange(len(free))] = 1
-    basis[state.pivots] = -state.rows % ell
+    basis[np.ix_(state.pivots, np.searchsorted(free, state.cols))] = -state.rows % ell
     return basis
 
 

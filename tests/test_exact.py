@@ -498,6 +498,21 @@ def test_kernel_rejects_bad_moduli():
             EchelonState(2, bad)
 
 
+@pytest.mark.parametrize(
+    "ncols, match",
+    [(-1, "ncols must be >= 0, got -1"), (2.5, "ncols is not an int: 2.5"), (True, "ncols is not an int: True")],
+    ids=["negative", "float", "bool"],
+)
+def test_echelon_rejects_a_bad_column_count(ncols, match):
+    # unchecked, -1 and 2.5 would raise numpy's own errors, and True would
+    # pass for one column; 0 columns is a state of rank 0
+    with pytest.raises(ValueError, match=match):
+        EchelonState(ncols, 7)
+    state = EchelonState(0, 7)
+    state.add(np.zeros((3, 0), dtype=np.int64))
+    assert state.rank == 0 and state.rows.shape == (0, 0)
+
+
 @pytest.mark.parametrize("bad", [7.0, np.int64(7), True, [7]], ids=["float", "int64", "bool", "list"])
 def test_modulus_type_checked_after_seven_is_accepted(bad):
     # the primality verdict is cached, the type and range checks are not:
@@ -727,7 +742,7 @@ def test_later_chunks_meet_only_the_added_pivots(monkeypatch):
 
     def spy_absorb(s, a):
         events.append(("absorb", s.rank))
-        rows, free, rank, made = s.rows, s.free, s.rank, len(heights)
+        rows, free, rank, made = free_wide(s), s.free, s.rank, len(heights)
         absorb(s, a)
         hit = int(rows[:, np.searchsorted(free, s.pivots[rank:])].any(axis=1).sum())
         hits.append(hit)
@@ -748,6 +763,13 @@ def test_later_chunks_meet_only_the_added_pivots(monkeypatch):
     events[:] = []
     EchelonState(300, ell).add(single)
     assert events == [("absorb", 0)]
+
+
+def free_wide(state):
+    """The state's pivot rows on all its free columns: `rows` scattered through `cols`, 0 elsewhere."""
+    rows = np.zeros((state.rank, len(state.free)), dtype=np.int64)
+    rows[:, np.searchsorted(state.free, state.cols)] = state.rows
+    return rows
 
 
 def two_pass_add(state, batch):
@@ -802,8 +824,10 @@ def hit_batches(rng, n, ell):
 def test_state_grown_batch_by_batch_is_the_reduced_echelon_form(ell):
     # after every batch the pivots, free columns and pivot rows are those of
     # a pure-Python reduced echelon form of every row added so far; batches
-    # whose new pivots hit no earlier row and batches whose pivots do both occur
-    rng, seen = random.Random(ell), set()
+    # whose new pivots hit no earlier row and batches whose pivots do both occur.
+    # The rows are kept on `cols`, sorted free columns off which every pivot
+    # row is 0, and the half-width first batches leave `cols` short of `free`
+    rng, seen, narrow = random.Random(ell), set(), False
     for n in (6, 40, 90):
         state, rref = EchelonState(n, ell), {}
         for batch, want_hit in hit_batches(rng, n, ell):
@@ -819,9 +843,13 @@ def test_state_grown_batch_by_batch_is_the_reduced_echelon_form(ell):
             assert sorted(state.pivots) == sorted(rref), (n, len(batch))
             free = [j for j in range(n) if j not in rref]
             assert state.free.tolist() == free
+            cols = state.cols.tolist()
+            assert cols == sorted(cols) and set(cols) <= set(free) and state.rows.shape == (len(rref), len(cols))
+            assert not any(rref[p][j] for p in rref for j in set(free) - set(cols))
+            narrow |= len(cols) < len(free)
             order = np.argsort(state.pivots)
-            assert state.rows[order].tolist() == [[rref[p][j] for j in free] for p in sorted(rref)]
-    assert seen == {False, True}
+            assert free_wide(state)[order].tolist() == [[rref[p][j] for j in free] for p in sorted(rref)]
+    assert seen == {False, True} and narrow
 
 
 def test_first_batch_with_zero_duplicate_and_unreduced_rows():

@@ -948,6 +948,18 @@ def test_naive_columns_newest_element_first(monkeypatch):
     assert lead.tolist() == ((n - 1 - k)[:, None] * dim + np.arange(dim)).tolist()
 
 
+def test_naive_peak_on_sl2_7_sym3():
+    # with the newest element first, a pivot row of the naive system is 0 off
+    # a few columns, and the echelon state keeps each row on the columns it
+    # reaches: 1,344 unknowns peak near 2.6 MB, where rows over every free
+    # column would take 12.0 MB
+    G, M = sl2_group(7), sym_module(7, 3, 0)
+    assert G.order * M.dim == 1344
+    got = []
+    assert traced_peak(lambda: got.append(h1_naive(G, M))) < 4 * 10**6
+    assert got == [h1(G, M)]
+
+
 def test_adjoint_h1_values():
     assert adjoint_h1_via_kostant("F4", 29) == 0
     assert adjoint_h1_via_kostant("E6", 29) == 0

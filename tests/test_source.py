@@ -273,7 +273,7 @@ def test_integer_elimination_has_one_home():
 
 def test_solver_cross_checks_have_one_home():
     # the CLI runs no oracle solver; in the cohomology tests only the cross-check table
-    # and the error-path tests named here read h1_naive
+    # and the error-path, layout and peak tests named here read h1_naive
     tree = ast.parse(pathlib.Path(cli.__file__).read_text())
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "h1_naive" not in imported | set(_names_read(tree))
@@ -289,6 +289,7 @@ def test_solver_cross_checks_have_one_home():
         "test_module_group_mismatch_rejected",
         "test_non_modules_rejected_off_sl2",
         "test_naive_columns_newest_element_first",
+        "test_naive_peak_on_sl2_7_sym3",
     }
 
 
