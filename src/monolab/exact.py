@@ -6,7 +6,8 @@ over F_ell, where ell is a bare int prime below 2**31 that
 nowhere else: `is_prime` gives a proven verdict, and `factor` certifies each
 prime it reports with it.  Every unimodular reduction over ZZ is one loop,
 `_column_reduce`: `integer_kernel` returns saturated lattice bases with no
-rational intermediate step, and `diagonal_divisors` a diagonal form.  The
+rational intermediate step (the Kostant strings, and the Cartan symmetrizer
+that gives the root lengths), and `diagonal_divisors` a diagonal form.  The
 shared guards live here too: `check_int`, and `_check_budget` on `memory_budget()`.
 
 Every rank and kernel over F_ell in the package goes through one kernel at the
@@ -258,14 +259,16 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _int_rows(rows, ncols: int) -> list[list[int]]:
-    """Rows of ncols Python ints, an integer array by one `.tolist()`; ValueError names a negative ncols or a bad row."""
+    """Rows of ncols Python ints, an integer array by one `.tolist()`; ValueError names a bad ncols or a bad row."""
+    check_int(ncols, "ncols")
     if ncols < 0:
         raise ValueError(f"ncols must be >= 0, got {ncols}")
     if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu" and rows.shape[1:] == (ncols,):
         return rows.tolist()
     for r, row in enumerate(rows):
-        if len(row) != ncols or not all(type(x) is int or isinstance(x, np.integer) for x in row):
-            raise ValueError(f"row {r} is not {ncols} integers: {list(row)!r}")
+        sized = hasattr(row, "__len__")  # a bare number or a numpy scalar is no row
+        if not sized or len(row) != ncols or not all(type(x) is int or isinstance(x, np.integer) for x in row):
+            raise ValueError(f"row {r} is not {ncols} integers: {list(row) if sized else row!r}")
     return [list(map(int, row)) for row in rows]
 
 

@@ -1,11 +1,11 @@
 """Root systems of the simple Lie types, built exactly from Cartan matrices.
 
 Roots live in simple-root coordinates (integer tuples); every pairing goes
-through the Cartan matrix, and a squared root length is 1, 2 or 3 times the
-short one, so the whole module is exact integer arithmetic.  Positive roots
-are the closure of the simple roots under the simple reflections, frozen in a
-deterministic order whose first ``rank`` entries are the simple roots
-alpha_1, ..., alpha_l in their conventional numbering.
+through the Cartan matrix, whose symmetrizer is `simple_norms`: a squared root
+length is 1, 2 or 3 times the short one, so the whole module is exact integer
+arithmetic.  Positive roots are the closure of the simple roots under the simple
+reflections, frozen in a deterministic order whose first ``rank`` entries are
+the simple roots alpha_1, ..., alpha_l in their conventional numbering.
 
 Below `RootDatum` a root is its index k into `all_roots` (the N positive
 roots, then their negatives in the same order, so -(root k) is root
@@ -28,13 +28,14 @@ from functools import cached_property, lru_cache, wraps
 
 import numpy as np
 
-from .exact import check_int, exact_div, exact_div_arrays
+from .exact import check_int, exact_div_arrays, integer_kernel
 
 Root = tuple[int, ...]
 
 # The exceptional types, each with the count of its full root system |Phi|,
 # used as a construction-time cross-check.
 _EXCEPTIONAL_ROOT_COUNTS = {("G", 2): 12, ("F", 4): 48, ("E", 6): 72, ("E", 7): 126, ("E", 8): 240}
+EXCEPTIONAL_TYPES = tuple(f"{family}{rank}" for family, rank in _EXCEPTIONAL_ROOT_COUNTS)
 
 _CLASSICAL_MIN_RANKS = {"A": 1, "B": 2, "C": 3, "D": 4}
 MAX_RANK = 32  # the largest classical rank built; primescan on B32 takes 1.4 s and 127 MB on 2 vCPUs
@@ -49,7 +50,7 @@ class SimpleType:
 
     def __post_init__(self):
         check_int(self.rank, "rank")  # True and np.int64(8) hash like 1 and 8, and would share their per-type caches
-        if (self.family, self.rank) in _EXCEPTIONAL_ROOT_COUNTS:
+        if self.is_exceptional:
             return
         if self.family not in _CLASSICAL_MIN_RANKS or self.rank < _CLASSICAL_MIN_RANKS[self.family]:
             raise ValueError(f"not a classified simple type: {self.family}{self.rank}")
@@ -76,7 +77,7 @@ class SimpleType:
 
     @property
     def is_exceptional(self) -> bool:
-        return self.family in ("E", "F", "G")
+        return (self.family, self.rank) in _EXCEPTIONAL_ROOT_COUNTS
 
 
 def cartan_matrix(t: SimpleType) -> tuple[tuple[int, ...], ...]:
@@ -117,31 +118,17 @@ def cartan_matrix(t: SimpleType) -> tuple[tuple[int, ...], ...]:
 
 
 def _root_lengths(cartan) -> tuple[int, ...]:
-    """d_i = (alpha_i, alpha_i)/2 normalised so that min d_i = 1.
+    """d_i = (alpha_i, alpha_i)/2, the Cartan symmetrizer: the diagonal D with DA symmetric (Kac, §2.1).
 
-    Solves d_i * |A[i][j]| = d_j * |A[j][i]| by propagation along the Dynkin
-    diagram, scaling every d found so far when a ratio is not integral; the
-    diagram of a simple type is connected, so this determines d up to the
-    overall scale fixed by the normalisation.
+    D spans the integer kernel of d_i A_ij - d_j A_ji = 0 over the linked pairs i < j.  Its primitive vector has least
+    entry 1, as a simple type has at most two root lengths, in ratio 1, 2 or 3; ArithmeticError otherwise.
     """
-    n = len(cartan)
-    d = [0] * n
-    d[0] = 1
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in range(n):
-            if i != j and cartan[i][j] != 0 and d[j] == 0:
-                num, den = d[i] * abs(cartan[i][j]), abs(cartan[j][i])
-                if num % den:
-                    d = [x * den for x in d]
-                    num *= den
-                d[j] = num // den
-                stack.append(j)
-    if 0 in d:
-        raise ArithmeticError("Dynkin diagram not connected")
-    lo = min(d)
-    return tuple(exact_div(x, lo, "root length ratio") for x in d)
+    A, eye = np.array(cartan, dtype=np.int64), np.eye(len(cartan), dtype=np.int64)
+    i, j = np.nonzero(np.triu(A | A.T, 1))  # the linked pairs: A_ij or A_ji is nonzero
+    kernel = integer_kernel(A[i, j, None] * eye[i] - A[j, i, None] * eye[j], len(A))
+    if len(kernel) != 1 or min(kernel[0]) != 1:
+        raise ArithmeticError(f"no symmetrizer with least entry 1: the integer kernel is {kernel}")
+    return kernel[0]
 
 
 def _sum_index(roots) -> np.ndarray:
@@ -380,5 +367,3 @@ def _validate(d: RootDatum):
     if bad:
         raise ArithmeticError(f"invalid root datum for {d.simple_type}: {', '.join(bad)}")
 
-
-EXCEPTIONAL_TYPES = ("G2", "F4", "E6", "E7", "E8")

@@ -350,6 +350,11 @@ def test_sym_module_matches_binomial_reference(ell):
         (lambda: diagonal_divisors([[1, 2], [1.0, 2]], 2), r"^row 1 is not 2 integers: \[1.0, 2\]$"),
         (lambda: diagonal_divisors([[1, 2]], 1), r"^row 0 is not 1 integers: \[1, 2\]$"),
         (lambda: integer_kernel([], -5), "^ncols must be >= 0, got -5$"),
+        (lambda: integer_kernel([[1, 2]], 2.0), "^ncols is not an int: 2.0$"),
+        (lambda: integer_kernel([[1]], True), "^ncols is not an int: True$"),
+        (lambda: integer_kernel(np.array([1, 2, 3]), 3), r"^row 0 is not 3 integers: np\.int64\(1\)$"),
+        (lambda: integer_kernel([5], 1), "^row 0 is not 1 integers: 5$"),
+        (lambda: diagonal_divisors(np.array([2, 4]), 2), r"^row 0 is not 2 integers: np\.int64\(2\)$"),
         (lambda: diagonal_divisors([], -2), "^ncols must be >= 0, got -2$"),
         (lambda: h1_trivial_module_rank(close_group([((1, 1), (0, 1))], 7), -2), "^dim must be at least 1, got -2$"),
         (lambda: h1_trivial_module_rank(close_group([((1, 1), (0, 1))], 7), 0), "^dim must be at least 1, got 0$"),
@@ -362,7 +367,8 @@ def test_sym_module_matches_binomial_reference(ell):
         "module-0x0", "close-0x0", "close-singular", "close-2x3", "close-1-d", "det-bool", "det-numpy-bool", "det-ndarray",
         "det-dict-bool-value", "det-dict-bool-key", "det-dict-float-key", "det-dict-key-n", "det-dict-key-minus-1",
         "det-dict-list-row", "kernel-wide-row", "kernel-short-row", "kernel-bool", "kernel-float", "kernel-numpy-bool",
-        "divisors-float", "divisors-wide-row", "kernel-ncols-minus-5", "divisors-ncols-minus-2", "trivial-rank-dim-minus-2", "trivial-rank-dim-0", "trivial-rank-dim-float",
+        "divisors-float", "divisors-wide-row", "kernel-ncols-minus-5", "kernel-ncols-float", "kernel-ncols-bool",
+        "kernel-1-d-array", "kernel-int-row", "divisors-1-d-array", "divisors-ncols-minus-2", "trivial-rank-dim-minus-2", "trivial-rank-dim-0", "trivial-rank-dim-float",
         "trivial-rank-dim-bool",
     ],
 )
@@ -376,7 +382,8 @@ def test_non_integer_or_empty_input_rejected(call, match):
     # det_mod takes only a list or tuple of dict rows, and names the row of a
     # column key outside [0, n) or of a row that is not a dict; an integer
     # matrix over ZZ names its first row that is not ncols integers, never
-    # dropping, padding or truncating one;
+    # dropping, padding or truncating one, nor taking a bare number for a row,
+    # and its ncols is an int;
     # the trivial-module rank takes an int dimension of at least 1
     with pytest.raises(ValueError, match=match):
         call()

@@ -225,6 +225,44 @@ def test_norms_are_ints():
         assert set(d.norm2.tolist()) == {2 * n for n in norms}
 
 
+def reference_root_lengths(cartan) -> tuple[int, ...]:
+    """d_i by propagation along a spanning tree of the Dynkin diagram, rescaling when a ratio is not integral."""
+    n = len(cartan)
+    d = [0] * n
+    d[0] = 1
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in range(n):
+            if i != j and cartan[i][j] != 0 and d[j] == 0:
+                num, den = d[i] * abs(cartan[i][j]), abs(cartan[j][i])
+                if num % den:
+                    d = [x * den for x in d]
+                    num *= den
+                d[j] = num // den
+                stack.append(j)
+    assert 0 not in d and all(x % min(d) == 0 for x in d)
+    return tuple(x // min(d) for x in d)
+
+
+def test_root_lengths_match_the_propagation():
+    for name in EVERY_TYPE:
+        d = build_root_datum(name)
+        assert d.simple_norms == reference_root_lengths(d.cartan), name
+
+
+@pytest.mark.parametrize(
+    "cartan",
+    [((2, 0), (0, 2)), ((2, -1, -1), (-2, 2, -1), (-1, -1, 2))],
+    ids=["disconnected", "cycle-without-symmetrizer"],
+)
+def test_root_lengths_refuse_a_matrix_without_one_symmetrizer(cartan):
+    # A1 x A1 has a two-dimensional kernel; on the triangle the propagation's tree
+    # gives d_1 = 2 d_2 and d_1 = d_3, and missed the third edge's d_2 = d_3
+    with pytest.raises(ArithmeticError, match="no symmetrizer with least entry 1"):
+        rootsys._root_lengths(cartan)
+
+
 # tampered data that each invariant check must reject, also under python -O
 BAD_EXPONENTS = "_validate(dataclasses.replace(build_root_datum('G2'), exponents=(1, 4)))"
 BAD_COROOT = "dataclasses.replace(build_root_datum('A2'), simple_norms=(1, 2)).coroots"

@@ -311,6 +311,10 @@ def test_each_root_fact_has_one_home():
     assert [name for name, nodes in defs.items() for node in nodes if node.name == "diagram_symmetries"] == ["rootsys.py"]
     (opposition,) = [node for node in defs["chevalley.py"] if node.name == "_opposition"]
     assert not [node for node in ast.walk(opposition) if isinstance(node, (ast.List, ast.Dict))]
+    # the root lengths are the symmetrizer read off `integer_kernel`, so `diagram_symmetries` is the one diagram walk
+    (lengths,) = [node for node in defs["rootsys.py"] if node.name == "_root_lengths"]
+    assert not [node for node in ast.walk(lengths) if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    assert "integer_kernel" in set(_names_read(lengths))
 
 
 def test_reference_lists_have_one_copy():
