@@ -21,21 +21,21 @@ step a block split would tax on systems that form one block.
 Both eliminations take one update rule: a pivot rewrites, from its column
 on, only the rows with an entry in that column; back-substitution touches
 only the pivot rows that a new pivot hits.  `matmul_mod` has three
-products: float64 on numpy's BLAS while every partial sum is an integer
-below 2**53 and the product is large enough to repay the conversion, with
-the bundled OpenBLAS pinned to one thread for the call; int64 below 2**63;
-and int64 on 16-bit halves above that.  Floating point appears nowhere else.
+products, chosen from the shapes and ell alone: float64 on numpy's BLAS while
+every partial sum is an integer below 2**53 and the product is large enough
+to repay the conversion; int64 below 2**63; and int64 on 16-bit halves above
+that.  Floating point appears nowhere else.
 `residues` is the one reducer, of every integer matrix that enters from outside;
 `EchelonState.add` takes its int64 residues in [0, ell) and only checks them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import random
-import threading
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from math import gcd, prod
 
 import numpy as np
@@ -89,10 +89,11 @@ class ResourceLimitError(RuntimeError):
 
 def memory_budget() -> int:
     """Bytes the solvers may allocate: MONOLAB_MEMORY_BUDGET, or 2 GiB; ValueError unless it is a positive integer."""
-    env = os.environ.get(_BUDGET_ENV)
-    if env and not (env.isdecimal() and int(env) > 0):
-        raise ValueError(f"{_BUDGET_ENV}={env!r}: the memory budget must be a positive integer number of bytes")
-    return int(env) if env else DEFAULT_MEMORY_BUDGET
+    env = os.environ.get(_BUDGET_ENV) or str(DEFAULT_MEMORY_BUDGET)
+    with contextlib.suppress(ValueError):  # int() refuses more digits than sys.get_int_max_str_digits()
+        if env.isascii() and env.isdecimal() and (budget := int(env)) > 0:  # str.isdecimal alone passes '١٢'
+            return budget
+    raise ValueError(f"{_BUDGET_ENV}={env!r}: the memory budget must be a positive integer number of bytes")
 
 
 def _check_budget(need: int, what: str) -> None:
@@ -258,11 +259,15 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def _int_rows(rows, ncols: int) -> list[list[int]]:
-    """Rows of ncols Python ints, an integer array by one `.tolist()`; ValueError names a bad ncols or a bad row."""
+def _check_ncols(ncols) -> None:
     check_int(ncols, "ncols")
     if ncols < 0:
         raise ValueError(f"ncols must be >= 0, got {ncols}")
+
+
+def _int_rows(rows, ncols: int) -> list[list[int]]:
+    """Rows of ncols Python ints, an integer array by one `.tolist()`; ValueError names a bad ncols or a bad row."""
+    _check_ncols(ncols)
     if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu" and rows.shape[1:] == (ncols,):
         return rows.tolist()
     for r, row in enumerate(rows):
@@ -359,41 +364,30 @@ def normalize_primitive(vec) -> tuple[int, ...]:
 # 0.31 s, sl2-cohomology 0.027-0.028 s at each
 _CHUNK = 64
 
-# a product of at least this volume m * k * n goes to BLAS.  Replaying the
-# 7,608 products of one pass of each perfbench workload (seed 604) through
-# both paths (2 vCPUs, OpenBLAS 0.3.31 on one thread): float64 was slower
-# than int64 on 6 of the 505 products of volume >= 8,000 and on none of the
-# 472 of volume >= 16,384, and the replay's total was flat at 0.14 s for any
-# crossover from 4,000 to 32,000 (0.41 s on int64 alone, 0.28 s at 10**6)
+# a product of at least this volume m * k * n goes to BLAS; below it the
+# conversions to float64 and back cost more than they save.  Replaying the
+# 7,608 products of one pass of each perfbench workload (seed 604) on both
+# paths (2 vCPUs, OpenBLAS 0.3.31, then pinned to one thread), float64 lost
+# to int64 on none of the 472 of volume >= 16,384; with no gate at all,
+# sl2-cohomology's wall_s read 6.7 % higher, and lower in none of 6 pairs
 _BLAS_VOLUME = 2**14
-_BLAS_LOCK = threading.Lock()  # the thread count is one setting of the whole process
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, ell: int) -> np.ndarray:
     """a @ b mod ell, exact for ell < 2**31 and inner dimension k < 2**16, by one of three products.
 
     float64 on BLAS while k * (ell - 1)**2 < 2**53, so every partial sum is an
-    integer that float64 holds exactly, once the volume m * k * n of one matrix
-    product reaches `_BLAS_VOLUME`; numpy's bundled OpenBLAS is pinned to one
-    thread for the call and given back its old count after it, also when the
-    product raises, and where the count cannot be set the int64 product runs.
+    integer that float64 holds exactly in any order of summation, and so on
+    any number of BLAS threads, once the volume m * k * n of one matrix
+    product reaches `_BLAS_VOLUME`; a and b may be stacks of matrices.
     int64 while k * (ell - 1)**2 < 2**63.  Otherwise int64 with a split into
     16-bit halves, so that every partial sum stays below 2**63.  Entries of a
     and b must lie in [0, ell).  The modulus is not checked here: callers pass
     one already checked where they were entered.
     """
     k = a.shape[-1]
-    if a.shape[-2] * k * b.shape[-1] >= _BLAS_VOLUME and k * (ell - 1) ** 2 < 2**53 and (threads := _blas_threads()):
-        get, pin = threads
-        a, b = a.astype(np.float64), b.astype(np.float64)
-        with _BLAS_LOCK:
-            old = get()
-            pin(1)
-            try:
-                product = a @ b
-            finally:
-                pin(old)
-        product = product.astype(np.int64)
+    if a.shape[-2] * k * b.shape[-1] >= _BLAS_VOLUME and k * (ell - 1) ** 2 < 2**53:
+        product = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
         product %= ell
         return product
     if k * (ell - 1) ** 2 < 2**63:
@@ -401,21 +395,6 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, ell: int) -> np.ndarray:
     if k >= 2**16:
         raise ValueError(f"inner dimension {k} too large for an exact product mod {ell}")
     return ((a >> 16) @ b % ell * 2**16 + (a & 0xFFFF) @ b % ell) % ell
-
-
-@cache
-def _blas_threads():
-    """(get, pin): read and set the thread count of numpy's bundled OpenBLAS; None where numpy exports neither."""
-    import ctypes
-
-    try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)  # its symbol lookup reaches the BLAS it links
-        get, pin = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except (AttributeError, OSError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    pin.argtypes, pin.restype = [ctypes.c_int], None
-    return get, pin
 
 
 class EchelonState:
@@ -438,9 +417,7 @@ class EchelonState:
     """
 
     def __init__(self, ncols: int, ell: int):
-        check_int(ncols, "ncols")
-        if ncols < 0:
-            raise ValueError(f"ncols must be >= 0, got {ncols}")
+        _check_ncols(ncols)
         check_prime_modulus(ell)
         self.ell = ell
         self.free = np.arange(ncols)

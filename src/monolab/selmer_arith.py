@@ -149,6 +149,10 @@ class SelmerLedger:
             doc = json.loads(text)
         except RecursionError:  # the parser recurses once per level of [ or {
             raise ValueError("ledger JSON nested too deeply to parse") from None
+        except json.JSONDecodeError:
+            raise
+        except ValueError:  # int() refuses an integer of more digits than sys.get_int_max_str_digits()
+            raise ValueError("ledger JSON holds an integer too long to parse") from None
         return SelmerLedger.from_json_dict(doc)
 
 

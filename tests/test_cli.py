@@ -41,7 +41,7 @@ def row(cmd, code, digest, err=None, ledger=None, **expect):
 
 
 # The accepted rows' digests predate the rank guard and the degree-0 and
-# nesting checks on ledgers, which added only rejected rows.
+# nesting and integer-length checks on ledgers, which added only rejected rows.
 ROWS = [
     row("roots --type G2", 0, "b982d6738a9122078a81f21084315bfa9c94820d2eb9e540700419cc3f21dcb3"),
     row("roots --type G2 --format csv", 0, "6e3c4ebc42a98ec3266e2df854d2997626546488f3dd943f6b79d6a0d689b527"),
@@ -194,6 +194,7 @@ ROWS = [
     row("selmer --ledger {tmp}/degree-0-with-archimedean.json", 1, EMPTY, "error: a totally real field of degree 0 needs as many archimedean entries, found 2", ledger={**G2_LEDGER, "totally_real_degree": 0, "archimedean_fixed_dims": [6, 6]}),
     row("selmer --ledger {tmp}/bool-version.json", 1, EMPTY, "error: unsupported ledger schema_version True, expected 1", ledger={**G2_LEDGER, "schema_version": True}),
     row("selmer --ledger {tmp}/nested.json", 1, EMPTY, "error: ledger JSON nested too deeply to parse", ledger="[" * 100000),
+    row("selmer --ledger {tmp}/huge-int.json", 1, EMPTY, "error: ledger JSON holds an integer too long to parse", ledger=json.dumps({**G2_LEDGER, "dim_n": "N"}).replace('"N"', "7" * 5000)),
     row("selmer --ledger {tmp}/misspelt-local-key.json", 1, EMPTY, "error: local condition 0 has the unknown key 'field_degre'", ledger={**G2_LEDGER, "locals": [{"kind": "ordinary", "h0_local": 0, "field_degre": 1}]}),
     row("selmer --ledger {tmp}/misspelt-key.json", 1, EMPTY, "error: ledger has the unknown key 'local'", ledger={"local" if k == "locals" else k: v for k, v in G2_LEDGER.items()}),
     row("cohomology --ell 7", 1, EMPTY, "error: --sym is needed outside sweep mode"),

@@ -405,23 +405,11 @@ def test_kernel_mod_spans_the_kernel(ell):
     assert kernel_mod(cases[-1], ell).shape == (5, 0)
 
 
-@pytest.fixture
-def pins(monkeypatch):
-    """The thread counts that matmul_mod sets on numpy's BLAS, recorded around the real setter."""
-    handle = exact._blas_threads()
-    if handle is None:
-        pytest.skip("numpy's BLAS exports no thread-count setter here")
-    get, pin = handle
-    calls = []
-    monkeypatch.setattr(exact, "_blas_threads", lambda: (get, lambda n: calls.append(n) or pin(n)))
-    return calls
-
-
 def python_product(a, b, ell):
     return [[sum(x * y for x, y in zip(row, col)) % ell for col in zip(*b)] for row in a]
 
 
-def test_blas_products_match_the_python_reference(pins):
+def test_blas_products_match_the_python_reference():
     # 64 x 64 x 80 is past the volume gate; with k = 64 the float64 product is
     # exact while 64 * (ell - 1)**2 < 2**53, and the first row of a and first
     # column of b, all ell - 1, reach that sum in entry (0, 0)
@@ -429,36 +417,23 @@ def test_blas_products_match_the_python_reference(pins):
     below = next(p for p in range(isqrt(2**53 // k) + 1, 2, -1) if k * (p - 1) ** 2 < 2**53 and is_prime(p))
     above = next(p for p in range(below + 1, 2**31) if is_prime(p))
     assert k * (above - 1) ** 2 >= 2**53 and k * 64 * 80 >= exact._BLAS_VOLUME
-    before = exact._blas_threads()[0]()
     rng = random.Random(53)
-    for ell, pinned in [(below, [1, before]), (above, []), (2**31 - 1, [])]:  # float64, int64, 16-bit split
+    for ell in (below, above, 2**31 - 1):  # float64, int64, 16-bit split
         a = [[ell - 1] * k] + [[rng.randrange(ell) for _ in range(k)] for _ in range(63)]
         b = [[ell - 1] + [rng.randrange(ell) for _ in range(79)] for _ in range(k)]
         got = matmul_mod(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), ell)
         assert got.dtype == np.int64 and got.tolist() == python_product(a, b, ell), ell
-        assert pins == pinned, ell
-        pins.clear()
-
-
-def test_blas_thread_count_restored_also_when_the_product_raises(pins):
-    get = exact._blas_threads()[0]
-    before = get()
-    a = np.ones((64, 64), dtype=np.int64)
-    assert matmul_mod(a, a, 7).tolist() == [[64 % 7] * 64] * 64
-    assert get() == before
-    with pytest.raises(ValueError):
-        matmul_mod(a, np.ones((65, 64), dtype=np.int64), 7)  # a has 64 columns, b 65 rows
-    assert get() == before
-    assert pins == [1, before, 1, before]
-
-
-def test_missing_blas_handle_gives_the_same_product(monkeypatch):
-    rng = np.random.default_rng(11)
-    a, b = rng.integers(0, 65521, (64, 100)), rng.integers(0, 65521, (100, 70))
-    want = matmul_mod(a, b, 65521)
-    monkeypatch.setattr(exact, "_blas_threads", lambda: None)
-    assert np.array_equal(matmul_mod(a, b, 65521), want)
-    assert np.array_equal(want, a @ b % 65521)
+    # stacks of three, as the tree products and the closure pass them: the gate
+    # reads the volume of one matrix, 15 * 64 * 17 just below _BLAS_VOLUME and
+    # 16 * 64 * 16 at it, and ell on either side of the float64 bound
+    assert 15 * k * 17 < exact._BLAS_VOLUME == 16 * k * 16
+    for m, n in [(15, 17), (16, 16)]:
+        for ell in (below, above):
+            a = [[[ell - 1] * k] + [[rng.randrange(ell) for _ in range(k)] for _ in range(m - 1)] for _ in range(3)]
+            b = [[[ell - 1] + [rng.randrange(ell) for _ in range(n - 1)] for _ in range(k)] for _ in range(3)]
+            got = matmul_mod(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), ell)
+            want = [python_product(x, y, ell) for x, y in zip(a, b)]
+            assert got.dtype == np.int64 and got.tolist() == want, (m, n, ell)
 
 
 def test_sparse_system_across_chunks_matches_the_reference(monkeypatch):
@@ -466,9 +441,9 @@ def test_sparse_system_across_chunks_matches_the_reference(monkeypatch):
     # nonzeros, and the elimination fills them in.  The last row of the second
     # matrix is the sum of two others, so its rank is 149 and its det 0.
     ell, n = 65521, 150
-    gated = []
-    real = exact._blas_threads
-    monkeypatch.setattr(exact, "_blas_threads", lambda: gated.append(1) or real())
+    products = []
+    real = exact.matmul_mod
+    monkeypatch.setattr(exact, "matmul_mod", lambda a, b, p: products.append((a.shape, b.shape, p)) or real(a, b, p))
     rng = random.Random(150)
     rows = [[0] * n for _ in range(n)]
     for i, row in enumerate(rows):
@@ -481,7 +456,8 @@ def test_sparse_system_across_chunks_matches_the_reference(monkeypatch):
         assert rank == want_rank and (det != 0) == (rank == n)
         assert rank_mod(matrix, ell) == rank
         assert det_mod(dict_rows(matrix), ell) == det
-    assert gated  # some product passed the BLAS gate
+    gated = [sa[-2] * sa[-1] * sb[-1] >= exact._BLAS_VOLUME and sa[-1] * (p - 1) ** 2 < 2**53 for sa, sb, p in products]
+    assert any(gated)  # some product passed the BLAS gate
 
 
 def test_kernel_rejects_bad_moduli():

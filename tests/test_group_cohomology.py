@@ -988,6 +988,11 @@ def test_memory_budget(monkeypatch):
     monkeypatch.setenv("MONOLAB_MEMORY_BUDGET", "10000")
     with pytest.raises(ResourceLimitError):
         h1(G, M)
+    # more digits than int() reads, and non-ASCII digits: refused by name, not read
+    for bad in ("7" * 5000, "١٢"):
+        monkeypatch.setenv("MONOLAB_MEMORY_BUDGET", bad)
+        with pytest.raises(ValueError, match=re.escape(f"MONOLAB_MEMORY_BUDGET={bad!r}: the memory budget must be")):
+            h1(G, M)
 
 
 def test_memory_budget_borel(monkeypatch):

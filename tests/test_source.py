@@ -44,6 +44,22 @@ def test_no_assert_statements_in_package():
     assert not found, found
 
 
+def test_package_sets_no_process_wide_state():
+    # ctypes reaches into a linked library's settings and threading guards
+    # shared ones; the package has neither, so it imports neither
+    found = []
+    for path in sorted(pathlib.Path(monolab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] in ("ctypes", "threading")]
+    assert not found, found
+
+
 def test_criterion_results_are_built_only_by_verify_paper():
     # a criterion yields (ok, detail) pairs; verify_paper alone turns them into a verdict
     builders = []
