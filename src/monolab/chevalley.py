@@ -354,14 +354,15 @@ def jacobi_sweep(alg: ChevalleyAlgebra, triples=None, samples: int | None = None
 
     With neither `triples` nor `samples`, checks every triple at once by
     `_jacobi_contraction`.  Otherwise checks the given triples, or `samples`
-    pseudo-random ones: the triples that `random.Random(seed).randrange(dim)`
-    would draw, read off blocks of words by `_draw_below`.  Each rotation
-    (a, b, c) of a triple joins [e_a, e_b] = c1 e_m with [e_m, e_c] = c2 e_t,
-    `_BLOCK` triples at a time.  Returns the number of triples checked.
-    ArithmeticError names the first failing triple and its nonzero
-    coefficients, ValueError a triple that is not three basis indices;
-    ResourceLimitError refuses, before any draw, samples whose draws (64 bytes
-    a sample) and one block's check (16 KiB a triple) exceed `memory_budget()`.
+    pseudo-random ones whose indices are the little-endian 64-bit words of
+    `random.Random(seed).randbytes`, each mod dim (a bias below dim / 2**64),
+    drawn block by block.  Each rotation (a, b, c) of a triple joins
+    [e_a, e_b] = c1 e_m with [e_m, e_c] = c2 e_t, `_BLOCK` triples at a time.
+    Returns the number of triples checked.  ArithmeticError names the first
+    failing triple and its nonzero coefficients, ValueError a triple that is
+    not three basis indices or `triples` passed with `samples`;
+    ResourceLimitError refuses, before any draw, samples whose block check
+    (16 KiB a triple) exceeds `memory_budget()`.
     """
     dim = alg.dim
     if triples is None:
@@ -369,44 +370,29 @@ def jacobi_sweep(alg: ChevalleyAlgebra, triples=None, samples: int | None = None
             return _jacobi_contraction(alg)
         if isinstance(samples, bool) or not isinstance(samples, int) or samples < 0:
             raise ValueError(f"samples must be an int >= 0, got {samples!r}")
-        _check_budget(64 * samples + 2**14 * min(samples, _BLOCK), f"{samples} sampled Jacobi triples")
-        triples = _draw_below(random.Random(seed), dim, 3 * samples)
+        _check_budget(2**14 * min(samples, _BLOCK), f"{samples} sampled Jacobi triples")
+        rng, n = random.Random(seed), samples
+    elif samples is not None:
+        raise ValueError("pass triples or samples, not both")
     else:
         triples = list(triples)  # an iterator is read twice
         if bad := [t for t in triples if not isinstance(t, (tuple, list)) or len(t) != 3][:1]:
             raise ValueError(f"not a triple of basis indices of {alg!r}: {bad[0]!r}")
-        triples = [(alg._index(i), alg._index(j), alg._index(k)) for i, j, k in triples]
-    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-    for block in np.split(triples, range(_BLOCK, len(triples), _BLOCK)):  # the first failing block has the first failure
+        triples = np.asarray([(alg._index(i), alg._index(j), alg._index(k)) for i, j, k in triples], np.int64).reshape(-1, 3)
+        n = len(triples)
+    for start in range(0, n, _BLOCK):  # the first failing block has the first failure
+        if triples is None:
+            # three 64-bit words a triple: whole 32-bit words, so the blocks continue one stream
+            block = (np.frombuffer(rng.randbytes(24 * min(_BLOCK, n - start)), "<u8") % dim).astype(np.int64).reshape(-1, 3)
+        else:
+            block = triples[start : start + _BLOCK]
         i, j, k = block.T
         first, p = _rows(alg.starts, np.r_[i, j, k] * dim + np.r_[j, k, i])
         second, q = _rows(alg.starts, alg.entries[2, p] * dim + np.r_[k, i, j][first])
         slot = np.tile(np.arange(len(block)), 3)[first[second]]  # the triple's position in the block
         terms = alg.entries[3, p[second]] * alg.entries[3, q]
         _check_sums(alg, slot * dim + alg.entries[2, q], terms, lambda s: tuple(block[s].tolist()))
-    return len(triples)
-
-
-def _draw_below(rng: random.Random, bound: int, n: int) -> np.ndarray:
-    """The int64 array of n draws `rng.randrange(bound)`, bit for bit, from blocks of 32-bit words.
-
-    For a bound below 2**32, `randrange` takes the top `bound.bit_length()`
-    bits of one 32-bit word per try and keeps the first try below `bound`;
-    `getrandbits(32 * m)` returns the next m words, the first lowest, so
-    blocks of words draw what one long block would.  The draws fill one
-    preallocated array, and a block of at most 2**12 words keeps only its
-    own temporaries beside it.  ValueError for a bound outside [1, 2**32).
-    """
-    if not 0 < bound < 2**32:
-        raise ValueError(f"draws take a bound in [1, 2**32), got {bound}")
-    shift, out, done = 32 - bound.bit_length(), np.empty(n, dtype=np.int64), 0
-    while done < n:
-        m = min(((n - done) << (32 - shift)) // bound + 64, 2**12)  # a try is kept with probability bound / 2**bit_length
-        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4") >> shift
-        kept = words[words < bound][: n - done]
-        out[done : done + len(kept)] = kept
-        done += len(kept)
-    return out
+    return n
 
 
 def _jacobi_contraction(alg: ChevalleyAlgebra) -> int:
@@ -421,7 +407,7 @@ def _jacobi_contraction(alg: ChevalleyAlgebra) -> int:
     """
     dim = alg.dim
     a, b, m, c = alg.entries
-    first, second = _rows(_pointer(a, dim), m)  # the entries are sorted by a
+    first, second = _rows(alg.starts[::dim], m)  # row m of the table is starts[m*dim]:starts[(m + 1)*dim]
     i, j, k = a[first], b[first], b[second]
     least = np.minimum((i * dim + j) * dim + k, (k * dim + i) * dim + j)  # the least of the three rotations
     least = np.minimum(least, (j * dim + k) * dim + i)

@@ -104,9 +104,13 @@ def reference_bracket(a, b):
 
 
 def reference_triples(dim, samples, seed):
-    """The `samples` seeded basis triples that `jacobi_sweep(alg, None, samples, seed)` checks."""
-    rng = random.Random(seed)
-    return [(rng.randrange(dim), rng.randrange(dim), rng.randrange(dim)) for _ in range(samples)]
+    """The `samples` seeded basis triples that `jacobi_sweep(alg, None, samples, seed)` checks.
+
+    One draw of all their bytes, read as little-endian 64-bit words mod dim, three a triple.
+    """
+    words = random.Random(seed).randbytes(24 * samples)
+    index = [int.from_bytes(words[at : at + 8], "little") % dim for at in range(0, len(words), 8)]
+    return list(zip(index[0::3], index[1::3], index[2::3]))
 
 
 def reference_rows(keys, queries):

@@ -5,7 +5,6 @@ import json
 import random
 import re
 import weakref
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,8 +32,8 @@ from conftest import (
 from monolab import chevalley
 from monolab.chevalley import (
     ChevalleyAlgebra,
+    _BLOCK,
     _check_map,
-    _draw_below,
     _rows,
     _signed_map,
     brackets,
@@ -297,21 +296,6 @@ def test_jacobi_paths_match_the_reference_loop(name):
     assert jacobi_sweep(alg, samples=500, seed=4) == reference_jacobi(alg, reference_triples(alg.dim, 500, 4)) == 500
 
 
-@pytest.mark.parametrize("bound", [1, 2, 3, 7, 8, 48, 248, 1088])
-def test_block_draw_is_randrange_bit_for_bit(bound):
-    for seed in (0, 1, 301, "E8"):
-        for n in (0, 1, 12000):
-            rng = random.Random(seed)
-            want = [rng.randrange(bound) for _ in range(n)]
-            got = _draw_below(random.Random(seed), bound, n)
-            assert got.dtype == np.int64 and got.shape == (n,) and got.tolist() == want, (seed, n)
-
-
-def test_block_draw_rejects_a_bound_past_one_word():
-    with pytest.raises(ValueError, match=r"bound in \[1, 2\*\*32\)"):
-        _draw_below(random.Random(0), 2**32, 1)
-
-
 @pytest.mark.parametrize("name", ["A1", "G2", "E8"])
 def test_rows_matches_the_query_order_search(name):
     # the pointer is the binary search of every pair; duplicates, pairs with
@@ -320,6 +304,8 @@ def test_rows_matches_the_query_order_search(name):
     alg = build_chevalley_algebra(name)
     keys = alg.entries[0] * alg.dim + alg.entries[1]
     assert np.array_equal(alg.starts, np.searchsorted(keys, np.arange(alg.dim**2 + 1)))
+    # every dim-th pointer is the pointer over the first index alone, which the contraction reads
+    assert np.array_equal(alg.starts[:: alg.dim], np.searchsorted(alg.entries[0], np.arange(alg.dim + 1)))
     rng = random.Random(name)
     present = keys[[rng.randrange(len(keys)) for _ in range(50)]]
     for queries in (
@@ -372,10 +358,11 @@ NOT_A_TRIPLE = "not a triple of basis indices of ChevalleyAlgebra(G2, ZZ): "
         ({"samples": -5}, "samples must be an int >= 0, got -5"),
         ({"samples": 2.0}, "samples must be an int >= 0, got 2.0"),
         ({"samples": True}, "samples must be an int >= 0, got True"),
+        ({"triples": [(0, 1, 2)], "samples": 5}, "pass triples or samples, not both"),
     ],
     ids=[
         "too-large", "negative", "float", "bool", "pair", "four", "int", "str", "set",
-        "negative-samples", "float-samples", "bool-samples",
+        "negative-samples", "float-samples", "bool-samples", "triples-and-samples",
     ],
 )
 def test_jacobi_sweep_rejects_what_is_not_a_basis_triple(kwargs, message):
@@ -385,17 +372,24 @@ def test_jacobi_sweep_rejects_what_is_not_a_basis_triple(kwargs, message):
     assert jacobi_sweep(alg, samples=0) == jacobi_sweep(alg, triples=[]) == 0
 
 
+def spy_randbytes(monkeypatch):
+    """The byte counts of every `random.Random.randbytes` call from here on, in call order."""
+    asked, draw = [], random.Random.randbytes
+    monkeypatch.setattr(random.Random, "randbytes", lambda self, n: asked.append(n) or draw(self, n))
+    return asked
+
+
 def test_jacobi_sweep_refuses_samples_past_the_memory_budget(monkeypatch):
-    # refused before any draw: 10**8 samples would ask getrandbits for more bits than it takes
-    alg = build_chevalley_algebra("G2")
-    with mock.patch.object(chevalley, "_draw_below") as draw:
-        with pytest.raises(ResourceLimitError, match="100000000 sampled Jacobi triples needs about 6467108864 bytes"):
-            jacobi_sweep(alg, samples=10**8)
-        monkeypatch.setenv("MONOLAB_MEMORY_BUDGET", str((64 + 2**14) * 100))
-        with pytest.raises(ResourceLimitError, match="101 sampled Jacobi triples"):
-            jacobi_sweep(alg, samples=101)
-    assert draw.call_count == 0
-    assert jacobi_sweep(alg, samples=100) == 100  # 64 bytes a sample and 16 KiB a triple of the block: exactly the budget
+    # refused before any draw; a sample is charged one block's check, 16 KiB a
+    # triple of at most 4096, so 10**8 samples ask what 4096 do
+    alg, asked = build_chevalley_algebra("G2"), spy_randbytes(monkeypatch)
+    monkeypatch.setenv("MONOLAB_MEMORY_BUDGET", str(2**14 * 100))
+    for samples, need in ((101, 2**14 * 101), (10**8, 2**14 * 4096)):
+        with pytest.raises(ResourceLimitError, match=f"{samples} sampled Jacobi triples needs about {need} bytes"):
+            jacobi_sweep(alg, samples=samples)
+    assert asked == []
+    assert jacobi_sweep(alg, samples=100) == 100  # exactly the budget
+    assert asked == [24 * 100]
 
 
 @pytest.mark.parametrize("samples", [1, 10_000])
@@ -408,31 +402,29 @@ def test_jacobi_sweep_stays_within_its_charge(monkeypatch, name, samples):
 
 
 def test_jacobi_sweep_draws_lie_scans_triples(monkeypatch):
-    # the 4000 samples of every lie-scan op are the triples randrange draws, bit for bit
-    alg, draw, drawn = build_chevalley_algebra("E8"), chevalley._draw_below, []
-    monkeypatch.setattr(chevalley, "_draw_below", lambda *args: drawn.append(draw(*args)) or drawn[-1])
-    assert jacobi_sweep(alg, samples=4000, seed=301) == 4000
-    assert [list(map(tuple, d.reshape(-1, 3).tolist())) for d in drawn] == [reference_triples(alg.dim, 4000, 301)]
+    # the 4000 samples of a lie-scan op are one block: one draw of three 64-bit words a triple
+    asked = spy_randbytes(monkeypatch)
+    assert jacobi_sweep(build_chevalley_algebra("E8"), samples=4000, seed=301) == 4000
+    assert asked == [24 * 4000]
 
 
-def test_block_draw_splits_past_one_getrandbits_block():
-    # 600,000 draws below 1088 take about 1.13 million words, so at least 276 blocks of at most 2**12
-    class Spy(random.Random):
-        def getrandbits(self, k):
-            self.asked.append(k)
-            return super().getrandbits(k)
-
-    rng, ref = Spy(7), random.Random(7)
-    rng.asked = []
-    got = _draw_below(rng, 1088, 600_000)
-    assert len(rng.asked) >= 276 and max(rng.asked) == 32 * 2**12
-    assert got.tolist() == [ref.randrange(1088) for _ in range(600_000)]
-
-
-def test_block_draw_holds_its_draws_once():
-    # the 30,000 int64 draws of 10,000 E8 samples take 24 bytes a sample; each
-    # block's words, mask and kept copy add at most 2**12 entries beside them
-    assert traced_peak(lambda: _draw_below(random.Random(0), 248, 30_000)) <= 36 * 10_000
+def test_sampled_blocks_continue_one_seeded_stream(monkeypatch):
+    # on the flipped E8, seed 0's first failing triple is triple 6051 of the
+    # stream, in the second block: a block that restarted the stream would
+    # pass it, and one that skipped words would check other triples
+    broken = flipped_algebra("E8")
+    triples = reference_triples(broken.dim, 10_000, 0)
+    assert reference_jacobi(broken, triples[:_BLOCK]) == _BLOCK
+    want = reference_jacobi(broken, triples)
+    assert want == f"Jacobi fails on basis triple {triples[6051]}: {{153: 2}}"
+    asked = spy_randbytes(monkeypatch)
+    with pytest.raises(ArithmeticError) as failure:
+        jacobi_sweep(broken, samples=10_000, seed=0)
+    assert str(failure.value) == want
+    assert asked == [24 * _BLOCK] * 2
+    asked.clear()
+    assert jacobi_sweep(build_chevalley_algebra("E8"), samples=10_000, seed=0) == 10_000
+    assert asked == [24 * _BLOCK] * 2 + [24 * (10_000 - 2 * _BLOCK)]
 
 
 @pytest.mark.parametrize("name", ["G2", "F4", "B3", "E8"])

@@ -60,6 +60,33 @@ def test_package_sets_no_process_wide_state():
     assert not found, found
 
 
+# draws of the random module's hidden generator: seeded by the clock, or by whichever caller seeded it last
+MODULE_DRAWS = {"random", "randrange", "randint", "choice", "choices", "sample", "shuffle", "randbytes", "getrandbits", "seed"}
+
+
+def test_seeded_randomness_is_checked_at_the_source():
+    # every draw the package makes comes from a `random.Random(seed)` of its
+    # own, so a run is a function of its inputs
+    seeded, unseeded, module_draws = set(), [], []
+    for path in sorted(pathlib.Path(monolab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "random":
+                module_draws += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names if alias.name in MODULE_DRAWS]
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            if getattr(node.func.value, "id", None) != "random":
+                continue
+            if node.func.attr == "Random" and (node.args or node.keywords):
+                seeded.add(path.name)
+            elif node.func.attr == "Random":
+                unseeded.append(f"{path.name}:{node.lineno}")
+            elif node.func.attr in MODULE_DRAWS:
+                module_draws.append(f"{path.name}:{node.lineno} random.{node.func.attr}")
+    assert seeded == {"chevalley.py", "exact.py"}  # a control: the walk sees the seeded generators that exist
+    assert not unseeded, unseeded
+    assert not module_draws, module_draws
+
+
 def test_criterion_results_are_built_only_by_verify_paper():
     # a criterion yields (ok, detail) pairs; verify_paper alone turns them into a verdict
     builders = []
