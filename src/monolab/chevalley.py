@@ -41,7 +41,7 @@ from itertools import chain
 
 import numpy as np
 
-from .exact import _check_budget, check_prime_modulus, exact_div_arrays
+from .exact import _check_budget, check_int, check_prime_modulus, exact_div_arrays
 from .rootsys import RootDatum, SimpleType, _read_only, build_root_datum, per_type
 
 _BLOCK = 2**12  # triples per pass of `jacobi_sweep`; a pass takes under 6 KiB of temporaries a triple, charged as 16
@@ -349,27 +349,33 @@ def brackets(pairs) -> list[LieElement]:
     return [LieElement(alg, alg._clean(d)) for d in acc]
 
 
-def jacobi_sweep(alg: ChevalleyAlgebra, triples=None, samples: int | None = None, seed: int = 0):
+def jacobi_sweep(alg: ChevalleyAlgebra, triples=None, samples: int | None = None, seed: int | None = None):
     """Check [[u,v],w] + [[v,w],u] + [[w,u],v] = 0 on basis triples.
 
     With neither `triples` nor `samples`, checks every triple at once by
     `_jacobi_contraction`.  Otherwise checks the given triples, or `samples`
     pseudo-random ones whose indices are the little-endian 64-bit words of
     `random.Random(seed).randbytes`, each mod dim (a bias below dim / 2**64),
-    drawn block by block.  Each rotation (a, b, c) of a triple joins
-    [e_a, e_b] = c1 e_m with [e_m, e_c] = c2 e_t, `_BLOCK` triples at a time.
-    Returns the number of triples checked.  ArithmeticError names the first
-    failing triple and its nonzero coefficients, ValueError a triple that is
-    not three basis indices or `triples` passed with `samples`;
+    drawn block by block from an int `seed`, read only with `samples` (None
+    is 0, so a sample is the same on every call).  Each rotation (a, b, c)
+    of a triple joins [e_a, e_b] = c1 e_m with [e_m, e_c] = c2 e_t, `_BLOCK`
+    triples at a time.  Returns the number of triples checked.
+    ArithmeticError names the first failing triple and its nonzero
+    coefficients, ValueError a triple that is not three basis indices,
+    `triples` with `samples`, or a seed not an int or without `samples`;
     ResourceLimitError refuses, before any draw, samples whose block check
     (16 KiB a triple) exceeds `memory_budget()`.
     """
     dim = alg.dim
+    if samples is None and seed is not None:
+        raise ValueError(f"seed is read only with samples, got seed={seed!r} and no samples")
     if triples is None:
         if samples is None:
             return _jacobi_contraction(alg)
         if isinstance(samples, bool) or not isinstance(samples, int) or samples < 0:
             raise ValueError(f"samples must be an int >= 0, got {samples!r}")
+        seed = 0 if seed is None else seed
+        check_int(seed, "seed")
         _check_budget(2**14 * min(samples, _BLOCK), f"{samples} sampled Jacobi triples")
         rng, n = random.Random(seed), samples
     elif samples is not None:

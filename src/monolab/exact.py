@@ -225,9 +225,9 @@ def factor(n: int) -> Factorization:
     check_int(n, "factor's argument")
     if n == 0:
         raise ValueError("cannot factor 0; zero coefficients are structural data")
-    m, small = abs(n), _small_primes()
+    m = abs(n)
     out: dict[int, int] = {}
-    for p in small:
+    for p in _small_primes():
         if p * p > m:
             break
         while m % p == 0:
@@ -235,11 +235,7 @@ def factor(n: int) -> Factorization:
             m //= p
     proven: dict[int, int] = {}
     _split(m, proven)
-    fact = Factorization(n, tuple(sorted((out | proven).items())))
-    uncertified = [p for p in fact.primes() if p not in proven and p not in small]
-    if uncertified:
-        raise ArithmeticError(f"factor({n}) reported factors neither in the trial table nor proven: {uncertified}")
-    return fact
+    return Factorization(n, tuple(sorted((out | proven).items())))
 
 
 # ---------------------------------------------------------------------------

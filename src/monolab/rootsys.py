@@ -11,10 +11,12 @@ Below `RootDatum` a root is its index k into `all_roots` (the N positive
 roots, then their negatives in the same order, so -(root k) is root
 (k + N) mod 2N).  `RootDatum` alone computes per-root numbers, each a read-only
 array built once per datum: `root_sums`, the signed `heights`, `pairings`,
-`norm2` and `coroots`.  `string_depth(u, v)`, walked on `root_sums`, is the one
-root-string walk, run only on the index pairs a reader passes.  The node
-numbering is written only in `cartan_matrix`: `diagram_symmetries`, the node
-permutations that keep the Cartan matrix, is read off it.
+`norm2` and `coroots`; the exponents, the Coxeter number, the highest root and
+`weyl_has_minus_one` are read off `heights`.  `string_depth(u, v)`, walked on
+`root_sums`, is the one root-string walk, run only on the index pairs a reader
+passes.  The node numbering is written only in `cartan_matrix`:
+`diagram_symmetries`, the node permutations that keep the Cartan matrix, is
+read off it.
 `_sum_index` builds the sums with array operations on int64 keys short enough
 that no key wraps at any rank.  `per_type` caches each per-type builder (the
 datum here, the Chevalley algebra, the Kostant decomposition and the prime
@@ -172,16 +174,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RootDatum:
-    """Immutable combinatorial skeleton of one simple type."""
+    """Immutable combinatorial skeleton of one simple type; its exponents, h, theta and -1 in W are read off `heights`."""
 
     simple_type: SimpleType
     rank: int
     cartan: tuple[tuple[int, ...], ...]
     positive_roots: tuple[Root, ...]
-    highest_root: Root
-    coxeter_number: int
-    exponents: tuple[int, ...]
-    weyl_has_minus_one: bool
     simple_norms: tuple[int, ...]  # d_i = (alpha_i, alpha_i)/2, each 1, 2 or 3
 
     @cached_property
@@ -200,6 +198,27 @@ class RootDatum:
     def heights(self) -> np.ndarray:
         """2N int64 array of signed heights: the sum of the simple-root coordinates of root u."""
         return _read_only(np.array(self.all_roots, dtype=np.int64).sum(1))
+
+    @cached_property
+    def exponents(self) -> tuple[int, ...]:
+        """The conjugate of the height partition lam_k = #{positive roots of height k}, ascending (Kostant, 1959)."""
+        lam = np.bincount(self.heights[: len(self.positive_roots)])[1:].tolist()
+        return tuple(sorted(sum(x >= j for x in lam) for j in range(1, max(lam) + 1)))
+
+    @cached_property
+    def coxeter_number(self) -> int:
+        """h = ht(theta) + 1, one more than the largest height."""
+        return int(self.heights.max()) + 1
+
+    @cached_property
+    def highest_root(self) -> Root:
+        """theta, the last positive root: the roots are sorted by height, and `_validate` checks it alone is on top."""
+        return self.positive_roots[-1]
+
+    @cached_property
+    def weyl_has_minus_one(self) -> bool:
+        """Whether -1 lies in the Weyl group, which is when every exponent is odd."""
+        return all(m % 2 for m in self.exponents)
 
     @cached_property
     def pairings(self) -> np.ndarray:
@@ -297,20 +316,6 @@ def _close_positive_roots(cartan) -> list[Root]:
     return sorted(known, key=lambda r: (sum(r), tuple(-c for c in r)))
 
 
-def _exponents_from_heights(positive_roots) -> tuple[int, ...]:
-    """Exponents as the conjugate of the height-count partition.
-
-    With lam_k = #{positive roots of height exactly k}, the conjugate
-    partition lam*_j = #{k : lam_k >= j} lists the exponents (largest first).
-    """
-    counts: dict[int, int] = {}
-    for r in positive_roots:
-        counts[sum(r)] = counts.get(sum(r), 0) + 1
-    lam = [counts[k] for k in sorted(counts)]
-    conj = [sum(1 for x in lam if x >= j) for j in range(1, max(lam) + 1)]
-    return tuple(sorted(conj))
-
-
 def per_type(build):
     """Cache `build(t)` once per simple type, parsing t first: 'E8', 'e8' and SimpleType('E', 8) share one result.
 
@@ -330,33 +335,17 @@ def per_type(build):
 def build_root_datum(t: SimpleType) -> RootDatum:
     """Construct the validated RootDatum of a simple type."""
     A = cartan_matrix(t)
-    pos = tuple(_close_positive_roots(A))
-    theta = pos[-1]
-    top = [r for r in pos if sum(r) == sum(theta)]
-    if top != [theta]:
-        raise ArithmeticError(f"highest root of {t} is not unique: {top}")
-    h = sum(theta) + 1
-    exps = _exponents_from_heights(pos)
-    datum = RootDatum(
-        simple_type=t,
-        rank=t.rank,
-        cartan=A,
-        positive_roots=pos,
-        highest_root=theta,
-        coxeter_number=h,
-        exponents=exps,
-        weyl_has_minus_one=all(m % 2 == 1 for m in exps),
-        simple_norms=_root_lengths(A),
-    )
+    datum = RootDatum(t, t.rank, A, tuple(_close_positive_roots(A)), _root_lengths(A))
     _validate(datum)
     return datum
 
 
 def _validate(d: RootDatum):
-    n_pos, l, exps = len(d.positive_roots), d.rank, d.exponents
+    n_pos, l, exps, top = len(d.positive_roots), d.rank, d.exponents, d.coxeter_number - 1
     key = (d.simple_type.family, d.simple_type.rank)
     checks = {
         "root count": 2 * n_pos == _EXCEPTIONAL_ROOT_COUNTS.get(key, 2 * n_pos),
+        "one highest root": d.heights[n_pos - 1] == top and np.count_nonzero(d.heights == top) == 1,
         "one exponent per simple root": len(exps) == l,
         "sum(2m+1) = dim": sum(2 * m + 1 for m in exps) == 2 * n_pos + l,
         "exponents symmetric about h/2": len(exps) == l

@@ -359,10 +359,13 @@ NOT_A_TRIPLE = "not a triple of basis indices of ChevalleyAlgebra(G2, ZZ): "
         ({"samples": 2.0}, "samples must be an int >= 0, got 2.0"),
         ({"samples": True}, "samples must be an int >= 0, got True"),
         ({"triples": [(0, 1, 2)], "samples": 5}, "pass triples or samples, not both"),
+        ({"seed": 5}, "seed is read only with samples, got seed=5 and no samples"),  # was the contraction's 2744
+        ({"triples": [(0, 1, 2)], "seed": 5}, "seed is read only with samples, got seed=5 and no samples"),
     ],
     ids=[
         "too-large", "negative", "float", "bool", "pair", "four", "int", "str", "set",
         "negative-samples", "float-samples", "bool-samples", "triples-and-samples",
+        "seed-without-samples", "seed-with-triples",
     ],
 )
 def test_jacobi_sweep_rejects_what_is_not_a_basis_triple(kwargs, message):
@@ -425,6 +428,17 @@ def test_sampled_blocks_continue_one_seeded_stream(monkeypatch):
     asked.clear()
     assert jacobi_sweep(build_chevalley_algebra("E8"), samples=10_000, seed=0) == 10_000
     assert asked == [24 * _BLOCK] * 2 + [24 * (10_000 - 2 * _BLOCK)]
+
+
+def test_sampled_jacobi_without_a_seed_draws_seed_0():
+    # a sample with no seed is seed 0's on every call, not one seeded from the OS
+    broken = flipped_algebra("G2")
+    want = reference_jacobi(broken, reference_triples(broken.dim, 500, 0))
+    assert want.startswith("Jacobi fails on basis triple")
+    for seed in (None, None, 0):
+        with pytest.raises(ArithmeticError) as failure:
+            jacobi_sweep(broken, None, 500, seed)
+        assert str(failure.value) == want, seed
 
 
 @pytest.mark.parametrize("name", ["G2", "F4", "B3", "E8"])

@@ -510,6 +510,7 @@ INT_ARGUMENTS = {  # entry point -> a call on the one argument under test
     "sym_module twist": lambda x: sym_module(7, 2, x),
     "adjoint_h1_via_kostant ell": lambda x: adjoint_h1_via_kostant("G2", x),
     "jacobi_sweep samples": lambda x: jacobi_sweep(G2, None, x),
+    "jacobi_sweep seed": lambda x: jacobi_sweep(G2, None, 3, x),
     "element index": lambda x: G2.element({x: 1}),
     "element scalar": lambda x: G2.element({0: x}),
     "SelmerLedger dim_n": lambda x: SelmerLedger(0, 0, x, 0),
@@ -540,6 +541,9 @@ INT_ROWS = [  # (entry point, bad value, exception type, message with {!r} for t
     ("jacobi_sweep samples", True, ValueError, "samples must be an int >= 0, got {!r}"),
     ("jacobi_sweep samples", 2.0, ValueError, "samples must be an int >= 0, got {!r}"),
     ("jacobi_sweep samples", np.int64(3), ValueError, "samples must be an int >= 0, got {!r}"),
+    ("jacobi_sweep seed", True, ValueError, "seed is not an int: {!r}"),
+    ("jacobi_sweep seed", 2.0, ValueError, "seed is not an int: {!r}"),
+    ("jacobi_sweep seed", np.int64(3), ValueError, "seed is not an int: {!r}"),
     ("element index", True, ValueError, "not a basis index of ChevalleyAlgebra(G2, ZZ): {!r}"),
     ("element index", 2.0, ValueError, "not a basis index of ChevalleyAlgebra(G2, ZZ): {!r}"),
     ("element index", np.int64(0), ValueError, "not a basis index of ChevalleyAlgebra(G2, ZZ): {!r}"),

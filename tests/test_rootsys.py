@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 from operator import add
 from unittest import mock
 
@@ -263,14 +264,25 @@ def test_root_lengths_refuse_a_matrix_without_one_symmetrizer(cartan):
         rootsys._root_lengths(cartan)
 
 
-# tampered data that each invariant check must reject, also under python -O
-BAD_EXPONENTS = "_validate(dataclasses.replace(build_root_datum('G2'), exponents=(1, 4)))"
+# tampered data that each invariant check must reject, also under python -O; the exponents are
+# read off the heights, so B3 without its top two roots (heights 1, 1, 1, 2, 2, 3, 3) has (1, 3, 3)
+B3_ROOTS = "build_root_datum('B3').positive_roots"
+BAD_EXPONENTS = f"_validate(dataclasses.replace(build_root_datum('B3'), positive_roots={B3_ROOTS}[:-2]))"
+BAD_TOP = f"_validate(dataclasses.replace(build_root_datum('B3'), positive_roots={B3_ROOTS}[::-1]))"
 BAD_COROOT = "dataclasses.replace(build_root_datum('A2'), simple_norms=(1, 2)).coroots"
 
 
-@pytest.mark.parametrize("expr", [BAD_EXPONENTS, BAD_COROOT], ids=["exponents", "coroot"])
-def test_tampered_datum_rejected(expr):
-    with pytest.raises(ArithmeticError) as exc:
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        (BAD_EXPONENTS, "invalid root datum for B3: one highest root, exponents symmetric about h/2"),
+        (BAD_TOP, "invalid root datum for B3: one highest root"),  # the last root, alpha_1, is not on top
+        (BAD_COROOT, "coroot: 2/3 is not integral"),
+    ],
+    ids=["exponents", "highest-root", "coroot"],
+)
+def test_tampered_datum_rejected(expr, message):
+    with pytest.raises(ArithmeticError, match=re.escape(message)) as exc:
         eval(expr)
     code = (
         "import dataclasses\n"

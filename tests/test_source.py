@@ -21,9 +21,9 @@ from monolab.rootsys import build_root_datum
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 
-# Method names that two or more classes define, with the package function that
-# reads each owner's method.  A count of reads by bare name cannot tell the
-# owners apart, so every owner of a shared name is listed here.
+# Method and property names that two or more classes define, with the package
+# function that reads each owner's attribute.  A count of reads by bare name
+# cannot tell the owners apart, so every owner of a shared name is listed here.
 SHARED_METHOD_READERS = {
     "to_json_dict": {
         "RootDatum": "_cmd_roots",
@@ -32,16 +32,31 @@ SHARED_METHOD_READERS = {
         "CohomologyReport": "_cmd_cohomology",
         "PrimeBounds": "_cmd_bounds",
     },
+    "exponents": {
+        "RootDatum": "adjoint_h1_via_kostant",
+        "KostantDecomposition": "scan_simple_projections",
+    },
 }
 
 
+def _optimize_dependent(node) -> bool:
+    """Whether node behaves differently under python -O: an assert, or a read of `__debug__` or `sys.flags.optimize`."""
+    if isinstance(node, ast.Attribute) and node.attr == "optimize":
+        return getattr(node.value, "attr", getattr(node.value, "id", None)) == "flags"
+    return isinstance(node, ast.Assert) or isinstance(node, ast.Name) and node.id == "__debug__"
+
+
 def test_no_assert_statements_in_package():
-    # python -O strips assert statements, so no check in the package may be one
+    # python -O strips assert statements and `if __debug__:` blocks and sets sys.flags.optimize,
+    # so no check in the package may be one or read either flag: the package runs the same under -O
     found = []
     for path in sorted(pathlib.Path(monolab.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if _optimize_dependent(node)]
     assert not found, found
+    refused = "assert x\nif __debug__: pass\nsys.flags.optimize\nflags.optimize\n"
+    assert [node.lineno for node in ast.walk(ast.parse(refused)) if _optimize_dependent(node)] == [1, 2, 3, 4]
+    assert not [node for node in ast.walk(ast.parse("opts.optimize\nsys.flags\ndebug = 1\n")) if _optimize_dependent(node)]
 
 
 def test_package_sets_no_process_wide_state():
@@ -264,12 +279,9 @@ def test_every_definition_has_a_reader():
     assert shared == {name: set(readers) for name, readers in SHARED_METHOD_READERS.items()}
     for name, readers in SHARED_METHOD_READERS.items():
         for owner, reader in readers.items():
-            calls = [
-                node
-                for node in ast.walk(functions[reader])
-                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == name
-            ]
-            assert calls, f"{reader} does not call .{name}() on {owner}"
+            # an attribute read: a method is read where it is called, a property where it is read
+            reads = [node for node in ast.walk(functions[reader]) if isinstance(node, ast.Attribute) and node.attr == name]
+            assert reads, f"{reader} does not read .{name} on {owner}"
 
 
 def test_each_cohomology_job_has_one_home():
@@ -358,6 +370,24 @@ def test_each_root_fact_has_one_home():
     (lengths,) = [node for node in defs["rootsys.py"] if node.name == "_root_lengths"]
     assert not [node for node in ast.walk(lengths) if isinstance(node, (ast.For, ast.While, ast.comprehension))]
     assert "integer_kernel" in set(_names_read(lengths))
+    # the exponents, h, theta and -1 in W are properties of `RootDatum` read off its `heights`: the builder sums no
+    # root, and the one other `exponents` is `KostantDecomposition`'s, read off its eigenvectors
+    assert [name for name, text in sources.items() if "_exponents_from_heights" in text] == []
+    (build,) = [node for node in defs["rootsys.py"] if node.name == "build_root_datum"]
+    assert "sum" not in set(_names_read(build))
+    facts = ("exponents", "coxeter_number", "highest_root", "weyl_has_minus_one")
+    owners = defaultdict(set)  # fact -> the classes that define it as a method, property or field, or else the file
+    for name, text in sources.items():
+        tree = ast.parse(text)
+        in_class = {id(item): node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef) for item in node.body}
+        for node in ast.walk(tree):
+            named = node.name if isinstance(node, ast.FunctionDef) else getattr(getattr(node, "target", None), "id", None)
+            if named in facts:
+                owners[named].add(in_class.get(id(node), name))
+    assert owners == {fact: {"RootDatum"} for fact in facts} | {"exponents": {"RootDatum", "KostantDecomposition"}}
+    (datum,) = [node for node in ast.walk(ast.parse(sources["rootsys.py"])) if getattr(node, "name", None) == "RootDatum"]
+    properties = {item.name for item in datum.body if isinstance(item, ast.FunctionDef) and item.decorator_list}
+    assert set(facts) <= properties
 
 
 def test_reference_lists_have_one_copy():
