@@ -4,9 +4,10 @@ Every coefficient is a plain int.  An algebra is the ZZ form (`ell` None) or
 the F_ell view `alg.mod(ell)`, which shares the ZZ arrays and reduces its
 results mod ell.
 
-The basis is {x_a : a in Phi+} u {y_a : a in Phi+} u {h_1..h_l}, where h_i is
-the i-th simple coroot vector, so basis vector k < 2N is the root vector of
-root k of `RootDatum.all_roots`.  Bracket conventions follow the
+With N = `num_pos` positive roots, basis vector a < N is x_a, vector N + a
+is y_a = x_{-a} and vector 2N + i is h_i, the i-th simple coroot vector, so
+vector k < 2N is the root vector of root k of `RootDatum.all_roots` and
+dim = 2N + rank.  Bracket conventions follow the
 computer-algebra normalisation
 
     [y_a, x_a] = a^vee,      [x_a, t] = a(t) * x_a  for t in the Cartan,
@@ -96,30 +97,10 @@ def _opposite(norm2, sums, u, v):
     return w % num_pos, np.where(up, v, u), np.where(w >= 0, norm2[w], 0), np.where(up, norm2[u], norm2[v])
 
 
-@dataclass(frozen=True)
-class _Basis:
-    """Index layout: x-block, y-block, Cartan block of simple coroots."""
-
-    num_pos: int
-    rank: int
-
-    def x(self, a):
-        return a
-
-    def y(self, a):
-        return self.num_pos + a
-
-    def h(self, i):
-        return 2 * self.num_pos + i
-
-    @property
-    def dim(self):
-        return 2 * self.num_pos + self.rank
-
-
 class ChevalleyAlgebra:
     """Simple Lie algebra over ZZ (`ell` None) or F_ell, with frozen structure constants `entries` and their `starts`.
 
+    Basis vectors are indices below `dim`: x_a is a, y_a is `num_pos` + a and h_i is 2 * `num_pos` + i.
     Coefficients are plain ints; on an F_ell view they are residues in
     [0, ell).  Instances are immutable after construction; `brackets` and
     friends are pure and safe to share across threads.  Use
@@ -131,8 +112,8 @@ class ChevalleyAlgebra:
     def __init__(self, datum: RootDatum, _shared=None):
         self.datum = datum
         self.ell = None
-        self.basis = _Basis(len(datum.positive_roots), datum.rank)
-        self.dim = self.basis.dim
+        self.num_pos = len(datum.positive_roots)
+        self.dim = 2 * self.num_pos + datum.rank
         self.entries = _build_table(datum) if _shared is None else _shared
         self.starts = _pointer(self.entries[0] * self.dim + self.entries[1], self.dim**2)  # over i*dim + j
         # the ZZ form, set on views only: a self-reference would keep a
@@ -176,12 +157,12 @@ class ChevalleyAlgebra:
         return k
 
     def basis_label(self, k: int) -> str:
-        b = self.basis
-        if k < b.num_pos:
+        n = self.num_pos
+        if k < n:
             return f"x[{k}]"
-        if k < 2 * b.num_pos:
-            return f"y[{k - b.num_pos}]"
-        return f"h[{k - 2 * b.num_pos}]"
+        if k < 2 * n:
+            return f"y[{k - n}]"
+        return f"h[{k - 2 * n}]"
 
     # -- structure constants ------------------------------------------------
 
@@ -279,7 +260,7 @@ def _signed_map(a: ChevalleyAlgebra, b: ChevalleyAlgebra, pi) -> tuple[np.ndarra
     Type, the chapter on twisted groups).  ArithmeticError unless `_check_map`
     lands every entry of a on b, which is onto: one root datum's tables share their (i, j, k).
     """
-    d, num_pos, dim = a.datum, a.basis.num_pos, a.dim
+    d, num_pos, dim = a.datum, a.num_pos, a.dim
     simple, pi, perm, sign = np.arange(d.rank), np.array(pi), np.arange(dim), np.ones(dim, dtype=np.int64)
     perm[simple], perm[simple + num_pos], perm[simple + 2 * num_pos] = pi, pi + num_pos, pi + 2 * num_pos
     for h in range(2, d.coxeter_number):  # the heights of the non-simple roots
@@ -338,13 +319,11 @@ def brackets(pairs) -> list[LieElement]:
     na, nb = np.array([len(d) for d in lefts], dtype=np.int64), np.array([len(d) for d in rights], dtype=np.int64)
     ka, kb = np.fromiter(chain(*lefts), np.int64, na.sum()), np.fromiter(chain(*rights), np.int64, nb.sum())
     ca, cb = [v for d in lefts for v in d.values()], [v for d in rights for v in d.values()]
-    n = na * nb  # each term of a with each term of b, pair after pair
-    pair = np.repeat(np.arange(len(pairs)), n)
-    local = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-    u, v = np.repeat(np.cumsum(na) - na, n) + local // nb[pair], np.repeat(np.cumsum(nb) - nb, n) + local % nb[pair]
+    pair = np.repeat(np.arange(len(pairs)), na)  # the pair of each term of a
+    u, v = _rows(np.r_[0, np.cumsum(nb)], pair)  # each term of a with each term of b, pair after pair
     query, pos = _rows(alg.starts, ka[u] * alg.dim + kb[v])
     acc: list[dict] = [{} for _ in pairs]
-    for p, x, y, k, c in zip(*np.array([pair[query], u[query], v[query], *alg.entries[2:, pos]]).tolist()):
+    for p, x, y, k, c in zip(*np.array([pair[u[query]], u[query], v[query], *alg.entries[2:, pos]]).tolist()):
         acc[p][k] = acc[p].get(k, 0) + ca[x] * cb[y] * c  # Python ints: exact at any size
     return [LieElement(alg, alg._clean(d)) for d in acc]
 

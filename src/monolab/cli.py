@@ -90,9 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mode", nargs="?", choices=("sweep",), help="run the adjoint sweep over a prime range")
     p.add_argument("--type", help=f"simple type (sweep mode); classical ranks up to {MAX_RANK}")
     p.add_argument("--ell", required=True, help="prime, or range like 13..31 in sweep mode")
-    p.add_argument("--sym", type=int, help="symmetric power r")
-    p.add_argument("--twist", type=int, default=None,
-                   help="determinant twist exponent t for det^t (default -r//2); det = 1 on SL2: no matrix changes")
+    p.add_argument("--sym", help="symmetric power r")
+    p.add_argument("--twist", help="determinant twist exponent t for det^t (default -r//2); det = 1 on SL2: no matrix changes")
     common(p, with_type=False)
 
     p = sub.add_parser("selmer", help="evaluate the difference formulas on a ledger file")
@@ -177,15 +176,26 @@ def _cmd_cohomology(ns: argparse.Namespace) -> int:
         raise ValueError(f"--ell {ns.ell}: a range is read only in sweep mode")
     if ns.sym is None:
         raise ValueError("--sym is needed outside sweep mode")
-    if ns.sym < 0:  # checked here, as sym_module's message would name the internal twist -t
-        raise ValueError(f"--sym {ns.sym}: expected a symmetric power r >= 0")
-    twist = ns.twist if ns.twist is not None else -(ns.sym // 2)
+    # checked here, as sym_module's message would name the internal twist -t
+    sym = _int_option("--sym", ns.sym, "a symmetric power r >= 0", signed=False)
+    twist = -(sym // 2) if ns.twist is None else _int_option("--twist", ns.twist, "a determinant exponent t like -5")
     G = sl2_group(ell)
-    M = sym_module(ell, ns.sym, -twist)
+    M = sym_module(ell, sym, -twist)
     doc = h1(G, M).to_json_dict()
-    doc.update({"ell": ell, "sym": ns.sym, "twist": twist, "solver": "borel"})
+    doc.update({"ell": ell, "sym": sym, "twist": twist, "solver": "borel"})
     _emit(doc, ns)
     return EXIT_OK
+
+
+def _int_option(option: str, text: str, expected: str, signed: bool = True) -> int:
+    """text read as an optional '-' (if signed) and ASCII digits: int() alone also takes '٣', '4_0', '+2' and ' 7'."""
+    sign, digits = ("-", text[1:]) if signed and text.startswith("-") else ("", text)
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{option} {text}: expected {expected}")
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > 4300:  # before int() refuses them, as it does by default
+        raise ValueError(f"{option} {text}: more than 4300 digits")
+    return int(sign + digits)
 
 
 def _cmd_selmer(ns: argparse.Namespace) -> int:

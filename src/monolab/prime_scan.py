@@ -67,7 +67,7 @@ def scan_simple_projections(kd: KostantDecomposition) -> tuple[ExponentScan, ...
     """
     alg = kd.triple.algebra
     rank = alg.datum.rank
-    simple_y = {alg.basis.y(i): i for i in range(rank)}
+    simple_y = {alg.num_pos + i: i for i in range(rank)}
     out = []
     for m, string in zip(kd.exponents, kd.strings):
         v = string[m + 1]
@@ -101,11 +101,10 @@ def scan_e6_cartan(kd: KostantDecomposition) -> tuple[tuple[int, int], ...]:
     alg = kd.triple.algebra
     if str(alg.datum.simple_type) != "E6":
         raise ValueError("the Cartan scan is specific to type E6")
-    x1 = alg.basis.x(0)
-    row, out = alg.ad(alg.element({x1: 1}))[x1].tolist(), []
+    row, out = alg.ad(alg.element({0: 1}))[0].tolist(), []  # x_1 is basis vector 0
     for m, string in zip(kd.exponents, kd.strings):
         v = string[m]
-        nonc = [k for k in v.coeffs if k < 2 * alg.basis.num_pos]
+        nonc = [k for k in v.coeffs if k < 2 * alg.num_pos]
         if nonc:
             raise ArithmeticError(f"ad(Y)^{m}(p) has non-Cartan support: {nonc}")
         out.append((m, sum(row[k] * c for k, c in v.coeffs.items())))
@@ -121,7 +120,7 @@ def char0_zeros(kd: KostantDecomposition) -> tuple[frozenset, ...]:
     """
     alg, out = kd.triple.algebra, []
     perm, sign = diagram_involution(alg)
-    fixed = frozenset(i for i in range(alg.datum.rank) if perm[alg.basis.y(i)] == alg.basis.y(i))
+    fixed = frozenset(i for i in range(alg.datum.rank) if perm[alg.num_pos + i] == alg.num_pos + i)
     for m, p in kd.pairs:
         image = {int(perm[k]): int(sign[k]) * c for k, c in p.coeffs.items()}
         if image not in (p.coeffs, {k: -c for k, c in p.coeffs.items()}):

@@ -67,9 +67,9 @@ def build_principal_sl2(alg: ChevalleyAlgebra) -> Sl2Triple:
             " the principal sl2 is only defined for ell >= h"
         )
     c = principal_coefficients(d)
-    X = alg.element({alg.basis.x(i): 1 for i in range(d.rank)})
-    H = alg.element({alg.basis.h(i): c[i] for i in range(d.rank)})
-    Y = alg.element({alg.basis.y(i): c[i] for i in range(d.rank)})
+    X = alg.element({i: 1 for i in range(d.rank)})
+    H = alg.element({2 * alg.num_pos + i: c[i] for i in range(d.rank)})
+    Y = alg.element({alg.num_pos + i: c[i] for i in range(d.rank)})
     triple = Sl2Triple(alg, X, H, Y, c)
     if not relations_hold(triple):
         raise ArithmeticError("[X,H] = 2X, [Y,H] = -2Y, [Y,X] = H fail")

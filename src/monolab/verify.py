@@ -161,7 +161,7 @@ def crit_structure_constants():
             yield True, f"{t}: exhaustive Jacobi on {n} triples ok"
     for t in EXCEPTIONAL_TYPES:
         alg = build_chevalley_algebra(t)
-        num_pos, norm2 = alg.basis.num_pos, alg.datum.norm2
+        num_pos, norm2 = alg.num_pos, alg.datum.norm2
         # [x_a, x_b] = n x_s for roots a, b, s = a+b; with q the up-length of the a-string through b,
         # N^2 = q (p+1) (s,s)/(b,b) (Carter, Simple Groups of Lie Type, 4.1) and |N| = p+1 give |N| (b,b) = q (s,s)
         a, b, s, n = alg.entries[:, (alg.entries[:3] < 2 * num_pos).all(0)]

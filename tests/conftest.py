@@ -64,17 +64,17 @@ def bracket(a, b):
 
 def x_of(alg, a):
     """The root vector x_a of the positive root with index a."""
-    return alg.element({alg.basis.x(a): 1})
+    return alg.element({a: 1})
 
 
 def y_of(alg, a):
     """The root vector y_a of the negative of the positive root with index a."""
-    return alg.element({alg.basis.y(a): 1})
+    return alg.element({alg.num_pos + a: 1})
 
 
 def h_of(alg, i):
     """The i-th simple coroot vector."""
-    return alg.element({alg.basis.h(i): 1})
+    return alg.element({2 * alg.num_pos + i: 1})
 
 
 @functools.lru_cache(maxsize=4)
@@ -197,7 +197,7 @@ def coroot(datum, a):
 
 def root_constants(alg):
     """{(i, j): N} read off the table for roots i, j whose sum k is a root: [x_i, x_j] = N x_k."""
-    num_roots = 2 * alg.basis.num_pos
+    num_roots = 2 * alg.num_pos
     return {(i, j): n for i, j, k, n in alg.structure_constant_triples() if max(i, j, k) < num_roots}
 
 

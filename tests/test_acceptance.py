@@ -184,6 +184,10 @@ MUTATIONS = (
     # the constructor's relations check is the one check; the criterion reports FAIL lines instead of raising
     Mutation("criterion_4_reports_broken_relations", (principal_sl2, "relations_hold"), lambda real, triple: False,
              {C4: [f"{t}: ZZ relations FAIL, mod-ell FAIL, reject ell<h ok" for t in TYPES]}),
+    # the constructor's ell >= h guard gone: the largest prime below h is accepted, and each type reports it
+    Mutation("criterion_4_reports_a_prime_below_h_accepted", (verify, "build_principal_sl2"),
+             lambda real, alg: real(alg) if alg.ell is None or alg.ell >= alg.datum.coxeter_number else None,
+             {C4: [f"{t}: ZZ relations ok, mod-ell ok, reject ell<h FAIL" for t in TYPES]}),
     # one antisymmetric pair of G2 sign-flipped, on a copy of the table: only the Jacobi identity can see it
     Mutation("criterion_5_reports_broken_table", TABLE, where(typed("G2"), lambda alg: flipped_algebra("G2")),
              {C5: [G2_FAIL]}),
@@ -200,6 +204,13 @@ MUTATIONS = (
              {C6: ["ell=11: even r < ell, nonzero h1 expected {8: 1}, computed {4: 1, 8: 1} -> MISMATCH"]}),
     Mutation("criterion_6_rejects_wrong_adjoint_total", (verify, "adjoint_h1_via_kostant"), lambda real, t, ell: 0,
              {C6: ["G2 adjoint at ell=13: expected 1 (exponents m with 2m = ell-3: [5]), computed 0 -> MISMATCH"]}),
+    # the naive oracle one cocycle too many on its first fixture, Sym^2 over SL2(F_3)
+    Mutation("criterion_6_rejects_an_oracle_mismatch", (verify, "h1_naive"),
+             where(lambda G, M: (G.order, M.dim) == (24, 3),
+                   lambda rep: dataclasses.replace(rep, dim_Z1=rep.dim_Z1 + 1, h1=rep.h1 + 1)),
+             {C6: ["oracle mismatch: |G|=24 Sym^2(x)det^-1: CohomologyReport(h0=0, dim_Z1=3, dim_B1=3, h1=0)"
+                   " vs CohomologyReport(h0=0, dim_Z1=4, dim_B1=3, h1=1)",
+                   "streamed-vs-naive oracle equivalence on 7 fixture groups of order <= 200: FAIL"]}),
     # the Cayley solver on the swapped generators skewed at r = 4 only
     Mutation("criterion_6_rejects_borel_cayley_disagreement", H1,
              swept_h1(lambda G, M: G.generators != sl2_generators(G.ell) and M.dim == 5, lambda h: h + 1),

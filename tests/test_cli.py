@@ -158,6 +158,7 @@ ROWS = [
     row("cohomology --ell 7 --sym 2 --twist -1", 0, "ec35aa44681448681eba90442aa8a32ce116fa1316fc80ccdb9211c42e589dfd", None, h0=0, h1=0),
     row("cohomology --ell 7 --sym 2 --twist 0", 0, "3ef2be1051ae3cf44ceb97f748c4b6e654375302427de9586b6e3df145111d98"),
     row("cohomology --ell 7 --sym 2 --twist 5", 0, "ff9d6352099b6cff66262a504863c7bae46831624518eb45e0b04e0a2ba1e29c"),
+    row("cohomology --ell 7 --sym 2 --twist -" + "0" * 5000 + "1", 0, "ec35aa44681448681eba90442aa8a32ce116fa1316fc80ccdb9211c42e589dfd", None, twist=-1),
     row("cohomology --ell 127 --sym 4", 0, "3eaf3eeaee767ad3da7659d41696d929f4c688b7b02a2f188d06fd87ce1dfd36", None, h1=0, solver="borel"),
     row("cohomology --ell 29 --sym 8", 0, "c8238fb35d5e001b2295928db5ee98c51e457280e6fc9a01d5dd9654304544b4"),
     row("cohomology sweep --type G2 --ell 13..17", 0, "3bc062039db2b7df0fab0da7bbdf00283f9d216ebbf4785de0aca66e675a2bd2", None, sweep=G2_13_17),
@@ -200,6 +201,11 @@ ROWS = [
     row("cohomology --ell 7", 1, EMPTY, "error: --sym is needed outside sweep mode"),
     row("cohomology --ell 7 --sym -1", 1, EMPTY, "error: --sym -1: expected a symmetric power r >= 0"),
     row("cohomology --ell 7 --sym -1 --twist 3", 1, EMPTY, "error: --sym -1: expected a symmetric power r >= 0"),
+    row("cohomology --ell 7 --sym ٣", 1, EMPTY, "error: --sym ٣: expected a symmetric power r >= 0"),
+    row("cohomology --ell 7 --sym 4_0", 1, EMPTY, "error: --sym 4_0: expected a symmetric power r >= 0"),
+    row("cohomology --ell 7 --sym +2", 1, EMPTY, "error: --sym +2: expected a symmetric power r >= 0"),
+    row("cohomology --ell 7 --sym " + "9" * 5000, 1, EMPTY, f"error: --sym {'9' * 5000}: more than 4300 digits"),
+    row("cohomology --ell 7 --sym 2 '--twist= -1_0'", 1, EMPTY, "error: --twist  -1_0: expected a determinant exponent t like -5"),
     row("cohomology --ell 13..17 --sym 2", 1, EMPTY, "error: --ell 13..17: a range is read only in sweep mode"),
     row("cohomology sweep --ell 13..17", 1, EMPTY, "error: sweep mode needs --type"),
     row("cohomology sweep --type G2 --ell 31..13", 1, EMPTY, "error: --ell 31..13: the range runs downwards; expected low..high like 13..31"),

@@ -967,6 +967,15 @@ def test_naive_peak_on_sl2_7_sym3():
     assert got == [h1(G, M)]
 
 
+@pytest.mark.parametrize("ell, r", [(5, 12), (7, 4), (11, 1)])
+def test_naive_refuses_past_its_reach(ell, r):
+    # README's reach on SL2(F_ell): r <= 11 at ell = 5, r <= 3 at ell = 7, r = 0 at ell = 11; Sym^r is the first refused
+    G, M = sl2_group(ell), sym_module(ell, r, 0)
+    assert G.order * (M.dim - 1) <= 1500 < G.order * M.dim
+    with pytest.raises(ResourceLimitError, match=r"^naive solver is restricted to \|G\| \* dim <= 1500$"):
+        h1_naive(G, M)
+
+
 def test_adjoint_h1_values():
     assert adjoint_h1_via_kostant("F4", 29) == 0
     assert adjoint_h1_via_kostant("E6", 29) == 0

@@ -345,6 +345,7 @@ def test_solver_cross_checks_have_one_home():
         "test_non_modules_rejected_off_sl2",
         "test_naive_columns_newest_element_first",
         "test_naive_peak_on_sl2_7_sym3",
+        "test_naive_refuses_past_its_reach",
     }
 
 
@@ -434,6 +435,34 @@ def test_signed_maps_have_one_builder():
     files = [*pathlib.Path(monolab.__file__).parent.glob("*.py"), *(ROOT / "tests").glob("*.py")]
     defs = [(f.name, n.name) for f in files for n in ast.walk(ast.parse(f.read_text())) if isinstance(n, ast.FunctionDef)]
     assert [d for d in defs if d[1] in {"_signed_map", "frenkel_kac_signs", "_check_involution"}] == [("chevalley.py", "_signed_map")]
+
+
+def _restates_the_basis(node) -> bool:
+    """Whether node defines `_Basis` or reads a `.basis` attribute: x_a is a, y_a is num_pos + a, h_i is 2 num_pos + i."""
+    return isinstance(node, ast.ClassDef) and node.name == "_Basis" or isinstance(node, ast.Attribute) and node.attr == "basis"
+
+
+def test_basis_vectors_are_addressed_by_index():
+    # the module docstring of chevalley states the layout once; no class or attribute restates it
+    found = []
+    for path in sorted(pathlib.Path(monolab.__file__).parent.glob("*.py")):
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text())) if _restates_the_basis(node)]
+    assert not found, found
+    sample = "class _Basis:\n    pass\nalg.basis.y(0)\nbasis = 1\nalg.num_pos\n"
+    assert [node.lineno for node in ast.walk(ast.parse(sample)) if _restates_the_basis(node)] == [1, 3]
+
+
+def _int_typed_options(tree) -> list[int]:
+    """Lines of the `add_argument` calls in tree that pass `type=int`."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
+            and any(k.arg == "type" and getattr(k.value, "id", None) == "int" for k in node.keywords)]
+
+
+def test_cli_reads_no_option_with_int():
+    # int() also reads '٣', '4_0', '+2' and ' 7'; the handlers read numbers as ASCII digits
+    assert not _int_typed_options(ast.parse(pathlib.Path(cli.__file__).read_text()))
+    sample = 'p.add_argument("--sym", type=int)\np.add_argument("--ell", type=str)\np.add_argument("--r")\n'
+    assert _int_typed_options(ast.parse(sample)) == [1]
 
 
 def _readme_block(heading, language=""):
