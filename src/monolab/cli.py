@@ -1,20 +1,19 @@
 """Command-line interface: one binary exposing every engine.
 
-Subcommands: roots, kostant, primescan, cohomology, selmer, bounds,
-verify-paper.  Data goes to stdout (or --out), diagnostics to stderr.  Exit
-codes: 0 success, 1 usage or resource errors, 2 reference-fixture mismatch
-under --check-paper / verify-paper.
+Subcommands: roots, kostant, primescan, cohomology, bounds, verify-paper.
+Each prints one JSON report to stdout (or --out), diagnostics to stderr.
+Exit codes: 0 success, 1 usage or resource errors, 2 reference-fixture
+mismatch under --check-paper / verify-paper.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 
 from .exact import is_prime
+from .fixtures import OBSTRUCTION_PRIMES
 from .group_cohomology import (
     ResourceLimitError,
     adjoint_h1_via_kostant,
@@ -24,8 +23,8 @@ from .group_cohomology import (
 )
 from .principal_sl2 import principal_kostant
 from .prime_scan import build_report, check_against_reference
-from .rootsys import MAX_RANK, SimpleType, build_root_datum
-from .selmer_arith import SelmerLedger, lifting_prime_bounds, oddness_deficit, wiles_difference
+from .rootsys import EXCEPTIONAL_TYPES, MAX_RANK, SimpleType, build_root_datum
+from .selmer_arith import lifting_prime_bounds
 from .verify import verify_paper
 
 EXIT_OK = 0
@@ -33,32 +32,8 @@ EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 
 
-def _flatten(doc, prefix=""):
-    rows = []
-    if isinstance(doc, dict):
-        for k in sorted(doc):
-            rows.extend(_flatten(doc[k], f"{prefix}{k}."))
-    elif isinstance(doc, (list, tuple)):
-        for i, v in enumerate(doc):
-            rows.extend(_flatten(v, f"{prefix}{i}."))
-    else:
-        rows.append((prefix[:-1], doc))
-    return rows
-
-
 def _emit(doc: dict, ns: argparse.Namespace):
-    if ns.format == "json":
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    elif ns.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["key", "value"])
-        for key, value in _flatten(doc):
-            writer.writerow([key, value])
-        text = buf.getvalue()
-    else:
-        lines = [f"{key} = {value}" for key, value in _flatten(doc)]
-        text = "\n".join(lines) + "\n"
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if ns.out:
         with open(ns.out, "w") as fh:
             fh.write(text)
@@ -74,7 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
         if with_type:
             p.add_argument("--type", required=True, help=f"simple type, e.g. E6 or A3; classical ranks up to {MAX_RANK}")
         p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
 
     p = sub.add_parser("roots", help="root system report for a simple type")
     common(p)
@@ -92,10 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", required=True, help="prime, or range like 13..31 in sweep mode")
     p.add_argument("--sym", help="symmetric power r")
     p.add_argument("--twist", help="determinant twist exponent t for det^t (default -r//2); det = 1 on SL2: no matrix changes")
-    common(p, with_type=False)
-
-    p = sub.add_parser("selmer", help="evaluate the difference formulas on a ledger file")
-    p.add_argument("--ledger", required=True)
     common(p, with_type=False)
 
     p = sub.add_parser("bounds", help="prime bounds for the lifting settings")
@@ -127,7 +97,11 @@ def _cmd_kostant(ns: argparse.Namespace) -> int:
 
 
 def _cmd_primescan(ns: argparse.Namespace) -> int:
-    rep = build_report(ns.type)
+    name = str(SimpleType.parse(ns.type))
+    covered = [t for t in EXCEPTIONAL_TYPES if t in OBSTRUCTION_PRIMES or t == "E8"]
+    if ns.check_paper and name not in covered:  # refused before the scan: no check would run
+        raise ValueError(f"--check-paper: no reference list for {name}; the bundled lists cover {', '.join(covered)}")
+    rep = build_report(name)
     doc = rep.to_json_dict()
     code = EXIT_OK
     if ns.check_paper:
@@ -169,7 +143,8 @@ def _cmd_cohomology(ns: argparse.Namespace) -> int:
             raise ValueError("sweep mode needs --type")
         t = SimpleType.parse(ns.type)  # an unknown type fails here, not silently in an empty range
         primes = [p for p in range(ell, hi + 1) if is_prime(p)]
-        rows = [{"ell": p, "h1_total": adjoint_h1_via_kostant(t, p)} for p in primes]
+        # each total sums h1 on sl2_group(p), which always takes the Borel solver
+        rows = [{"ell": p, "h1_total": adjoint_h1_via_kostant(t, p), "solver": "borel"} for p in primes]
         _emit({"simple_type": str(t), "sweep": rows}, ns)
         return EXIT_OK
     if is_range:
@@ -196,14 +171,6 @@ def _int_option(option: str, text: str, expected: str, signed: bool = True) -> i
     if len(digits) > 4300:  # before int() refuses them, as it does by default
         raise ValueError(f"{option} {text}: more than 4300 digits")
     return int(sign + digits)
-
-
-def _cmd_selmer(ns: argparse.Namespace) -> int:
-    with open(ns.ledger) as fh:
-        ledger = SelmerLedger.from_json(fh.read())
-    diff = wiles_difference(ledger)  # the one formula, reported under the Euler-grouping key as well
-    _emit({"wiles_difference": diff, "oddness_deficit": oddness_deficit(ledger), "lgroup_euler_difference": diff}, ns)
-    return EXIT_OK
 
 
 def _cmd_bounds(ns: argparse.Namespace) -> int:
@@ -233,7 +200,6 @@ _HANDLERS = {
     "kostant": _cmd_kostant,
     "primescan": _cmd_primescan,
     "cohomology": _cmd_cohomology,
-    "selmer": _cmd_selmer,
     "bounds": _cmd_bounds,
     "verify-paper": _cmd_verify,
 }

@@ -170,16 +170,17 @@ def check_against_reference(report: PrimeScanReport):
     """Compare a scan report with the bundled reference lists.
 
     Returns (ok, expected, note).  For E8 a report matching either candidate
-    list passes, and the note says which one the computation certifies.
+    list passes, and the note says which one the computation certifies.  A
+    type that no bundled list covers raises ValueError.
     """
     name = report.simple_type
     if name in OBSTRUCTION_PRIMES:
         expected = OBSTRUCTION_PRIMES[name]
         return report.bad_primes == expected, expected, ""
-    if name == "E8":
-        for disputed, cand in sorted(E8_CANDIDATES.items()):
-            if report.bad_primes == cand:
-                other = ({367, 397} - {disputed}).pop()
-                return True, cand, f"matches the candidate containing {disputed}, not {other}"
-        return False, E8_CANDIDATES[397], "matches neither E8 candidate list"
-    return True, report.bad_primes, "no reference list for this type (informational)"
+    if name != "E8":
+        raise ValueError(f"no reference list for {name}")
+    for disputed, cand in sorted(E8_CANDIDATES.items()):
+        if report.bad_primes == cand:
+            other = ({367, 397} - {disputed}).pop()
+            return True, cand, f"matches the candidate containing {disputed}, not {other}"
+    return False, E8_CANDIDATES[397], "matches neither E8 candidate list"

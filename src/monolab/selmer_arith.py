@@ -1,37 +1,27 @@
 """Exact integer bookkeeping for Selmer-style dimension formulas.
 
-The ledger is declarative input: it lists global invariant dimensions, the
-local condition at each place with its cataloged tangent-space dimension, and
-the archimedean fixed-space dimensions.  Everything here is exact integer
-arithmetic in those quantities; no attempt is made to validate that the
-numbers are realizable by an actual representation.
+A ledger lists global invariant dimensions, the local condition at each finite
+place with its cataloged tangent-space dimension, and the archimedean
+fixed-space dimensions.  Criterion 7 (`verify._ledgers`) builds g's ledgers
+from the root datum, the diagram involution and h0; everything here is exact
+integer arithmetic in those quantities.
 
 Local tangent-space dimension catalog (dim_n denotes the dimension of the
 nilpotent radical of a Borel, equal to the number of positive roots):
 
     ordinary      h0 + [F_v:Q_ell] * dim_n
-    ramakrishna   h0
     steinberg     h0
     minimal       h0
-    unramified    h0
-    archimedean   0
-    custom        explicit override
-
-An archimedean place may be declared in `archimedean_fixed_dims` or as an
-`archimedean` local condition; the difference formula reads both the same.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 from .fixtures import E8_CANDIDATES
 from .rootsys import SimpleType, build_root_datum
 
-SCHEMA_VERSION = 1
-
-KINDS = ("ordinary", "ramakrishna", "steinberg", "minimal", "archimedean", "unramified", "custom")
+KINDS = ("ordinary", "steinberg", "minimal")
 GLOBAL_DIMS = ("h0_global", "h0_global_twist", "dim_n", "totally_real_degree")
 
 
@@ -44,49 +34,24 @@ def _check_dims(**dims) -> None:
             raise ValueError(f"negative dimensions are not meaningful: {name} = {d}")
 
 
-def _required(doc: dict, key: str, where: str):
-    if key not in doc:
-        raise ValueError(f"{where} is missing the key {key!r}")
-    return doc[key]
-
-
-def _check_keys(doc: dict, cls, where: str, *extra: str) -> None:
-    """Raise ValueError naming a key of doc outside the fields of cls and extra: a misspelt key reads as its default."""
-    stray = [key for key in doc if key not in {*extra, *(f.name for f in fields(cls))}]
-    if stray:
-        raise ValueError(f"{where} has the unknown key {stray[0]!r}")
-
-
 @dataclass(frozen=True)
 class LocalCondition:
     kind: str
     h0_local: int
     field_degree: int = 0  # degree over Q_ell; read only for kind="ordinary"
-    custom_dim: int | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown local condition kind {self.kind!r}")
-        if (self.custom_dim is None) == (self.kind == "custom"):
-            raise ValueError("custom_dim is required exactly when kind='custom'")
         _check_dims(h0_local=self.h0_local, field_degree=self.field_degree)
         if self.field_degree and self.kind != "ordinary":
             raise ValueError(f"field_degree is read only when kind='ordinary', got it on kind={self.kind!r}")
-        if self.custom_dim is not None:
-            _check_dims(custom_dim=self.custom_dim)
 
 
 def local_dim(c: LocalCondition, dim_n: int) -> int:
     """Tangent-space dimension of a local condition, per the catalog."""
     _check_dims(dim_n=dim_n)
-    if c.kind == "ordinary":
-        return c.h0_local + c.field_degree * dim_n
-    if c.kind == "archimedean":
-        return 0
-    if c.kind == "custom":
-        return c.custom_dim
-    # ramakrishna, steinberg, minimal, unramified all have dim L = h0
-    return c.h0_local
+    return c.h0_local + c.field_degree * dim_n  # field_degree is 0 off the ordinary kind
 
 
 @dataclass(frozen=True)
@@ -101,59 +66,11 @@ class SelmerLedger:
     def __post_init__(self):
         _check_dims(**{key: getattr(self, key) for key in GLOBAL_DIMS})
         _check_dims(**{f"archimedean_fixed_dims[{i}]": d for i, d in enumerate(self.archimedean_fixed_dims)})
-        n_arch = len(self.all_archimedean_dims())
-        if n_arch != self.totally_real_degree:
+        if len(self.archimedean_fixed_dims) != self.totally_real_degree:
             raise ValueError(
                 f"a totally real field of degree {self.totally_real_degree} needs as many"
-                f" archimedean entries, found {n_arch}"
+                f" archimedean entries, found {len(self.archimedean_fixed_dims)}"
             )
-
-    # archimedean h0 values regardless of which slot they were declared in
-    def all_archimedean_dims(self) -> tuple[int, ...]:
-        extra = tuple(c.h0_local for c in self.locals if c.kind == "archimedean")
-        return tuple(self.archimedean_fixed_dims) + extra
-
-    @staticmethod
-    def from_json_dict(doc) -> "SelmerLedger":
-        """The ledger of a parsed JSON document; ValueError naming a missing or unknown key or a bad shape."""
-        if not isinstance(doc, dict):
-            raise ValueError(f"a ledger must be a JSON object, got {type(doc).__name__}")
-        version = doc.get("schema_version")
-        if isinstance(version, bool) or not isinstance(version, int) or version != SCHEMA_VERSION:
-            raise ValueError(f"unsupported ledger schema_version {version!r}, expected {SCHEMA_VERSION}")
-        _check_keys(doc, SelmerLedger, "ledger", "schema_version")
-        arch, locs = doc.get("archimedean_fixed_dims", []), doc.get("locals", [])
-        if not isinstance(arch, list):
-            raise ValueError(f"archimedean_fixed_dims must be a list of ints, got {arch!r}")
-        if not isinstance(locs, list):
-            raise ValueError(f"locals must be a list of objects, got {locs!r}")
-        for i, c in enumerate(locs):
-            if not isinstance(c, dict):
-                raise ValueError(f"local condition {i} must be an object, got {c!r}")
-            _check_keys(c, LocalCondition, f"local condition {i}")
-        conds = tuple(
-            LocalCondition(
-                kind=_required(c, "kind", f"local condition {i}"),
-                h0_local=_required(c, "h0_local", f"local condition {i}"),
-                field_degree=c.get("field_degree", 0),
-                custom_dim=c.get("custom_dim"),
-            )
-            for i, c in enumerate(locs)
-        )
-        dims = {key: _required(doc, key, "ledger") for key in GLOBAL_DIMS}
-        return SelmerLedger(**dims, archimedean_fixed_dims=tuple(arch), locals=conds)
-
-    @staticmethod
-    def from_json(text: str) -> "SelmerLedger":
-        try:
-            doc = json.loads(text)
-        except RecursionError:  # the parser recurses once per level of [ or {
-            raise ValueError("ledger JSON nested too deeply to parse") from None
-        except json.JSONDecodeError:
-            raise
-        except ValueError:  # int() refuses an integer of more digits than sys.get_int_max_str_digits()
-            raise ValueError("ledger JSON holds an integer too long to parse") from None
-        return SelmerLedger.from_json_dict(doc)
 
 
 def wiles_difference(ledger: SelmerLedger) -> int:
@@ -176,7 +93,7 @@ def oddness_deficit(ledger: SelmerLedger) -> int:
     Zero exactly when every archimedean involution is split Cartan; positive
     whenever some fixed space is larger, which kills the balance.
     """
-    return sum(ledger.all_archimedean_dims()) - ledger.totally_real_degree * ledger.dim_n
+    return sum(ledger.archimedean_fixed_dims) - ledger.totally_real_degree * ledger.dim_n
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ from monolab.chevalley import ChevalleyAlgebra, brackets, build_chevalley_algebr
 from monolab.prime_scan import build_report
 from monolab.principal_sl2 import principal_kostant
 from monolab.rootsys import build_root_datum
-from monolab.selmer_arith import SCHEMA_VERSION, LocalCondition, SelmerLedger, local_dim
+from monolab.selmer_arith import local_dim
+from monolab.verify import _ledgers
 
 
 def _clear_per_type_caches():
@@ -245,36 +246,17 @@ def reference_euler_difference(ledger):
     """The difference formula in its Euler-characteristic grouping, the oracle for `wiles_difference`.
 
     h0 - h0(1) - sum_{v | infinity} h0_v + sum over finite places (dim L_v - h0_v):
-    every archimedean place, however declared, is subtracted outside the sum.
+    the archimedean places are subtracted outside the sum.
     """
-    total = ledger.h0_global - ledger.h0_global_twist - sum(ledger.all_archimedean_dims())
+    total = ledger.h0_global - ledger.h0_global_twist - sum(ledger.archimedean_fixed_dims)
     for c in ledger.locals:
-        if c.kind != "archimedean":
-            total += local_dim(c, ledger.dim_n) - c.h0_local
+        total += local_dim(c, ledger.dim_n) - c.h0_local
     return total
 
 
 def balanced_ledger(t, degree):
-    """A ledger balanced by construction: ordinary surplus degree*N at ell, degree archimedean places of fixed
-    dimension N (the number of positive roots of type t), and two balanced places (steinberg, minimal)."""
-    dim_n = len(build_root_datum(t).positive_roots)
-    conds = (LocalCondition("ordinary", 0, degree), LocalCondition("steinberg", 0), LocalCondition("minimal", 1))
-    return SelmerLedger(0, 0, dim_n, degree, (dim_n,) * degree, conds)
-
-
-def ledger_json_dict(ledger):
-    """The JSON document of a SelmerLedger, in the schema that `SelmerLedger.from_json_dict` reads."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "h0_global": ledger.h0_global,
-        "h0_global_twist": ledger.h0_global_twist,
-        "dim_n": ledger.dim_n,
-        "totally_real_degree": ledger.totally_real_degree,
-        "archimedean_fixed_dims": list(ledger.archimedean_fixed_dims),
-        "locals": [  # field_degree only when nonzero, custom_dim only when set
-            {"kind": c.kind, "h0_local": c.h0_local}
-            | ({"field_degree": c.field_degree} if c.field_degree else {})
-            | ({} if c.custom_dim is None else {"custom_dim": c.custom_dim})
-            for c in ledger.locals
-        ],
-    }
+    """Criterion 7's balanced ledger of degree 1..3 for type t, as `verify._ledgers` builds it: ordinary surplus
+    degree*N at ell, degree archimedean places of fixed dimension N (the number of positive roots) and two balanced
+    places (steinberg, minimal), with h0 = 0."""
+    alg = build_chevalley_algebra(t)
+    return _ledgers(alg, len(alg.datum.positive_roots), 0)[degree - 1]

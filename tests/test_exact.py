@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import ledger_json_dict, run_optimized, traced_peak, x_of
+from conftest import run_optimized, traced_peak, x_of
 
 from monolab import exact
 from monolab.chevalley import build_chevalley_algebra, jacobi_sweep
@@ -517,7 +517,6 @@ INT_ARGUMENTS = {  # entry point -> a call on the one argument under test
     "local_dim dim_n": lambda x: local_dim(LocalCondition("ordinary", 0, 2), x),
     "SelmerLedger h0_global": lambda x: SelmerLedger(x, 0, 6, 0),
     "SelmerLedger schema_version": lambda x: SelmerLedger(0, 0, 6, 0, schema_version=x),
-    "from_json_dict schema_version": lambda x: SelmerLedger.from_json_dict({**ledger_json_dict(SelmerLedger(0, 0, 6, 0)), "schema_version": x}),
 }
 INT_ROWS = [  # (entry point, bad value, exception type, message with {!r} for the value): a bool, a float or a numpy integer is no int
     ("factor", True, ValueError, "factor's argument is not an int: {!r}"),
@@ -556,10 +555,7 @@ INT_ROWS = [  # (entry point, bad value, exception type, message with {!r} for t
     ("local_dim dim_n", True, ValueError, "dim_n must be an int, got {!r}"),  # was the ordinary surplus 2 * True
     ("local_dim dim_n", 2.0, ValueError, "dim_n must be an int, got {!r}"),
     ("SelmerLedger h0_global", True, ValueError, "h0_global must be an int, got {!r}"),
-    ("from_json_dict schema_version", True, ValueError, "unsupported ledger schema_version {!r}, expected 1"),
-    ("from_json_dict schema_version", 1.0, ValueError, "unsupported ledger schema_version {!r}, expected 1"),
-    ("from_json_dict schema_version", np.int64(1), ValueError, "unsupported ledger schema_version {!r}, expected 1"),
-    # the version is the class's, not an argument: a ledger cannot be built claiming another
+    # a ledger has no schema version: none can be claimed for one
     ("SelmerLedger schema_version", True, TypeError, "SelmerLedger.__init__() got an unexpected keyword argument 'schema_version'"),
 ]
 

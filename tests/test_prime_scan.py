@@ -232,10 +232,11 @@ def test_e8_adjudication():
 
 
 def test_classical_types_informational():
+    # no bundled list covers A3: the check refuses it, reporting no pass it never ran
     rep = build_report("A3")
     assert rep.informational
-    ok, _, note = check_against_reference(rep)
-    assert ok and "informational" in note
+    with pytest.raises(ValueError, match="^no reference list for A3$"):
+        check_against_reference(rep)
 
 
 def test_scan_supports_stay_simple():

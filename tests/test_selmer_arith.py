@@ -1,9 +1,9 @@
-import json
 import random
 
 import pytest
-from conftest import balanced_ledger, ledger_json_dict, reference_euler_difference
+from conftest import balanced_ledger, reference_euler_difference
 
+from monolab.chevalley import build_chevalley_algebra
 from monolab.rootsys import MAX_RANK, SimpleType, build_root_datum
 from monolab.selmer_arith import (
     LocalCondition,
@@ -13,6 +13,7 @@ from monolab.selmer_arith import (
     oddness_deficit,
     wiles_difference,
 )
+from monolab.verify import _ledgers
 
 EXC = ("G2", "F4", "E6", "E7", "E8")
 # Order of the center of the simply-connected form (Bourbaki, Lie Groups and Lie Algebras, ch. VI, Plates V-IX).
@@ -25,42 +26,31 @@ CENTER_ORDERS = {"G2": 1, "F4": 1, "E6": 3, "E7": 2, "E8": 1}
 def test_local_dim_catalog():
     assert local_dim(LocalCondition("ordinary", h0_local=0, field_degree=1), 6) == 6
     assert local_dim(LocalCondition("ordinary", h0_local=3, field_degree=2), 6) == 15
-    assert local_dim(LocalCondition("archimedean", h0_local=6), 6) == 0
-    assert local_dim(LocalCondition("ramakrishna", h0_local=2), 6) == 2
     assert local_dim(LocalCondition("steinberg", h0_local=4), 6) == 4
     assert local_dim(LocalCondition("minimal", h0_local=5), 6) == 5
-    assert local_dim(LocalCondition("unramified", h0_local=1), 6) == 1
-    assert local_dim(LocalCondition("custom", h0_local=1, custom_dim=9), 6) == 9
 
 
 def test_ordinary_surplus_identity():
     for degree in (1, 2, 3):
         for dim_n in (1, 6, 120):
             c = LocalCondition("ordinary", h0_local=4, field_degree=degree)
-            u = LocalCondition("unramified", h0_local=4)
+            u = LocalCondition("steinberg", h0_local=4)
             assert local_dim(c, dim_n) - local_dim(u, dim_n) == degree * dim_n
 
 
 def test_condition_validation():
-    with pytest.raises(ValueError):
-        LocalCondition("weird", 0)
+    for kind in ("weird", "ramakrishna", "unramified", "archimedean", "custom"):
+        with pytest.raises(ValueError, match=f"unknown local condition kind '{kind}'"):
+            LocalCondition(kind, 0)
     with pytest.raises(ValueError):
         LocalCondition("ordinary", -1)
-    with pytest.raises(ValueError):
-        LocalCondition("custom", 0)  # missing custom_dim
-    with pytest.raises(ValueError):
-        LocalCondition("steinberg", 0, custom_dim=3)  # spurious custom_dim
     for bad in (2.5, True, "2"):  # a dimension is an int, and a bool is not one
-        with pytest.raises(ValueError, match="custom_dim must be an int"):
-            LocalCondition("custom", 0, custom_dim=bad)
         with pytest.raises(ValueError, match="h0_local must be an int"):
             LocalCondition("minimal", bad)
-    for kind in ("ramakrishna", "steinberg", "minimal", "archimedean", "unramified"):
+    for kind in ("steinberg", "minimal"):
         # a degree only the ordinary catalog entry reads would be dropped in silence
         with pytest.raises(ValueError, match=f"field_degree is read only when kind='ordinary', got it on kind='{kind}'"):
             LocalCondition(kind, 0, field_degree=3)
-    with pytest.raises(ValueError, match="field_degree is read only"):
-        LocalCondition("custom", 0, field_degree=1, custom_dim=2)
     assert LocalCondition("steinberg", 0, field_degree=0).field_degree == 0
 
 
@@ -76,7 +66,7 @@ def test_all_balanced_gives_zero():
         locals=(
             LocalCondition("steinberg", 3),
             LocalCondition("minimal", 7),
-            LocalCondition("unramified", 2),
+            LocalCondition("steinberg", 2),
         ),
     )
     assert wiles_difference(led) == 0
@@ -92,57 +82,31 @@ def test_balanced_fixture(name, degree):
     assert reference_euler_difference(led) == 0
 
 
-def test_extra_ramakrishna_place_is_neutral():
-    led = balanced_ledger("G2", 1)
-    more = SelmerLedger(
-        h0_global=led.h0_global,
-        h0_global_twist=led.h0_global_twist,
-        dim_n=led.dim_n,
-        totally_real_degree=led.totally_real_degree,
-        archimedean_fixed_dims=led.archimedean_fixed_dims,
-        locals=led.locals + (LocalCondition("ramakrishna", 5),),
-    )
-    assert wiles_difference(more) == wiles_difference(led)
-
-
-def test_archimedean_placement_rearrangement():
-    base = balanced_ledger("F4", 2)
-    moved = SelmerLedger(
-        h0_global=base.h0_global,
-        h0_global_twist=base.h0_global_twist,
-        dim_n=base.dim_n,
-        totally_real_degree=base.totally_real_degree,
-        archimedean_fixed_dims=(),
-        locals=base.locals
-        + tuple(LocalCondition("archimedean", d) for d in base.archimedean_fixed_dims),
-    )
-    assert wiles_difference(base) == wiles_difference(moved)
-    assert reference_euler_difference(base) == reference_euler_difference(moved)
-    assert oddness_deficit(base) == oddness_deficit(moved)
+@pytest.mark.parametrize("name", EXC)
+def test_formulas_agree_on_criterion_7_ledgers(name):
+    # off balance too: k archimedean places of dimension N + e put the difference at -k e, as criterion 7 prints it
+    alg = build_chevalley_algebra(name)
+    n = len(alg.datum.positive_roots)
+    for excess in (0, 1, 2, n):
+        for h0_g in (0, 3):
+            for k, led in enumerate(_ledgers(alg, n + excess, h0_g), 1):
+                assert wiles_difference(led) == reference_euler_difference(led) == -oddness_deficit(led) == -k * excess
 
 
 def test_formulas_agree_on_random_ledgers():
     rng = random.Random(99)
     for _ in range(200):
         degree = rng.randrange(0, 4)
-        n_in_locals = rng.randrange(0, degree + 1) if degree else 0
-        conds = [LocalCondition("archimedean", rng.randrange(20)) for _ in range(n_in_locals)]
+        conds = []
         for _ in range(rng.randrange(5)):
-            kind = rng.choice(("ordinary", "ramakrishna", "steinberg", "minimal", "unramified", "custom"))
-            conds.append(
-                LocalCondition(
-                    kind,
-                    rng.randrange(20),
-                    field_degree=rng.randrange(4) if kind == "ordinary" else 0,
-                    custom_dim=rng.randrange(20) if kind == "custom" else None,
-                )
-            )
+            kind = rng.choice(("ordinary", "steinberg", "minimal"))
+            conds.append(LocalCondition(kind, rng.randrange(20), field_degree=rng.randrange(4) if kind == "ordinary" else 0))
         led = SelmerLedger(
             h0_global=rng.randrange(4),
             h0_global_twist=rng.randrange(4),
             dim_n=rng.randrange(130),
             totally_real_degree=degree,
-            archimedean_fixed_dims=tuple(rng.randrange(260) for _ in range(degree - n_in_locals)),
+            archimedean_fixed_dims=tuple(rng.randrange(260) for _ in range(degree)),
             locals=tuple(conds),
         )
         assert wiles_difference(led) == reference_euler_difference(led)
@@ -166,12 +130,11 @@ def test_oddness_deficit():
 
 
 def test_ledger_arch_count_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="degree 2 needs as many archimedean entries, found 1"):
         SelmerLedger(0, 0, 6, totally_real_degree=2, archimedean_fixed_dims=(6,))
-    SelmerLedger(
-        0, 0, 6, totally_real_degree=2,
-        archimedean_fixed_dims=(6,), locals=(LocalCondition("archimedean", 6),),
-    )
+    with pytest.raises(ValueError, match="degree 0 needs as many archimedean entries, found 2"):
+        SelmerLedger(0, 0, 6, totally_real_degree=0, archimedean_fixed_dims=(6, 6))
+    assert SelmerLedger(0, 0, 6, totally_real_degree=2, archimedean_fixed_dims=(6, 6)).archimedean_fixed_dims == (6, 6)
 
 
 # -- type-derived quantities --------------------------------------------------
@@ -213,21 +176,3 @@ def test_center_order_read_off_the_highest_root_is_the_family_rule():
         z, h = family_center_order(t), build_root_datum(t).coxeter_number
         height_term = (h - 1) * z if z % 2 == 0 else (2 * h - 2) * z
         assert lifting_prime_bounds(t).maximal_image_bound == 1 + max(8 * z, height_term), t
-
-
-# -- serialisation -----------------------------------------------------------
-
-
-def test_ledger_json_round_trip():
-    led = balanced_ledger("E7", 2)
-    again = SelmerLedger.from_json(json.dumps(ledger_json_dict(led), indent=2, sort_keys=True))
-    assert again == led
-    doc = ledger_json_dict(led)
-    assert doc["schema_version"] == 1
-
-
-def test_ledger_schema_version_guard():
-    doc = ledger_json_dict(balanced_ledger("G2", 1))
-    doc["schema_version"] = 99
-    with pytest.raises(ValueError):
-        SelmerLedger.from_json_dict(doc)

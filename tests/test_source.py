@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import importlib
@@ -14,7 +15,7 @@ from collections import Counter, defaultdict
 import numpy as np
 
 import monolab
-from monolab import cli
+from monolab import cli, selmer_arith
 from monolab.chevalley import ChevalleyAlgebra
 from monolab.rootsys import build_root_datum
 
@@ -486,7 +487,29 @@ def test_readme_library_example_runs():
 def test_readme_command_lines_parse():
     # parsed only: every documented command line is accepted by the CLI's parser
     lines = [line.split("#")[0] for line in _readme_block("Command line").splitlines() if line.startswith("monolab ")]
-    assert len(lines) == 9
+    assert len(lines) == 8
     for line in lines:
         ns = cli.build_parser().parse_args(shlex.split(line)[1:])
         assert ns.subcommand == shlex.split(line)[1], line
+
+
+
+def test_cli_has_no_ledger_subcommand_and_prints_json_only():
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert "selmer" not in subparsers.choices
+    options = {opt for parser in subparsers.choices.values() for action in parser._actions for opt in action.option_strings}
+    assert {"--type", "--out", "--check-paper"} <= options and not options & {"--format", "--ledger"}
+
+
+def test_selmer_arith_reads_no_ledger_file():
+    # criterion 7 builds its ledgers; no JSON reader, schema version or free-form kind is left to read a user's
+    tree = ast.parse(pathlib.Path(selmer_arith.__file__).read_text())
+    imported = {alias.name for n in ast.walk(tree) if isinstance(n, ast.Import) for alias in n.names}
+    imported |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    names = {n.name for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    names |= {t.id for n in ast.walk(tree) if isinstance(n, (ast.Assign, ast.AnnAssign)) for t in ast.walk(n) if isinstance(t, ast.Name)}
+    assert "json" not in imported and not names & {"from_json", "from_json_dict", "SCHEMA_VERSION", "custom_dim"}
+
+
+def test_package_data_is_the_reference_lists_alone():
+    assert sorted(p.name for p in (pathlib.Path(monolab.__file__).parent / "data").iterdir()) == ["reference_lists.json"]
