@@ -147,7 +147,7 @@ class ChevalleyAlgebra:
     def element(self, coeffs: dict) -> "LieElement":
         for k, v in coeffs.items():
             self._index(k)
-            _check_scalar(v)
+            check_int(v, "scalar")
         return LieElement(self, self._clean(coeffs))
 
     def _index(self, k) -> int:
@@ -208,7 +208,7 @@ class LieElement:
         return not self.coeffs
 
     def scale(self, c):
-        _check_scalar(c)
+        check_int(c, "scalar")
         return LieElement(self.algebra, self.algebra._clean({k: v * c for k, v in self.coeffs.items()}))
 
     def __repr__(self):
@@ -216,11 +216,6 @@ class LieElement:
             return "0"
         alg = self.algebra
         return " + ".join(f"{v}*{alg.basis_label(k)}" for k, v in sorted(self.coeffs.items()))
-
-
-def _check_scalar(c):
-    if isinstance(c, bool) or not isinstance(c, int):
-        raise TypeError(f"not an integer scalar: {c!r}")
 
 
 def _check_compat(a: ChevalleyAlgebra, b: ChevalleyAlgebra):
@@ -351,8 +346,7 @@ def jacobi_sweep(alg: ChevalleyAlgebra, triples=None, samples: int | None = None
     if triples is None:
         if samples is None:
             return _jacobi_contraction(alg)
-        if isinstance(samples, bool) or not isinstance(samples, int) or samples < 0:
-            raise ValueError(f"samples must be an int >= 0, got {samples!r}")
+        check_int(samples, "samples", 0)
         seed = 0 if seed is None else seed
         check_int(seed, "seed")
         _check_budget(2**14 * min(samples, _BLOCK), f"{samples} sampled Jacobi triples")

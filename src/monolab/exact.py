@@ -7,8 +7,8 @@ nowhere else: `is_prime` gives a proven verdict, and `factor` certifies each
 prime it reports with it.  Every unimodular reduction over ZZ is one loop,
 `_column_reduce`: `integer_kernel` returns saturated lattice bases with no
 rational intermediate step (the Kostant strings, and the Cartan symmetrizer
-that gives the root lengths), and `diagonal_divisors` a diagonal form.  The
-shared guards live here too: `check_int`, and `_check_budget` on `memory_budget()`.
+that gives the root lengths), and `diagonal_divisors` a diagonal form.  Each
+int argument meets one test, `check_int`; `_check_budget` guards `memory_budget()`.
 
 Every rank and kernel over F_ell in the package goes through one kernel at the
 end of this module: `matmul_mod`, the streamed reduced echelon form
@@ -58,10 +58,12 @@ def exact_div_arrays(num: np.ndarray, den: np.ndarray, what: str) -> np.ndarray:
     return q
 
 
-def check_int(x, what: str) -> None:
-    """Raise ValueError naming x unless it is a bare int: a bool, a float or a numpy integer is not one."""
+def check_int(x, what: str, least: int | None = None) -> None:
+    """ValueError unless x is a bare int (a bool, a float or a numpy integer is not one) and, if given, x >= least."""
     if isinstance(x, bool) or not isinstance(x, int):
         raise ValueError(f"{what} is not an int: {x!r}")
+    if least is not None and x < least:
+        raise ValueError(f"{what} must be >= {least}, got {x}")
 
 
 def check_prime_modulus(ell: int) -> None:
@@ -255,15 +257,9 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def _check_ncols(ncols) -> None:
-    check_int(ncols, "ncols")
-    if ncols < 0:
-        raise ValueError(f"ncols must be >= 0, got {ncols}")
-
-
 def _int_rows(rows, ncols: int) -> list[list[int]]:
     """Rows of ncols Python ints, an integer array by one `.tolist()`; ValueError names a bad ncols or a bad row."""
-    _check_ncols(ncols)
+    check_int(ncols, "ncols", 0)
     if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu" and rows.shape[1:] == (ncols,):
         return rows.tolist()
     for r, row in enumerate(rows):
@@ -413,7 +409,7 @@ class EchelonState:
     """
 
     def __init__(self, ncols: int, ell: int):
-        _check_ncols(ncols)
+        check_int(ncols, "ncols", 0)
         check_prime_modulus(ell)
         self.ell = ell
         self.free = np.arange(ncols)

@@ -177,17 +177,17 @@ def sym_module(ell: int, r: int, twist: int, generators=None) -> ModuleAction:
 
     Basis is X^{r-k} Y^k for k = 0..r; a matrix [[a,b],[c,d]] substitutes
     X -> aX + cY, Y -> bX + dY, which makes g -> matrix a homomorphism.  This
-    is a module for every r >= 0 (irreducible while r < ell).  A singular
-    generator is a ValueError, and a build whose estimate exceeds
-    `memory_budget()` a ResourceLimitError.
+    is a module for every int r >= 0 (irreducible while r < ell).  `check_int`
+    refuses any other r and a twist that is not an int, a singular generator is
+    a ValueError, and a build over `memory_budget()` a ResourceLimitError.
 
     Column k of Sym^n(g) is (aX + cY)^(n-k) (bX + dY)^k, so Sym^n comes from
     Sym^(n-1) in one step for all generators at once: every column times
     aX + cY, then the last column times bX + dY appended.  Each entry is
     below 2 (ell - 1)^2 < 2**63 before it is reduced.
     """
-    if type(r) is not int or type(twist) is not int or r < 0:  # a bool would build Sym^1, an np.uint8 255 wrap r + 1
-        raise ValueError(f"need an int r >= 0 and an int twist, got r={r!r}, twist={twist!r}")
+    check_int(r, "r", 0)  # a bool would build Sym^1, an np.uint8 255 wrap r + 1
+    check_int(twist, "twist")
     g = _square_stack(sl2_generators(ell) if generators is None else generators, ell, ("generator", "generators"))
     if g.shape[1:] != (2, 2):
         raise ValueError(f"Sym^r needs 2 x 2 generator matrices, got shape {g.shape}")
@@ -471,9 +471,7 @@ def h1_trivial_module_rank(G: FiniteMatrixGroup, dim: int = 1) -> int:
 
     G^ab (x) F_ell is F_ell^ng modulo one row per divisor d, and that row is zero when ell divides d.
     """
-    check_int(dim, "dim")
-    if dim < 1:
-        raise ValueError(f"dim must be at least 1, got {dim}")
+    check_int(dim, "dim", 1)
     divisors = diagonal_divisors(_relation_lattice(G), len(G.generators))
     return (len(G.generators) - sum(d % G.ell != 0 for d in divisors)) * dim
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
+from .exact import check_int
 from .fixtures import E8_CANDIDATES
 from .rootsys import SimpleType, build_root_datum
 
@@ -26,12 +27,9 @@ GLOBAL_DIMS = ("h0_global", "h0_global_twist", "dim_n", "totally_real_degree")
 
 
 def _check_dims(**dims) -> None:
-    """Raise ValueError unless every named dimension is an int (not a bool) >= 0."""
+    """`check_int` on every named dimension, with the lower bound 0."""
     for name, d in dims.items():
-        if not isinstance(d, int) or isinstance(d, bool):
-            raise ValueError(f"{name} must be an int, got {d!r}")
-        if d < 0:
-            raise ValueError(f"negative dimensions are not meaningful: {name} = {d}")
+        check_int(d, name, 0)
 
 
 @dataclass(frozen=True)
@@ -66,6 +64,8 @@ class SelmerLedger:
     def __post_init__(self):
         _check_dims(**{key: getattr(self, key) for key in GLOBAL_DIMS})
         _check_dims(**{f"archimedean_fixed_dims[{i}]": d for i, d in enumerate(self.archimedean_fixed_dims)})
+        for i in [i for i, c in enumerate(self.locals) if not isinstance(c, LocalCondition)][:1]:
+            raise ValueError(f"locals[{i}] is not a LocalCondition: {self.locals[i]!r}")
         if len(self.archimedean_fixed_dims) != self.totally_real_degree:
             raise ValueError(
                 f"a totally real field of degree {self.totally_real_degree} needs as many"

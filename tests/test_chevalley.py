@@ -227,9 +227,9 @@ def test_element_rejects_keys_outside_the_basis(key):
 
 def test_element_rejects_bool_coefficients():
     alg = build_chevalley_algebra("A2")
-    with pytest.raises(TypeError, match="not an integer scalar: True"):
+    with pytest.raises(ValueError, match="^scalar is not an int: True$"):
         alg.element({0: True})
-    with pytest.raises(TypeError, match="not an integer scalar: False"):
+    with pytest.raises(ValueError, match="^scalar is not an int: False$"):
         x_of(alg, 0).scale(False)
 
 
@@ -355,9 +355,9 @@ NOT_A_TRIPLE = "not a triple of basis indices of ChevalleyAlgebra(G2, ZZ): "
         ({"triples": [5]}, NOT_A_TRIPLE + "5"),
         ({"triples": ["abc"]}, NOT_A_TRIPLE + "'abc'"),
         ({"triples": [{0, 1, 2}]}, NOT_A_TRIPLE + "{0, 1, 2}"),
-        ({"samples": -5}, "samples must be an int >= 0, got -5"),
-        ({"samples": 2.0}, "samples must be an int >= 0, got 2.0"),
-        ({"samples": True}, "samples must be an int >= 0, got True"),
+        ({"samples": -5}, "samples must be >= 0, got -5"),
+        ({"samples": 2.0}, "samples is not an int: 2.0"),
+        ({"samples": True}, "samples is not an int: True"),
         ({"triples": [(0, 1, 2)], "samples": 5}, "pass triples or samples, not both"),
         ({"seed": 5}, "seed is read only with samples, got seed=5 and no samples"),  # was the contraction's 2744
         ({"triples": [(0, 1, 2)], "seed": 5}, "seed is read only with samples, got seed=5 and no samples"),

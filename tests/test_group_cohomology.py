@@ -312,7 +312,7 @@ def test_sym_module_matches_binomial_reference(ell):
     [
         (lambda: module_from_matrices(7, [1.5 * np.eye(2, dtype=np.int64)]), "must be integers, got float64"),
         (lambda: close_group([((1.5, 0), (0, 1))], 7), "must be integers, got float"),
-        (lambda: sym_module(7, 2, 1.0), "int twist"),
+        (lambda: sym_module(7, 2, 1.0), "^twist is not an int: 1.0$"),
         (lambda: module_from_matrices(7, []), "at least one module matrix"),
         (lambda: sym_module(7, 2, 0, [np.eye(3, dtype=np.int64)]), "2 x 2 generator matrices"),
         (lambda: sym_module(7, 2, 0, []), "need at least one generator"),
@@ -356,8 +356,8 @@ def test_sym_module_matches_binomial_reference(ell):
         (lambda: integer_kernel([5], 1), "^row 0 is not 1 integers: 5$"),
         (lambda: diagonal_divisors(np.array([2, 4]), 2), r"^row 0 is not 2 integers: np\.int64\(2\)$"),
         (lambda: diagonal_divisors([], -2), "^ncols must be >= 0, got -2$"),
-        (lambda: h1_trivial_module_rank(close_group([((1, 1), (0, 1))], 7), -2), "^dim must be at least 1, got -2$"),
-        (lambda: h1_trivial_module_rank(close_group([((1, 1), (0, 1))], 7), 0), "^dim must be at least 1, got 0$"),
+        (lambda: h1_trivial_module_rank(close_group([((1, 1), (0, 1))], 7), -2), "^dim must be >= 1, got -2$"),
+        (lambda: h1_trivial_module_rank(close_group([((1, 1), (0, 1))], 7), 0), "^dim must be >= 1, got 0$"),
         (lambda: h1_trivial_module_rank(close_group([((1, 1), (0, 1))], 7), 1.5), "^dim is not an int: 1.5$"),
         (lambda: h1_trivial_module_rank(close_group([((1, 1), (0, 1))], 7), True), "^dim is not an int: True$"),
     ],

@@ -208,6 +208,37 @@ def test_e6_zeros_need_sigma_odd_on_p4(monkeypatch):
         build_report.__wrapped__(SimpleType.parse("E6"))  # uncached, so the cached report stays untouched
 
 
+def test_scans_refuse_strings_off_their_spaces():
+    # with every exponent shifted, the scan reads a string entry that is off the
+    # negative simple spaces (G2, one step short: on the Cartan) and the Cartan
+    # scan one that is off the Cartan (E6, one step past: on the simple y_i)
+    g2, e6 = decomposition("G2"), decomposition("E6")
+    short = KostantDecomposition(g2.triple, tuple((m - 1, p) for m, p in g2.pairs))
+    with pytest.raises(ArithmeticError) as caught:
+        scan_simple_projections(short)
+    assert str(caught.value) == "scan element for exponent 0 leaks outside the simple spaces: [12, 13]"
+    past = KostantDecomposition(e6.triple, tuple((m + 1, p) for m, p in e6.pairs))
+    with pytest.raises(ArithmeticError) as caught:
+        scan_e6_cartan(past)
+    assert str(caught.value) == "ad(Y)^2(p) has non-Cartan support: [36, 38, 37, 39, 40, 41]"
+
+
+def test_char0_zeros_refuse_a_vector_sigma_does_not_fix_up_to_sign():
+    # A2's sigma swaps x_0 and x_1, so x_0 alone maps to neither p nor -p
+    kd = decomposition("A2")
+    alone = KostantDecomposition(kd.triple, ((1, kd.triple.algebra.element({0: 1})),))
+    with pytest.raises(ArithmeticError) as caught:
+        char0_zeros(alone)
+    assert str(caught.value) == "sigma maps the eigenvector of exponent 1 to neither p nor -p"
+
+
+def test_e6_report_refuses_a_zero_cartan_component(monkeypatch):
+    monkeypatch.setattr(prime_scan, "scan_e6_cartan", lambda kd: ((1, 0),))
+    with pytest.raises(ArithmeticError) as caught:
+        build_report.__wrapped__(SimpleType.parse("E6"))  # uncached, so the cached report stays untouched
+    assert str(caught.value) == "E6 Cartan scan hit a zero h[1]-component"
+
+
 def test_e6_cartan_scan():
     kd = decomposition("E6")
     cartan = scan_e6_cartan(kd)

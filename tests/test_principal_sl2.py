@@ -1,9 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from conftest import ad_power, bracket, h_of, x_of, y_of
 
+from monolab import principal_sl2
 from monolab.chevalley import ChevalleyAlgebra, build_chevalley_algebra
 from monolab.exact import det_mod
 from monolab.prime_scan import scan_e6_cartan, scan_simple_projections
@@ -167,6 +169,31 @@ def test_sl2_strings_reject_wrong_lengths():
     for shift in (-1, 1):
         shifted = KostantDecomposition(kd.triple, tuple((m + shift, p) for m, p in kd.pairs))
         assert not sl2_string_lengths_ok(shifted)
+
+
+def test_decomposition_checks_its_eigenvectors_against_the_triple(monkeypatch):
+    # ad(X) alone gives the kernel, so a triple with H or X doubled, or a bracket
+    # that breaks commutativity, reaches the checks after the graded pass
+    alg = build_chevalley_algebra("G2")
+    triple = build_principal_sl2(alg)
+    cases = [
+        (replace(triple, H=triple.H.scale(2)), "weight 2: kernel vector is not an H-eigenvector"),
+        (replace(triple, X=triple.X.scale(2)), "p_1 must be X itself"),  # the kernel vector is primitive
+    ]
+    for bad, message in cases:
+        with pytest.raises(ArithmeticError) as caught:
+            kostant_decomposition(alg, bad)
+        assert str(caught.value) == message
+    real = principal_sl2.brackets
+
+    def noncommuting(pairs):
+        got = real(pairs)
+        return got[:-1] + [pairs[-1][0]]  # [p_1, p_5] becomes p_1
+
+    monkeypatch.setattr(principal_sl2, "brackets", noncommuting)
+    with pytest.raises(ArithmeticError) as caught:
+        kostant_decomposition(alg, triple)
+    assert str(caught.value) == "centralizer of X is not abelian: structure bug"
 
 
 def test_strings_built_once(monkeypatch):

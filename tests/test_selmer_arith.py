@@ -42,16 +42,29 @@ def test_condition_validation():
     for kind in ("weird", "ramakrishna", "unramified", "archimedean", "custom"):
         with pytest.raises(ValueError, match=f"unknown local condition kind '{kind}'"):
             LocalCondition(kind, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^h0_local must be >= 0, got -1$"):
         LocalCondition("ordinary", -1)
     for bad in (2.5, True, "2"):  # a dimension is an int, and a bool is not one
-        with pytest.raises(ValueError, match="h0_local must be an int"):
+        with pytest.raises(ValueError) as caught:
             LocalCondition("minimal", bad)
+        assert str(caught.value) == f"h0_local is not an int: {bad!r}"
     for kind in ("steinberg", "minimal"):
         # a degree only the ordinary catalog entry reads would be dropped in silence
         with pytest.raises(ValueError, match=f"field_degree is read only when kind='ordinary', got it on kind='{kind}'"):
             LocalCondition(kind, 0, field_degree=3)
     assert LocalCondition("steinberg", 0, field_degree=0).field_degree == 0
+
+
+@pytest.mark.parametrize("bad", ["ordinary", ("ordinary", 0, 1), None])
+def test_ledger_refuses_a_local_entry_that_is_no_local_condition(bad):
+    # an entry with no h0_local would otherwise fail only later, inside wiles_difference
+    good = LocalCondition("steinberg", 1)
+    with pytest.raises(ValueError) as caught:
+        SelmerLedger(0, 0, 6, 1, (6,), locals=(good, bad))
+    assert str(caught.value) == f"locals[1] is not a LocalCondition: {bad!r}"
+    with pytest.raises(ValueError) as caught:
+        SelmerLedger(0, 0, 6, 1, (6,), locals=(bad,))
+    assert str(caught.value) == f"locals[0] is not a LocalCondition: {bad!r}"
 
 
 # -- the difference formula, against the Euler grouping in conftest ------------

@@ -453,6 +453,39 @@ def test_basis_vectors_are_addressed_by_index():
     assert [node.lineno for node in ast.walk(ast.parse(sample)) if _restates_the_basis(node)] == [1, 3]
 
 
+def _is_bare_int_test(node) -> bool:
+    """Whether node is an `isinstance(_, bool)` call or a `type(_) is not int` comparison."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+        return any(getattr(n, "id", None) == "bool" for n in ast.walk(node.args[1]))
+    if not (isinstance(node, ast.Compare) and getattr(getattr(node.left, "func", None), "id", None) == "type"):
+        return False
+    return any(isinstance(op, (ast.IsNot, ast.NotEq)) and getattr(c, "id", None) == "int" for op, c in zip(node.ops, node.comparators))
+
+
+def _bare_int_tests(tree, scope=()) -> list[str]:
+    """The dotted name of the innermost function or class around each bare-int test in tree, once per test."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if _is_bare_int_test(node):
+            found.append(".".join(scope))
+        found += _bare_int_tests(node, (*scope, node.name) if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else scope)
+    return found
+
+
+def test_check_int_is_the_one_bare_int_test():
+    # every int argument meets `exact.check_int`; only `_entries` (whose keys may be numpy
+    # integers) and `_index` (whose one message names the algebra) test for a bool themselves
+    found = []
+    for path in sorted(pathlib.Path(monolab.__file__).parent.glob("*.py")):
+        found += [f"{path.stem}.{name}" for name in _bare_int_tests(ast.parse(path.read_text()))]
+    assert sorted(found) == ["chevalley.ChevalleyAlgebra._index", "exact._entries", "exact.check_int"]
+    sample = (
+        "def f(x):\n    if type(x) is not int or isinstance(x, bool):\n        pass\n"
+        "class C:\n    def g(self, y):\n        return isinstance(y, (bool, float)) or type(y) is int or isinstance(y, int)\n"
+    )
+    assert _bare_int_tests(ast.parse(sample)) == ["f", "f", "C.g"]
+
+
 def _int_typed_options(tree) -> list[int]:
     """Lines of the `add_argument` calls in tree that pass `type=int`."""
     return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
