@@ -1,8 +1,8 @@
 """Integral Chevalley bases with exact structure-constant arithmetic.
 
-Every coefficient is a plain int.  An algebra is the ZZ form (`ell` None) or
-the F_ell view `alg.mod(ell)`, which shares the ZZ arrays and reduces its
-results mod ell.
+Every coefficient is a plain int, and an algebra is its ZZ form.  A relation
+that holds over ZZ holds mod every prime ell, so reductions are made on the
+outputs, as `exact.residues(alg.ad(z), ell)` for an ad matrix mod ell.
 
 With N = `num_pos` positive roots, basis vector a < N is x_a, vector N + a
 is y_a = x_{-a} and vector 2N + i is h_i, the i-th simple coroot vector, so
@@ -35,14 +35,13 @@ and the Frenkel-Kac maps; sigma lifts -w0, which `_opposition` reads off
 
 from __future__ import annotations
 
-import copy
 import random
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .exact import _check_budget, check_int, check_prime_modulus, exact_div_arrays
+from .exact import _check_budget, check_int, exact_div_arrays
 from .rootsys import RootDatum, SimpleType, _read_only, build_root_datum, per_type
 
 _BLOCK = 2**12  # triples per pass of `jacobi_sweep`; a pass takes under 6 KiB of temporaries a triple, charged as 16
@@ -98,49 +97,28 @@ def _opposite(norm2, sums, u, v):
 
 
 class ChevalleyAlgebra:
-    """Simple Lie algebra over ZZ (`ell` None) or F_ell, with frozen structure constants `entries` and their `starts`.
+    """Simple Lie algebra over ZZ, with frozen structure constants `entries` and their `starts`.
 
     Basis vectors are indices below `dim`: x_a is a, y_a is `num_pos` + a and h_i is 2 * `num_pos` + i.
-    Coefficients are plain ints; on an F_ell view they are residues in
-    [0, ell).  Instances are immutable after construction; `brackets` and
-    friends are pure and safe to share across threads.  Use
-    `build_chevalley_algebra` to get the ZZ form and `.mod(ell)` for the F_ell
-    views (cached, so view identity can be used for operand compatibility
-    checks).
+    Coefficients are plain ints.  Instances are immutable after construction;
+    `brackets` and friends are pure and safe to share across threads.  Use
+    `build_chevalley_algebra` to get the cached algebra of a simple type, so
+    algebra identity can be used for operand compatibility checks.
     """
 
     def __init__(self, datum: RootDatum, _shared=None):
         self.datum = datum
-        self.ell = None
         self.num_pos = len(datum.positive_roots)
         self.dim = 2 * self.num_pos + datum.rank
         self.entries = _build_table(datum) if _shared is None else _shared
         self.starts = _pointer(self.entries[0] * self.dim + self.entries[1], self.dim**2)  # over i*dim + j
-        # the ZZ form, set on views only: a self-reference would keep a
-        # dropped algebra's table alive until the next gc
-        self._base = None
-        self._views = {}
-
-    def mod(self, ell: int) -> "ChevalleyAlgebra":
-        """The F_ell view of the ZZ form: the same entries and starts, scalars reduced mod ell."""
-        check_prime_modulus(ell)  # before the lookup: 7.0 would find the view of 7
-        base = self._base or self
-        if ell not in base._views:
-            view = copy.copy(base)  # shares the entries and their starts
-            view.ell, view._base, view._views = ell, base, {}
-            base._views[ell] = view
-        return base._views[ell]
 
     def _clean(self, coeffs: dict) -> dict:
-        """coeffs without zero entries, reduced mod ell on an F_ell view."""
-        ell = self.ell
-        if ell is None:
-            return {k: v for k, v in coeffs.items() if v}
-        return {k: v % ell for k, v in coeffs.items() if v % ell}
+        """coeffs without zero entries."""
+        return {k: v for k, v in coeffs.items() if v}
 
     def __repr__(self):
-        ring = "ZZ" if self.ell is None else f"GF({self.ell})"
-        return f"ChevalleyAlgebra({self.datum.simple_type}, {ring})"
+        return f"ChevalleyAlgebra({self.datum.simple_type}, ZZ)"
 
     # -- element constructors ----------------------------------------------
 
@@ -181,7 +159,7 @@ class ChevalleyAlgebra:
         # exact in int64: every |c| <= 6 (a coroot coordinate at most), so under the
         # guard a term is below 6 * 2**31, and a cell (k, j) sums at most rank terms
         np.add.at(out, (k, j), coeffs[i] * c)
-        return out if self.ell is None else out % self.ell
+        return out
 
 
 def _build_table(datum: RootDatum) -> np.ndarray:
@@ -220,12 +198,12 @@ class LieElement:
 
 def _check_compat(a: ChevalleyAlgebra, b: ChevalleyAlgebra):
     if a is not b:
-        raise ValueError(f"incompatible operands: {a!r} vs {b!r} (mixed algebras or mixed scalar rings)")
+        raise ValueError(f"incompatible operands: {a!r} vs {b!r} (mixed algebras)")
 
 
 @per_type
 def build_chevalley_algebra(t: SimpleType) -> ChevalleyAlgebra:
-    """The ZZ form of the Chevalley algebra of a simple type; `.mod(ell)` reduces it."""
+    """The Chevalley algebra of a simple type over ZZ."""
     return ChevalleyAlgebra(build_root_datum(t))
 
 
@@ -395,14 +373,12 @@ def _jacobi_contraction(alg: ChevalleyAlgebra) -> int:
 
 
 def _check_sums(alg: ChevalleyAlgebra, keys, terms, triple):
-    """Sum the Jacobi terms per key slot*dim + t, mod ell; raise naming `triple(slot)` for the least failing slot."""
+    """Sum the Jacobi terms per key slot*dim + t; raise naming `triple(slot)` for the least failing slot."""
     order = np.argsort(keys)
     keys = keys[order]
     starts = np.flatnonzero(keys != np.r_[-1, keys[:-1]])  # keys are >= 0, so the first starts a run
     sums = np.add.reduceat(terms[order], starts)
     keys = keys[starts]
-    if alg.ell is not None:
-        sums %= alg.ell
     bad = np.flatnonzero(sums)
     if bad.size:
         slot = int(keys[bad[0]] // alg.dim)

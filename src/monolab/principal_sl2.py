@@ -54,18 +54,11 @@ class Sl2Triple:
 
 
 def build_principal_sl2(alg: ChevalleyAlgebra) -> Sl2Triple:
-    """Construct (X, H, Y); relations are verified exactly (ArithmeticError if they fail).
+    """Construct (X, H, Y) over ZZ; relations are verified exactly (ArithmeticError if they fail).
 
-    Over F_ell the construction requires ell >= h (Coxeter number); smaller
-    primes are rejected because the triple need not exist integrally there.
+    Relations that hold over ZZ hold mod every prime, so no triple is built mod ell.
     """
     d = alg.datum
-    h = d.coxeter_number
-    if alg.ell is not None and alg.ell < h:
-        raise ValueError(
-            f"prime {alg.ell} below the Coxeter bound h={h} for {d.simple_type};"
-            " the principal sl2 is only defined for ell >= h"
-        )
     c = principal_coefficients(d)
     X = alg.element({i: 1 for i in range(d.rank)})
     H = alg.element({2 * alg.num_pos + i: c[i] for i in range(d.rank)})
@@ -148,8 +141,6 @@ def kostant_decomposition(alg: ChevalleyAlgebra, triple: Sl2Triple) -> KostantDe
     of `brackets` then checks that every p_i is an H-eigenvector and that the
     p_i commute pairwise.
     """
-    if alg.ell is not None:
-        raise ValueError("the decomposition is computed on the ZZ form")
     d = alg.datum
     grading: dict = {}
     for k, w in enumerate([2 * h for h in d.heights.tolist()] + [0] * d.rank):

@@ -87,7 +87,7 @@ ROWS = [
     row("cohomology sweep --type g2 --ell 13..17", 0, "f1d90303bfc6a7ab4ff5f5846bd7478331663dbf7d1a9dcec873fb854e599754", None, simple_type="G2", sweep=G2_13_17),
     row("cohomology sweep --type G2 --ell 13..29", 0, "45067fab6044d755a01095397ba4196932f8eb66f61437ff278380661e75c24b"),
     row("cohomology sweep --type G2 --ell 24..28", 0, "35ecf42b6dc00bac72313160d3c8932e26ca78f9b34c0c301f00784898d15eb9", None, simple_type="G2", sweep=[]),
-    row("verify-paper", 0, "e5fc51d80b1d4256f7572db950acaca8724dc14a6846ccbf813932459fedd788", "PASS prime-lists"),
+    row("verify-paper", 0, "72ab07de24670313a74447f8cea3111488e4abab52d5b4ab7a853607aef3bdfc", "PASS prime-lists"),
     row("verify-paper --only prime-lists --only selmer-identities", 0, "981a3d13a914dd196bae6c3d19588164bae16b4abaaf4fb43681a398326f0ffc", "PASS prime-lists", all_ok=True, **{"criteria.0.name": "prime-lists", "criteria.1.name": "selmer-identities"}),
     row("roots --type A2 --out {tmp}/roots.json", 0, "d1083968e92be1b9878d998b98cc09c7a9daf938c38e0c7611536a181e3a0f16", None, coxeter_number=3),
     # rejected: exit 1, nothing on stdout

@@ -520,8 +520,6 @@ def test_modulus_type_checked_after_seven_is_accepted(bad):
     check_prime_modulus(7)
     with pytest.raises(ValueError):
         check_prime_modulus(bad)
-    with pytest.raises(ValueError):
-        build_chevalley_algebra("A2").mod(bad)
 
 
 G2 = build_chevalley_algebra("G2")
@@ -892,26 +890,11 @@ def test_h1_naive_never_holds_its_whole_system(ell, r):
     assert traced_peak(lambda: h1_naive(G, M)) < 16 * 2**20
 
 
-def test_prime_field_ops():
-    alg = build_chevalley_algebra("A2")
-    f = alg.mod(13)
-    assert f.element({0: -1}).coeffs == {0: 12}
-    assert x_of(f, 0).scale(7).scale(2) == x_of(f, 0)
-    assert f.element({0: 13}).is_zero()
-    with pytest.raises(ValueError, match="not a prime: 12"):
-        alg.mod(12)
-    with pytest.raises(ValueError, match="prime out of machine-width range"):
-        alg.mod(2**31 + 11)
-    with pytest.raises(ValueError, match="modulus is not an int: 7.0"):
-        alg.mod(7.0)
-
-
 def test_ring_coercions():
-    # coefficients are ints on the ZZ form and on every F_ell view
+    # a Fraction, an integral one too, or a float is no scalar
     alg = build_chevalley_algebra("A2")
-    for form in (alg, alg.mod(7)):
-        for bad in (Fraction(1, 2), Fraction(4, 2), 2.0):
-            for call in (lambda: form.element({0: bad}), lambda: x_of(form, 0).scale(bad)):
-                with pytest.raises(ValueError) as caught:
-                    call()
-                assert str(caught.value) == f"scalar is not an int: {bad!r}"
+    for bad in (Fraction(1, 2), Fraction(4, 2), 2.0):
+        for call in (lambda: alg.element({0: bad}), lambda: x_of(alg, 0).scale(bad)):
+            with pytest.raises(ValueError) as caught:
+                call()
+            assert str(caught.value) == f"scalar is not an int: {bad!r}"

@@ -236,6 +236,11 @@ def test_sym_module_dims():
     assert sym_module(7, 2, 1).dim == 3
 
 
+def test_module_repr_names_description_dim_and_ell():
+    assert repr(sym_module(7, 2, 1)) == "ModuleAction(Sym^2(x)det^-1, dim=3, ell=7)"
+    assert repr(module_from_matrices(5, [[[1]]])) == "ModuleAction(explicit, dim=1, ell=5)"
+
+
 def test_sym_module_is_homomorphism():
     # propagate rho over the whole group, then check rho(g)rho(h) = rho(gh)
     import random

@@ -4,7 +4,7 @@ from math import prod
 
 import numpy as np
 import pytest
-from conftest import ad_power, run_optimized, traced_peak
+from conftest import run_optimized, traced_peak
 
 from monolab import exact, prime_scan
 from monolab.chevalley import build_chevalley_algebra
@@ -306,7 +306,7 @@ def test_scaling_invariance():
 
 @pytest.mark.parametrize("name,ells", [("E7", (37, 53)), ("E8", (61,))])
 def test_cross_characteristic_consistency(name, ells):
-    # the scan bracketed natively in F_ell, from Y and the p reduced mod ell, is
+    # the scan taken mod ell, by ad(Y) reduced with `residues` on p reduced mod ell, is
     # the ZZ scan mod ell: it vanishes exactly where ell divides the ZZ coefficient
     kd = decomposition(name)
     base = scan_simple_projections(kd)
@@ -314,14 +314,16 @@ def test_cross_characteristic_consistency(name, ells):
     h, rank = alg.datum.coxeter_number, alg.datum.rank
     for ell in ells:
         assert ell >= 2 * h - 1
-        fl = alg.mod(ell)
-        Y = fl.element(kd.triple.Y.coeffs)
+        ad_y = exact.residues(alg.ad(kd.triple.Y), ell)
         hits = 0
         for s_int, (m, p) in zip(base, kd.pairs):
-            v = ad_power(Y, m + 1, fl.element(p.coeffs))
-            assert set(v.coeffs) <= {fl.num_pos + i for i in range(rank)}
+            v = np.zeros(alg.dim, dtype=np.int64)
+            v[list(p.coeffs)] = [c % ell for c in p.coeffs.values()]
+            for _ in range(m + 1):
+                v = ad_y @ v % ell  # entries below ell * ell * dim: exact in int64
+            assert set(np.flatnonzero(v).tolist()) <= {alg.num_pos + i for i in range(rank)}
             for i, c_int in enumerate(s_int.vector):
-                c_mod = v.coeffs.get(fl.num_pos + i, 0)
+                c_mod = int(v[alg.num_pos + i])
                 assert c_mod == c_int % ell
                 hits += c_int != 0 and c_mod == 0
         assert hits, f"{ell} divides no nonzero {name} scan coefficient"

@@ -91,20 +91,6 @@ def test_triple_relations_over_zz(name):
     assert bracket(trip.Y, trip.X) == trip.H
 
 
-def test_coxeter_boundary_on_modular_triples():
-    # h(E7) = 18: F_17 must be rejected, F_19 accepted
-    algZ = build_chevalley_algebra("E7")
-    with pytest.raises(ValueError, match="Coxeter"):
-        build_principal_sl2(algZ.mod(17))
-    trip = build_principal_sl2(algZ.mod(19))
-    assert bracket(trip.Y, trip.X) == trip.H
-    # G2: h = 6, so 5 is out and 7 is in
-    g2 = build_chevalley_algebra("G2")
-    with pytest.raises(ValueError):
-        build_principal_sl2(g2.mod(5))
-    build_principal_sl2(g2.mod(7))
-
-
 def test_centralizer_a1():
     alg = build_chevalley_algebra("A1")
     kd = kostant_decomposition(alg, build_principal_sl2(alg))
@@ -240,13 +226,6 @@ def test_mod_ell_persistence(name):
     # the rows are fresh dicts: editing one leaves the strings as they were
     rows[0].clear()
     assert sl2_string_family_rows(kd)[0] == kd.strings[0][0].coeffs != {}
-
-
-def test_decomposition_requires_zz():
-    alg = build_chevalley_algebra("G2").mod(7)
-    trip = build_principal_sl2(alg)
-    with pytest.raises(ValueError):
-        kostant_decomposition(alg, trip)
 
 
 def test_kostant_json():

@@ -124,15 +124,29 @@ def test_a_built_algebra_keeps_its_table_only_in_arrays():
     # `entries` is the one store and `starts`, an int32 pointer, its one index;
     # a per-entry dict or list beside them would be a second copy of the table
     alg = ChevalleyAlgebra(build_root_datum("E8"))
-    view = alg.mod(7)
-    for obj in (alg, view):
-        for name, value in vars(obj).items():
-            if isinstance(value, (dict, list, tuple, set, frozenset)):
-                assert len(value) < alg.dim, name
-            elif isinstance(value, np.ndarray):
-                want = {"entries": np.int64, "starts": np.int32}[name]
-                assert value.dtype == want and not value.flags.writeable, name
-    assert view.entries is alg.entries and view.starts is alg.starts
+    for name, value in vars(alg).items():
+        if isinstance(value, (dict, list, tuple, set, frozenset)):
+            assert len(value) < alg.dim, name
+        elif isinstance(value, np.ndarray):
+            want = {"entries": np.int64, "starts": np.int32}[name]
+            assert value.dtype == want and not value.flags.writeable, name
+
+
+def _mod_call_lines(text) -> list[int]:
+    """The numbers of the lines of text that call a `.mod` attribute."""
+    return [n for n, line in enumerate(text.splitlines(), 1) if ".mod(" in line]
+
+
+def test_the_algebra_is_its_zz_form():
+    # no F_ell view of the algebra: a relation that holds over ZZ holds mod
+    # every ell, and an ad matrix mod ell is `residues(alg.ad(z), ell)`
+    assert not hasattr(ChevalleyAlgebra, "mod")
+    assert not hasattr(ChevalleyAlgebra(build_root_datum("A2")), "ell")
+    found = []
+    for path in sorted(pathlib.Path(monolab.__file__).parent.glob("*.py")):
+        found += [f"{path.name}:{n}" for n in _mod_call_lines(path.read_text())]
+    assert not found, found
+    assert _mod_call_lines("f7 = alg.mod(7)\nmod(7)\nalg.mod\n") == [1]
 
 
 def test_the_lie_path_leaves_numpy_random_unimported():
