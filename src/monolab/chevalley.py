@@ -6,7 +6,7 @@ outputs, as `exact.residues(alg.ad(z), ell)` for an ad matrix mod ell.
 
 With N = `num_pos` positive roots, basis vector a < N is x_a, vector N + a
 is y_a = x_{-a} and vector 2N + i is h_i, the i-th simple coroot vector, so
-vector k < 2N is the root vector of root k of `RootDatum.all_roots` and
+vector k < 2N is the root vector of root k, row k of `RootDatum.coords`, and
 dim = 2N + rank.  Bracket conventions follow the
 computer-algebra normalisation
 
@@ -72,20 +72,22 @@ def _carter_constants(datum: RootDatum):
     #                                 - N_{alpha,-xi} N_{beta,-eta} / (alpha-xi)^2); absent terms are 0/1
     d1, d2 = sums[be, xi + num_pos], sums[al, xi + num_pos]
     q1, q2 = np.where(d1 >= 0, norm2[d1], 1), np.where(d2 >= 0, norm2[d2], 1)
-    row, col, num, den = (x.reshape(4, -1) for x in _opposite(norm2, sums, np.r_[be, al, al, be], np.r_[xi, eta, xi, eta]))
-    ng, den0, cuts = norm2[gamma[rest]], q1 * q2 * table[al, be], np.flatnonzero(np.diff(height[rest])) + 1
-    for s in map(slice, np.r_[0, cuts], np.r_[cuts, len(rest)]):  # one height at a time
+    gathers = _opposite(norm2, sums, np.concatenate([be, al, al, be]), np.concatenate([xi, eta, xi, eta]))
+    row, col, num, den = (x.reshape(4, -1) for x in gathers)
+    ng, den0, cuts = norm2[gamma[rest]], q1 * q2 * table[al, be], (np.flatnonzero(np.diff(height[rest])) + 1).tolist()
+    for s in map(slice, [0, *cuts], [*cuts, len(rest)]):  # one height at a time
         n1, n2, n3, n4 = exact_div_arrays(num[:, s] * table[row[:, s], col[:, s]], den[:, s], "structure constant")
-        table[xi[s], eta[s]] = exact_div_arrays(ng[s] * (n1 * n2 * q2[s] - n3 * n4 * q1[s]), den0[s], "root-quadruple identity")
-        table[eta[s], xi[s]] = -table[xi[s], eta[s]]
-        for i in rest[s][np.abs(table[xi[s], eta[s]]) != depth[rest[s]] + 1][:1]:
+        value = exact_div_arrays(ng[s] * (n1 * n2 * q2[s] - n3 * n4 * q1[s]), den0[s], "root-quadruple identity")
+        table[xi[s], eta[s]], table[eta[s], xi[s]] = value, -value
+        for i in rest[s][np.abs(value) != depth[rest[s]] + 1][:1]:
             r, got = datum.all_roots, abs(table[a[i], b[i]])
             raise ArithmeticError(f"|N{r[a[i]], r[b[i]]}| = {got} under {r[gamma[i]]}, want p+1 = {depth[i] + 1}")
     p, q = np.nonzero(down >= 0)  # root p plus the negative of root q
     row, col, num, den = _opposite(norm2, sums, p, q)
     n, mixed = table[a, b], exact_div_arrays(num * table[row, col], den, "structure constant")
-    u, v = np.r_[a, b, a + num_pos, b + num_pos, p, q + num_pos], np.r_[b, a, b + num_pos, a + num_pos, q + num_pos, p]
-    return u, v, np.r_[n, -n, -n, n, mixed, -mixed]
+    u = np.concatenate([a, b, a + num_pos, b + num_pos, p, q + num_pos])
+    v = np.concatenate([b, a, b + num_pos, a + num_pos, q + num_pos, p])
+    return u, v, np.concatenate([n, -n, -n, n, mixed, -mixed])
 
 
 def _opposite(norm2, sums, u, v):
@@ -155,7 +157,7 @@ class ChevalleyAlgebra:
             raise ValueError("ad takes coefficients below 2**31 in absolute value")
         coeffs, out = np.zeros(self.dim, dtype=np.int64), np.zeros((self.dim, self.dim), dtype=np.int64)
         coeffs[list(z.coeffs)] = list(z.coeffs.values())
-        i, j, k, c = self.entries
+        i, j, k, c = self.entries[:, _rows(self.starts[:: self.dim], np.flatnonzero(coeffs))[1]]  # the rows [e_i, .] of z
         # exact in int64: every |c| <= 6 (a coroot coordinate at most), so under the
         # guard a term is below 6 * 2**31, and a cell (k, j) sums at most rank terms
         np.add.at(out, (k, j), coeffs[i] * c)
@@ -169,8 +171,8 @@ def _build_table(datum: RootDatum) -> np.ndarray:
     cu, ck = np.nonzero(datum.coroots)  # [x_u, x_-u] = -u^vee
     pu, pk = np.nonzero(pairings)  # Cartan against root vectors: [x_u, h_k] = <alpha_k^vee, u> x_u
     h, pc = num_roots + pk, pairings[pu, pk]
-    i, j = np.r_[u, cu, pu, h], np.r_[v, (cu + num_pos) % num_roots, h, pu]
-    k, c = np.r_[datum.root_sums[u, v], num_roots + ck, pu, pu], np.r_[-n, -datum.coroots[cu, ck], pc, -pc]
+    i, j = np.concatenate([u, cu, pu, h]), np.concatenate([v, (cu + num_pos) % num_roots, h, pu])
+    k, c = np.concatenate([datum.root_sums[u, v], num_roots + ck, pu, pu]), np.concatenate([-n, -datum.coroots[cu, ck], pc, -pc])
     dim = num_roots + datum.rank  # one sort key per (i, j, k): an argsort is several times faster than np.lexsort
     return _read_only(np.array([i, j, k, c], dtype=np.int64)[:, np.argsort((i * dim + j) * dim + k)])
 
@@ -261,8 +263,9 @@ def _check_map(a: ChevalleyAlgebra, b: ChevalleyAlgebra, perm, sign):
 
 def _pointer(keys, n):
     """Read-only int32 CSR pointer of sorted keys in [0, n): key q at starts[q]:starts[q + 1]; no n-long int64 temporary."""
-    first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    return _read_only(np.repeat(np.r_[first, len(keys)].astype(np.int32), np.diff(np.r_[-1, keys[first], n])))
+    first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    runs = np.diff(np.concatenate([[-1], keys[first], [n]]))  # starts[q]: the position of the first key >= q
+    return _read_only(np.repeat(np.concatenate([first, [len(keys)]]).astype(np.int32), runs))
 
 
 def _rows(starts, queries):
@@ -293,7 +296,7 @@ def brackets(pairs) -> list[LieElement]:
     ka, kb = np.fromiter(chain(*lefts), np.int64, na.sum()), np.fromiter(chain(*rights), np.int64, nb.sum())
     ca, cb = [v for d in lefts for v in d.values()], [v for d in rights for v in d.values()]
     pair = np.repeat(np.arange(len(pairs)), na)  # the pair of each term of a
-    u, v = _rows(np.r_[0, np.cumsum(nb)], pair)  # each term of a with each term of b, pair after pair
+    u, v = _rows(np.concatenate([[0], np.cumsum(nb)]), pair)  # each term of a with each term of b, pair after pair
     query, pos = _rows(alg.starts, ka[u] * alg.dim + kb[v])
     acc: list[dict] = [{} for _ in pairs]
     for p, x, y, k, c in zip(*np.array([pair[u[query]], u[query], v[query], *alg.entries[2:, pos]]).tolist()):
@@ -344,8 +347,8 @@ def jacobi_sweep(alg: ChevalleyAlgebra, triples=None, samples: int | None = None
         else:
             block = triples[start : start + _BLOCK]
         i, j, k = block.T
-        first, p = _rows(alg.starts, np.r_[i, j, k] * dim + np.r_[j, k, i])
-        second, q = _rows(alg.starts, alg.entries[2, p] * dim + np.r_[k, i, j][first])
+        first, p = _rows(alg.starts, np.concatenate([i, j, k]) * dim + np.concatenate([j, k, i]))
+        second, q = _rows(alg.starts, alg.entries[2, p] * dim + np.concatenate([k, i, j])[first])
         slot = np.tile(np.arange(len(block)), 3)[first[second]]  # the triple's position in the block
         terms = alg.entries[3, p[second]] * alg.entries[3, q]
         _check_sums(alg, slot * dim + alg.entries[2, q], terms, lambda s: tuple(block[s].tolist()))
@@ -376,7 +379,7 @@ def _check_sums(alg: ChevalleyAlgebra, keys, terms, triple):
     """Sum the Jacobi terms per key slot*dim + t; raise naming `triple(slot)` for the least failing slot."""
     order = np.argsort(keys)
     keys = keys[order]
-    starts = np.flatnonzero(keys != np.r_[-1, keys[:-1]])  # keys are >= 0, so the first starts a run
+    starts = np.flatnonzero(keys != np.concatenate([[-1], keys[:-1]]))  # keys are >= 0, so the first starts a run
     sums = np.add.reduceat(terms[order], starts)
     keys = keys[starts]
     bad = np.flatnonzero(sums)

@@ -99,8 +99,10 @@ class KostantDecomposition:
     def strings(self) -> tuple[tuple[LieElement, ...], ...]:
         """Per pair (m, p): (ad(Y)^k p for k = 0..2m+1); built on first read from the columns of one ad(Y)."""
         alg, out = self.triple.algebra, []
-        ad_y = alg.ad(self.triple.Y).T  # ad_y[j]: the coordinates of [Y, e_j]
-        col = [list(zip(r.nonzero()[0].tolist(), r[r != 0].tolist())) for r in ad_y]  # its nonzero (k, c)
+        ad_y, col = alg.ad(self.triple.Y), [[] for _ in range(alg.dim)]  # column j of ad_y: [Y, e_j]
+        k, j = ad_y.nonzero()  # one pass over the whole matrix, row by row, so each col[j] fills in ascending k
+        for kk, jj, c in zip(k.tolist(), j.tolist(), ad_y[k, j].tolist()):
+            col[jj].append((kk, c))  # col[j]: the nonzero (k, c) of [Y, e_j]
         for m, p in self.pairs:
             string = [p]
             for _ in range(2 * m + 1):

@@ -3,14 +3,15 @@
 Roots live in simple-root coordinates (integer tuples); every pairing goes
 through the Cartan matrix, whose symmetrizer is `simple_norms`: a squared root
 length is 1, 2 or 3 times the short one, so the whole module is exact integer
-arithmetic.  Positive roots are the closure of the simple roots under the simple
-reflections, frozen in a deterministic order whose first ``rank`` entries are
-the simple roots alpha_1, ..., alpha_l in their conventional numbering.
+arithmetic.  Positive roots are the closure of the simple roots under the raising
+simple reflections, one array pass a level, frozen in a deterministic order whose
+first ``rank`` entries are the simple roots in their conventional numbering.
 
-Below `RootDatum` a root is its index k into `all_roots` (the N positive
-roots, then their negatives in the same order, so -(root k) is root
-(k + N) mod 2N).  `RootDatum` alone computes per-root numbers, each a read-only
-array built once per datum: `root_sums`, the signed `heights`, `pairings`,
+Below `RootDatum` a root is its index k into `coords`, the one read-only (2N x
+rank) int64 root-coordinate array (the N positive roots, then their negatives,
+so -(root k) is root (k + N) mod 2N; `all_roots` holds the same as tuples).
+`RootDatum` alone computes per-root numbers, each a read-only array built once
+per datum and read off `coords`: `root_sums`, the signed `heights`, `pairings`,
 `norm2` and `coroots`; the exponents, the Coxeter number, the highest root and
 `weyl_has_minus_one` are read off `heights`.  `string_depth(u, v)`, walked on
 `root_sums`, is the one root-string walk, run only on the index pairs a reader
@@ -40,7 +41,7 @@ _EXCEPTIONAL_ROOT_COUNTS = {("G", 2): 12, ("F", 4): 48, ("E", 6): 72, ("E", 7): 
 EXCEPTIONAL_TYPES = tuple(f"{family}{rank}" for family, rank in _EXCEPTIONAL_ROOT_COUNTS)
 
 _CLASSICAL_MIN_RANKS = {"A": 1, "B": 2, "C": 3, "D": 4}
-MAX_RANK = 32  # the largest classical rank built; primescan on B32 takes 1.4 s and 127 MB on 2 vCPUs
+MAX_RANK = 32  # the largest classical rank built; primescan on B32 takes 0.8-1.0 s and 126 MB cold on 2 vCPUs
 
 
 @dataclass(frozen=True, order=True)
@@ -133,8 +134,8 @@ def _root_lengths(cartan) -> tuple[int, ...]:
     return kernel[0]
 
 
-def _sum_index(roots) -> np.ndarray:
-    """(2N x 2N) array: the index of roots[i] + roots[j], else -1, for N roots and then their negatives.
+def _sum_index(coords) -> np.ndarray:
+    """(2N x 2N) array: the index of root i + root j, else -1, for the rows of coords, N roots and then their negatives.
 
     Coordinates are keyed k at a time in base B = 4M + 1 (M the largest
     |coordinate|): key(u + v) = key(u) + key(v), injective on sums of two
@@ -144,9 +145,8 @@ def _sum_index(roots) -> np.ndarray:
     2N and 2N * B**k <= 2**63, so no int64 wraps at any rank.  Only sums with a
     positive root are searched, and entries take the least signed type for -2N.
     """
-    coords = np.array(roots, dtype=np.int64)
     n, rank = coords.shape
-    base = 4 * max(map(max, roots)) + 1  # the negatives are among the roots
+    base = 4 * int(coords.max()) + 1  # the negatives are among the roots; a Python int, so base**k cannot wrap
     width = max(k for k in range(1, 64) if n * base**k <= 2**63)
     row_id, sum_id = np.zeros(n, dtype=np.int64), np.zeros((n // 2, n), dtype=np.int64)
     for lo in range(0, rank, width):
@@ -163,7 +163,7 @@ def _sum_index(roots) -> np.ndarray:
     root_of = np.full(n + 1, -1, dtype=np.min_scalar_type(-n))  # root_of[id]: the root with that id; root_of[-1] = -1
     root_of[row_id] = np.arange(n)
     top = root_of[sum_id]
-    negative = np.r_[np.arange(n // 2, n), np.arange(n // 2), -1].astype(root_of.dtype)
+    negative = np.concatenate([np.arange(n // 2, n), np.arange(n // 2), [-1]]).astype(root_of.dtype)
     return np.vstack([top, negative[np.roll(top, n // 2, axis=1)]])
 
 
@@ -187,17 +187,23 @@ class RootDatum:
         """The positive roots, then their negatives in the same order."""
         return self.positive_roots + tuple(tuple(-c for c in r) for r in self.positive_roots)
 
-    # -- read-only per-root arrays, built once and indexed like all_roots --
+    # -- read-only per-root arrays, built once and indexed like coords --
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """(2N x rank) int64 array: row u holds the simple-root coordinates of root u; every per-root array reads it."""
+        positive = np.array(self.positive_roots, dtype=np.int64)
+        return _read_only(np.concatenate([positive, -positive]))
 
     @cached_property
     def root_sums(self) -> np.ndarray:
         """(2N x 2N) integer array: entry (i, j) is the index of root i + root j, -1 if not a root."""
-        return _read_only(_sum_index(self.all_roots))
+        return _read_only(_sum_index(self.coords))
 
     @cached_property
     def heights(self) -> np.ndarray:
         """2N int64 array of signed heights: the sum of the simple-root coordinates of root u."""
-        return _read_only(np.array(self.all_roots, dtype=np.int64).sum(1))
+        return _read_only(self.coords.sum(1))
 
     @cached_property
     def exponents(self) -> tuple[int, ...]:
@@ -223,22 +229,21 @@ class RootDatum:
     @cached_property
     def pairings(self) -> np.ndarray:
         """(2N x rank) int64 array: entry (u, i) is <alpha_i^vee, root u>."""
-        return _read_only(np.array(self.all_roots, dtype=np.int64) @ np.array(self.cartan, dtype=np.int64).T)
+        return _read_only(self.coords @ np.array(self.cartan, dtype=np.int64).T)
 
     @cached_property
     def norm2(self) -> np.ndarray:
         """2N int64 array of the Weyl-invariant (u, u) = sum_i u_i d_i <alpha_i^vee, u>; short simple roots have 2."""
-        return _read_only((np.array(self.all_roots, dtype=np.int64) * self.simple_norms * self.pairings).sum(1))
+        return _read_only((self.coords * self.simple_norms * self.pairings).sum(1))
 
     @cached_property
     def coroots(self) -> np.ndarray:
         """(2N x rank) int64 array: the coroot 2 u / (u, u) of root u in simple-coroot coordinates."""
-        twice = 2 * np.array(self.all_roots, dtype=np.int64) * self.simple_norms
-        return _read_only(exact_div_arrays(twice, self.norm2[:, None], "coroot"))
+        return _read_only(exact_div_arrays(2 * self.coords * self.simple_norms, self.norm2[:, None], "coroot"))
 
     def string_depth(self, u, v) -> np.ndarray:
         """Int64 depths of the u-strings through v, each the largest k with v - k*u a root; u, v are root indices."""
-        minus = (np.asarray(u) + len(self.positive_roots)) % len(self.all_roots)  # the index of -(root u)
+        minus = (np.asarray(u) + len(self.positive_roots)) % len(self.coords)  # the index of -(root u)
         depth, w = np.zeros(np.broadcast(minus, v).shape, dtype=np.int64), self.root_sums[minus, v]  # v - u, or -1
         while (live := w >= 0).any():
             depth += live
@@ -285,35 +290,30 @@ class RootDatum:
 
 
 def _close_positive_roots(cartan) -> list[Root]:
-    """All positive roots, by closing the simple roots under the simple reflections.
+    """All positive roots: the simple roots closed under the raising simple reflections, one array pass a level.
 
-    s_i(beta) = beta - <alpha_i^vee, beta> alpha_i changes only coordinate i,
-    and s_i permutes the positive roots other than alpha_i, which it sends to
-    -alpha_i, the one image with a negative coordinate.  Every non-simple
-    positive root beta has some i with <alpha_i^vee, beta> > 0, so s_i(beta)
-    is a positive root of lower height (Humphreys, Introduction to Lie
-    Algebras and Representation Theory, 10.2): the closure is all of them.
-    Only the Cartan matrix is read; no root string is walked.
+    s_i(beta) = beta - <alpha_i^vee, beta> alpha_i changes only coordinate i, and raises beta when the pairing is
+    negative.  A non-simple positive root beta pairs positively with some alpha_i^vee, and s_i(beta) is then a positive
+    root of lower height that pairs negatively with it (Humphreys, Introduction to Lie Algebras and Representation
+    Theory, 10.2): reversing that chain, raising reflections reach every positive root from the simple ones, and no
+    other root, as s_i sends only alpha_i (which pairs to 2) out of the positive roots.  A level is one int64 product
+    frontier @ A^T, its new rows kept by their bytes.  Only the Cartan matrix is read; no root string is walked.
     """
-    n = len(cartan)
-    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    rows = [[(j, a) for j, a in enumerate(row) if a] for row in cartan]  # at most four nonzero entries a row
-    known = set(simple)
-    frontier = list(simple)
-    while frontier:
-        new = []
-        for beta in frontier:
-            for i in range(n):
-                gamma = list(beta)
-                gamma[i] -= sum(a * beta[j] for j, a in rows[i])
-                gamma = tuple(gamma)
-                if gamma[i] >= 0 and gamma not in known:
-                    known.add(gamma)
-                    new.append(gamma)
-        frontier = new
-    # (height, alpha_1-first lexicographic): simple roots land on indices 0..n-1
+    A = np.array(cartan, dtype=np.int64)
+    simple = frontier = np.eye(len(A), dtype=np.int64)
+    known, levels, width = {row.tobytes() for row in frontier}, [frontier], frontier.itemsize * len(A)  # bytes a row
+    while len(frontier):
+        pair = frontier @ A.T  # pair[b, i] = <alpha_i^vee, beta_b>
+        b, i = np.nonzero(pair < 0)  # the raising reflections
+        gamma = frontier[b] - pair[b, i, None] * simple[i]  # s_i(beta) = beta - <alpha_i^vee, beta> alpha_i
+        keys = gamma.tobytes()
+        rows = {keys[k * width : (k + 1) * width]: k for k in range(len(b))}  # one row a distinct image
+        frontier = gamma[[k for key, k in rows.items() if key not in known]]
+        known.update(rows)
+        levels.append(frontier)
+    # (height, alpha_1-first lexicographic), as (-height, r) descending: simple roots land on indices 0..n-1
     # in their conventional numbering.
-    return sorted(known, key=lambda r: (sum(r), tuple(-c for c in r)))
+    return sorted(map(tuple, np.concatenate(levels).tolist()), key=lambda r: (-sum(r), r), reverse=True)
 
 
 def per_type(build):

@@ -261,7 +261,7 @@ def crit_selmer_identities():
     for t in EXCEPTIONAL_TYPES:
         alg = build_chevalley_algebra(t)
         d, n = alg.datum, len(alg.datum.positive_roots)
-        theta = np.r_[1 - 2 * (d.heights % 2), np.ones(d.rank, dtype=np.int64)]
+        theta = np.concatenate([1 - 2 * (d.heights % 2), np.ones(d.rank, dtype=np.int64)])
         perm, sign = diagram_involution(alg)
         moved = perm != np.arange(alg.dim)  # sigma theta fixes its +1 fixed points and one vector per 2-cycle
         fixed, odd = int((theta == 1).sum()), int((~moved & (sign * theta == 1)).sum() + moved.sum() // 2)

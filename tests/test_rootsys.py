@@ -111,7 +111,8 @@ def test_root_sum_matches_tuple_sums(name):
     assert sums.tolist() == [[index.get(tuple(map(add, u, v)), -1) for v in roots] for u in roots]
 
 
-@pytest.mark.parametrize("name", ALL_TYPES + ["B17", "D21", "A30"])
+# the closure's frontiers and row keys are largest at rank 32
+@pytest.mark.parametrize("name", ALL_TYPES + ["B17", "D21", "A30", "A32", "B32", "C32", "D32"])
 def test_positive_roots_match_string_walk(name):
     # the reflection closure finds the roots the string-walk closure finds, in the same order
     d = build_root_datum(name)
@@ -138,6 +139,16 @@ def test_cold_datum_and_algebra_close_the_roots_once():
     assert spy.call_count == 1
 
 
+def test_a_cold_build_leaves_all_roots_unbuilt():
+    # the cold pipeline reads the one coordinate array `coords`; the tuples of `all_roots` are built only when read
+    for build in BUILDERS:
+        build.cache_clear()
+    d = build_root_datum("F4")
+    for build in BUILDERS[1:]:  # the algebra, the Kostant decomposition and the scan report, which reads its strings
+        build("F4")
+    assert "coords" in vars(d) and "all_roots" not in vars(d)
+
+
 @pytest.mark.parametrize("name", ALL_TYPES + ["B17"])
 def test_string_depth_matches_tuple_walk(name):
     # every pair (u, v), asked at once as two index grids
@@ -162,14 +173,15 @@ def test_coroots_and_norms_match_tuple_formula(name):
 
 def test_per_root_arrays_read_only_and_built_once():
     d = dataclasses.replace(build_root_datum("F4"))  # a fresh datum, so nothing is cached yet
-    names = ("root_sums", "heights", "pairings", "norm2", "coroots")
+    names = ("coords", "root_sums", "heights", "pairings", "norm2", "coroots")
     assert not set(names) & set(vars(d))
     for name in names:
         array = getattr(d, name)
         assert getattr(d, name) is array and not array.flags.writeable, name
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
-    assert d.pairings.shape == d.coroots.shape == (48, 4) and d.norm2.shape == d.heights.shape == (48,)
+    assert d.coords.shape == d.pairings.shape == d.coroots.shape == (48, 4) and d.norm2.shape == d.heights.shape == (48,)
+    assert d.coords.dtype == np.int64 and d.coords.tolist() == [list(r) for r in d.all_roots]
     assert d.root_sums.shape == (48, 48)
 
 

@@ -406,6 +406,40 @@ def test_each_root_fact_has_one_home():
     assert set(facts) <= properties
 
 
+def _np_r_lines(text) -> list[int]:
+    """The lines of text that read `np.r_`."""
+    nodes = ast.walk(ast.parse(text))
+    return sorted(node.lineno for node in nodes if isinstance(node, ast.Attribute) and ast.unparse(node) == "np.r_")
+
+
+def test_no_np_r_in_package():
+    # np.r_ parses its index at run time: about 16 us a call against 2.6 us for np.concatenate on four 100-long arrays
+    found = []
+    for path in sorted(pathlib.Path(monolab.__file__).parent.glob("*.py")):
+        found += [f"{path.name}:{n}" for n in _np_r_lines(path.read_text())]
+    assert not found, found
+    assert _np_r_lines("x = np.r_[0, a]\ny = np.concatenate([[0], a])\nz = r_[0]\n") == [1]
+
+
+def _all_roots_array_lines(text) -> list[int]:
+    """The lines of text that pass an `all_roots` expression to `np.array`."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.array" and "all_roots" in ast.unparse(node)
+    )
+
+
+def test_no_array_is_built_from_all_roots():
+    # every per-root array reads `RootDatum.coords`, the one root-coordinate array, built from `positive_roots`
+    found = []
+    for path in sorted(pathlib.Path(monolab.__file__).parent.glob("*.py")):
+        found += [f"{path.name}:{n}" for n in _all_roots_array_lines(path.read_text())]
+    assert not found, found
+    sample = "a = np.array(d.all_roots, dtype=np.int64)\nb = np.array(d.coords)\nc = np.array(self.all_roots)[0]\n"
+    assert _all_roots_array_lines(sample) == [1, 3]
+
+
 def test_reference_lists_have_one_copy():
     # fixtures reads the paper's lists from data/reference_lists.json: no list, tuple, dict or set
     # display in the module spells a number, so the data file is their one copy
